@@ -2,6 +2,8 @@
 closures, and prolongations for holonomy candidates on realified
 pseudo-quaternionic-Hermitian spaces."""
 
+__version__ = "0.1.0"  # the one place the version is set; see pyproject.toml
+
 from .exactlin import (RealMatrix, Rational, Subspace, nullspace, rank, rref,
                        span_of, subspace_contains, subspace_equal)
 from .quatspace import (Quaternion, QuatMatrix, QuaternionicSpace, build_space,
@@ -16,5 +18,3 @@ from .prolong import (ProlongationSpace, first_prolongation,
                       first_prolongation_of, restrict_action,
                       second_prolongation, second_prolongation_of)
 from .berger import BergerReport, berger_closure, berger_report, holonomy_case_split
-
-__version__ = "0.1.0"

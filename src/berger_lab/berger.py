@@ -14,20 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .curvature import (CurvatureSpace, bianchi_kernel, bivector_pairs,
-                        build_r1, coefficients_over, element_over)
+from .curvature import (CurvatureSpace, bivector_pairs, build_r1,
+                        coefficients_over, element_over)
 from .exactlin import SpanSolver, Subspace, span_of
-from .liealg import (LieAlgebra, algebra_by_name, build_h0, build_sp_parabolic,
-                     build_sp1, direct_sum)
-from .quatspace import QuaternionicSpace, build_space
+from .liealg import LieAlgebra
 
 __all__ = [
     "BergerReport",
     "CaseSplitCheck",
     "CaseSplitReport",
+    "Split",
     "berger_closure",
     "berger_report",
+    "collapses",
     "holonomy_case_split",
+    "split_of",
     "SCOPE_NOTE",
 ]
 
@@ -142,15 +143,50 @@ class CaseSplitReport:
         }
 
 
-class CurvatureProvider:
-    """Default provider; the CLI harness substitutes a disk-caching one."""
+@dataclass(frozen=True)
+class Split:
+    """The four conditions of R(full) = line(generator) + R(sub), each kept
+    so that callers can report them; `sub_over_full` is R(sub) as a
+    subspace of the coefficient space over full.algebra."""
 
-    def curvature_space(self, space: QuaternionicSpace, name: str) -> CurvatureSpace:
-        return bianchi_kernel(algebra_by_name(name, space))
+    dims_add_up: bool
+    generator_in_full: bool
+    generator_in_sub: bool
+    sub_in_full: bool
+    sub_over_full: Subspace
+
+    @property
+    def holds(self) -> bool:
+        return (self.dims_add_up and self.generator_in_full
+                and not self.generator_in_sub and self.sub_in_full)
 
 
-def holonomy_case_split(r: int, s: int, t: int,
-                      provider: CurvatureProvider | None = None) -> CaseSplitReport:
+def split_of(full: CurvatureSpace, sub: CurvatureSpace,
+             generator: dict) -> Split:
+    """Test R(full) = line(generator) + R(sub), over full.algebra.
+
+    `generator` is a sparse coefficient vector over full.algebra; `sub`'s
+    algebra must embed in full.algebra.
+    """
+    embedded = coefficients_over(sub, full.algebra)
+    full_sub = full.coefficient_subspace()
+    return Split(
+        dims_add_up=full.dim == 1 + sub.dim,
+        generator_in_full=full_sub.contains_vector(generator),
+        generator_in_sub=embedded.contains_vector(generator),
+        sub_in_full=full_sub.contains(embedded),
+        sub_over_full=embedded,
+    )
+
+
+def collapses(full: CurvatureSpace, sub: CurvatureSpace) -> bool:
+    """True iff R(full) = R(sub), comparing both over full.algebra."""
+    embedded = coefficients_over(sub, full.algebra)
+    full_sub = full.coefficient_subspace()
+    return embedded.dim == full_sub.dim and full_sub.contains(embedded)
+
+
+def holonomy_case_split(r: int, s: int, t: int, session=None) -> CaseSplitReport:
     """Mechanical two-case decision on which candidates preserving the
     isotropic part W survive the Berger criterion.
 
@@ -159,32 +195,34 @@ def holonomy_case_split(r: int, s: int, t: int,
     preserves W.  Case r0+s0 = 0: the split of the curvature space by the
     line through R1, the one-dimensional curvature space of h0, both Berger
     properties, and the restriction identity on W x W1 are verified.
+
+    Spaces, algebras and curvature spaces come from `session` (a
+    `harness.Session`); without one, a fresh uncached session is used.
     """
     if not 1 <= t <= min(r, s):
         raise ValueError("need 1 <= t <= min(r, s)")
-    provider = provider or CurvatureProvider()
-    space = build_space(r, s, t)
+    if session is None:
+        from .harness import Session  # harness imports this module
+        session = Session()
+    space = session.space(r, s, t)
     checks = []
     n0 = r + s - 2 * t
 
-    parabolic_full = provider.curvature_space(space, "sp1+sp_w")
-    parabolic = provider.curvature_space(space, "sp_w")
-    target = direct_sum(build_sp1(space), build_sp_parabolic(space))
+    parabolic_full = session.curvature("sp1+sp_w", r, s, t)
+    parabolic = session.curvature("sp_w", r, s, t)
+    target = parabolic_full.algebra
 
     if n0 != 0:
         case = "mixed-signature"
-        embedded = coefficients_over(parabolic, target)
-        full_sub = parabolic_full.coefficient_subspace()
-        equal = (embedded.dim == full_sub.dim and full_sub.contains(embedded))
         checks.append(CaseSplitCheck(
             "collapse-equality",
             "curvature space over sp(1)+sp(r,s)_W equals the one over sp(r,s)_W",
-            "pass" if equal else "fail",
+            "pass" if collapses(parabolic_full, parabolic) else "fail",
             {"dim_with_sp1": parabolic_full.dim, "dim_without_sp1": parabolic.dim},
         ))
     else:
         case = "split-signature"
-        h0_curv = provider.curvature_space(space, "h0")
+        h0_curv = session.curvature("h0", r, s, t)
         checks.append(CaseSplitCheck(
             "h0-curvature-line",
             "the curvature space of h0 is one-dimensional",
@@ -194,22 +232,16 @@ def holonomy_case_split(r: int, s: int, t: int,
         if h0_curv.dim == 1:
             r1 = build_r1(space, curvature=h0_curv)
             r1_vec = element_over(r1, target)
-            sub_embedded = coefficients_over(parabolic, target)
-            full_sub = parabolic_full.coefficient_subspace()
-            split_ok = (parabolic_full.dim == 1 + parabolic.dim
-                        and full_sub.contains_vector(r1_vec)
-                        and not sub_embedded.contains_vector(r1_vec)
-                        and full_sub.contains(sub_embedded))
+            split = split_of(parabolic_full, parabolic, r1_vec)
             checks.append(CaseSplitCheck(
                 "parabolic-split",
                 "curvature space over sp(1)+sp(r,r)_W = line(R1) + curvature "
                 "space over sp(r,r)_W",
-                "pass" if split_ok else "fail",
+                "pass" if split.holds else "fail",
                 {"dim_with_sp1": parabolic_full.dim,
                  "dim_without_sp1": parabolic.dim},
             ))
-            h0_alg = build_h0(space)
-            rep_h0 = berger_report(h0_alg, h0_curv)
+            rep_h0 = berger_report(h0_curv.algebra, h0_curv)
             checks.append(CaseSplitCheck(
                 "h0-berger",
                 "h0 is spanned by the images of its curvature tensors",
@@ -225,7 +257,7 @@ def holonomy_case_split(r: int, s: int, t: int,
                  "algebra_dim": rep_full.algebra_dim},
             ))
             restr_ok, restr_details = _restriction_multiple_check(
-                space, parabolic_full, sub_embedded, r1, r1_vec)
+                space, parabolic_full, split.sub_over_full, r1, r1_vec)
             checks.append(CaseSplitCheck(
                 "restriction-multiple",
                 "on W x W1 every tensor restricts, on the W-block, to its "

@@ -5,8 +5,8 @@ exact.  Elimination is deterministic (leftmost-pivot, first nonzero row),
 so echelon forms are unique and subspace bases are canonical: two
 subspaces are equal iff their stored bases are entrywise equal.
 
-Internally the heavy eliminations run on sparse rows of primitive
-integers (fraction-free, per-row gcd normalization).  That is an
+Every elimination runs on one engine, `Echelon`, over sparse rows of
+primitive integers (fraction-free, per-row gcd normalization).  That is an
 optimization only; observable results are identical to naive
 Fraction-based Gauss-Jordan.
 
@@ -192,12 +192,12 @@ class RealMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        aug = [list(self.row(i)) + [Fraction(1) if j == i else Fraction(0)
-                                    for j in range(n)] for i in range(n)]
-        red, piv = _dense_rref(aug)
-        if len(piv) != n or piv != list(range(n)):
+        aug = RealMatrix.from_rows(
+            [list(self.row(i)) + [int(j == i) for j in range(n)] for i in range(n)])
+        red, piv = rref(aug)
+        if piv != list(range(n)):
             raise ValueError("matrix is singular")
-        return RealMatrix(n, n, [red[i][n + j] for i in range(n) for j in range(n)])
+        return RealMatrix(n, n, [red[i, n + j] for i in range(n) for j in range(n)])
 
     def commutator(self, other: "RealMatrix") -> "RealMatrix":
         return self * other - other * self
@@ -320,22 +320,6 @@ class Echelon:
             out.append({k: Fraction(v, pv) for k, v in sorted(r.items())})
         return out
 
-    def reduce_vector(self, vec: dict) -> dict:
-        """Remainder of a Fraction vector after reduction (fully reduced basis)."""
-        v = {k: Fraction(x) for k, x in vec.items() if x}
-        for c in sorted(self.pivots):
-            coef = v.get(c)
-            if coef:
-                r = self.pivots[c]
-                f = coef / r[c]
-                for k, x in r.items():
-                    nv = v.get(k, Fraction(0)) - f * x
-                    if nv:
-                        v[k] = nv
-                    else:
-                        v.pop(k, None)
-        return v
-
 
 def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list[dict]:
     """Kernel basis (free-column parametrization) of a sparse integer system.
@@ -372,45 +356,20 @@ def canonical_rows(vectors: Iterable[dict]) -> list[dict]:
     return ech.canonical_rows()
 
 
-# ---------------------------------------------------------------------------
-# dense RREF (the public, externally contracted form)
-# ---------------------------------------------------------------------------
-
-def _dense_rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    pivots = []
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for i in range(pr, nrows):
-            if matrix[i][pc] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        matrix[pr], matrix[pivot_row] = matrix[pivot_row], matrix[pr]
-        pv = matrix[pr][pc]
-        if pv != 1:
-            matrix[pr] = [x / pv for x in matrix[pr]]
-        for i in range(nrows):
-            if i != pr and matrix[i][pc] != 0:
-                f = matrix[i][pc]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    return matrix, pivots
-
-
 def rref(m: RealMatrix) -> tuple[RealMatrix, list[int]]:
     """Unique reduced row echelon form and its pivot columns.
 
     Pivot selection: first nonzero entry, scanning columns left to right.
+    The nonzero rows are `canonical_rows` of the matrix's rows; zero rows
+    pad the result to the input's shape.
     """
-    red, pivots = _dense_rref(m.to_lists())
-    return RealMatrix.from_rows(red) if red else RealMatrix.zeros(0, m.cols), pivots
+    rows = canonical_rows({j: v for j, v in enumerate(m.row(i)) if v}
+                          for i in range(m.rows))
+    entries = [Fraction(0)] * (m.rows * m.cols)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            entries[i * m.cols + j] = v
+    return RealMatrix(m.rows, m.cols, entries), [min(r) for r in rows]
 
 
 def rank(m: RealMatrix) -> int:

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from . import __version__, prolong
 from . import curvature as curv
-from . import prolong
-from .berger import berger_report, holonomy_case_split
+from .berger import berger_report, collapses, holonomy_case_split, split_of
 from .curvature import CurvatureSpace
 from .exactlin import RealMatrix, rat_to_str, symmetric_signature
 from .liealg import (ALGEBRA_NAMES, algebra_by_name, sp_dimension,
@@ -29,7 +29,7 @@ from .liealg import (ALGEBRA_NAMES, algebra_by_name, sp_dimension,
 from .quatspace import QuaternionicSpace, build_space
 
 TOOL_NAME = "berger-lab"
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 CACHE_FORMAT_VERSION = 1
 
 TIER1_CONFIGS = ((1, 1, 1), (1, 2, 1))
@@ -90,8 +90,6 @@ def cache_key(r: int, s: int, t: int, algebra: str) -> str:
 
 def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str):
     """Cached curvature space, or None on miss/corruption (corruption warns)."""
-    if cache_dir is None:
-        return None
     path = Path(cache_dir) / f"{cache_key(space.r, space.s, space.t, algebra_name)}.json"
     if not path.exists():
         return None
@@ -113,8 +111,6 @@ def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str):
 
 def cache_put(cache_dir, space: QuaternionicSpace, algebra_name: str,
               value: CurvatureSpace) -> None:
-    if cache_dir is None:
-        return
     try:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
         path = Path(cache_dir) / (
@@ -136,8 +132,9 @@ def cache_put(cache_dir, space: QuaternionicSpace, algebra_name: str,
 # ---------------------------------------------------------------------------
 
 class Session:
-    """Memoizes spaces, algebras, and curvature spaces across checks; also
-    the curvature provider handed to the decision procedure."""
+    """Memoizes spaces, algebras, and curvature spaces across checks and the
+    decision procedure; curvature spaces go through the disk cache only when
+    `cache_dir` is set."""
 
     def __init__(self, cache_dir=None):
         self.cache_dir = cache_dir
@@ -161,16 +158,15 @@ class Session:
         key = (name, r, s, t)
         if key not in self._curvatures:
             space = self.space(r, s, t)
-            cached = cache_get(self.cache_dir, space, name)
+            cached = None
+            if self.cache_dir is not None:
+                cached = cache_get(self.cache_dir, space, name)
             if cached is None:
                 cached = curv.bianchi_kernel(self.algebra(name, r, s, t))
-                cache_put(self.cache_dir, space, name, cached)
+                if self.cache_dir is not None:
+                    cache_put(self.cache_dir, space, name, cached)
             self._curvatures[key] = cached
         return self._curvatures[key]
-
-    def curvature_space(self, space: QuaternionicSpace, name: str):
-        # CurvatureProvider interface used by holonomy_case_split
-        return self.curvature(name, space.r, space.s, space.t)
 
     def computed_curvatures(self):
         return dict(self._curvatures)
@@ -202,6 +198,11 @@ class CheckResult:
 
 def _configs(tier: int):
     return TIER2_CONFIGS if tier >= 2 else TIER1_CONFIGS
+
+
+def _ranks(tier: int):
+    """Ranks r of the split-signature configurations (r, r, r)."""
+    return (1, 2) if tier >= 2 else (1,)
 
 
 def check_structure_axioms(session: Session, tier: int) -> CheckResult:
@@ -262,8 +263,7 @@ def check_algebra_dimensions(session: Session, tier: int) -> CheckResult:
 def check_h0_curvature_line(session: Session, tier: int) -> CheckResult:
     details = {}
     ok = True
-    ranks = [1] if tier < 2 else [1, 2]
-    for r in ranks:
+    for r in _ranks(tier):
         dim = session.curvature("h0", r, r, r).dim
         details[f"r={r}"] = {"dim": dim}
         ok = ok and dim == 1
@@ -316,48 +316,34 @@ def _bianchi_residual_is_zero(element) -> bool:
 
 def check_full_split(session: Session, tier: int) -> CheckResult:
     r, s, t = 1, 1, 1
-    space = session.space(r, s, t)
     full = session.curvature("sp1+sp", r, s, t)
     sub = session.curvature("sp", r, s, t)
-    target = session.algebra("sp1+sp", r, s, t)
-    r0_vec = curv.build_r0(space, target).sparse_vector()
-    embedded = curv.coefficients_over(sub, target)
-    full_sub = full.coefficient_subspace()
-    split = full.dim == 1 + sub.dim
-    r0_in_full = full_sub.contains_vector(r0_vec)
-    r0_not_in_sub = not embedded.contains_vector(r0_vec)
-    containment = full_sub.contains(embedded)
-    ok = split and r0_in_full and r0_not_in_sub and containment
+    r0_vec = curv.build_r0(session.space(r, s, t), full.algebra).sparse_vector()
+    split = split_of(full, sub, r0_vec)
     return CheckResult(
         "full-algebra-split",
         "curvature space of sp(1)+sp(1,1) = line(R0) + curvature space of "
         "sp(1,1), with R0 outside the second summand",
-        "pass" if ok else "fail",
+        "pass" if split.holds else "fail",
         {"dim_with_sp1": full.dim, "dim_without_sp1": sub.dim,
-         "r0_in_full": r0_in_full, "r0_in_sub": not r0_not_in_sub})
+         "r0_in_full": split.generator_in_full,
+         "r0_in_sub": split.generator_in_sub})
 
 
 def check_parabolic_split(session: Session, tier: int) -> CheckResult:
     details = {}
     ok = True
-    ranks = [1] if tier < 2 else [1, 2]
-    for r in ranks:
-        space = session.space(r, r, r)
+    for r in _ranks(tier):
         full = session.curvature("sp1+sp_w", r, r, r)
         sub = session.curvature("sp_w", r, r, r)
-        h0_curv = session.curvature("h0", r, r, r)
-        target = session.algebra("sp1+sp_w", r, r, r)
-        r1 = curv.build_r1(space, curvature=h0_curv)
-        r1_vec = curv.element_over(r1, target)
-        embedded = curv.coefficients_over(sub, target)
-        full_sub = full.coefficient_subspace()
-        split = full.dim == 1 + sub.dim
-        r1_in_full = full_sub.contains_vector(r1_vec)
-        r1_not_in_sub = not embedded.contains_vector(r1_vec)
-        containment = full_sub.contains(embedded)
-        details[f"r={r}"] = {"dim_with_sp1": full.dim, "dim_without_sp1": sub.dim,
-                             "r1_spans_complement": r1_in_full and r1_not_in_sub}
-        ok = ok and split and r1_in_full and r1_not_in_sub and containment
+        r1 = curv.build_r1(session.space(r, r, r),
+                           curvature=session.curvature("h0", r, r, r))
+        split = split_of(full, sub, curv.element_over(r1, full.algebra))
+        details[f"r={r}"] = {
+            "dim_with_sp1": full.dim, "dim_without_sp1": sub.dim,
+            "r1_spans_complement": (split.generator_in_full
+                                    and not split.generator_in_sub)}
+        ok = ok and split.holds
     return CheckResult(
         "parabolic-split",
         "curvature space of sp(1)+sp(r,r)_W = line(R1) + curvature space of "
@@ -369,15 +355,11 @@ def check_mixed_signature_collapse(session: Session, tier: int) -> CheckResult:
     r, s, t = 1, 2, 1
     full = session.curvature("sp1+sp_w", r, s, t)
     sub = session.curvature("sp_w", r, s, t)
-    target = session.algebra("sp1+sp_w", r, s, t)
-    embedded = curv.coefficients_over(sub, target)
-    full_sub = full.coefficient_subspace()
-    equal = embedded.dim == full_sub.dim and full_sub.contains(embedded)
     return CheckResult(
         "mixed-signature-collapse",
         "with a nonzero non-degenerate complement, adjoining sp(1) to the "
         "W-preserving algebra adds no curvature tensors",
-        "pass" if equal else "fail",
+        "pass" if collapses(full, sub) else "fail",
         {"dim_with_sp1": full.dim, "dim_without_sp1": sub.dim})
 
 
@@ -424,8 +406,7 @@ def check_prolongations(session: Session, tier: int) -> CheckResult:
 def check_berger_verdicts(session: Session, tier: int) -> CheckResult:
     details = {}
     ok = True
-    ranks = [1] if tier < 2 else [1, 2]
-    for r in ranks:
+    for r in _ranks(tier):
         h0 = session.algebra("h0", r, r, r)
         h0_curv = session.curvature("h0", r, r, r)
         rep_h0 = berger_report(h0, h0_curv)
@@ -485,9 +466,8 @@ def check_pair_symmetry(session: Session, tier: int) -> CheckResult:
 def check_case_split(session: Session, tier: int) -> CheckResult:
     details = {}
     ok = True
-    cases = [(1, 1, 1), (1, 2, 1)] if tier < 2 else [(1, 1, 1), (1, 2, 1), (2, 2, 2)]
-    for (r, s, t) in cases:
-        report = holonomy_case_split(r, s, t, provider=session)
+    for (r, s, t) in _configs(tier):
+        report = holonomy_case_split(r, s, t, session=session)
         details[f"({r},{s},{t})"] = {"case": report.case, "verdict": report.verdict}
         ok = ok and report.passed()
     return CheckResult(

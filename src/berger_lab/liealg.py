@@ -56,15 +56,13 @@ class LieAlgebra:
     """A linearly independent list of real matrices spanning a subalgebra
     of gl(4m, R), with provenance metadata."""
 
-    __slots__ = ("name", "space", "basis", "dim", "metric_compatible", "_span")
+    __slots__ = ("name", "space", "basis", "dim", "_span")
 
-    def __init__(self, name: str, space: QuaternionicSpace, basis,
-                 metric_compatible: bool = True):
+    def __init__(self, name: str, space: QuaternionicSpace, basis):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "dim", len(self.basis))
-        object.__setattr__(self, "metric_compatible", metric_compatible)
         object.__setattr__(self, "_span", None)
 
     def __setattr__(self, name, value):
@@ -257,10 +255,7 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlge
     for y in b.basis:
         if not span.add(y.flatten_sparse()):
             raise ValueError("not a direct sum: spans overlap")
-    return LieAlgebra(
-        name or f"{a.name}+{b.name}", a.space, a.basis + b.basis,
-        metric_compatible=a.metric_compatible and b.metric_compatible,
-    )
+    return LieAlgebra(name or f"{a.name}+{b.name}", a.space, a.basis + b.basis)
 
 
 def build_h0(space: QuaternionicSpace) -> LieAlgebra:

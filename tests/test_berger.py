@@ -1,9 +1,11 @@
 import pytest
 
 from berger_lab.berger import (SCOPE_NOTE, berger_closure, berger_report,
-                               holonomy_case_split)
-from berger_lab.curvature import CurvatureSpace
+                               collapses, holonomy_case_split, split_of)
+from berger_lab.curvature import CurvatureSpace, build_r1, element_over
 from berger_lab.exactlin import SpanSolver
+from berger_lab.harness import (Session, check_mixed_signature_collapse,
+                                check_parabolic_split)
 
 
 def test_h0_is_berger(session):
@@ -76,7 +78,7 @@ def test_mismatched_curvature_space_rejected(session):
 # ---------------------------------------------------------------------------
 
 def test_decision_split_signature_case(session):
-    report = holonomy_case_split(1, 1, 1, provider=session)
+    report = holonomy_case_split(1, 1, 1, session=session)
     assert report.case == "split-signature"
     assert report.passed()
     assert report.verdict == "confirmed"
@@ -86,7 +88,7 @@ def test_decision_split_signature_case(session):
 
 
 def test_decision_mixed_signature_case(session):
-    report = holonomy_case_split(1, 2, 1, provider=session)
+    report = holonomy_case_split(1, 2, 1, session=session)
     assert report.case == "mixed-signature"
     assert report.passed()
     assert [c.check_id for c in report.checks] == ["collapse-equality"]
@@ -99,25 +101,57 @@ def test_decision_rejects_bad_witt_rank():
         holonomy_case_split(1, 1, 2)
 
 
-def test_decision_reports_falsification_loudly(session):
-    class Tampering:
-        """Drops one basis tensor from the sp(r,r)_W curvature space."""
+class DropsOneSpWTensor(Session):
+    """Drops the last basis tensor of every sp(r,r)_W curvature space."""
 
-        def curvature_space(self, space, name):
-            real = session.curvature_space(space, name)
-            if name == "sp_w":
-                return CurvatureSpace(real.space, real.algebra, real.basis[:-1])
-            return real
+    def curvature(self, name, r, s, t):
+        real = super().curvature(name, r, s, t)
+        if name == "sp_w":
+            return CurvatureSpace(real.space, real.algebra, real.basis[:-1])
+        return real
 
-    report = holonomy_case_split(1, 1, 1, provider=Tampering())
+
+@pytest.fixture(scope="module")
+def tampered():
+    return DropsOneSpWTensor()
+
+
+def test_decision_reports_falsification_loudly(tampered):
+    report = holonomy_case_split(1, 1, 1, session=tampered)
     assert not report.passed()
     assert report.verdict.startswith("CLAIM FALSIFIED AT (1,1,1)")
     failing = {c.check_id for c in report.checks if c.status == "fail"}
     assert "parabolic-split" in failing
 
 
+def test_split_checks_fail_on_a_dropped_tensor(tampered):
+    assert check_parabolic_split(tampered, 1).status == "fail"
+    split = holonomy_case_split(1, 1, 1, session=tampered).checks[1]
+    assert (split.check_id, split.status) == ("parabolic-split", "fail")
+    assert check_mixed_signature_collapse(tampered, 1).status == "fail"
+    collapse = holonomy_case_split(1, 2, 1, session=tampered).checks[0]
+    assert (collapse.check_id, collapse.status) == ("collapse-equality", "fail")
+
+
+def test_split_predicates_name_the_failed_condition(session, tampered):
+    full = session.curvature("sp1+sp_w", 1, 1, 1)
+    r1 = build_r1(session.space(1, 1, 1),
+                  curvature=session.curvature("h0", 1, 1, 1))
+    r1_vec = element_over(r1, full.algebra)
+    good = split_of(full, session.curvature("sp_w", 1, 1, 1), r1_vec)
+    assert good.holds
+    bad = split_of(full, tampered.curvature("sp_w", 1, 1, 1), r1_vec)
+    assert not bad.holds
+    assert not bad.dims_add_up
+    assert bad.generator_in_full and not bad.generator_in_sub and bad.sub_in_full
+    assert not split_of(full, session.curvature("sp_w", 1, 1, 1), {}).holds
+    assert collapses(session.curvature("sp1+sp_w", 1, 2, 1),
+                     session.curvature("sp_w", 1, 2, 1))
+    assert not collapses(full, session.curvature("sp_w", 1, 1, 1))
+
+
 def test_report_json_shape(session):
-    data = holonomy_case_split(1, 2, 1, provider=session).to_json()
+    data = holonomy_case_split(1, 2, 1, session=session).to_json()
     assert data["case"] == "mixed-signature"
     assert data["verdict"] == "confirmed"
     assert data["note"] == SCOPE_NOTE

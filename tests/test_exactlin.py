@@ -22,6 +22,25 @@ def M(rows):
     return RealMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
 
 
+def textbook_rref(rows):
+    """Dense Fraction Gauss-Jordan: leftmost pivot, first nonzero row."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        i = next((i for i in range(len(pivots), len(a)) if a[i][col]), None)
+        if i is None:
+            continue
+        p = len(pivots)
+        a[p], a[i] = a[i], a[p]
+        a[p] = [x / a[p][col] for x in a[p]]
+        for k in range(len(a)):
+            if k != p and a[k][col]:
+                f = a[k][col]
+                a[k] = [x - f * y for x, y in zip(a[k], a[p])]
+        pivots.append(col)
+    return a, pivots
+
+
 # ---------------------------------------------------------------------------
 # rref
 # ---------------------------------------------------------------------------
@@ -42,6 +61,40 @@ def test_rref_diagonal_full_rank():
     red, piv = rref(M([[1, 0], [0, 3]]))
     assert red == RealMatrix.identity(2)
     assert piv == [0, 1]
+
+
+@given(small_matrices(max_dim=5))
+@settings(max_examples=100, deadline=None)
+def test_rref_matches_textbook_gauss_jordan(m):
+    red, piv = rref(m)
+    expected, expected_piv = textbook_rref(m.to_lists())
+    assert red == RealMatrix.from_rows(expected)
+    assert piv == expected_piv
+    assert rank(m) == len(expected_piv)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(rationals, min_size=n * n, max_size=n * n).map(
+        lambda ent: RealMatrix(n, n, ent))))
+@settings(max_examples=100, deadline=None)
+def test_inverse_matches_textbook_gauss_jordan(m):
+    n = m.rows
+    aug = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    red, piv = textbook_rref(aug)
+    if piv[:n] != list(range(n)):
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+        return
+    assert m.inverse() == RealMatrix.from_rows([row[n:] for row in red])
+
+
+def test_rref_keeps_the_shape_of_wide_and_empty_matrices():
+    red, piv = rref(M([[0, 2, 4], [0, 1, 2], [0, 0, 0]]))
+    assert red == M([[0, 1, 2], [0, 0, 0], [0, 0, 0]])
+    assert piv == [1]
+    red, piv = rref(RealMatrix.zeros(0, 3))
+    assert (red.rows, red.cols, piv) == (0, 3, [])
 
 
 @given(small_matrices())

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import berger_lab
 from berger_lab import harness
 from berger_lab.cli import main
 from berger_lab.harness import (ALL_CHECKS, Session, cache_get, cache_put,
@@ -86,6 +87,10 @@ def test_report_is_deterministic(tier1_report, tmp_path):
     blob1 = json.dumps(tier1_report.to_json(), sort_keys=True)
     assert blob1 == json.dumps(second.to_json(), sort_keys=True)
     assert blob1 == json.dumps(third.to_json(), sort_keys=True)
+
+
+def test_report_version_is_the_package_version(tier1_report):
+    assert tier1_report.to_json()["version"] == berger_lab.__version__
 
 
 def test_timings_are_opt_in(tier1_report):

@@ -41,11 +41,7 @@ def berger_closure(g: LieAlgebra, curvature: CurvatureSpace) -> Subspace:
     """Span of all values R(e_a, e_b), as a subspace of g-coordinates."""
     if curvature.algebra.name != g.name:
         raise ValueError("curvature space was computed for a different algebra")
-    vectors = []
-    for el in curvature.basis:
-        for row in el.coeffs:
-            if any(row):
-                vectors.append({k: c for k, c in enumerate(row) if c})
+    vectors = [row for el in curvature.basis for row in el.rows if row]
     return span_of(vectors, g.dim)
 
 
@@ -93,9 +89,8 @@ def _closure_witnesses(g, curvature, closure_dim):
     span = SpanSolver(g.dim)
     picked = []
     for idx, el in enumerate(curvature.basis):
-        for ib, row in enumerate(el.coeffs):
-            vec = {k: c for k, c in enumerate(row) if c}
-            if vec and span.add(vec):
+        for ib, row in enumerate(el.rows):
+            if row and span.add(row):
                 picked.append((pairs[ib], idx))
                 if span.dim == closure_dim:
                     return tuple(picked)
@@ -285,29 +280,51 @@ def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1, r1_vec)
     r1_index = span.dim
     if not span.add(r1_vec):
         return False, {"reason": "R1 lies in the curvature space of sp(r,r)_W"}
-    w_idx = list(space.w_indices())
-    w1_idx = list(space.w1_indices())
-
-    r1_blocks = {}
-    for p in w_idx:
-        for q in w1_idx:
-            m = r1.value(p, q)
-            r1_blocks[(p, q)] = [[m[i, j] for j in w_idx] for i in w_idx]
+    w = space.w_indices()
+    w1 = space.w1_indices()
+    r1_blocks = _w_blocks(r1.algebra, w)
+    el_blocks = _w_blocks(parabolic_full.algebra, w)
+    expected_blocks = {(p, q): _w_block(r1, r1_blocks, p, q) for p in w for q in w1}
 
     checked = 0
-    for el in parabolic_full.basis:
+    for index, el in enumerate(parabolic_full.basis):
         coords = span.coordinates(el.sparse_vector())
         if coords is None:
             return False, {"reason": "split decomposition failed"}
         c = coords[r1_index]
-        for p in w_idx:
-            for q in w1_idx:
-                m = el.value(p, q)
-                expected = r1_blocks[(p, q)]
-                for i, wi in enumerate(w_idx):
-                    for j, wj in enumerate(w_idx):
-                        if m[wi, wj] != c * expected[i][j]:
-                            return False, {"element": parabolic_full.basis.index(el),
-                                           "pair": (p, q)}
+        for (p, q), r1_block in expected_blocks.items():
+            expected = {ij: c * v for ij, v in r1_block.items()} if c else {}
+            if _w_block(el, el_blocks, p, q) != expected:
+                return False, {"element": index, "pair": (p, q)}
         checked += 1
     return True, {"elements_checked": checked}
+
+
+def _w_blocks(algebra, w: range) -> list[dict]:
+    """Per basis matrix of `algebra`, its nonzero entries {(i, j): v} with
+    i and j in W."""
+    n = algebra.space.real_dim
+    blocks = []
+    for bmat in algebra.basis:
+        block = {}
+        for pos, v in bmat.flatten_sparse().items():
+            i, j = divmod(pos, n)
+            if i in w and j in w:
+                block[i, j] = v
+        blocks.append(block)
+    return blocks
+
+
+def _w_block(element, blocks, p: int, q: int) -> dict:
+    """The W x W block of R(e_p, e_q), nonzero entries only."""
+    out: dict = {}
+    row, sign = element.row_of(p, q)
+    for k, c in row.items():
+        c = sign * c
+        for ij, v in blocks[k].items():
+            nv = out.get(ij, 0) + c * v
+            if nv:
+                out[ij] = nv
+            else:
+                del out[ij]
+    return out

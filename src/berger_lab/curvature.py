@@ -10,10 +10,14 @@ degenerate pairs, and the space of curvature derivatives allowed by the
 second Bianchi identity.
 
 Coefficient layout: bivectors (a, b) with a < b are ordered
-lexicographically over the realified basis; a tensor is stored as one
-coefficient vector over the algebra basis per bivector, flattened
-bivector-major.  Kernel bases are canonical RREF rows of that coefficient
-space, so each basis tensor has its first nonzero coefficient equal to 1.
+lexicographically over the realified basis.  A tensor is stored sparsely,
+as one row per bivector: `rows[ib]` maps algebra basis index k to the
+coefficient of B_k in R(e_a, e_b), nonzero entries only, keys ascending.
+Its flat coefficient vector (`sparse_vector`) is bivector-major, with key
+ib * dim g + k.  Kernel bases are canonical RREF rows of that coefficient
+space, so each basis tensor has its first nonzero coefficient equal to 1;
+`bianchi_kernel` keeps those rows as the space's coefficient subspace.
+The JSON form stays dense: one string per (bivector, basis element).
 """
 
 from __future__ import annotations
@@ -55,111 +59,98 @@ def bivector_pairs(n: int) -> list[tuple[int, int]]:
 class CurvatureElement:
     """A curvature tensor with values in a fixed algebra.
 
-    `coeffs[biv][k]` is the coefficient of algebra basis element k in
-    R(e_a, e_b) for the biv-th bivector (a, b); R(e_b, e_a) = -R(e_a, e_b)
-    by construction.
+    `rows[ib]` is {k: coefficient of algebra basis element k in R(e_a, e_b)}
+    for the ib-th bivector (a, b), nonzero coefficients only, keys
+    ascending; R(e_b, e_a) = -R(e_a, e_b) by construction.  Rows are kept
+    as given, so callers pass nonzero rationals.
     """
 
-    __slots__ = ("space", "algebra", "coeffs")
+    __slots__ = ("space", "algebra", "rows")
 
-    def __init__(self, space: QuaternionicSpace, algebra: LieAlgebra, coeffs):
+    def __init__(self, space: QuaternionicSpace, algebra: LieAlgebra, rows):
+        rows = tuple(rows)
+        if len(rows) != _bivector_count(space.real_dim):
+            raise ValueError(f"expected one row per bivector, got {len(rows)}")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs",
-                           tuple(tuple(Fraction(c) for c in row) for row in coeffs))
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureElement is immutable")
 
     @classmethod
     def from_sparse(cls, space, algebra, vec: dict) -> "CurvatureElement":
-        nb = len(bivector_pairs(space.real_dim))
+        """The element with flat coefficient vector `vec` (nonzero values)."""
         dimg = algebra.dim
-        coeffs = [[Fraction(0)] * dimg for _ in range(nb)]
-        for key, v in vec.items():
+        rows = [{} for _ in range(_bivector_count(space.real_dim))]
+        for key in sorted(vec):
             ib, k = divmod(key, dimg)
-            coeffs[ib][k] = Fraction(v)
-        return cls(space, algebra, coeffs)
+            rows[ib][k] = vec[key]
+        return cls(space, algebra, rows)
 
     def sparse_vector(self) -> dict:
         dimg = self.algebra.dim
-        out = {}
-        for ib, row in enumerate(self.coeffs):
-            base = ib * dimg
-            for k, v in enumerate(row):
-                if v:
-                    out[base + k] = v
-        return out
+        return {ib * dimg + k: c
+                for ib, row in enumerate(self.rows) for k, c in row.items()}
+
+    def row_of(self, a: int, b: int) -> tuple[dict, int]:
+        """The stored row of the bivector {a, b} and the sign that turns it
+        into R(e_a, e_b): 1 if a < b, -1 if a > b, 0 (empty row) if a == b."""
+        if a == b:
+            return {}, 0
+        if a < b:
+            return self.rows[_biv_index(self.space.real_dim, a, b)], 1
+        return self.rows[_biv_index(self.space.real_dim, b, a)], -1
 
     def is_zero(self) -> bool:
-        return all(not any(row) for row in self.coeffs)
+        return not any(self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, CurvatureElement)
                 and self.algebra.name == other.algebra.name
-                and self.coeffs == other.coeffs)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(tuple(tuple(sorted(row.items())) for row in self.rows))
 
     def __repr__(self):
         return f"CurvatureElement(algebra={self.algebra.name!r})"
 
-    def scaled(self, c) -> "CurvatureElement":
-        c = Fraction(c)
-        return CurvatureElement(self.space, self.algebra,
-                                [[c * v for v in row] for row in self.coeffs])
-
-    def __add__(self, other: "CurvatureElement") -> "CurvatureElement":
-        if self.algebra is not other.algebra and self.algebra.name != other.algebra.name:
-            raise ValueError("elements over different algebras")
-        return CurvatureElement(
-            self.space, self.algebra,
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "CurvatureElement") -> "CurvatureElement":
-        return self + other.scaled(-1)
-
     def value(self, a: int, b: int) -> RealMatrix:
         """R(e_a, e_b) as a matrix (antisymmetric in a, b)."""
         n = self.space.real_dim
-        if a == b:
-            return RealMatrix.zeros(n, n)
-        sign = 1
-        if a > b:
-            a, b, sign = b, a, -1
-        ib = _biv_index(n, a, b)
-        out = [Fraction(0)] * (n * n)
-        for k, c in enumerate(self.coeffs[ib]):
-            if c:
-                c = sign * c
-                for pos, v in self.algebra.basis[k].flatten_sparse().items():
-                    out[pos] += c * v
+        out = [0] * (n * n)
+        row, sign = self.row_of(a, b)
+        basis = self.algebra.basis
+        for k, c in row.items():
+            c = sign * c
+            for pos, v in basis[k].flatten_sparse().items():
+                out[pos] += c * v
         return RealMatrix(n, n, out)
 
     def value_column(self, a: int, b: int, col: int) -> list:
         """Column `col` of R(e_a, e_b), cheaper than the full matrix."""
         n = self.space.real_dim
         out = [Fraction(0)] * n
-        if a == b:
-            return out
-        sign = 1
-        if a > b:
-            a, b, sign = b, a, -1
-        ib = _biv_index(n, a, b)
-        for k, c in enumerate(self.coeffs[ib]):
-            if c:
-                c = sign * c
-                basis_k = self.algebra.basis[k]
-                for d in range(n):
-                    v = basis_k[d, col]
-                    if v:
-                        out[d] += c * v
+        row, sign = self.row_of(a, b)
+        basis = self.algebra.basis
+        for k, c in row.items():
+            c = sign * c
+            basis_k = basis[k]
+            for d in range(n):
+                v = basis_k[d, col]
+                if v:
+                    out[d] += c * v
         return out
 
     def to_json(self) -> list:
-        return [[rat_to_str(v) for v in row] for row in self.coeffs]
+        dimg = self.algebra.dim
+        return [[rat_to_str(row[k]) if k in row else "0" for k in range(dimg)]
+                for row in self.rows]
+
+
+def _bivector_count(n: int) -> int:
+    return n * (n - 1) // 2
 
 
 def _biv_index(n: int, a: int, b: int) -> int:
@@ -167,16 +158,50 @@ def _biv_index(n: int, a: int, b: int) -> int:
     return a * n - a * (a + 1) // 2 + (b - a - 1)
 
 
-class CurvatureSpace:
-    """Basis of the kernel of the first-Bianchi map into a given algebra."""
+def _nonzero(coords) -> dict:
+    """A dense coordinate list as a sparse row."""
+    return {k: c for k, c in enumerate(coords) if c}
 
-    __slots__ = ("space", "algebra", "basis", "dim")
+
+def _parse_row(row: list, dimg: int) -> dict:
+    """Nonzero coefficients of one dense JSON row, parsing only non-"0"s."""
+    if len(row) != dimg:
+        raise ValueError(f"expected {dimg} coefficients per row, got {len(row)}")
+    out = {}
+    for k, v in enumerate(row):
+        if v != "0":
+            c = rat_from_str(v)
+            if c:
+                out[k] = c
+    return out
+
+
+class CurvatureSpace:
+    """Basis of the kernel of the first-Bianchi map into a given algebra.
+
+    The basis's span in the flat coefficient space is kept from
+    `bianchi_kernel`, whose basis rows are already canonical, or else
+    computed on first use."""
+
+    __slots__ = ("space", "algebra", "basis", "dim", "_subspace")
 
     def __init__(self, space, algebra, basis):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "dim", len(self.basis))
+        object.__setattr__(self, "_subspace", None)
+
+    @classmethod
+    def _from_canonical_rows(cls, algebra, rows) -> "CurvatureSpace":
+        """The space spanned by canonical RREF coefficient rows, which are
+        kept as its coefficient subspace."""
+        space = algebra.space
+        out = cls(space, algebra,
+                  [CurvatureElement.from_sparse(space, algebra, r) for r in rows])
+        ambient = _bivector_count(space.real_dim) * algebra.dim
+        object.__setattr__(out, "_subspace", Subspace(ambient, rows))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureSpace is immutable")
@@ -185,9 +210,14 @@ class CurvatureSpace:
         return f"CurvatureSpace(algebra={self.algebra.name!r}, dim={self.dim})"
 
     def coefficient_subspace(self) -> Subspace:
-        nb = len(bivector_pairs(self.space.real_dim))
-        ambient = nb * self.algebra.dim
-        return span_of([el.sparse_vector() for el in self.basis], ambient)
+        """The span of the basis in the flat coefficient space, computed at
+        most once."""
+        sub = self._subspace
+        if sub is None:
+            ambient = _bivector_count(self.space.real_dim) * self.algebra.dim
+            sub = span_of([el.sparse_vector() for el in self.basis], ambient)
+            object.__setattr__(self, "_subspace", sub)
+        return sub
 
     def contains(self, element: CurvatureElement) -> bool:
         if element.algebra.name != self.algebra.name:
@@ -206,9 +236,9 @@ class CurvatureSpace:
 
     @classmethod
     def from_json(cls, space, algebra, data: dict) -> "CurvatureSpace":
+        dimg = algebra.dim
         basis = [
-            CurvatureElement(space, algebra,
-                             [[rat_from_str(v) for v in row] for row in el])
+            CurvatureElement(space, algebra, [_parse_row(row, dimg) for row in el])
             for el in data["basis"]
         ]
         return cls(space, algebra, basis)
@@ -260,12 +290,9 @@ def _bianchi_rows(algebra: LieAlgebra):
 def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
     """The space of algebraic curvature tensors with values in `algebra`,
     i.e. the exact kernel of the first-Bianchi map on Hom(Lambda^2, g)."""
-    n = algebra.space.real_dim
-    ncols = len(bivector_pairs(n)) * algebra.dim
+    ncols = _bivector_count(algebra.space.real_dim) * algebra.dim
     raw = sparse_nullspace(_bianchi_rows(algebra), ncols)
-    rows = canonical_rows(raw)
-    basis = [CurvatureElement.from_sparse(algebra.space, algebra, r) for r in rows]
-    return CurvatureSpace(algebra.space, algebra, basis)
+    return CurvatureSpace._from_canonical_rows(algebra, canonical_rows(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +357,13 @@ def build_r0(space: QuaternionicSpace,
     """R0 expressed over the basis of sp(1) + sp(r, s)."""
     if algebra is None:
         algebra = direct_sum(build_sp1(space), build_sp(space))
-    n = space.real_dim
-    coeffs = []
-    for a, b in bivector_pairs(n):
+    rows = []
+    for a, b in bivector_pairs(space.real_dim):
         coords = algebra.coordinates_of(r0_value_matrix(space, a, b))
         if coords is None:
             raise ValueError("R0 value escapes the algebra span")
-        coeffs.append(coords)
-    return CurvatureElement(space, algebra, coeffs)
+        rows.append(_nonzero(coords))
+    return CurvatureElement(space, algebra, rows)
 
 
 def build_r1(space: QuaternionicSpace,
@@ -397,48 +423,33 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
     belongs to it, or more generally normalizes it).
     """
     algebra = element.algebra
-    space = element.space
-    n = space.real_dim
-    dimg = algebra.dim
+    n = element.space.real_dim
     ad_a = []
     for bmat in algebra.basis:
         coords = algebra.coordinates_of(a_mat.commutator(bmat))
         if coords is None:
             raise ValueError("bracket with A leaves the algebra span")
-        ad_a.append(coords)
-    pairs = bivector_pairs(n)
+        ad_a.append(_nonzero(coords))
+    a_cols = [_nonzero(a_mat.column(col)) for col in range(n)]
 
-    def signed_coeffs(x, y):
-        if x == y:
-            return None, 0
-        if x < y:
-            return element.coeffs[_biv_index(n, x, y)], 1
-        return element.coeffs[_biv_index(n, y, x)], -1
+    def subtract(acc, f, row):
+        for k, c in row.items():
+            acc[k] = acc.get(k, 0) - f * c
 
-    new_coeffs = []
-    for a, b in pairs:
-        row = [Fraction(0)] * dimg
-        for k, c in enumerate(element.coeffs[_biv_index(n, a, b)]):
-            if c:
-                adk = ad_a[k]
-                for k2 in range(dimg):
-                    if adk[k2]:
-                        row[k2] += c * adk[k2]
-        for col, other, first_slot in ((a, b, True), (b, a, False)):
-            acol = a_mat.column(col)
-            for d in range(n):
-                coef = acol[d]
-                if not coef:
-                    continue
-                cc, sg = signed_coeffs(d, other) if first_slot else signed_coeffs(other, d)
-                if cc is None:
-                    continue
-                f = coef * sg
-                for k2 in range(dimg):
-                    if cc[k2]:
-                        row[k2] -= f * cc[k2]
-        new_coeffs.append(row)
-    return CurvatureElement(space, algebra, new_coeffs)
+    new_rows = []
+    for ib, (a, b) in enumerate(bivector_pairs(n)):
+        acc: dict = {}
+        for k, c in element.rows[ib].items():
+            for k2, v in ad_a[k].items():
+                acc[k2] = acc.get(k2, 0) + c * v
+        for d, coef in a_cols[a].items():  # R(A e_a, e_b)
+            row, sign = element.row_of(d, b)
+            subtract(acc, coef * sign, row)
+        for d, coef in a_cols[b].items():  # R(e_a, A e_b)
+            row, sign = element.row_of(a, d)
+            subtract(acc, coef * sign, row)
+        new_rows.append({k: acc[k] for k in sorted(acc) if acc[k]})
+    return CurvatureElement(element.space, algebra, new_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -492,42 +503,29 @@ def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
 def derivative_space(curvature: CurvatureSpace) -> Subspace:
     """Maps T: R^n -> R(g) with cyclic sum T(X)(Y,Z) + T(Y)(Z,X) + T(Z)(X,Y)
     zero on all basis triples, as a subspace of R^{n * dim R(g)}."""
-    space = curvature.space
-    n = space.real_dim
+    n = curvature.space.real_dim
     kdim = curvature.dim
     if kdim == 0:
         return Subspace.zero(0)
-    dimg = curvature.algebra.dim
-
-    def coeff(i, x, y, k):
-        if x == y:
-            return Fraction(0)
-        if x < y:
-            return curvature.basis[i].coeffs[_biv_index(n, x, y)][k]
-        return -curvature.basis[i].coeffs[_biv_index(n, y, x)][k]
+    basis_rows = [el.rows for el in curvature.basis]
 
     def rows():
         for x in range(n):
             for y in range(x + 1, n):
                 for z in range(y + 1, n):
-                    for k in range(dimg):
-                        row = {}
-                        for i in range(kdim):
-                            total_x = coeff(i, y, z, k)
-                            if total_x:
-                                row[x * kdim + i] = row.get(x * kdim + i, Fraction(0)) + total_x
-                            total_y = coeff(i, z, x, k)
-                            if total_y:
-                                row[y * kdim + i] = row.get(y * kdim + i, Fraction(0)) + total_y
-                            total_z = coeff(i, x, y, k)
-                            if total_z:
-                                row[z * kdim + i] = row.get(z * kdim + i, Fraction(0)) + total_z
-                        row = {key: v for key, v in row.items() if v}
-                        if row:
-                            den = 1
-                            for v in row.values():
-                                den = lcm(den, v.denominator)
-                            yield {key: int(v * den) for key, v in row.items()}
+                    # T(x)(y,z) + T(y)(z,x) + T(z)(x,y), R(z,x) = -R(x,z)
+                    terms = ((x, _biv_index(n, y, z), 1),
+                             (y, _biv_index(n, x, z), -1),
+                             (z, _biv_index(n, x, y), 1))
+                    by_k: dict[int, dict] = {}
+                    for i, el_rows in enumerate(basis_rows):
+                        for slot, ib, sign in terms:
+                            for k, c in el_rows[ib].items():
+                                by_k.setdefault(k, {})[slot * kdim + i] = sign * c
+                    for k in sorted(by_k):
+                        row = by_k[k]
+                        den = lcm(*(v.denominator for v in row.values()))
+                        yield {key: int(v * den) for key, v in row.items()}
 
     raw = sparse_nullspace(rows(), n * kdim)
     return Subspace(n * kdim, canonical_rows(raw))
@@ -538,39 +536,28 @@ def derivative_space(curvature: CurvatureSpace) -> Subspace:
 # ---------------------------------------------------------------------------
 
 def _pairing_table(algebra: LieAlgebra):
-    """table[k][biv] = eta(B_k e_c, e_d) for the biv-th bivector (c, d)."""
+    """table[k] = {biv: eta(B_k e_c, e_d)} over the bivectors (c, d), nonzero
+    values only."""
     space = algebra.space
-    n = space.real_dim
-    pairs = bivector_pairs(n)
+    pairs = bivector_pairs(space.real_dim)
     table = []
     for bmat in algebra.basis:
         eb = space.eta * bmat
-        table.append([eb[d, c] for (c, d) in pairs])
+        table.append({jb: v for jb, (c, d) in enumerate(pairs) if (v := eb[d, c])})
     return table
 
 
 def _pair_symmetry_single(element: CurvatureElement, table) -> bool:
-    n = element.space.real_dim
-    pairs = bivector_pairs(n)
-    nb = len(pairs)
-    dimg = element.algebra.dim
     # P[i][j] = eta(R(pair_i) e_c, e_d) for pair_j = (c, d); values in the
     # metric algebra make the full quadruple check equivalent to P symmetric
-    p = [[Fraction(0)] * nb for _ in range(nb)]
-    for ib, row in enumerate(element.coeffs):
-        target = p[ib]
-        for k, c in enumerate(row):
-            if c:
-                tk = table[k]
-                for jb in range(nb):
-                    if tk[jb]:
-                        target[jb] += c * tk[jb]
-    for i in range(nb):
-        pi = p[i]
-        for j in range(i + 1, nb):
-            if pi[j] != p[j][i]:
-                return False
-    return True
+    p = []
+    for row in element.rows:
+        acc: dict = {}
+        for k, c in row.items():
+            for jb, v in table[k].items():
+                acc[jb] = acc.get(jb, 0) + c * v
+        p.append(acc)
+    return all(p[j].get(i, 0) == v for i, pi in enumerate(p) for j, v in pi.items())
 
 
 def pair_symmetry_holds(element: CurvatureElement) -> bool:
@@ -590,37 +577,42 @@ def pair_symmetry_all(curvature: CurvatureSpace) -> bool:
 # comparisons across algebras
 # ---------------------------------------------------------------------------
 
+def _embedding(algebra: LieAlgebra, target: LieAlgebra) -> list[dict]:
+    """Sparse coordinates over `target` of each basis matrix of `algebra`."""
+    mapped = []
+    for bmat in algebra.basis:
+        coords = target.coordinates_of(bmat)
+        if coords is None:
+            raise ValueError(f"{algebra.name} does not embed in {target.name}")
+        mapped.append(_nonzero(coords))
+    return mapped
+
+
+def _over(element: CurvatureElement, mapped: list[dict], dim_t: int) -> dict:
+    out: dict[int, Fraction] = {}
+    for ib, row in enumerate(element.rows):
+        base = ib * dim_t
+        for k, c in row.items():
+            for k2, v in mapped[k].items():
+                key = base + k2
+                nv = out.get(key, 0) + c * v
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
+    return out
+
+
 def element_over(element: CurvatureElement, target: LieAlgebra) -> dict:
     """The element's coefficient vector re-expressed over `target`'s basis
     (sparse, bivector-major).  Requires the element's algebra to sit inside
     `target` as a subspace."""
-    mapped = []
-    for bmat in element.algebra.basis:
-        coords = target.coordinates_of(bmat)
-        if coords is None:
-            raise ValueError(
-                f"{element.algebra.name} does not embed in {target.name}")
-        mapped.append(coords)
-    dim_t = target.dim
-    out: dict[int, Fraction] = {}
-    for ib, row in enumerate(element.coeffs):
-        base = ib * dim_t
-        for k, c in enumerate(row):
-            if c:
-                for k2, v in enumerate(mapped[k]):
-                    if v:
-                        key = base + k2
-                        nv = out.get(key, Fraction(0)) + c * v
-                        if nv:
-                            out[key] = nv
-                        else:
-                            del out[key]
-    return out
+    return _over(element, _embedding(element.algebra, target), target.dim)
 
 
 def coefficients_over(curvature: CurvatureSpace, target: LieAlgebra) -> Subspace:
     """The curvature space as a canonical subspace of the coefficient space
     over a larger algebra (for monotonicity and equality comparisons)."""
-    nb = len(bivector_pairs(curvature.space.real_dim))
-    vectors = [element_over(el, target) for el in curvature.basis]
-    return span_of(vectors, nb * target.dim)
+    mapped = _embedding(curvature.algebra, target)
+    vectors = [_over(el, mapped, target.dim) for el in curvature.basis]
+    return span_of(vectors, _bivector_count(curvature.space.real_dim) * target.dim)

@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +28,8 @@ from .exactlin import RealMatrix, rat_to_str, symmetric_signature
 from .liealg import (ALGEBRA_NAMES, algebra_by_name, sp_dimension,
                      sp_parabolic_dimension, stabilizer_of_subspace)
 from .quatspace import QuaternionicSpace, build_space
+
+_PACKAGE_PARENT = Path(__file__).resolve().parent.parent
 
 TOOL_NAME = "berger-lab"
 TOOL_VERSION = __version__
@@ -88,8 +91,12 @@ def cache_key(r: int, s: int, t: int, algebra: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str):
-    """Cached curvature space, or None on miss/corruption (corruption warns)."""
+def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str,
+              algebra=None):
+    """Cached curvature space, or None on miss/corruption (corruption warns).
+
+    `algebra` is the `algebra_name` algebra on `space` that the loaded space
+    is expressed over; it is built on a hit when not given."""
     path = Path(cache_dir) / f"{cache_key(space.r, space.s, space.t, algebra_name)}.json"
     if not path.exists():
         return None
@@ -101,8 +108,9 @@ def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str):
         if (key["r"], key["s"], key["t"], key["algebra"]) != (
                 space.r, space.s, space.t, algebra_name):
             return None
-        alg = algebra_by_name(algebra_name, space)
-        return CurvatureSpace.from_json(space, alg, data["curvature_space"])
+        if algebra is None:
+            algebra = algebra_by_name(algebra_name, space)
+        return CurvatureSpace.from_json(space, algebra, data["curvature_space"])
     except (ValueError, KeyError, TypeError, AttributeError, OSError) as exc:
         print(f"warning: ignoring corrupt cache entry {path}: {exc}",
               file=sys.stderr)
@@ -158,11 +166,12 @@ class Session:
         key = (name, r, s, t)
         if key not in self._curvatures:
             space = self.space(r, s, t)
+            algebra = self.algebra(name, r, s, t)
             cached = None
             if self.cache_dir is not None:
-                cached = cache_get(self.cache_dir, space, name)
+                cached = cache_get(self.cache_dir, space, name, algebra)
             if cached is None:
-                cached = curv.bianchi_kernel(self.algebra(name, r, s, t))
+                cached = curv.bianchi_kernel(algebra)
                 if self.cache_dir is not None:
                     cache_put(self.cache_dir, space, name, cached)
             self._curvatures[key] = cached
@@ -529,6 +538,22 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _crash_details(exc: Exception) -> dict:
+    """The message, the exception type and the innermost frame of a crash.
+
+    The frame reads `file:line in function`, with the file relative to the
+    directory holding the package (or its bare name outside it), so the
+    report does not depend on where the package is installed."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    path = Path(frame.filename).resolve()
+    if _PACKAGE_PARENT in path.parents:
+        where = path.relative_to(_PACKAGE_PARENT).as_posix()
+    else:
+        where = path.name
+    return {"error": str(exc), "type": type(exc).__name__,
+            "where": f"{where}:{frame.lineno} in {frame.name}"}
+
+
 def run_verification(tier: int = 1, cache_dir=None,
                      with_timings: bool = False) -> VerificationReport:
     session = Session(cache_dir=cache_dir)
@@ -538,7 +563,7 @@ def run_verification(tier: int = 1, cache_dir=None,
         try:
             result = fn(session, tier)
         except Exception as exc:  # a crash is a failed check, not a crashed run
-            result = CheckResult(check_id, "", "fail", {"error": str(exc)})
+            result = CheckResult(check_id, "", "fail", _crash_details(exc))
         result.wall_time_ms = int((time.monotonic() - start) * 1000)
         results.append(result)
     return VerificationReport(tier=tier, checks=results, with_timings=with_timings)

@@ -181,11 +181,6 @@ class QuatMatrix:
                 out.append(s)
         return QuatMatrix(self.rows, other.cols, out)
 
-    def conjugate_transpose(self) -> "QuatMatrix":
-        return QuatMatrix(self.cols, self.rows,
-                          [self[i, j].conjugate()
-                           for j in range(self.cols) for i in range(self.rows)])
-
 
 def realify(q: QuatMatrix) -> RealMatrix:
     """Real matrix of the H-linear map induced by left multiplication.
@@ -301,9 +296,6 @@ class QuaternionicSpace:
             raise ValueError("W requires t >= 1")
         return self._coordinate_span(self.w_indices())
 
-    def complement_E(self) -> Subspace:
-        return self._coordinate_span(self.e_indices())
-
     def dual_W1(self) -> Subspace:
         if self.t == 0:
             raise ValueError("W1 requires t >= 1")
@@ -318,19 +310,6 @@ class QuaternionicSpace:
             inv = self.eta.inverse()
             object.__setattr__(self, "_eta_inverse", inv)
         return inv
-
-    def eta_pairing(self, u, v) -> Fraction:
-        """eta(u, v) for dense coordinate vectors."""
-        total = Fraction(0)
-        n = self.real_dim
-        eta = self.eta
-        for i, ui in enumerate(u):
-            if ui:
-                row = eta.row(i)
-                for j, vj in enumerate(v):
-                    if vj and row[j]:
-                        total += ui * row[j] * vj
-        return total
 
     def to_json(self) -> dict:
         return {

@@ -55,8 +55,7 @@ def test_witnesses_span_the_closure(session):
     from berger_lab.curvature import bivector_pairs
     pairs = bivector_pairs(alg.space.real_dim)
     for (a, b), idx in report.witnesses:
-        row = curvature.basis[idx].coeffs[pairs.index((a, b))]
-        span.add({k: c for k, c in enumerate(row) if c})
+        span.add(curvature.basis[idx].rows[pairs.index((a, b))])
     assert span.dim == report.closure_dim
 
 

@@ -1,15 +1,17 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from berger_lab import curvature as curv
+from berger_lab import exactlin
 from berger_lab.curvature import (CurvatureElement, CurvatureSpace, act,
                                   bivector_pairs, build_r0,
                                   build_r1, coefficients_over, derivative_space,
                                   element_over, pair_symmetry_all,
                                   pair_symmetry_holds, restrict_check_degenerate,
                                   ricci, scalar)
-from berger_lab.exactlin import RealMatrix
+from berger_lab.exactlin import RealMatrix, canonical_rows, span_of
 from berger_lab.liealg import algebra_by_name
 
 
@@ -145,7 +147,7 @@ def test_flipped_wedge_convention_violates_bianchi(space111):
 def test_ricci_of_zero_element_is_zero(session, space111):
     alg = kernel(session, "sp1+sp", 1, 1, 1).algebra
     nb = len(bivector_pairs(space111.real_dim))
-    zero = CurvatureElement(space111, alg, [[0] * alg.dim for _ in range(nb)])
+    zero = CurvatureElement(space111, alg, [{} for _ in range(nb)])
     assert ricci(zero).is_zero()
     assert scalar(zero) == 0
 
@@ -176,8 +178,7 @@ def test_r1_rejects_wrong_dimension(session, space111):
 def test_r1_image_spans_h0(session, space111):
     h0_curv = kernel(session, "h0", 1, 1, 1)
     r1 = build_r1(space111, curvature=h0_curv)
-    from berger_lab.exactlin import span_of
-    vectors = [{k: c for k, c in enumerate(row) if c} for row in r1.coeffs]
+    vectors = [row for row in r1.rows if row]
     assert span_of(vectors, h0_curv.algebra.dim).dim == 7
 
 
@@ -215,6 +216,13 @@ def test_act_of_zero_is_zero(session, space111):
 
 
 def test_act_is_a_lie_algebra_action(session):
+    def difference(x, y):
+        rows = []
+        for rx, ry in zip(x.rows, y.rows):
+            d = {k: rx.get(k, 0) - ry.get(k, 0) for k in sorted(set(rx) | set(ry))}
+            rows.append({k: v for k, v in d.items() if v})
+        return CurvatureElement(x.space, x.algebra, rows)
+
     space = kernel(session, "sp1+sp_w", 1, 1, 1)
     alg = space.algebra
     el = space.basis[2]
@@ -222,8 +230,8 @@ def test_act_is_a_lie_algebra_action(session):
     for i, j in picks:
         a, b = alg.basis[i], alg.basis[j]
         lhs = act(a.commutator(b), el)
-        rhs = act(a, act(b, el)) - act(b, act(a, el))
-        assert lhs.coeffs == rhs.coeffs
+        rhs = difference(act(a, act(b, el)), act(b, act(a, el)))
+        assert lhs == rhs
 
 
 def test_act_values_stay_in_the_kernel(session):
@@ -257,11 +265,13 @@ def test_degenerate_vanishing_flags_corrupted_element(session, space121):
     alg = good.algebra
     n = space121.real_dim
     # corrupt: plant a nonzero value on a (W, E) bivector, violating Bianchi
-    coeffs = [list(row) for row in good.basis[0].coeffs]
+    rows = list(good.basis[0].rows)
     p, x = 0, 4
     idx = curv._biv_index(n, p, x)
-    coeffs[idx][0] += 1
-    bad = CurvatureElement(space121, alg, coeffs)
+    planted = dict(rows[idx])
+    planted[0] = planted.get(0, 0) + 1
+    rows[idx] = {k: planted[k] for k in sorted(planted) if planted[k]}
+    bad = CurvatureElement(space121, alg, rows)
     corrupted = CurvatureSpace(space121, alg, [bad])
     report = restrict_check_degenerate(corrupted)
     assert report.status == "fail"
@@ -336,5 +346,186 @@ def test_curvature_space_json_round_trip(session, space111):
     assert data["dim"] == 14 and data["algebra"] == "sp(1)+sp(1,1)_W"
     rebuilt = CurvatureSpace.from_json(space111, original.algebra, data)
     assert rebuilt.dim == original.dim
-    assert all(a.coeffs == b.coeffs
-               for a, b in zip(rebuilt.basis, original.basis))
+    assert rebuilt.basis == original.basis
+    assert rebuilt.to_json() == data
+
+
+# ---------------------------------------------------------------------------
+# the sparse layer against a dense reference
+# ---------------------------------------------------------------------------
+#
+# The reference below works on dense coefficient tables (read from the dense
+# JSON form) and full value matrices, the way the tensors are defined.
+
+def dense_coeffs(el):
+    return [[Fraction(v) for v in row] for row in el.to_json()]
+
+
+def ref_values(el):
+    """{(a, b): R(e_a, e_b)} over all basis pairs, from dense coefficients."""
+    n = el.space.real_dim
+    values = {}
+    for (a, b), row in zip(bivector_pairs(n), dense_coeffs(el)):
+        out = [Fraction(0)] * (n * n)
+        for c, bmat in zip(row, el.algebra.basis):
+            if c:
+                for i, v in enumerate(bmat.entries):
+                    out[i] += c * v
+        values[a, b] = RealMatrix(n, n, out)
+        values[b, a] = values[a, b].scaled(-1)
+    for a in range(n):
+        values[a, a] = RealMatrix.zeros(n, n)
+    return values
+
+
+def ref_act(a_mat, el, values):
+    """Dense coefficient rows of [A, R(X,Y)] - R(AX, Y) - R(X, AY)."""
+    n = el.space.real_dim
+    rows = []
+    for a, b in bivector_pairs(n):
+        m = list(a_mat.commutator(values[a, b]).entries)
+        for d in range(n):
+            for f, v in ((a_mat[d, a], values[d, b]), (a_mat[d, b], values[a, d])):
+                if f:
+                    for i, x in enumerate(v.entries):
+                        m[i] -= f * x
+        rows.append(el.algebra.coordinates_of(RealMatrix(n, n, m)))
+    return rows
+
+
+def ref_pair_symmetric(el, values):
+    n = el.space.real_dim
+    eta_r = {pair: el.space.eta * m for pair, m in values.items()}
+    # eta(R(X,Y)Z, U) = eta(R(Z,U)X, Y) on every basis quadruple
+    return all(eta_r[x, y][u, z] == eta_r[z, u][y, x]
+               for x in range(n) for y in range(n)
+               for z in range(n) for u in range(n))
+
+
+def ref_over(el, values, target):
+    """Dense coefficient vector of `el` over `target`, bivector-major."""
+    out = []
+    for pair in bivector_pairs(el.space.real_dim):
+        out.extend(target.coordinates_of(values[pair]))
+    return out
+
+
+def synthetic_element(space, algebra):
+    """A fixed element with scattered coefficients, in general not a
+    curvature tensor (see the pair-symmetry test below)."""
+    rows = []
+    for ib in range(len(bivector_pairs(space.real_dim))):
+        rows.append({k: Fraction((5 * ib + 3 * k) % 7 - 3, 1 + (ib + k) % 2)
+                     for k in range(algebra.dim)
+                     if (ib + 2 * k) % 9 == 0 and (5 * ib + 3 * k) % 7 != 3})
+    return CurvatureElement(space, algebra, rows)
+
+
+SPARSE_CASES = [(name, 1, 1, 1) for name in
+                ("sp", "sp_w", "sp1", "glq", "h0", "sp1+sp", "sp1+sp_w")] + [
+                (name, 1, 2, 1) for name in
+                ("sp", "sp_w", "sp1", "sp1+sp", "sp1+sp_w")]
+
+
+@pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)
+def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
+    curvature = kernel(session, name, r, s, t)
+    space, algebra = curvature.space, curvature.algebra
+    n = space.real_dim
+    elements = list(curvature.basis[:1]) + [synthetic_element(space, algebra)]
+    target = session.algebra("sp1+sp", r, s, t)
+    vectors = []
+    # one acting matrix per element keeps the dense reference affordable
+    for el, a_mat in zip(elements, (algebra.basis[0], algebra.basis[-1])):
+        values = ref_values(el)
+        dense = dense_coeffs(el)
+        assert el.sparse_vector() == {
+            ib * algebra.dim + k: c
+            for ib, row in enumerate(dense) for k, c in enumerate(row) if c}
+        for (a, b), expected in values.items():
+            assert el.value(a, b) == expected
+            for col in range(n):
+                assert el.value_column(a, b, col) == list(expected.column(col))
+        assert dense_coeffs(act(a_mat, el)) == ref_act(a_mat, el, values)
+        single = CurvatureSpace(space, algebra, [el])
+        assert pair_symmetry_all(single) == ref_pair_symmetric(el, values)
+        vectors.append(ref_over(el, values, target))
+        assert element_over(el, target) == {i: c for i, c in enumerate(vectors[-1]) if c}
+    sample = CurvatureSpace(space, algebra, elements)
+    assert coefficients_over(sample, target) == span_of(
+        vectors, len(bivector_pairs(n)) * target.dim)
+
+
+def test_synthetic_element_breaks_pair_symmetry(session, space111):
+    # the dense reference is not vacuous: it rejects an element as well
+    algebra = session.algebra("sp1+sp", 1, 1, 1)
+    el = synthetic_element(space111, algebra)
+    assert not ref_pair_symmetric(el, ref_values(el))
+    assert not pair_symmetry_holds(el)
+
+
+def test_kernel_keeps_its_canonical_subspace(session, monkeypatch):
+    curvature = curv.bianchi_kernel(session.algebra("sp1+sp_w", 1, 2, 1))
+    calls = []
+
+    def counting(vectors):
+        calls.append(1)
+        return canonical_rows(vectors)
+
+    monkeypatch.setattr(exactlin, "canonical_rows", counting)
+    monkeypatch.setattr(curv, "canonical_rows", counting)
+    sub = curvature.coefficient_subspace()
+    assert calls == []
+    monkeypatch.undo()
+    assert sub == span_of([el.sparse_vector() for el in curvature.basis],
+                          sub.ambient_dim)
+
+
+def test_built_space_computes_its_subspace_once(session, monkeypatch):
+    full = kernel(session, "sp_w", 1, 1, 1)
+    rebuilt = CurvatureSpace(full.space, full.algebra, full.basis)
+    calls = []
+
+    def counting(vectors):
+        calls.append(1)
+        return canonical_rows(vectors)
+
+    monkeypatch.setattr(exactlin, "canonical_rows", counting)
+    first = rebuilt.coefficient_subspace()
+    assert rebuilt.coefficient_subspace() is first
+    assert calls == [1]
+    assert first == full.coefficient_subspace()
+
+
+@pytest.mark.parametrize("name,r,s,t", [
+    ("sp1+sp_w", 1, 2, 1), ("h0", 1, 1, 1), ("glq", 1, 1, 1)])
+def test_from_json_round_trip_elements_are_equal(session, name, r, s, t):
+    original = kernel(session, name, r, s, t)
+    rebuilt = CurvatureSpace.from_json(original.space, original.algebra,
+                                       json.loads(json.dumps(original.to_json())))
+    assert rebuilt.basis == original.basis
+    assert [hash(el) for el in rebuilt.basis] == [hash(el) for el in original.basis]
+    assert rebuilt.coefficient_subspace() == original.coefficient_subspace()
+
+
+def test_from_json_reads_only_nonzero_entries(session, space111):
+    algebra = session.algebra("h0", 1, 1, 1)
+    nb = len(bivector_pairs(space111.real_dim))
+    rows = [["0"] * algebra.dim for _ in range(nb)]
+    rows[2][3] = "-3/4"
+    rows[5][0] = "0/7"  # a zero in another spelling stores nothing
+    data = {"basis": [rows]}
+    (el,) = CurvatureSpace.from_json(space111, algebra, data).basis
+    assert el.rows[2] == {3: Fraction(-3, 4)}
+    assert el.sparse_vector() == {2 * algebra.dim + 3: Fraction(-3, 4)}
+
+
+def test_from_json_rejects_a_wrong_row_length(session, space111):
+    algebra = session.algebra("h0", 1, 1, 1)
+    nb = len(bivector_pairs(space111.real_dim))
+    with pytest.raises(ValueError, match="coefficients per row"):
+        CurvatureSpace.from_json(space111, algebra,
+                                 {"basis": [[["0"] * (algebra.dim + 1)] * nb]})
+    with pytest.raises(ValueError, match="one row per bivector"):
+        CurvatureSpace.from_json(space111, algebra,
+                                 {"basis": [[["0"] * algebra.dim] * (nb - 1)]})

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 import berger_lab
 from berger_lab import harness
 from berger_lab.cli import main
-from berger_lab.harness import (ALL_CHECKS, Session, cache_get, cache_put,
-                                run_verification)
+from berger_lab.harness import (ALL_CHECKS, Session, VerificationReport,
+                                cache_get, cache_put, run_verification)
 
 
 # ---------------------------------------------------------------------------
@@ -19,7 +20,27 @@ def test_cache_round_trip(tmp_path, session, space111):
     loaded = cache_get(tmp_path, space111, "sp_w")
     assert loaded is not None
     assert loaded.dim == value.dim
-    assert all(a.coeffs == b.coeffs for a, b in zip(loaded.basis, value.basis))
+    assert loaded.basis == value.basis
+
+
+def test_cache_hit_is_over_the_session_algebra(tmp_path, monkeypatch):
+    first = Session(cache_dir=tmp_path)
+    first.curvature("sp_w", 1, 1, 1)  # writes the entry
+
+    def no_recompute(algebra):
+        raise AssertionError("a cache hit must not recompute the kernel")
+
+    monkeypatch.setattr(harness.curv, "bianchi_kernel", no_recompute)
+    second = Session(cache_dir=tmp_path)
+    loaded = second.curvature("sp_w", 1, 1, 1)
+    assert loaded.algebra is second.algebra("sp_w", 1, 1, 1)
+    assert loaded.basis == first.curvature("sp_w", 1, 1, 1).basis
+
+
+def test_cache_get_uses_a_given_algebra(tmp_path, session, space111):
+    cache_put(tmp_path, space111, "sp_w", session.curvature("sp_w", 1, 1, 1))
+    algebra = session.algebra("sp_w", 1, 1, 1)
+    assert cache_get(tmp_path, space111, "sp_w", algebra).algebra is algebra
 
 
 def test_cache_miss_on_empty_dir(tmp_path, space111):
@@ -93,11 +114,44 @@ def test_report_version_is_the_package_version(tier1_report):
     assert tier1_report.to_json()["version"] == berger_lab.__version__
 
 
-def test_timings_are_opt_in(tier1_report):
+def test_timings_are_opt_in(tier1_report, monkeypatch):
     plain = tier1_report.to_json()
     assert all("wall_time_ms" not in c for c in plain["checks"])
-    timed = run_verification(tier=1, with_timings=True).to_json()
+    timed = VerificationReport(tier=1, checks=tier1_report.checks,
+                               with_timings=True).to_json()
     assert all("wall_time_ms" in c for c in timed["checks"])
+    monkeypatch.setattr(harness, "ALL_CHECKS", harness.ALL_CHECKS[:2])
+    timed = run_verification(tier=1, with_timings=True).to_json()
+    assert [c["id"] for c in timed["checks"]] == [cid for cid, _ in ALL_CHECKS[:2]]
+    assert all("wall_time_ms" in c for c in timed["checks"])
+
+
+def test_crash_keeps_type_and_innermost_frame(monkeypatch):
+    def broken(session, tier):
+        raise RuntimeError("deliberately broken for the crash-record test")
+
+    line = inspect.getsourcelines(broken)[1] + 1
+    monkeypatch.setattr(harness, "ALL_CHECKS",
+                        (harness.ALL_CHECKS[0], ("pair-symmetry", broken)))
+    first, crashed = run_verification(tier=1).checks
+    assert first.status == "pass"
+    assert crashed.status == "fail"
+    assert crashed.computed == {
+        "error": "deliberately broken for the crash-record test",
+        "type": "RuntimeError",
+        "where": f"test_harness.py:{line} in broken",
+    }
+
+
+def test_crash_inside_the_package_names_a_package_relative_frame(monkeypatch):
+    def bad_space(session, tier):
+        return session.space(1, 1, 5)  # t > min(r, s)
+
+    monkeypatch.setattr(harness, "ALL_CHECKS", (("structure-axioms", bad_space),))
+    (crashed,) = run_verification(tier=1).checks
+    assert crashed.computed["type"] == "ValueError"
+    where = crashed.computed["where"]
+    assert where.startswith("berger_lab/quatspace.py:") and where.endswith(" in __init__")
 
 
 def test_report_text_lists_every_check(tier1_report):
@@ -173,31 +227,55 @@ def test_cli_berger_csv(capsys):
     assert out[1] == "h0,7,1,7,True"
 
 
-def test_cli_verify_writes_report_and_exits_0(tmp_path, capsys):
+@pytest.fixture
+def verification_calls(monkeypatch, tier1_report):
+    """Serve `verify-paper` the module's tier-1 report; record the arguments."""
+    calls = []
+
+    def reuse(tier=1, cache_dir=None, with_timings=False):
+        calls.append({"tier": tier, "cache_dir": cache_dir,
+                      "with_timings": with_timings})
+        return VerificationReport(tier=tier, checks=tier1_report.checks,
+                                  with_timings=with_timings)
+
+    monkeypatch.setattr(harness, "run_verification", reuse)
+    return calls
+
+
+def test_cli_verify_writes_report_and_exits_0(tmp_path, capsys, tier1_report,
+                                              verification_calls):
     out_file = tmp_path / "report.json"
     rc = main(["verify-paper", "--tier", "1", "--format", "json",
                "--out", str(out_file), "--cache-dir", str(tmp_path / "cache")])
     assert rc == 0
+    assert verification_calls == [{"tier": 1, "cache_dir": str(tmp_path / "cache"),
+                                   "with_timings": False}]
     data = json.loads(out_file.read_text())
+    assert data == tier1_report.to_json()
     assert data["summary"]["failed"] == 0
     assert [c["id"] for c in data["checks"]] == [cid for cid, _ in ALL_CHECKS]
 
 
-def test_cli_verify_csv(capsys):
+def test_cli_verify_csv(capsys, verification_calls):
     rc = main(["verify-paper", "--tier", "1", "--format", "csv"])
     assert rc == 0
+    assert verification_calls == [{"tier": 1, "cache_dir": None,
+                                   "with_timings": False}]
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "id,status"
     assert "structure-axioms,pass" in lines[1]
+    assert lines[1:] == [f"{cid},pass" for cid, _ in ALL_CHECKS]
 
 
 def test_cli_verify_exits_1_when_a_check_fails(monkeypatch, capsys):
     def broken(session, tier):
         raise RuntimeError("deliberately broken for the exit-code test")
 
-    patched = tuple((cid, broken) if cid == "pair-symmetry" else (cid, fn)
-                    for cid, fn in harness.ALL_CHECKS)
-    monkeypatch.setattr(harness, "ALL_CHECKS", patched)
+    # the cheapest real check, then the broken one
+    monkeypatch.setattr(harness, "ALL_CHECKS",
+                        (harness.ALL_CHECKS[0], ("pair-symmetry", broken)))
     rc = main(["verify-paper", "--tier", "1", "--format", "csv"])
     assert rc == 1
-    assert "pair-symmetry,fail" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "structure-axioms,pass" in out
+    assert "pair-symmetry,fail" in out

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berger_lab.exactlin import RealMatrix, symmetric_signature
+from berger_lab.exactlin import RealMatrix, span_of, symmetric_signature
 from berger_lab.quatspace import (QuatMatrix, Quaternion, build_space,
                                   left_mult_matrix, realify, right_mult_matrix)
 
@@ -12,6 +14,22 @@ quaternions = st.builds(Quaternion, coeffs, coeffs, coeffs, coeffs)
 def quat_matrices(n):
     return st.lists(quaternions, min_size=n * n, max_size=n * n).map(
         lambda ent: QuatMatrix(n, n, ent))
+
+
+def conjugate_transpose(m):
+    return QuatMatrix(m.cols, m.rows, [m[i, j].conjugate()
+                                       for j in range(m.cols) for i in range(m.rows)])
+
+
+def eta_pairing(space, u, v):
+    """eta(u, v) for dense coordinate vectors."""
+    return sum((ui * space.eta[i, j] * vj
+                for i, ui in enumerate(u) for j, vj in enumerate(v)), Fraction(0))
+
+
+def complement_E(space):
+    """The coordinate span of the non-degenerate complement E of W + W1."""
+    return span_of([{i: Fraction(1)} for i in space.e_indices()], space.real_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +62,7 @@ def test_norm_is_real(q):
 @given(quat_matrices(2), quat_matrices(2))
 @settings(max_examples=25, deadline=None)
 def test_conjugate_transpose_antihomomorphism(a, b):
-    assert (a * b).conjugate_transpose() == b.conjugate_transpose() * a.conjugate_transpose()
+    assert conjugate_transpose(a * b) == conjugate_transpose(b) * conjugate_transpose(a)
 
 
 # ---------------------------------------------------------------------------
@@ -161,32 +179,31 @@ def test_witt_blocks_111():
     # eta vanishes identically on W
     for u in w.basis:
         for v in w.basis:
-            assert space.eta_pairing(u, v) == 0
+            assert eta_pairing(space, u, v) == 0
 
 
 def test_witt_blocks_121():
     space = build_space(1, 2, 1)
-    w, e, w1 = (space.isotropic_subspace_W(), space.complement_E(),
+    w, e, w1 = (space.isotropic_subspace_W(), complement_E(space),
                 space.dual_W1())
     assert (w.dim, e.dim, w1.dim) == (4, 4, 4)
     for u in w1.basis:
         for v in w1.basis:
-            assert space.eta_pairing(u, v) == 0
+            assert eta_pairing(space, u, v) == 0
     # E is orthogonal to both W and W1, and eta|_E has signature (0, 4)
     for u in e.basis:
         for v in list(w.basis) + list(w1.basis):
-            assert space.eta_pairing(u, v) == 0
+            assert eta_pairing(space, u, v) == 0
     e_gram = RealMatrix.from_rows(
-        [[space.eta_pairing(u, v) for v in e.basis] for u in e.basis])
+        [[eta_pairing(space, u, v) for v in e.basis] for u in e.basis])
     assert symmetric_signature(e_gram) == (0, 4)
 
 
 def test_witt_blocks_222_total_and_empty_complement():
     space = build_space(2, 2, 2)
-    w, e, w1 = (space.isotropic_subspace_W(), space.complement_E(),
+    w, e, w1 = (space.isotropic_subspace_W(), complement_E(space),
                 space.dual_W1())
     assert e.dim == 0
-    from berger_lab.exactlin import span_of
     combined = span_of(list(w.basis) + list(w1.basis), space.real_dim)
     assert combined.dim == space.real_dim
 
@@ -197,13 +214,13 @@ def test_w_requires_witt_part():
         space.isotropic_subspace_W()
     with pytest.raises(ValueError):
         space.dual_W1()
-    assert space.complement_E().dim == 8
+    assert complement_E(space).dim == 8
 
 
 @pytest.mark.parametrize("r,s,t", [(1, 1, 1), (1, 2, 1), (2, 2, 2)])
 def test_structure_preserves_witt_blocks(r, s, t):
     space = build_space(r, s, t)
-    blocks = [space.isotropic_subspace_W(), space.complement_E(),
+    blocks = [space.isotropic_subspace_W(), complement_E(space),
               space.dual_W1()]
     for ia in space.I:
         for block in blocks:

@@ -280,11 +280,14 @@ def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1, r1_vec)
     r1_index = span.dim
     if not span.add(r1_vec):
         return False, {"reason": "R1 lies in the curvature space of sp(r,r)_W"}
-    w = space.w_indices()
-    w1 = space.w1_indices()
-    r1_blocks = _w_blocks(r1.algebra, w)
-    el_blocks = _w_blocks(parabolic_full.algebra, w)
-    expected_blocks = {(p, q): _w_block(r1, r1_blocks, p, q) for p in w for q in w1}
+    w_idx = list(space.w_indices())
+    w1_idx = list(space.w1_indices())
+
+    r1_blocks = {}
+    for p in w_idx:
+        for q in w1_idx:
+            m = r1.value(p, q)
+            r1_blocks[(p, q)] = [[m[i, j] for j in w_idx] for i in w_idx]
 
     checked = 0
     for index, el in enumerate(parabolic_full.basis):
@@ -292,39 +295,13 @@ def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1, r1_vec)
         if coords is None:
             return False, {"reason": "split decomposition failed"}
         c = coords[r1_index]
-        for (p, q), r1_block in expected_blocks.items():
-            expected = {ij: c * v for ij, v in r1_block.items()} if c else {}
-            if _w_block(el, el_blocks, p, q) != expected:
-                return False, {"element": index, "pair": (p, q)}
+        for p in w_idx:
+            for q in w1_idx:
+                m = el.value(p, q)
+                expected = r1_blocks[(p, q)]
+                for i, wi in enumerate(w_idx):
+                    for j, wj in enumerate(w_idx):
+                        if m[wi, wj] != c * expected[i][j]:
+                            return False, {"element": index, "pair": (p, q)}
         checked += 1
     return True, {"elements_checked": checked}
-
-
-def _w_blocks(algebra, w: range) -> list[dict]:
-    """Per basis matrix of `algebra`, its nonzero entries {(i, j): v} with
-    i and j in W."""
-    n = algebra.space.real_dim
-    blocks = []
-    for bmat in algebra.basis:
-        block = {}
-        for pos, v in bmat.flatten_sparse().items():
-            i, j = divmod(pos, n)
-            if i in w and j in w:
-                block[i, j] = v
-        blocks.append(block)
-    return blocks
-
-
-def _w_block(element, blocks, p: int, q: int) -> dict:
-    """The W x W block of R(e_p, e_q), nonzero entries only."""
-    out: dict = {}
-    row, sign = element.row_of(p, q)
-    for k, c in row.items():
-        c = sign * c
-        for ij, v in blocks[k].items():
-            nv = out.get(ij, 0) + c * v
-            if nv:
-                out[ij] = nv
-            else:
-                del out[ij]
-    return out

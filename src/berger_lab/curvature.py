@@ -22,9 +22,11 @@ The JSON form stays dense: one string per (bivector, basis element).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
 from .exactlin import (RealMatrix, Subspace, canonical_rows, rat_from_str,
                        rat_to_str, span_of, sparse_nullspace)
@@ -61,14 +63,17 @@ class CurvatureElement:
 
     `rows[ib]` is {k: coefficient of algebra basis element k in R(e_a, e_b)}
     for the ib-th bivector (a, b), nonzero coefficients only, keys
-    ascending; R(e_b, e_a) = -R(e_a, e_b) by construction.  Rows are kept
-    as given, so callers pass nonzero rationals.
+    ascending; R(e_b, e_a) = -R(e_a, e_b) by construction.  The
+    constructor copies each given {k: coefficient} mapping, dropping zeros
+    and sorting keys, into a read-only mapping, so rows can be shared
+    without copying.
     """
 
     __slots__ = ("space", "algebra", "rows")
 
     def __init__(self, space: QuaternionicSpace, algebra: LieAlgebra, rows):
-        rows = tuple(rows)
+        rows = tuple(MappingProxyType({k: row[k] for k in sorted(row) if row[k]})
+                     for row in rows)
         if len(rows) != _bivector_count(space.real_dim):
             raise ValueError(f"expected one row per bivector, got {len(rows)}")
         object.__setattr__(self, "space", space)
@@ -83,7 +88,7 @@ class CurvatureElement:
         """The element with flat coefficient vector `vec` (nonzero values)."""
         dimg = algebra.dim
         rows = [{} for _ in range(_bivector_count(space.real_dim))]
-        for key in sorted(vec):
+        for key in vec:
             ib, k = divmod(key, dimg)
             rows[ib][k] = vec[key]
         return cls(space, algebra, rows)
@@ -93,7 +98,7 @@ class CurvatureElement:
         return {ib * dimg + k: c
                 for ib, row in enumerate(self.rows) for k, c in row.items()}
 
-    def row_of(self, a: int, b: int) -> tuple[dict, int]:
+    def row_of(self, a: int, b: int) -> tuple[Mapping, int]:
         """The stored row of the bivector {a, b} and the sign that turns it
         into R(e_a, e_b): 1 if a < b, -1 if a > b, 0 (empty row) if a == b."""
         if a == b:
@@ -111,7 +116,7 @@ class CurvatureElement:
                 and self.rows == other.rows)
 
     def __hash__(self):
-        return hash(tuple(tuple(sorted(row.items())) for row in self.rows))
+        return hash(tuple(tuple(row.items()) for row in self.rows))
 
     def __repr__(self):
         return f"CurvatureElement(algebra={self.algebra.name!r})"
@@ -164,16 +169,10 @@ def _nonzero(coords) -> dict:
 
 
 def _parse_row(row: list, dimg: int) -> dict:
-    """Nonzero coefficients of one dense JSON row, parsing only non-"0"s."""
+    """The coefficients of one dense JSON row, parsing only non-"0"s."""
     if len(row) != dimg:
         raise ValueError(f"expected {dimg} coefficients per row, got {len(row)}")
-    out = {}
-    for k, v in enumerate(row):
-        if v != "0":
-            c = rat_from_str(v)
-            if c:
-                out[k] = c
-    return out
+    return {k: rat_from_str(v) for k, v in enumerate(row) if v != "0"}
 
 
 class CurvatureSpace:
@@ -448,7 +447,7 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
         for d, coef in a_cols[b].items():  # R(e_a, A e_b)
             row, sign = element.row_of(a, d)
             subtract(acc, coef * sign, row)
-        new_rows.append({k: acc[k] for k in sorted(acc) if acc[k]})
+        new_rows.append(acc)
     return CurvatureElement(element.space, algebra, new_rows)
 
 

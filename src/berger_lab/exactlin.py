@@ -16,6 +16,7 @@ threads.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -441,7 +442,7 @@ class Subspace:
 
     def reduce_vector(self, vec) -> dict:
         """Remainder of `vec` after reduction against the basis."""
-        if isinstance(vec, dict):
+        if isinstance(vec, Mapping):
             v = {k: Fraction(x) for k, x in vec.items() if x}
         else:
             if len(vec) != self.ambient_dim:
@@ -486,11 +487,12 @@ class Subspace:
 def span_of(vectors: Iterable, ambient_dim: int) -> Subspace:
     """Canonical subspace equal to the linear span of `vectors`.
 
-    Vectors may be dense sequences of length `ambient_dim` or sparse dicts.
+    Vectors may be dense sequences of length `ambient_dim` or sparse
+    {index: value} mappings.
     """
     sparse = []
     for v in vectors:
-        if isinstance(v, dict):
+        if isinstance(v, Mapping):
             if v and max(v) >= ambient_dim:
                 raise ValueError("vector exceeds ambient dimension")
             sparse.append(v)
@@ -611,8 +613,8 @@ class SpanSolver:
         return v, combo
 
     def add(self, vec) -> bool:
-        """Add a vector (dense sequence or sparse dict); True if independent."""
-        if not isinstance(vec, dict):
+        """Add a vector (dense sequence or sparse mapping); True if independent."""
+        if not isinstance(vec, Mapping):
             vec = {i: x for i, x in enumerate(vec) if x}
         idx = self._count
         self._count += 1
@@ -627,7 +629,7 @@ class SpanSolver:
 
     def coordinates(self, vec) -> list | None:
         """Coefficients over the added vectors, or None if not in the span."""
-        if not isinstance(vec, dict):
+        if not isinstance(vec, Mapping):
             vec = {i: x for i, x in enumerate(vec) if x}
         v, combo = self._reduce(vec)
         if v:
@@ -638,7 +640,7 @@ class SpanSolver:
         return out
 
     def contains(self, vec) -> bool:
-        if not isinstance(vec, dict):
+        if not isinstance(vec, Mapping):
             vec = {i: x for i, x in enumerate(vec) if x}
         v, _ = self._reduce(vec)
         return not v

@@ -25,7 +25,7 @@ from . import curvature as curv
 from .berger import berger_report, collapses, holonomy_case_split, split_of
 from .curvature import CurvatureSpace
 from .exactlin import RealMatrix, rat_to_str, symmetric_signature
-from .liealg import (ALGEBRA_NAMES, algebra_by_name, sp_dimension,
+from .liealg import (ALGEBRA_NAMES, LieAlgebra, algebra_by_name, sp_dimension,
                      sp_parabolic_dimension, stabilizer_of_subspace)
 from .quatspace import QuaternionicSpace, build_space
 
@@ -92,11 +92,11 @@ def cache_key(r: int, s: int, t: int, algebra: str) -> str:
 
 
 def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str,
-              algebra=None):
+              algebra: LieAlgebra):
     """Cached curvature space, or None on miss/corruption (corruption warns).
 
     `algebra` is the `algebra_name` algebra on `space` that the loaded space
-    is expressed over; it is built on a hit when not given."""
+    is expressed over."""
     path = Path(cache_dir) / f"{cache_key(space.r, space.s, space.t, algebra_name)}.json"
     if not path.exists():
         return None
@@ -108,8 +108,6 @@ def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str,
         if (key["r"], key["s"], key["t"], key["algebra"]) != (
                 space.r, space.s, space.t, algebra_name):
             return None
-        if algebra is None:
-            algebra = algebra_by_name(algebra_name, space)
         return CurvatureSpace.from_json(space, algebra, data["curvature_space"])
     except (ValueError, KeyError, TypeError, AttributeError, OSError) as exc:
         print(f"warning: ignoring corrupt cache entry {path}: {exc}",

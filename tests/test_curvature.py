@@ -464,6 +464,29 @@ def test_synthetic_element_breaks_pair_symmetry(session, space111):
     assert not pair_symmetry_holds(el)
 
 
+def test_rows_drop_zeros_and_are_read_only(session, space111):
+    algebra = session.algebra("h0", 1, 1, 1)
+    nb = len(bivector_pairs(space111.real_dim))
+    given = [{} for _ in range(nb)]
+    given[1] = {4: Fraction(2, 3), 0: Fraction(0), 2: Fraction(-1)}
+    with_zero = CurvatureElement(space111, algebra, given)
+    given[1] = {2: Fraction(-1), 4: Fraction(2, 3)}
+    without = CurvatureElement(space111, algebra, given)
+    assert with_zero == without
+    assert hash(with_zero) == hash(without)
+    assert list(with_zero.rows[1].items()) == [(2, Fraction(-1)), (4, Fraction(2, 3))]
+    given[1][0] = Fraction(5)  # the element keeps its own copy
+    assert without.rows[1] == {2: Fraction(-1), 4: Fraction(2, 3)}
+    zero = CurvatureElement(space111, algebra, [{0: Fraction(0)}] * nb)
+    assert zero.is_zero()
+    assert zero == CurvatureElement(space111, algebra, [{}] * nb)
+    with pytest.raises(TypeError):
+        without.rows[1][2] = Fraction(7)
+    row, sign = without.row_of(2, 0)
+    with pytest.raises(TypeError):
+        row[0] = Fraction(1)
+
+
 def test_kernel_keeps_its_canonical_subspace(session, monkeypatch):
     curvature = curv.bianchi_kernel(session.algebra("sp1+sp_w", 1, 2, 1))
     calls = []

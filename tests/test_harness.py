@@ -17,8 +17,10 @@ from berger_lab.harness import (ALL_CHECKS, Session, VerificationReport,
 def test_cache_round_trip(tmp_path, session, space111):
     value = session.curvature("sp_w", 1, 1, 1)
     cache_put(tmp_path, space111, "sp_w", value)
-    loaded = cache_get(tmp_path, space111, "sp_w")
+    algebra = session.algebra("sp_w", 1, 1, 1)
+    loaded = cache_get(tmp_path, space111, "sp_w", algebra)
     assert loaded is not None
+    assert loaded.algebra is algebra
     assert loaded.dim == value.dim
     assert loaded.basis == value.basis
 
@@ -37,14 +39,9 @@ def test_cache_hit_is_over_the_session_algebra(tmp_path, monkeypatch):
     assert loaded.basis == first.curvature("sp_w", 1, 1, 1).basis
 
 
-def test_cache_get_uses_a_given_algebra(tmp_path, session, space111):
-    cache_put(tmp_path, space111, "sp_w", session.curvature("sp_w", 1, 1, 1))
+def test_cache_miss_on_empty_dir(tmp_path, session, space111):
     algebra = session.algebra("sp_w", 1, 1, 1)
-    assert cache_get(tmp_path, space111, "sp_w", algebra).algebra is algebra
-
-
-def test_cache_miss_on_empty_dir(tmp_path, space111):
-    assert cache_get(tmp_path, space111, "sp_w") is None
+    assert cache_get(tmp_path, space111, "sp_w", algebra) is None
 
 
 def test_cache_miss_on_version_bump(tmp_path, session, space111, monkeypatch):
@@ -52,7 +49,8 @@ def test_cache_miss_on_version_bump(tmp_path, session, space111, monkeypatch):
     cache_put(tmp_path, space111, "sp_w", value)
     monkeypatch.setattr(harness, "CACHE_FORMAT_VERSION",
                         harness.CACHE_FORMAT_VERSION + 1)
-    assert cache_get(tmp_path, space111, "sp_w") is None
+    algebra = session.algebra("sp_w", 1, 1, 1)
+    assert cache_get(tmp_path, space111, "sp_w", algebra) is None
 
 
 def test_cache_corruption_warns_and_misses(tmp_path, session, space111, capsys):
@@ -60,7 +58,8 @@ def test_cache_corruption_warns_and_misses(tmp_path, session, space111, capsys):
     cache_put(tmp_path, space111, "sp_w", value)
     entry = next(tmp_path.iterdir())
     entry.write_text("{ this is not json")
-    assert cache_get(tmp_path, space111, "sp_w") is None
+    algebra = session.algebra("sp_w", 1, 1, 1)
+    assert cache_get(tmp_path, space111, "sp_w", algebra) is None
     assert "corrupt cache" in capsys.readouterr().err
 
 

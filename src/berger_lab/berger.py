@@ -283,11 +283,9 @@ def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1, r1_vec)
     w_idx = list(space.w_indices())
     w1_idx = list(space.w1_indices())
 
-    r1_blocks = {}
-    for p in w_idx:
-        for q in w1_idx:
-            m = r1.value(p, q)
-            r1_blocks[(p, q)] = [[m[i, j] for j in w_idx] for i in w_idx]
+    # columns W of R1(e_p, e_q); only their W rows are compared
+    r1_cols = {(p, q): [r1.value_column(p, q, wj) for wj in w_idx]
+               for p in w_idx for q in w1_idx}
 
     checked = 0
     for index, el in enumerate(parabolic_full.basis):
@@ -295,13 +293,10 @@ def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1, r1_vec)
         if coords is None:
             return False, {"reason": "split decomposition failed"}
         c = coords[r1_index]
-        for p in w_idx:
-            for q in w1_idx:
-                m = el.value(p, q)
-                expected = r1_blocks[(p, q)]
-                for i, wi in enumerate(w_idx):
-                    for j, wj in enumerate(w_idx):
-                        if m[wi, wj] != c * expected[i][j]:
-                            return False, {"element": index, "pair": (p, q)}
+        for (p, q), expected in r1_cols.items():
+            for j, wj in enumerate(w_idx):
+                col = el.value_column(p, q, wj)
+                if any(col[wi] != c * expected[j][wi] for wi in w_idx):
+                    return False, {"element": index, "pair": (p, q)}
         checked += 1
     return True, {"elements_checked": checked}

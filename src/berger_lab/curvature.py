@@ -85,7 +85,7 @@ class CurvatureElement:
 
     @classmethod
     def from_sparse(cls, space, algebra, vec: dict) -> "CurvatureElement":
-        """The element with flat coefficient vector `vec` (nonzero values)."""
+        """The element with flat coefficient vector `vec`."""
         dimg = algebra.dim
         rows = [{} for _ in range(_bivector_count(space.real_dim))]
         for key in vec:

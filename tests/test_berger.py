@@ -1,7 +1,8 @@
 import pytest
 
-from berger_lab.berger import (SCOPE_NOTE, berger_closure, berger_report,
-                               collapses, holonomy_case_split, split_of)
+from berger_lab.berger import (SCOPE_NOTE, _restriction_multiple_check,
+                               berger_closure, berger_report, collapses,
+                               holonomy_case_split, split_of)
 from berger_lab.curvature import CurvatureSpace, build_r1, element_over
 from berger_lab.exactlin import SpanSolver
 from berger_lab.harness import (Session, check_mixed_signature_collapse,
@@ -130,6 +131,21 @@ def test_split_checks_fail_on_a_dropped_tensor(tampered):
     assert check_mixed_signature_collapse(tampered, 1).status == "fail"
     collapse = holonomy_case_split(1, 2, 1, session=tampered).checks[0]
     assert (collapse.check_id, collapse.status) == ("collapse-equality", "fail")
+
+
+def test_restriction_multiple_fails_on_a_wrong_r1_component(session):
+    space = session.space(1, 1, 1)
+    full = session.curvature("sp1+sp_w", 1, 1, 1)
+    r1 = build_r1(space, curvature=session.curvature("h0", 1, 1, 1))
+    r1_vec = element_over(r1, full.algebra)
+    sub = split_of(full, session.curvature("sp_w", 1, 1, 1), r1_vec).sub_over_full
+    ok, details = _restriction_multiple_check(space, full, sub, r1, r1_vec)
+    assert ok and details == {"elements_checked": full.dim}
+    # decomposing against 2*R1 halves each R1 component, so the W-blocks of
+    # the tensors with one no longer match c times R1's
+    doubled = {k: 2 * v for k, v in r1_vec.items()}
+    ok, details = _restriction_multiple_check(space, full, sub, r1, doubled)
+    assert not ok and set(details) == {"element", "pair"}
 
 
 def test_split_predicates_name_the_failed_condition(session, tampered):

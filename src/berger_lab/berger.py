@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .curvature import (CurvatureSpace, bivector_pairs, build_r1,
                         coefficients_over, element_over)
-from .exactlin import SpanSolver, Subspace, span_of
+from .exactlin import Echelon, Subspace, span_of
 from .liealg import LieAlgebra
 
 __all__ = [
@@ -86,13 +86,13 @@ def _closure_witnesses(g, curvature, closure_dim):
     """First spanning subset in canonical order: basis elements outer,
     bivectors inner."""
     pairs = bivector_pairs(g.space.real_dim)
-    span = SpanSolver(g.dim)
+    span = Echelon()
     picked = []
     for idx, el in enumerate(curvature.basis):
         for ib, row in enumerate(el.rows):
-            if row and span.add(row):
+            if row and span.insert_fraction_row(row) is not None:
                 picked.append((pairs[ib], idx))
-                if span.dim == closure_dim:
+                if span.rank == closure_dim:
                     return tuple(picked)
     return tuple(picked)
 
@@ -273,13 +273,14 @@ def holonomy_case_split(r: int, s: int, t: int, session=None) -> CaseSplitReport
 
 def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1, r1_vec):
     """Decompose each basis tensor as c*R1 + (tensor over sp(r,r)_W) and
-    compare W-blocks of values on W x W1 pairs against c times R1's."""
-    span = SpanSolver(sub_embedded.ambient_dim)
-    for row in sub_embedded.sparse_rows():
-        span.add(row)
-    r1_index = span.dim
-    if not span.add(r1_vec):
+    compare W-blocks of values on W x W1 pairs against c times R1's.
+
+    Reducing against the canonical `sub_embedded` kills the sp(r,r)_W part,
+    so a tensor decomposes iff its remainder is c times R1's remainder."""
+    r1_rest = sub_embedded.reduce_vector(r1_vec)
+    if not r1_rest:
         return False, {"reason": "R1 lies in the curvature space of sp(r,r)_W"}
+    lead = min(r1_rest)
     w_idx = list(space.w_indices())
     w1_idx = list(space.w1_indices())
 
@@ -289,10 +290,11 @@ def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1, r1_vec)
 
     checked = 0
     for index, el in enumerate(parabolic_full.basis):
-        coords = span.coordinates(el.sparse_vector())
-        if coords is None:
+        rest = sub_embedded.reduce_vector(el.sparse_vector())
+        c = rest.get(lead, 0) / r1_rest[lead]
+        if any(rest.get(k, 0) != c * r1_rest.get(k, 0)
+               for k in rest.keys() | r1_rest.keys()):
             return False, {"reason": "split decomposition failed"}
-        c = coords[r1_index]
         for (p, q), expected in r1_cols.items():
             for j, wj in enumerate(w_idx):
                 col = el.value_column(p, q, wj)

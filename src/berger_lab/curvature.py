@@ -25,11 +25,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from types import MappingProxyType
 
-from .exactlin import (RealMatrix, Subspace, canonical_rows, rat_from_str,
-                       rat_to_str, span_of, sparse_nullspace)
+from .exactlin import (RealMatrix, Subspace, canonical_rows, integer_row,
+                       rat_from_str, rat_to_str, span_of, sparse_nullspace)
 from .liealg import LieAlgebra, build_h0, build_sp, build_sp1, direct_sum
 from .quatspace import QuaternionicSpace
 
@@ -249,13 +248,10 @@ def _column_maps(algebra: LieAlgebra):
     n = algebra.space.real_dim
     maps = []
     for bmat in algebra.basis:
-        den = 1
-        for v in bmat.entries:
-            den = lcm(den, v.denominator)
         cols = [dict() for _ in range(n)]
-        for pos, v in bmat.flatten_sparse().items():
+        for pos, v in integer_row(bmat.flatten_sparse()).items():
             d, c = divmod(pos, n)
-            cols[c][d] = int(v * den)
+            cols[c][d] = v
         maps.append(cols)
     return maps
 
@@ -522,9 +518,7 @@ def derivative_space(curvature: CurvatureSpace) -> Subspace:
                             for k, c in el_rows[ib].items():
                                 by_k.setdefault(k, {})[slot * kdim + i] = sign * c
                     for k in sorted(by_k):
-                        row = by_k[k]
-                        den = lcm(*(v.denominator for v in row.values()))
-                        yield {key: int(v * den) for key, v in row.items()}
+                        yield integer_row(by_k[k])
 
     raw = sparse_nullspace(rows(), n * kdim)
     return Subspace(n * kdim, canonical_rows(raw))

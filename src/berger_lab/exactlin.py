@@ -8,7 +8,10 @@ subspaces are equal iff their stored bases are entrywise equal.
 Every elimination runs on one engine, `Echelon`, over sparse rows of
 primitive integers (fraction-free, per-row gcd normalization).  That is an
 optimization only; observable results are identical to naive
-Fraction-based Gauss-Jordan.
+Fraction-based Gauss-Jordan.  Rational rows enter it through
+`integer_row`, the one place denominators are cleared.  Spans,
+independence and coordinates are all answered by `Echelon`, `span_of` and
+`Subspace.reduce_vector`.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -27,18 +30,16 @@ __all__ = [
     "Rational",
     "RealMatrix",
     "Subspace",
-    "SpanSolver",
     "rat_from_str",
     "rat_to_str",
     "rref",
     "rank",
     "nullspace",
     "span_of",
-    "subspace_equal",
-    "subspace_contains",
     "symmetric_signature",
     "sparse_nullspace",
     "canonical_rows",
+    "integer_row",
 ]
 
 
@@ -229,6 +230,13 @@ class RealMatrix:
 # which the unique leading-1 RREF is obtained by dividing each row by its
 # pivot.
 
+def integer_row(row: Mapping) -> dict:
+    """The nonzero entries of a rational row times the lcm of their
+    denominators: a row of ints spanning the same line."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {k: int(v * den) for k, v in row.items() if v}
+
+
 def _normalize_row(row: dict) -> dict:
     g = 0
     for v in row.values():
@@ -287,10 +295,7 @@ class Echelon:
 
     def insert_fraction_row(self, row: dict) -> int | None:
         """Insert a row of Fractions (cleared to a primitive integer row)."""
-        den = 1
-        for v in row.values():
-            den = lcm(den, Fraction(v).denominator)
-        return self.insert({k: int(v * den) for k, v in row.items() if v})
+        return self.insert(integer_row(row))
 
     @property
     def rank(self) -> int:
@@ -505,26 +510,10 @@ def span_of(vectors: Iterable, ambient_dim: int) -> Subspace:
 
 def nullspace(m: RealMatrix) -> Subspace:
     """ker(m) with canonical basis; dim = cols - rank(m)."""
-    rows = []
-    for i in range(m.rows):
-        r = m.row(i)
-        den = 1
-        for v in r:
-            den = lcm(den, v.denominator)
-        row = {j: int(v * den) for j, v in enumerate(r) if v}
-        if row:
-            rows.append(row)
+    rows = [row for i in range(m.rows)
+            if (row := integer_row(dict(enumerate(m.row(i)))))]
     raw = sparse_nullspace(rows, m.cols)
     return Subspace(m.cols, canonical_rows(raw))
-
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    return a == b
-
-
-def subspace_contains(a: Subspace, b: Subspace) -> bool:
-    """True iff span(b) is contained in span(a)."""
-    return a.contains(b)
 
 
 def symmetric_signature(m: RealMatrix) -> tuple[int, int]:
@@ -564,83 +553,3 @@ def symmetric_signature(m: RealMatrix) -> tuple[int, int]:
                 for r in range(n):
                     a[r][j] -= f * a[r][i]
     return neg, pos
-
-
-# ---------------------------------------------------------------------------
-# span with coordinate recovery
-# ---------------------------------------------------------------------------
-
-class SpanSolver:
-    """Incremental span of vectors with coordinate recovery.
-
-    Vectors are added one at a time; `coordinates` expresses an arbitrary
-    vector as a combination of the *added* vectors (by their insertion
-    index), or returns None if it lies outside the span.
-    """
-
-    __slots__ = ("ambient_dim", "_rows", "_count")
-
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
-        # list of (reduced sparse row, combo dict {added-index: Fraction})
-        self._rows: list[tuple[dict, dict]] = []
-        self._count = 0
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, vec: dict) -> tuple[dict, dict]:
-        v = {k: Fraction(x) for k, x in vec.items() if x}
-        combo: dict[int, Fraction] = {}
-        for row, rcombo in self._rows:
-            c = min(row)
-            coef = v.get(c)
-            if coef:
-                f = coef / row[c]
-                for k, x in row.items():
-                    nv = v.get(k, Fraction(0)) - f * x
-                    if nv:
-                        v[k] = nv
-                    else:
-                        v.pop(k, None)
-                for k, x in rcombo.items():
-                    nv = combo.get(k, Fraction(0)) - f * x
-                    if nv:
-                        combo[k] = nv
-                    else:
-                        combo.pop(k, None)
-        return v, combo
-
-    def add(self, vec) -> bool:
-        """Add a vector (dense sequence or sparse mapping); True if independent."""
-        if not isinstance(vec, Mapping):
-            vec = {i: x for i, x in enumerate(vec) if x}
-        idx = self._count
-        self._count += 1
-        v, combo = self._reduce(vec)
-        if not v:
-            return False
-        combo[idx] = combo.get(idx, Fraction(0)) + Fraction(1)
-        # keep rows ordered by pivot column so reduction is a single pass
-        self._rows.append((v, combo))
-        self._rows.sort(key=lambda rc: min(rc[0]))
-        return True
-
-    def coordinates(self, vec) -> list | None:
-        """Coefficients over the added vectors, or None if not in the span."""
-        if not isinstance(vec, Mapping):
-            vec = {i: x for i, x in enumerate(vec) if x}
-        v, combo = self._reduce(vec)
-        if v:
-            return None
-        out = [Fraction(0)] * self._count
-        for k, x in combo.items():
-            out[k] = -x
-        return out
-
-    def contains(self, vec) -> bool:
-        if not isinstance(vec, Mapping):
-            vec = {i: x for i, x in enumerate(vec) if x}
-        v, _ = self._reduce(vec)
-        return not v

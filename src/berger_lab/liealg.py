@@ -18,9 +18,9 @@ Algebra equality means equality of matrix spans, not basis lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .exactlin import RealMatrix, SpanSolver, Subspace, span_of, sparse_nullspace
+from .exactlin import (RealMatrix, Subspace, integer_row, span_of,
+                       sparse_nullspace)
 from .quatspace import QuatMatrix, Quaternion, QuaternionicSpace, realify
 
 __all__ = [
@@ -71,28 +71,39 @@ class LieAlgebra:
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
 
-    def _span_solver(self) -> SpanSolver:
-        span = self._span
-        if span is None:
-            n = self.space.real_dim
-            span = SpanSolver(n * n)
-            for b in self.basis:
-                if not span.add(b.flatten_sparse()):
-                    raise ValueError(f"basis of {self.name} is linearly dependent")
-            object.__setattr__(self, "_span", span)
-        return span
+    def _augmented(self) -> Subspace:
+        """Canonical span of the rows flatten(B_k) + e_{n^2+k}.  Reducing a
+        flattened matrix against it leaves minus its coordinates in the
+        e-part, and the rows cut to the first n^2 keys are the canonical
+        basis of the span."""
+        aug = self._span
+        if aug is None:
+            n2 = self.space.real_dim ** 2
+            aug = span_of(({**b.flatten_sparse(), n2 + k: 1}
+                           for k, b in enumerate(self.basis)), n2 + self.dim)
+            rows = aug.sparse_rows()
+            if rows and min(rows[-1]) >= n2:
+                raise ValueError(f"basis of {self.name} is linearly dependent")
+            object.__setattr__(self, "_span", aug)
+        return aug
 
     def coordinates_of(self, m: RealMatrix):
         """Coefficients of `m` over the basis, or None if outside the span."""
-        return self._span_solver().coordinates(m.flatten_sparse())
+        n2 = self.space.real_dim ** 2
+        rest = self._augmented().reduce_vector(m.flatten_sparse())
+        if rest and min(rest) < n2:
+            return None
+        zero = Fraction(0)
+        return [-rest.get(n2 + k, zero) for k in range(self.dim)]
 
     def contains_matrix(self, m: RealMatrix) -> bool:
-        return self._span_solver().contains(m.flatten_sparse())
+        return self.coordinates_of(m) is not None
 
     def span_subspace(self) -> Subspace:
         """Canonical subspace of flattened matrices (for algebra equality)."""
-        n = self.space.real_dim
-        return span_of([b.flatten_sparse() for b in self.basis], n * n)
+        n2 = self.space.real_dim ** 2
+        return Subspace(n2, [{k: v for k, v in row.items() if k < n2}
+                             for row in self._augmented().sparse_rows()])
 
     def check_closure(self) -> bool:
         """[B_i, B_j] lies in the span for all basis pairs."""
@@ -247,14 +258,12 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlge
         raise ValueError("summands live on different spaces")
     for x in a.basis:
         for y in b.basis:
-            if not x.commutator(y).is_zero():
+            if x * y != y * x:
                 raise ValueError("not a direct sum: summands do not commute")
-    span = SpanSolver(a.space.real_dim ** 2)
-    for x in a.basis:
-        span.add(x.flatten_sparse())
-    for y in b.basis:
-        if not span.add(y.flatten_sparse()):
-            raise ValueError("not a direct sum: spans overlap")
+    both = span_of([m.flatten_sparse() for m in a.basis + b.basis],
+                   a.space.real_dim ** 2)
+    if both.dim != a.dim + b.dim:
+        raise ValueError("not a direct sum: spans overlap")
     return LieAlgebra(name or f"{a.name}+{b.name}", a.space, a.basis + b.basis)
 
 
@@ -295,10 +304,7 @@ def stabilizer_of_subspace(g: LieAlgebra, v: Subspace) -> Subspace:
                 if val:
                     row[k] = val
             if row:
-                den = 1
-                for val in row.values():
-                    den = lcm(den, val.denominator)
-                rows.append({k: int(val * den) for k, val in row.items()})
+                rows.append(integer_row(row))
     kernel = sparse_nullspace(rows, g.dim)
     mats = []
     for vec in kernel:

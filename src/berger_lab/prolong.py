@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .exactlin import (RealMatrix, SpanSolver, Subspace, canonical_rows,
-                       rat_to_str, sparse_nullspace)
+from .exactlin import (Echelon, RealMatrix, Subspace, canonical_rows,
+                       integer_row, rat_to_str, sparse_nullspace)
 from .liealg import LieAlgebra
 
 __all__ = [
@@ -76,7 +75,7 @@ def restrict_action(g: LieAlgebra, v: Subspace) -> list[RealMatrix]:
     pivots = v.pivot_columns()
     dv = v.dim
     restricted = []
-    span = SpanSolver(dv * dv)
+    span = Echelon()
     for b in g.basis:
         cols = []
         for vec in vbasis:
@@ -88,20 +87,9 @@ def restrict_action(g: LieAlgebra, v: Subspace) -> list[RealMatrix]:
             cols.append([image[p] for p in pivots])
         mat = RealMatrix.from_rows([[cols[j][i] for j in range(dv)]
                                     for i in range(dv)])
-        if span.add(mat.flatten_sparse()):
+        if span.insert_fraction_row(mat.flatten_sparse()) is not None:
             restricted.append(mat)
     return restricted
-
-
-def _as_int_rows(rows):
-    for row in rows:
-        row = {k: v for k, v in row.items() if v}
-        if not row:
-            continue
-        den = 1
-        for v in row.values():
-            den = lcm(den, Fraction(v).denominator)
-        yield {k: int(v * den) for k, v in row.items()}
 
 
 def first_prolongation(action: Sequence[RealMatrix], label: str = "") -> ProlongationSpace:
@@ -128,7 +116,7 @@ def first_prolongation(action: Sequence[RealMatrix], label: str = "") -> Prolong
                     if row:
                         yield row
 
-    raw = sparse_nullspace(_as_int_rows(rows()), dv * dg)
+    raw = sparse_nullspace(filter(None, map(integer_row, rows())), dv * dg)
     return ProlongationSpace(order=1, acting_dim=dv, action_dim=dg,
                              basis=tuple(canonical_rows(raw)), label=label)
 
@@ -166,7 +154,8 @@ def second_prolongation(action: Sequence[RealMatrix], label: str = "") -> Prolon
                         if row:
                             yield row
 
-    raw = sparse_nullspace(_as_int_rows(rows()), len(pairs) * dg)
+    raw = sparse_nullspace(filter(None, map(integer_row, rows())),
+                           len(pairs) * dg)
     return ProlongationSpace(order=2, acting_dim=dv, action_dim=dg,
                              basis=tuple(canonical_rows(raw)), label=label)
 

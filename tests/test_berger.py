@@ -4,7 +4,7 @@ from berger_lab.berger import (SCOPE_NOTE, _restriction_multiple_check,
                                berger_closure, berger_report, collapses,
                                holonomy_case_split, split_of)
 from berger_lab.curvature import CurvatureSpace, build_r1, element_over
-from berger_lab.exactlin import SpanSolver
+from berger_lab.exactlin import span_of
 from berger_lab.harness import (Session, check_mixed_signature_collapse,
                                 check_parabolic_split)
 
@@ -51,13 +51,12 @@ def test_closure_monotone_in_curvature_input(session):
 def test_witnesses_span_the_closure(session):
     alg = session.algebra("h0", 1, 1, 1)
     report = berger_report(alg, session.curvature("h0", 1, 1, 1))
-    span = SpanSolver(alg.dim)
     curvature = session.curvature("h0", 1, 1, 1)
     from berger_lab.curvature import bivector_pairs
     pairs = bivector_pairs(alg.space.real_dim)
-    for (a, b), idx in report.witnesses:
-        span.add(curvature.basis[idx].rows[pairs.index((a, b))])
-    assert span.dim == report.closure_dim
+    span = span_of([curvature.basis[idx].rows[pairs.index((a, b))]
+                    for (a, b), idx in report.witnesses], alg.dim)
+    assert span.dim == report.closure_dim == len(report.witnesses)
 
 
 def test_report_json_carries_scope_note(session):
@@ -146,6 +145,23 @@ def test_restriction_multiple_fails_on_a_wrong_r1_component(session):
     doubled = {k: 2 * v for k, v in r1_vec.items()}
     ok, details = _restriction_multiple_check(space, full, sub, r1, doubled)
     assert not ok and set(details) == {"element", "pair"}
+
+
+def test_restriction_multiple_names_a_failed_decomposition(session, tampered):
+    space = session.space(1, 1, 1)
+    full = session.curvature("sp1+sp_w", 1, 1, 1)
+    r1 = build_r1(space, curvature=session.curvature("h0", 1, 1, 1))
+    r1_vec = element_over(r1, full.algebra)
+    # one sp(r,r)_W tensor short, line(R1) + sub misses a basis tensor
+    short = split_of(full, tampered.curvature("sp_w", 1, 1, 1),
+                     r1_vec).sub_over_full
+    ok, details = _restriction_multiple_check(space, full, short, r1, r1_vec)
+    assert not ok and details == {"reason": "split decomposition failed"}
+    sub = split_of(full, session.curvature("sp_w", 1, 1, 1), r1_vec).sub_over_full
+    inside = dict(sub.sparse_rows()[0])
+    ok, details = _restriction_multiple_check(space, full, sub, r1, inside)
+    assert not ok
+    assert details == {"reason": "R1 lies in the curvature space of sp(r,r)_W"}
 
 
 def test_split_predicates_name_the_failed_condition(session, tampered):

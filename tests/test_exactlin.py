@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berger_lab.exactlin import (RealMatrix, SpanSolver, Subspace, nullspace,
-                                 rank, rat_from_str, rat_to_str, rref, span_of,
-                                 subspace_contains, subspace_equal,
+from berger_lab.exactlin import (RealMatrix, Subspace, nullspace, rank,
+                                 rat_from_str, rat_to_str, rref, span_of,
                                  symmetric_signature)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -155,25 +154,25 @@ def test_span_full_plane():
 
 
 def test_subspace_equal_scaling():
-    assert subspace_equal(span_of([(1, 0)], 2), span_of([(2, 0)], 2))
+    assert span_of([(1, 0)], 2) == span_of([(2, 0)], 2)
 
 
 def test_subspace_strict_containment():
     line = span_of([(1, 0)], 2)
     plane = span_of([(1, 0), (0, 1)], 2)
-    assert subspace_contains(plane, line)
-    assert not subspace_equal(plane, line)
+    assert plane.contains(line)
+    assert plane != line
 
 
 def test_zero_subspaces_equal():
-    assert subspace_equal(span_of([], 3), Subspace.zero(3))
+    assert span_of([], 3) == Subspace.zero(3)
 
 
 def test_ambient_mismatch_raises():
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
-        subspace_equal(span_of([(1,)], 1), span_of([(1, 0)], 2))
+        span_of([(1,)], 1) == span_of([(1, 0)], 2)
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
-        subspace_contains(span_of([(1,)], 1), span_of([(1, 0)], 2))
+        span_of([(1,)], 1).contains(span_of([(1, 0)], 2))
 
 
 vec3 = st.lists(rationals, min_size=3, max_size=3).map(tuple)
@@ -186,7 +185,7 @@ def test_span_invariant_under_shuffle_and_rescale(vecs, rng):
     shuffled = list(vecs)
     rng.shuffle(shuffled)
     scaled = [tuple(Fraction(3, 2) * x for x in v) for v in shuffled]
-    assert subspace_equal(sub, span_of(scaled + shuffled, 3))
+    assert sub == span_of(scaled + shuffled, 3)
 
 
 @given(st.lists(vec3, min_size=1, max_size=3), st.lists(vec3, min_size=1, max_size=3))
@@ -194,16 +193,16 @@ def test_span_invariant_under_shuffle_and_rescale(vecs, rng):
 def test_subspace_equality_is_equivalence(a_vecs, b_vecs):
     a = span_of(a_vecs, 3)
     b = span_of(b_vecs, 3)
-    assert subspace_equal(a, a)
-    if subspace_equal(a, b):
-        assert subspace_equal(b, a)
-        assert subspace_contains(a, b) and subspace_contains(b, a)
+    assert a == a
+    if a == b:
+        assert b == a
+        assert a.contains(b) and b.contains(a)
 
 
 def test_subspace_json_round_trip():
     sub = span_of([(1, 2, Fraction(1, 3)), (0, 1, 5)], 3)
     again = Subspace.from_json(sub.to_json())
-    assert subspace_equal(sub, again)
+    assert sub == again
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +255,3 @@ def test_symmetric_signature():
     assert symmetric_signature(M([[0, 1], [1, 0]])) == (1, 1)
     with pytest.raises(ValueError, match="not symmetric"):
         symmetric_signature(M([[0, 1], [0, 0]]))
-
-
-def test_span_solver_coordinates():
-    solver = SpanSolver(3)
-    assert solver.add((1, 0, 0))
-    assert solver.add((1, 1, 0))
-    assert not solver.add((2, 1, 0))  # dependent
-    coords = solver.coordinates((0, Fraction(2), 0))
-    assert coords is not None
-    # reconstruct: coords are over added vectors, dependent slots are zero
-    added = [(1, 0, 0), (1, 1, 0), (2, 1, 0)]
-    recon = [sum(c * Fraction(v[i]) for c, v in zip(coords, added))
-             for i in range(3)]
-    assert recon == [0, 2, 0]
-    assert solver.coordinates((0, 0, 1)) is None

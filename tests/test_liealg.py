@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from berger_lab.exactlin import (RealMatrix, nullspace, subspace_contains,
-                                 subspace_equal)
+from berger_lab.exactlin import RealMatrix, nullspace, span_of
 from berger_lab.liealg import (LieAlgebra, algebra_by_name, build_glq, build_h0,
                                build_sp, build_sp1, build_sp_parabolic,
                                direct_sum, preserves_subspace, sp_dimension,
@@ -45,7 +44,7 @@ def test_sp_matches_skew_commutant_oracle(r, s, t, expected_dim):
     assert sp.dim == expected_dim == sp_dimension(r, s)
     oracle = eta_skew_commutant_oracle(space)
     assert oracle.dim == expected_dim
-    assert subspace_equal(oracle, sp.span_subspace())
+    assert oracle == sp.span_subspace()
 
 
 def test_sp_basis_is_eta_skew():
@@ -88,7 +87,7 @@ def test_parabolic_is_exact_stabilizer(r, s, t):
     sp = build_sp(space)
     spw = build_sp_parabolic(space)
     stab = stabilizer_of_subspace(sp, space.isotropic_subspace_W())
-    assert subspace_equal(stab, spw.span_subspace())
+    assert stab == spw.span_subspace()
 
 
 def test_full_sp_does_not_preserve_w():
@@ -107,7 +106,7 @@ def test_glq_dimension(r, expected):
     glq = build_glq(space)
     assert glq.dim == expected
     spw = build_sp_parabolic(space)
-    assert subspace_contains(spw.span_subspace(), glq.span_subspace())
+    assert spw.span_subspace().contains(glq.span_subspace())
     assert preserves_subspace(glq, space.isotropic_subspace_W())
     assert preserves_subspace(glq, space.dual_W1())
 
@@ -144,6 +143,11 @@ def test_direct_sum_rejects_overlap():
     space = build_space(1, 1, 1)
     with pytest.raises(ValueError, match="not a direct sum"):
         direct_sum(build_sp1(space), build_sp1(space))
+    # the real scalars of gl(1,H) are central, so only the spans can clash
+    glq = build_glq(space)
+    centre = LieAlgebra("c", space, [glq.basis[0]])
+    with pytest.raises(ValueError, match="spans overlap"):
+        direct_sum(glq, centre)
 
 
 def test_direct_sum_rejects_non_commuting():
@@ -171,16 +175,47 @@ def test_registry_unknown_name():
         algebra_by_name("nosuch", build_space(1, 1, 1))
 
 
-def test_coordinates_round_trip():
-    space = build_space(1, 1, 1)
-    sp = build_sp(space)
-    combo = sp.basis[0].scaled(Fraction(1, 2)) + sp.basis[3].scaled(-2)
-    coords = sp.coordinates_of(combo)
+def _check_coordinates_round_trip(name):
+    alg = algebra_by_name(name, build_space(1, 1, 1))
+    combo = (alg.basis[0].scaled(Fraction(1, 2)) + alg.basis[3].scaled(-2)
+             + alg.basis[-1].scaled(Fraction(3, 7)))
+    coords = alg.coordinates_of(combo)
     assert coords is not None
     assert coords[0] == Fraction(1, 2) and coords[3] == -2
-    assert sum((b.scaled(c) for b, c in zip(sp.basis, coords)),
+    assert coords[-1] == Fraction(3, 7)
+    assert sum(1 for c in coords if c) == 3
+    assert sum((b.scaled(c) for b, c in zip(alg.basis, coords)),
                RealMatrix.zeros(8, 8)) == combo
-    assert sp.coordinates_of(RealMatrix.identity(8)) is None
+    assert alg.coordinates_of(RealMatrix.identity(8)) is None
+    assert alg.contains_matrix(combo)
+    assert not alg.contains_matrix(RealMatrix.identity(8))
+
+
+def test_coordinates_round_trip():
+    _check_coordinates_round_trip("sp")
+
+
+def test_coordinates_round_trip_over_a_sum():
+    _check_coordinates_round_trip("sp1+sp")
+
+
+@pytest.mark.parametrize("name", ["sp", "sp_w", "sp1", "glq", "h0",
+                                  "sp1+sp", "sp1+sp_w"])
+def test_span_subspace_is_the_span_of_the_basis(name):
+    alg = algebra_by_name(name, build_space(1, 1, 1))
+    flat = span_of([b.flatten_sparse() for b in alg.basis], 64)
+    assert alg.span_subspace() == flat
+    assert flat.dim == alg.dim
+
+
+def test_dependent_basis_is_rejected():
+    space = build_space(1, 1, 1)
+    i1 = space.I[0]
+    dup = LieAlgebra("dup", space, [i1, i1])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        dup.coordinates_of(i1)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        dup.span_subspace()
 
 
 def test_algebra_json_shape():

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .curvature import (CurvatureSpace, bivector_pairs, build_r1,
-                        coefficients_over, element_over)
+from .curvature import CurvatureSpace, bivector_pairs, build_r1, element_over
 from .exactlin import Echelon, Subspace, span_of
 from .liealg import LieAlgebra
 
@@ -163,7 +162,7 @@ def split_of(full: CurvatureSpace, sub: CurvatureSpace,
     `generator` is a sparse coefficient vector over full.algebra; `sub`'s
     algebra must embed in full.algebra.
     """
-    embedded = coefficients_over(sub, full.algebra)
+    embedded = sub.over(full.algebra)
     full_sub = full.coefficient_subspace()
     return Split(
         dims_add_up=full.dim == 1 + sub.dim,
@@ -176,7 +175,7 @@ def split_of(full: CurvatureSpace, sub: CurvatureSpace,
 
 def collapses(full: CurvatureSpace, sub: CurvatureSpace) -> bool:
     """True iff R(full) = R(sub), comparing both over full.algebra."""
-    embedded = coefficients_over(sub, full.algebra)
+    embedded = sub.over(full.algebra)
     full_sub = full.coefficient_subspace()
     return embedded.dim == full_sub.dim and full_sub.contains(embedded)
 

@@ -123,14 +123,14 @@ class CurvatureElement:
     def value(self, a: int, b: int) -> RealMatrix:
         """R(e_a, e_b) as a matrix (antisymmetric in a, b)."""
         n = self.space.real_dim
-        out = [0] * (n * n)
+        out = {}
         row, sign = self.row_of(a, b)
         basis = self.algebra.basis
         for k, c in row.items():
             c = sign * c
-            for pos, v in basis[k].flatten_sparse().items():
-                out[pos] += c * v
-        return RealMatrix(n, n, out)
+            for pos, v in basis[k].nz.items():
+                out[pos] = out.get(pos, 0) + c * v
+        return RealMatrix.from_sparse(n, n, out)
 
     def value_column(self, a: int, b: int, col: int) -> list:
         """Column `col` of R(e_a, e_b), cheaper than the full matrix."""
@@ -140,10 +140,9 @@ class CurvatureElement:
         basis = self.algebra.basis
         for k, c in row.items():
             c = sign * c
-            basis_k = basis[k]
-            for d in range(n):
-                v = basis_k[d, col]
-                if v:
+            for pos, v in basis[k].nz.items():
+                d, j = divmod(pos, n)
+                if j == col:
                     out[d] += c * v
         return out
 
@@ -179,9 +178,9 @@ class CurvatureSpace:
 
     The basis's span in the flat coefficient space is kept from
     `bianchi_kernel`, whose basis rows are already canonical, or else
-    computed on first use."""
+    computed on first use; so is its span over each larger algebra."""
 
-    __slots__ = ("space", "algebra", "basis", "dim", "_subspace")
+    __slots__ = ("space", "algebra", "basis", "dim", "_subspace", "_over")
 
     def __init__(self, space, algebra, basis):
         object.__setattr__(self, "space", space)
@@ -189,6 +188,7 @@ class CurvatureSpace:
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "dim", len(self.basis))
         object.__setattr__(self, "_subspace", None)
+        object.__setattr__(self, "_over", {})
 
     @classmethod
     def _from_canonical_rows(cls, algebra, rows) -> "CurvatureSpace":
@@ -215,6 +215,13 @@ class CurvatureSpace:
             ambient = _bivector_count(self.space.real_dim) * self.algebra.dim
             sub = span_of([el.sparse_vector() for el in self.basis], ambient)
             object.__setattr__(self, "_subspace", sub)
+        return sub
+
+    def over(self, target: LieAlgebra) -> Subspace:
+        """`coefficients_over(self, target)`, computed once per target."""
+        sub = self._over.get(target)
+        if sub is None:
+            sub = self._over[target] = coefficients_over(self, target)
         return sub
 
     def contains(self, element: CurvatureElement) -> bool:
@@ -294,26 +301,22 @@ def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
 # the model tensor R0 and the h0 generator R1
 # ---------------------------------------------------------------------------
 
-def _wedge_matrix(space, u, v) -> list:
-    """(u ^ v) Z = eta(v, Z) u - eta(u, Z) v, returned as a flat n x n list.
+def _wedge_matrix(space, u, v) -> dict:
+    """(u ^ v) Z = eta(v, Z) u - eta(u, Z) v, as {row * n + col: value}.
 
     This orientation of the wedge is the unique one under which the model
     tensor below satisfies the first Bianchi identity (the opposite sign
     fails; see the conformance tests).
     """
     n = space.real_dim
-    eta = space.eta
-    eta_u = eta.apply(u)
-    eta_v = eta.apply(v)
-    out = [Fraction(0)] * (n * n)
-    for d in range(n):
-        ud, vd = u[d], v[d]
-        if ud or vd:
-            base = d * n
-            for z in range(n):
-                val = eta_v[z] * ud - eta_u[z] * vd
-                if val:
-                    out[base + z] = val
+    out = {}
+    # u eta(v)^t - v eta(u)^t, over the nonzeros of both factors
+    for x, y, sign in ((u, space.eta.apply(v), 1), (v, space.eta.apply(u), -1)):
+        for d, xd in enumerate(x):
+            if xd:
+                for z, yz in enumerate(y):
+                    if yz:
+                        out[d * n + z] = out.get(d * n + z, 0) + sign * xd * yz
     return out
 
 
@@ -327,24 +330,24 @@ def r0_value_matrix(space: QuaternionicSpace, a: int, b: int) -> RealMatrix:
     n = space.real_dim
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
-    ea = [Fraction(0)] * n
-    ea[a] = Fraction(1)
-    eb = [Fraction(0)] * n
-    eb[b] = Fraction(1)
-    out = [Fraction(0)] * (n * n)
+    ea = [0] * n
+    ea[a] = 1
+    eb = [0] * n
+    eb[b] = 1
+    eta_a = space.eta.row(a)
+    out = {}
     for ialpha in space.I:
-        coef = (space.eta * ialpha)[a, b]
+        # eta(e_a, I_alpha e_b), summed over the nonzeros of column b
+        coef = sum((eta_a[d] * v for d, v in enumerate(ialpha.column(b)) if v), 0)
         if coef:
-            coef *= half
-            for pos, v in ialpha.flatten_sparse().items():
-                out[pos] += coef * v
+            for pos, v in ialpha.nz.items():
+                out[pos] = out.get(pos, 0) + half * coef * v
     for w in (_wedge_matrix(space, ea, eb),
-              *(_wedge_matrix(space, list(ialpha.column(a)), list(ialpha.column(b)))
+              *(_wedge_matrix(space, ialpha.column(a), ialpha.column(b))
                 for ialpha in space.I)):
-        for pos, v in enumerate(w):
-            if v:
-                out[pos] += quarter * v
-    return RealMatrix(n, n, out)
+        for pos, v in w.items():
+            out[pos] = out.get(pos, 0) + quarter * v
+    return RealMatrix.from_sparse(n, n, out)
 
 
 def build_r0(space: QuaternionicSpace,
@@ -380,17 +383,16 @@ def build_r1(space: QuaternionicSpace,
 def ricci(element: CurvatureElement) -> RealMatrix:
     """Ric(Y, Z) = trace(X -> R(X, Y) Z)."""
     n = element.space.real_dim
-    ric = [[Fraction(0)] * n for _ in range(n)]
+    ric = {}
     for a, b in bivector_pairs(n):
-        m = element.value(a, b)
-        row_a = m.row(a)
-        row_b = m.row(b)
-        for z in range(n):
-            if row_a[z]:
-                ric[b][z] += row_a[z]
-            if row_b[z]:
-                ric[a][z] -= row_b[z]
-    return RealMatrix.from_rows(ric)
+        # R(e_a, e_b) adds its row a to Ric row b and -(row b) to Ric row a
+        for pos, v in element.value(a, b).nz.items():
+            d, z = divmod(pos, n)
+            if d == a:
+                ric[b * n + z] = ric.get(b * n + z, 0) + v
+            elif d == b:
+                ric[a * n + z] = ric.get(a * n + z, 0) - v
+    return RealMatrix.from_sparse(n, n, ric)
 
 
 def scalar(element: CurvatureElement) -> Fraction:
@@ -399,11 +401,9 @@ def scalar(element: CurvatureElement) -> Fraction:
     inv = element.space.eta_inverse()
     n = element.space.real_dim
     total = Fraction(0)
-    for b in range(n):
-        for c in range(n):
-            v = inv[b, c]
-            if v:
-                total += v * ric[c, b]
+    for pos, v in inv.nz.items():
+        b, c = divmod(pos, n)
+        total += v * ric[c, b]
     return total
 
 
@@ -425,7 +425,10 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
         if coords is None:
             raise ValueError("bracket with A leaves the algebra span")
         ad_a.append(_nonzero(coords))
-    a_cols = [_nonzero(a_mat.column(col)) for col in range(n)]
+    a_cols = [{} for _ in range(n)]
+    for pos, v in a_mat.nz.items():
+        d, col = divmod(pos, n)
+        a_cols[col][d] = v
 
     def subtract(acc, f, row):
         for k, c in row.items():
@@ -532,11 +535,15 @@ def _pairing_table(algebra: LieAlgebra):
     """table[k] = {biv: eta(B_k e_c, e_d)} over the bivectors (c, d), nonzero
     values only."""
     space = algebra.space
-    pairs = bivector_pairs(space.real_dim)
+    n = space.real_dim
     table = []
     for bmat in algebra.basis:
-        eb = space.eta * bmat
-        table.append({jb: v for jb, (c, d) in enumerate(pairs) if (v := eb[d, c])})
+        row = {}
+        for pos, v in (space.eta * bmat).nz.items():
+            d, c = divmod(pos, n)
+            if c < d:
+                row[_biv_index(n, c, d)] = v
+        table.append(row)
     return table
 
 

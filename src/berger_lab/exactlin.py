@@ -1,9 +1,11 @@
 """Exact rational linear algebra.
 
 All scalars are arbitrary-precision `fractions.Fraction`; every result is
-exact.  Elimination is deterministic (leftmost-pivot, first nonzero row),
-so echelon forms are unique and subspace bases are canonical: two
-subspaces are equal iff their stored bases are entrywise equal.
+exact.  Matrices (`RealMatrix`) are sparse: they store their nonzero
+entries only, and arithmetic walks those.  Elimination is deterministic
+(leftmost-pivot, first nonzero row), so echelon forms are unique and
+subspace bases are canonical: two subspaces are equal iff their stored
+bases are entrywise equal.
 
 Every elimination runs on one engine, `Echelon`, over sparse rows of
 primitive integers (fraction-free, per-row gcd normalization).  That is an
@@ -22,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -53,24 +56,45 @@ def rat_from_str(s: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dense matrices
+# sparse matrices
 # ---------------------------------------------------------------------------
 
-class RealMatrix:
-    """Immutable dense matrix of Fractions, row-major."""
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-    __slots__ = ("rows", "cols", "entries")
+
+class RealMatrix:
+    """Immutable sparse matrix of Fractions.
+
+    `nz` is a read-only mapping {row * cols + col: value} of the nonzero
+    entries, every value a nonzero Fraction.  Only the dense constructor and
+    `from_rows` coerce entries; results of arithmetic are stored as computed.
+    """
+
+    __slots__ = ("rows", "cols", "nz")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        ent = tuple(Fraction(e) for e in entries)
+        ent = [Fraction(e) for e in entries]
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
-        object.__setattr__(self, "entries", ent)
+        self._init(rows, cols, dict(enumerate(ent)))
+
+    def _init(self, rows: int, cols: int, nz: Mapping) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "nz",
+                           MappingProxyType({k: v for k, v in nz.items() if v}))
 
     def __setattr__(self, name, value):
         raise AttributeError("RealMatrix is immutable")
+
+    @classmethod
+    def from_sparse(cls, rows: int, cols: int, nz: Mapping) -> "RealMatrix":
+        """The matrix with entries `nz` ({row * cols + col: Fraction}), which
+        is copied without its zero values."""
+        out = cls.__new__(cls)
+        out._init(rows, cols, nz)
+        return out
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RealMatrix":
@@ -85,47 +109,59 @@ class RealMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RealMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls.from_sparse(rows, cols, {})
 
     @classmethod
     def identity(cls, n: int) -> "RealMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls.from_sparse(n, n, {i * n + i: _ONE for i in range(n)})
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.nz.get(i * self.cols + j, _ZERO)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        cols = self.cols
+        lo = i * cols
+        out = [_ZERO] * cols
+        for k, v in self.nz.items():
+            if lo <= k < lo + cols:
+                out[k - lo] = v
+        return tuple(out)
 
     def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        out = [_ZERO] * self.rows
+        for k, v in self.nz.items():
+            i, c = divmod(k, self.cols)
+            if c == j:
+                out[i] = v
+        return tuple(out)
 
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RealMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.nz == other.nz)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, frozenset(self.nz.items())))
 
     def __repr__(self) -> str:
         return f"RealMatrix({self.rows}x{self.cols})"
 
     def __add__(self, other: "RealMatrix") -> "RealMatrix":
-        self._check_same_shape(other)
-        return RealMatrix(self.rows, self.cols,
-                          [a + b for a, b in zip(self.entries, other.entries)])
+        return self._plus(other, 1)
 
     def __sub__(self, other: "RealMatrix") -> "RealMatrix":
-        self._check_same_shape(other)
-        return RealMatrix(self.rows, self.cols,
-                          [a - b for a, b in zip(self.entries, other.entries)])
+        return self._plus(other, -1)
 
-    def __neg__(self) -> "RealMatrix":
-        return RealMatrix(self.rows, self.cols, [-a for a in self.entries])
+    def _plus(self, other: "RealMatrix", sign: int) -> "RealMatrix":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        out = dict(self.nz)
+        for k, v in other.nz.items():
+            out[k] = out.get(k, 0) + sign * v
+        return RealMatrix.from_sparse(self.rows, self.cols, out)
 
     def __mul__(self, other):
         if isinstance(other, RealMatrix):
@@ -137,55 +173,45 @@ class RealMatrix:
 
     def scaled(self, c) -> "RealMatrix":
         c = Fraction(c)
-        return RealMatrix(self.rows, self.cols, [c * a for a in self.entries])
+        return RealMatrix.from_sparse(self.rows, self.cols,
+                                      {k: c * v for k, v in self.nz.items()})
 
     def _matmul(self, other: "RealMatrix") -> "RealMatrix":
+        """Joins each nonzero A[i, t] with the nonzeros of row t of B."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch for matrix product")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out = [Fraction(0)] * (n * m)
-        for i in range(n):
-            arow = a[i * k:(i + 1) * k]
-            orow = i * m
-            for t in range(k):
-                v = arow[t]
-                if v:
-                    brow = t * m
-                    for j in range(m):
-                        w = b[brow + j]
-                        if w:
-                            out[orow + j] += v * w
-        return RealMatrix(n, m, out)
+        k, m = self.cols, other.cols
+        b_rows: dict[int, list] = {}
+        for pos, w in other.nz.items():
+            t, j = divmod(pos, m)
+            b_rows.setdefault(t, []).append((j, w))
+        out: dict[int, Fraction] = {}
+        for pos, v in self.nz.items():
+            i, t = divmod(pos, k)
+            base = i * m
+            for j, w in b_rows.get(t, ()):
+                out[base + j] = out.get(base + j, 0) + v * w
+        return RealMatrix.from_sparse(self.rows, m, out)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            s = Fraction(0)
-            base = i * self.cols
-            for j, v in enumerate(vec):
-                if v:
-                    e = self.entries[base + j]
-                    if e:
-                        s += e * v
-            out.append(s)
+        out = [_ZERO] * self.rows
+        for k, e in self.nz.items():
+            i, j = divmod(k, self.cols)
+            v = vec[j]
+            if v:
+                out[i] += e * v
         return tuple(out)
 
     def transpose(self) -> "RealMatrix":
-        return RealMatrix(self.cols, self.rows,
-                          [self.entries[i * self.cols + j]
-                           for j in range(self.cols) for i in range(self.rows)])
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
+        rows, cols = self.rows, self.cols
+        return RealMatrix.from_sparse(cols, rows, {
+            (k % cols) * rows + k // cols: v for k, v in self.nz.items()})
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not self.nz
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -194,30 +220,34 @@ class RealMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        aug = RealMatrix.from_rows(
-            [list(self.row(i)) + [int(j == i) for j in range(n)] for i in range(n)])
-        red, piv = rref(aug)
-        if piv != list(range(n)):
+        rows = _row_dicts(self)
+        for i in range(n):
+            rows[i][n + i] = _ONE
+        red = canonical_rows(rows)
+        if [min(r) for r in red] != list(range(n)):
             raise ValueError("matrix is singular")
-        return RealMatrix(n, n, [red[i, n + j] for i in range(n) for j in range(n)])
+        return RealMatrix.from_sparse(n, n, {
+            i * n + j - n: v for i, r in enumerate(red) for j, v in r.items()
+            if j >= n})
 
     def commutator(self, other: "RealMatrix") -> "RealMatrix":
         return self * other - other * self
 
     def flatten_sparse(self) -> dict:
         """Nonzero entries as {row*cols+col: value}."""
-        return {i: v for i, v in enumerate(self.entries) if v}
+        return dict(self.nz)
 
     def to_json(self) -> list:
         return [[rat_to_str(v) for v in self.row(i)] for i in range(self.rows)]
 
-    @classmethod
-    def from_json(cls, data: Sequence[Sequence[str]]) -> "RealMatrix":
-        return cls.from_rows([[rat_from_str(v) for v in row] for row in data])
 
-    def _check_same_shape(self, other: "RealMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+def _row_dicts(m: RealMatrix) -> list[dict]:
+    """The rows of `m` as {column: value} dicts of its nonzeros."""
+    rows = [{} for _ in range(m.rows)]
+    for k, v in m.nz.items():
+        i, j = divmod(k, m.cols)
+        rows[i][j] = v
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +399,10 @@ def rref(m: RealMatrix) -> tuple[RealMatrix, list[int]]:
     The nonzero rows are `canonical_rows` of the matrix's rows; zero rows
     pad the result to the input's shape.
     """
-    rows = canonical_rows({j: v for j, v in enumerate(m.row(i)) if v}
-                          for i in range(m.rows))
-    entries = [Fraction(0)] * (m.rows * m.cols)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            entries[i * m.cols + j] = v
-    return RealMatrix(m.rows, m.cols, entries), [min(r) for r in rows]
+    rows = canonical_rows(_row_dicts(m))
+    return (RealMatrix.from_sparse(m.rows, m.cols, {
+        i * m.cols + j: v for i, row in enumerate(rows) for j, v in row.items()}),
+        [min(r) for r in rows])
 
 
 def rank(m: RealMatrix) -> int:
@@ -510,8 +537,7 @@ def span_of(vectors: Iterable, ambient_dim: int) -> Subspace:
 
 def nullspace(m: RealMatrix) -> Subspace:
     """ker(m) with canonical basis; dim = cols - rank(m)."""
-    rows = [row for i in range(m.rows)
-            if (row := integer_row(dict(enumerate(m.row(i)))))]
+    rows = [integer_row(row) for row in _row_dicts(m) if row]
     raw = sparse_nullspace(rows, m.cols)
     return Subspace(m.cols, canonical_rows(raw))
 

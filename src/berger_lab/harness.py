@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import time
 import traceback
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import __version__, prolong
 from . import curvature as curv
 from .berger import berger_report, collapses, holonomy_case_split, split_of
-from .curvature import CurvatureSpace
+from .curvature import CurvatureElement, CurvatureSpace
 from .exactlin import RealMatrix, rat_to_str, symmetric_signature
 from .liealg import (ALGEBRA_NAMES, LieAlgebra, algebra_by_name, sp_dimension,
                      sp_parabolic_dimension, stabilizer_of_subspace)
@@ -127,7 +128,13 @@ def cache_put(cache_dir, space: QuaternionicSpace, algebra_name: str,
                     "algebra": algebra_name},
             "curvature_space": value.to_json(),
         }
-        path.write_text(json.dumps(payload, sort_keys=True))
+        # a whole file or none: write a temp file, then rename it over the entry
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(payload, sort_keys=True))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     except OSError as exc:
         print(f"warning: cache directory not writable ({exc}); proceeding uncached",
               file=sys.stderr)
@@ -138,15 +145,16 @@ def cache_put(cache_dir, space: QuaternionicSpace, algebra_name: str,
 # ---------------------------------------------------------------------------
 
 class Session:
-    """Memoizes spaces, algebras, and curvature spaces across checks and the
-    decision procedure; curvature spaces go through the disk cache only when
-    `cache_dir` is set."""
+    """Memoizes spaces, algebras, curvature spaces and R0 across checks and
+    the decision procedure; curvature spaces go through the disk cache only
+    when `cache_dir` is set."""
 
     def __init__(self, cache_dir=None):
         self.cache_dir = cache_dir
         self._spaces: dict = {}
         self._algebras: dict = {}
         self._curvatures: dict = {}
+        self._r0: dict = {}
 
     def space(self, r, s, t) -> QuaternionicSpace:
         key = (r, s, t)
@@ -175,6 +183,14 @@ class Session:
             self._curvatures[key] = cached
         return self._curvatures[key]
 
+    def r0(self, r, s, t) -> CurvatureElement:
+        """The model tensor R0 over this session's sp(1)+sp(r,s)."""
+        key = (r, s, t)
+        if key not in self._r0:
+            self._r0[key] = curv.build_r0(self.space(r, s, t),
+                                          self.algebra("sp1+sp", r, s, t))
+        return self._r0[key]
+
     def computed_curvatures(self):
         return dict(self._curvatures)
 
@@ -201,6 +217,56 @@ class CheckResult:
         if with_timing and self.wall_time_ms is not None:
             out["wall_time_ms"] = self.wall_time_ms
         return out
+
+
+# the claim each check verifies, by id; a crashed check reports it too
+CLAIMS = {
+    "structure-axioms":
+        "I_a^2 = -id, I3 = I1*I2 = -I2*I1, each I_a is metric-skew, and the "
+        "metric has signature (4r negative, 4s positive)",
+    "algebra-dimensions":
+        "dim sp(r,s) = (r+s)(2(r+s)+1); the block algebra preserving W has "
+        "the predicted dimension and equals the exact stabilizer of W",
+    "h0-curvature-line":
+        "the space of curvature tensors of the h0 block algebra is exactly "
+        "one-dimensional",
+    "r0-membership-and-scalar":
+        "the model tensor R0 has zero first-Bianchi residual, satisfies pair "
+        "symmetry, and has scalar curvature 4m(m+2) for quaternionic "
+        "dimension m = r+s",
+    "full-algebra-split":
+        "curvature space of sp(1)+sp(1,1) = line(R0) + curvature space of "
+        "sp(1,1), with R0 outside the second summand",
+    "parabolic-split":
+        "curvature space of sp(1)+sp(r,r)_W = line(R1) + curvature space of "
+        "sp(r,r)_W, with the complement spanned by R1",
+    "mixed-signature-collapse":
+        "with a nonzero non-degenerate complement, adjoining sp(1) to the "
+        "W-preserving algebra adds no curvature tensors",
+    "degenerate-pair-vanishing":
+        "every curvature tensor over sp(1)+sp(1,2)_W kills pairs from W x E "
+        "and maps E-pairs to annihilators of W; the check is vacuous when "
+        "E = 0",
+    "prolongation-vanishing":
+        "gl(r,H) has zero first prolongation (r = 1, 2); sp(1)+gl(1,H) has "
+        "nonzero first but zero second prolongation",
+    "berger-verdicts":
+        "h0 and sp(1)+sp(r,r)_W are Berger algebras; the gl(r,H) block "
+        "algebra has no curvature tensors and is not; h0 annihilates R1",
+    "parallel-curvature":
+        "the second-Bianchi derivative space vanishes for h0 (curvature is "
+        "forced parallel) but not for the full algebra sp(1)+sp(1,1)",
+    "holonomy-case-split":
+        "the two-case decision procedure on W-preserving candidates confirms "
+        "every sub-check",
+    "pair-symmetry":
+        "every basis element of every computed curvature space satisfies "
+        "eta(R(X,Y)Z,U) = eta(R(Z,U)X,Y) on all basis quadruples",
+}
+
+
+def _result(check_id: str, ok: bool, computed: dict) -> CheckResult:
+    return CheckResult(check_id, CLAIMS[check_id], "pass" if ok else "fail", computed)
 
 
 def _configs(tier: int):
@@ -235,11 +301,7 @@ def check_structure_axioms(session: Session, tier: int) -> CheckResult:
             "signature": list(sig),
         }
         ok = ok and relations and skew and sig_ok
-    return CheckResult(
-        "structure-axioms",
-        "I_a^2 = -id, I3 = I1*I2 = -I2*I1, each I_a is metric-skew, and the "
-        "metric has signature (4r negative, 4s positive)",
-        "pass" if ok else "fail", details)
+    return _result("structure-axioms", ok, details)
 
 
 def check_algebra_dimensions(session: Session, tier: int) -> CheckResult:
@@ -260,11 +322,7 @@ def check_algebra_dimensions(session: Session, tier: int) -> CheckResult:
             "stabilizer_equals_parabolic": stab_ok,
         }
         ok = ok and dims_ok and stab_ok
-    return CheckResult(
-        "algebra-dimensions",
-        "dim sp(r,s) = (r+s)(2(r+s)+1); the block algebra preserving W has "
-        "the predicted dimension and equals the exact stabilizer of W",
-        "pass" if ok else "fail", details)
+    return _result("algebra-dimensions", ok, details)
 
 
 def check_h0_curvature_line(session: Session, tier: int) -> CheckResult:
@@ -274,20 +332,14 @@ def check_h0_curvature_line(session: Session, tier: int) -> CheckResult:
         dim = session.curvature("h0", r, r, r).dim
         details[f"r={r}"] = {"dim": dim}
         ok = ok and dim == 1
-    return CheckResult(
-        "h0-curvature-line",
-        "the space of curvature tensors of the h0 block algebra is exactly "
-        "one-dimensional",
-        "pass" if ok else "fail", details)
+    return _result("h0-curvature-line", ok, details)
 
 
 def check_r0(session: Session, tier: int) -> CheckResult:
     details = {}
     ok = True
     for (r, s, t) in _configs(tier):
-        space = session.space(r, s, t)
-        algebra = session.algebra("sp1+sp", r, s, t)
-        r0 = curv.build_r0(space, algebra)
+        r0 = session.r0(r, s, t)
         residual_zero = _bianchi_residual_is_zero(r0)
         symmetric = curv.pair_symmetry_holds(r0)
         scal = curv.scalar(r0)
@@ -300,12 +352,7 @@ def check_r0(session: Session, tier: int) -> CheckResult:
             "expected_scalar": rat_to_str(expected),
         }
         ok = ok and residual_zero and symmetric and scal == expected
-    return CheckResult(
-        "r0-membership-and-scalar",
-        "the model tensor R0 has zero first-Bianchi residual, satisfies pair "
-        "symmetry, and has scalar curvature 4m(m+2) for quaternionic "
-        "dimension m = r+s",
-        "pass" if ok else "fail", details)
+    return _result("r0-membership-and-scalar", ok, details)
 
 
 def _bianchi_residual_is_zero(element) -> bool:
@@ -325,16 +372,12 @@ def check_full_split(session: Session, tier: int) -> CheckResult:
     r, s, t = 1, 1, 1
     full = session.curvature("sp1+sp", r, s, t)
     sub = session.curvature("sp", r, s, t)
-    r0_vec = curv.build_r0(session.space(r, s, t), full.algebra).sparse_vector()
+    r0_vec = session.r0(r, s, t).sparse_vector()
     split = split_of(full, sub, r0_vec)
-    return CheckResult(
-        "full-algebra-split",
-        "curvature space of sp(1)+sp(1,1) = line(R0) + curvature space of "
-        "sp(1,1), with R0 outside the second summand",
-        "pass" if split.holds else "fail",
-        {"dim_with_sp1": full.dim, "dim_without_sp1": sub.dim,
-         "r0_in_full": split.generator_in_full,
-         "r0_in_sub": split.generator_in_sub})
+    return _result("full-algebra-split", split.holds,
+                   {"dim_with_sp1": full.dim, "dim_without_sp1": sub.dim,
+                    "r0_in_full": split.generator_in_full,
+                    "r0_in_sub": split.generator_in_sub})
 
 
 def check_parabolic_split(session: Session, tier: int) -> CheckResult:
@@ -351,23 +394,15 @@ def check_parabolic_split(session: Session, tier: int) -> CheckResult:
             "r1_spans_complement": (split.generator_in_full
                                     and not split.generator_in_sub)}
         ok = ok and split.holds
-    return CheckResult(
-        "parabolic-split",
-        "curvature space of sp(1)+sp(r,r)_W = line(R1) + curvature space of "
-        "sp(r,r)_W, with the complement spanned by R1",
-        "pass" if ok else "fail", details)
+    return _result("parabolic-split", ok, details)
 
 
 def check_mixed_signature_collapse(session: Session, tier: int) -> CheckResult:
     r, s, t = 1, 2, 1
     full = session.curvature("sp1+sp_w", r, s, t)
     sub = session.curvature("sp_w", r, s, t)
-    return CheckResult(
-        "mixed-signature-collapse",
-        "with a nonzero non-degenerate complement, adjoining sp(1) to the "
-        "W-preserving algebra adds no curvature tensors",
-        "pass" if collapses(full, sub) else "fail",
-        {"dim_with_sp1": full.dim, "dim_without_sp1": sub.dim})
+    return _result("mixed-signature-collapse", collapses(full, sub),
+                   {"dim_with_sp1": full.dim, "dim_without_sp1": sub.dim})
 
 
 def check_degenerate_pair_vanishing(session: Session, tier: int) -> CheckResult:
@@ -375,14 +410,9 @@ def check_degenerate_pair_vanishing(session: Session, tier: int) -> CheckResult:
     report = curv.restrict_check_degenerate(full)
     vacuous = curv.restrict_check_degenerate(session.curvature("sp1+sp_w", 1, 1, 1))
     ok = report.status == "pass" and vacuous.status == "vacuous"
-    return CheckResult(
-        "degenerate-pair-vanishing",
-        "every curvature tensor over sp(1)+sp(1,2)_W kills pairs from W x E "
-        "and maps E-pairs to annihilators of W; the check is vacuous when "
-        "E = 0",
-        "pass" if ok else "fail",
-        {"(1,2,1)": report.status, "(1,1,1)": vacuous.status,
-         "witnesses": [list(w[2]) for w in report.witnesses[:3]]})
+    return _result("degenerate-pair-vanishing", ok,
+                   {"(1,2,1)": report.status, "(1,1,1)": vacuous.status,
+                    "witnesses": [list(w[2]) for w in report.witnesses[:3]]})
 
 
 def check_prolongations(session: Session, tier: int) -> CheckResult:
@@ -403,11 +433,7 @@ def check_prolongations(session: Session, tier: int) -> CheckResult:
     results["first_sp1+gl(1,H)"] = first_h0.dim
     results["second_sp1+gl(1,H)"] = second_h0.dim
     ok = ok and first_h0.dim >= 1 and second_h0.dim == 0
-    return CheckResult(
-        "prolongation-vanishing",
-        "gl(r,H) has zero first prolongation (r = 1, 2); sp(1)+gl(1,H) has "
-        "nonzero first but zero second prolongation",
-        "pass" if ok else "fail", results)
+    return _result("prolongation-vanishing", ok, results)
 
 
 def check_berger_verdicts(session: Session, tier: int) -> CheckResult:
@@ -435,11 +461,7 @@ def check_berger_verdicts(session: Session, tier: int) -> CheckResult:
         ok = (ok and rep_h0.is_berger and rep_full.is_berger
               and not rep_glq.is_berger and rep_glq.curvature_dim == 0
               and annihilated)
-    return CheckResult(
-        "berger-verdicts",
-        "h0 and sp(1)+sp(r,r)_W are Berger algebras; the gl(r,H) block "
-        "algebra has no curvature tensors and is not; h0 annihilates R1",
-        "pass" if ok else "fail", details)
+    return _result("berger-verdicts", ok, details)
 
 
 def check_parallel_curvature(session: Session, tier: int) -> CheckResult:
@@ -448,12 +470,8 @@ def check_parallel_curvature(session: Session, tier: int) -> CheckResult:
     full_curv = session.curvature("sp1+sp", 1, 1, 1)
     d_full = curv.derivative_space(full_curv)
     ok = d_h0.dim == 0 and d_full.dim > 0
-    return CheckResult(
-        "parallel-curvature",
-        "the second-Bianchi derivative space vanishes for h0 (curvature is "
-        "forced parallel) but not for the full algebra sp(1)+sp(1,1)",
-        "pass" if ok else "fail",
-        {"dim_h0": d_h0.dim, "dim_sp1+sp": d_full.dim})
+    return _result("parallel-curvature", ok,
+                   {"dim_h0": d_h0.dim, "dim_sp1+sp": d_full.dim})
 
 
 def check_pair_symmetry(session: Session, tier: int) -> CheckResult:
@@ -463,11 +481,7 @@ def check_pair_symmetry(session: Session, tier: int) -> CheckResult:
         good = curv.pair_symmetry_all(space)
         details[f"{name}@({r},{s},{t})"] = {"dim": space.dim, "symmetric": good}
         ok = ok and good
-    return CheckResult(
-        "pair-symmetry",
-        "every basis element of every computed curvature space satisfies "
-        "eta(R(X,Y)Z,U) = eta(R(Z,U)X,Y) on all basis quadruples",
-        "pass" if ok else "fail", details)
+    return _result("pair-symmetry", ok, details)
 
 
 def check_case_split(session: Session, tier: int) -> CheckResult:
@@ -477,11 +491,7 @@ def check_case_split(session: Session, tier: int) -> CheckResult:
         report = holonomy_case_split(r, s, t, session=session)
         details[f"({r},{s},{t})"] = {"case": report.case, "verdict": report.verdict}
         ok = ok and report.passed()
-    return CheckResult(
-        "holonomy-case-split",
-        "the two-case decision procedure on W-preserving candidates confirms "
-        "every sub-check",
-        "pass" if ok else "fail", details)
+    return _result("holonomy-case-split", ok, details)
 
 
 # fixed order; ids are stable across releases
@@ -561,7 +571,8 @@ def run_verification(tier: int = 1, cache_dir=None,
         try:
             result = fn(session, tier)
         except Exception as exc:  # a crash is a failed check, not a crashed run
-            result = CheckResult(check_id, "", "fail", _crash_details(exc))
+            result = CheckResult(check_id, CLAIMS.get(check_id, ""), "fail",
+                                 _crash_details(exc))
         result.wall_time_ms = int((time.monotonic() - start) * 1000)
         results.append(result)
     return VerificationReport(tier=tier, checks=results, with_timings=with_timings)

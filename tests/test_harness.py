@@ -1,5 +1,7 @@
 import inspect
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,28 @@ def test_session_recomputes_after_corruption(tmp_path, space111):
     assert again.dim == value.dim
 
 
+def test_interrupted_cache_write_keeps_the_old_entry(tmp_path, session, space111,
+                                                    monkeypatch, capsys):
+    value = session.curvature("sp_w", 1, 1, 1)
+    cache_put(tmp_path, space111, "sp_w", value)
+    (entry,) = tmp_path.iterdir()
+    before = entry.read_bytes()
+    real_write = Path.write_text
+
+    def write_half(path, text, *args, **kwargs):
+        real_write(path, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half)
+    cache_put(tmp_path, space111, "sp_w", value)
+    monkeypatch.undo()
+    assert "proceeding uncached" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [entry]  # no temp file is left
+    assert entry.read_bytes() == before
+    algebra = session.algebra("sp_w", 1, 1, 1)
+    assert cache_get(tmp_path, space111, "sp_w", algebra).basis == value.basis
+
+
 def test_unwritable_cache_dir_proceeds(space111, session, capsys):
     value = session.curvature("glq", 1, 1, 1)
     cache_put("/proc/definitely-not-writable", space111, "glq", value)
@@ -135,6 +159,7 @@ def test_crash_keeps_type_and_innermost_frame(monkeypatch):
     first, crashed = run_verification(tier=1).checks
     assert first.status == "pass"
     assert crashed.status == "fail"
+    assert crashed.claim == harness.CLAIMS["pair-symmetry"] != ""
     assert crashed.computed == {
         "error": "deliberately broken for the crash-record test",
         "type": "RuntimeError",
@@ -151,6 +176,36 @@ def test_crash_inside_the_package_names_a_package_relative_frame(monkeypatch):
     assert crashed.computed["type"] == "ValueError"
     where = crashed.computed["where"]
     assert where.startswith("berger_lab/quatspace.py:") and where.endswith(" in __init__")
+
+
+def test_every_check_reports_its_claim(tier1_report):
+    assert [c.check_id for c in tier1_report.checks] == list(harness.CLAIMS)
+    assert all(c.claim == harness.CLAIMS[c.check_id] for c in tier1_report.checks)
+
+
+def test_r0_and_embeddings_are_built_once_per_session(monkeypatch):
+    r0_calls = Counter()
+    over_calls = Counter()
+    real_r0, real_over = harness.curv.build_r0, harness.curv.coefficients_over
+
+    def build_r0(space, algebra=None):
+        r0_calls[space.r, space.s, space.t] += 1
+        return real_r0(space, algebra)
+
+    def coefficients_over(curvature, target):
+        space = curvature.space
+        over_calls[curvature.algebra.name, target.name,
+                   (space.r, space.s, space.t)] += 1
+        return real_over(curvature, target)
+
+    monkeypatch.setattr(harness.curv, "build_r0", build_r0)
+    monkeypatch.setattr(harness.curv, "coefficients_over", coefficients_over)
+    assert run_verification(tier=1).all_passed()
+    assert r0_calls == {(1, 1, 1): 1, (1, 2, 1): 1}
+    assert set(over_calls.values()) == {1}
+    # each pair below is asked for by two checks
+    assert ("sp(1,1)_W", "sp(1)+sp(1,1)_W", (1, 1, 1)) in over_calls
+    assert ("sp(1,2)_W", "sp(1)+sp(1,2)_W", (1, 2, 1)) in over_calls
 
 
 def test_report_text_lists_every_check(tier1_report):

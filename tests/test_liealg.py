@@ -222,4 +222,4 @@ def test_algebra_json_shape():
     space = build_space(1, 1, 1)
     data = build_sp1(space).to_json()
     assert data["name"] == "sp(1)" and data["dim"] == 3
-    assert RealMatrix.from_json(data["basis"][0]) == space.I[0]
+    assert RealMatrix.from_rows(data["basis"][0]) == space.I[0]

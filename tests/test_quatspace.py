@@ -232,4 +232,4 @@ def test_space_json_shape():
     data = build_space(1, 1, 1).to_json()
     assert set(data) == {"r", "s", "t", "eta", "I1", "I2", "I3", "labels"}
     assert data["labels"] == ["p1", "q1"]
-    assert RealMatrix.from_json(data["eta"]).is_symmetric()
+    assert RealMatrix.from_rows(data["eta"]).is_symmetric()

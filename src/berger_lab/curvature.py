@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .exactlin import (RealMatrix, Subspace, canonical_rows, integer_row,
-                       rat_from_str, rat_to_str, span_of, sparse_nullspace)
+from .exactlin import (RealMatrix, Subspace, integer_row, rat_from_str,
+                       rat_to_str, span_of, sparse_nullspace)
 from .liealg import LieAlgebra, build_h0, build_sp, build_sp1, direct_sum
 from .quatspace import QuaternionicSpace
 
@@ -293,8 +293,8 @@ def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
     """The space of algebraic curvature tensors with values in `algebra`,
     i.e. the exact kernel of the first-Bianchi map on Hom(Lambda^2, g)."""
     ncols = _bivector_count(algebra.space.real_dim) * algebra.dim
-    raw = sparse_nullspace(_bianchi_rows(algebra), ncols)
-    return CurvatureSpace._from_canonical_rows(algebra, canonical_rows(raw))
+    return CurvatureSpace._from_canonical_rows(
+        algebra, sparse_nullspace(_bianchi_rows(algebra), ncols))
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +503,6 @@ def derivative_space(curvature: CurvatureSpace) -> Subspace:
     zero on all basis triples, as a subspace of R^{n * dim R(g)}."""
     n = curvature.space.real_dim
     kdim = curvature.dim
-    if kdim == 0:
-        return Subspace.zero(0)
     basis_rows = [el.rows for el in curvature.basis]
 
     def rows():
@@ -523,8 +521,7 @@ def derivative_space(curvature: CurvatureSpace) -> Subspace:
                     for k in sorted(by_k):
                         yield integer_row(by_k[k])
 
-    raw = sparse_nullspace(rows(), n * kdim)
-    return Subspace(n * kdim, canonical_rows(raw))
+    return Subspace(n * kdim, sparse_nullspace(rows(), n * kdim))
 
 
 # ---------------------------------------------------------------------------

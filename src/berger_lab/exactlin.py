@@ -13,7 +13,10 @@ optimization only; observable results are identical to naive
 Fraction-based Gauss-Jordan.  Rational rows enter it through
 `integer_row`, the one place denominators are cleared.  Spans,
 independence and coordinates are all answered by `Echelon`, `span_of` and
-`Subspace.reduce_vector`.
+`Subspace.reduce_vector`.  Kernels come out canonical from one
+elimination: `sparse_nullspace` feeds the columns to `Echelon` in reverse
+order, which makes the free-column basis of the kernel its RREF basis, so
+no caller re-canonicalises a kernel.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -36,7 +39,6 @@ __all__ = [
     "rat_from_str",
     "rat_to_str",
     "rref",
-    "rank",
     "nullspace",
     "span_of",
     "symmetric_signature",
@@ -358,29 +360,30 @@ class Echelon:
 
 
 def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list[dict]:
-    """Kernel basis (free-column parametrization) of a sparse integer system.
+    """Canonical RREF basis of the kernel of a sparse integer system.
 
     `rows` is an iterable of {col: int} equations; it is consumed lazily so
-    the equation set never has to be materialized.  Returns one Fraction
-    vector per free column, in free-column order (not canonicalized).
+    the equation set never has to be materialized.  The columns enter the
+    elimination reversed (column j as ncols-1-j), so every reduced pivot
+    row holds, besides its pivot, only free columns to the pivot's left in
+    the original order.  The free-column basis vector of free column f then
+    has its leading 1 at f and is zero at every other free column: it is
+    already the canonical RREF row, and no second elimination is needed.
+    Returns the rows sorted by leading column, keys ascending.
     """
+    last = ncols - 1
     ech = Echelon()
     for row in rows:
-        ech.insert(dict(row))
+        ech.insert({last - k: v for k, v in row.items()})
     ech.full_reduce()
     piv = ech.pivots
-    pivcols = sorted(piv)
-    basis = []
-    for f in range(ncols):
-        if f in piv:
-            continue
-        vec = {f: Fraction(1)}
-        for c in pivcols:
-            r = piv[c]
-            if f in r:
-                vec[c] = Fraction(-r[f], r[c])
-        basis.append(vec)
-    return basis
+    basis = {last - j: {last - j: _ONE} for j in range(ncols) if j not in piv}
+    for c, r in piv.items():
+        pv, col = r[c], last - c
+        for k, v in r.items():
+            if k != c:
+                basis[last - k][col] = Fraction(-v, pv)
+    return [dict(sorted(basis[f].items())) for f in sorted(basis)]
 
 
 def canonical_rows(vectors: Iterable[dict]) -> list[dict]:
@@ -405,10 +408,6 @@ def rref(m: RealMatrix) -> tuple[RealMatrix, list[int]]:
         [min(r) for r in rows])
 
 
-def rank(m: RealMatrix) -> int:
-    return len(rref(m)[1])
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 # ---------------------------------------------------------------------------
@@ -429,10 +428,6 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
 
     @property
     def dim(self) -> int:
@@ -510,11 +505,6 @@ class Subspace:
             "basis": [[rat_to_str(v) for v in row] for row in self.basis],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Subspace":
-        vecs = [[rat_from_str(v) for v in row] for row in data["basis"]]
-        return span_of(vecs, data["ambient_dim"])
-
 
 def span_of(vectors: Iterable, ambient_dim: int) -> Subspace:
     """Canonical subspace equal to the linear span of `vectors`.
@@ -538,8 +528,7 @@ def span_of(vectors: Iterable, ambient_dim: int) -> Subspace:
 def nullspace(m: RealMatrix) -> Subspace:
     """ker(m) with canonical basis; dim = cols - rank(m)."""
     rows = [integer_row(row) for row in _row_dicts(m) if row]
-    raw = sparse_nullspace(rows, m.cols)
-    return Subspace(m.cols, canonical_rows(raw))
+    return Subspace(m.cols, sparse_nullspace(rows, m.cols))
 
 
 def symmetric_signature(m: RealMatrix) -> tuple[int, int]:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlin import (Echelon, RealMatrix, Subspace, canonical_rows,
-                       integer_row, rat_to_str, sparse_nullspace)
+from .exactlin import (Echelon, RealMatrix, Subspace, integer_row, rat_to_str,
+                       sparse_nullspace)
 from .liealg import LieAlgebra
 
 __all__ = [
@@ -116,9 +116,9 @@ def first_prolongation(action: Sequence[RealMatrix], label: str = "") -> Prolong
                     if row:
                         yield row
 
-    raw = sparse_nullspace(filter(None, map(integer_row, rows())), dv * dg)
+    basis = sparse_nullspace(filter(None, map(integer_row, rows())), dv * dg)
     return ProlongationSpace(order=1, acting_dim=dv, action_dim=dg,
-                             basis=tuple(canonical_rows(raw)), label=label)
+                             basis=tuple(basis), label=label)
 
 
 def second_prolongation(action: Sequence[RealMatrix], label: str = "") -> ProlongationSpace:
@@ -154,10 +154,10 @@ def second_prolongation(action: Sequence[RealMatrix], label: str = "") -> Prolon
                         if row:
                             yield row
 
-    raw = sparse_nullspace(filter(None, map(integer_row, rows())),
-                           len(pairs) * dg)
+    basis = sparse_nullspace(filter(None, map(integer_row, rows())),
+                             len(pairs) * dg)
     return ProlongationSpace(order=2, acting_dim=dv, action_dim=dg,
-                             basis=tuple(canonical_rows(raw)), label=label)
+                             basis=tuple(basis), label=label)
 
 
 def first_prolongation_of(g: LieAlgebra, v: Subspace) -> ProlongationSpace:

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berger_lab.exactlin import (RealMatrix, Subspace, nullspace, rank,
-                                 rat_from_str, rat_to_str, rref, span_of,
+from berger_lab.exactlin import (RealMatrix, Subspace, canonical_rows,
+                                 nullspace, rat_from_str, rat_to_str, rref,
+                                 span_of, sparse_nullspace,
                                  symmetric_signature)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -69,7 +70,6 @@ def test_rref_matches_textbook_gauss_jordan(m):
     expected, expected_piv = textbook_rref(m.to_lists())
     assert red == RealMatrix.from_rows(expected)
     assert piv == expected_piv
-    assert rank(m) == len(expected_piv)
 
 
 @given(st.integers(1, 4).flatmap(
@@ -130,9 +130,52 @@ def test_nullspace_one_equation_canonical():
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity_and_kernel_vectors(m):
     ker = nullspace(m)
-    assert rank(m) + ker.dim == m.cols
+    assert len(rref(m)[1]) + ker.dim == m.cols
     for v in ker.basis:
         assert all(x == 0 for x in m.apply(v))
+
+
+def textbook_kernel(rows, ncols):
+    """Free-column kernel basis read off `textbook_rref`, then canonicalised."""
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    red, piv = textbook_rref(dense)
+    basis = []
+    for f in range(ncols):
+        if f not in piv:
+            vec = {f: Fraction(1)}
+            for i, c in enumerate(piv):
+                if red[i][f]:
+                    vec[c] = -red[i][f]
+            basis.append(vec)
+    return canonical_rows(basis)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Sparse integer equations {col: nonzero int} over 0..8 columns, with
+    zero rows, repeated rows and columns that no row touches."""
+    ncols = draw(st.integers(0, 8))
+    touched = draw(st.lists(st.integers(0, ncols - 1), unique=True)) if ncols else []
+    row = (st.dictionaries(st.sampled_from(touched), st.integers(-4, 4).filter(bool))
+           if touched else st.just({}))
+    rows = draw(st.lists(row, max_size=10))
+    rows += [{}] * draw(st.integers(0, 2))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return draw(st.permutations(rows)), ncols
+
+
+@given(sparse_systems())
+@settings(max_examples=300, deadline=None)
+def test_sparse_nullspace_is_the_canonical_kernel(system):
+    rows, ncols = system
+    kernel = sparse_nullspace(iter(rows), ncols)
+    assert kernel == textbook_kernel(rows, ncols)
+    for vec in kernel:
+        assert list(vec) == sorted(vec)
+        assert all(type(v) is Fraction for v in vec.values())
+        for row in rows:
+            assert sum(x * vec.get(k, 0) for k, x in row.items()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +208,7 @@ def test_subspace_strict_containment():
 
 
 def test_zero_subspaces_equal():
-    assert span_of([], 3) == Subspace.zero(3)
+    assert span_of([], 3) == Subspace(3, ())
 
 
 def test_ambient_mismatch_raises():
@@ -201,7 +244,11 @@ def test_subspace_equality_is_equivalence(a_vecs, b_vecs):
 
 def test_subspace_json_round_trip():
     sub = span_of([(1, 2, Fraction(1, 3)), (0, 1, 5)], 3)
-    again = Subspace.from_json(sub.to_json())
+    data = sub.to_json()
+    assert data == {"ambient_dim": 3, "dim": 2,
+                    "basis": [["1", "0", "-29/3"], ["0", "1", "5"]]}
+    again = span_of([[rat_from_str(v) for v in row] for row in data["basis"]],
+                    data["ambient_dim"])
     assert sub == again
 
 

@@ -281,11 +281,11 @@ def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1, r1_vec)
         return False, {"reason": "R1 lies in the curvature space of sp(r,r)_W"}
     lead = min(r1_rest)
     w_idx = list(space.w_indices())
-    w1_idx = list(space.w1_indices())
-
-    # columns W of R1(e_p, e_q); only their W rows are compared
-    r1_cols = {(p, q): [r1.value_column(p, q, wj) for wj in w_idx]
-               for p in w_idx for q in w1_idx}
+    pairs = [(p, q) for p in w_idx for q in space.w1_indices()]
+    # blocks come from each element's own algebra: R1 lives over h0
+    full_blocks = _w_blocks(parabolic_full.algebra, w_idx)
+    r1_blocks = _w_blocks(r1.algebra, w_idx)
+    r1_values = [_w_block_value(r1, r1_blocks, p, q) for p, q in pairs]
 
     checked = 0
     for index, el in enumerate(parabolic_full.basis):
@@ -294,10 +294,29 @@ def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1, r1_vec)
         if any(rest.get(k, 0) != c * r1_rest.get(k, 0)
                for k in rest.keys() | r1_rest.keys()):
             return False, {"reason": "split decomposition failed"}
-        for (p, q), expected in r1_cols.items():
-            for j, wj in enumerate(w_idx):
-                col = el.value_column(p, q, wj)
-                if any(col[wi] != c * expected[j][wi] for wi in w_idx):
-                    return False, {"element": index, "pair": (p, q)}
+        for (p, q), expected in zip(pairs, r1_values):
+            scaled = {pos: c * v for pos, v in expected.items()} if c else {}
+            if _w_block_value(el, full_blocks, p, q) != scaled:
+                return False, {"element": index, "pair": (p, q)}
         checked += 1
     return True, {"elements_checked": checked}
+
+
+def _w_blocks(algebra: LieAlgebra, w_idx) -> list[dict]:
+    """The W x W block {row * n + col: value} of each basis matrix."""
+    n = algebra.space.real_dim
+    w = set(w_idx)
+    return [{pos: v for pos, v in bmat.nz.items()
+             if pos // n in w and pos % n in w} for bmat in algebra.basis]
+
+
+def _w_block_value(el, blocks: list[dict], p: int, q: int) -> dict:
+    """The nonzero entries of the W x W block of R(e_p, e_q), as
+    sign * sum_k c_k * block_k over the stored row."""
+    row, sign = el.row_of(p, q)
+    out = {}
+    for k, c in row.items():
+        c = sign * c
+        for pos, v in blocks[k].items():
+            out[pos] = out.get(pos, 0) + c * v
+    return {pos: v for pos, v in out.items() if v}

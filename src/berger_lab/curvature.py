@@ -249,25 +249,27 @@ class CurvatureSpace:
         return cls(space, algebra, basis)
 
 
-def _column_maps(algebra: LieAlgebra):
-    """col_map[k][c] = {row d: value} of basis element k, denominators cleared
-    per matrix (scaling a basis element does not change kernels)."""
+def _columns(algebra: LieAlgebra) -> list[list]:
+    """cols[c] = [(k, [(row d, value), ...]), ...]: the nonzero entries of
+    column c of each basis element k that has any, k ascending, denominators
+    cleared per matrix (scaling a basis element does not change kernels)."""
     n = algebra.space.real_dim
-    maps = []
-    for bmat in algebra.basis:
-        cols = [dict() for _ in range(n)]
+    cols = [[] for _ in range(n)]
+    for k, bmat in enumerate(algebra.basis):
+        by_col: dict[int, list] = {}
         for pos, v in integer_row(bmat.flatten_sparse()).items():
             d, c = divmod(pos, n)
-            cols[c][d] = v
-        maps.append(cols)
-    return maps
+            by_col.setdefault(c, []).append((d, v))
+        for c, entries in by_col.items():
+            cols[c].append((k, entries))
+    return cols
 
 
 def _bianchi_rows(algebra: LieAlgebra):
     """Integer equation rows of the first-Bianchi map, streamed."""
     n = algebra.space.real_dim
     dimg = algebra.dim
-    col_maps = _column_maps(algebra)
+    cols = _columns(algebra)
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
@@ -275,8 +277,8 @@ def _bianchi_rows(algebra: LieAlgebra):
                 by_coord: dict[int, dict] = {}
                 for pair, col, sign in (((a, b), c, 1), ((b, c), a, 1), ((a, c), b, -1)):
                     base = _biv_index(n, *pair) * dimg
-                    for k in range(dimg):
-                        for d, v in col_maps[k][col].items():
+                    for k, entries in cols[col]:
+                        for d, v in entries:
                             row = by_coord.setdefault(d, {})
                             key = base + k
                             nv = row.get(key, 0) + sign * v

@@ -18,6 +18,15 @@ elimination: `sparse_nullspace` feeds the columns to `Echelon` in reverse
 order, which makes the free-column basis of the kernel its RREF basis, so
 no caller re-canonicalises a kernel.
 
+`Echelon` keeps its pivot rows short (Markowitz's rule): a working row
+shorter than the pivot row at its leading column takes that pivot's place,
+and the displaced row is reduced against it and inserted in turn.  Every
+step keeps the span and strictly raises the leading column of the row
+being worked on, so insertion ends, and since the reduced echelon form of
+a span is unique for a given column order, which rows became pivots does
+not show in any result.  A one-entry pivot is {c: 1}, and reducing against
+it only deletes column c.
+
 All values are immutable after construction and safe to share across
 threads.
 """
@@ -39,7 +48,6 @@ __all__ = [
     "rat_from_str",
     "rat_to_str",
     "rref",
-    "nullspace",
     "span_of",
     "symmetric_signature",
     "sparse_nullspace",
@@ -308,21 +316,30 @@ class Echelon:
     def insert(self, row: dict) -> int | None:
         """Reduce `row` against the current basis; adopt it if independent.
 
-        Returns the new pivot column, or None if the row reduced to zero.
+        A working row shorter than the pivot row at its leading column takes
+        that pivot's place, and the displaced row is reduced and inserted in
+        its stead.  Returns the column that gained a pivot, or None if the
+        working row reduced to zero, so `is not None` means the rank grew.
         The input dict is consumed.
         """
         piv = self.pivots
         while row:
             c = min(row)
             p = piv.get(c)
-            if p is None:
+            if p is None or len(row) < len(p):
                 if row[c] < 0:
                     for k in row:
                         row[k] = -row[k]
                 _normalize_row(row)
                 piv[c] = row
-                return c
-            _combine(row, row[c], p[c], p)
+                if p is None:
+                    return c
+                row, p = p, row
+            if len(p) == 1:
+                # a one-entry pivot is {c: 1}: it only clears column c
+                del row[c]
+            else:
+                _combine(row, row[c], p[c], p)
         return None
 
     def insert_fraction_row(self, row: dict) -> int | None:
@@ -523,12 +540,6 @@ def span_of(vectors: Iterable, ambient_dim: int) -> Subspace:
                 raise ValueError("vector length must equal ambient dimension")
             sparse.append({i: x for i, x in enumerate(v) if x})
     return Subspace(ambient_dim, canonical_rows(sparse))
-
-
-def nullspace(m: RealMatrix) -> Subspace:
-    """ker(m) with canonical basis; dim = cols - rank(m)."""
-    rows = [integer_row(row) for row in _row_dicts(m) if row]
-    return Subspace(m.cols, sparse_nullspace(rows, m.cols))
 
 
 def symmetric_signature(m: RealMatrix) -> tuple[int, int]:

@@ -2,12 +2,22 @@ import os
 
 import pytest
 
+from berger_lab.exactlin import Subspace, integer_row, sparse_nullspace
 from berger_lab.harness import Session
 
 TIER2 = os.environ.get("BERGER_LAB_TIER2") == "1"
 
 tier2 = pytest.mark.skipif(
-    not TIER2, reason="tier-2 configuration (2,2,2); set BERGER_LAB_TIER2=1")
+    not TIER2, reason="tier-2 configurations, (2,2,2) and larger; set BERGER_LAB_TIER2=1")
+
+
+def nullspace(m):
+    """ker(m) as a canonical subspace, through `sparse_nullspace`."""
+    rows = [{} for _ in range(m.rows)]
+    for k, v in m.nz.items():
+        i, j = divmod(k, m.cols)
+        rows[i][j] = v
+    return Subspace(m.cols, sparse_nullspace(map(integer_row, rows), m.cols))
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@
 Every check runs over exact rational arithmetic, so "pass" means the
 identity holds on the nose.  Tier-1 configurations are (1,1,1) and
 (1,2,1); the (2,2,2) checks are opt-in via BERGER_LAB_TIER2=1 (they add
-about ten seconds).  Each test prints one PASS line when it succeeds; run
+about two seconds on a 2-core host).  Each test prints one PASS line when it succeeds; run
 with `pytest -s tests/test_acceptance.py` to see them.
 """
 

@@ -3,10 +3,13 @@ import pytest
 from berger_lab.berger import (SCOPE_NOTE, _restriction_multiple_check,
                                berger_closure, berger_report, collapses,
                                holonomy_case_split, split_of)
-from berger_lab.curvature import CurvatureSpace, build_r1, element_over
+from berger_lab.curvature import (CurvatureElement, CurvatureSpace, build_r1,
+                                  element_over)
 from berger_lab.exactlin import span_of
 from berger_lab.harness import (Session, check_mixed_signature_collapse,
                                 check_parabolic_split)
+from berger_lab.liealg import LieAlgebra
+from conftest import tier2
 
 
 def test_h0_is_berger(session):
@@ -93,6 +96,15 @@ def test_decision_mixed_signature_case(session):
     assert [c.check_id for c in report.checks] == ["collapse-equality"]
 
 
+@tier2
+def test_decision_split_signature_case_333():
+    # the largest split-signature configuration the suite runs, in a session
+    # of its own so that its kernels are freed afterwards
+    report = holonomy_case_split(3, 3, 3)
+    assert report.case == "split-signature"
+    assert report.verdict == "confirmed"
+
+
 def test_decision_rejects_bad_witt_rank():
     with pytest.raises(ValueError):
         holonomy_case_split(1, 1, 0)
@@ -145,6 +157,23 @@ def test_restriction_multiple_fails_on_a_wrong_r1_component(session):
     doubled = {k: 2 * v for k, v in r1_vec.items()}
     ok, details = _restriction_multiple_check(space, full, sub, r1, doubled)
     assert not ok and set(details) == {"element", "pair"}
+
+
+def test_restriction_multiple_reads_r1_over_its_own_algebra(session):
+    # h0's basis is a prefix of sp(1)+sp(r,r)_W's here, so only a reordered
+    # h0 tells W-blocks read over R1's algebra from those over the full one
+    space = session.space(1, 1, 1)
+    full = session.curvature("sp1+sp_w", 1, 1, 1)
+    r1 = build_r1(space, curvature=session.curvature("h0", 1, 1, 1))
+    last = r1.algebra.dim - 1
+    reordered = CurvatureElement(
+        space, LieAlgebra("h0", space, r1.algebra.basis[::-1]),
+        [{last - k: c for k, c in row.items()} for row in r1.rows])
+    r1_vec = element_over(reordered, full.algebra)
+    assert r1_vec == element_over(r1, full.algebra)
+    sub = split_of(full, session.curvature("sp_w", 1, 1, 1), r1_vec).sub_over_full
+    ok, details = _restriction_multiple_check(space, full, sub, reordered, r1_vec)
+    assert ok and details == {"elements_checked": full.dim}
 
 
 def test_restriction_multiple_names_a_failed_decomposition(session, tampered):

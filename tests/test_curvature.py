@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,6 +14,7 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace, act,
                                   ricci, scalar)
 from berger_lab.exactlin import RealMatrix, canonical_rows, span_of
 from berger_lab.liealg import algebra_by_name
+from conftest import tier2
 
 
 def kernel(session, name, r, s, t):
@@ -36,6 +38,20 @@ def kernel(session, name, r, s, t):
 ])
 def test_curvature_space_dimensions(session, name, r, s, t, expected):
     assert kernel(session, name, r, s, t).dim == expected
+
+
+@pytest.mark.parametrize("r,s,t", [
+    (1, 1, 1), (1, 1, 0), (1, 2, 1),
+    pytest.param(2, 2, 1, marks=tier2),
+    pytest.param(2, 2, 2, marks=tier2),
+    pytest.param(1, 3, 1, marks=tier2),
+])
+def test_curvature_dimensions_match_the_closed_form(session, r, s, t):
+    # an independent certificate: the curvature space of sp(r,s) is S^4 of
+    # C^2m, m = r+s, and sp(1) adds exactly the line through R0
+    m = r + s
+    assert kernel(session, "sp", r, s, t).dim == comb(2 * m + 3, 4)
+    assert kernel(session, "sp1+sp", r, s, t).dim == comb(2 * m + 3, 4) + 1
 
 
 def test_kernel_elements_satisfy_first_bianchi(session):

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berger_lab.exactlin import (RealMatrix, Subspace, canonical_rows,
-                                 nullspace, rat_from_str, rat_to_str, rref,
-                                 span_of, sparse_nullspace,
+from berger_lab.exactlin import (Echelon, RealMatrix, Subspace,
+                                 canonical_rows, rat_from_str, rat_to_str,
+                                 rref, span_of, sparse_nullspace,
                                  symmetric_signature)
+from conftest import nullspace
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -176,6 +178,34 @@ def test_sparse_nullspace_is_the_canonical_kernel(system):
         assert all(type(v) is Fraction for v in vec.values())
         for row in rows:
             assert sum(x * vec.get(k, 0) for k, x in row.items()) == 0
+
+
+@given(sparse_systems())
+@settings(max_examples=300, deadline=None)
+def test_echelon_insert_contract(system):
+    rows, ncols = system
+    ech = Echelon()
+    for row in rows:
+        rank = ech.rank
+        gained = ech.insert(dict(row))
+        assert ech.rank == rank + (gained is not None)
+        for c, p in ech.pivots.items():
+            assert min(p) == c and p[c] > 0 and gcd(*p.values()) == 1
+    ech.full_reduce()
+    red, piv = textbook_rref([[row.get(j, 0) for j in range(ncols)]
+                              for row in rows])
+    assert ech.canonical_rows() == [{j: x for j, x in enumerate(r) if x}
+                                    for r in red[:len(piv)]]
+
+
+def test_shorter_row_takes_over_the_pivot():
+    ech = Echelon()
+    assert ech.insert({0: 1, 1: 1}) == 0
+    assert ech.insert({1: 1}) == 1
+    # {0: 1} displaces {0: 1, 1: 1}, which then reduces to zero
+    assert ech.insert({0: 1}) is None
+    assert ech.rank == 2
+    assert ech.pivots[0] == {0: 1}
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from berger_lab.exactlin import RealMatrix, nullspace, span_of
+from berger_lab.exactlin import RealMatrix, span_of
 from berger_lab.liealg import (LieAlgebra, algebra_by_name, build_glq, build_h0,
                                build_sp, build_sp1, build_sp_parabolic,
                                direct_sum, preserves_subspace, sp_dimension,
                                sp_parabolic_dimension, stabilizer_of_subspace)
 from berger_lab.quatspace import build_space
+from conftest import nullspace
 
 
 def eta_skew_commutant_oracle(space):

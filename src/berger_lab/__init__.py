@@ -8,8 +8,7 @@ from .exactlin import RealMatrix, Rational, Subspace, rref, span_of
 from .quatspace import (Quaternion, QuatMatrix, QuaternionicSpace, build_space,
                         realify)
 from .liealg import (LieAlgebra, algebra_by_name, build_glq, build_h0, build_sp,
-                     build_sp1, build_sp_parabolic, direct_sum,
-                     preserves_subspace)
+                     build_sp1, build_sp_parabolic, direct_sum)
 from .curvature import (CurvatureElement, CurvatureSpace, act, bianchi_kernel,
                         build_r0, build_r1, derivative_space,
                         restrict_check_degenerate, ricci, scalar)

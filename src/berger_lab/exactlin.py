@@ -13,19 +13,30 @@ optimization only; observable results are identical to naive
 Fraction-based Gauss-Jordan.  Rational rows enter it through
 `integer_row`, the one place denominators are cleared.  Spans,
 independence and coordinates are all answered by `Echelon`, `span_of` and
-`Subspace.reduce_vector`.  Kernels come out canonical from one
-elimination: `sparse_nullspace` feeds the columns to `Echelon` in reverse
-order, which makes the free-column basis of the kernel its RREF basis, so
-no caller re-canonicalises a kernel.
+`Subspace.reduce_vector`.
 
-`Echelon` keeps its pivot rows short (Markowitz's rule): a working row
-shorter than the pivot row at its leading column takes that pivot's place,
-and the displaced row is reduced against it and inserted in turn.  Every
-step keeps the span and strictly raises the leading column of the row
-being worked on, so insertion ends, and since the reduced echelon form of
-a span is unique for a given column order, which rows became pivots does
-not show in any result.  A one-entry pivot is {c: 1}, and reducing against
-it only deletes column c.
+`Echelon` pivots each row at its largest column.  Kernels come out
+canonical from one elimination: in `sparse_nullspace` every reduced pivot
+row holds, besides its pivot, only free columns to its left, which makes
+the free-column basis of the kernel its RREF basis, so no caller
+re-canonicalises a kernel.  `canonical_rows` wants the leftmost-pivot RREF
+of a span, so it negates the columns on the way in and back on the way out.
+
+`Echelon` keeps its pivot rows short.  A working row shorter than the
+pivot row at its largest column takes that pivot's place (Markowitz's
+rule), and the displaced row is reduced against it and inserted in turn.
+A row that reduces to one entry is stored as the unit pivot {c: 1}, and
+column c is deleted at once from every stored pivot row and from the
+working row; a row left with one entry becomes a unit pivot in turn.  This
+is the first step of structured Gaussian elimination (LaMacchia and
+Odlyzko, CRYPTO '90): most pivots of a first-Bianchi system are units, and
+the rows that reduce to zero no longer meet their columns.  Every step
+adds to a row a multiple of a row already in the span, so the span never
+changes.  Each reduction strictly lowers the largest column of the row
+being worked on, so insertion ends.  Since the reduced echelon form of a
+span is unique for a given column order, which rows became pivots does
+not show in any result: every kernel, span and canonical row is the one
+the textbook elimination gives.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -33,6 +44,7 @@ threads.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
@@ -265,16 +277,16 @@ def _row_dicts(m: RealMatrix) -> list[dict]:
 # ---------------------------------------------------------------------------
 #
 # Rows are dicts {column: int}, kept primitive (gcd 1).  Pivot rows carry a
-# positive leading entry.  `Echelon` builds an echelon basis incrementally;
-# `full_reduce` turns it into the reduced form (zeros above pivots), from
-# which the unique leading-1 RREF is obtained by dividing each row by its
-# pivot.
+# positive entry at their pivot, their largest column.  `Echelon` builds an
+# echelon basis incrementally; `full_reduce` turns it into the reduced form
+# (zeros at every other pivot column), from which the unique RREF is
+# obtained by dividing each row by its pivot entry.
 
 def integer_row(row: Mapping) -> dict:
     """The nonzero entries of a rational row times the lcm of their
     denominators: a row of ints spanning the same line."""
     den = lcm(*(v.denominator for v in row.values()))
-    return {k: int(v * den) for k, v in row.items() if v}
+    return {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
 
 
 def _normalize_row(row: dict) -> dict:
@@ -306,41 +318,80 @@ def _combine(row: dict, a: int, b: int, pivot_row: dict) -> None:
 
 
 class Echelon:
-    """Incremental sparse echelon form over the integers."""
+    """Incremental sparse echelon form over the integers.
 
-    __slots__ = ("pivots",)
+    A row's pivot is its largest column.  `pivots` maps each pivot column c
+    to its primitive row, positive at c.  `units` is the set of columns
+    whose pivot row is {c: 1}: such a column is dead, so it is deleted from
+    every stored pivot row as soon as its unit pivot appears, and from the
+    working row of `insert`.  Pivot rows other than unit ones therefore
+    never hold a unit column.  A private index lists, for each column, the
+    pivot columns whose rows held it when they were stored.
+    """
+
+    __slots__ = ("pivots", "units", "_holders")
 
     def __init__(self):
         self.pivots: dict[int, dict] = {}  # pivot column -> primitive row
+        self.units: set[int] = set()
+        self._holders: defaultdict[int, list] = defaultdict(list)
 
     def insert(self, row: dict) -> int | None:
         """Reduce `row` against the current basis; adopt it if independent.
 
-        A working row shorter than the pivot row at its leading column takes
+        A working row shorter than the pivot row at its largest column takes
         that pivot's place, and the displaced row is reduced and inserted in
-        its stead.  Returns the column that gained a pivot, or None if the
-        working row reduced to zero, so `is not None` means the rank grew.
-        The input dict is consumed.
+        its stead.  A row that reduces to one entry becomes the unit pivot
+        {c: 1}, which deletes column c from every stored pivot row; a pivot
+        row left with one entry becomes a unit pivot in turn.  Returns the
+        column that gained a pivot, or None if the working row reduced to
+        zero, so `is not None` means the rank grew.  The input dict is
+        consumed.
         """
-        piv = self.pivots
-        while row:
-            c = min(row)
+        piv, units, holders = self.pivots, self.units, self._holders
+        while True:
+            if units:
+                for k in row.keys() & units:
+                    del row[k]
+            if not row:
+                return None
+            c = max(row)
             p = piv.get(c)
             if p is None or len(row) < len(p):
-                if row[c] < 0:
+                if len(row) == 1:
+                    self._add_unit(c)
+                else:
+                    if row[c] < 0:
+                        for k in row:
+                            row[k] = -row[k]
+                    _normalize_row(row)
+                    piv[c] = row
                     for k in row:
-                        row[k] = -row[k]
-                _normalize_row(row)
-                piv[c] = row
+                        if k != c:
+                            holders[k].append(c)
                 if p is None:
                     return c
-                row, p = p, row
-            if len(p) == 1:
-                # a one-entry pivot is {c: 1}: it only clears column c
-                del row[c]
+                row = p
             else:
                 _combine(row, row[c], p[c], p)
-        return None
+
+    def _add_unit(self, c: int) -> None:
+        """Store the unit pivot {c: 1} and delete column c from every pivot
+        row that holds it, cascading through rows left with one entry."""
+        piv, units, holders = self.pivots, self.units, self._holders
+        todo = [c]
+        while todo:
+            u = todo.pop()
+            piv[u] = {u: 1}
+            units.add(u)
+            for h in holders.pop(u, ()):
+                r = piv[h]
+                if u in r:
+                    del r[u]
+                    if len(r) == 1:
+                        todo.append(h)
+                    else:
+                        _normalize_row(r)
 
     def insert_fraction_row(self, row: dict) -> int | None:
         """Insert a row of Fractions (cleared to a primitive integer row)."""
@@ -351,22 +402,28 @@ class Echelon:
         return len(self.pivots)
 
     def full_reduce(self) -> None:
-        """Zero out entries above every pivot (descending pivot sweep)."""
+        """Zero out entries beside every pivot (ascending pivot sweep).
+
+        Call it after the last `insert`: the column index does not follow
+        the entries this adds.
+        """
         piv = self.pivots
-        for c in sorted(piv, reverse=True):
+        for c in sorted(piv):
             r = piv[c]
-            for k in sorted(k for k in r if k != c and k in piv):
+            if len(r) == 1:
+                continue
+            for k in [k for k in r if k != c and k in piv]:
                 if k in r:
                     _combine(r, r[k], piv[k][k], piv[k])
-            if r[c] < 0:
-                for k in r:
-                    r[k] = -r[k]
             _normalize_row(r)
+            if len(r) == 1:
+                self.units.add(c)
 
     def canonical_rows(self) -> list[dict]:
         """Leading-1 RREF rows (Fractions), sorted by pivot column.
 
-        Call only after `full_reduce`.
+        Each row's 1 sits at its largest column.  Call only after
+        `full_reduce`.
         """
         out = []
         for c in sorted(self.pivots):
@@ -380,36 +437,42 @@ def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list[dict]:
     """Canonical RREF basis of the kernel of a sparse integer system.
 
     `rows` is an iterable of {col: int} equations; it is consumed lazily so
-    the equation set never has to be materialized.  The columns enter the
-    elimination reversed (column j as ncols-1-j), so every reduced pivot
-    row holds, besides its pivot, only free columns to the pivot's left in
-    the original order.  The free-column basis vector of free column f then
-    has its leading 1 at f and is zero at every other free column: it is
-    already the canonical RREF row, and no second elimination is needed.
-    Returns the rows sorted by leading column, keys ascending.
+    the equation set never has to be materialized, and each row is copied,
+    so the caller's rows are left unchanged.  Since `Echelon` pivots at a
+    row's largest column, every reduced pivot row holds, besides its pivot,
+    only free columns to the pivot's left.  The free-column basis vector of
+    free column f then has its leading 1 at f and is zero at every other
+    free column: it is already the canonical RREF row, and no second
+    elimination is needed.  Returns the rows sorted by leading column, keys
+    ascending.
     """
-    last = ncols - 1
     ech = Echelon()
     for row in rows:
-        ech.insert({last - k: v for k, v in row.items()})
+        ech.insert(dict(row))
     ech.full_reduce()
     piv = ech.pivots
-    basis = {last - j: {last - j: _ONE} for j in range(ncols) if j not in piv}
+    basis = {j: {j: _ONE} for j in range(ncols) if j not in piv}
     for c, r in piv.items():
-        pv, col = r[c], last - c
+        pv = r[c]
         for k, v in r.items():
             if k != c:
-                basis[last - k][col] = Fraction(-v, pv)
-    return [dict(sorted(basis[f].items())) for f in sorted(basis)]
+                basis[k][c] = Fraction(-v, pv)
+    return [dict(sorted(b.items())) for b in basis.values()]
 
 
 def canonical_rows(vectors: Iterable[dict]) -> list[dict]:
-    """Canonical RREF basis (sparse leading-1 rows) of the span of `vectors`."""
+    """Canonical RREF basis (sparse leading-1 rows) of the span of `vectors`.
+
+    The rows enter `Echelon` with their columns negated, so its largest
+    column is the smallest original one: the pivots are the leftmost-pivot
+    RREF's, and the keys are mapped back on output.
+    """
     ech = Echelon()
     for v in vectors:
-        ech.insert_fraction_row(v)
+        ech.insert({-k: x for k, x in integer_row(v).items()})
     ech.full_reduce()
-    return ech.canonical_rows()
+    return [{-k: x for k, x in reversed(r.items())}
+            for r in reversed(ech.canonical_rows())]
 
 
 def rref(m: RealMatrix) -> tuple[RealMatrix, list[int]]:

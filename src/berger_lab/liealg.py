@@ -31,7 +31,6 @@ __all__ = [
     "build_glq",
     "build_h0",
     "direct_sum",
-    "preserves_subspace",
     "algebra_by_name",
     "ALGEBRA_NAMES",
     "sp_dimension",
@@ -270,17 +269,6 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlge
 def build_h0(space: QuaternionicSpace) -> LieAlgebra:
     """sp(1) + gl(r,H) block algebra; dim 3 + 4r^2.  Requires r = s = t."""
     return direct_sum(build_sp1(space), build_glq(space), name="h0")
-
-
-def preserves_subspace(g: LieAlgebra, v: Subspace) -> bool:
-    """True iff B*x lies in V for every basis element B and x in V."""
-    if v.ambient_dim != g.space.real_dim:
-        raise ValueError("ambient dimension mismatch")
-    for b in g.basis:
-        for vec in v.basis:
-            if not v.contains_vector(b.apply(vec)):
-                return False
-    return True
 
 
 def stabilizer_of_subspace(g: LieAlgebra, v: Subspace) -> Subspace:

@@ -277,15 +277,7 @@ class QuaternionicSpace:
     def isotropic_subspace_W(self) -> Subspace:
         if self.t == 0:
             raise ValueError("W requires t >= 1")
-        return self._coordinate_span(self.w_indices())
-
-    def dual_W1(self) -> Subspace:
-        if self.t == 0:
-            raise ValueError("W1 requires t >= 1")
-        return self._coordinate_span(self.w1_indices())
-
-    def _coordinate_span(self, idx: range) -> Subspace:
-        return span_of([{i: Fraction(1)} for i in idx], self.real_dim)
+        return span_of([{i: Fraction(1)} for i in self.w_indices()], self.real_dim)
 
     def eta_inverse(self) -> RealMatrix:
         inv = self._eta_inverse

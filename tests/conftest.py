@@ -1,8 +1,9 @@
 import os
+from fractions import Fraction
 
 import pytest
 
-from berger_lab.exactlin import Subspace, integer_row, sparse_nullspace
+from berger_lab.exactlin import Subspace, integer_row, span_of, sparse_nullspace
 from berger_lab.harness import Session
 
 TIER2 = os.environ.get("BERGER_LAB_TIER2") == "1"
@@ -18,6 +19,13 @@ def nullspace(m):
         i, j = divmod(k, m.cols)
         rows[i][j] = v
     return Subspace(m.cols, sparse_nullspace(map(integer_row, rows), m.cols))
+
+
+def dual_W1(space):
+    """The coordinate span of W1, the dual Witt block of W."""
+    if space.t == 0:
+        raise ValueError("W1 requires t >= 1")
+    return span_of([{i: Fraction(1)} for i in space.w1_indices()], space.real_dim)
 
 
 @pytest.fixture(scope="session")

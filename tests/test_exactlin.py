@@ -171,13 +171,25 @@ def sparse_systems(draw):
 @settings(max_examples=300, deadline=None)
 def test_sparse_nullspace_is_the_canonical_kernel(system):
     rows, ncols = system
+    before = [dict(row) for row in rows]
     kernel = sparse_nullspace(iter(rows), ncols)
+    assert rows == before
     assert kernel == textbook_kernel(rows, ncols)
     for vec in kernel:
         assert list(vec) == sorted(vec)
         assert all(type(v) is Fraction for v in vec.values())
         for row in rows:
             assert sum(x * vec.get(k, 0) for k, x in row.items()) == 0
+
+
+@given(sparse_systems())
+@settings(max_examples=300, deadline=None)
+def test_canonical_rows_is_the_textbook_rref(system):
+    rows, ncols = system
+    red, piv = textbook_rref([[row.get(j, 0) for j in range(ncols)]
+                              for row in rows])
+    assert canonical_rows(rows) == [{j: x for j, x in enumerate(r) if x}
+                                    for r in red[:len(piv)]]
 
 
 @given(sparse_systems())
@@ -190,22 +202,42 @@ def test_echelon_insert_contract(system):
         gained = ech.insert(dict(row))
         assert ech.rank == rank + (gained is not None)
         for c, p in ech.pivots.items():
-            assert min(p) == c and p[c] > 0 and gcd(*p.values()) == 1
+            assert max(p) == c and p[c] > 0 and gcd(*p.values()) == 1
+            assert (len(p) == 1) == (c in ech.units)
+            assert len(p) == 1 or not p.keys() & ech.units
     ech.full_reduce()
-    red, piv = textbook_rref([[row.get(j, 0) for j in range(ncols)]
+    for c, p in ech.pivots.items():
+        assert (len(p) == 1) == (c in ech.units)
+    # pivots sit at the largest column: the textbook RREF of the
+    # column-reversed rows, mapped back
+    last = ncols - 1
+    red, piv = textbook_rref([[row.get(last - j, 0) for j in range(ncols)]
                               for row in rows])
-    assert ech.canonical_rows() == [{j: x for j, x in enumerate(r) if x}
-                                    for r in red[:len(piv)]]
+    assert ech.canonical_rows() == [{last - j: x for j, x in enumerate(r) if x}
+                                    for r in reversed(red[:len(piv)])]
 
 
 def test_shorter_row_takes_over_the_pivot():
     ech = Echelon()
-    assert ech.insert({0: 1, 1: 1}) == 0
-    assert ech.insert({1: 1}) == 1
-    # {0: 1} displaces {0: 1, 1: 1}, which then reduces to zero
-    assert ech.insert({0: 1}) is None
+    assert ech.insert({0: 1, 1: 1, 3: 1}) == 3
+    assert ech.insert({0: 1, 1: 1, 2: -1}) == 2
+    # {2: 1, 3: 1} displaces {0: 1, 1: 1, 3: 1}, which then reduces to zero
+    assert ech.insert({2: 1, 3: 1}) is None
     assert ech.rank == 2
-    assert ech.pivots[0] == {0: 1}
+    assert ech.pivots == {3: {2: 1, 3: 1}, 2: {0: -1, 1: -1, 2: 1}}
+    assert not ech.units
+
+
+def test_unit_pivot_deletes_its_column_in_cascade():
+    ech = Echelon()
+    assert ech.insert({0: 1, 1: 1}) == 1
+    assert ech.insert({0: 1, 2: 1}) == 2
+    assert ech.insert({0: 1, 3: 2, 4: 2}) == 4
+    # {0: 1} deletes column 0 from every row: two become unit pivots too,
+    # and the third is made primitive again
+    assert ech.insert({0: 1}) == 0
+    assert ech.pivots == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 4: {3: 1, 4: 1}}
+    assert ech.units == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from berger_lab.exactlin import RealMatrix, span_of, symmetric_signature
 from berger_lab.quatspace import (QuatMatrix, Quaternion, build_space,
                                   left_mult_matrix, realify, right_mult_matrix)
+from conftest import dual_W1
 
 coeffs = st.integers(-5, 5)
 quaternions = st.builds(Quaternion, coeffs, coeffs, coeffs, coeffs)
@@ -185,7 +186,7 @@ def test_witt_blocks_111():
 def test_witt_blocks_121():
     space = build_space(1, 2, 1)
     w, e, w1 = (space.isotropic_subspace_W(), complement_E(space),
-                space.dual_W1())
+                dual_W1(space))
     assert (w.dim, e.dim, w1.dim) == (4, 4, 4)
     for u in w1.basis:
         for v in w1.basis:
@@ -202,7 +203,7 @@ def test_witt_blocks_121():
 def test_witt_blocks_222_total_and_empty_complement():
     space = build_space(2, 2, 2)
     w, e, w1 = (space.isotropic_subspace_W(), complement_E(space),
-                space.dual_W1())
+                dual_W1(space))
     assert e.dim == 0
     combined = span_of(list(w.basis) + list(w1.basis), space.real_dim)
     assert combined.dim == space.real_dim
@@ -213,7 +214,7 @@ def test_w_requires_witt_part():
     with pytest.raises(ValueError):
         space.isotropic_subspace_W()
     with pytest.raises(ValueError):
-        space.dual_W1()
+        dual_W1(space)
     assert complement_E(space).dim == 8
 
 
@@ -221,7 +222,7 @@ def test_w_requires_witt_part():
 def test_structure_preserves_witt_blocks(r, s, t):
     space = build_space(r, s, t)
     blocks = [space.isotropic_subspace_W(), complement_E(space),
-              space.dual_W1()]
+              dual_W1(space)]
     for ia in space.I:
         for block in blocks:
             for v in block.basis:

@@ -4,7 +4,7 @@ pseudo-quaternionic-Hermitian spaces."""
 
 __version__ = "0.1.0"  # the one place the version is set; see pyproject.toml
 
-from .exactlin import RealMatrix, Rational, Subspace, rref, span_of
+from .exactlin import RealMatrix, Rational, Subspace, span_of
 from .quatspace import (Quaternion, QuatMatrix, QuaternionicSpace, build_space,
                         realify)
 from .liealg import (LieAlgebra, algebra_by_name, build_glq, build_h0, build_sp,
@@ -15,4 +15,4 @@ from .curvature import (CurvatureElement, CurvatureSpace, act, bianchi_kernel,
 from .prolong import (ProlongationSpace, first_prolongation,
                       first_prolongation_of, restrict_action,
                       second_prolongation, second_prolongation_of)
-from .berger import BergerReport, berger_closure, berger_report, holonomy_case_split
+from .berger import BergerReport, berger_report, holonomy_case_split

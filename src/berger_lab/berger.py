@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .curvature import CurvatureSpace, bivector_pairs, build_r1, element_over
-from .exactlin import Echelon, Subspace, span_of
+from .exactlin import Echelon, Subspace
 from .liealg import LieAlgebra
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "CaseSplitCheck",
     "CaseSplitReport",
     "Split",
-    "berger_closure",
     "berger_report",
     "collapses",
     "holonomy_case_split",
@@ -34,14 +33,6 @@ __all__ = [
 SCOPE_NOTE = ("verdicts concern algebra-level facts (curvature spaces and "
               "the Berger span criterion); manifold-level holonomy existence "
               "is not decidable by this computation")
-
-
-def berger_closure(g: LieAlgebra, curvature: CurvatureSpace) -> Subspace:
-    """Span of all values R(e_a, e_b), as a subspace of g-coordinates."""
-    if curvature.algebra.name != g.name:
-        raise ValueError("curvature space was computed for a different algebra")
-    vectors = [row for el in curvature.basis for row in el.rows if row]
-    return span_of(vectors, g.dim)
 
 
 @dataclass(frozen=True)
@@ -69,31 +60,30 @@ class BergerReport:
 
 
 def berger_report(g: LieAlgebra, curvature: CurvatureSpace) -> BergerReport:
-    closure = berger_closure(g, curvature)
-    witnesses = _closure_witnesses(g, curvature, closure.dim)
+    """The Berger closure, the span of all values R(e_a, e_b) in
+    g-coordinates, from one elimination over the values in canonical order
+    (basis elements outer, bivectors inner).  The witnesses are the values
+    that raised the rank: the first spanning subset in that order."""
+    if curvature.algebra.name != g.name:
+        raise ValueError("curvature space was computed for a different algebra")
+    pairs = bivector_pairs(g.space.real_dim)
+    span = Echelon()
+    witnesses = []
+    values = ((idx, ib, row) for idx, el in enumerate(curvature.basis)
+              for ib, row in enumerate(el.rows) if row)
+    for idx, ib, row in values:
+        if span.insert_fraction_row(row) is not None:
+            witnesses.append((pairs[ib], idx))
+            if span.rank == g.dim:
+                break
     return BergerReport(
         algebra_name=g.name,
         algebra_dim=g.dim,
         curvature_dim=curvature.dim,
-        closure_dim=closure.dim,
-        is_berger=closure.dim == g.dim,
-        witnesses=witnesses,
+        closure_dim=span.rank,
+        is_berger=span.rank == g.dim,
+        witnesses=tuple(witnesses),
     )
-
-
-def _closure_witnesses(g, curvature, closure_dim):
-    """First spanning subset in canonical order: basis elements outer,
-    bivectors inner."""
-    pairs = bivector_pairs(g.space.real_dim)
-    span = Echelon()
-    picked = []
-    for idx, el in enumerate(curvature.basis):
-        for ib, row in enumerate(el.rows):
-            if row and span.insert_fraction_row(row) is not None:
-                picked.append((pairs[ib], idx))
-                if span.rank == closure_dim:
-                    return tuple(picked)
-    return tuple(picked)
 
 
 # ---------------------------------------------------------------------------

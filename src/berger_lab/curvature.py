@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 
 from .exactlin import (RealMatrix, Subspace, integer_row, rat_from_str,
@@ -132,10 +133,11 @@ class CurvatureElement:
                 out[pos] = out.get(pos, 0) + c * v
         return RealMatrix.from_sparse(n, n, out)
 
-    def value_column(self, a: int, b: int, col: int) -> list:
-        """Column `col` of R(e_a, e_b), cheaper than the full matrix."""
+    def value_column(self, a: int, b: int, col: int) -> dict:
+        """Column `col` of R(e_a, e_b) as {row: value}, nonzeros only,
+        cheaper than the full matrix."""
         n = self.space.real_dim
-        out = [Fraction(0)] * n
+        out = {}
         row, sign = self.row_of(a, b)
         basis = self.algebra.basis
         for k, c in row.items():
@@ -143,8 +145,8 @@ class CurvatureElement:
             for pos, v in basis[k].nz.items():
                 d, j = divmod(pos, n)
                 if j == col:
-                    out[d] += c * v
-        return out
+                    out[d] = out.get(d, 0) + c * v
+        return {d: v for d, v in out.items() if v}
 
     def to_json(self) -> list:
         dimg = self.algebra.dim
@@ -159,11 +161,6 @@ def _bivector_count(n: int) -> int:
 def _biv_index(n: int, a: int, b: int) -> int:
     # position of (a, b), a < b, in lexicographic order
     return a * n - a * (a + 1) // 2 + (b - a - 1)
-
-
-def _nonzero(coords) -> dict:
-    """A dense coordinate list as a sparse row."""
-    return {k: c for k, c in enumerate(coords) if c}
 
 
 def _parse_row(row: list, dimg: int) -> dict:
@@ -251,15 +248,18 @@ class CurvatureSpace:
 
 def _columns(algebra: LieAlgebra) -> list[list]:
     """cols[c] = [(k, [(row d, value), ...]), ...]: the nonzero entries of
-    column c of each basis element k that has any, k ascending, denominators
-    cleared per matrix (scaling a basis element does not change kernels)."""
+    column c of each basis element k that has any, k ascending, all times
+    the lcm of every entry's denominator.  One common factor scales the
+    whole Bianchi system, which keeps its kernel; a factor per basis
+    element would rescale that element's coefficients in every tensor."""
     n = algebra.space.real_dim
+    den = lcm(*(v.denominator for bmat in algebra.basis for v in bmat.nz.values()))
     cols = [[] for _ in range(n)]
     for k, bmat in enumerate(algebra.basis):
         by_col: dict[int, list] = {}
-        for pos, v in integer_row(bmat.flatten_sparse()).items():
+        for pos, v in bmat.nz.items():
             d, c = divmod(pos, n)
-            by_col.setdefault(c, []).append((d, v))
+            by_col.setdefault(c, []).append((d, v.numerator * (den // v.denominator)))
         for c, entries in by_col.items():
             cols[c].append((k, entries))
     return cols
@@ -303,8 +303,9 @@ def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
 # the model tensor R0 and the h0 generator R1
 # ---------------------------------------------------------------------------
 
-def _wedge_matrix(space, u, v) -> dict:
-    """(u ^ v) Z = eta(v, Z) u - eta(u, Z) v, as {row * n + col: value}.
+def _wedge_matrix(space, u: dict, v: dict) -> dict:
+    """(u ^ v) Z = eta(v, Z) u - eta(u, Z) v, as {row * n + col: value},
+    for sparse vectors u and v.
 
     This orientation of the wedge is the unique one under which the model
     tensor below satisfies the first Bianchi identity (the opposite sign
@@ -314,11 +315,9 @@ def _wedge_matrix(space, u, v) -> dict:
     out = {}
     # u eta(v)^t - v eta(u)^t, over the nonzeros of both factors
     for x, y, sign in ((u, space.eta.apply(v), 1), (v, space.eta.apply(u), -1)):
-        for d, xd in enumerate(x):
-            if xd:
-                for z, yz in enumerate(y):
-                    if yz:
-                        out[d * n + z] = out.get(d * n + z, 0) + sign * xd * yz
+        for d, xd in x.items():
+            for z, yz in y.items():
+                out[d * n + z] = out.get(d * n + z, 0) + sign * xd * yz
     return out
 
 
@@ -332,20 +331,17 @@ def r0_value_matrix(space: QuaternionicSpace, a: int, b: int) -> RealMatrix:
     n = space.real_dim
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
-    ea = [0] * n
-    ea[a] = 1
-    eb = [0] * n
-    eb[b] = 1
-    eta_a = space.eta.row(a)
+    ea = {a: 1}
+    eb = {b: 1}
     out = {}
     for ialpha in space.I:
-        # eta(e_a, I_alpha e_b), summed over the nonzeros of column b
-        coef = sum((eta_a[d] * v for d, v in enumerate(ialpha.column(b)) if v), 0)
+        # eta(e_a, I_alpha e_b), summed over the nonzeros of I_alpha e_b
+        coef = sum((space.eta[a, d] * v for d, v in ialpha.apply(eb).items()), 0)
         if coef:
             for pos, v in ialpha.nz.items():
                 out[pos] = out.get(pos, 0) + half * coef * v
     for w in (_wedge_matrix(space, ea, eb),
-              *(_wedge_matrix(space, ialpha.column(a), ialpha.column(b))
+              *(_wedge_matrix(space, ialpha.apply(ea), ialpha.apply(eb))
                 for ialpha in space.I)):
         for pos, v in w.items():
             out[pos] = out.get(pos, 0) + quarter * v
@@ -362,7 +358,7 @@ def build_r0(space: QuaternionicSpace,
         coords = algebra.coordinates_of(r0_value_matrix(space, a, b))
         if coords is None:
             raise ValueError("R0 value escapes the algebra span")
-        rows.append(_nonzero(coords))
+        rows.append(coords)
     return CurvatureElement(space, algebra, rows)
 
 
@@ -426,7 +422,7 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
         coords = algebra.coordinates_of(a_mat.commutator(bmat))
         if coords is None:
             raise ValueError("bracket with A leaves the algebra span")
-        ad_a.append(_nonzero(coords))
+        ad_a.append(coords)
     a_cols = [{} for _ in range(n)]
     for pos, v in a_mat.nz.items():
         d, col = divmod(pos, n)
@@ -488,8 +484,7 @@ def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
                 if x >= y:
                     continue
                 for p in w_idx:
-                    col = el.value_column(x, y, p)
-                    if any(col):
+                    if el.value_column(x, y, p):
                         witnesses.append((i, "R(X,Y)p != 0", (x, y, p)))
     status = "pass" if not witnesses else "fail"
     return DegenerateReport(status=status, checked_elements=curvature.dim,
@@ -583,7 +578,7 @@ def _embedding(algebra: LieAlgebra, target: LieAlgebra) -> list[dict]:
         coords = target.coordinates_of(bmat)
         if coords is None:
             raise ValueError(f"{algebra.name} does not embed in {target.name}")
-        mapped.append(_nonzero(coords))
+        mapped.append(coords)
     return mapped
 
 

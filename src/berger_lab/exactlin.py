@@ -1,11 +1,11 @@
 """Exact rational linear algebra.
 
 All scalars are arbitrary-precision `fractions.Fraction`; every result is
-exact.  Matrices (`RealMatrix`) are sparse: they store their nonzero
-entries only, and arithmetic walks those.  Elimination is deterministic
-(leftmost-pivot, first nonzero row), so echelon forms are unique and
-subspace bases are canonical: two subspaces are equal iff their stored
-bases are entrywise equal.
+exact.  Everything is sparse: a matrix (`RealMatrix`) stores its nonzero
+entries only, and a vector is a {index: Fraction} mapping of its nonzeros.
+`RealMatrix.apply` is the one matrix-vector product.  Elimination is
+deterministic, so echelon forms are unique and subspace bases are
+canonical: two subspaces are equal iff their stored rows are equal.
 
 Every elimination runs on one engine, `Echelon`, over sparse rows of
 primitive integers (fraction-free, per-row gcd normalization).  That is an
@@ -59,7 +59,6 @@ __all__ = [
     "Subspace",
     "rat_from_str",
     "rat_to_str",
-    "rref",
     "span_of",
     "symmetric_signature",
     "sparse_nullspace",
@@ -141,26 +140,6 @@ class RealMatrix:
         i, j = ij
         return self.nz.get(i * self.cols + j, _ZERO)
 
-    def row(self, i: int) -> tuple:
-        cols = self.cols
-        lo = i * cols
-        out = [_ZERO] * cols
-        for k, v in self.nz.items():
-            if lo <= k < lo + cols:
-                out[k - lo] = v
-        return tuple(out)
-
-    def column(self, j: int) -> tuple:
-        out = [_ZERO] * self.rows
-        for k, v in self.nz.items():
-            i, c = divmod(k, self.cols)
-            if c == j:
-                out[i] = v
-        return tuple(out)
-
-    def to_lists(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RealMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.nz == other.nz)
@@ -215,17 +194,18 @@ class RealMatrix:
                 out[base + j] = out.get(base + j, 0) + v * w
         return RealMatrix.from_sparse(self.rows, m, out)
 
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [_ZERO] * self.rows
+    def apply(self, vec: Mapping) -> dict:
+        """Matrix-vector product of a sparse vector {j: value}: the
+        nonzero entries {i: value} of the image."""
+        if vec and max(vec) >= self.cols:
+            raise ValueError("vector exceeds the column count")
+        out: dict[int, Fraction] = {}
         for k, e in self.nz.items():
             i, j = divmod(k, self.cols)
-            v = vec[j]
+            v = vec.get(j)
             if v:
-                out[i] += e * v
-        return tuple(out)
+                out[i] = out.get(i, 0) + e * v
+        return {i: v for i, v in out.items() if v}
 
     def transpose(self) -> "RealMatrix":
         rows, cols = self.rows, self.cols
@@ -260,7 +240,8 @@ class RealMatrix:
         return dict(self.nz)
 
     def to_json(self) -> list:
-        return [[rat_to_str(v) for v in self.row(i)] for i in range(self.rows)]
+        return [[rat_to_str(self[i, j]) for j in range(self.cols)]
+                for i in range(self.rows)]
 
 
 def _row_dicts(m: RealMatrix) -> list[dict]:
@@ -475,19 +456,6 @@ def canonical_rows(vectors: Iterable[dict]) -> list[dict]:
             for r in reversed(ech.canonical_rows())]
 
 
-def rref(m: RealMatrix) -> tuple[RealMatrix, list[int]]:
-    """Unique reduced row echelon form and its pivot columns.
-
-    Pivot selection: first nonzero entry, scanning columns left to right.
-    The nonzero rows are `canonical_rows` of the matrix's rows; zero rows
-    pad the result to the input's shape.
-    """
-    rows = canonical_rows(_row_dicts(m))
-    return (RealMatrix.from_sparse(m.rows, m.cols, {
-        i * m.cols + j: v for i, row in enumerate(rows) for j, v in row.items()}),
-        [min(r) for r in rows])
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 # ---------------------------------------------------------------------------
@@ -496,15 +464,17 @@ class Subspace:
     """A linear subspace of Q^n with a canonical (RREF) basis.
 
     Canonical form makes equality syntactic: two subspaces coincide iff
-    their stored bases are entrywise equal.  Rows are kept sparse; dense
-    export is available through `basis`.
+    their stored rows are equal.  The rows are sparse leading-1 RREF rows,
+    kept in order and indexed by their pivot (leading) column.
     """
 
-    __slots__ = ("ambient_dim", "_rows")
+    __slots__ = ("ambient_dim", "_rows", "_pivots")
 
     def __init__(self, ambient_dim: int, canonical_sparse_rows: Sequence[dict]):
+        rows = tuple(canonical_sparse_rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "_rows", tuple(canonical_sparse_rows))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_pivots", {min(r): r for r in rows})
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -516,22 +486,11 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self._rows
 
-    @property
-    def basis(self) -> tuple:
-        """Dense canonical basis vectors (leading-1 RREF rows)."""
-        out = []
-        for r in self._rows:
-            v = [Fraction(0)] * self.ambient_dim
-            for k, x in r.items():
-                v[k] = x
-            out.append(tuple(v))
-        return tuple(out)
-
     def sparse_rows(self) -> tuple:
         return self._rows
 
     def pivot_columns(self) -> list[int]:
-        return [min(r) for r in self._rows]
+        return list(self._pivots)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -547,28 +506,24 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
-    def reduce_vector(self, vec) -> dict:
-        """Remainder of `vec` after reduction against the basis."""
-        if isinstance(vec, Mapping):
-            v = {k: Fraction(x) for k, x in vec.items() if x}
-        else:
-            if len(vec) != self.ambient_dim:
-                raise ValueError("ambient dimension mismatch")
-            v = {k: Fraction(x) for k, x in enumerate(vec) if x}
-        # basis rows are fully reduced, so one ascending pass suffices
-        for r in self._rows:
-            c = min(r)
-            coef = v.get(c)
-            if coef:
-                for k, x in r.items():
-                    nv = v.get(k, Fraction(0)) - coef * x
-                    if nv:
-                        v[k] = nv
-                    else:
-                        v.pop(k, None)
+    def reduce_vector(self, vec: Mapping) -> dict:
+        """Remainder of the sparse vector `vec` after reduction against the
+        basis: nonzero entries only, none at a pivot column."""
+        v = {k: Fraction(x) for k, x in vec.items() if x}
+        piv = self._pivots
+        # each basis row is zero at every other pivot, so clearing one pivot
+        # leaves the others alone and the order does not matter
+        for c in [c for c in v if c in piv]:
+            coef = v[c]
+            for k, x in piv[c].items():
+                nv = v.get(k, 0) - coef * x
+                if nv:
+                    v[k] = nv
+                else:
+                    del v[k]
         return v
 
-    def contains_vector(self, vec) -> bool:
+    def contains_vector(self, vec: Mapping) -> bool:
         return not self.reduce_vector(vec)
 
     def contains(self, other: "Subspace") -> bool:
@@ -578,30 +533,13 @@ class Subspace:
             return False
         return all(self.contains_vector(r) for r in other._rows)
 
-    def to_json(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "dim": self.dim,
-            "basis": [[rat_to_str(v) for v in row] for row in self.basis],
-        }
 
-
-def span_of(vectors: Iterable, ambient_dim: int) -> Subspace:
-    """Canonical subspace equal to the linear span of `vectors`.
-
-    Vectors may be dense sequences of length `ambient_dim` or sparse
-    {index: value} mappings.
-    """
-    sparse = []
-    for v in vectors:
-        if isinstance(v, Mapping):
-            if v and max(v) >= ambient_dim:
-                raise ValueError("vector exceeds ambient dimension")
-            sparse.append(v)
-        else:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length must equal ambient dimension")
-            sparse.append({i: x for i, x in enumerate(v) if x})
+def span_of(vectors: Iterable[Mapping], ambient_dim: int) -> Subspace:
+    """Canonical subspace equal to the linear span of the sparse
+    {index: value} `vectors`."""
+    sparse = list(vectors)
+    if any(v and max(v) >= ambient_dim for v in sparse):
+        raise ValueError("vector exceeds ambient dimension")
     return Subspace(ambient_dim, canonical_rows(sparse))
 
 
@@ -614,8 +552,8 @@ def symmetric_signature(m: RealMatrix) -> tuple[int, int]:
     """
     if not m.is_symmetric():
         raise ValueError("matrix is not symmetric")
-    a = m.to_lists()
     n = m.rows
+    a = [[m[i, j] for j in range(n)] for i in range(n)]
     neg = pos = 0
     for i in range(n):
         if a[i][i] == 0:

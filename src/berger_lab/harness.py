@@ -360,10 +360,11 @@ def _bianchi_residual_is_zero(element) -> bool:
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
-                col1 = element.value_column(a, b, c)
-                col2 = element.value_column(b, c, a)
-                col3 = element.value_column(c, a, b)
-                if any(x + y + z for x, y, z in zip(col1, col2, col3)):
+                cols = (element.value_column(a, b, c),
+                        element.value_column(b, c, a),
+                        element.value_column(c, a, b))
+                if any(sum(col.get(d, 0) for col in cols)
+                       for d in set().union(*cols)):
                     return False
     return True
 

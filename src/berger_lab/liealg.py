@@ -87,13 +87,13 @@ class LieAlgebra:
         return aug
 
     def coordinates_of(self, m: RealMatrix):
-        """Coefficients of `m` over the basis, or None if outside the span."""
+        """The nonzero coefficients {k: c} of `m` over the basis, keys
+        ascending, or None if `m` is outside the span."""
         n2 = self.space.real_dim ** 2
         rest = self._augmented().reduce_vector(m.flatten_sparse())
         if rest and min(rest) < n2:
             return None
-        zero = Fraction(0)
-        return [-rest.get(n2 + k, zero) for k in range(self.dim)]
+        return {k - n2: -c for k, c in sorted(rest.items())}
 
     def contains_matrix(self, m: RealMatrix) -> bool:
         return self.coordinates_of(m) is not None
@@ -276,11 +276,10 @@ def stabilizer_of_subspace(g: LieAlgebra, v: Subspace) -> Subspace:
     if v.ambient_dim != g.space.real_dim:
         raise ValueError("ambient dimension mismatch")
     n = g.space.real_dim
-    vbasis = v.basis
     rows = []
     # coefficient vector x over g.basis; constraint: residue of sum x_k B_k u
     # after reduction against V vanishes, for every u in V's basis
-    for u in vbasis:
+    for u in v.sparse_rows():
         residues = [v.reduce_vector(b.apply(u)) for b in g.basis]
         coords = set()
         for res in residues:
@@ -296,10 +295,11 @@ def stabilizer_of_subspace(g: LieAlgebra, v: Subspace) -> Subspace:
     kernel = sparse_nullspace(rows, g.dim)
     mats = []
     for vec in kernel:
-        m = RealMatrix.zeros(n, n)
+        m: dict[int, Fraction] = {}
         for k, coef in vec.items():
-            m = m + g.basis[k].scaled(coef)
-        mats.append(m.flatten_sparse())
+            for pos, x in g.basis[k].nz.items():
+                m[pos] = m.get(pos, 0) + coef * x
+        mats.append(m)
     return span_of(mats, n * n)
 
 

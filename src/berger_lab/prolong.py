@@ -71,23 +71,23 @@ def restrict_action(g: LieAlgebra, v: Subspace) -> list[RealMatrix]:
     drops restrictions that are linearly dependent."""
     if v.ambient_dim != g.space.real_dim:
         raise ValueError("ambient dimension mismatch")
-    vbasis = v.basis
-    pivots = v.pivot_columns()
+    index = {p: i for i, p in enumerate(v.pivot_columns())}
     dv = v.dim
     restricted = []
     span = Echelon()
     for b in g.basis:
-        cols = []
-        for vec in vbasis:
+        nz = {}
+        for j, vec in enumerate(v.sparse_rows()):
             image = b.apply(vec)
             if not v.contains_vector(image):
                 raise ValueError(f"{g.name} does not preserve the subspace")
             # canonical basis rows have unit pivots, so coordinates read off
             # at the pivot columns
-            cols.append([image[p] for p in pivots])
-        mat = RealMatrix.from_rows([[cols[j][i] for j in range(dv)]
-                                    for i in range(dv)])
-        if span.insert_fraction_row(mat.flatten_sparse()) is not None:
+            for p, x in image.items():
+                if p in index:
+                    nz[index[p] * dv + j] = x
+        mat = RealMatrix.from_sparse(dv, dv, nz)
+        if span.insert_fraction_row(nz) is not None:
             restricted.append(mat)
     return restricted
 

@@ -12,13 +12,19 @@ tier2 = pytest.mark.skipif(
     not TIER2, reason="tier-2 configurations, (2,2,2) and larger; set BERGER_LAB_TIER2=1")
 
 
-def nullspace(m):
-    """ker(m) as a canonical subspace, through `sparse_nullspace`."""
+def row_dicts(m):
+    """The rows of `m` as {column: value} dicts of its nonzeros."""
     rows = [{} for _ in range(m.rows)]
     for k, v in m.nz.items():
         i, j = divmod(k, m.cols)
         rows[i][j] = v
-    return Subspace(m.cols, sparse_nullspace(map(integer_row, rows), m.cols))
+    return rows
+
+
+def nullspace(m):
+    """ker(m) as a canonical subspace, through `sparse_nullspace`."""
+    return Subspace(m.cols,
+                    sparse_nullspace(map(integer_row, row_dicts(m)), m.cols))
 
 
 def dual_W1(space):

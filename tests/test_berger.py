@@ -1,8 +1,8 @@
 import pytest
 
 from berger_lab.berger import (SCOPE_NOTE, _restriction_multiple_check,
-                               berger_closure, berger_report, collapses,
-                               holonomy_case_split, split_of)
+                               berger_report, collapses, holonomy_case_split,
+                               split_of)
 from berger_lab.curvature import (CurvatureElement, CurvatureSpace, build_r1,
                                   element_over)
 from berger_lab.exactlin import span_of
@@ -10,6 +10,13 @@ from berger_lab.harness import (Session, check_mixed_signature_collapse,
                                 check_parabolic_split)
 from berger_lab.liealg import LieAlgebra
 from conftest import tier2
+
+
+def berger_closure(g, curvature):
+    """Reference Berger closure: the span of all values R(e_a, e_b) as a
+    subspace of g-coordinates, by `span_of` over every value at once."""
+    vectors = [row for el in curvature.basis for row in el.rows if row]
+    return span_of(vectors, g.dim)
 
 
 def test_h0_is_berger(session):
@@ -42,6 +49,18 @@ def test_closure_contained_in_algebra_coordinates(session):
     assert closure.dim <= alg.dim
 
 
+@pytest.mark.parametrize("name,r,s,t", [
+    ("h0", 1, 1, 1), ("glq", 1, 1, 1), ("sp_w", 1, 1, 1), ("sp1+sp_w", 1, 1, 1),
+    ("sp1+sp", 1, 1, 1), ("sp_w", 1, 2, 1), ("sp1+sp_w", 1, 2, 1)])
+def test_report_closure_is_the_reference_span(session, name, r, s, t):
+    alg = session.algebra(name, r, s, t)
+    curvature = session.curvature(name, r, s, t)
+    report = berger_report(alg, curvature)
+    closure = berger_closure(alg, curvature)
+    assert report.closure_dim == closure.dim == len(report.witnesses)
+    assert report.is_berger == (closure.dim == alg.dim)
+
+
 def test_closure_monotone_in_curvature_input(session):
     alg = session.algebra("sp1+sp_w", 1, 1, 1)
     full = session.curvature("sp1+sp_w", 1, 1, 1)
@@ -49,6 +68,7 @@ def test_closure_monotone_in_curvature_input(session):
     dim_partial = berger_closure(alg, partial).dim
     dim_full = berger_closure(alg, full).dim
     assert dim_partial <= dim_full
+    assert berger_report(alg, partial).closure_dim == dim_partial
 
 
 def test_witnesses_span_the_closure(session):
@@ -72,7 +92,7 @@ def test_report_json_carries_scope_note(session):
 def test_mismatched_curvature_space_rejected(session):
     alg = session.algebra("h0", 1, 1, 1)
     with pytest.raises(ValueError, match="different algebra"):
-        berger_closure(alg, session.curvature("sp", 1, 1, 1))
+        berger_report(alg, session.curvature("sp", 1, 1, 1))
 
 
 # ---------------------------------------------------------------------------

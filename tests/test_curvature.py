@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -13,7 +14,8 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace, act,
                                   pair_symmetry_holds, restrict_check_degenerate,
                                   ricci, scalar)
 from berger_lab.exactlin import RealMatrix, canonical_rows, span_of
-from berger_lab.liealg import algebra_by_name
+from berger_lab.harness import _bianchi_residual_is_zero
+from berger_lab.liealg import LieAlgebra, algebra_by_name
 from conftest import tier2
 
 
@@ -54,18 +56,39 @@ def test_curvature_dimensions_match_the_closed_form(session, r, s, t):
     assert kernel(session, "sp1+sp", r, s, t).dim == comb(2 * m + 3, 4) + 1
 
 
+def satisfies_first_bianchi(el):
+    """R(a,b)e_c + R(b,c)e_a + R(c,a)e_b = 0 on every basis triple, read
+    from the value matrices."""
+    n = el.space.real_dim
+    return not any(el.value(a, b)[d, c] + el.value(b, c)[d, a]
+                   + el.value(c, a)[d, b]
+                   for a, b, c in combinations(range(n), 3) for d in range(n))
+
+
 def test_kernel_elements_satisfy_first_bianchi(session):
     space = kernel(session, "sp1+sp_w", 1, 1, 1)
-    n = space.space.real_dim
     for el in space.basis[:3]:
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    total = [x + y + z for x, y, z in zip(
-                        el.value_column(a, b, c),
-                        el.value_column(b, c, a),
-                        el.value_column(c, a, b))]
-                    assert not any(total)
+        assert satisfies_first_bianchi(el)
+
+
+def test_bianchi_kernel_follows_a_scaled_basis(session, space111):
+    # basis matrices with non-integer entries: one common denominator clears
+    # the system, and a tensor's coefficients scale inversely to its basis
+    h0 = session.algebra("h0", 1, 1, 1)
+    scales = {0: Fraction(1, 2), 4: Fraction(1, 3)}
+    scaled = LieAlgebra("h0-scaled", space111, [
+        b.scaled(scales.get(k, 1)) for k, b in enumerate(h0.basis)])
+    curvature = curv.bianchi_kernel(scaled)
+    assert curvature.dim == 1
+    el = curvature.basis[0]
+    assert satisfies_first_bianchi(el)
+    assert _bianchi_residual_is_zero(el)
+    r1 = kernel(session, "h0", 1, 1, 1).basis[0]
+    expected = {key: c / scales.get(key % h0.dim, 1)
+                for key, c in r1.sparse_vector().items()}
+    got = el.sparse_vector()
+    ratio = got[min(got)] / expected[min(expected)]
+    assert got == {key: ratio * c for key, c in expected.items()}
 
 
 def test_antisymmetry_is_structural(session):
@@ -140,21 +163,20 @@ def test_flipped_wedge_convention_violates_bianchi(space111):
 
     def flipped_value(a, b):
         base = curv.r0_value_matrix(space111, a, b)
-        ea = [Fraction(int(i == a)) for i in range(n)]
-        eb = [Fraction(int(i == b)) for i in range(n)]
+        ea, eb = {a: Fraction(1)}, {b: Fraction(1)}
         wedges = RealMatrix.from_sparse(n, n, curv._wedge_matrix(space111, ea, eb))
         for ialpha in space111.I:
             wedges = wedges + RealMatrix.from_sparse(n, n, curv._wedge_matrix(
-                space111, list(ialpha.column(a)), list(ialpha.column(b))))
+                space111, ialpha.apply(ea), ialpha.apply(eb)))
         # base - 2 * (1/4 wedges) flips the sign of the wedge part
         return base - wedges.scaled(Fraction(1, 2))
 
     violated = False
     for (a, b, c) in ((0, 1, 2), (0, 4, 5), (1, 3, 6)):
-        cols = (flipped_value(a, b).column(c),
-                flipped_value(b, c).column(a),
-                flipped_value(c, a).column(b))
-        if any(x + y + z for x, y, z in zip(*cols)):
+        cols = (flipped_value(a, b).apply({c: 1}),
+                flipped_value(b, c).apply({a: 1}),
+                flipped_value(c, a).apply({b: 1}))
+        if any(sum(col.get(d, 0) for col in cols) for d in range(n)):
             violated = True
             break
     assert violated
@@ -400,13 +422,15 @@ def ref_act(a_mat, el, values):
     n = el.space.real_dim
     rows = []
     for a, b in bivector_pairs(n):
-        m = [x for i in range(n) for x in a_mat.commutator(values[a, b]).row(i)]
+        comm = a_mat.commutator(values[a, b])
+        m = [comm[i, j] for i in range(n) for j in range(n)]
         for d in range(n):
             for f, v in ((a_mat[d, a], values[d, b]), (a_mat[d, b], values[a, d])):
                 if f:
                     for i, x in v.flatten_sparse().items():
                         m[i] -= f * x
-        rows.append(el.algebra.coordinates_of(RealMatrix(n, n, m)))
+        coords = el.algebra.coordinates_of(RealMatrix(n, n, m))
+        rows.append([coords.get(k, 0) for k in range(el.algebra.dim)])
     return rows
 
 
@@ -420,11 +444,11 @@ def ref_pair_symmetric(el, values):
 
 
 def ref_over(el, values, target):
-    """Dense coefficient vector of `el` over `target`, bivector-major."""
-    out = []
-    for pair in bivector_pairs(el.space.real_dim):
-        out.extend(target.coordinates_of(values[pair]))
-    return out
+    """Sparse coefficient vector of `el` over `target`, bivector-major, from
+    the coordinates of its values."""
+    return {ib * target.dim + k: c
+            for ib, pair in enumerate(bivector_pairs(el.space.real_dim))
+            for k, c in target.coordinates_of(values[pair]).items()}
 
 
 def synthetic_element(space, algebra):
@@ -462,12 +486,13 @@ def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
         for (a, b), expected in values.items():
             assert el.value(a, b) == expected
             for col in range(n):
-                assert el.value_column(a, b, col) == list(expected.column(col))
+                assert el.value_column(a, b, col) == {
+                    d: expected[d, col] for d in range(n) if expected[d, col]}
         assert dense_coeffs(act(a_mat, el)) == ref_act(a_mat, el, values)
         single = CurvatureSpace(space, algebra, [el])
         assert pair_symmetry_all(single) == ref_pair_symmetric(el, values)
         vectors.append(ref_over(el, values, target))
-        assert element_over(el, target) == {i: c for i, c in enumerate(vectors[-1]) if c}
+        assert element_over(el, target) == vectors[-1]
     sample = CurvatureSpace(space, algebra, elements)
     assert coefficients_over(sample, target) == span_of(
         vectors, len(bivector_pairs(n)) * target.dim)
@@ -484,7 +509,8 @@ def test_value_column_is_a_column_of_value(session, space111, name):
             for b in range(n):
                 value = el.value(a, b)
                 for c in range(n):
-                    assert el.value_column(a, b, c) == list(value.column(c))
+                    assert el.value_column(a, b, c) == {
+                        d: value[d, c] for d in range(n) if value[d, c]}
 
 
 def test_over_computes_each_target_once(session, monkeypatch):

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from berger_lab.exactlin import (Echelon, RealMatrix, Subspace,
                                  canonical_rows, rat_from_str, rat_to_str,
-                                 rref, span_of, sparse_nullspace,
+                                 span_of, sparse_nullspace,
                                  symmetric_signature)
-from conftest import nullspace
+from conftest import nullspace, row_dicts
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -22,6 +22,16 @@ def small_matrices(max_dim=4):
 
 def M(rows):
     return RealMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
+
+
+def dense(m):
+    """The entries of `m` as lists of rows, read through `m[i, j]`."""
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def vec(*xs):
+    """A sparse vector from its dense entries."""
+    return {i: Fraction(x) for i, x in enumerate(xs) if x}
 
 
 def textbook_rref(rows):
@@ -48,30 +58,25 @@ def textbook_rref(rows):
 # ---------------------------------------------------------------------------
 
 def test_rref_zero_matrix():
-    red, piv = rref(M([[0, 0], [0, 0]]))
-    assert red == M([[0, 0], [0, 0]])
-    assert piv == []
+    assert canonical_rows(row_dicts(M([[0, 0], [0, 0]]))) == []
 
 
 def test_rref_rank_one():
-    red, piv = rref(M([[2, 4], [1, 2]]))
-    assert red == M([[1, 2], [0, 0]])
-    assert piv == [0]
+    assert canonical_rows(row_dicts(M([[2, 4], [1, 2]]))) == [vec(1, 2)]
 
 
 def test_rref_diagonal_full_rank():
-    red, piv = rref(M([[1, 0], [0, 3]]))
-    assert red == RealMatrix.identity(2)
-    assert piv == [0, 1]
+    assert canonical_rows(row_dicts(M([[1, 0], [0, 3]]))) == [vec(1), vec(0, 1)]
 
 
 @given(small_matrices(max_dim=5))
 @settings(max_examples=100, deadline=None)
 def test_rref_matches_textbook_gauss_jordan(m):
-    red, piv = rref(m)
-    expected, expected_piv = textbook_rref(m.to_lists())
-    assert red == RealMatrix.from_rows(expected)
-    assert piv == expected_piv
+    expected, piv = textbook_rref(dense(m))
+    rows = canonical_rows(row_dicts(m))
+    assert rows == [{j: x for j, x in enumerate(r) if x}
+                    for r in expected[:len(piv)]]
+    assert [min(r) for r in rows] == piv
 
 
 @given(st.integers(1, 4).flatmap(
@@ -80,8 +85,8 @@ def test_rref_matches_textbook_gauss_jordan(m):
 @settings(max_examples=100, deadline=None)
 def test_inverse_matches_textbook_gauss_jordan(m):
     n = m.rows
-    aug = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    aug = [row + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(dense(m))]
     red, piv = textbook_rref(aug)
     if piv[:n] != list(range(n)):
         with pytest.raises(ValueError, match="singular"):
@@ -90,21 +95,11 @@ def test_inverse_matches_textbook_gauss_jordan(m):
     assert matches(m.inverse(), [row[n:] for row in red])
 
 
-def test_rref_keeps_the_shape_of_wide_and_empty_matrices():
-    red, piv = rref(M([[0, 2, 4], [0, 1, 2], [0, 0, 0]]))
-    assert red == M([[0, 1, 2], [0, 0, 0], [0, 0, 0]])
-    assert piv == [1]
-    red, piv = rref(RealMatrix.zeros(0, 3))
-    assert (red.rows, red.cols, piv) == (0, 3, [])
-
-
 @given(small_matrices())
 @settings(max_examples=60, deadline=None)
 def test_rref_idempotent(m):
-    red, piv = rref(m)
-    red2, piv2 = rref(red)
-    assert red2 == red
-    assert piv2 == piv
+    rows = canonical_rows(row_dicts(m))
+    assert canonical_rows(rows) == rows
 
 
 # ---------------------------------------------------------------------------
@@ -118,23 +113,22 @@ def test_nullspace_identity_is_zero():
 def test_nullspace_zero_matrix_is_full():
     ker = nullspace(RealMatrix.zeros(2, 5))
     assert ker.dim == 5
-    assert ker.basis == tuple(tuple(Fraction(int(i == j)) for j in range(5))
-                              for i in range(5))
+    assert ker.sparse_rows() == tuple({i: Fraction(1)} for i in range(5))
 
 
 def test_nullspace_one_equation_canonical():
     ker = nullspace(M([[1, 1]]))
     assert ker.dim == 1
-    assert ker.basis == ((Fraction(1), Fraction(-1)),)
+    assert ker.sparse_rows() == (vec(1, -1),)
 
 
 @given(small_matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity_and_kernel_vectors(m):
     ker = nullspace(m)
-    assert len(rref(m)[1]) + ker.dim == m.cols
-    for v in ker.basis:
-        assert all(x == 0 for x in m.apply(v))
+    assert len(canonical_rows(row_dicts(m))) + ker.dim == m.cols
+    for v in ker.sparse_rows():
+        assert m.apply(v) == {}
 
 
 def textbook_kernel(rows, ncols):
@@ -250,21 +244,21 @@ def test_span_empty_is_zero():
 
 
 def test_span_collinear_vectors():
-    sub = span_of([(1, 0), (2, 0)], 2)
+    sub = span_of([vec(1, 0), vec(2, 0)], 2)
     assert sub.dim == 1
 
 
 def test_span_full_plane():
-    assert span_of([(1, 0), (0, 1)], 2).dim == 2
+    assert span_of([vec(1, 0), vec(0, 1)], 2).dim == 2
 
 
 def test_subspace_equal_scaling():
-    assert span_of([(1, 0)], 2) == span_of([(2, 0)], 2)
+    assert span_of([vec(1, 0)], 2) == span_of([vec(2, 0)], 2)
 
 
 def test_subspace_strict_containment():
-    line = span_of([(1, 0)], 2)
-    plane = span_of([(1, 0), (0, 1)], 2)
+    line = span_of([vec(1, 0)], 2)
+    plane = span_of([vec(1, 0), vec(0, 1)], 2)
     assert plane.contains(line)
     assert plane != line
 
@@ -275,12 +269,14 @@ def test_zero_subspaces_equal():
 
 def test_ambient_mismatch_raises():
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
-        span_of([(1,)], 1) == span_of([(1, 0)], 2)
+        span_of([vec(1)], 1) == span_of([vec(1, 0)], 2)
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
-        span_of([(1,)], 1).contains(span_of([(1, 0)], 2))
+        span_of([vec(1)], 1).contains(span_of([vec(1, 0)], 2))
+    with pytest.raises(ValueError, match="exceeds ambient dimension"):
+        span_of([vec(0, 0, 1)], 2)
 
 
-vec3 = st.lists(rationals, min_size=3, max_size=3).map(tuple)
+vec3 = st.lists(rationals, min_size=3, max_size=3).map(lambda xs: vec(*xs))
 
 
 @given(st.lists(vec3, min_size=1, max_size=4), st.randoms(use_true_random=False))
@@ -289,7 +285,7 @@ def test_span_invariant_under_shuffle_and_rescale(vecs, rng):
     sub = span_of(vecs, 3)
     shuffled = list(vecs)
     rng.shuffle(shuffled)
-    scaled = [tuple(Fraction(3, 2) * x for x in v) for v in shuffled]
+    scaled = [{k: Fraction(3, 2) * x for k, x in v.items()} for v in shuffled]
     assert sub == span_of(scaled + shuffled, 3)
 
 
@@ -304,14 +300,21 @@ def test_subspace_equality_is_equivalence(a_vecs, b_vecs):
         assert a.contains(b) and b.contains(a)
 
 
-def test_subspace_json_round_trip():
-    sub = span_of([(1, 2, Fraction(1, 3)), (0, 1, 5)], 3)
-    data = sub.to_json()
-    assert data == {"ambient_dim": 3, "dim": 2,
-                    "basis": [["1", "0", "-29/3"], ["0", "1", "5"]]}
-    again = span_of([[rat_from_str(v) for v in row] for row in data["basis"]],
-                    data["ambient_dim"])
-    assert sub == again
+@given(sparse_systems(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_reduce_vector_contract(system, data):
+    rows, ncols = system
+    sub = span_of(rows, ncols)
+    v = data.draw(st.dictionaries(st.integers(0, ncols - 1), rationals)
+                  if ncols else st.just({}))
+    rest = sub.reduce_vector(v)
+    assert not rest.keys() & set(sub.pivot_columns())
+    assert all(type(x) is Fraction and x for x in rest.values())
+    # v - rest lies in the span: adding it to the rows keeps the rank
+    diff = {k: v.get(k, 0) - rest.get(k, 0) for k in v.keys() | rest.keys()}
+    assert len(canonical_rows(rows + [diff])) == sub.dim
+    in_span = len(canonical_rows(rows + [v])) == sub.dim
+    assert sub.contains_vector(v) == (not rest) == in_span
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +418,7 @@ def test_sparse_matrix_matches_dense_reference(data):
     n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
     ra, rc = data.draw(dense_matrices(n, k)), data.draw(dense_matrices(n, k))
     rb = data.draw(dense_matrices(k, m))
-    vec = data.draw(st.lists(sparse_entries, min_size=k, max_size=k))
+    v = data.draw(st.lists(sparse_entries, min_size=k, max_size=k))
     c = data.draw(rationals)
     a, b = RealMatrix.from_rows(ra), RealMatrix.from_rows(rb)
     cm = RealMatrix(n, k, [x for row in rc for x in row])
@@ -426,10 +429,11 @@ def test_sparse_matrix_matches_dense_reference(data):
     assert matches(a.scaled(c), [[c * x for x in row] for row in ra])
     assert matches(c * a, [[c * x for x in row] for row in ra])
     assert matches(a.transpose(), ref_transpose(ra))
-    assert a.apply(vec) == tuple(sum((x * Fraction(v) for x, v in zip(row, vec)),
-                                     Fraction(0)) for row in ra)
-    assert all(a.row(i) == tuple(ra[i]) for i in range(n))
-    assert all(a.column(j) == tuple(row[j] for row in ra) for j in range(k))
+    image = {i: y for i, row in enumerate(ra)
+             if (y := sum((x * Fraction(w) for x, w in zip(row, v)), Fraction(0)))}
+    assert a.apply({j: w for j, w in enumerate(v) if w}) == image
+    with pytest.raises(ValueError, match="column count"):
+        a.apply({k: Fraction(1)})
     assert all(a[i, j] == ra[i][j] for i in range(n) for j in range(k))
     assert a.to_json() == [[rat_to_str(x) for x in row] for row in ra]
     assert a.is_zero() == (not ref_sparse(ra))

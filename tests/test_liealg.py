@@ -13,7 +13,8 @@ from conftest import dual_W1, nullspace
 
 def preserves_subspace(g, v):
     """True iff B*x lies in V for every basis element B and x in V."""
-    return all(v.contains_vector(b.apply(vec)) for b in g.basis for vec in v.basis)
+    return all(v.contains_vector(b.apply(vec))
+               for b in g.basis for vec in v.sparse_rows())
 
 
 def eta_skew_commutant_oracle(space):
@@ -186,11 +187,10 @@ def _check_coordinates_round_trip(name):
     combo = (alg.basis[0].scaled(Fraction(1, 2)) + alg.basis[3].scaled(-2)
              + alg.basis[-1].scaled(Fraction(3, 7)))
     coords = alg.coordinates_of(combo)
-    assert coords is not None
-    assert coords[0] == Fraction(1, 2) and coords[3] == -2
-    assert coords[-1] == Fraction(3, 7)
-    assert sum(1 for c in coords if c) == 3
-    assert sum((b.scaled(c) for b, c in zip(alg.basis, coords)),
+    assert coords == {0: Fraction(1, 2), 3: Fraction(-2),
+                      alg.dim - 1: Fraction(3, 7)}
+    assert list(coords) == sorted(coords)
+    assert sum((alg.basis[k].scaled(c) for k, c in coords.items()),
                RealMatrix.zeros(8, 8)) == combo
     assert alg.coordinates_of(RealMatrix.identity(8)) is None
     assert alg.contains_matrix(combo)

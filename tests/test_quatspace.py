@@ -23,9 +23,9 @@ def conjugate_transpose(m):
 
 
 def eta_pairing(space, u, v):
-    """eta(u, v) for dense coordinate vectors."""
+    """eta(u, v) for sparse coordinate vectors."""
     return sum((ui * space.eta[i, j] * vj
-                for i, ui in enumerate(u) for j, vj in enumerate(v)), Fraction(0))
+                for i, ui in u.items() for j, vj in v.items()), Fraction(0))
 
 
 def complement_E(space):
@@ -178,8 +178,8 @@ def test_witt_blocks_111():
     w = space.isotropic_subspace_W()
     assert w.dim == 4
     # eta vanishes identically on W
-    for u in w.basis:
-        for v in w.basis:
+    for u in w.sparse_rows():
+        for v in w.sparse_rows():
             assert eta_pairing(space, u, v) == 0
 
 
@@ -188,15 +188,16 @@ def test_witt_blocks_121():
     w, e, w1 = (space.isotropic_subspace_W(), complement_E(space),
                 dual_W1(space))
     assert (w.dim, e.dim, w1.dim) == (4, 4, 4)
-    for u in w1.basis:
-        for v in w1.basis:
+    for u in w1.sparse_rows():
+        for v in w1.sparse_rows():
             assert eta_pairing(space, u, v) == 0
     # E is orthogonal to both W and W1, and eta|_E has signature (0, 4)
-    for u in e.basis:
-        for v in list(w.basis) + list(w1.basis):
+    for u in e.sparse_rows():
+        for v in w.sparse_rows() + w1.sparse_rows():
             assert eta_pairing(space, u, v) == 0
     e_gram = RealMatrix.from_rows(
-        [[eta_pairing(space, u, v) for v in e.basis] for u in e.basis])
+        [[eta_pairing(space, u, v) for v in e.sparse_rows()]
+         for u in e.sparse_rows()])
     assert symmetric_signature(e_gram) == (0, 4)
 
 
@@ -205,7 +206,7 @@ def test_witt_blocks_222_total_and_empty_complement():
     w, e, w1 = (space.isotropic_subspace_W(), complement_E(space),
                 dual_W1(space))
     assert e.dim == 0
-    combined = span_of(list(w.basis) + list(w1.basis), space.real_dim)
+    combined = span_of(w.sparse_rows() + w1.sparse_rows(), space.real_dim)
     assert combined.dim == space.real_dim
 
 
@@ -225,7 +226,7 @@ def test_structure_preserves_witt_blocks(r, s, t):
               dual_W1(space)]
     for ia in space.I:
         for block in blocks:
-            for v in block.basis:
+            for v in block.sparse_rows():
                 assert block.contains_vector(ia.apply(v))
 
 

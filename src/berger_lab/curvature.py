@@ -221,11 +221,6 @@ class CurvatureSpace:
             sub = self._over[target] = coefficients_over(self, target)
         return sub
 
-    def contains(self, element: CurvatureElement) -> bool:
-        if element.algebra.name != self.algebra.name:
-            raise ValueError("element lives over a different algebra")
-        return self.coefficient_subspace().contains_vector(element.sparse_vector())
-
     def to_json(self) -> dict:
         return {
             "algebra": self.algebra.name,
@@ -394,12 +389,14 @@ def ricci(element: CurvatureElement) -> RealMatrix:
 
 
 def scalar(element: CurvatureElement) -> Fraction:
-    """Trace of the Ricci tensor raised by the inverse metric."""
+    """Trace of the Ricci tensor raised by the inverse metric.
+
+    In the Witt basis eta is a signed permutation matrix with eta*eta = 1,
+    so eta is its own inverse and raises the index directly."""
     ric = ricci(element)
-    inv = element.space.eta_inverse()
     n = element.space.real_dim
     total = Fraction(0)
-    for pos, v in inv.nz.items():
+    for pos, v in element.space.eta.nz.items():
         b, c = divmod(pos, n)
         total += v * ric[c, b]
     return total
@@ -460,9 +457,6 @@ class DegenerateReport:
     status: str  # "pass" | "fail" | "vacuous"
     checked_elements: int = 0
     witnesses: tuple = ()
-
-    def passed(self) -> bool:
-        return self.status in ("pass", "vacuous")
 
 
 def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:

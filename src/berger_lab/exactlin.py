@@ -129,10 +129,6 @@ class RealMatrix:
         return cls(nr, nc, flat)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RealMatrix":
-        return cls.from_sparse(rows, cols, {})
-
-    @classmethod
     def identity(cls, n: int) -> "RealMatrix":
         return cls.from_sparse(n, n, {i * n + i: _ONE for i in range(n)})
 
@@ -167,9 +163,6 @@ class RealMatrix:
     def __mul__(self, other):
         if isinstance(other, RealMatrix):
             return self._matmul(other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
         return self.scaled(other)
 
     def scaled(self, c) -> "RealMatrix":
@@ -218,39 +211,8 @@ class RealMatrix:
     def is_symmetric(self) -> bool:
         return self == self.transpose()
 
-    def inverse(self) -> "RealMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        rows = _row_dicts(self)
-        for i in range(n):
-            rows[i][n + i] = _ONE
-        red = canonical_rows(rows)
-        if [min(r) for r in red] != list(range(n)):
-            raise ValueError("matrix is singular")
-        return RealMatrix.from_sparse(n, n, {
-            i * n + j - n: v for i, r in enumerate(red) for j, v in r.items()
-            if j >= n})
-
     def commutator(self, other: "RealMatrix") -> "RealMatrix":
         return self * other - other * self
-
-    def flatten_sparse(self) -> dict:
-        """Nonzero entries as {row*cols+col: value}."""
-        return dict(self.nz)
-
-    def to_json(self) -> list:
-        return [[rat_to_str(self[i, j]) for j in range(self.cols)]
-                for i in range(self.rows)]
-
-
-def _row_dicts(m: RealMatrix) -> list[dict]:
-    """The rows of `m` as {column: value} dicts of its nonzeros."""
-    rows = [{} for _ in range(m.rows)]
-    for k, v in m.nz.items():
-        i, j = divmod(k, m.cols)
-        rows[i][j] = v
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +444,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self._rows)
-
-    def is_zero(self) -> bool:
-        return not self._rows
 
     def sparse_rows(self) -> tuple:
         return self._rows

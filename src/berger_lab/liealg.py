@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .exactlin import (RealMatrix, Subspace, integer_row, span_of,
                        sparse_nullspace)
-from .quatspace import QuatMatrix, Quaternion, QuaternionicSpace, realify
+from .quatspace import Quaternion, QuaternionicSpace, realify
 
 __all__ = [
     "LieAlgebra",
@@ -78,7 +78,7 @@ class LieAlgebra:
         aug = self._span
         if aug is None:
             n2 = self.space.real_dim ** 2
-            aug = span_of(({**b.flatten_sparse(), n2 + k: 1}
+            aug = span_of(({**b.nz, n2 + k: 1}
                            for k, b in enumerate(self.basis)), n2 + self.dim)
             rows = aug.sparse_rows()
             if rows and min(rows[-1]) >= n2:
@@ -90,39 +90,16 @@ class LieAlgebra:
         """The nonzero coefficients {k: c} of `m` over the basis, keys
         ascending, or None if `m` is outside the span."""
         n2 = self.space.real_dim ** 2
-        rest = self._augmented().reduce_vector(m.flatten_sparse())
+        rest = self._augmented().reduce_vector(m.nz)
         if rest and min(rest) < n2:
             return None
         return {k - n2: -c for k, c in sorted(rest.items())}
-
-    def contains_matrix(self, m: RealMatrix) -> bool:
-        return self.coordinates_of(m) is not None
 
     def span_subspace(self) -> Subspace:
         """Canonical subspace of flattened matrices (for algebra equality)."""
         n2 = self.space.real_dim ** 2
         return Subspace(n2, [{k: v for k, v in row.items() if k < n2}
                              for row in self._augmented().sparse_rows()])
-
-    def check_closure(self) -> bool:
-        """[B_i, B_j] lies in the span for all basis pairs."""
-        for i, a in enumerate(self.basis):
-            for b in self.basis[i + 1:]:
-                if not self.contains_matrix(a.commutator(b)):
-                    return False
-        return True
-
-    def check_metric_compatibility(self) -> bool:
-        """eta*B + B^t*eta = 0 for every basis element."""
-        eta = self.space.eta
-        return all((eta * b + b.transpose() * eta).is_zero() for b in self.basis)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "basis": [b.to_json() for b in self.basis],
-        }
 
 
 def _witt_index_maps(space: QuaternionicSpace):
@@ -196,10 +173,6 @@ def _y_family(space):
                        (q(j), e(i)): -Fraction(eps[i]) * c.conjugate()}
 
 
-def _realified(space, sparse_entries) -> RealMatrix:
-    return realify(QuatMatrix.from_entries(space.m, space.m, sparse_entries))
-
-
 def build_sp(space: QuaternionicSpace) -> LieAlgebra:
     """Realification of sp(r, s): all H-linear maps skew-Hermitian for the
     quaternionic form; dim = (r+s)(2(r+s)+1)."""
@@ -211,7 +184,7 @@ def build_sp(space: QuaternionicSpace) -> LieAlgebra:
     fams.extend(_x_family(space))
     fams.extend(_y_family(space))
     fams.extend(_anti_hermitian_family(space, q, p))   # D block
-    basis = [_realified(space, f) for f in fams]
+    basis = [realify(space.m, f) for f in fams]
     alg = LieAlgebra(f"sp({space.r},{space.s})", space, basis)
     assert alg.dim == sp_dimension(space.r, space.s)
     return alg
@@ -228,7 +201,7 @@ def build_sp_parabolic(space: QuaternionicSpace) -> LieAlgebra:
     fams.extend(_anti_hermitian_family(space, p, q))
     fams.extend(_a_family(space))
     fams.extend(_x_family(space))
-    basis = [_realified(space, f) for f in fams]
+    basis = [realify(space.m, f) for f in fams]
     alg = LieAlgebra(f"sp({space.r},{space.s})_W", space, basis)
     assert alg.dim == sp_parabolic_dimension(space.r, space.s, space.t)
     return alg
@@ -244,7 +217,7 @@ def build_glq(space: QuaternionicSpace) -> LieAlgebra:
     """gl(r, H) embedded as diag(C, -conj(C)^t); requires r = s = t."""
     if not (space.r == space.s == space.t >= 1):
         raise ValueError("gl(r,H) block algebra requires r = s = t >= 1")
-    basis = [_realified(space, f) for f in _c_family(space)]
+    basis = [realify(space.m, f) for f in _c_family(space)]
     alg = LieAlgebra(f"gl({space.r},H)", space, basis)
     assert alg.dim == 4 * space.r * space.r
     return alg
@@ -259,7 +232,7 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlge
         for y in b.basis:
             if x * y != y * x:
                 raise ValueError("not a direct sum: summands do not commute")
-    both = span_of([m.flatten_sparse() for m in a.basis + b.basis],
+    both = span_of([m.nz for m in a.basis + b.basis],
                    a.space.real_dim ** 2)
     if both.dim != a.dim + b.dim:
         raise ValueError("not a direct sum: spans overlap")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlin import (Echelon, RealMatrix, Subspace, integer_row, rat_to_str,
+from .exactlin import (Echelon, RealMatrix, Subspace, integer_row,
                        sparse_nullspace)
 from .liealg import LieAlgebra
 
@@ -25,7 +25,6 @@ __all__ = [
     "first_prolongation",
     "second_prolongation",
     "first_prolongation_of",
-    "second_prolongation_of",
 ]
 
 
@@ -47,22 +46,6 @@ class ProlongationSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def is_zero(self) -> bool:
-        return not self.basis
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "label": self.label,
-            "acting_dim": self.acting_dim,
-            "action_dim": self.action_dim,
-            "dim": self.dim,
-            "basis": [
-                {str(k): rat_to_str(v) for k, v in sorted(vec.items())}
-                for vec in self.basis
-            ],
-        }
 
 
 def restrict_action(g: LieAlgebra, v: Subspace) -> list[RealMatrix]:
@@ -162,7 +145,3 @@ def second_prolongation(action: Sequence[RealMatrix], label: str = "") -> Prolon
 
 def first_prolongation_of(g: LieAlgebra, v: Subspace) -> ProlongationSpace:
     return first_prolongation(restrict_action(g, v), label=g.name)
-
-
-def second_prolongation_of(g: LieAlgebra, v: Subspace) -> ProlongationSpace:
-    return second_prolongation(restrict_action(g, v), label=g.name)

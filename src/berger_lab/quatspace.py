@@ -22,7 +22,6 @@ from .exactlin import RealMatrix, Subspace, span_of
 
 __all__ = [
     "Quaternion",
-    "QuatMatrix",
     "QuaternionicSpace",
     "realify",
     "left_mult_matrix",
@@ -88,14 +87,8 @@ class Quaternion:
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
-    def is_zero(self) -> bool:
-        return not (self.w or self.x or self.y or self.z)
-
     def components(self) -> tuple:
         return (self.w, self.x, self.y, self.z)
-
-
-_ZERO_Q = Quaternion()
 
 
 def left_mult_matrix(q: Quaternion) -> RealMatrix:
@@ -120,97 +113,34 @@ def right_mult_matrix(q: Quaternion) -> RealMatrix:
     ])
 
 
-class QuatMatrix:
-    """Immutable quaternionic matrix, row-major."""
+def realify(m: int, entries: dict) -> RealMatrix:
+    """Real matrix of the H-linear map of the m x m quaternionic matrix
+    with nonzero entries `entries` ({(i, j): Quaternion}).
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        ent = tuple(entries)
-        if len(ent) != rows * cols:
-            raise ValueError("entry count mismatch")
-        object.__setattr__(self, "entries", ent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuatMatrix is immutable")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QuatMatrix":
-        return cls(rows, cols, [_ZERO_Q] * (rows * cols))
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, positions: dict) -> "QuatMatrix":
-        """Build from a sparse {(i, j): Quaternion} dict."""
-        ent = [_ZERO_Q] * (rows * cols)
-        for (i, j), q in positions.items():
-            ent[i * cols + j] = q
-        return cls(rows, cols, ent)
-
-    def __getitem__(self, ij) -> Quaternion:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, QuatMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __add__(self, other: "QuatMatrix") -> "QuatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return QuatMatrix(self.rows, self.cols,
-                          [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __mul__(self, other: "QuatMatrix") -> "QuatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                s = _ZERO_Q
-                for t in range(self.cols):
-                    a = self[i, t]
-                    if not a.is_zero():
-                        b = other[t, j]
-                        if not b.is_zero():
-                            s = s + a * b
-                out.append(s)
-        return QuatMatrix(self.rows, other.cols, out)
-
-
-def realify(q: QuatMatrix) -> RealMatrix:
-    """Real matrix of the H-linear map induced by left multiplication.
-
-    The 4rows x 4cols result replaces each quaternion entry by its 4x4
-    left-multiplication block; realify(A*B) = realify(A)*realify(B).
+    The 4m x 4m result replaces each quaternion entry by its 4x4
+    left-multiplication block, so realify(A*B) = realify(A)*realify(B).
+    Entries are read in row-major order.
     """
-    nc = 4 * q.cols
+    n = 4 * m
     out = {}
-    for pos, e in enumerate(q.entries):
-        if not e.is_zero():
-            i, j = divmod(pos, q.cols)
-            for k, v in left_mult_matrix(e).nz.items():
-                a, b = divmod(k, 4)
-                out[(4 * i + a) * nc + 4 * j + b] = v
-    return RealMatrix.from_sparse(4 * q.rows, nc, out)
+    for (i, j), e in sorted(entries.items()):
+        for k, v in left_mult_matrix(e).nz.items():
+            a, b = divmod(k, 4)
+            out[(4 * i + a) * n + 4 * j + b] = v
+    return RealMatrix.from_sparse(n, n, out)
 
 
 class QuaternionicSpace:
     """Signature-(r,s) quaternionic Hermitian space realified to R^{4m}.
 
     `t` is the quaternionic dimension of the isotropic Witt part W (0 for
-    a non-degenerate diagonal basis).  `gram` is the quaternionic Gram
-    matrix in the Witt basis; `eta` its realification (the real part of
-    the Hermitian form); `I1, I2, I3` the structure triple given by right
-    scalar multiplication (I3 = I1*I2).
+    a non-degenerate diagonal basis).  `eta` is the realified Gram matrix
+    of the Witt basis (the real part of the Hermitian form), a signed
+    permutation matrix with eta*eta = 1; `I1, I2, I3` the structure triple
+    given by right scalar multiplication (I3 = I1*I2).
     """
 
-    __slots__ = ("r", "s", "t", "m", "real_dim", "gram", "eta", "I",
-                 "basis_labels", "_eta_inverse")
+    __slots__ = ("r", "s", "t", "m", "real_dim", "eta", "I", "basis_labels")
 
     def __init__(self, r: int, s: int, t: int):
         if r < 0 or s < 0 or r + s < 1:
@@ -226,20 +156,16 @@ class QuaternionicSpace:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "real_dim", 4 * m)
 
-        gram_entries = {}
+        # the quaternionic Gram matrix of the Witt basis is real
+        gram = {}
         for i in range(t):
-            gram_entries[(i, t + n0 + i)] = Quaternion.one()
-            gram_entries[(t + n0 + i, i)] = Quaternion.one()
+            gram[(i, t + n0 + i)] = gram[(t + n0 + i, i)] = 1
         for i in range(n0):
-            sign = -1 if i < r0 else 1
-            gram_entries[(t + i, t + i)] = Quaternion(sign)
-        gram = QuatMatrix.from_entries(m, m, gram_entries)
-        object.__setattr__(self, "gram", gram)
+            gram[(t + i, t + i)] = -1 if i < r0 else 1
 
         n = 4 * m
-        # real entries only in the Witt Gram matrix
-        eta = {(4 * i + a) * n + 4 * j + a: g.w
-               for (i, j), g in gram_entries.items() for a in range(4)}
+        eta = {(4 * i + a) * n + 4 * j + a: Fraction(g)
+               for (i, j), g in gram.items() for a in range(4)}
         object.__setattr__(self, "eta", RealMatrix.from_sparse(n, n, eta))
 
         def block_diag(b4: RealMatrix) -> RealMatrix:
@@ -256,7 +182,6 @@ class QuaternionicSpace:
                   + [f"e{i + 1}" for i in range(n0)]
                   + [f"q{i + 1}" for i in range(t)])
         object.__setattr__(self, "basis_labels", tuple(labels))
-        object.__setattr__(self, "_eta_inverse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuaternionicSpace is immutable")
@@ -278,25 +203,6 @@ class QuaternionicSpace:
         if self.t == 0:
             raise ValueError("W requires t >= 1")
         return span_of([{i: Fraction(1)} for i in self.w_indices()], self.real_dim)
-
-    def eta_inverse(self) -> RealMatrix:
-        inv = self._eta_inverse
-        if inv is None:
-            inv = self.eta.inverse()
-            object.__setattr__(self, "_eta_inverse", inv)
-        return inv
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "t": self.t,
-            "eta": self.eta.to_json(),
-            "I1": self.I[0].to_json(),
-            "I2": self.I[1].to_json(),
-            "I3": self.I[2].to_json(),
-            "labels": list(self.basis_labels),
-        }
 
 
 def build_space(r: int, s: int, t: int) -> QuaternionicSpace:

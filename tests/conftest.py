@@ -5,6 +5,7 @@ import pytest
 
 from berger_lab.exactlin import Subspace, integer_row, span_of, sparse_nullspace
 from berger_lab.harness import Session
+from berger_lab.prolong import restrict_action, second_prolongation
 
 TIER2 = os.environ.get("BERGER_LAB_TIER2") == "1"
 
@@ -25,6 +26,23 @@ def nullspace(m):
     """ker(m) as a canonical subspace, through `sparse_nullspace`."""
     return Subspace(m.cols,
                     sparse_nullspace(map(integer_row, row_dicts(m)), m.cols))
+
+
+def is_closed(alg):
+    """[B_i, B_j] lies in the span of `alg` for all basis pairs."""
+    return all(alg.coordinates_of(a.commutator(b)) is not None
+               for i, a in enumerate(alg.basis) for b in alg.basis[i + 1:])
+
+
+def is_metric_skew(alg):
+    """eta*B + B^t*eta = 0 for every basis element B of `alg`."""
+    eta = alg.space.eta
+    return all((eta * b + b.transpose() * eta).is_zero() for b in alg.basis)
+
+
+def second_prolongation_of(g, v):
+    """The second prolongation of `g` restricted to the invariant `v`."""
+    return second_prolongation(restrict_action(g, v), label=g.name)
 
 
 def dual_W1(space):

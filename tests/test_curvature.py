@@ -112,7 +112,7 @@ def test_monotone_in_the_algebra(session):
 def test_r0_lies_in_the_kernel_exactly(session, space111):
     full = kernel(session, "sp1+sp", 1, 1, 1)
     r0 = build_r0(space111, full.algebra)
-    assert full.contains(r0)
+    assert full.coefficient_subspace().contains_vector(r0.sparse_vector())
 
 
 def test_r0_not_in_the_sp_part(session, space111):
@@ -249,7 +249,7 @@ def test_r0_is_invariant_under_the_full_algebra(session, space111):
 def test_act_of_zero_is_zero(session, space111):
     alg = kernel(session, "sp1+sp", 1, 1, 1).algebra
     el = kernel(session, "sp1+sp", 1, 1, 1).basis[5]
-    zero = RealMatrix.zeros(8, 8)
+    zero = RealMatrix.from_sparse(8, 8, {})
     assert act(zero, el).is_zero()
 
 
@@ -289,13 +289,13 @@ def test_degenerate_vanishing_121(session):
     report = restrict_check_degenerate(kernel(session, "sp1+sp_w", 1, 2, 1))
     assert report.status == "pass"
     assert report.checked_elements == 43
-    assert report.passed()
+    assert report.status in ("pass", "vacuous")
 
 
 def test_degenerate_vanishing_vacuous_when_no_complement(session):
     report = restrict_check_degenerate(kernel(session, "sp1+sp_w", 1, 1, 1))
     assert report.status == "vacuous"
-    assert report.passed()
+    assert report.status in ("pass", "vacuous")
 
 
 def test_degenerate_vanishing_flags_corrupted_element(session, space121):
@@ -408,12 +408,12 @@ def ref_values(el):
         out = [Fraction(0)] * (n * n)
         for c, bmat in zip(row, el.algebra.basis):
             if c:
-                for i, v in bmat.flatten_sparse().items():
+                for i, v in bmat.nz.items():
                     out[i] += c * v
         values[a, b] = RealMatrix(n, n, out)
         values[b, a] = values[a, b].scaled(-1)
     for a in range(n):
-        values[a, a] = RealMatrix.zeros(n, n)
+        values[a, a] = RealMatrix.from_sparse(n, n, {})
     return values
 
 
@@ -427,7 +427,7 @@ def ref_act(a_mat, el, values):
         for d in range(n):
             for f, v in ((a_mat[d, a], values[d, b]), (a_mat[d, b], values[a, d])):
                 if f:
-                    for i, x in v.flatten_sparse().items():
+                    for i, x in v.nz.items():
                         m[i] -= f * x
         coords = el.algebra.coordinates_of(RealMatrix(n, n, m))
         rows.append([coords.get(k, 0) for k in range(el.algebra.dim)])

@@ -79,22 +79,6 @@ def test_rref_matches_textbook_gauss_jordan(m):
     assert [min(r) for r in rows] == piv
 
 
-@given(st.integers(1, 4).flatmap(
-    lambda n: st.lists(rationals, min_size=n * n, max_size=n * n).map(
-        lambda ent: RealMatrix(n, n, ent))))
-@settings(max_examples=100, deadline=None)
-def test_inverse_matches_textbook_gauss_jordan(m):
-    n = m.rows
-    aug = [row + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(dense(m))]
-    red, piv = textbook_rref(aug)
-    if piv[:n] != list(range(n)):
-        with pytest.raises(ValueError, match="singular"):
-            m.inverse()
-        return
-    assert matches(m.inverse(), [row[n:] for row in red])
-
-
 @given(small_matrices())
 @settings(max_examples=60, deadline=None)
 def test_rref_idempotent(m):
@@ -111,7 +95,7 @@ def test_nullspace_identity_is_zero():
 
 
 def test_nullspace_zero_matrix_is_full():
-    ker = nullspace(RealMatrix.zeros(2, 5))
+    ker = nullspace(RealMatrix.from_sparse(2, 5, {}))
     assert ker.dim == 5
     assert ker.sparse_rows() == tuple({i: Fraction(1)} for i in range(5))
 
@@ -240,7 +224,7 @@ def test_unit_pivot_deletes_its_column_in_cascade():
 
 def test_span_empty_is_zero():
     sub = span_of([], 4)
-    assert sub.dim == 0 and sub.is_zero()
+    assert sub.dim == 0 and sub.sparse_rows() == ()
 
 
 def test_span_collinear_vectors():
@@ -333,9 +317,12 @@ def test_rational_string_format(value, expected):
 
 
 def test_matrix_json_round_trip():
+    # the dense string form of a matrix round-trips through rat_from_str
     m = M([[Fraction(1, 2), 3], [-4, Fraction(0)]])
-    assert RealMatrix.from_rows(m.to_json()) == m
-    assert m.to_json() == [["1/2", "3"], ["-4", "0"]]
+    strings = [[rat_to_str(x) for x in row] for row in dense(m)]
+    assert strings == [["1/2", "3"], ["-4", "0"]]
+    assert RealMatrix.from_rows([[rat_from_str(x) for x in row]
+                                 for row in strings]) == m
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +338,6 @@ def test_matrix_arithmetic():
     assert a.transpose().transpose() == a
     assert a[0, 0] + a[1, 1] == 5
     assert a.commutator(b) == a * b - b * a
-
-
-def test_matrix_inverse():
-    a = M([[2, 1], [1, 1]])
-    assert a * a.inverse() == RealMatrix.identity(2)
-    with pytest.raises(ValueError, match="singular"):
-        M([[1, 2], [2, 4]]).inverse()
 
 
 def test_symmetric_signature():
@@ -409,7 +389,7 @@ def matches(m, ref):
     nothing but nonzero Fractions."""
     assert all(type(v) is Fraction and v != 0 for v in m.nz.values())
     return (m.rows, m.cols) == (len(ref), len(ref[0])) and \
-        m.flatten_sparse() == ref_sparse(ref)
+        dict(m.nz) == ref_sparse(ref)
 
 
 @given(st.data())
@@ -427,7 +407,7 @@ def test_sparse_matrix_matches_dense_reference(data):
     assert matches(a + cm, ref_combine(ra, rc, lambda x, y: x + y))
     assert matches(a - cm, ref_combine(ra, rc, lambda x, y: x - y))
     assert matches(a.scaled(c), [[c * x for x in row] for row in ra])
-    assert matches(c * a, [[c * x for x in row] for row in ra])
+    assert matches(a * c, [[c * x for x in row] for row in ra])
     assert matches(a.transpose(), ref_transpose(ra))
     image = {i: y for i, row in enumerate(ra)
              if (y := sum((x * Fraction(w) for x, w in zip(row, v)), Fraction(0)))}
@@ -435,7 +415,6 @@ def test_sparse_matrix_matches_dense_reference(data):
     with pytest.raises(ValueError, match="column count"):
         a.apply({k: Fraction(1)})
     assert all(a[i, j] == ra[i][j] for i in range(n) for j in range(k))
-    assert a.to_json() == [[rat_to_str(x) for x in row] for row in ra]
     assert a.is_zero() == (not ref_sparse(ra))
     assert (a == cm) == (ra == rc)
     if ra == rc:
@@ -459,8 +438,9 @@ def test_sparse_commutator_matches_dense_reference(pair):
 @pytest.mark.parametrize("n", [0, 1, 3, 4])
 def test_dense_zeros_equal_the_empty_sparse_matrix(n):
     dense_zero = RealMatrix(n, n, [0] * (n * n))
-    assert dense_zero == RealMatrix.zeros(n, n)
-    assert hash(dense_zero) == hash(RealMatrix.zeros(n, n))
+    empty = RealMatrix.from_sparse(n, n, {})
+    assert dense_zero == empty
+    assert hash(dense_zero) == hash(empty)
     assert dense_zero.is_zero() and not dense_zero.nz
     assert RealMatrix.identity(n) == RealMatrix(
         n, n, [int(i == j) for i in range(n) for j in range(n)])
@@ -470,6 +450,6 @@ def test_from_sparse_copies_and_drops_zeros():
     given = {0: Fraction(2), 3: Fraction(0)}
     m = RealMatrix.from_sparse(2, 2, given)
     given[1] = Fraction(5)  # the matrix keeps its own copy
-    assert m.flatten_sparse() == {0: Fraction(2)}
+    assert dict(m.nz) == {0: Fraction(2)}
     with pytest.raises(TypeError):
         m.nz[1] = Fraction(1)

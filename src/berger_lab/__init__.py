@@ -4,7 +4,7 @@ pseudo-quaternionic-Hermitian spaces."""
 
 __version__ = "0.1.0"  # the one place the version is set; see pyproject.toml
 
-from .exactlin import RealMatrix, Rational, Subspace, span_of
+from .exactlin import RealMatrix, Subspace, span_of
 from .quatspace import Quaternion, QuaternionicSpace, build_space, realify
 from .liealg import (LieAlgebra, algebra_by_name, build_glq, build_h0, build_sp,
                      build_sp1, build_sp_parabolic, direct_sum)

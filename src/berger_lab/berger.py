@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .curvature import CurvatureSpace, bivector_pairs, build_r1, element_over
+from .curvature import (CurvatureElement, CurvatureSpace, bivector_pairs,
+                        build_r1, element_over)
 from .exactlin import Echelon, Subspace
 from .liealg import LieAlgebra
 
@@ -241,7 +242,7 @@ def holonomy_case_split(r: int, s: int, t: int, session=None) -> CaseSplitReport
                  "algebra_dim": rep_full.algebra_dim},
             ))
             restr_ok, restr_details = _restriction_multiple_check(
-                space, parabolic_full, split.sub_over_full, r1, r1_vec)
+                space, parabolic_full, split.sub_over_full, r1_vec)
             checks.append(CaseSplitCheck(
                 "restriction-multiple",
                 "on W x W1 every tensor restricts, on the W-block, to its "
@@ -260,22 +261,24 @@ def holonomy_case_split(r: int, s: int, t: int, session=None) -> CaseSplitReport
                           verdict=verdict)
 
 
-def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1, r1_vec):
+def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1_vec):
     """Decompose each basis tensor as c*R1 + (tensor over sp(r,r)_W) and
     compare W-blocks of values on W x W1 pairs against c times R1's.
 
-    Reducing against the canonical `sub_embedded` kills the sp(r,r)_W part,
-    so a tensor decomposes iff its remainder is c times R1's remainder."""
+    `r1_vec` is R1's coefficient vector over parabolic_full.algebra, so R1
+    and every basis tensor are read over that one algebra, through one
+    table of W-blocks.  Reducing against the canonical `sub_embedded` kills
+    the sp(r,r)_W part, so a tensor decomposes iff its remainder is c times
+    R1's remainder."""
     r1_rest = sub_embedded.reduce_vector(r1_vec)
     if not r1_rest:
         return False, {"reason": "R1 lies in the curvature space of sp(r,r)_W"}
     lead = min(r1_rest)
     w_idx = list(space.w_indices())
     pairs = [(p, q) for p in w_idx for q in space.w1_indices()]
-    # blocks come from each element's own algebra: R1 lives over h0
-    full_blocks = _w_blocks(parabolic_full.algebra, w_idx)
-    r1_blocks = _w_blocks(r1.algebra, w_idx)
-    r1_values = [_w_block_value(r1, r1_blocks, p, q) for p, q in pairs]
+    blocks = _w_blocks(parabolic_full.algebra, w_idx)
+    r1 = CurvatureElement(space, parabolic_full.algebra, r1_vec)
+    r1_values = [_w_block_value(r1, blocks, p, q) for p, q in pairs]
 
     checked = 0
     for index, el in enumerate(parabolic_full.basis):
@@ -286,7 +289,7 @@ def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1, r1_vec)
             return False, {"reason": "split decomposition failed"}
         for (p, q), expected in zip(pairs, r1_values):
             scaled = {pos: c * v for pos, v in expected.items()} if c else {}
-            if _w_block_value(el, full_blocks, p, q) != scaled:
+            if _w_block_value(el, blocks, p, q) != scaled:
                 return False, {"element": index, "pair": (p, q)}
         checked += 1
     return True, {"elements_checked": checked}

@@ -10,14 +10,15 @@ degenerate pairs, and the space of curvature derivatives allowed by the
 second Bianchi identity.
 
 Coefficient layout: bivectors (a, b) with a < b are ordered
-lexicographically over the realified basis.  A tensor is stored sparsely,
-as one row per bivector: `rows[ib]` maps algebra basis index k to the
-coefficient of B_k in R(e_a, e_b), nonzero entries only, keys ascending.
-Its flat coefficient vector (`sparse_vector`) is bivector-major, with key
-ib * dim g + k.  Kernel bases are canonical RREF rows of that coefficient
-space, so each basis tensor has its first nonzero coefficient equal to 1;
-`bianchi_kernel` keeps those rows as the space's coefficient subspace.
-The JSON form stays dense: one string per (bivector, basis element).
+lexicographically over the realified basis.  A tensor is built from its
+flat coefficient vector, bivector-major with key ib * dim g + k for the
+coefficient of B_k in R(e_a, e_b), and stored as one row per bivector:
+`rows[ib]` maps k to its coefficient, nonzeros only, keys ascending, and
+all empty rows share one read-only mapping.  Kernel bases are canonical
+RREF rows of that space, so each basis tensor has its first nonzero
+coefficient equal to 1; `bianchi_kernel` keeps those rows as the space's
+coefficient subspace.  The JSON form stays dense: one string per
+(bivector, basis element).
 """
 
 from __future__ import annotations
@@ -58,40 +59,44 @@ def bivector_pairs(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
+_EMPTY_ROW = MappingProxyType({})
+
+
 class CurvatureElement:
-    """A curvature tensor with values in a fixed algebra.
+    """A curvature tensor with values in a fixed algebra, built from its
+    flat coefficient vector {ib * dim g + k: coefficient}; a key outside
+    [0, nbiv * dim g) raises ValueError.
 
     `rows[ib]` is {k: coefficient of algebra basis element k in R(e_a, e_b)}
     for the ib-th bivector (a, b), nonzero coefficients only, keys
-    ascending; R(e_b, e_a) = -R(e_a, e_b) by construction.  The
-    constructor copies each given {k: coefficient} mapping, dropping zeros
-    and sorting keys, into a read-only mapping, so rows can be shared
-    without copying.
-    """
+    ascending; R(e_b, e_a) = -R(e_a, e_b) by construction.  Each non-empty
+    row is built once into a read-only mapping the element owns; all empty
+    rows share one."""
 
     __slots__ = ("space", "algebra", "rows")
 
-    def __init__(self, space: QuaternionicSpace, algebra: LieAlgebra, rows):
-        rows = tuple(MappingProxyType({k: row[k] for k in sorted(row) if row[k]})
-                     for row in rows)
-        if len(rows) != _bivector_count(space.real_dim):
-            raise ValueError(f"expected one row per bivector, got {len(rows)}")
+    def __init__(self, space: QuaternionicSpace, algebra: LieAlgebra,
+                 vec: Mapping):
+        dimg = algebra.dim
+        nbiv = _bivector_count(space.real_dim)
+        keys = sorted(vec)
+        if keys and (keys[0] < 0 or keys[-1] >= nbiv * dimg):
+            raise ValueError(f"coefficient keys must lie in [0, {nbiv * dimg})")
+        by_biv: dict[int, dict] = {}
+        for key in keys:
+            c = vec[key]
+            if c:
+                ib, k = divmod(key, dimg)
+                by_biv.setdefault(ib, {})[k] = c
+        rows = [_EMPTY_ROW] * nbiv
+        for ib, row in by_biv.items():
+            rows[ib] = MappingProxyType(row)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureElement is immutable")
-
-    @classmethod
-    def from_sparse(cls, space, algebra, vec: dict) -> "CurvatureElement":
-        """The element with flat coefficient vector `vec`."""
-        dimg = algebra.dim
-        rows = [{} for _ in range(_bivector_count(space.real_dim))]
-        for key in vec:
-            ib, k = divmod(key, dimg)
-            rows[ib][k] = vec[key]
-        return cls(space, algebra, rows)
 
     def sparse_vector(self) -> dict:
         dimg = self.algebra.dim
@@ -102,7 +107,7 @@ class CurvatureElement:
         """The stored row of the bivector {a, b} and the sign that turns it
         into R(e_a, e_b): 1 if a < b, -1 if a > b, 0 (empty row) if a == b."""
         if a == b:
-            return {}, 0
+            return _EMPTY_ROW, 0
         if a < b:
             return self.rows[_biv_index(self.space.real_dim, a, b)], 1
         return self.rows[_biv_index(self.space.real_dim, b, a)], -1
@@ -163,13 +168,6 @@ def _biv_index(n: int, a: int, b: int) -> int:
     return a * n - a * (a + 1) // 2 + (b - a - 1)
 
 
-def _parse_row(row: list, dimg: int) -> dict:
-    """The coefficients of one dense JSON row, parsing only non-"0"s."""
-    if len(row) != dimg:
-        raise ValueError(f"expected {dimg} coefficients per row, got {len(row)}")
-    return {k: rat_from_str(v) for k, v in enumerate(row) if v != "0"}
-
-
 class CurvatureSpace:
     """Basis of the kernel of the first-Bianchi map into a given algebra.
 
@@ -193,7 +191,7 @@ class CurvatureSpace:
         kept as its coefficient subspace."""
         space = algebra.space
         out = cls(space, algebra,
-                  [CurvatureElement.from_sparse(space, algebra, r) for r in rows])
+                  [CurvatureElement(space, algebra, r) for r in rows])
         ambient = _bivector_count(space.real_dim) * algebra.dim
         object.__setattr__(out, "_subspace", Subspace(ambient, rows))
         return out
@@ -233,11 +231,22 @@ class CurvatureSpace:
 
     @classmethod
     def from_json(cls, space, algebra, data: dict) -> "CurvatureSpace":
+        """The space of a dense JSON basis, one row of dim g strings per
+        bivector; only the non-"0" strings are parsed."""
         dimg = algebra.dim
-        basis = [
-            CurvatureElement(space, algebra, [_parse_row(row, dimg) for row in el])
-            for el in data["basis"]
-        ]
+        nbiv = _bivector_count(space.real_dim)
+        basis = []
+        for el in data["basis"]:
+            if len(el) != nbiv:
+                raise ValueError(f"expected one row per bivector, got {len(el)}")
+            vec = {}
+            for ib, row in enumerate(el):
+                if len(row) != dimg:
+                    raise ValueError(
+                        f"expected {dimg} coefficients per row, got {len(row)}")
+                vec.update((ib * dimg + k, rat_from_str(v))
+                           for k, v in enumerate(row) if v != "0")
+            basis.append(CurvatureElement(space, algebra, vec))
         return cls(space, algebra, basis)
 
 
@@ -348,13 +357,14 @@ def build_r0(space: QuaternionicSpace,
     """R0 expressed over the basis of sp(1) + sp(r, s)."""
     if algebra is None:
         algebra = direct_sum(build_sp1(space), build_sp(space))
-    rows = []
-    for a, b in bivector_pairs(space.real_dim):
+    dimg = algebra.dim
+    vec = {}
+    for ib, (a, b) in enumerate(bivector_pairs(space.real_dim)):
         coords = algebra.coordinates_of(r0_value_matrix(space, a, b))
         if coords is None:
             raise ValueError("R0 value escapes the algebra span")
-        rows.append(coords)
-    return CurvatureElement(space, algebra, rows)
+        vec.update((ib * dimg + k, c) for k, c in coords.items())
+    return CurvatureElement(space, algebra, vec)
 
 
 def build_r1(space: QuaternionicSpace,
@@ -429,7 +439,8 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
         for k, c in row.items():
             acc[k] = acc.get(k, 0) - f * c
 
-    new_rows = []
+    dimg = algebra.dim
+    vec = {}
     for ib, (a, b) in enumerate(bivector_pairs(n)):
         acc: dict = {}
         for k, c in element.rows[ib].items():
@@ -441,8 +452,8 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
         for d, coef in a_cols[b].items():  # R(e_a, A e_b)
             row, sign = element.row_of(a, d)
             subtract(acc, coef * sign, row)
-        new_rows.append(acc)
-    return CurvatureElement(element.space, algebra, new_rows)
+        vec.update((ib * dimg + k, c) for k, c in acc.items())
+    return CurvatureElement(element.space, algebra, vec)
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "RealMatrix",
     "Subspace",
     "rat_from_str",

@@ -1,17 +1,19 @@
 """Prolongations of linear Lie algebras.
 
-The first prolongation of g acting on V is the space of symmetric maps
-S: V -> g with S(X)Y = S(Y)X; the second consists of symmetric bilinear
-maps T: V x V -> g whose evaluation T(X)(Y)Z is fully symmetric (so each
-T(X) lies in the first prolongation).  Vanishing of these spaces is the
-rigidity mechanism behind the parallel-curvature arguments, so they are
-computed exactly, over the real field, as kernels of the symmetry
-constraint systems.
+The first prolongation of a space A of linear maps V -> U is the space of
+maps S: V -> A with S(X)Y = S(Y)X.  For g acting on V (U = V) these are the
+symmetric maps into g; the second prolongation, the symmetric bilinear
+maps T: V x V -> g whose evaluation T(X)(Y)Z is fully symmetric, is the
+first prolongation of the first, g^(2) = (g^(1))^(1), each element of
+g^(1) read as a map V -> g.  Vanishing of these spaces is the rigidity
+mechanism behind the parallel-curvature arguments, so they are computed
+exactly, over the real field, as kernels of the symmetry constraint
+systems.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,9 +34,11 @@ __all__ = [
 class ProlongationSpace:
     """Kernel of a prolongation symmetry system.
 
-    `basis` holds coefficient vectors over (argument index) x (action basis
-    index) for order 1, and (symmetric pair index) x (action basis index)
-    for order 2, in canonical RREF form.
+    `basis` holds coefficient vectors in canonical RREF form, with key
+    x * action_dim + j for argument index x < acting_dim and action basis
+    index j.  For order 1 the action basis is the given one; for order 2 it
+    is the first prolongation's basis, so the coordinates are (argument,
+    first-prolongation basis index) and action_dim = dim g^(1).
     """
 
     order: int
@@ -76,18 +80,20 @@ def restrict_action(g: LieAlgebra, v: Subspace) -> list[RealMatrix]:
 
 
 def first_prolongation(action: Sequence[RealMatrix], label: str = "") -> ProlongationSpace:
-    """All S: V -> span(action) with S(X)Y = S(Y)X, for the given basis of
-    a linear algebra acting on V."""
+    """All S: V -> span(action) with S(X)Y = S(Y)X, for a basis of a space
+    of maps V -> U given as du x dv matrices (a linear algebra acting on V
+    when du = dv)."""
     if not action:
         return ProlongationSpace(order=1, acting_dim=0, action_dim=0,
                                  basis=(), label=label)
-    dv = action[0].rows
+    du = action[0].rows
+    dv = action[0].cols
     dg = len(action)
 
     def rows():
         for x in range(dv):
             for y in range(x + 1, dv):
-                for d in range(dv):
+                for d in range(du):
                     row = {}
                     for k, mat in enumerate(action):
                         cy = mat[d, y]
@@ -106,41 +112,20 @@ def first_prolongation(action: Sequence[RealMatrix], label: str = "") -> Prolong
 
 def second_prolongation(action: Sequence[RealMatrix], label: str = "") -> ProlongationSpace:
     """Symmetric bilinear T: V x V -> span(action) with T(X)(Y)Z fully
-    symmetric; each T(X) then lies in the first prolongation."""
-    if not action:
-        return ProlongationSpace(order=2, acting_dim=0, action_dim=0,
-                                 basis=(), label=label)
-    dv = action[0].rows
-    dg = len(action)
-    pairs = [(x, y) for x in range(dv) for y in range(x, dv)]
-    pidx = {p: i for i, p in enumerate(pairs)}
-
-    def pair_index(x, y):
-        return pidx[(x, y)] if x <= y else pidx[(y, x)]
-
-    def rows():
-        # T(x,y)z - T(x,z)y = 0 for all x and y < z
-        for x in range(dv):
-            for y in range(dv):
-                for z in range(y + 1, dv):
-                    for d in range(dv):
-                        row = {}
-                        for k, mat in enumerate(action):
-                            cz = mat[d, z]
-                            if cz:
-                                key = pair_index(x, y) * dg + k
-                                row[key] = row.get(key, Fraction(0)) + cz
-                            cy = mat[d, y]
-                            if cy:
-                                key = pair_index(x, z) * dg + k
-                                row[key] = row.get(key, Fraction(0)) - cy
-                        if row:
-                            yield row
-
-    basis = sparse_nullspace(filter(None, map(integer_row, rows())),
-                             len(pairs) * dg)
-    return ProlongationSpace(order=2, acting_dim=dv, action_dim=dg,
-                             basis=tuple(basis), label=label)
+    symmetric, as the first prolongation of the first: each basis vector
+    p_j of g^(1) becomes the dim g x dim V map P_j[k, y] = p_j[y * dim g + k],
+    and T(X) = S(X) ranges over their span."""
+    first = first_prolongation(action)
+    dg = first.action_dim
+    dv = first.acting_dim
+    maps = []
+    for p in first.basis:
+        nz = {}
+        for key, c in p.items():
+            y, k = divmod(key, dg)
+            nz[k * dv + y] = c
+        maps.append(RealMatrix.from_sparse(dg, dv, nz))
+    return replace(first_prolongation(maps, label), order=2)
 
 
 def first_prolongation_of(g: LieAlgebra, v: Subspace) -> ProlongationSpace:

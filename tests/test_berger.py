@@ -169,31 +169,39 @@ def test_restriction_multiple_fails_on_a_wrong_r1_component(session):
     full = session.curvature("sp1+sp_w", 1, 1, 1)
     r1 = build_r1(space, curvature=session.curvature("h0", 1, 1, 1))
     r1_vec = element_over(r1, full.algebra)
-    sub = split_of(full, session.curvature("sp_w", 1, 1, 1), r1_vec).sub_over_full
-    ok, details = _restriction_multiple_check(space, full, sub, r1, r1_vec)
+    sp_w = session.curvature("sp_w", 1, 1, 1)
+    sub = split_of(full, sp_w, r1_vec).sub_over_full
+    ok, details = _restriction_multiple_check(space, full, sub, r1_vec)
     assert ok and details == {"elements_checked": full.dim}
-    # decomposing against 2*R1 halves each R1 component, so the W-blocks of
-    # the tensors with one no longer match c times R1's
-    doubled = {k: 2 * v for k, v in r1_vec.items()}
-    ok, details = _restriction_multiple_check(space, full, sub, r1, doubled)
+    # another complement of line(R1): R(sp(r,r)_W) with one basis tensor t
+    # replaced by t + R1.  Every tensor still decomposes, but a tensor with
+    # a t-component a gets R1-component c - a, so its W-block no longer
+    # matches that multiple of R1's
+    tensors = [element_over(el, full.algebra) for el in sp_w.basis]
+    t = tensors[0]
+    tensors[0] = {k: t.get(k, 0) + r1_vec.get(k, 0) for k in t.keys() | r1_vec.keys()}
+    other = span_of(tensors, sub.ambient_dim)
+    assert other.dim == sub.dim and other != sub
+    ok, details = _restriction_multiple_check(space, full, other, r1_vec)
     assert not ok and set(details) == {"element", "pair"}
 
 
 def test_restriction_multiple_reads_r1_over_its_own_algebra(session):
-    # h0's basis is a prefix of sp(1)+sp(r,r)_W's here, so only a reordered
-    # h0 tells W-blocks read over R1's algebra from those over the full one
+    # R1 enters the check as its vector over sp(1)+sp(r,r)_W, which
+    # `element_over` reads over R1's own algebra: a reordered h0 basis, with
+    # the coefficients permuted to match, gives the same vector
     space = session.space(1, 1, 1)
     full = session.curvature("sp1+sp_w", 1, 1, 1)
     r1 = build_r1(space, curvature=session.curvature("h0", 1, 1, 1))
-    last = r1.algebra.dim - 1
+    dimg = r1.algebra.dim
+    flipped = {}
+    for key, c in r1.sparse_vector().items():
+        ib, k = divmod(key, dimg)
+        flipped[ib * dimg + dimg - 1 - k] = c
     reordered = CurvatureElement(
-        space, LieAlgebra("h0", space, r1.algebra.basis[::-1]),
-        [{last - k: c for k, c in row.items()} for row in r1.rows])
-    r1_vec = element_over(reordered, full.algebra)
-    assert r1_vec == element_over(r1, full.algebra)
-    sub = split_of(full, session.curvature("sp_w", 1, 1, 1), r1_vec).sub_over_full
-    ok, details = _restriction_multiple_check(space, full, sub, reordered, r1_vec)
-    assert ok and details == {"elements_checked": full.dim}
+        space, LieAlgebra("h0", space, r1.algebra.basis[::-1]), flipped)
+    assert reordered.algebra.basis != r1.algebra.basis
+    assert element_over(reordered, full.algebra) == element_over(r1, full.algebra)
 
 
 def test_restriction_multiple_names_a_failed_decomposition(session, tampered):
@@ -204,11 +212,11 @@ def test_restriction_multiple_names_a_failed_decomposition(session, tampered):
     # one sp(r,r)_W tensor short, line(R1) + sub misses a basis tensor
     short = split_of(full, tampered.curvature("sp_w", 1, 1, 1),
                      r1_vec).sub_over_full
-    ok, details = _restriction_multiple_check(space, full, short, r1, r1_vec)
+    ok, details = _restriction_multiple_check(space, full, short, r1_vec)
     assert not ok and details == {"reason": "split decomposition failed"}
     sub = split_of(full, session.curvature("sp_w", 1, 1, 1), r1_vec).sub_over_full
     inside = dict(sub.sparse_rows()[0])
-    ok, details = _restriction_multiple_check(space, full, sub, r1, inside)
+    ok, details = _restriction_multiple_check(space, full, sub, inside)
     assert not ok
     assert details == {"reason": "R1 lies in the curvature space of sp(r,r)_W"}
 

@@ -184,8 +184,7 @@ def test_flipped_wedge_convention_violates_bianchi(space111):
 
 def test_ricci_of_zero_element_is_zero(session, space111):
     alg = kernel(session, "sp1+sp", 1, 1, 1).algebra
-    nb = len(bivector_pairs(space111.real_dim))
-    zero = CurvatureElement(space111, alg, [{} for _ in range(nb)])
+    zero = CurvatureElement(space111, alg, {})
     assert ricci(zero).is_zero()
     assert scalar(zero) == 0
 
@@ -255,11 +254,10 @@ def test_act_of_zero_is_zero(session, space111):
 
 def test_act_is_a_lie_algebra_action(session):
     def difference(x, y):
-        rows = []
-        for rx, ry in zip(x.rows, y.rows):
-            d = {k: rx.get(k, 0) - ry.get(k, 0) for k in sorted(set(rx) | set(ry))}
-            rows.append({k: v for k, v in d.items() if v})
-        return CurvatureElement(x.space, x.algebra, rows)
+        vx, vy = x.sparse_vector(), y.sparse_vector()
+        return CurvatureElement(x.space, x.algebra,
+                                {k: vx.get(k, 0) - vy.get(k, 0)
+                                 for k in vx.keys() | vy.keys()})
 
     space = kernel(session, "sp1+sp_w", 1, 1, 1)
     alg = space.algebra
@@ -303,13 +301,11 @@ def test_degenerate_vanishing_flags_corrupted_element(session, space121):
     alg = good.algebra
     n = space121.real_dim
     # corrupt: plant a nonzero value on a (W, E) bivector, violating Bianchi
-    rows = list(good.basis[0].rows)
+    vec = good.basis[0].sparse_vector()
     p, x = 0, 4
-    idx = curv._biv_index(n, p, x)
-    planted = dict(rows[idx])
-    planted[0] = planted.get(0, 0) + 1
-    rows[idx] = {k: planted[k] for k in sorted(planted) if planted[k]}
-    bad = CurvatureElement(space121, alg, rows)
+    key = curv._biv_index(n, p, x) * alg.dim
+    vec[key] = vec.get(key, 0) + 1
+    bad = CurvatureElement(space121, alg, vec)
     corrupted = CurvatureSpace(space121, alg, [bad])
     report = restrict_check_degenerate(corrupted)
     assert report.status == "fail"
@@ -454,12 +450,11 @@ def ref_over(el, values, target):
 def synthetic_element(space, algebra):
     """A fixed element with scattered coefficients, in general not a
     curvature tensor (see the pair-symmetry test below)."""
-    rows = []
-    for ib in range(len(bivector_pairs(space.real_dim))):
-        rows.append({k: Fraction((5 * ib + 3 * k) % 7 - 3, 1 + (ib + k) % 2)
-                     for k in range(algebra.dim)
-                     if (ib + 2 * k) % 9 == 0 and (5 * ib + 3 * k) % 7 != 3})
-    return CurvatureElement(space, algebra, rows)
+    return CurvatureElement(space, algebra, {
+        ib * algebra.dim + k: Fraction((5 * ib + 3 * k) % 7 - 3, 1 + (ib + k) % 2)
+        for ib in range(len(bivector_pairs(space.real_dim)))
+        for k in range(algebra.dim)
+        if (ib + 2 * k) % 9 == 0 and (5 * ib + 3 * k) % 7 != 3})
 
 
 SPARSE_CASES = [(name, 1, 1, 1) for name in
@@ -545,24 +540,48 @@ def test_synthetic_element_breaks_pair_symmetry(session, space111):
 def test_rows_drop_zeros_and_are_read_only(session, space111):
     algebra = session.algebra("h0", 1, 1, 1)
     nb = len(bivector_pairs(space111.real_dim))
-    given = [{} for _ in range(nb)]
-    given[1] = {4: Fraction(2, 3), 0: Fraction(0), 2: Fraction(-1)}
+    dimg = algebra.dim
+    # given out of order, with an explicit zero at (bivector 1, k = 0)
+    given = {dimg + 4: Fraction(2, 3), dimg: Fraction(0), dimg + 2: Fraction(-1)}
     with_zero = CurvatureElement(space111, algebra, given)
-    given[1] = {2: Fraction(-1), 4: Fraction(2, 3)}
+    given = {dimg + 2: Fraction(-1), dimg + 4: Fraction(2, 3)}
     without = CurvatureElement(space111, algebra, given)
     assert with_zero == without
     assert hash(with_zero) == hash(without)
     assert list(with_zero.rows[1].items()) == [(2, Fraction(-1)), (4, Fraction(2, 3))]
-    given[1][0] = Fraction(5)  # the element keeps its own copy
+    given[dimg] = Fraction(5)  # the element keeps its own copy
     assert without.rows[1] == {2: Fraction(-1), 4: Fraction(2, 3)}
-    zero = CurvatureElement(space111, algebra, [{0: Fraction(0)}] * nb)
+    assert without.sparse_vector() == {dimg + 2: Fraction(-1), dimg + 4: Fraction(2, 3)}
+    zero = CurvatureElement(space111, algebra, {k * dimg: Fraction(0) for k in range(nb)})
     assert zero.is_zero()
-    assert zero == CurvatureElement(space111, algebra, [{}] * nb)
+    assert zero == CurvatureElement(space111, algebra, {})
     with pytest.raises(TypeError):
         without.rows[1][2] = Fraction(7)
     row, sign = without.row_of(2, 0)
     with pytest.raises(TypeError):
         row[0] = Fraction(1)
+
+
+def test_constructor_rejects_keys_outside_the_coefficient_space(session, space111):
+    algebra = session.algebra("h0", 1, 1, 1)
+    size = len(bivector_pairs(space111.real_dim)) * algebra.dim
+    CurvatureElement(space111, algebra, {0: Fraction(1), size - 1: Fraction(1)})
+    for key in (size, -1):
+        with pytest.raises(ValueError, match="coefficient keys"):
+            CurvatureElement(space111, algebra, {key: Fraction(1)})
+
+
+def test_empty_rows_share_one_read_only_mapping(session, space111):
+    algebra = session.algebra("h0", 1, 1, 1)
+    el = CurvatureElement(space111, algebra, {algebra.dim + 2: Fraction(1)})
+    empty = [row for row in el.rows if not row]
+    assert len(empty) == len(el.rows) - 1
+    assert all(row is empty[0] for row in empty)
+    assert el.row_of(3, 3) == (empty[0], 0)
+    for row in empty:
+        with pytest.raises(TypeError):
+            row[0] = Fraction(1)
+    assert CurvatureElement(space111, algebra, {}).rows[0] is empty[0]
 
 
 def test_kernel_keeps_its_canonical_subspace(session, monkeypatch):

@@ -32,7 +32,7 @@ def test_full_gl_first_prolongation_dim(n):
     assert first_prolongation(full_gl(n)).dim == expected
 
 
-@pytest.mark.parametrize("n", [2])
+@pytest.mark.parametrize("n", [2, 3])
 def test_full_gl_second_prolongation_dim(n):
     expected = n * n * (n + 1) * (n + 2) // 6  # dim S^3 V* (x) V
     assert second_prolongation(full_gl(n)).dim == expected

@@ -153,10 +153,9 @@ def cmd_prolongation(config: RunConfig) -> int:
     alg = session.algebra(config.algebra, config.r, config.s, config.t)
     w = session.space(config.r, config.s, config.t).isotropic_subspace_W()
     action = prolong.restrict_action(alg, w)
-    if config.order == 1:
-        result = prolong.first_prolongation(action, label=alg.name)
-    else:
-        result = prolong.second_prolongation(action, label=alg.name)
+    result = prolong.first_prolongation(action, label=alg.name)
+    if config.order == 2:
+        result = prolong.second_prolongation(result, label=alg.name)
     row = {"algebra": config.algebra, "r": config.r, "s": config.s,
            "t": config.t, "order": config.order, "dim": result.dim}
     if config.fmt == "text":

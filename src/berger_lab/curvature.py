@@ -19,6 +19,16 @@ RREF rows of that space, so each basis tensor has its first nonzero
 coefficient equal to 1; `bianchi_kernel` keeps those rows as the space's
 coefficient subspace.  The JSON form stays dense: one string per
 (bivector, basis element).
+
+Integer inner loops: R0, Ricci, the scalar, pair symmetry and the
+Bianchi residual multiply and add Python ints only.  eta and the I_alpha
+are read as signed permutations (`_signed_permutation`, which raises on
+anything else; there is no Fraction fallback), the basis columns come from `_columns` times one lcm per
+algebra, and a tensor's rows from `_integer_rows` times one lcm per
+element.  Values become Fractions only where they leave a function: R0 is
+built as 4 R0 and divided by 4 on its way to `coordinates_of`, `ricci`
+and `scalar` divide by the product of the two factors, and the residual
+and symmetry checks, which are homogeneous, need no division at all.
 """
 
 from __future__ import annotations
@@ -250,12 +260,13 @@ class CurvatureSpace:
         return cls(space, algebra, basis)
 
 
-def _columns(algebra: LieAlgebra) -> list[list]:
-    """cols[c] = [(k, [(row d, value), ...]), ...]: the nonzero entries of
-    column c of each basis element k that has any, k ascending, all times
-    the lcm of every entry's denominator.  One common factor scales the
-    whole Bianchi system, which keeps its kernel; a factor per basis
-    element would rescale that element's coefficients in every tensor."""
+def _columns(algebra: LieAlgebra) -> tuple[int, list[list]]:
+    """(den, cols): cols[c] = [(k, [(row d, value), ...]), ...] holds the
+    nonzero entries of column c of each basis element k that has any, k
+    ascending, all times den, the lcm of every entry's denominator.  One
+    common factor scales the whole Bianchi system, which keeps its kernel;
+    a factor per basis element would rescale that element's coefficients
+    in every tensor."""
     n = algebra.space.real_dim
     den = lcm(*(v.denominator for bmat in algebra.basis for v in bmat.nz.values()))
     cols = [[] for _ in range(n)]
@@ -266,14 +277,46 @@ def _columns(algebra: LieAlgebra) -> list[list]:
             by_col.setdefault(c, []).append((d, v.numerator * (den // v.denominator)))
         for c, entries in by_col.items():
             cols[c].append((k, entries))
-    return cols
+    return den, cols
+
+
+def _integer_rows(element: CurvatureElement) -> tuple[int, list[dict]]:
+    """(scale, rows): rows[ib] = {k: int} is the element's row ib times
+    scale, the lcm of every coefficient's denominator."""
+    scale = lcm(*(c.denominator for row in element.rows for c in row.values()))
+    return scale, [{k: c.numerator * (scale // c.denominator) for k, c in row.items()}
+                   for row in element.rows]
+
+
+def _signed_permutation(m: RealMatrix) -> dict[int, tuple[int, int]]:
+    """{col: (row, +-1)} for a signed permutation matrix such as eta and
+    the I_alpha; raises ValueError for a column with more than one entry
+    or an entry other than +-1."""
+    perm = {}
+    for pos, v in m.nz.items():
+        row, col = divmod(pos, m.cols)
+        if col in perm or v not in (1, -1):
+            raise ValueError("expected a signed permutation matrix")
+        perm[col] = (row, int(v))
+    return perm
+
+
+def _add_column(out: dict, f: int, row: Mapping, col: list) -> None:
+    """out[d] += f * (sum_k row[k] B_k)[d, c] for col = cols[c] of
+    `_columns`, over ints."""
+    for k, entries in col:
+        c = row.get(k)
+        if c:
+            c *= f
+            for d, v in entries:
+                out[d] = out.get(d, 0) + c * v
 
 
 def _bianchi_rows(algebra: LieAlgebra):
     """Integer equation rows of the first-Bianchi map, streamed."""
     n = algebra.space.real_dim
     dimg = algebra.dim
-    cols = _columns(algebra)
+    _, cols = _columns(algebra)
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
@@ -307,22 +350,47 @@ def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
 # the model tensor R0 and the h0 generator R1
 # ---------------------------------------------------------------------------
 
-def _wedge_matrix(space, u: dict, v: dict) -> dict:
+def _wedge_matrix(n: int, eta: dict, u: dict, v: dict) -> dict:
     """(u ^ v) Z = eta(v, Z) u - eta(u, Z) v, as {row * n + col: value},
-    for sparse vectors u and v.
+    for sparse vectors u and v and eta given by `_signed_permutation` (ints
+    give ints).
 
     This orientation of the wedge is the unique one under which the model
     tensor below satisfies the first Bianchi identity (the opposite sign
     fails; see the conformance tests).
     """
-    n = space.real_dim
     out = {}
-    # u eta(v)^t - v eta(u)^t, over the nonzeros of both factors
-    for x, y, sign in ((u, space.eta.apply(v), 1), (v, space.eta.apply(u), -1)):
-        for d, xd in x.items():
-            for z, yz in y.items():
-                out[d * n + z] = out.get(d * n + z, 0) + sign * xd * yz
+    # u (eta v)^t - v (eta u)^t, over the nonzeros of both factors
+    for x, y, sign in ((u, v, 1), (v, u, -1)):
+        for j, yj in y.items():
+            z, e = eta[j]
+            f = sign * e * yj
+            for d, xd in x.items():
+                out[d * n + z] = out.get(d * n + z, 0) + f * xd
     return out
+
+
+def _r0_values(space: QuaternionicSpace, pairs):
+    """R0(e_a, e_b) for each (a, b) in `pairs`, built as 4 R0(e_a, e_b)
+    over ints from the signed permutations eta and I_alpha, read once, and
+    divided by 4 on the way out."""
+    n = space.real_dim
+    eta = _signed_permutation(space.eta)
+    structure = [_signed_permutation(ialpha) for ialpha in space.I]
+    for a, b in pairs:
+        out = _wedge_matrix(n, eta, {a: 1}, {b: 1})
+        for perm in structure:
+            (da, va), (db, vb) = perm[a], perm[b]
+            # 4 * 1/2 eta(e_a, I_alpha e_b) = 2 vb eta[a, db]
+            row, e = eta[db]
+            if row == a:
+                coef = 2 * vb * e
+                for col, (d, v) in perm.items():
+                    out[d * n + col] = out.get(d * n + col, 0) + coef * v
+            for pos, v in _wedge_matrix(n, eta, {da: va}, {db: vb}).items():
+                out[pos] = out.get(pos, 0) + v
+        yield RealMatrix.from_sparse(n, n, {pos: Fraction(v, 4)
+                                            for pos, v in out.items() if v})
 
 
 def r0_value_matrix(space: QuaternionicSpace, a: int, b: int) -> RealMatrix:
@@ -332,24 +400,7 @@ def r0_value_matrix(space: QuaternionicSpace, a: int, b: int) -> RealMatrix:
         R0(X, Y) = 1/2 sum_a eta(X, I_a Y) I_a
                    + 1/4 (X ^ Y + sum_a I_a X ^ I_a Y)
     """
-    n = space.real_dim
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    ea = {a: 1}
-    eb = {b: 1}
-    out = {}
-    for ialpha in space.I:
-        # eta(e_a, I_alpha e_b), summed over the nonzeros of I_alpha e_b
-        coef = sum((space.eta[a, d] * v for d, v in ialpha.apply(eb).items()), 0)
-        if coef:
-            for pos, v in ialpha.nz.items():
-                out[pos] = out.get(pos, 0) + half * coef * v
-    for w in (_wedge_matrix(space, ea, eb),
-              *(_wedge_matrix(space, ialpha.apply(ea), ialpha.apply(eb))
-                for ialpha in space.I)):
-        for pos, v in w.items():
-            out[pos] = out.get(pos, 0) + quarter * v
-    return RealMatrix.from_sparse(n, n, out)
+    return next(_r0_values(space, [(a, b)]))
 
 
 def build_r0(space: QuaternionicSpace,
@@ -359,8 +410,8 @@ def build_r0(space: QuaternionicSpace,
         algebra = direct_sum(build_sp1(space), build_sp(space))
     dimg = algebra.dim
     vec = {}
-    for ib, (a, b) in enumerate(bivector_pairs(space.real_dim)):
-        coords = algebra.coordinates_of(r0_value_matrix(space, a, b))
+    for ib, value in enumerate(_r0_values(space, bivector_pairs(space.real_dim))):
+        coords = algebra.coordinates_of(value)
         if coords is None:
             raise ValueError("R0 value escapes the algebra span")
         vec.update((ib * dimg + k, c) for k, c in coords.items())
@@ -383,19 +434,32 @@ def build_r1(space: QuaternionicSpace,
 # contractions
 # ---------------------------------------------------------------------------
 
+def _integer_ricci(element: CurvatureElement) -> tuple[int, dict]:
+    """(den, ric): Ric(Y, Z) = ric[Y * n + Z] / den, ric over ints."""
+    n = element.space.real_dim
+    den, cols = _columns(element.algebra)
+    scale, rows = _integer_rows(element)
+    ric = {}
+    for (a, b), row in zip(bivector_pairs(n), rows):
+        if not row:
+            continue
+        # R(e_a, e_b) adds its row a to Ric row b and -(row b) to Ric row a
+        for z, col in enumerate(cols):
+            value = {}
+            _add_column(value, 1, row, col)
+            if a in value:
+                ric[b * n + z] = ric.get(b * n + z, 0) + value[a]
+            if b in value:
+                ric[a * n + z] = ric.get(a * n + z, 0) - value[b]
+    return den * scale, ric
+
+
 def ricci(element: CurvatureElement) -> RealMatrix:
     """Ric(Y, Z) = trace(X -> R(X, Y) Z)."""
     n = element.space.real_dim
-    ric = {}
-    for a, b in bivector_pairs(n):
-        # R(e_a, e_b) adds its row a to Ric row b and -(row b) to Ric row a
-        for pos, v in element.value(a, b).nz.items():
-            d, z = divmod(pos, n)
-            if d == a:
-                ric[b * n + z] = ric.get(b * n + z, 0) + v
-            elif d == b:
-                ric[a * n + z] = ric.get(a * n + z, 0) - v
-    return RealMatrix.from_sparse(n, n, ric)
+    den, ric = _integer_ricci(element)
+    return RealMatrix.from_sparse(n, n, {pos: Fraction(v, den)
+                                         for pos, v in ric.items() if v})
 
 
 def scalar(element: CurvatureElement) -> Fraction:
@@ -403,13 +467,12 @@ def scalar(element: CurvatureElement) -> Fraction:
 
     In the Witt basis eta is a signed permutation matrix with eta*eta = 1,
     so eta is its own inverse and raises the index directly."""
-    ric = ricci(element)
     n = element.space.real_dim
-    total = Fraction(0)
-    for pos, v in element.space.eta.nz.items():
-        b, c = divmod(pos, n)
-        total += v * ric[c, b]
-    return total
+    den, ric = _integer_ricci(element)
+    # eta[b, c] = e for each column c
+    total = sum(e * ric.get(c * n + b, 0)
+                for c, (b, e) in _signed_permutation(element.space.eta).items())
+    return Fraction(total, den)
 
 
 # ---------------------------------------------------------------------------
@@ -531,26 +594,31 @@ def derivative_space(curvature: CurvatureSpace) -> Subspace:
 # ---------------------------------------------------------------------------
 
 def _pairing_table(algebra: LieAlgebra):
-    """table[k] = {biv: eta(B_k e_c, e_d)} over the bivectors (c, d), nonzero
-    values only."""
-    space = algebra.space
-    n = space.real_dim
-    table = []
-    for bmat in algebra.basis:
-        row = {}
-        for pos, v in (space.eta * bmat).nz.items():
-            d, c = divmod(pos, n)
-            if c < d:
-                row[_biv_index(n, c, d)] = v
-        table.append(row)
+    """table[k] = {biv: eta(B_k e_c, e_d)} over the bivectors (c, d), all
+    times the common factor of `_columns`, over ints.  A common factor
+    keeps the symmetry of every pairing matrix."""
+    n = algebra.space.real_dim
+    eta = _signed_permutation(algebra.space.eta)
+    _, cols = _columns(algebra)
+    table = [{} for _ in algebra.basis]
+    for c, col in enumerate(cols):
+        for k, entries in col:
+            row = table[k]
+            for e, v in entries:
+                # (eta B_k)[d, c] = eta[d, e] B_k[e, c]
+                d, s = eta[e]
+                if c < d:
+                    key = _biv_index(n, c, d)
+                    row[key] = row.get(key, 0) + s * v
     return table
 
 
 def _pair_symmetry_single(element: CurvatureElement, table) -> bool:
     # P[i][j] = eta(R(pair_i) e_c, e_d) for pair_j = (c, d); values in the
-    # metric algebra make the full quadruple check equivalent to P symmetric
+    # metric algebra make the full quadruple check equivalent to P symmetric.
+    # Scaling the coefficients by one factor keeps P's symmetry.
     p = []
-    for row in element.rows:
+    for row in _integer_rows(element)[1]:
         acc: dict = {}
         for k, c in row.items():
             for jb, v in table[k].items():

@@ -356,15 +356,22 @@ def check_r0(session: Session, tier: int) -> CheckResult:
 
 
 def _bianchi_residual_is_zero(element) -> bool:
+    """R(a,b)e_c + R(b,c)e_a + R(c,a)e_b = 0 on every basis triple, summed
+    over ints from the integer basis columns and the element's integer
+    rows (each scaled by one common factor)."""
     n = element.space.real_dim
+    _, cols = curv._columns(element.algebra)
+    _, rows = curv._integer_rows(element)
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
-                cols = (element.value_column(a, b, c),
-                        element.value_column(b, c, a),
-                        element.value_column(c, a, b))
-                if any(sum(col.get(d, 0) for col in cols)
-                       for d in set().union(*cols)):
+                out: dict = {}
+                # R(c,a) = -R(a,c)
+                for pair, col, sign in (((a, b), c, 1), ((b, c), a, 1),
+                                        ((a, c), b, -1)):
+                    curv._add_column(out, sign, rows[curv._biv_index(n, *pair)],
+                                     cols[col])
+                if any(out.values()):
                     return False
     return True
 
@@ -430,7 +437,7 @@ def check_prolongations(session: Session, tier: int) -> CheckResult:
     w = space1.isotropic_subspace_W()
     action = prolong.restrict_action(h0, w)
     first_h0 = prolong.first_prolongation(action, label="h0|_W")
-    second_h0 = prolong.second_prolongation(action, label="h0|_W")
+    second_h0 = prolong.second_prolongation(first_h0, label="h0|_W")
     results["first_sp1+gl(1,H)"] = first_h0.dim
     results["second_sp1+gl(1,H)"] = second_h0.dim
     ok = ok and first_h0.dim >= 1 and second_h0.dim == 0

@@ -110,12 +110,14 @@ def first_prolongation(action: Sequence[RealMatrix], label: str = "") -> Prolong
                              basis=tuple(basis), label=label)
 
 
-def second_prolongation(action: Sequence[RealMatrix], label: str = "") -> ProlongationSpace:
+def second_prolongation(first: ProlongationSpace, label: str = "") -> ProlongationSpace:
     """Symmetric bilinear T: V x V -> span(action) with T(X)(Y)Z fully
-    symmetric, as the first prolongation of the first: each basis vector
-    p_j of g^(1) becomes the dim g x dim V map P_j[k, y] = p_j[y * dim g + k],
-    and T(X) = S(X) ranges over their span."""
-    first = first_prolongation(action)
+    symmetric, as the first prolongation of `first`, the first
+    prolongation of the action: each basis vector p_j of g^(1) becomes the
+    dim g x dim V map P_j[k, y] = p_j[y * dim g + k], and T(X) = S(X)
+    ranges over their span."""
+    if first.order != 1:
+        raise ValueError(f"expected a first prolongation, got order {first.order}")
     dg = first.action_dim
     dv = first.acting_dim
     maps = []

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from berger_lab.curvature import CurvatureElement, bivector_pairs
 from berger_lab.exactlin import Subspace, integer_row, span_of, sparse_nullspace
 from berger_lab.harness import Session
-from berger_lab.prolong import restrict_action, second_prolongation
+from berger_lab.prolong import first_prolongation_of, second_prolongation
 
 TIER2 = os.environ.get("BERGER_LAB_TIER2") == "1"
 
@@ -42,7 +43,7 @@ def is_metric_skew(alg):
 
 def second_prolongation_of(g, v):
     """The second prolongation of `g` restricted to the invariant `v`."""
-    return second_prolongation(restrict_action(g, v), label=g.name)
+    return second_prolongation(first_prolongation_of(g, v), label=g.name)
 
 
 def dual_W1(space):
@@ -50,6 +51,23 @@ def dual_W1(space):
     if space.t == 0:
         raise ValueError("W1 requires t >= 1")
     return span_of([{i: Fraction(1)} for i in space.w1_indices()], space.real_dim)
+
+
+def synthetic_element(space, algebra):
+    """A fixed element with scattered coefficients, in general not a
+    curvature tensor (see the pair-symmetry tests)."""
+    return CurvatureElement(space, algebra, {
+        ib * algebra.dim + k: Fraction((5 * ib + 3 * k) % 7 - 3, 1 + (ib + k) % 2)
+        for ib in range(len(bivector_pairs(space.real_dim)))
+        for k in range(algebra.dim)
+        if (ib + 2 * k) % 9 == 0 and (5 * ib + 3 * k) % 7 != 3})
+
+
+# every named algebra at (1,1,1), and those defined at (1,2,1)
+SPARSE_CASES = [(name, 1, 1, 1) for name in
+                ("sp", "sp_w", "sp1", "glq", "h0", "sp1+sp", "sp1+sp_w")] + [
+                (name, 1, 2, 1) for name in
+                ("sp", "sp_w", "sp1", "sp1+sp", "sp1+sp_w")]
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace, act,
 from berger_lab.exactlin import RealMatrix, canonical_rows, span_of
 from berger_lab.harness import _bianchi_residual_is_zero
 from berger_lab.liealg import LieAlgebra, algebra_by_name
-from conftest import tier2
+from conftest import SPARSE_CASES, synthetic_element, tier2
 
 
 def kernel(session, name, r, s, t):
@@ -160,14 +160,15 @@ def test_flipped_wedge_convention_violates_bianchi(space111):
     # conformance pin: with (X ^ Y)Z = eta(X,Z)Y - eta(Y,Z)X the model
     # tensor stops satisfying the first Bianchi identity
     n = space111.real_dim
+    eta = curv._signed_permutation(space111.eta)
 
     def flipped_value(a, b):
         base = curv.r0_value_matrix(space111, a, b)
         ea, eb = {a: Fraction(1)}, {b: Fraction(1)}
-        wedges = RealMatrix.from_sparse(n, n, curv._wedge_matrix(space111, ea, eb))
+        wedges = RealMatrix.from_sparse(n, n, curv._wedge_matrix(n, eta, ea, eb))
         for ialpha in space111.I:
             wedges = wedges + RealMatrix.from_sparse(n, n, curv._wedge_matrix(
-                space111, ialpha.apply(ea), ialpha.apply(eb)))
+                n, eta, ialpha.apply(ea), ialpha.apply(eb)))
         # base - 2 * (1/4 wedges) flips the sign of the wedge part
         return base - wedges.scaled(Fraction(1, 2))
 
@@ -445,22 +446,6 @@ def ref_over(el, values, target):
     return {ib * target.dim + k: c
             for ib, pair in enumerate(bivector_pairs(el.space.real_dim))
             for k, c in target.coordinates_of(values[pair]).items()}
-
-
-def synthetic_element(space, algebra):
-    """A fixed element with scattered coefficients, in general not a
-    curvature tensor (see the pair-symmetry test below)."""
-    return CurvatureElement(space, algebra, {
-        ib * algebra.dim + k: Fraction((5 * ib + 3 * k) % 7 - 3, 1 + (ib + k) % 2)
-        for ib in range(len(bivector_pairs(space.real_dim)))
-        for k in range(algebra.dim)
-        if (ib + 2 * k) % 9 == 0 and (5 * ib + 3 * k) % 7 != 3})
-
-
-SPARSE_CASES = [(name, 1, 1, 1) for name in
-                ("sp", "sp_w", "sp1", "glq", "h0", "sp1+sp", "sp1+sp_w")] + [
-                (name, 1, 2, 1) for name in
-                ("sp", "sp_w", "sp1", "sp1+sp", "sp1+sp_w")]
 
 
 @pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)

@@ -35,7 +35,7 @@ def test_full_gl_first_prolongation_dim(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_full_gl_second_prolongation_dim(n):
     expected = n * n * (n + 1) * (n + 2) // 6  # dim S^3 V* (x) V
-    assert second_prolongation(full_gl(n)).dim == expected
+    assert second_prolongation(first_prolongation(full_gl(n))).dim == expected
 
 
 def test_first_prolongation_elements_are_symmetric():
@@ -116,7 +116,16 @@ def test_restrict_action_rejects_non_invariant_subspace():
 
 def test_empty_action():
     assert first_prolongation([]).dim == 0
-    assert second_prolongation([]).dim == 0
+    assert second_prolongation(first_prolongation([])).dim == 0
+
+
+def test_second_prolongation_takes_a_first_prolongation():
+    first = first_prolongation(full_gl(2))
+    second = second_prolongation(first, label="gl(2,R)")
+    assert (second.order, second.label) == (2, "gl(2,R)")
+    assert (second.acting_dim, second.action_dim) == (2, first.dim)
+    with pytest.raises(ValueError, match="expected a first prolongation"):
+        second_prolongation(second)
 
 
 def test_prolongation_json():

@@ -269,7 +269,9 @@ def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1_vec):
     and every basis tensor are read over that one algebra, through one
     table of W-blocks.  Reducing against the canonical `sub_embedded` kills
     the sp(r,r)_W part, so a tensor decomposes iff its remainder is c times
-    R1's remainder."""
+    R1's remainder.  With c = b/a, a and b the two remainders at R1's
+    leading key, every comparison is made by cross-multiplication, so no
+    quotient is formed."""
     r1_rest = sub_embedded.reduce_vector(r1_vec)
     if not r1_rest:
         return False, {"reason": "R1 lies in the curvature space of sp(r,r)_W"}
@@ -283,13 +285,16 @@ def _restriction_multiple_check(space, parabolic_full, sub_embedded, r1_vec):
     checked = 0
     for index, el in enumerate(parabolic_full.basis):
         rest = sub_embedded.reduce_vector(el.sparse_vector())
-        c = rest.get(lead, 0) / r1_rest[lead]
-        if any(rest.get(k, 0) != c * r1_rest.get(k, 0)
+        a, b = r1_rest[lead], rest.get(lead, 0)
+        if any(a * rest.get(k, 0) != b * r1_rest.get(k, 0)
                for k in rest.keys() | r1_rest.keys()):
             return False, {"reason": "split decomposition failed"}
         for (p, q), expected in zip(pairs, r1_values):
-            scaled = {pos: c * v for pos, v in expected.items()} if c else {}
-            if _w_block_value(el, blocks, p, q) != scaled:
+            # expected holds nonzeros only, so c * expected has its keys
+            # when c != 0 and is empty when c == 0
+            got = _w_block_value(el, blocks, p, q)
+            if (got.keys() != (expected.keys() if b else set())
+                    or any(a * v != b * expected[pos] for pos, v in got.items())):
                 return False, {"element": index, "pair": (p, q)}
         checked += 1
     return True, {"elements_checked": checked}

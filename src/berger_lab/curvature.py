@@ -23,12 +23,14 @@ coefficient subspace.  The JSON form stays dense: one string per
 Integer inner loops: R0, Ricci, the scalar, pair symmetry and the
 Bianchi residual multiply and add Python ints only.  eta and the I_alpha
 are read as signed permutations (`_signed_permutation`, which raises on
-anything else; there is no Fraction fallback), the basis columns come from `_columns` times one lcm per
-algebra, and a tensor's rows from `_integer_rows` times one lcm per
-element.  Values become Fractions only where they leave a function: R0 is
-built as 4 R0 and divided by 4 on its way to `coordinates_of`, `ricci`
-and `scalar` divide by the product of the two factors, and the residual
-and symmetry checks, which are homogeneous, need no division at all.
+anything else; there is no fallback), the basis columns come from
+`_columns` times one lcm per algebra, and a tensor's rows from
+`_integer_rows` times one lcm per element.  A value is divided only where
+it leaves a function, by `exactlin.ratio`, so it stays an int when the
+division is exact: R0 is built as 4 R0 and divided by 4 on its way to
+`coordinates_of`, `ricci` and `scalar` divide by the product of the two
+factors, and the residual and symmetry checks, which are homogeneous,
+need no division at all.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from math import lcm
 from types import MappingProxyType
 
 from .exactlin import (RealMatrix, Subspace, integer_row, rat_from_str,
-                       rat_to_str, span_of, sparse_nullspace)
+                       rat_to_str, ratio, span_of, sparse_nullspace)
 from .liealg import LieAlgebra, build_h0, build_sp, build_sp1, direct_sum
 from .quatspace import QuaternionicSpace
 
@@ -389,7 +391,7 @@ def _r0_values(space: QuaternionicSpace, pairs):
                     out[d * n + col] = out.get(d * n + col, 0) + coef * v
             for pos, v in _wedge_matrix(n, eta, {da: va}, {db: vb}).items():
                 out[pos] = out.get(pos, 0) + v
-        yield RealMatrix.from_sparse(n, n, {pos: Fraction(v, 4)
+        yield RealMatrix.from_sparse(n, n, {pos: ratio(v, 4)
                                             for pos, v in out.items() if v})
 
 
@@ -458,11 +460,11 @@ def ricci(element: CurvatureElement) -> RealMatrix:
     """Ric(Y, Z) = trace(X -> R(X, Y) Z)."""
     n = element.space.real_dim
     den, ric = _integer_ricci(element)
-    return RealMatrix.from_sparse(n, n, {pos: Fraction(v, den)
+    return RealMatrix.from_sparse(n, n, {pos: ratio(v, den)
                                          for pos, v in ric.items() if v})
 
 
-def scalar(element: CurvatureElement) -> Fraction:
+def scalar(element: CurvatureElement) -> int | Fraction:
     """Trace of the Ricci tensor raised by the inverse metric.
 
     In the Witt basis eta is a signed permutation matrix with eta*eta = 1,
@@ -472,7 +474,7 @@ def scalar(element: CurvatureElement) -> Fraction:
     # eta[b, c] = e for each column c
     total = sum(e * ric.get(c * n + b, 0)
                 for c, (b, e) in _signed_permutation(element.space.eta).items())
-    return Fraction(total, den)
+    return ratio(total, den)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +658,7 @@ def _embedding(algebra: LieAlgebra, target: LieAlgebra) -> list[dict]:
 
 
 def _over(element: CurvatureElement, mapped: list[dict], dim_t: int) -> dict:
-    out: dict[int, Fraction] = {}
+    out: dict = {}
     for ib, row in enumerate(element.rows):
         base = ib * dim_t
         for k, c in row.items():

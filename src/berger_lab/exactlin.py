@@ -1,8 +1,18 @@
 """Exact rational linear algebra.
 
-All scalars are arbitrary-precision `fractions.Fraction`; every result is
-exact.  Everything is sparse: a matrix (`RealMatrix`) stores its nonzero
-entries only, and a vector is a {index: Fraction} mapping of its nonzeros.
+Every scalar is exact and has one normal form: a Python `int` when it is
+integral, a `fractions.Fraction` (denominator > 1) otherwise.  `exact` and
+`ratio` are the only normalisers.  Values are normalised where they are
+created or stored: every `RealMatrix` entry, every canonical row and kernel
+row, every remainder `Subspace.reduce_vector` returns and every value
+`rat_from_str` parses.  A loop keeps the values it accumulates as
+computed, so int * int stays int.  Python gives `Fraction(2) == 2`,
+`hash(Fraction(2)) == hash(2)` and `str(Fraction(2)) == "2"`, so no
+equality, hash or serialized form depends on the type.  Nothing here uses
+true division, which turns two ints into a float.
+
+Everything is sparse: a matrix (`RealMatrix`) stores its nonzero entries
+only, and a vector is a {index: value} mapping of its nonzeros.
 `RealMatrix.apply` is the one matrix-vector product.  Elimination is
 deterministic, so echelon forms are unique and subspace bases are
 canonical: two subspaces are equal iff their stored rows are equal.
@@ -54,6 +64,8 @@ from typing import Iterable, Sequence
 __all__ = [
     "RealMatrix",
     "Subspace",
+    "exact",
+    "ratio",
     "rat_from_str",
     "rat_to_str",
     "span_of",
@@ -64,35 +76,53 @@ __all__ = [
 ]
 
 
-def rat_to_str(x: Fraction) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
+def exact(x) -> int | Fraction:
+    """The rational `x` in normal form: an int when it is integral, else a
+    Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def ratio(a: int, b: int) -> int | Fraction:
+    """The exact quotient a/b of two ints, in normal form."""
+    q, rem = divmod(a, b)
+    return Fraction(a, b) if rem else q
+
+
+def rat_to_str(x: int | Fraction) -> str:
+    """Serialize as "p/q", or "p" when the value is integral."""
     return str(x)
 
 
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
+def rat_from_str(s: str) -> int | Fraction:
+    """Parse exactly the spellings `Fraction(s)` accepts, in normal form.
+    An ASCII digit string, with an optional leading "-", goes straight to
+    int."""
+    digits = s[1:] if s[:1] == "-" else s
+    if digits.isascii() and digits.isdigit():
+        return int(s)
+    return exact(Fraction(s))
 
 
 # ---------------------------------------------------------------------------
 # sparse matrices
 # ---------------------------------------------------------------------------
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 class RealMatrix:
-    """Immutable sparse matrix of Fractions.
+    """Immutable sparse matrix of exact rationals.
 
     `nz` is a read-only mapping {row * cols + col: value} of the nonzero
-    entries, every value a nonzero Fraction.  Only the dense constructor and
-    `from_rows` coerce entries; results of arithmetic are stored as computed.
+    entries, each in normal form: every constructor, `from_sparse` and so
+    every arithmetic result included, stores its entries through `exact`.
     """
 
     __slots__ = ("rows", "cols", "nz")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        ent = [Fraction(e) for e in entries]
+        ent = list(entries)
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
         self._init(rows, cols, dict(enumerate(ent)))
@@ -100,16 +130,16 @@ class RealMatrix:
     def _init(self, rows: int, cols: int, nz: Mapping) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "nz",
-                           MappingProxyType({k: v for k, v in nz.items() if v}))
+        object.__setattr__(self, "nz", MappingProxyType(
+            {k: exact(v) for k, v in nz.items() if v}))
 
     def __setattr__(self, name, value):
         raise AttributeError("RealMatrix is immutable")
 
     @classmethod
     def from_sparse(cls, rows: int, cols: int, nz: Mapping) -> "RealMatrix":
-        """The matrix with entries `nz` ({row * cols + col: Fraction}), which
-        is copied without its zero values."""
+        """The matrix with entries `nz` ({row * cols + col: value}), which
+        is copied in normal form without its zero values."""
         out = cls.__new__(cls)
         out._init(rows, cols, nz)
         return out
@@ -127,11 +157,11 @@ class RealMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RealMatrix":
-        return cls.from_sparse(n, n, {i * n + i: _ONE for i in range(n)})
+        return cls.from_sparse(n, n, {i * n + i: 1 for i in range(n)})
 
-    def __getitem__(self, ij) -> Fraction:
+    def __getitem__(self, ij) -> int | Fraction:
         i, j = ij
-        return self.nz.get(i * self.cols + j, _ZERO)
+        return self.nz.get(i * self.cols + j, 0)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RealMatrix) and self.rows == other.rows
@@ -163,7 +193,7 @@ class RealMatrix:
         return self.scaled(other)
 
     def scaled(self, c) -> "RealMatrix":
-        c = Fraction(c)
+        c = exact(c)
         return RealMatrix.from_sparse(self.rows, self.cols,
                                       {k: c * v for k, v in self.nz.items()})
 
@@ -176,7 +206,7 @@ class RealMatrix:
         for pos, w in other.nz.items():
             t, j = divmod(pos, m)
             b_rows.setdefault(t, []).append((j, w))
-        out: dict[int, Fraction] = {}
+        out: dict = {}
         for pos, v in self.nz.items():
             i, t = divmod(pos, k)
             base = i * m
@@ -189,7 +219,7 @@ class RealMatrix:
         nonzero entries {i: value} of the image."""
         if vec and max(vec) >= self.cols:
             raise ValueError("vector exceeds the column count")
-        out: dict[int, Fraction] = {}
+        out: dict = {}
         for k, e in self.nz.items():
             i, j = divmod(k, self.cols)
             v = vec.get(j)
@@ -334,7 +364,8 @@ class Echelon:
                         _normalize_row(r)
 
     def insert_fraction_row(self, row: dict) -> int | None:
-        """Insert a row of Fractions (cleared to a primitive integer row)."""
+        """Insert a row of exact rationals (cleared to a primitive integer
+        row)."""
         return self.insert(integer_row(row))
 
     @property
@@ -360,7 +391,8 @@ class Echelon:
                 self.units.add(c)
 
     def canonical_rows(self) -> list[dict]:
-        """Leading-1 RREF rows (Fractions), sorted by pivot column.
+        """Leading-1 RREF rows (exact rationals in normal form), sorted by
+        pivot column.
 
         Each row's 1 sits at its largest column.  Call only after
         `full_reduce`.
@@ -369,7 +401,7 @@ class Echelon:
         for c in sorted(self.pivots):
             r = self.pivots[c]
             pv = r[c]
-            out.append({k: Fraction(v, pv) for k, v in sorted(r.items())})
+            out.append({k: ratio(v, pv) for k, v in sorted(r.items())})
         return out
 
 
@@ -391,12 +423,12 @@ def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list[dict]:
         ech.insert(dict(row))
     ech.full_reduce()
     piv = ech.pivots
-    basis = {j: {j: _ONE} for j in range(ncols) if j not in piv}
+    basis = {j: {j: 1} for j in range(ncols) if j not in piv}
     for c, r in piv.items():
         pv = r[c]
         for k, v in r.items():
             if k != c:
-                basis[k][c] = Fraction(-v, pv)
+                basis[k][c] = ratio(-v, pv)
     return [dict(sorted(b.items())) for b in basis.values()]
 
 
@@ -464,8 +496,9 @@ class Subspace:
 
     def reduce_vector(self, vec: Mapping) -> dict:
         """Remainder of the sparse vector `vec` after reduction against the
-        basis: nonzero entries only, none at a pivot column."""
-        v = {k: Fraction(x) for k, x in vec.items() if x}
+        basis: nonzero entries only, none at a pivot column, each in normal
+        form."""
+        v = {k: x for k, x in vec.items() if x}
         piv = self._pivots
         # each basis row is zero at every other pivot, so clearing one pivot
         # leaves the others alone and the order does not matter
@@ -477,7 +510,7 @@ class Subspace:
                     v[k] = nv
                 else:
                     del v[k]
-        return v
+        return {k: exact(x) for k, x in v.items()}
 
     def contains_vector(self, vec: Mapping) -> bool:
         return not self.reduce_vector(vec)
@@ -530,7 +563,7 @@ def symmetric_signature(m: RealMatrix) -> tuple[int, int]:
             neg += 1
         for j in range(i + 1, n):
             if a[j][i] != 0:
-                f = a[j][i] / pv
+                f = Fraction(a[j][i], pv)
                 for c in range(n):
                     a[j][c] -= f * a[i][c]
                 for r in range(n):

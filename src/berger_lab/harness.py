@@ -18,7 +18,6 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, prolong
@@ -344,7 +343,7 @@ def check_r0(session: Session, tier: int) -> CheckResult:
         symmetric = curv.pair_symmetry_holds(r0)
         scal = curv.scalar(r0)
         m = r + s
-        expected = Fraction(4 * m * (m + 2))
+        expected = 4 * m * (m + 2)
         details[f"({r},{s},{t})"] = {
             "bianchi_residual_zero": residual_zero,
             "pair_symmetric": symmetric,

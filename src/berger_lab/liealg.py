@@ -17,8 +17,6 @@ Algebra equality means equality of matrix spans, not basis lists.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactlin import (RealMatrix, Subspace, integer_row, span_of,
                        sparse_nullspace)
 from .quatspace import Quaternion, QuaternionicSpace, realify
@@ -149,7 +147,7 @@ def _a_family(space):
         for j in range(i + 1, n0):
             for c in _COMPONENTS:
                 yield {(e(i), e(j)): c,
-                       (e(j), e(i)): -Fraction(eps[i] * eps[j]) * c.conjugate()}
+                       (e(j), e(i)): -eps[i] * eps[j] * c.conjugate()}
 
 
 def _x_family(space):
@@ -160,7 +158,7 @@ def _x_family(space):
         for j in range(space.t):
             for c in _COMPONENTS:
                 yield {(e(i), q(j)): c,
-                       (p(j), e(i)): -Fraction(eps[i]) * c.conjugate()}
+                       (p(j), e(i)): -eps[i] * c.conjugate()}
 
 
 def _y_family(space):
@@ -170,7 +168,7 @@ def _y_family(space):
         for j in range(space.t):
             for c in _COMPONENTS:
                 yield {(e(i), p(j)): c,
-                       (q(j), e(i)): -Fraction(eps[i]) * c.conjugate()}
+                       (q(j), e(i)): -eps[i] * c.conjugate()}
 
 
 def build_sp(space: QuaternionicSpace) -> LieAlgebra:
@@ -268,7 +266,7 @@ def stabilizer_of_subspace(g: LieAlgebra, v: Subspace) -> Subspace:
     kernel = sparse_nullspace(rows, g.dim)
     mats = []
     for vec in kernel:
-        m: dict[int, Fraction] = {}
+        m: dict = {}
         for k, coef in vec.items():
             for pos, x in g.basis[k].nz.items():
                 m[pos] = m.get(pos, 0) + coef * x

@@ -14,7 +14,6 @@ systems.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 from .exactlin import (Echelon, RealMatrix, Subspace, integer_row,
@@ -98,10 +97,10 @@ def first_prolongation(action: Sequence[RealMatrix], label: str = "") -> Prolong
                     for k, mat in enumerate(action):
                         cy = mat[d, y]
                         if cy:
-                            row[x * dg + k] = row.get(x * dg + k, Fraction(0)) + cy
+                            row[x * dg + k] = row.get(x * dg + k, 0) + cy
                         cx = mat[d, x]
                         if cx:
-                            row[y * dg + k] = row.get(y * dg + k, Fraction(0)) - cx
+                            row[y * dg + k] = row.get(y * dg + k, 0) - cx
                     if row:
                         yield row
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import RealMatrix, Subspace, span_of
+from .exactlin import RealMatrix, Subspace, exact, span_of
 
 __all__ = [
     "Quaternion",
@@ -32,16 +32,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Quaternion:
-    """Quaternion with rational coefficients of 1, i, j, k."""
+    """Quaternion with rational coefficients of 1, i, j, k, each kept in
+    the exact normal form of `exactlin.exact` (an int when integral)."""
 
-    w: Fraction = Fraction(0)
-    x: Fraction = Fraction(0)
-    y: Fraction = Fraction(0)
-    z: Fraction = Fraction(0)
+    w: int | Fraction = 0
+    x: int | Fraction = 0
+    y: int | Fraction = 0
+    z: int | Fraction = 0
 
     def __post_init__(self):
         for f in ("w", "x", "y", "z"):
-            object.__setattr__(self, f, Fraction(getattr(self, f)))
+            object.__setattr__(self, f, exact(getattr(self, f)))
 
     @classmethod
     def one(cls) -> "Quaternion":
@@ -70,7 +71,7 @@ class Quaternion:
 
     def __mul__(self, o):
         if not isinstance(o, Quaternion):
-            c = Fraction(o)
+            c = exact(o)
             return Quaternion(self.w * c, self.x * c, self.y * c, self.z * c)
         a, b = self, o
         return Quaternion(
@@ -81,7 +82,7 @@ class Quaternion:
         )
 
     def __rmul__(self, o):
-        c = Fraction(o)
+        c = exact(o)
         return Quaternion(self.w * c, self.x * c, self.y * c, self.z * c)
 
     def conjugate(self) -> "Quaternion":
@@ -164,7 +165,7 @@ class QuaternionicSpace:
             gram[(t + i, t + i)] = -1 if i < r0 else 1
 
         n = 4 * m
-        eta = {(4 * i + a) * n + 4 * j + a: Fraction(g)
+        eta = {(4 * i + a) * n + 4 * j + a: g
                for (i, j), g in gram.items() for a in range(4)}
         object.__setattr__(self, "eta", RealMatrix.from_sparse(n, n, eta))
 
@@ -202,7 +203,7 @@ class QuaternionicSpace:
     def isotropic_subspace_W(self) -> Subspace:
         if self.t == 0:
             raise ValueError("W requires t >= 1")
-        return span_of([{i: Fraction(1)} for i in self.w_indices()], self.real_dim)
+        return span_of([{i: 1} for i in self.w_indices()], self.real_dim)
 
 
 def build_space(r: int, s: int, t: int) -> QuaternionicSpace:

@@ -14,6 +14,12 @@ tier2 = pytest.mark.skipif(
     not TIER2, reason="tier-2 configurations, (2,2,2) and larger; set BERGER_LAB_TIER2=1")
 
 
+def is_normal(v):
+    """`v` is an exact scalar in normal form: an int, or a Fraction that is
+    not integral.  Rejects floats and integral Fractions alike."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
 def row_dicts(m):
     """The rows of `m` as {column: value} dicts of its nonzeros."""
     rows = [{} for _ in range(m.rows)]

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from berger_lab.exactlin import (Echelon, RealMatrix, Subspace,
-                                 canonical_rows, rat_from_str, rat_to_str,
-                                 span_of, sparse_nullspace,
-                                 symmetric_signature)
-from conftest import nullspace, row_dicts
+                                 canonical_rows, exact, rat_from_str,
+                                 rat_to_str, ratio, span_of,
+                                 sparse_nullspace, symmetric_signature)
+from conftest import is_normal, nullspace, row_dicts
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -155,7 +155,7 @@ def test_sparse_nullspace_is_the_canonical_kernel(system):
     assert kernel == textbook_kernel(rows, ncols)
     for vec in kernel:
         assert list(vec) == sorted(vec)
-        assert all(type(v) is Fraction for v in vec.values())
+        assert all(is_normal(v) for v in vec.values())
         for row in rows:
             assert sum(x * vec.get(k, 0) for k, x in row.items()) == 0
 
@@ -293,7 +293,7 @@ def test_reduce_vector_contract(system, data):
                   if ncols else st.just({}))
     rest = sub.reduce_vector(v)
     assert not rest.keys() & set(sub.pivot_columns())
-    assert all(type(x) is Fraction and x for x in rest.values())
+    assert all(is_normal(x) and x for x in rest.values())
     # v - rest lies in the span: adding it to the rows keeps the rank
     diff = {k: v.get(k, 0) - rest.get(k, 0) for k in v.keys() | rest.keys()}
     assert len(canonical_rows(rows + [diff])) == sub.dim
@@ -323,6 +323,57 @@ def test_matrix_json_round_trip():
     assert strings == [["1/2", "3"], ["-4", "0"]]
     assert RealMatrix.from_rows([[rat_from_str(x) for x in row]
                                  for row in strings]) == m
+
+
+@pytest.mark.parametrize("text,value", [
+    ("2/2", 1), ("0/7", 0), ("-3/4", Fraction(-3, 4)), ("-12", -12),
+    ("007", 7), ("-0", 0),
+])
+def test_rat_from_str_returns_the_normal_form(text, value):
+    x = rat_from_str(text)
+    assert x == value and is_normal(x)
+
+
+def test_rat_from_str_rejects_a_superscript_digit():
+    # "²".isdigit() holds, but it is no spelling of a rational
+    with pytest.raises(ValueError):
+        rat_from_str("²")
+
+
+@given(st.text(alphabet="0123456789-+/._e ²١", max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_rat_from_str_accepts_exactly_what_fraction_accepts(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            rat_from_str(text)
+    else:
+        x = rat_from_str(text)
+        assert x == expected and is_normal(x)
+
+
+@pytest.mark.parametrize("a,b,value", [
+    (6, 3, 2), (-6, 3, -2), (0, 5, 0), (3, 4, Fraction(3, 4)),
+    (3, -4, Fraction(-3, 4)), (-8, -4, 2),
+])
+def test_ratio_is_the_exact_quotient_in_normal_form(a, b, value):
+    x = ratio(a, b)
+    assert x == value and is_normal(x)
+
+
+def test_ratio_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        ratio(1, 0)
+
+
+@pytest.mark.parametrize("x,value", [
+    (3, 3), (Fraction(4, 2), 2), (Fraction(-1, 2), Fraction(-1, 2)),
+    (True, 1), (0.5, Fraction(1, 2)), ("6/4", Fraction(3, 2)),
+])
+def test_exact_gives_the_normal_form(x, value):
+    y = exact(x)
+    assert y == value and is_normal(y)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +438,7 @@ def ref_transpose(a):
 def matches(m, ref):
     """`m` has the shape and the nonzero entries of `ref`, and stores
     nothing but nonzero Fractions."""
-    assert all(type(v) is Fraction and v != 0 for v in m.nz.values())
+    assert all(is_normal(v) and v != 0 for v in m.nz.values())
     return (m.rows, m.cols) == (len(ref), len(ref[0])) and \
         dict(m.nz) == ref_sparse(ref)
 

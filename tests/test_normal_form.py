@@ -1,0 +1,59 @@
+"""Every exact scalar is in one normal form: an int when it is integral, a
+Fraction otherwise, and no module computes with floats."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import berger_lab
+from berger_lab.curvature import ricci, scalar
+from berger_lab.harness import cache_get, cache_put
+from berger_lab.prolong import first_prolongation_of, second_prolongation
+from conftest import SPARSE_CASES, is_normal
+
+# the modules that compute with exact scalars; harness is left out, its `/`
+# joins Paths
+EXACT_MODULES = ("exactlin", "quatspace", "liealg", "curvature", "prolong",
+                 "berger")
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_no_true_division(module):
+    # int / int is a float: an exact module divides with exactlin.ratio,
+    # Fraction(a, b) or a cross-multiplication
+    path = Path(berger_lab.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    divisions = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.Div)]
+    assert divisions == []
+
+
+# the registry algebras that preserve the isotropic part W
+PRESERVE_W = ("sp_w", "sp1", "glq", "h0", "sp1+sp_w")
+
+
+@pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)
+def test_every_exact_value_is_in_normal_form(session, tmp_path, name, r, s, t):
+    space = session.space(r, s, t)
+    algebra = session.algebra(name, r, s, t)
+    curvature = session.curvature(name, r, s, t)
+    cache_put(tmp_path, space, name, curvature)
+    loaded = cache_get(tmp_path, space, name, algebra)
+    assert loaded is not None and loaded.dim == curvature.dim
+    r0 = session.r0(r, s, t)
+    elements = [*curvature.basis, *loaded.basis, r0]
+
+    matrices = [*algebra.basis, space.eta, *space.I,
+                *(ricci(el) for el in elements)]
+    vectors = [*algebra._augmented().sparse_rows(),
+               *curvature.coefficient_subspace().sparse_rows(),
+               *(el.sparse_vector() for el in elements)]
+    if name in PRESERVE_W:
+        first = first_prolongation_of(algebra, space.isotropic_subspace_W())
+        vectors += [*first.basis, *second_prolongation(first).basis]
+    values = [v for m in matrices for v in m.nz.values()]
+    values += [v for vec in vectors for v in vec.values()]
+    values += [scalar(el) for el in elements]
+    assert values and all(is_normal(v) for v in values)

@@ -7,7 +7,7 @@ from berger_lab.liealg import build_glq, build_h0, build_sp
 from berger_lab.prolong import (first_prolongation, first_prolongation_of,
                                 restrict_action, second_prolongation)
 from berger_lab.quatspace import build_space
-from conftest import second_prolongation_of
+from conftest import is_normal, second_prolongation_of
 
 
 def full_gl(n):
@@ -134,4 +134,4 @@ def test_prolongation_json():
     assert result.dim == 6 and result.order == 1
     assert (result.label, result.acting_dim, result.action_dim) == ("gl(2,R)", 2, 4)
     assert len(result.basis) == 6
-    assert all(type(v) is Fraction for vec in result.basis for v in vec.values())
+    assert all(is_normal(v) for vec in result.basis for v in vec.values())

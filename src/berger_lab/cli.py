@@ -7,8 +7,9 @@
 Commands: dim, curvature-space, prolongation, berger, verify-paper.
 Exit codes: 0 success / all checks passed, 1 a check failed or a
 computation was impossible, 2 usage error (including unknown algebra
-names).  Output is deterministic for a fixed configuration and tool
-version; timing data is opt-in via --timings.
+names and an --out path that cannot be written).  Output is
+deterministic for a fixed configuration and tool version; timing data is
+opt-in via --timings.
 """
 
 from __future__ import annotations
@@ -98,9 +99,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(text: str, out_path) -> None:
+    """Print `text`, or write it to `out_path`; a path that cannot be
+    written is a usage error (exit 2), not a failed check (exit 1)."""
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out: {exc}") from exc
     else:
         print(text)
 
@@ -169,9 +175,8 @@ def cmd_prolongation(config: RunConfig) -> int:
 
 def cmd_berger(config: RunConfig) -> int:
     session = Session(cache_dir=config.cache_dir)
-    alg = session.algebra(config.algebra, config.r, config.s, config.t)
-    curvature = session.curvature(config.algebra, config.r, config.s, config.t)
-    report = berger_report(alg, curvature)
+    report = berger_report(
+        session.curvature(config.algebra, config.r, config.s, config.t))
     if config.fmt == "json":
         _emit(json.dumps(report.to_json(), sort_keys=True, indent=2),
               config.out)

@@ -20,6 +20,13 @@ coefficient equal to 1; `bianchi_kernel` keeps those rows as the space's
 coefficient subspace.  The JSON form stays dense: one string per
 (bivector, basis element).
 
+Every tensor and every space of tensors reads its quaternionic space from
+its algebra (`algebra.space`), so no tensor can live on a space other than
+its algebra's, and no call takes a space that its algebra already fixes.
+A value R(X, Y) is never formed as a matrix: `restrict_check_degenerate`
+reads R(p, X) = 0 as an empty stored row, exact because the algebra basis
+is independent, and R(X, Y)p as one column through `_columns`.
+
 Integer inner loops: R0, Ricci, the scalar, pair symmetry and the
 Bianchi residual multiply and add Python ints only.  eta and the I_alpha
 are read as signed permutations (`_signed_permutation`, which raises on
@@ -43,7 +50,7 @@ from types import MappingProxyType
 
 from .exactlin import (RealMatrix, Subspace, integer_row, rat_from_str,
                        rat_to_str, ratio, span_of, sparse_nullspace)
-from .liealg import LieAlgebra, build_h0, build_sp, build_sp1, direct_sum
+from .liealg import LieAlgebra
 from .quatspace import QuaternionicSpace
 
 __all__ = [
@@ -51,6 +58,7 @@ __all__ = [
     "CurvatureSpace",
     "DegenerateReport",
     "bianchi_kernel",
+    "bianchi_residual_is_zero",
     "build_r0",
     "build_r1",
     "ricci",
@@ -75,9 +83,10 @@ _EMPTY_ROW = MappingProxyType({})
 
 
 class CurvatureElement:
-    """A curvature tensor with values in a fixed algebra, built from its
-    flat coefficient vector {ib * dim g + k: coefficient}; a key outside
-    [0, nbiv * dim g) raises ValueError.
+    """A curvature tensor with values in `algebra`, on `algebra.space`,
+    built from its flat coefficient vector {ib * dim g + k: coefficient}; a
+    key outside [0, nbiv * dim g) raises ValueError.  `space` is kept as
+    a slot, set from the algebra, for the hot `row_of` reads.
 
     `rows[ib]` is {k: coefficient of algebra basis element k in R(e_a, e_b)}
     for the ib-th bivector (a, b), nonzero coefficients only, keys
@@ -87,8 +96,8 @@ class CurvatureElement:
 
     __slots__ = ("space", "algebra", "rows")
 
-    def __init__(self, space: QuaternionicSpace, algebra: LieAlgebra,
-                 vec: Mapping):
+    def __init__(self, algebra: LieAlgebra, vec: Mapping):
+        space = algebra.space
         dimg = algebra.dim
         nbiv = _bivector_count(space.real_dim)
         keys = sorted(vec)
@@ -138,33 +147,6 @@ class CurvatureElement:
     def __repr__(self):
         return f"CurvatureElement(algebra={self.algebra.name!r})"
 
-    def value(self, a: int, b: int) -> RealMatrix:
-        """R(e_a, e_b) as a matrix (antisymmetric in a, b)."""
-        n = self.space.real_dim
-        out = {}
-        row, sign = self.row_of(a, b)
-        basis = self.algebra.basis
-        for k, c in row.items():
-            c = sign * c
-            for pos, v in basis[k].nz.items():
-                out[pos] = out.get(pos, 0) + c * v
-        return RealMatrix.from_sparse(n, n, out)
-
-    def value_column(self, a: int, b: int, col: int) -> dict:
-        """Column `col` of R(e_a, e_b) as {row: value}, nonzeros only,
-        cheaper than the full matrix."""
-        n = self.space.real_dim
-        out = {}
-        row, sign = self.row_of(a, b)
-        basis = self.algebra.basis
-        for k, c in row.items():
-            c = sign * c
-            for pos, v in basis[k].nz.items():
-                d, j = divmod(pos, n)
-                if j == col:
-                    out[d] = out.get(d, 0) + c * v
-        return {d: v for d, v in out.items() if v}
-
     def to_json(self) -> list:
         dimg = self.algebra.dim
         return [[rat_to_str(row[k]) if k in row else "0" for k in range(dimg)]
@@ -181,7 +163,8 @@ def _biv_index(n: int, a: int, b: int) -> int:
 
 
 class CurvatureSpace:
-    """Basis of the kernel of the first-Bianchi map into a given algebra.
+    """Basis of the kernel of the first-Bianchi map into `algebra`, on
+    `algebra.space`; every basis tensor is over that same algebra.
 
     The basis's span in the flat coefficient space is kept from
     `bianchi_kernel`, whose basis rows are already canonical, or else
@@ -189,8 +172,8 @@ class CurvatureSpace:
 
     __slots__ = ("space", "algebra", "basis", "dim", "_subspace", "_over")
 
-    def __init__(self, space, algebra, basis):
-        object.__setattr__(self, "space", space)
+    def __init__(self, algebra: LieAlgebra, basis):
+        object.__setattr__(self, "space", algebra.space)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "dim", len(self.basis))
@@ -201,10 +184,8 @@ class CurvatureSpace:
     def _from_canonical_rows(cls, algebra, rows) -> "CurvatureSpace":
         """The space spanned by canonical RREF coefficient rows, which are
         kept as its coefficient subspace."""
-        space = algebra.space
-        out = cls(space, algebra,
-                  [CurvatureElement(space, algebra, r) for r in rows])
-        ambient = _bivector_count(space.real_dim) * algebra.dim
+        out = cls(algebra, [CurvatureElement(algebra, r) for r in rows])
+        ambient = _bivector_count(algebra.space.real_dim) * algebra.dim
         object.__setattr__(out, "_subspace", Subspace(ambient, rows))
         return out
 
@@ -242,11 +223,11 @@ class CurvatureSpace:
         }
 
     @classmethod
-    def from_json(cls, space, algebra, data: dict) -> "CurvatureSpace":
-        """The space of a dense JSON basis, one row of dim g strings per
-        bivector; only the non-"0" strings are parsed."""
+    def from_json(cls, algebra: LieAlgebra, data: dict) -> "CurvatureSpace":
+        """The space over `algebra` of a dense JSON basis, one row of dim g
+        strings per bivector; only the non-"0" strings are parsed."""
         dimg = algebra.dim
-        nbiv = _bivector_count(space.real_dim)
+        nbiv = _bivector_count(algebra.space.real_dim)
         basis = []
         for el in data["basis"]:
             if len(el) != nbiv:
@@ -258,8 +239,8 @@ class CurvatureSpace:
                         f"expected {dimg} coefficients per row, got {len(row)}")
                 vec.update((ib * dimg + k, rat_from_str(v))
                            for k, v in enumerate(row) if v != "0")
-            basis.append(CurvatureElement(space, algebra, vec))
-        return cls(space, algebra, basis)
+            basis.append(CurvatureElement(algebra, vec))
+        return cls(algebra, basis)
 
 
 def _columns(algebra: LieAlgebra) -> tuple[int, list[list]]:
@@ -305,7 +286,7 @@ def _signed_permutation(m: RealMatrix) -> dict[int, tuple[int, int]]:
 
 def _add_column(out: dict, f: int, row: Mapping, col: list) -> None:
     """out[d] += f * (sum_k row[k] B_k)[d, c] for col = cols[c] of
-    `_columns`, over ints."""
+    `_columns`, over ints when the row is integral."""
     for k, entries in col:
         c = row.get(k)
         if c:
@@ -348,6 +329,27 @@ def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
         algebra, sparse_nullspace(_bianchi_rows(algebra), ncols))
 
 
+def bianchi_residual_is_zero(element) -> bool:
+    """R(a,b)e_c + R(b,c)e_a + R(c,a)e_b = 0 on every basis triple, summed
+    over ints from the integer basis columns and the element's integer
+    rows (each scaled by one common factor)."""
+    n = element.space.real_dim
+    _, cols = _columns(element.algebra)
+    _, rows = _integer_rows(element)
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                out: dict = {}
+                # R(c,a) = -R(a,c)
+                for pair, col, sign in (((a, b), c, 1), ((b, c), a, 1),
+                                        ((a, c), b, -1)):
+                    _add_column(out, sign, rows[_biv_index(n, *pair)],
+                                cols[col])
+                if any(out.values()):
+                    return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # the model tensor R0 and the h0 generator R1
 # ---------------------------------------------------------------------------
@@ -373,9 +375,14 @@ def _wedge_matrix(n: int, eta: dict, u: dict, v: dict) -> dict:
 
 
 def _r0_values(space: QuaternionicSpace, pairs):
-    """R0(e_a, e_b) for each (a, b) in `pairs`, built as 4 R0(e_a, e_b)
-    over ints from the signed permutations eta and I_alpha, read once, and
-    divided by 4 on the way out."""
+    """R0(e_a, e_b) for each (a, b) in `pairs`, the value on (e_a, e_b) of
+    the curvature tensor of the quaternionic projective model:
+
+        R0(X, Y) = 1/2 sum_a eta(X, I_a Y) I_a
+                   + 1/4 (X ^ Y + sum_a I_a X ^ I_a Y)
+
+    built as 4 R0(e_a, e_b) over ints from the signed permutations eta and
+    I_alpha, read once, and divided by 4 on the way out."""
     n = space.real_dim
     eta = _signed_permutation(space.eta)
     structure = [_signed_permutation(ialpha) for ialpha in space.I]
@@ -395,21 +402,10 @@ def _r0_values(space: QuaternionicSpace, pairs):
                                             for pos, v in out.items() if v})
 
 
-def r0_value_matrix(space: QuaternionicSpace, a: int, b: int) -> RealMatrix:
-    """Value on (e_a, e_b) of the curvature tensor of the quaternionic
-    projective model:
-
-        R0(X, Y) = 1/2 sum_a eta(X, I_a Y) I_a
-                   + 1/4 (X ^ Y + sum_a I_a X ^ I_a Y)
-    """
-    return next(_r0_values(space, [(a, b)]))
-
-
-def build_r0(space: QuaternionicSpace,
-             algebra: LieAlgebra | None = None) -> CurvatureElement:
-    """R0 expressed over the basis of sp(1) + sp(r, s)."""
-    if algebra is None:
-        algebra = direct_sum(build_sp1(space), build_sp(space))
+def build_r0(algebra: LieAlgebra) -> CurvatureElement:
+    """R0 on `algebra.space`, expressed over the basis of `algebra`, which
+    must contain its values (sp(1) + sp(r, s) does)."""
+    space = algebra.space
     dimg = algebra.dim
     vec = {}
     for ib, value in enumerate(_r0_values(space, bivector_pairs(space.real_dim))):
@@ -417,15 +413,13 @@ def build_r0(space: QuaternionicSpace,
         if coords is None:
             raise ValueError("R0 value escapes the algebra span")
         vec.update((ib * dimg + k, c) for k, c in coords.items())
-    return CurvatureElement(space, algebra, vec)
+    return CurvatureElement(algebra, vec)
 
 
-def build_r1(space: QuaternionicSpace,
-             curvature: CurvatureSpace | None = None) -> CurvatureElement:
-    """The generator of the 1-dimensional curvature space of h0, normalized
-    so its first nonzero coefficient (canonical ordering) equals 1."""
-    if curvature is None:
-        curvature = bianchi_kernel(build_h0(space))
+def build_r1(curvature: CurvatureSpace) -> CurvatureElement:
+    """The generator of `curvature`, the 1-dimensional curvature space of
+    h0, normalized so its first nonzero coefficient (canonical ordering)
+    equals 1."""
     if curvature.dim != 1:
         raise ValueError(
             f"unexpected curvature space dimension {curvature.dim} for h0")
@@ -518,7 +512,7 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
             row, sign = element.row_of(a, d)
             subtract(acc, coef * sign, row)
         vec.update((ib * dimg + k, c) for k, c in acc.items())
-    return CurvatureElement(element.space, algebra, vec)
+    return CurvatureElement(algebra, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +530,9 @@ class DegenerateReport:
 
 
 def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
+    """R(p, X) = 0 holds iff the stored row of (p, X) is empty, because the
+    algebra basis is independent; R(X, Y)p is one column of the value, read
+    through `_columns`."""
     space = curvature.space
     if space.t < 1:
         raise ValueError("degenerate-pair check requires t >= 1")
@@ -543,18 +540,23 @@ def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
     e_idx = list(space.e_indices())
     if not e_idx:
         return DegenerateReport(status="vacuous", checked_elements=curvature.dim)
+    n = space.real_dim
+    _, cols = _columns(curvature.algebra)
     witnesses = []
     for i, el in enumerate(curvature.basis):
         for p in w_idx:
             for x in e_idx:
-                if not el.value(p, x).is_zero():
+                if el.row_of(p, x)[0]:
                     witnesses.append((i, "R(p,X) != 0", (p, x)))
         for x in e_idx:
             for y in e_idx:
                 if x >= y:
                     continue
+                row = el.rows[_biv_index(n, x, y)]
                 for p in w_idx:
-                    if el.value_column(x, y, p):
+                    column: dict = {}
+                    _add_column(column, 1, row, cols[p])
+                    if any(column.values()):
                         witnesses.append((i, "R(X,Y)p != 0", (x, y, p)))
     status = "pass" if not witnesses else "fail"
     return DegenerateReport(status=status, checked_elements=curvature.dim,

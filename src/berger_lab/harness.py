@@ -96,7 +96,8 @@ def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str,
     """Cached curvature space, or None on miss/corruption (corruption warns).
 
     `algebra` is the `algebra_name` algebra on `space` that the loaded space
-    is expressed over."""
+    is expressed over.  A zero denominator ("1/0") is corruption like any
+    other malformed value."""
     path = Path(cache_dir) / f"{cache_key(space.r, space.s, space.t, algebra_name)}.json"
     if not path.exists():
         return None
@@ -108,8 +109,9 @@ def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str,
         if (key["r"], key["s"], key["t"], key["algebra"]) != (
                 space.r, space.s, space.t, algebra_name):
             return None
-        return CurvatureSpace.from_json(space, algebra, data["curvature_space"])
-    except (ValueError, KeyError, TypeError, AttributeError, OSError) as exc:
+        return CurvatureSpace.from_json(algebra, data["curvature_space"])
+    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError,
+            OSError) as exc:
         print(f"warning: ignoring corrupt cache entry {path}: {exc}",
               file=sys.stderr)
         return None
@@ -186,8 +188,7 @@ class Session:
         """The model tensor R0 over this session's sp(1)+sp(r,s)."""
         key = (r, s, t)
         if key not in self._r0:
-            self._r0[key] = curv.build_r0(self.space(r, s, t),
-                                          self.algebra("sp1+sp", r, s, t))
+            self._r0[key] = curv.build_r0(self.algebra("sp1+sp", r, s, t))
         return self._r0[key]
 
     def computed_curvatures(self):
@@ -339,7 +340,7 @@ def check_r0(session: Session, tier: int) -> CheckResult:
     ok = True
     for (r, s, t) in _configs(tier):
         r0 = session.r0(r, s, t)
-        residual_zero = _bianchi_residual_is_zero(r0)
+        residual_zero = curv.bianchi_residual_is_zero(r0)
         symmetric = curv.pair_symmetry_holds(r0)
         scal = curv.scalar(r0)
         m = r + s
@@ -352,27 +353,6 @@ def check_r0(session: Session, tier: int) -> CheckResult:
         }
         ok = ok and residual_zero and symmetric and scal == expected
     return _result("r0-membership-and-scalar", ok, details)
-
-
-def _bianchi_residual_is_zero(element) -> bool:
-    """R(a,b)e_c + R(b,c)e_a + R(c,a)e_b = 0 on every basis triple, summed
-    over ints from the integer basis columns and the element's integer
-    rows (each scaled by one common factor)."""
-    n = element.space.real_dim
-    _, cols = curv._columns(element.algebra)
-    _, rows = curv._integer_rows(element)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                out: dict = {}
-                # R(c,a) = -R(a,c)
-                for pair, col, sign in (((a, b), c, 1), ((b, c), a, 1),
-                                        ((a, c), b, -1)):
-                    curv._add_column(out, sign, rows[curv._biv_index(n, *pair)],
-                                     cols[col])
-                if any(out.values()):
-                    return False
-    return True
 
 
 def check_full_split(session: Session, tier: int) -> CheckResult:
@@ -393,8 +373,7 @@ def check_parabolic_split(session: Session, tier: int) -> CheckResult:
     for r in _ranks(tier):
         full = session.curvature("sp1+sp_w", r, r, r)
         sub = session.curvature("sp_w", r, r, r)
-        r1 = curv.build_r1(session.space(r, r, r),
-                           curvature=session.curvature("h0", r, r, r))
+        r1 = curv.build_r1(session.curvature("h0", r, r, r))
         split = split_of(full, sub, curv.element_over(r1, full.algebra))
         details[f"r={r}"] = {
             "dim_with_sp1": full.dim, "dim_without_sp1": sub.dim,
@@ -447,16 +426,12 @@ def check_berger_verdicts(session: Session, tier: int) -> CheckResult:
     details = {}
     ok = True
     for r in _ranks(tier):
-        h0 = session.algebra("h0", r, r, r)
         h0_curv = session.curvature("h0", r, r, r)
-        rep_h0 = berger_report(h0, h0_curv)
-        full = session.algebra("sp1+sp_w", r, r, r)
-        rep_full = berger_report(full, session.curvature("sp1+sp_w", r, r, r))
-        glq = session.algebra("glq", r, r, r)
-        rep_glq = berger_report(glq, session.curvature("glq", r, r, r))
-        space = session.space(r, r, r)
-        r1 = curv.build_r1(space, curvature=h0_curv)
-        annihilated = all(curv.act(a, r1).is_zero() for a in h0.basis)
+        rep_h0 = berger_report(h0_curv)
+        rep_full = berger_report(session.curvature("sp1+sp_w", r, r, r))
+        rep_glq = berger_report(session.curvature("glq", r, r, r))
+        r1 = curv.build_r1(h0_curv)
+        annihilated = all(curv.act(a, r1).is_zero() for a in h0_curv.algebra.basis)
         details[f"r={r}"] = {
             "h0": {"closure": rep_h0.closure_dim, "is_berger": rep_h0.is_berger},
             "sp1+sp_w": {"closure": rep_full.closure_dim,

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from berger_lab.curvature import CurvatureElement, bivector_pairs
-from berger_lab.exactlin import Subspace, integer_row, span_of, sparse_nullspace
+from berger_lab.exactlin import (RealMatrix, Subspace, integer_row, span_of,
+                                 sparse_nullspace)
 from berger_lab.harness import Session
 from berger_lab.prolong import first_prolongation_of, second_prolongation
 
@@ -59,12 +60,42 @@ def dual_W1(space):
     return span_of([{i: Fraction(1)} for i in space.w1_indices()], space.real_dim)
 
 
-def synthetic_element(space, algebra):
+def value(el, a, b):
+    """Reference R(e_a, e_b) as a matrix (antisymmetric in a, b), summed
+    from the stored row over the algebra basis."""
+    n = el.space.real_dim
+    out = {}
+    row, sign = el.row_of(a, b)
+    basis = el.algebra.basis
+    for k, c in row.items():
+        c = sign * c
+        for pos, v in basis[k].nz.items():
+            out[pos] = out.get(pos, 0) + c * v
+    return RealMatrix.from_sparse(n, n, out)
+
+
+def value_column(el, a, b, col):
+    """Reference column `col` of R(e_a, e_b) as {row: value}, nonzeros
+    only."""
+    n = el.space.real_dim
+    out = {}
+    row, sign = el.row_of(a, b)
+    basis = el.algebra.basis
+    for k, c in row.items():
+        c = sign * c
+        for pos, v in basis[k].nz.items():
+            d, j = divmod(pos, n)
+            if j == col:
+                out[d] = out.get(d, 0) + c * v
+    return {d: v for d, v in out.items() if v}
+
+
+def synthetic_element(algebra):
     """A fixed element with scattered coefficients, in general not a
     curvature tensor (see the pair-symmetry tests)."""
-    return CurvatureElement(space, algebra, {
+    return CurvatureElement(algebra, {
         ib * algebra.dim + k: Fraction((5 * ib + 3 * k) % 7 - 3, 1 + (ib + k) % 2)
-        for ib in range(len(bivector_pairs(space.real_dim)))
+        for ib in range(len(bivector_pairs(algebra.space.real_dim)))
         for k in range(algebra.dim)
         if (ib + 2 * k) % 9 == 0 and (5 * ib + 3 * k) % 7 != 3})
 

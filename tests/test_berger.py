@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from berger_lab.berger import (SCOPE_NOTE, _restriction_multiple_check,
@@ -20,23 +22,20 @@ def berger_closure(g, curvature):
 
 
 def test_h0_is_berger(session):
-    h0 = session.algebra("h0", 1, 1, 1)
-    report = berger_report(h0, session.curvature("h0", 1, 1, 1))
+    report = berger_report(session.curvature("h0", 1, 1, 1))
     assert report.is_berger
     assert report.closure_dim == 7 == report.algebra_dim
     assert report.curvature_dim == 1
 
 
 def test_parabolic_with_sp1_is_berger(session):
-    alg = session.algebra("sp1+sp_w", 1, 1, 1)
-    report = berger_report(alg, session.curvature("sp1+sp_w", 1, 1, 1))
+    report = berger_report(session.curvature("sp1+sp_w", 1, 1, 1))
     assert report.is_berger
     assert report.closure_dim == 10 == report.algebra_dim
 
 
 def test_glq_is_not_berger(session):
-    glq = session.algebra("glq", 1, 1, 1)
-    report = berger_report(glq, session.curvature("glq", 1, 1, 1))
+    report = berger_report(session.curvature("glq", 1, 1, 1))
     assert not report.is_berger
     assert report.curvature_dim == 0
     assert report.closure_dim == 0
@@ -55,7 +54,7 @@ def test_closure_contained_in_algebra_coordinates(session):
 def test_report_closure_is_the_reference_span(session, name, r, s, t):
     alg = session.algebra(name, r, s, t)
     curvature = session.curvature(name, r, s, t)
-    report = berger_report(alg, curvature)
+    report = berger_report(curvature)
     closure = berger_closure(alg, curvature)
     assert report.closure_dim == closure.dim == len(report.witnesses)
     assert report.is_berger == (closure.dim == alg.dim)
@@ -64,16 +63,16 @@ def test_report_closure_is_the_reference_span(session, name, r, s, t):
 def test_closure_monotone_in_curvature_input(session):
     alg = session.algebra("sp1+sp_w", 1, 1, 1)
     full = session.curvature("sp1+sp_w", 1, 1, 1)
-    partial = CurvatureSpace(full.space, full.algebra, full.basis[:4])
+    partial = CurvatureSpace(full.algebra, full.basis[:4])
     dim_partial = berger_closure(alg, partial).dim
     dim_full = berger_closure(alg, full).dim
     assert dim_partial <= dim_full
-    assert berger_report(alg, partial).closure_dim == dim_partial
+    assert berger_report(partial).closure_dim == dim_partial
 
 
 def test_witnesses_span_the_closure(session):
     alg = session.algebra("h0", 1, 1, 1)
-    report = berger_report(alg, session.curvature("h0", 1, 1, 1))
+    report = berger_report(session.curvature("h0", 1, 1, 1))
     curvature = session.curvature("h0", 1, 1, 1)
     from berger_lab.curvature import bivector_pairs
     pairs = bivector_pairs(alg.space.real_dim)
@@ -83,16 +82,9 @@ def test_witnesses_span_the_closure(session):
 
 
 def test_report_json_carries_scope_note(session):
-    alg = session.algebra("glq", 1, 1, 1)
-    data = berger_report(alg, session.curvature("glq", 1, 1, 1)).to_json()
+    data = berger_report(session.curvature("glq", 1, 1, 1)).to_json()
     assert data["note"] == SCOPE_NOTE
     assert data["is_berger"] is False
-
-
-def test_mismatched_curvature_space_rejected(session):
-    alg = session.algebra("h0", 1, 1, 1)
-    with pytest.raises(ValueError, match="different algebra"):
-        berger_report(alg, session.curvature("sp", 1, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +130,7 @@ class DropsOneSpWTensor(Session):
     def curvature(self, name, r, s, t):
         real = super().curvature(name, r, s, t)
         if name == "sp_w":
-            return CurvatureSpace(real.space, real.algebra, real.basis[:-1])
+            return CurvatureSpace(real.algebra, real.basis[:-1])
         return real
 
 
@@ -164,25 +156,31 @@ def test_split_checks_fail_on_a_dropped_tensor(tampered):
     assert (collapse.check_id, collapse.status) == ("collapse-equality", "fail")
 
 
+def r1_over_full(session, r, s, t):
+    """R1's coefficient vector over sp(1)+sp(r,s)_W."""
+    r1 = build_r1(session.curvature("h0", r, s, t))
+    return element_over(r1, session.algebra("sp1+sp_w", r, s, t))
+
+
 def test_restriction_multiple_fails_on_a_wrong_r1_component(session):
-    space = session.space(1, 1, 1)
     full = session.curvature("sp1+sp_w", 1, 1, 1)
-    r1 = build_r1(space, curvature=session.curvature("h0", 1, 1, 1))
-    r1_vec = element_over(r1, full.algebra)
+    r1_vec = r1_over_full(session, 1, 1, 1)
     sp_w = session.curvature("sp_w", 1, 1, 1)
-    sub = split_of(full, sp_w, r1_vec).sub_over_full
-    ok, details = _restriction_multiple_check(space, full, sub, r1_vec)
+    split = split_of(full, sp_w, r1_vec)
+    ok, details = _restriction_multiple_check(full, split, r1_vec)
     assert ok and details == {"elements_checked": full.dim}
     # another complement of line(R1): R(sp(r,r)_W) with one basis tensor t
     # replaced by t + R1.  Every tensor still decomposes, but a tensor with
     # a t-component a gets R1-component c - a, so its W-block no longer
     # matches that multiple of R1's
+    sub = split.sub_over_full
     tensors = [element_over(el, full.algebra) for el in sp_w.basis]
     t = tensors[0]
     tensors[0] = {k: t.get(k, 0) + r1_vec.get(k, 0) for k in t.keys() | r1_vec.keys()}
     other = span_of(tensors, sub.ambient_dim)
     assert other.dim == sub.dim and other != sub
-    ok, details = _restriction_multiple_check(space, full, other, r1_vec)
+    ok, details = _restriction_multiple_check(
+        full, replace(split, sub_over_full=other), r1_vec)
     assert not ok and set(details) == {"element", "pair"}
 
 
@@ -192,40 +190,38 @@ def test_restriction_multiple_reads_r1_over_its_own_algebra(session):
     # the coefficients permuted to match, gives the same vector
     space = session.space(1, 1, 1)
     full = session.curvature("sp1+sp_w", 1, 1, 1)
-    r1 = build_r1(space, curvature=session.curvature("h0", 1, 1, 1))
+    r1 = build_r1(session.curvature("h0", 1, 1, 1))
     dimg = r1.algebra.dim
     flipped = {}
     for key, c in r1.sparse_vector().items():
         ib, k = divmod(key, dimg)
         flipped[ib * dimg + dimg - 1 - k] = c
     reordered = CurvatureElement(
-        space, LieAlgebra("h0", space, r1.algebra.basis[::-1]), flipped)
+        LieAlgebra("h0", space, r1.algebra.basis[::-1]), flipped)
     assert reordered.algebra.basis != r1.algebra.basis
     assert element_over(reordered, full.algebra) == element_over(r1, full.algebra)
 
 
 def test_restriction_multiple_names_a_failed_decomposition(session, tampered):
-    space = session.space(1, 1, 1)
     full = session.curvature("sp1+sp_w", 1, 1, 1)
-    r1 = build_r1(space, curvature=session.curvature("h0", 1, 1, 1))
-    r1_vec = element_over(r1, full.algebra)
+    r1_vec = r1_over_full(session, 1, 1, 1)
     # one sp(r,r)_W tensor short, line(R1) + sub misses a basis tensor
-    short = split_of(full, tampered.curvature("sp_w", 1, 1, 1),
-                     r1_vec).sub_over_full
-    ok, details = _restriction_multiple_check(space, full, short, r1_vec)
+    short = split_of(full, tampered.curvature("sp_w", 1, 1, 1), r1_vec)
+    assert not short.holds and not short.generator_in_sub
+    ok, details = _restriction_multiple_check(full, short, r1_vec)
     assert not ok and details == {"reason": "split decomposition failed"}
-    sub = split_of(full, session.curvature("sp_w", 1, 1, 1), r1_vec).sub_over_full
+    sp_w = session.curvature("sp_w", 1, 1, 1)
+    sub = split_of(full, sp_w, r1_vec).sub_over_full
     inside = dict(sub.sparse_rows()[0])
-    ok, details = _restriction_multiple_check(space, full, sub, inside)
+    ok, details = _restriction_multiple_check(
+        full, split_of(full, sp_w, inside), inside)
     assert not ok
     assert details == {"reason": "R1 lies in the curvature space of sp(r,r)_W"}
 
 
 def test_split_predicates_name_the_failed_condition(session, tampered):
     full = session.curvature("sp1+sp_w", 1, 1, 1)
-    r1 = build_r1(session.space(1, 1, 1),
-                  curvature=session.curvature("h0", 1, 1, 1))
-    r1_vec = element_over(r1, full.algebra)
+    r1_vec = r1_over_full(session, 1, 1, 1)
     good = split_of(full, session.curvature("sp_w", 1, 1, 1), r1_vec)
     assert good.holds
     bad = split_of(full, tampered.curvature("sp_w", 1, 1, 1), r1_vec)

@@ -8,15 +8,15 @@ import pytest
 from berger_lab import curvature as curv
 from berger_lab import exactlin
 from berger_lab.curvature import (CurvatureElement, CurvatureSpace, act,
-                                  bivector_pairs, build_r0,
-                                  build_r1, coefficients_over, derivative_space,
+                                  bianchi_residual_is_zero, bivector_pairs,
+                                  build_r0, build_r1, coefficients_over,
+                                  derivative_space,
                                   element_over, pair_symmetry_all,
                                   pair_symmetry_holds, restrict_check_degenerate,
                                   ricci, scalar)
 from berger_lab.exactlin import RealMatrix, canonical_rows, span_of
-from berger_lab.harness import _bianchi_residual_is_zero
 from berger_lab.liealg import LieAlgebra, algebra_by_name
-from conftest import SPARSE_CASES, synthetic_element, tier2
+from conftest import SPARSE_CASES, synthetic_element, tier2, value, value_column
 
 
 def kernel(session, name, r, s, t):
@@ -60,8 +60,8 @@ def satisfies_first_bianchi(el):
     """R(a,b)e_c + R(b,c)e_a + R(c,a)e_b = 0 on every basis triple, read
     from the value matrices."""
     n = el.space.real_dim
-    return not any(el.value(a, b)[d, c] + el.value(b, c)[d, a]
-                   + el.value(c, a)[d, b]
+    return not any(value(el, a, b)[d, c] + value(el, b, c)[d, a]
+                   + value(el, c, a)[d, b]
                    for a, b, c in combinations(range(n), 3) for d in range(n))
 
 
@@ -82,7 +82,7 @@ def test_bianchi_kernel_follows_a_scaled_basis(session, space111):
     assert curvature.dim == 1
     el = curvature.basis[0]
     assert satisfies_first_bianchi(el)
-    assert _bianchi_residual_is_zero(el)
+    assert bianchi_residual_is_zero(el)
     r1 = kernel(session, "h0", 1, 1, 1).basis[0]
     expected = {key: c / scales.get(key % h0.dim, 1)
                 for key, c in r1.sparse_vector().items()}
@@ -93,8 +93,8 @@ def test_bianchi_kernel_follows_a_scaled_basis(session, space111):
 
 def test_antisymmetry_is_structural(session):
     el = kernel(session, "sp", 1, 1, 1).basis[0]
-    assert el.value(3, 1) == el.value(1, 3).scaled(-1)
-    assert el.value(2, 2).is_zero()
+    assert value(el, 3, 1) == value(el, 1, 3).scaled(-1)
+    assert value(el, 2, 2).is_zero()
 
 
 def test_monotone_in_the_algebra(session):
@@ -109,16 +109,16 @@ def test_monotone_in_the_algebra(session):
 # R0
 # ---------------------------------------------------------------------------
 
-def test_r0_lies_in_the_kernel_exactly(session, space111):
+def test_r0_lies_in_the_kernel_exactly(session):
     full = kernel(session, "sp1+sp", 1, 1, 1)
-    r0 = build_r0(space111, full.algebra)
+    r0 = build_r0(full.algebra)
     assert full.coefficient_subspace().contains_vector(r0.sparse_vector())
 
 
-def test_r0_not_in_the_sp_part(session, space111):
+def test_r0_not_in_the_sp_part(session):
     full = kernel(session, "sp1+sp", 1, 1, 1)
     sub = kernel(session, "sp", 1, 1, 1)
-    r0 = build_r0(space111, full.algebra)
+    r0 = build_r0(full.algebra)
     embedded = coefficients_over(sub, full.algebra)
     assert not embedded.contains_vector(r0.sparse_vector())
 
@@ -135,18 +135,17 @@ def test_eq5_split_dimensions(session):
     (1, 1, 0, 32),   # independent of the Witt decomposition
 ])
 def test_r0_scalar_value(session, r, s, t, expected_scalar):
-    space = session.space(r, s, t)
-    r0 = build_r0(space)
+    r0 = build_r0(session.algebra("sp1+sp", r, s, t))
     assert scalar(r0) == expected_scalar
 
 
-def test_r0_pair_symmetry(session, space111):
-    r0 = build_r0(space111, kernel(session, "sp1+sp", 1, 1, 1).algebra)
+def test_r0_pair_symmetry(session):
+    r0 = build_r0(kernel(session, "sp1+sp", 1, 1, 1).algebra)
     assert pair_symmetry_holds(r0)
 
 
 def test_r0_ricci_proportional_to_eta(session, space111):
-    r0 = build_r0(space111)
+    r0 = build_r0(session.algebra("sp1+sp", 1, 1, 1))
     ric = ricci(r0)
     eta = space111.eta
     n = space111.real_dim
@@ -156,14 +155,15 @@ def test_r0_ricci_proportional_to_eta(session, space111):
     assert ric == eta.scaled(ratio)
 
 
-def test_flipped_wedge_convention_violates_bianchi(space111):
+def test_flipped_wedge_convention_violates_bianchi(session, space111):
     # conformance pin: with (X ^ Y)Z = eta(X,Z)Y - eta(Y,Z)X the model
     # tensor stops satisfying the first Bianchi identity
     n = space111.real_dim
     eta = curv._signed_permutation(space111.eta)
+    r0 = build_r0(session.algebra("sp1+sp", 1, 1, 1))
 
     def flipped_value(a, b):
-        base = curv.r0_value_matrix(space111, a, b)
+        base = value(r0, a, b)
         ea, eb = {a: Fraction(1)}, {b: Fraction(1)}
         wedges = RealMatrix.from_sparse(n, n, curv._wedge_matrix(n, eta, ea, eb))
         for ialpha in space111.I:
@@ -183,9 +183,9 @@ def test_flipped_wedge_convention_violates_bianchi(space111):
     assert violated
 
 
-def test_ricci_of_zero_element_is_zero(session, space111):
+def test_ricci_of_zero_element_is_zero(session):
     alg = kernel(session, "sp1+sp", 1, 1, 1).algebra
-    zero = CurvatureElement(space111, alg, {})
+    zero = CurvatureElement(alg, {})
     assert ricci(zero).is_zero()
     assert scalar(zero) == 0
 
@@ -201,52 +201,52 @@ def test_sp_part_is_ricci_flat(session):
 # R1
 # ---------------------------------------------------------------------------
 
-def test_r1_is_normalized_generator(session, space111):
+def test_r1_is_normalized_generator(session):
     h0_curv = kernel(session, "h0", 1, 1, 1)
-    r1 = build_r1(space111, curvature=h0_curv)
+    r1 = build_r1(h0_curv)
     vec = r1.sparse_vector()
     assert vec[min(vec)] == 1  # first nonzero coefficient in canonical order
 
 
-def test_r1_rejects_wrong_dimension(session, space111):
+def test_r1_rejects_wrong_dimension(session):
     with pytest.raises(ValueError, match="unexpected curvature space dimension"):
-        build_r1(space111, curvature=kernel(session, "sp", 1, 1, 1))
+        build_r1(kernel(session, "sp", 1, 1, 1))
 
 
-def test_r1_image_spans_h0(session, space111):
+def test_r1_image_spans_h0(session):
     h0_curv = kernel(session, "h0", 1, 1, 1)
-    r1 = build_r1(space111, curvature=h0_curv)
+    r1 = build_r1(h0_curv)
     vectors = [row for row in r1.rows if row]
     assert span_of(vectors, h0_curv.algebra.dim).dim == 7
 
 
-def test_h0_annihilates_r1(session, space111):
+def test_h0_annihilates_r1(session):
     h0_curv = kernel(session, "h0", 1, 1, 1)
-    r1 = build_r1(space111, curvature=h0_curv)
+    r1 = build_r1(h0_curv)
     for a in h0_curv.algebra.basis:
         assert act(a, r1).is_zero()
 
 
 def test_r1_vanishes_on_w_pairs(session, space111):
-    r1 = build_r1(space111, curvature=kernel(session, "h0", 1, 1, 1))
+    r1 = build_r1(kernel(session, "h0", 1, 1, 1))
     w = list(space111.w_indices())
     for i, a in enumerate(w):
         for b in w[i + 1:]:
-            assert r1.value(a, b).is_zero()
+            assert value(r1, a, b).is_zero()
 
 
 # ---------------------------------------------------------------------------
 # the action
 # ---------------------------------------------------------------------------
 
-def test_r0_is_invariant_under_the_full_algebra(session, space111):
+def test_r0_is_invariant_under_the_full_algebra(session):
     alg = kernel(session, "sp1+sp", 1, 1, 1).algebra
-    r0 = build_r0(space111, alg)
+    r0 = build_r0(alg)
     for a in alg.basis:
         assert act(a, r0).is_zero()
 
 
-def test_act_of_zero_is_zero(session, space111):
+def test_act_of_zero_is_zero(session):
     alg = kernel(session, "sp1+sp", 1, 1, 1).algebra
     el = kernel(session, "sp1+sp", 1, 1, 1).basis[5]
     zero = RealMatrix.from_sparse(8, 8, {})
@@ -256,7 +256,7 @@ def test_act_of_zero_is_zero(session, space111):
 def test_act_is_a_lie_algebra_action(session):
     def difference(x, y):
         vx, vy = x.sparse_vector(), y.sparse_vector()
-        return CurvatureElement(x.space, x.algebra,
+        return CurvatureElement(x.algebra,
                                 {k: vx.get(k, 0) - vy.get(k, 0)
                                  for k in vx.keys() | vy.keys()})
 
@@ -306,8 +306,8 @@ def test_degenerate_vanishing_flags_corrupted_element(session, space121):
     p, x = 0, 4
     key = curv._biv_index(n, p, x) * alg.dim
     vec[key] = vec.get(key, 0) + 1
-    bad = CurvatureElement(space121, alg, vec)
-    corrupted = CurvatureSpace(space121, alg, [bad])
+    bad = CurvatureElement(alg, vec)
+    corrupted = CurvatureSpace(alg, [bad])
     report = restrict_check_degenerate(corrupted)
     assert report.status == "fail"
     assert report.witnesses
@@ -315,10 +315,29 @@ def test_degenerate_vanishing_flags_corrupted_element(session, space121):
     assert element == 0 and indices == (p, x)
 
 
+def test_degenerate_vanishing_flags_a_value_that_moves_w(session, space121):
+    good = kernel(session, "sp1+sp_w", 1, 2, 1)
+    alg = good.algebra
+    n = space121.real_dim
+    w = set(space121.w_indices())
+    # corrupt: plant B_k on an (E, E) bivector, for a B_k with an entry in
+    # a W column p, so that R(x, y)p != 0
+    k, p = next((k, pos % n) for k, bmat in enumerate(alg.basis)
+                for pos in bmat.nz if pos % n in w)
+    x, y = 4, 6
+    vec = good.basis[0].sparse_vector()
+    key = curv._biv_index(n, x, y) * alg.dim + k
+    vec[key] = vec.get(key, 0) + 1
+    report = restrict_check_degenerate(CurvatureSpace(alg, [CurvatureElement(alg, vec)]))
+    assert report.status == "fail"
+    assert (0, "R(X,Y)p != 0", (x, y, p)) in report.witnesses
+    assert all(kind == "R(X,Y)p != 0" for _, kind, _ in report.witnesses)
+
+
 def test_degenerate_vanishing_requires_witt_part(session):
     space = session.space(1, 1, 0)
     alg = algebra_by_name("sp", space)
-    empty = CurvatureSpace(space, alg, [])
+    empty = CurvatureSpace(alg, [])
     with pytest.raises(ValueError):
         restrict_check_degenerate(empty)
 
@@ -362,11 +381,11 @@ def test_mixed_signature_collapse(session):
     assert full_sub.contains(embedded)
 
 
-def test_eq7_split(session, space111):
+def test_eq7_split(session):
     full = kernel(session, "sp1+sp_w", 1, 1, 1)
     sub = kernel(session, "sp_w", 1, 1, 1)
     assert full.dim == 1 + sub.dim
-    r1 = build_r1(space111, curvature=kernel(session, "h0", 1, 1, 1))
+    r1 = build_r1(kernel(session, "h0", 1, 1, 1))
     r1_vec = element_over(r1, full.algebra)
     assert full.coefficient_subspace().contains_vector(r1_vec)
     assert not coefficients_over(sub, full.algebra).contains_vector(r1_vec)
@@ -376,11 +395,11 @@ def test_eq7_split(session, space111):
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_curvature_space_json_round_trip(session, space111):
+def test_curvature_space_json_round_trip(session):
     original = kernel(session, "sp1+sp_w", 1, 1, 1)
     data = original.to_json()
     assert data["dim"] == 14 and data["algebra"] == "sp(1)+sp(1,1)_W"
-    rebuilt = CurvatureSpace.from_json(space111, original.algebra, data)
+    rebuilt = CurvatureSpace.from_json(original.algebra, data)
     assert rebuilt.dim == original.dim
     assert rebuilt.basis == original.basis
     assert rebuilt.to_json() == data
@@ -453,7 +472,7 @@ def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
     curvature = kernel(session, name, r, s, t)
     space, algebra = curvature.space, curvature.algebra
     n = space.real_dim
-    elements = list(curvature.basis[:1]) + [synthetic_element(space, algebra)]
+    elements = list(curvature.basis[:1]) + [synthetic_element(algebra)]
     target = session.algebra("sp1+sp", r, s, t)
     vectors = []
     # one acting matrix per element keeps the dense reference affordable
@@ -464,16 +483,16 @@ def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
             ib * algebra.dim + k: c
             for ib, row in enumerate(dense) for k, c in enumerate(row) if c}
         for (a, b), expected in values.items():
-            assert el.value(a, b) == expected
+            assert value(el, a, b) == expected
             for col in range(n):
-                assert el.value_column(a, b, col) == {
+                assert value_column(el, a, b, col) == {
                     d: expected[d, col] for d in range(n) if expected[d, col]}
         assert dense_coeffs(act(a_mat, el)) == ref_act(a_mat, el, values)
-        single = CurvatureSpace(space, algebra, [el])
+        single = CurvatureSpace(algebra, [el])
         assert pair_symmetry_all(single) == ref_pair_symmetric(el, values)
         vectors.append(ref_over(el, values, target))
         assert element_over(el, target) == vectors[-1]
-    sample = CurvatureSpace(space, algebra, elements)
+    sample = CurvatureSpace(algebra, elements)
     assert coefficients_over(sample, target) == span_of(
         vectors, len(bivector_pairs(n)) * target.dim)
 
@@ -481,22 +500,30 @@ def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
 @pytest.mark.parametrize("name", ["sp", "sp_w", "sp1", "glq", "h0", "sp1+sp",
                                   "sp1+sp_w"])
 def test_value_column_is_a_column_of_value(session, space111, name):
+    # the columns that `_add_column` reads through `_columns` (the degenerate
+    # check and the Bianchi residual) are den times the reference columns
     curvature = kernel(session, name, 1, 1, 1)
     n = space111.real_dim
-    elements = list(curvature.basis) + [synthetic_element(space111, curvature.algebra)]
+    den, cols = curv._columns(curvature.algebra)
+    elements = list(curvature.basis) + [synthetic_element(curvature.algebra)]
     for el in elements:
         for a in range(n):
             for b in range(n):
-                value = el.value(a, b)
+                row, sign = el.row_of(a, b)
+                reference = value(el, a, b)
                 for c in range(n):
-                    assert el.value_column(a, b, c) == {
-                        d: value[d, c] for d in range(n) if value[d, c]}
+                    column = {}
+                    curv._add_column(column, sign, row, cols[c])
+                    assert {d: v for d, v in column.items() if v} == {
+                        d: den * v for d, v in value_column(el, a, b, c).items()}
+                    assert value_column(el, a, b, c) == {
+                        d: reference[d, c] for d in range(n) if reference[d, c]}
 
 
 def test_over_computes_each_target_once(session, monkeypatch):
     computed = kernel(session, "sp_w", 1, 1, 1)
     # a fresh space over the same basis, so no memo from other tests is shared
-    sub = CurvatureSpace(computed.space, computed.algebra, computed.basis)
+    sub = CurvatureSpace(computed.algebra, computed.basis)
     target = session.algebra("sp1+sp_w", 1, 1, 1)
     calls = []
     real = curv.coefficients_over
@@ -514,10 +541,10 @@ def test_over_computes_each_target_once(session, monkeypatch):
     assert calls == [target.name, other.name]
 
 
-def test_synthetic_element_breaks_pair_symmetry(session, space111):
+def test_synthetic_element_breaks_pair_symmetry(session):
     # the dense reference is not vacuous: it rejects an element as well
     algebra = session.algebra("sp1+sp", 1, 1, 1)
-    el = synthetic_element(space111, algebra)
+    el = synthetic_element(algebra)
     assert not ref_pair_symmetric(el, ref_values(el))
     assert not pair_symmetry_holds(el)
 
@@ -528,18 +555,18 @@ def test_rows_drop_zeros_and_are_read_only(session, space111):
     dimg = algebra.dim
     # given out of order, with an explicit zero at (bivector 1, k = 0)
     given = {dimg + 4: Fraction(2, 3), dimg: Fraction(0), dimg + 2: Fraction(-1)}
-    with_zero = CurvatureElement(space111, algebra, given)
+    with_zero = CurvatureElement(algebra, given)
     given = {dimg + 2: Fraction(-1), dimg + 4: Fraction(2, 3)}
-    without = CurvatureElement(space111, algebra, given)
+    without = CurvatureElement(algebra, given)
     assert with_zero == without
     assert hash(with_zero) == hash(without)
     assert list(with_zero.rows[1].items()) == [(2, Fraction(-1)), (4, Fraction(2, 3))]
     given[dimg] = Fraction(5)  # the element keeps its own copy
     assert without.rows[1] == {2: Fraction(-1), 4: Fraction(2, 3)}
     assert without.sparse_vector() == {dimg + 2: Fraction(-1), dimg + 4: Fraction(2, 3)}
-    zero = CurvatureElement(space111, algebra, {k * dimg: Fraction(0) for k in range(nb)})
+    zero = CurvatureElement(algebra, {k * dimg: Fraction(0) for k in range(nb)})
     assert zero.is_zero()
-    assert zero == CurvatureElement(space111, algebra, {})
+    assert zero == CurvatureElement(algebra, {})
     with pytest.raises(TypeError):
         without.rows[1][2] = Fraction(7)
     row, sign = without.row_of(2, 0)
@@ -550,15 +577,15 @@ def test_rows_drop_zeros_and_are_read_only(session, space111):
 def test_constructor_rejects_keys_outside_the_coefficient_space(session, space111):
     algebra = session.algebra("h0", 1, 1, 1)
     size = len(bivector_pairs(space111.real_dim)) * algebra.dim
-    CurvatureElement(space111, algebra, {0: Fraction(1), size - 1: Fraction(1)})
+    CurvatureElement(algebra, {0: Fraction(1), size - 1: Fraction(1)})
     for key in (size, -1):
         with pytest.raises(ValueError, match="coefficient keys"):
-            CurvatureElement(space111, algebra, {key: Fraction(1)})
+            CurvatureElement(algebra, {key: Fraction(1)})
 
 
-def test_empty_rows_share_one_read_only_mapping(session, space111):
+def test_empty_rows_share_one_read_only_mapping(session):
     algebra = session.algebra("h0", 1, 1, 1)
-    el = CurvatureElement(space111, algebra, {algebra.dim + 2: Fraction(1)})
+    el = CurvatureElement(algebra, {algebra.dim + 2: Fraction(1)})
     empty = [row for row in el.rows if not row]
     assert len(empty) == len(el.rows) - 1
     assert all(row is empty[0] for row in empty)
@@ -566,7 +593,7 @@ def test_empty_rows_share_one_read_only_mapping(session, space111):
     for row in empty:
         with pytest.raises(TypeError):
             row[0] = Fraction(1)
-    assert CurvatureElement(space111, algebra, {}).rows[0] is empty[0]
+    assert CurvatureElement(algebra, {}).rows[0] is empty[0]
 
 
 def test_kernel_keeps_its_canonical_subspace(session, monkeypatch):
@@ -588,7 +615,7 @@ def test_kernel_keeps_its_canonical_subspace(session, monkeypatch):
 
 def test_built_space_computes_its_subspace_once(session, monkeypatch):
     full = kernel(session, "sp_w", 1, 1, 1)
-    rebuilt = CurvatureSpace(full.space, full.algebra, full.basis)
+    rebuilt = CurvatureSpace(full.algebra, full.basis)
     calls = []
 
     def counting(vectors):
@@ -606,7 +633,7 @@ def test_built_space_computes_its_subspace_once(session, monkeypatch):
     ("sp1+sp_w", 1, 2, 1), ("h0", 1, 1, 1), ("glq", 1, 1, 1)])
 def test_from_json_round_trip_elements_are_equal(session, name, r, s, t):
     original = kernel(session, name, r, s, t)
-    rebuilt = CurvatureSpace.from_json(original.space, original.algebra,
+    rebuilt = CurvatureSpace.from_json(original.algebra,
                                        json.loads(json.dumps(original.to_json())))
     assert rebuilt.basis == original.basis
     assert [hash(el) for el in rebuilt.basis] == [hash(el) for el in original.basis]
@@ -620,7 +647,7 @@ def test_from_json_reads_only_nonzero_entries(session, space111):
     rows[2][3] = "-3/4"
     rows[5][0] = "0/7"  # a zero in another spelling stores nothing
     data = {"basis": [rows]}
-    (el,) = CurvatureSpace.from_json(space111, algebra, data).basis
+    (el,) = CurvatureSpace.from_json(algebra, data).basis
     assert el.rows[2] == {3: Fraction(-3, 4)}
     assert el.sparse_vector() == {2 * algebra.dim + 3: Fraction(-3, 4)}
 
@@ -629,8 +656,8 @@ def test_from_json_rejects_a_wrong_row_length(session, space111):
     algebra = session.algebra("h0", 1, 1, 1)
     nb = len(bivector_pairs(space111.real_dim))
     with pytest.raises(ValueError, match="coefficients per row"):
-        CurvatureSpace.from_json(space111, algebra,
+        CurvatureSpace.from_json(algebra,
                                  {"basis": [[["0"] * (algebra.dim + 1)] * nb]})
     with pytest.raises(ValueError, match="one row per bivector"):
-        CurvatureSpace.from_json(space111, algebra,
+        CurvatureSpace.from_json(algebra,
                                  {"basis": [[["0"] * algebra.dim] * (nb - 1)]})

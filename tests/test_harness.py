@@ -78,6 +78,21 @@ def test_session_recomputes_after_corruption(tmp_path, space111):
     assert again.dim == value.dim
 
 
+def test_zero_denominator_in_cache_warns_and_recomputes(tmp_path, capsys):
+    cold = Session(cache_dir=tmp_path).curvature("h0", 1, 1, 1)
+    (entry,) = tmp_path.iterdir()
+    data = json.loads(entry.read_text())
+    rows = data["curvature_space"]["basis"][0]
+    ib, k = next((ib, k) for ib, row in enumerate(rows)
+                 for k, v in enumerate(row) if v != "0")
+    rows[ib][k] = "1/0"
+    entry.write_text(json.dumps(data))
+    again = Session(cache_dir=tmp_path).curvature("h0", 1, 1, 1)
+    assert "corrupt cache" in capsys.readouterr().err
+    assert again.basis == cold.basis
+    assert again.coefficient_subspace() == cold.coefficient_subspace()
+
+
 def test_interrupted_cache_write_keeps_the_old_entry(tmp_path, session, space111,
                                                     monkeypatch, capsys):
     value = session.curvature("sp_w", 1, 1, 1)
@@ -210,9 +225,10 @@ def test_r0_and_embeddings_are_built_once_per_session(monkeypatch):
     over_calls = Counter()
     real_r0, real_over = harness.curv.build_r0, harness.curv.coefficients_over
 
-    def build_r0(space, algebra=None):
+    def build_r0(algebra):
+        space = algebra.space
         r0_calls[space.r, space.s, space.t] += 1
-        return real_r0(space, algebra)
+        return real_r0(algebra)
 
     def coefficients_over(curvature, target):
         space = curvature.space
@@ -341,6 +357,22 @@ def test_cli_verify_csv(capsys, verification_calls):
     assert lines[0] == "id,status"
     assert "structure-axioms,pass" in lines[1]
     assert lines[1:] == [f"{cid},pass" for cid, _ in ALL_CHECKS]
+
+
+def test_cli_dim_unwritable_out_exits_2(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "out.json"
+    assert main(["dim", "--algebra", "h0", "--out", str(out_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write --out")
+    assert not out_file.parent.exists()
+
+
+def test_cli_verify_unwritable_out_exits_2(tmp_path, capsys, verification_calls):
+    # exit 1 would say a check failed; every check passed, the write did not
+    out_file = tmp_path / "missing" / "out.json"
+    assert main(["verify-paper", "--out", str(out_file)]) == 2
+    assert len(verification_calls) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write --out")
+    assert not out_file.parent.exists()
 
 
 def test_cli_verify_exits_1_when_a_check_fails(monkeypatch, capsys):

@@ -3,7 +3,8 @@ and pair symmetry against Fraction references.
 
 The references below are the Fraction-valued computations the integer
 loops replaced, kept verbatim in method: every product builds a Fraction,
-and value matrices come from `CurvatureElement.value` and `value_column`.
+and value matrices come from the reference `value` and `value_column` of
+conftest.
 """
 
 from fractions import Fraction
@@ -13,12 +14,13 @@ import pytest
 
 from berger_lab import curvature as curv
 from berger_lab.curvature import (CurvatureElement, CurvatureSpace,
-                                  bivector_pairs, build_r0, pair_symmetry_all,
+                                  bianchi_residual_is_zero, bivector_pairs,
+                                  build_r0, pair_symmetry_all,
                                   pair_symmetry_holds, ricci, scalar)
 from berger_lab.exactlin import RealMatrix
-from berger_lab.harness import _bianchi_residual_is_zero
 from berger_lab.liealg import LieAlgebra
-from conftest import SPARSE_CASES, is_normal, synthetic_element
+from conftest import (SPARSE_CASES, is_normal, synthetic_element, value,
+                      value_column)
 
 # ---------------------------------------------------------------------------
 # Fraction references
@@ -56,12 +58,13 @@ def ref_r0_value(space, a, b):
     return RealMatrix.from_sparse(n, n, out)
 
 
-def ref_build_r0(space, algebra):
+def ref_build_r0(algebra):
+    space = algebra.space
     vec = {}
     for ib, (a, b) in enumerate(bivector_pairs(space.real_dim)):
         coords = algebra.coordinates_of(ref_r0_value(space, a, b))
         vec.update((ib * algebra.dim + k, c) for k, c in coords.items())
-    return CurvatureElement(space, algebra, vec)
+    return CurvatureElement(algebra, vec)
 
 
 def ref_ricci(element):
@@ -69,7 +72,7 @@ def ref_ricci(element):
     n = element.space.real_dim
     ric = {}
     for a, b in bivector_pairs(n):
-        for pos, v in element.value(a, b).nz.items():
+        for pos, v in value(element, a, b).nz.items():
             d, z = divmod(pos, n)
             if d == a:
                 ric[b * n + z] = ric.get(b * n + z, 0) + v
@@ -93,9 +96,9 @@ def ref_residual_is_zero(element):
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
-                cols = (element.value_column(a, b, c),
-                        element.value_column(b, c, a),
-                        element.value_column(c, a, b))
+                cols = (value_column(element, a, b, c),
+                        value_column(element, b, c, a),
+                        value_column(element, c, a, b))
                 if any(sum(col.get(d, 0) for col in cols)
                        for d in set().union(*cols)):
                     return False
@@ -136,11 +139,11 @@ SMALL_CONFIGS = [(r, s, t) for r in range(3) for s in range(3) if r + s
 def test_build_r0_matches_the_fraction_reference(session, r, s, t):
     space = session.space(r, s, t)
     algebra = session.algebra("sp1+sp", r, s, t)
-    r0 = build_r0(space, algebra)
-    assert r0 == ref_build_r0(space, algebra)
+    r0 = build_r0(algebra)
+    assert r0 == ref_build_r0(algebra)
     assert all(is_normal(c) for row in r0.rows for c in row.values())
     a, b = 0, space.real_dim - 1
-    assert curv.r0_value_matrix(space, a, b) == ref_r0_value(space, a, b)
+    assert value(r0, a, b) == ref_r0_value(space, a, b)
 
 
 def assert_matches_references(element):
@@ -149,7 +152,7 @@ def assert_matches_references(element):
     assert all(is_normal(v) for v in ric.nz.values())
     scal = scalar(element)
     assert is_normal(scal) and scal == ref_scalar(element)
-    assert _bianchi_residual_is_zero(element) == ref_residual_is_zero(element)
+    assert bianchi_residual_is_zero(element) == ref_residual_is_zero(element)
     assert pair_symmetry_holds(element) == ref_pair_symmetric(element)
 
 
@@ -159,13 +162,13 @@ def test_contractions_residual_and_symmetry_match_the_references(
     curvature = session.curvature(name, r, s, t)
     for el in curvature.basis:
         assert_matches_references(el)
-        assert _bianchi_residual_is_zero(el) and pair_symmetry_holds(el)
+        assert bianchi_residual_is_zero(el) and pair_symmetry_holds(el)
     assert pair_symmetry_all(curvature)
-    synthetic = synthetic_element(curvature.space, curvature.algebra)
+    synthetic = synthetic_element(curvature.algebra)
     assert_matches_references(synthetic)
     expected = ref_pair_symmetric(synthetic)
     assert pair_symmetry_all(CurvatureSpace(
-        curvature.space, curvature.algebra, [*curvature.basis, synthetic])) == expected
+        curvature.algebra, [*curvature.basis, synthetic])) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +183,14 @@ def test_r0_over_a_non_integral_basis(session, space111):
     scales = {0: Fraction(1, 2), 5: Fraction(1, 3)}
     scaled = LieAlgebra("sp1+sp-scaled", space111, [
         b.scaled(scales.get(k, 1)) for k, b in enumerate(full.basis)])
-    r0 = build_r0(space111, scaled)
-    assert r0 == ref_build_r0(space111, scaled)
+    r0 = build_r0(scaled)
+    assert r0 == ref_build_r0(scaled)
     assert scales.keys() <= {k for row in r0.rows for k in row}
-    assert _bianchi_residual_is_zero(r0)
+    assert bianchi_residual_is_zero(r0)
     assert pair_symmetry_holds(r0)
     assert scalar(r0) == 32
-    assert ricci(r0) == ricci(build_r0(space111, full))
-    synthetic = synthetic_element(space111, scaled)
+    assert ricci(r0) == ricci(build_r0(full))
+    synthetic = synthetic_element(scaled)
     assert not pair_symmetry_holds(synthetic)
     assert_matches_references(synthetic)
 
@@ -209,4 +212,4 @@ def test_signed_permutation_rejects_a_column_with_two_entries(space111):
     # no fallback path: R0 refuses a metric that is not a signed permutation
     bad = SimpleNamespace(real_dim=n, eta=two, I=space111.I)
     with pytest.raises(ValueError, match="signed permutation"):
-        curv.r0_value_matrix(bad, 0, 1)
+        build_r0(SimpleNamespace(space=bad, dim=1))

@@ -1,5 +1,6 @@
 """Every exact scalar is in one normal form: an int when it is integral, a
-Fraction otherwise, and no module computes with floats."""
+Fraction otherwise, and no module computes with floats.  Also parsed from
+the source: no module reaches another module's private names."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,42 @@ def test_no_true_division(module):
                  if isinstance(node, (ast.BinOp, ast.AugAssign))
                  and isinstance(node.op, ast.Div)]
     assert divisions == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+PACKAGE_DIR = Path(berger_lab.__file__).parent
+PACKAGE_MODULES = sorted(path.stem for path in PACKAGE_DIR.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES)
+def test_no_private_name_crosses_a_module(module):
+    # a module reaches another module's code through its public names only:
+    # no `from .m import _name` and no `alias._name` on an imported module
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    aliases = set()
+    reached = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("berger_lab")):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    reached.append(alias.name)
+                is_module = (node.module in (None, "berger_lab")
+                             and (PACKAGE_DIR / f"{alias.name}.py").exists())
+                if is_module:
+                    aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("berger_lab.") and alias.asname:
+                    aliases.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _is_private(node.attr)):
+            reached.append(f"{node.value.id}.{node.attr}")
+    assert reached == []
 
 
 # the registry algebras that preserve the isotropic part W

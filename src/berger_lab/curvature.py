@@ -2,12 +2,21 @@
 
 A curvature tensor is a linear map from bivectors to a Lie algebra g
 satisfying the cyclic first Bianchi identity; the space of all of them is
-computed exactly as the kernel of the Bianchi map.  Also here: the
-distinguished tensors R0 (the quaternionic projective model, nonzero
-scalar) and R1 (the generator for the h0 block algebra), Ricci and scalar
-contractions, the natural g-action on tensors, vanishing checks on
-degenerate pairs, and the space of curvature derivatives allowed by the
-second Bianchi identity.
+computed exactly as a kernel.  Also here: the distinguished tensors R0
+(the quaternionic projective model, nonzero scalar) and R1 (the generator
+for the h0 block algebra), Ricci and scalar contractions, the natural
+g-action on tensors, vanishing checks on degenerate pairs, and the space
+of curvature derivatives allowed by the second Bianchi identity.
+
+The algebras of the paper lie in so(V, eta), and `bianchi_kernel` and the
+pair symmetry checks refuse, with ValueError, an algebra whose basis holds
+a matrix that is not eta-skew.  For g in so(V, eta) every curvature tensor
+is pair symmetric, so R(g) is the kernel of Sym^2(g) -> Lambda^4 V*,
+S -> sum_kl S_kl omega_k ^ omega_l, omega_k(a, b) = eta(B_k e_a, e_b)
+(Berger 1955): dim g (dim g + 1) / 2 unknowns and one equation per 4-set
+of basis vectors, in place of C(n, 2) dim g unknowns and n C(n, 3)
+equations on Hom(Lambda^2 V, g).  `bianchi_residual_is_zero` still checks
+the cyclic identity itself.
 
 Coefficient layout: bivectors (a, b) with a < b are ordered
 lexicographically over the realified basis.  A tensor is built from its
@@ -27,14 +36,17 @@ A value R(X, Y) is never formed as a matrix: `restrict_check_degenerate`
 reads R(p, X) = 0 as an empty stored row, exact because the algebra basis
 is independent, and R(X, Y)p as one column through `_columns`.
 
-Integer inner loops: R0, Ricci, the scalar, pair symmetry and the
-Bianchi residual multiply and add Python ints only.  eta and the I_alpha
-are read as signed permutations (`_signed_permutation`, which raises on
-anything else; there is no fallback), the basis columns come from
-`_columns` times one lcm per algebra, and a tensor's rows from
-`_integer_rows` times one lcm per element.  A value is divided only where
-it leaves a function, by `exactlin.ratio`, so it stays an int when the
-division is exact: R0 is built as 4 R0 and divided by 4 on its way to
+Integer inner loops: R0, Ricci, the scalar, pair symmetry, the
+first-Bianchi equations and the Bianchi residual multiply and add Python
+ints only.  eta and the I_alpha are read as signed permutations
+(`_signed_permutation`, which raises on anything else; there is no
+fallback), the basis columns come from `_columns` times one lcm per
+algebra, the 2-forms omega_k from `_pairing_table` on those columns, and
+a tensor's rows from `_integer_rows` times one lcm per element; each
+kernel vector of the Sym^2(g) system is cleared by `integer_row` before
+it is mapped to the flat layout.  A value is divided only where it leaves
+a function, by `exactlin.ratio`, so it stays an int when the division is
+exact: R0 is built as 4 R0 and divided by 4 on its way to
 `coordinates_of`, `ricci` and `scalar` divide by the product of the two
 factors, and the residual and symmetry checks, which are homogeneous,
 need no division at all.
@@ -48,8 +60,9 @@ from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
 
-from .exactlin import (RealMatrix, Subspace, integer_row, rat_from_str,
-                       rat_to_str, ratio, span_of, sparse_nullspace)
+from .exactlin import (RealMatrix, Subspace, canonical_rows, integer_row,
+                       rat_from_str, rat_to_str, ratio, span_of,
+                       sparse_nullspace)
 from .liealg import LieAlgebra
 from .quatspace import QuaternionicSpace
 
@@ -295,38 +308,88 @@ def _add_column(out: dict, f: int, row: Mapping, col: list) -> None:
                 out[d] = out.get(d, 0) + c * v
 
 
-def _bianchi_rows(algebra: LieAlgebra):
-    """Integer equation rows of the first-Bianchi map, streamed."""
-    n = algebra.space.real_dim
-    dimg = algebra.dim
-    _, cols = _columns(algebra)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                # R(a,b)e_c + R(b,c)e_a - R(a,c)e_b = 0, one row per coordinate
-                by_coord: dict[int, dict] = {}
-                for pair, col, sign in (((a, b), c, 1), ((b, c), a, 1), ((a, c), b, -1)):
-                    base = _biv_index(n, *pair) * dimg
-                    for k, entries in cols[col]:
-                        for d, v in entries:
-                            row = by_coord.setdefault(d, {})
-                            key = base + k
-                            nv = row.get(key, 0) + sign * v
-                            if nv:
-                                row[key] = nv
-                            else:
-                                del row[key]
-                for d in sorted(by_coord):
-                    if by_coord[d]:
-                        yield by_coord[d]
+def _wedge_rows(forms: list[dict], n: int, sym_col: list[list[int]]):
+    """Integer rows of S -> sum_kl S_kl omega_k ^ omega_l, one per 4-set
+    a < b < c < d on which some product is nonzero, 4-sets ascending.  The
+    rows are built in one dict and each is handed out and dropped in turn.
+
+    Each 4-set splits into two bivectors in three ways, ab|cd, ac|bd and
+    ad|bc, with signs +, -, +.  Every unordered pair {p, q} of disjoint
+    bivectors, p before q, is met once, and adds omega_k(p) omega_l(q) for
+    every k, l to the column of x_kl, which is S_kl = S_lk: so x_kl, k < l,
+    gets omega_k(p) omega_l(q) + omega_l(p) omega_k(q), and x_kk gets
+    omega_k(p) omega_k(q), half the wedge's coefficients throughout."""
+    by_biv: dict[int, list] = {}
+    for k, form in enumerate(forms):
+        for ib, v in form.items():
+            by_biv.setdefault(ib, []).append((k, v))
+    pairs = bivector_pairs(n)
+    support = sorted(by_biv)
+    rows: dict[int, dict] = {}  # the 4-set a < b < c < d at key abcd in base n
+    for i, ip in enumerate(support):
+        a, b = pairs[ip]
+        terms_p = [(sym_col[k], u) for k, u in by_biv[ip]]
+        for iq in support[i + 1:]:
+            c, d = pairs[iq]  # a <= c, as p precedes q
+            if c == a or c == b or d == b:
+                continue
+            if b < c:
+                key, sign = ((a * n + b) * n + c) * n + d, 1
+            elif b < d:
+                key, sign = ((a * n + c) * n + b) * n + d, -1
+            else:
+                key, sign = ((a * n + c) * n + d) * n + b, 1
+            row = rows.setdefault(key, {})
+            terms_q = by_biv[iq]
+            for col_k, u in terms_p:
+                su = sign * u
+                for l, v in terms_q:
+                    j = col_k[l]
+                    row[j] = row.get(j, 0) + su * v
+    for key in sorted(rows):
+        row = {j: v for j, v in rows.pop(key).items() if v}
+        if row:
+            yield row
 
 
 def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
     """The space of algebraic curvature tensors with values in `algebra`,
-    i.e. the exact kernel of the first-Bianchi map on Hom(Lambda^2, g)."""
-    ncols = _bivector_count(algebra.space.real_dim) * algebra.dim
-    return CurvatureSpace._from_canonical_rows(
-        algebra, sparse_nullspace(_bianchi_rows(algebra), ncols))
+    which must lie in so(V, eta); raises ValueError otherwise.
+
+    Such a tensor is pair symmetric, so it is R(e_a, e_b) = sum_kl S_kl
+    omega_l(a, b) B_k for a symmetric S, omega_l(a, b) = eta(B_l e_a, e_b),
+    and the first Bianchi identity is sum_kl S_kl omega_k ^ omega_l = 0:
+    R(g) is the kernel of Sym^2(g) -> Lambda^4 V*.  That system, solved on
+    the unknowns x_kl = S_kl, k <= l, with one row per 4-set, is mapped to
+    the flat coefficient layout over the nonzeros of each kernel vector
+    and re-canonicalised there, so the basis is the canonical RREF basis
+    of the kernel of the first-Bianchi map on Hom(Lambda^2 V, g)."""
+    n = algebra.space.real_dim
+    dimg = algebra.dim
+    forms = _pairing_table(algebra)
+    # x_kl = x_lk is column l (l + 1) / 2 + k for k <= l
+    sym_col = [[l * (l + 1) // 2 + k if k <= l else k * (k + 1) // 2 + l
+                for l in range(dimg)] for k in range(dimg)]
+    unknowns = [(k, l) for l in range(dimg) for k in range(l + 1)]
+    kernel = sparse_nullspace(_wedge_rows(forms, n, sym_col), len(unknowns))
+
+    def tensors():
+        for x in kernel:
+            vec: dict = {}
+            for j, s in integer_row(x).items():
+                # x_kl = S_kl = S_lk adds omega_l to B_k's coefficient and,
+                # for k != l, omega_k to B_l's
+                k, l = unknowns[j]
+                for ib, w in forms[l].items():
+                    key = ib * dimg + k
+                    vec[key] = vec.get(key, 0) + s * w
+                if k != l:
+                    for ib, w in forms[k].items():
+                        key = ib * dimg + l
+                        vec[key] = vec.get(key, 0) + s * w
+            yield vec
+
+    return CurvatureSpace._from_canonical_rows(algebra, canonical_rows(tensors()))
 
 
 def bianchi_residual_is_zero(element) -> bool:
@@ -597,23 +660,33 @@ def derivative_space(curvature: CurvatureSpace) -> Subspace:
 # pair symmetry eta(R(X,Y)Z, U) = eta(R(Z,U)X, Y)
 # ---------------------------------------------------------------------------
 
-def _pairing_table(algebra: LieAlgebra):
-    """table[k] = {biv: eta(B_k e_c, e_d)} over the bivectors (c, d), all
-    times the common factor of `_columns`, over ints.  A common factor
-    keeps the symmetry of every pairing matrix."""
+def _pairing_table(algebra: LieAlgebra) -> list[dict]:
+    """table[k] = {biv: eta(B_k e_c, e_d)} over the bivectors (c, d), c < d:
+    the 2-form omega_k of B_k, all times the common factor of `_columns`,
+    over ints.  A common factor keeps the symmetry of every pairing matrix.
+    Raises ValueError unless every B_k is eta-skew, that is, unless
+    eta(B_k e_d, e_c) = -eta(B_k e_c, e_d) for all c, d."""
     n = algebra.space.real_dim
     eta = _signed_permutation(algebra.space.eta)
     _, cols = _columns(algebra)
     table = [{} for _ in algebra.basis]
+    mirror = [{} for _ in algebra.basis]  # -eta(B_k e_d, e_c), c < d
+    diagonal = False
     for c, col in enumerate(cols):
         for k, entries in col:
-            row = table[k]
             for e, v in entries:
-                # (eta B_k)[d, c] = eta[d, e] B_k[e, c]
+                # (eta B_k)[d, c] = eta[d, e] B_k[e, c]; eta permutes the rows,
+                # so each (d, c) is met once
                 d, s = eta[e]
                 if c < d:
-                    key = _biv_index(n, c, d)
-                    row[key] = row.get(key, 0) + s * v
+                    table[k][_biv_index(n, c, d)] = s * v
+                elif d < c:
+                    mirror[k][_biv_index(n, d, c)] = -s * v
+                else:
+                    diagonal = True
+    if diagonal or table != mirror:
+        raise ValueError(f"{algebra.name} is not in so(V, eta): "
+                         "a basis element is not eta-skew")
     return table
 
 

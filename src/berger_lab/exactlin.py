@@ -39,7 +39,9 @@ A row that reduces to one entry is stored as the unit pivot {c: 1}, and
 column c is deleted at once from every stored pivot row and from the
 working row; a row left with one entry becomes a unit pivot in turn.  This
 is the first step of structured Gaussian elimination (LaMacchia and
-Odlyzko, CRYPTO '90): most pivots of a first-Bianchi system are units, and
+Odlyzko, CRYPTO '90).  In the first-Bianchi system of
+`curvature.bianchi_kernel`, units are 43% to 95% of the pivots for sp_w,
+sp1+sp_w and h0 at (1,1,1), (1,3,1) and (3,3,3), though none for sp, and
 the rows that reduce to zero no longer meet their columns.  Every step
 adds to a row a multiple of a row already in the span, so the span never
 changes.  Each reduction strictly lowers the largest column of the row

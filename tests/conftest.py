@@ -90,6 +90,43 @@ def value_column(el, a, b, col):
     return {d: v for d, v in out.items() if v}
 
 
+def reference_bianchi_rows(algebra):
+    """Integer equation rows of the first-Bianchi map on Hom(Lambda^2 V, g),
+    unknowns bivector-major: R(a,b)e_c + R(b,c)e_a - R(a,c)e_b = 0 on every
+    basis triple a < b < c, one row per coordinate.  Read from the basis
+    matrices alone, without the metric, and cleared row by row."""
+    n = algebra.space.real_dim
+    dimg = algebra.dim
+    biv = {pair: ib for ib, pair in enumerate(bivector_pairs(n))}
+    cols = [[] for _ in range(n)]  # cols[c]: (k, row d, B_k[d, c])
+    for k, bmat in enumerate(algebra.basis):
+        for pos, v in bmat.nz.items():
+            d, c = divmod(pos, n)
+            cols[c].append((k, d, v))
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                by_coord = {}
+                for pair, col, sign in (((a, b), c, 1), ((b, c), a, 1),
+                                        ((a, c), b, -1)):
+                    base = biv[pair] * dimg
+                    for k, d, v in cols[col]:
+                        row = by_coord.setdefault(d, {})
+                        row[base + k] = row.get(base + k, 0) + sign * v
+                for d in sorted(by_coord):
+                    row = integer_row(by_coord[d])
+                    if row:
+                        yield row
+
+
+def reference_bianchi_kernel(algebra):
+    """Canonical RREF rows of the first-Bianchi kernel on Hom(Lambda^2 V, g),
+    solved on the flat system; the second computation `bianchi_kernel`
+    is checked against."""
+    ncols = len(bivector_pairs(algebra.space.real_dim)) * algebra.dim
+    return sparse_nullspace(reference_bianchi_rows(algebra), ncols)
+
+
 def synthetic_element(algebra):
     """A fixed element with scattered coefficients, in general not a
     curvature tensor (see the pair-symmetry tests)."""

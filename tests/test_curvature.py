@@ -15,8 +15,10 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace, act,
                                   pair_symmetry_holds, restrict_check_degenerate,
                                   ricci, scalar)
 from berger_lab.exactlin import RealMatrix, canonical_rows, span_of
-from berger_lab.liealg import LieAlgebra, algebra_by_name
-from conftest import SPARSE_CASES, synthetic_element, tier2, value, value_column
+from berger_lab.harness import ALL_CHECKS, Session
+from berger_lab.liealg import ALGEBRA_NAMES, LieAlgebra, algebra_by_name
+from conftest import (SPARSE_CASES, reference_bianchi_kernel, synthetic_element,
+                      tier2, value, value_column)
 
 
 def kernel(session, name, r, s, t):
@@ -69,6 +71,54 @@ def test_kernel_elements_satisfy_first_bianchi(session):
     space = kernel(session, "sp1+sp_w", 1, 1, 1)
     for el in space.basis[:3]:
         assert satisfies_first_bianchi(el)
+    # every basis tensor of every space the tier-1 checks compute
+    tier1 = Session()
+    for _, check in ALL_CHECKS:
+        check(tier1, 1)
+    spaces = tier1.computed_curvatures()
+    assert len(spaces) > 1
+    for curvature in spaces.values():
+        assert all(bianchi_residual_is_zero(el) for el in curvature.basis)
+
+
+# every registry algebra defined at each configuration
+REFERENCE_CASES = SPARSE_CASES + [
+    pytest.param(name, 2, 2, 2, marks=tier2) for name in ALGEBRA_NAMES] + [
+    pytest.param(name, 1, 3, 1, marks=tier2)
+    for name in ("sp", "sp_w", "sp1", "sp1+sp", "sp1+sp_w")]
+
+
+@pytest.mark.parametrize("name,r,s,t", REFERENCE_CASES)
+def test_bianchi_kernel_matches_the_flat_reference(session, name, r, s, t):
+    # Sym^2(g) -> Lambda^4 against the first-Bianchi map on Hom(Lambda^2, g)
+    curvature = kernel(session, name, r, s, t)
+    expected = reference_bianchi_kernel(curvature.algebra)
+    assert [el.sparse_vector() for el in curvature.basis] == expected
+    assert list(curvature.coefficient_subspace().sparse_rows()) == expected
+
+
+def not_eta_skew(space, base):
+    """`base` with one basis matrix appended that is not eta-skew: the
+    identity, whose eta I = eta is symmetric, or E_{0, c}, where eta moves
+    row 0 to row c, so that eta E_{0, c} has a diagonal entry at (c, c)."""
+    n = space.real_dim
+    c = curv._signed_permutation(space.eta)[0][0]
+    return [
+        LieAlgebra("with-identity", space, [*base.basis, RealMatrix.identity(n)]),
+        LieAlgebra("with-diagonal", space, [
+            *base.basis, RealMatrix.from_sparse(n, n, {c: Fraction(1)})]),
+    ]
+
+
+def test_an_algebra_outside_so_eta_is_refused(session, space111):
+    for algebra in not_eta_skew(space111, session.algebra("h0", 1, 1, 1)):
+        with pytest.raises(ValueError, match="eta-skew"):
+            curv.bianchi_kernel(algebra)
+        el = synthetic_element(algebra)
+        with pytest.raises(ValueError, match="eta-skew"):
+            pair_symmetry_holds(el)
+        with pytest.raises(ValueError, match="eta-skew"):
+            pair_symmetry_all(CurvatureSpace(algebra, [el]))
 
 
 def test_bianchi_kernel_follows_a_scaled_basis(session, space111):
@@ -604,8 +654,8 @@ def test_kernel_keeps_its_canonical_subspace(session, monkeypatch):
         calls.append(1)
         return canonical_rows(vectors)
 
-    monkeypatch.setattr(exactlin, "canonical_rows", counting)
     curvature = curv.bianchi_kernel(algebra)
+    monkeypatch.setattr(exactlin, "canonical_rows", counting)
     sub = curvature.coefficient_subspace()
     assert calls == []
     monkeypatch.undo()

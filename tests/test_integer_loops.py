@@ -17,7 +17,7 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace,
                                   bianchi_residual_is_zero, bivector_pairs,
                                   build_r0, pair_symmetry_all,
                                   pair_symmetry_holds, ricci, scalar)
-from berger_lab.exactlin import RealMatrix
+from berger_lab.exactlin import RealMatrix, sparse_nullspace
 from berger_lab.liealg import LieAlgebra
 from conftest import (SPARSE_CASES, is_normal, synthetic_element, value,
                       value_column)
@@ -169,6 +169,28 @@ def test_contractions_residual_and_symmetry_match_the_references(
     expected = ref_pair_symmetric(synthetic)
     assert pair_symmetry_all(CurvatureSpace(
         curvature.algebra, [*curvature.basis, synthetic])) == expected
+
+
+def test_bianchi_equation_rows_hold_ints_only(session, space111, monkeypatch):
+    # the rows bianchi_kernel hands to the elimination, for an integral
+    # basis and for one with non-integer entries
+    h0 = session.algebra("h0", 1, 1, 1)
+    scaled = LieAlgebra("h0-scaled", space111, [
+        b.scaled(Fraction(1, 2 + k % 3)) for k, b in enumerate(h0.basis)])
+    seen = []
+
+    def capture(rows, ncols):
+        rows = list(rows)
+        seen.append(rows)
+        return sparse_nullspace(rows, ncols)
+
+    monkeypatch.setattr(curv, "sparse_nullspace", capture)
+    for algebra in (session.algebra("sp1+sp_w", 1, 2, 1), h0, scaled):
+        curv.bianchi_kernel(algebra)
+    assert len(seen) == 3
+    for rows in seen:
+        assert rows
+        assert all(type(v) is int and v for row in rows for v in row.values())
 
 
 # ---------------------------------------------------------------------------

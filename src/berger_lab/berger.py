@@ -151,7 +151,9 @@ def split_of(full: CurvatureSpace, sub: CurvatureSpace,
     """Test R(full) = line(generator) + R(sub), over full.algebra.
 
     `generator` is a sparse coefficient vector over full.algebra; `sub`'s
-    algebra must embed in full.algebra.
+    algebra must be a block of full.algebra's basis (see
+    `coefficients_over`), so R(sub) over full.algebra is its own canonical
+    rows relabelled.
     """
     embedded = sub.over(full.algebra)
     full_sub = full.coefficient_subspace()
@@ -165,10 +167,9 @@ def split_of(full: CurvatureSpace, sub: CurvatureSpace,
 
 
 def collapses(full: CurvatureSpace, sub: CurvatureSpace) -> bool:
-    """True iff R(full) = R(sub), comparing both over full.algebra."""
-    embedded = sub.over(full.algebra)
-    full_sub = full.coefficient_subspace()
-    return embedded.dim == full_sub.dim and full_sub.contains(embedded)
+    """True iff R(full) = R(sub), comparing both over full.algebra.  Both
+    subspaces are canonical, so they are equal iff their rows are."""
+    return sub.over(full.algebra) == full.coefficient_subspace()
 
 
 def holonomy_case_split(r: int, s: int, t: int, session=None) -> CaseSplitReport:
@@ -271,9 +272,9 @@ def _restriction_multiple_check(parabolic_full: CurvatureSpace, split: Split,
     table of W-blocks.  When the split holds, R(full) = line(R1) + R(sub)
     and reducing against the canonical `split.sub_over_full` kills the
     sp(r,r)_W part, so every tensor's remainder is c times R1's remainder
-    and c = b/a, with a and b the two remainders at R1's leading key.  Each
-    comparison is made by cross-multiplication, so no quotient is
-    formed."""
+    and c = b/a, with a and b the two remainders at R1's leading key, b
+    read by `_remainder_at` with no remainder formed.  Each comparison is
+    made by cross-multiplication, so no quotient is formed."""
     if split.generator_in_sub:
         return False, {"reason": "R1 lies in the curvature space of sp(r,r)_W"}
     if not split.holds:
@@ -289,9 +290,10 @@ def _restriction_multiple_check(parabolic_full: CurvatureSpace, split: Split,
     blocks = _w_blocks(algebra, w_idx)
     r1 = CurvatureElement(algebra, r1_vec)
     r1_values = [_w_block_value(r1, blocks, p, q) for p, q in pairs]
+    component = _remainder_at(sub, lead, algebra.dim)
 
     for index, el in enumerate(parabolic_full.basis):
-        b = sub.reduce_vector(el.sparse_vector()).get(lead, 0)
+        b = component(el)
         for (p, q), expected in zip(pairs, r1_values):
             # expected holds nonzeros only, so c * expected has its keys
             # when c != 0 and is empty when c == 0
@@ -300,6 +302,25 @@ def _restriction_multiple_check(parabolic_full: CurvatureSpace, split: Split,
                     or any(a * v != b * expected[pos] for pos, v in got.items())):
                 return False, {"element": index, "pair": (p, q)}
     return True, {"elements_checked": parabolic_full.dim}
+
+
+def _remainder_at(sub: Subspace, key: int, dimg: int):
+    """el -> the entry at `key`, a column that is no pivot of `sub`, of the
+    remainder of el's coefficient vector (over an algebra of dimension
+    `dimg`) after reduction against `sub`.  Each canonical row is zero at
+    every other row's pivot, so that entry is v[key] - sum v[pivot] row[key]
+    over the rows: one dot product with the rows' column `key`."""
+    # (bivector, basis index) of each pivot whose row is nonzero at key
+    column = [(*divmod(min(row), dimg), row[key])
+              for row in sub.sparse_rows() if key in row]
+    ib, k = divmod(key, dimg)
+
+    def at(el: CurvatureElement):
+        rows = el.rows
+        return rows[ib].get(k, 0) - sum(rows[pb].get(pk, 0) * x
+                                        for pb, pk, x in column)
+
+    return at
 
 
 def _w_blocks(algebra: LieAlgebra, w_idx) -> list[dict]:

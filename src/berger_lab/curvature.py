@@ -26,8 +26,15 @@ coefficient of B_k in R(e_a, e_b), and stored as one row per bivector:
 all empty rows share one read-only mapping.  Kernel bases are canonical
 RREF rows of that space, so each basis tensor has its first nonzero
 coefficient equal to 1; `bianchi_kernel` keeps those rows as the space's
-coefficient subspace.  The JSON form stays dense: one string per
+coefficient subspace and builds the basis tensors from them only when
+`basis` is first read.  The JSON form stays dense: one string per
 (bivector, basis element).
+
+Comparisons across algebras read a space over a larger algebra whose basis
+holds its algebra's basis in order, as `direct_sum` builds sp(1)+g from g:
+`coefficients_over` relabels the canonical rows' keys, which keeps them
+canonical, so two spaces over one algebra are compared by their rows,
+with no elimination.
 
 Every tensor and every space of tensors reads its quaternionic space from
 its algebra (`algebra.space`), so no tensor can live on a space other than
@@ -179,28 +186,46 @@ class CurvatureSpace:
     """Basis of the kernel of the first-Bianchi map into `algebra`, on
     `algebra.space`; every basis tensor is over that same algebra.
 
-    The basis's span in the flat coefficient space is kept from
-    `bianchi_kernel`, whose basis rows are already canonical, or else
-    computed on first use; so is its span over each larger algebra."""
+    A space from `bianchi_kernel` holds its canonical RREF coefficient rows
+    as its coefficient subspace, takes `dim` from it, and builds its basis
+    tensors from those rows when `basis` is first read.  A space built from
+    a basis (`CurvatureSpace(algebra, basis)`, `from_json`) computes its
+    subspace on first use.  Each is computed at most once, and so is the
+    space's span over each larger algebra."""
 
-    __slots__ = ("space", "algebra", "basis", "dim", "_subspace", "_over")
+    __slots__ = ("space", "algebra", "dim", "_basis", "_subspace", "_over")
 
     def __init__(self, algebra: LieAlgebra, basis):
+        basis = tuple(basis)
         object.__setattr__(self, "space", algebra.space)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "dim", len(self.basis))
+        object.__setattr__(self, "dim", len(basis))
+        object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "_subspace", None)
         object.__setattr__(self, "_over", {})
 
     @classmethod
     def _from_canonical_rows(cls, algebra, rows) -> "CurvatureSpace":
         """The space spanned by canonical RREF coefficient rows, which are
-        kept as its coefficient subspace."""
-        out = cls(algebra, [CurvatureElement(algebra, r) for r in rows])
+        kept as its coefficient subspace; no tensor is built yet."""
         ambient = _bivector_count(algebra.space.real_dim) * algebra.dim
-        object.__setattr__(out, "_subspace", Subspace(ambient, rows))
+        sub = Subspace(ambient, rows)
+        out = cls(algebra, ())
+        object.__setattr__(out, "dim", sub.dim)
+        object.__setattr__(out, "_basis", None)
+        object.__setattr__(out, "_subspace", sub)
         return out
+
+    @property
+    def basis(self) -> tuple:
+        """The basis tensors; for a computed space, one per canonical row,
+        built on first read."""
+        basis = self._basis
+        if basis is None:
+            basis = tuple(CurvatureElement(self.algebra, row)
+                          for row in self._subspace.sparse_rows())
+            object.__setattr__(self, "_basis", basis)
+        return basis
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureSpace is immutable")
@@ -754,9 +779,37 @@ def element_over(element: CurvatureElement, target: LieAlgebra) -> dict:
     return _over(element, _embedding(element.algebra, target), target.dim)
 
 
+def _block_slots(algebra: LieAlgebra, target: LieAlgebra) -> list[int]:
+    """m with B_k = target.basis[m[k]] for every basis element B_k of
+    `algebra`, m strictly increasing; raises ValueError unless `target`'s
+    basis holds `algebra`'s that way."""
+    slots = []
+    for coords in _embedding(algebra, target):
+        m = next(iter(coords), -1)
+        if coords != {m: 1} or (slots and m <= slots[-1]):
+            raise ValueError(f"the basis of {algebra.name} is not a block of "
+                             f"the basis of {target.name}")
+        slots.append(m)
+    return slots
+
+
 def coefficients_over(curvature: CurvatureSpace, target: LieAlgebra) -> Subspace:
     """The curvature space as a canonical subspace of the coefficient space
-    over a larger algebra (for monotonicity and equality comparisons)."""
-    mapped = _embedding(curvature.algebra, target)
-    vectors = [_over(el, mapped, target.dim) for el in curvature.basis]
-    return span_of(vectors, _bivector_count(curvature.space.real_dim) * target.dim)
+    over a larger algebra `target` (for monotonicity and equality
+    comparisons), with no elimination.
+
+    `target`'s basis must hold the curvature algebra's basis, in order, as
+    basis elements: a direct-sum summand in its sum (sp(r,s)_W in
+    sp(1)+sp(r,s)_W; `direct_sum` concatenates bases), or the algebra
+    itself.  Basis element k is then target element m_k, m strictly
+    increasing, so the key map ib * dim g + k -> ib * dim target + m_k is
+    strictly increasing and takes the canonical RREF rows of
+    `curvature.coefficient_subspace()` to canonical RREF rows over
+    `target`; RREF is unique, so relabelling them is the whole computation.
+    Any other target raises ValueError, as does an algebra that does not
+    embed (`element_over` re-expresses a single tensor over any embedding)."""
+    slots = _block_slots(curvature.algebra, target)
+    dim_s, dim_t = curvature.algebra.dim, target.dim
+    rows = [{key // dim_s * dim_t + slots[key % dim_s]: c for key, c in row.items()}
+            for row in curvature.coefficient_subspace().sparse_rows()]
+    return Subspace(_bivector_count(curvature.space.real_dim) * dim_t, rows)

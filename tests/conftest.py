@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from berger_lab.curvature import CurvatureElement, bivector_pairs
+from berger_lab.curvature import CurvatureElement, bivector_pairs, element_over
 from berger_lab.exactlin import (RealMatrix, Subspace, integer_row, span_of,
                                  sparse_nullspace)
 from berger_lab.harness import Session
@@ -125,6 +125,15 @@ def reference_bianchi_kernel(algebra):
     is checked against."""
     ncols = len(bivector_pairs(algebra.space.real_dim)) * algebra.dim
     return sparse_nullspace(reference_bianchi_rows(algebra), ncols)
+
+
+def reference_coefficients_over(curvature, target):
+    """The curvature space over `target` as the span of each basis tensor's
+    image under the embedding, from one elimination: valid for any
+    embedding, and the second computation `coefficients_over`'s relabelled
+    rows are checked against."""
+    vectors = [element_over(el, target) for el in curvature.basis]
+    return span_of(vectors, len(bivector_pairs(curvature.space.real_dim)) * target.dim)
 
 
 def synthetic_element(algebra):

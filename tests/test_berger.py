@@ -2,9 +2,9 @@ from dataclasses import replace
 
 import pytest
 
-from berger_lab.berger import (SCOPE_NOTE, _restriction_multiple_check,
-                               berger_report, collapses, holonomy_case_split,
-                               split_of)
+from berger_lab.berger import (SCOPE_NOTE, _remainder_at,
+                               _restriction_multiple_check, berger_report,
+                               collapses, holonomy_case_split, split_of)
 from berger_lab.curvature import (CurvatureElement, CurvatureSpace, build_r1,
                                   element_over)
 from berger_lab.exactlin import span_of
@@ -184,6 +184,29 @@ def test_restriction_multiple_fails_on_a_wrong_r1_component(session):
     assert not ok and set(details) == {"element", "pair"}
 
 
+def test_remainder_at_reads_one_entry_of_the_remainder(session):
+    # against R(sp(1,1)_W) over sp(1)+sp(1,1)_W, and against another
+    # complement of line(R1), whose rows are nonzero at R1's leading key
+    full = session.curvature("sp1+sp_w", 1, 1, 1)
+    r1_vec = r1_over_full(session, 1, 1, 1)
+    sub = split_of(full, session.curvature("sp_w", 1, 1, 1), r1_vec).sub_over_full
+    rows = list(sub.sparse_rows())
+    rows[0] = {k: rows[0].get(k, 0) + r1_vec.get(k, 0)
+               for k in rows[0].keys() | r1_vec.keys()}
+    other = span_of(rows, sub.ambient_dim)
+    dimg = full.algebra.dim
+    tensors = list(full.basis) + [CurvatureElement(full.algebra, r1_vec)]
+    for space in (sub, other):
+        pivots = set(space.pivot_columns())
+        keys = sorted({k for row in space.sparse_rows() for k in row} - pivots)
+        assert any(len([row for row in space.sparse_rows() if k in row]) > 1
+                   for k in keys)
+        for key in keys:
+            at = _remainder_at(space, key, dimg)
+            for el in tensors:
+                assert at(el) == space.reduce_vector(el.sparse_vector()).get(key, 0)
+
+
 def test_restriction_multiple_reads_r1_over_its_own_algebra(session):
     # R1 enters the check as its vector over sp(1)+sp(r,r)_W, which
     # `element_over` reads over R1's own algebra: a reordered h0 basis, with
@@ -232,6 +255,30 @@ def test_split_predicates_name_the_failed_condition(session, tampered):
     assert collapses(session.curvature("sp1+sp_w", 1, 2, 1),
                      session.curvature("sp_w", 1, 2, 1))
     assert not collapses(full, session.curvature("sp_w", 1, 1, 1))
+
+
+def contains_and_same_dim(full, sub):
+    """The collapse predicate as it stood before equality of canonical rows:
+    equal dimensions and R(full) containing R(sub)."""
+    embedded = sub.over(full.algebra)
+    full_sub = full.coefficient_subspace()
+    return embedded.dim == full_sub.dim and full_sub.contains(embedded)
+
+
+@pytest.mark.parametrize("r,s,t", [(r, s, t) for r in (1, 2, 3) for s in (1, 2, 3)
+                                   for t in range(1, min(r, s) + 1)])
+def test_collapses_is_the_dimension_and_containment_test(session, r, s, t):
+    full = session.curvature("sp1+sp_w", r, s, t)
+    sub = session.curvature("sp_w", r, s, t)
+    assert collapses(full, sub) == contains_and_same_dim(full, sub)
+    assert collapses(full, sub) == (r + s != 2 * t)
+
+
+def test_collapses_fails_on_a_dropped_tensor(tampered):
+    full = tampered.curvature("sp1+sp_w", 1, 2, 1)
+    sub = tampered.curvature("sp_w", 1, 2, 1)
+    assert not collapses(full, sub)
+    assert not contains_and_same_dim(full, sub)
 
 
 def test_report_json_shape(session):

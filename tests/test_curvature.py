@@ -15,10 +15,12 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace, act,
                                   pair_symmetry_holds, restrict_check_degenerate,
                                   ricci, scalar)
 from berger_lab.exactlin import RealMatrix, canonical_rows, span_of
+from berger_lab.berger import holonomy_case_split
 from berger_lab.harness import ALL_CHECKS, Session
 from berger_lab.liealg import ALGEBRA_NAMES, LieAlgebra, algebra_by_name
-from conftest import (SPARSE_CASES, reference_bianchi_kernel, synthetic_element,
-                      tier2, value, value_column)
+from conftest import (SPARSE_CASES, reference_bianchi_kernel,
+                      reference_coefficients_over, synthetic_element, tier2,
+                      value, value_column)
 
 
 def kernel(session, name, r, s, t):
@@ -589,6 +591,81 @@ def test_over_computes_each_target_once(session, monkeypatch):
     other = session.algebra("sp1+sp", 1, 1, 1)
     assert sub.over(other) == real(sub, other)
     assert calls == [target.name, other.name]
+
+
+# every registry algebra sits in each target below as a block of its basis,
+# sp(r,s)_W in sp(1)+sp(r,s) too: its basis is the leading part of sp(r,s)'s
+BLOCK_PAIRS = [("sp_w", "sp1+sp_w"), ("sp", "sp1+sp"), ("sp1", "sp1+sp"),
+               ("sp_w", "sp1+sp"), ("glq", "h0")]
+R_EQUALS_T = {"glq", "h0"}  # defined only for r = s = t
+
+
+def over_cases(configs, pairs):
+    return [(source, target, *config) for config in configs
+            for source, target in pairs
+            if config[0] == config[1] == config[2]
+            or not {source, target} & R_EQUALS_T]
+
+
+@pytest.mark.parametrize("source,target,r,s,t", over_cases(
+    [(1, 1, 1), (1, 2, 1)],
+    BLOCK_PAIRS + [(name, name) for name in ALGEBRA_NAMES]))
+def test_coefficients_over_matches_the_reference(session, source, target, r, s, t):
+    curvature = kernel(session, source, r, s, t)
+    algebra = session.algebra(target, r, s, t)
+    assert coefficients_over(curvature, algebra) == reference_coefficients_over(
+        curvature, algebra)
+
+
+@tier2
+@pytest.mark.parametrize("source,target,r,s,t",
+                         over_cases([(2, 2, 2), (1, 3, 1)], BLOCK_PAIRS))
+def test_coefficients_over_matches_the_reference_tier2(session, source, target,
+                                                       r, s, t):
+    test_coefficients_over_matches_the_reference(session, source, target, r, s, t)
+
+
+def test_coefficients_over_refuses_a_target_that_is_no_block(session):
+    sub = kernel(session, "sp_w", 1, 1, 1)
+    full = session.algebra("sp1+sp_w", 1, 1, 1)
+    # the same span as sp(1)+sp(1,1)_W, but sp(1,1)_W's basis sits in it out
+    # of order, or scaled: relabelling the rows would not give canonical rows
+    for basis in (full.basis[::-1], [b.scaled(2) for b in full.basis]):
+        target = LieAlgebra("sp1+sp_w", full.space, basis)
+        with pytest.raises(ValueError, match="not a block"):
+            coefficients_over(sub, target)
+        assert reference_coefficients_over(sub, target).dim == sub.dim
+    with pytest.raises(ValueError, match="does not embed"):
+        coefficients_over(kernel(session, "sp", 1, 1, 1), full)
+
+
+def test_mixed_case_split_builds_no_tensor(monkeypatch):
+    # the collapse compares canonical rows, so no kernel's basis is read
+    built = []
+    real = CurvatureElement.__init__
+
+    def counting(self, algebra, vec):
+        built.append(algebra.name)
+        real(self, algebra, vec)
+
+    monkeypatch.setattr(CurvatureElement, "__init__", counting)
+    report = holonomy_case_split(1, 3, 1)
+    assert report.case == "mixed-signature" and report.passed()
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["sp_w", "h0", "sp1+sp_w"])
+def test_kernel_builds_its_basis_on_first_read(session, name):
+    algebra = session.algebra(name, 1, 1, 1)
+    expected = reference_bianchi_kernel(algebra)
+    computed = curv.bianchi_kernel(algebra)
+    assert computed.dim == len(expected)
+    assert computed._basis is None  # reading dim built no tensor
+    basis = computed.basis
+    assert basis == tuple(CurvatureElement(algebra, row) for row in expected)
+    assert computed.basis is basis
+    assert [el.sparse_vector() for el in basis] == list(
+        computed.coefficient_subspace().sparse_rows())
 
 
 def test_synthetic_element_breaks_pair_symmetry(session):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .curvature import (CurvatureElement, CurvatureSpace, bivector_pairs,
-                        build_r1, element_over)
+                        build_r1, coefficients_over, element_over)
 from .exactlin import Echelon, Subspace
 from .liealg import LieAlgebra
 
@@ -155,7 +155,7 @@ def split_of(full: CurvatureSpace, sub: CurvatureSpace,
     `coefficients_over`), so R(sub) over full.algebra is its own canonical
     rows relabelled.
     """
-    embedded = sub.over(full.algebra)
+    embedded = coefficients_over(sub, full.algebra)
     full_sub = full.coefficient_subspace()
     return Split(
         dims_add_up=full.dim == 1 + sub.dim,
@@ -169,7 +169,7 @@ def split_of(full: CurvatureSpace, sub: CurvatureSpace,
 def collapses(full: CurvatureSpace, sub: CurvatureSpace) -> bool:
     """True iff R(full) = R(sub), comparing both over full.algebra.  Both
     subspaces are canonical, so they are equal iff their rows are."""
-    return sub.over(full.algebra) == full.coefficient_subspace()
+    return coefficients_over(sub, full.algebra) == full.coefficient_subspace()
 
 
 def holonomy_case_split(r: int, s: int, t: int, session=None) -> CaseSplitReport:

@@ -23,12 +23,12 @@ lexicographically over the realified basis.  A tensor is built from its
 flat coefficient vector, bivector-major with key ib * dim g + k for the
 coefficient of B_k in R(e_a, e_b), and stored as one row per bivector:
 `rows[ib]` maps k to its coefficient, nonzeros only, keys ascending, and
-all empty rows share one read-only mapping.  Kernel bases are canonical
-RREF rows of that space, so each basis tensor has its first nonzero
-coefficient equal to 1; `bianchi_kernel` keeps those rows as the space's
-coefficient subspace and builds the basis tensors from them only when
-`basis` is first read.  The JSON form stays dense: one string per
-(bivector, basis element).
+all empty rows share one read-only mapping.  A space of tensors is its
+canonical RREF rows in that layout and is built from them alone, so each
+basis tensor has its first nonzero coefficient equal to 1 and is built
+only when `basis` is first read.  The JSON form stays dense, one string
+per (bivector, basis element); `from_json` checks the rows it reads are
+canonical before it keeps them.
 
 Comparisons across algebras read a space over a larger algebra whose basis
 holds its algebra's basis in order, as `direct_sum` builds sp(1)+g from g:
@@ -64,11 +64,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from types import MappingProxyType
 
-from .exactlin import (RealMatrix, Subspace, canonical_rows, integer_row,
-                       rat_from_str, rat_to_str, ratio, span_of,
+from .exactlin import (RealMatrix, Subspace, canonical_rows, check_canonical,
+                       integer_row, rat_from_str, rat_to_str, ratio,
                        sparse_nullspace)
 from .liealg import LieAlgebra
 from .quatspace import QuaternionicSpace
@@ -167,11 +168,6 @@ class CurvatureElement:
     def __repr__(self):
         return f"CurvatureElement(algebra={self.algebra.name!r})"
 
-    def to_json(self) -> list:
-        dimg = self.algebra.dim
-        return [[rat_to_str(row[k]) if k in row else "0" for k in range(dimg)]
-                for row in self.rows]
-
 
 def _bivector_count(n: int) -> int:
     return n * (n - 1) // 2
@@ -183,43 +179,26 @@ def _biv_index(n: int, a: int, b: int) -> int:
 
 
 class CurvatureSpace:
-    """Basis of the kernel of the first-Bianchi map into `algebra`, on
-    `algebra.space`; every basis tensor is over that same algebra.
+    """A space of curvature tensors with values in `algebra`, on
+    `algebra.space`, given by the canonical RREF rows of its span in the
+    flat coefficient layout, which it keeps as its coefficient subspace;
+    `dim` is their number, and the basis tensors, one per row, are built
+    when `basis` is first read.  The rows are taken as they are:
+    `bianchi_kernel` computes them, and `from_json` checks them first."""
 
-    A space from `bianchi_kernel` holds its canonical RREF coefficient rows
-    as its coefficient subspace, takes `dim` from it, and builds its basis
-    tensors from those rows when `basis` is first read.  A space built from
-    a basis (`CurvatureSpace(algebra, basis)`, `from_json`) computes its
-    subspace on first use.  Each is computed at most once, and so is the
-    space's span over each larger algebra."""
+    __slots__ = ("space", "algebra", "dim", "_subspace", "_basis")
 
-    __slots__ = ("space", "algebra", "dim", "_basis", "_subspace", "_over")
-
-    def __init__(self, algebra: LieAlgebra, basis):
-        basis = tuple(basis)
+    def __init__(self, algebra: LieAlgebra, rows):
+        sub = Subspace(_bivector_count(algebra.space.real_dim) * algebra.dim, rows)
         object.__setattr__(self, "space", algebra.space)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "dim", len(basis))
-        object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_subspace", None)
-        object.__setattr__(self, "_over", {})
-
-    @classmethod
-    def _from_canonical_rows(cls, algebra, rows) -> "CurvatureSpace":
-        """The space spanned by canonical RREF coefficient rows, which are
-        kept as its coefficient subspace; no tensor is built yet."""
-        ambient = _bivector_count(algebra.space.real_dim) * algebra.dim
-        sub = Subspace(ambient, rows)
-        out = cls(algebra, ())
-        object.__setattr__(out, "dim", sub.dim)
-        object.__setattr__(out, "_basis", None)
-        object.__setattr__(out, "_subspace", sub)
-        return out
+        object.__setattr__(self, "dim", sub.dim)
+        object.__setattr__(self, "_subspace", sub)
+        object.__setattr__(self, "_basis", None)
 
     @property
     def basis(self) -> tuple:
-        """The basis tensors; for a computed space, one per canonical row,
-        built on first read."""
+        """The basis tensors, one per canonical row, built on first read."""
         basis = self._basis
         if basis is None:
             basis = tuple(CurvatureElement(self.algebra, row)
@@ -234,51 +213,47 @@ class CurvatureSpace:
         return f"CurvatureSpace(algebra={self.algebra.name!r}, dim={self.dim})"
 
     def coefficient_subspace(self) -> Subspace:
-        """The span of the basis in the flat coefficient space, computed at
-        most once."""
-        sub = self._subspace
-        if sub is None:
-            ambient = _bivector_count(self.space.real_dim) * self.algebra.dim
-            sub = span_of([el.sparse_vector() for el in self.basis], ambient)
-            object.__setattr__(self, "_subspace", sub)
-        return sub
-
-    def over(self, target: LieAlgebra) -> Subspace:
-        """`coefficients_over(self, target)`, computed once per target."""
-        sub = self._over.get(target)
-        if sub is None:
-            sub = self._over[target] = coefficients_over(self, target)
-        return sub
+        """The span of the basis in the flat coefficient space."""
+        return self._subspace
 
     def to_json(self) -> dict:
+        dimg = self.algebra.dim
+        basis = []
+        for row in self._subspace.sparse_rows():
+            dense = [["0"] * dimg for _ in range(_bivector_count(self.space.real_dim))]
+            for key, c in row.items():
+                dense[key // dimg][key % dimg] = rat_to_str(c)
+            basis.append(dense)
         return {
             "algebra": self.algebra.name,
             "r": self.space.r,
             "s": self.space.s,
             "t": self.space.t,
             "dim": self.dim,
-            "basis": [el.to_json() for el in self.basis],
+            "basis": basis,
         }
 
     @classmethod
     def from_json(cls, algebra: LieAlgebra, data: dict) -> "CurvatureSpace":
         """The space over `algebra` of a dense JSON basis, one row of dim g
-        strings per bivector; only the non-"0" strings are parsed."""
+        strings per bivector; only the non-"0" strings are parsed.  Raises
+        ValueError unless `data` names `algebra` and as many rows as it
+        holds, and the rows are canonical (`check_canonical`)."""
+        if (data["algebra"], data["dim"]) != (algebra.name, len(data["basis"])):
+            raise ValueError(f"{algebra.name} with {len(data['basis'])} rows is "
+                             f"labelled {data['algebra']!r} of dim {data['dim']!r}")
         dimg = algebra.dim
         nbiv = _bivector_count(algebra.space.real_dim)
-        basis = []
+        rows = []
         for el in data["basis"]:
             if len(el) != nbiv:
                 raise ValueError(f"expected one row per bivector, got {len(el)}")
-            vec = {}
-            for ib, row in enumerate(el):
-                if len(row) != dimg:
-                    raise ValueError(
-                        f"expected {dimg} coefficients per row, got {len(row)}")
-                vec.update((ib * dimg + k, rat_from_str(v))
-                           for k, v in enumerate(row) if v != "0")
-            basis.append(CurvatureElement(algebra, vec))
-        return cls(algebra, basis)
+            if any(len(biv_row) != dimg for biv_row in el):
+                raise ValueError(f"expected {dimg} coefficients per row")
+            rows.append({key: c for key, v in enumerate(chain.from_iterable(el))
+                         if v != "0" and (c := rat_from_str(v))})
+        check_canonical(rows)
+        return cls(algebra, rows)
 
 
 def _columns(algebra: LieAlgebra) -> tuple[int, list[list]]:
@@ -414,7 +389,7 @@ def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
                         vec[key] = vec.get(key, 0) + s * w
             yield vec
 
-    return CurvatureSpace._from_canonical_rows(algebra, canonical_rows(tensors()))
+    return CurvatureSpace(algebra, canonical_rows(tensors()))
 
 
 def bianchi_residual_is_zero(element) -> bool:

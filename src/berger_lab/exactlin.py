@@ -30,7 +30,8 @@ canonical from one elimination: in `sparse_nullspace` every reduced pivot
 row holds, besides its pivot, only free columns to its left, which makes
 the free-column basis of the kernel its RREF basis, so no caller
 re-canonicalises a kernel.  `canonical_rows` wants the leftmost-pivot RREF
-of a span, so it negates the columns on the way in and back on the way out.
+of a span, so it negates the columns on the way in and back on the way out;
+`check_canonical` decides whether rows read from outside are in that form.
 
 `Echelon` keeps its pivot rows short.  A working row shorter than the
 pivot row at its largest column takes that pivot's place (Markowitz's
@@ -74,6 +75,7 @@ __all__ = [
     "symmetric_signature",
     "sparse_nullspace",
     "canonical_rows",
+    "check_canonical",
     "integer_row",
 ]
 
@@ -447,6 +449,22 @@ def canonical_rows(vectors: Iterable[dict]) -> list[dict]:
     ech.full_reduce()
     return [{-k: x for k, x in reversed(r.items())}
             for r in reversed(ech.canonical_rows())]
+
+
+def check_canonical(rows: Sequence[Mapping]) -> None:
+    """Raise ValueError, naming the row, unless the sparse `rows` are
+    canonical RREF rows, the form `canonical_rows` returns: each row is
+    nonzero, stores no zero and leads with 1, the leads strictly increase,
+    and no row is nonzero at another row's lead."""
+    leads = [min(row, default=None) for row in rows]
+    lead_set = set(leads)
+    for i, (row, lead) in enumerate(zip(rows, leads)):
+        if lead is None or not all(row.values()) or row[lead] != 1:
+            raise ValueError(f"row {i} is not a nonzero row leading with 1")
+        if i and lead <= leads[i - 1]:
+            raise ValueError(f"row {i} does not lead after row {i - 1}")
+        if len(lead_set.intersection(row)) != 1:
+            raise ValueError(f"row {i} is nonzero at another row's lead")
 
 
 # ---------------------------------------------------------------------------

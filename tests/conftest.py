@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from berger_lab.curvature import CurvatureElement, bivector_pairs, element_over
-from berger_lab.exactlin import (RealMatrix, Subspace, integer_row, span_of,
-                                 sparse_nullspace)
+from berger_lab.curvature import (CurvatureElement, CurvatureSpace, bivector_pairs,
+                                  element_over)
+from berger_lab.exactlin import (RealMatrix, Subspace, canonical_rows, integer_row,
+                                 span_of, sparse_nullspace)
 from berger_lab.harness import Session
 from berger_lab.prolong import first_prolongation_of, second_prolongation
 
@@ -134,6 +135,26 @@ def reference_coefficients_over(curvature, target):
     rows are checked against."""
     vectors = [element_over(el, target) for el in curvature.basis]
     return span_of(vectors, len(bivector_pairs(curvature.space.real_dim)) * target.dim)
+
+
+def spanned(algebra, elements):
+    """The space over `algebra` spanned by any tensors over it, built from
+    their canonical rows, the one form a `CurvatureSpace` takes."""
+    return CurvatureSpace(algebra, canonical_rows(el.sparse_vector() for el in elements))
+
+
+def tensors_built(monkeypatch):
+    """A list to which every `CurvatureElement` built from now on, until
+    `monkeypatch` is undone, appends its algebra's name."""
+    built = []
+    real = CurvatureElement.__init__
+
+    def counting(self, algebra, vec):
+        built.append(algebra.name)
+        real(self, algebra, vec)
+
+    monkeypatch.setattr(CurvatureElement, "__init__", counting)
+    return built
 
 
 def synthetic_element(algebra):

@@ -26,14 +26,14 @@ print(json.dumps({{"code": code, "calls": dict(tracer.calls),
 
 def traced(spec):
     """Run one bench call (`worker.call`: a `berger-lab` argument list, or a
-    library case split) under the bench's tracer; its exit code, call counts
-    and counters."""
+    library case split) under the bench's tracer; its exit code, call counts,
+    counters and stderr."""
     script = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "bench"),
                            spec=spec)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return {**json.loads(proc.stdout.splitlines()[-1]), "stderr": proc.stderr}
 
 
 def bench_run():
@@ -83,6 +83,8 @@ def test_bench_layers_record_a_warm_tier1_run(tmp_path):
     result = verify_t1(run, tmp_path, tmp_path / "cache")
     assert result["code"] == 0
     assert off_contract(run, "verify-t1-warm", result) == ([], [])
+    # every entry a cold run wrote passes the load check: none is recomputed
+    assert "warning:" not in result["stderr"]
 
 
 def test_bench_layers_record_the_case_split_call(tmp_path):

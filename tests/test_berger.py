@@ -5,13 +5,13 @@ import pytest
 from berger_lab.berger import (SCOPE_NOTE, _remainder_at,
                                _restriction_multiple_check, berger_report,
                                collapses, holonomy_case_split, split_of)
-from berger_lab.curvature import (CurvatureElement, CurvatureSpace, build_r1,
+from berger_lab.curvature import (CurvatureElement, build_r1, coefficients_over,
                                   element_over)
 from berger_lab.exactlin import span_of
 from berger_lab.harness import (Session, check_mixed_signature_collapse,
                                 check_parabolic_split)
 from berger_lab.liealg import LieAlgebra
-from conftest import tier2
+from conftest import spanned, tier2
 
 
 def berger_closure(g, curvature):
@@ -63,7 +63,7 @@ def test_report_closure_is_the_reference_span(session, name, r, s, t):
 def test_closure_monotone_in_curvature_input(session):
     alg = session.algebra("sp1+sp_w", 1, 1, 1)
     full = session.curvature("sp1+sp_w", 1, 1, 1)
-    partial = CurvatureSpace(full.algebra, full.basis[:4])
+    partial = spanned(full.algebra, full.basis[:4])
     dim_partial = berger_closure(alg, partial).dim
     dim_full = berger_closure(alg, full).dim
     assert dim_partial <= dim_full
@@ -130,7 +130,7 @@ class DropsOneSpWTensor(Session):
     def curvature(self, name, r, s, t):
         real = super().curvature(name, r, s, t)
         if name == "sp_w":
-            return CurvatureSpace(real.algebra, real.basis[:-1])
+            return spanned(real.algebra, real.basis[:-1])
         return real
 
 
@@ -260,7 +260,7 @@ def test_split_predicates_name_the_failed_condition(session, tampered):
 def contains_and_same_dim(full, sub):
     """The collapse predicate as it stood before equality of canonical rows:
     equal dimensions and R(full) containing R(sub)."""
-    embedded = sub.over(full.algebra)
+    embedded = coefficients_over(sub, full.algebra)
     full_sub = full.coefficient_subspace()
     return embedded.dim == full_sub.dim and full_sub.contains(embedded)
 

@@ -16,11 +16,11 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace, act,
                                   ricci, scalar)
 from berger_lab.exactlin import RealMatrix, canonical_rows, span_of
 from berger_lab.berger import holonomy_case_split
-from berger_lab.harness import ALL_CHECKS, Session
+from berger_lab.harness import ALL_CHECKS, Session, cache_get, cache_put
 from berger_lab.liealg import ALGEBRA_NAMES, LieAlgebra, algebra_by_name
 from conftest import (SPARSE_CASES, reference_bianchi_kernel,
-                      reference_coefficients_over, synthetic_element, tier2,
-                      value, value_column)
+                      reference_coefficients_over, spanned, synthetic_element,
+                      tensors_built, tier2, value, value_column)
 
 
 def kernel(session, name, r, s, t):
@@ -120,7 +120,7 @@ def test_an_algebra_outside_so_eta_is_refused(session, space111):
         with pytest.raises(ValueError, match="eta-skew"):
             pair_symmetry_holds(el)
         with pytest.raises(ValueError, match="eta-skew"):
-            pair_symmetry_all(CurvatureSpace(algebra, [el]))
+            pair_symmetry_all(spanned(algebra, [el]))
 
 
 def test_bianchi_kernel_follows_a_scaled_basis(session, space111):
@@ -359,7 +359,7 @@ def test_degenerate_vanishing_flags_corrupted_element(session, space121):
     key = curv._biv_index(n, p, x) * alg.dim
     vec[key] = vec.get(key, 0) + 1
     bad = CurvatureElement(alg, vec)
-    corrupted = CurvatureSpace(alg, [bad])
+    corrupted = spanned(alg, [bad])
     report = restrict_check_degenerate(corrupted)
     assert report.status == "fail"
     assert report.witnesses
@@ -380,7 +380,7 @@ def test_degenerate_vanishing_flags_a_value_that_moves_w(session, space121):
     vec = good.basis[0].sparse_vector()
     key = curv._biv_index(n, x, y) * alg.dim + k
     vec[key] = vec.get(key, 0) + 1
-    report = restrict_check_degenerate(CurvatureSpace(alg, [CurvatureElement(alg, vec)]))
+    report = restrict_check_degenerate(spanned(alg, [CurvatureElement(alg, vec)]))
     assert report.status == "fail"
     assert (0, "R(X,Y)p != 0", (x, y, p)) in report.witnesses
     assert all(kind == "R(X,Y)p != 0" for _, kind, _ in report.witnesses)
@@ -465,7 +465,7 @@ def test_curvature_space_json_round_trip(session):
 # JSON form) and full value matrices, the way the tensors are defined.
 
 def dense_coeffs(el):
-    return [[Fraction(v) for v in row] for row in el.to_json()]
+    return [[row.get(k, 0) for k in range(el.algebra.dim)] for row in el.rows]
 
 
 def ref_values(el):
@@ -540,11 +540,11 @@ def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
                 assert value_column(el, a, b, col) == {
                     d: expected[d, col] for d in range(n) if expected[d, col]}
         assert dense_coeffs(act(a_mat, el)) == ref_act(a_mat, el, values)
-        single = CurvatureSpace(algebra, [el])
+        single = spanned(algebra, [el])
         assert pair_symmetry_all(single) == ref_pair_symmetric(el, values)
         vectors.append(ref_over(el, values, target))
         assert element_over(el, target) == vectors[-1]
-    sample = CurvatureSpace(algebra, elements)
+    sample = spanned(algebra, elements)
     assert coefficients_over(sample, target) == span_of(
         vectors, len(bivector_pairs(n)) * target.dim)
 
@@ -570,27 +570,6 @@ def test_value_column_is_a_column_of_value(session, space111, name):
                         d: den * v for d, v in value_column(el, a, b, c).items()}
                     assert value_column(el, a, b, c) == {
                         d: reference[d, c] for d in range(n) if reference[d, c]}
-
-
-def test_over_computes_each_target_once(session, monkeypatch):
-    computed = kernel(session, "sp_w", 1, 1, 1)
-    # a fresh space over the same basis, so no memo from other tests is shared
-    sub = CurvatureSpace(computed.algebra, computed.basis)
-    target = session.algebra("sp1+sp_w", 1, 1, 1)
-    calls = []
-    real = curv.coefficients_over
-
-    def counted(curvature, algebra):
-        calls.append(algebra.name)
-        return real(curvature, algebra)
-
-    monkeypatch.setattr(curv, "coefficients_over", counted)
-    first = sub.over(target)
-    assert sub.over(target) is first
-    assert first == real(sub, target)
-    other = session.algebra("sp1+sp", 1, 1, 1)
-    assert sub.over(other) == real(sub, other)
-    assert calls == [target.name, other.name]
 
 
 # every registry algebra sits in each target below as a block of its basis,
@@ -740,51 +719,95 @@ def test_kernel_keeps_its_canonical_subspace(session, monkeypatch):
                           sub.ambient_dim)
 
 
-def test_built_space_computes_its_subspace_once(session, monkeypatch):
-    full = kernel(session, "sp_w", 1, 1, 1)
-    rebuilt = CurvatureSpace(full.algebra, full.basis)
-    calls = []
-
-    def counting(vectors):
-        calls.append(1)
-        return canonical_rows(vectors)
-
-    monkeypatch.setattr(exactlin, "canonical_rows", counting)
-    first = rebuilt.coefficient_subspace()
-    assert rebuilt.coefficient_subspace() is first
-    assert calls == [1]
-    assert first == full.coefficient_subspace()
-
-
-@pytest.mark.parametrize("name,r,s,t", [
-    ("sp1+sp_w", 1, 2, 1), ("h0", 1, 1, 1), ("glq", 1, 1, 1)])
-def test_from_json_round_trip_elements_are_equal(session, name, r, s, t):
+@pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)
+def test_from_json_round_trip_elements_are_equal(session, monkeypatch, name, r, s, t):
     original = kernel(session, name, r, s, t)
-    rebuilt = CurvatureSpace.from_json(original.algebra,
-                                       json.loads(json.dumps(original.to_json())))
+    built = tensors_built(monkeypatch)
+    data = json.loads(json.dumps(original.to_json()))
+    rebuilt = CurvatureSpace.from_json(original.algebra, data)
+    assert rebuilt.to_json() == data
+    assert (rebuilt.coefficient_subspace().sparse_rows()
+            == original.coefficient_subspace().sparse_rows())
+    assert built == []  # both directions read and write the rows alone
     assert rebuilt.basis == original.basis
     assert [hash(el) for el in rebuilt.basis] == [hash(el) for el in original.basis]
-    assert rebuilt.coefficient_subspace() == original.coefficient_subspace()
 
 
 def test_from_json_reads_only_nonzero_entries(session, space111):
     algebra = session.algebra("h0", 1, 1, 1)
     nb = len(bivector_pairs(space111.real_dim))
     rows = [["0"] * algebra.dim for _ in range(nb)]
-    rows[2][3] = "-3/4"
+    rows[2][3] = "1"
+    rows[2][5] = "-3/4"
     rows[5][0] = "0/7"  # a zero in another spelling stores nothing
-    data = {"basis": [rows]}
+    data = {"algebra": algebra.name, "dim": 1, "basis": [rows]}
     (el,) = CurvatureSpace.from_json(algebra, data).basis
-    assert el.rows[2] == {3: Fraction(-3, 4)}
-    assert el.sparse_vector() == {2 * algebra.dim + 3: Fraction(-3, 4)}
+    assert el.rows[2] == {3: 1, 5: Fraction(-3, 4)}
+    assert el.sparse_vector() == {2 * algebra.dim + 3: 1,
+                                  2 * algebra.dim + 5: Fraction(-3, 4)}
 
 
 def test_from_json_rejects_a_wrong_row_length(session, space111):
     algebra = session.algebra("h0", 1, 1, 1)
     nb = len(bivector_pairs(space111.real_dim))
+    label = {"algebra": algebra.name, "dim": 1}
     with pytest.raises(ValueError, match="coefficients per row"):
         CurvatureSpace.from_json(algebra,
-                                 {"basis": [[["0"] * (algebra.dim + 1)] * nb]})
+                                 {**label, "basis": [[["0"] * (algebra.dim + 1)] * nb]})
     with pytest.raises(ValueError, match="one row per bivector"):
         CurvatureSpace.from_json(algebra,
-                                 {"basis": [[["0"] * algebra.dim] * (nb - 1)]})
+                                 {**label, "basis": [[["0"] * algebra.dim] * (nb - 1)]})
+
+
+@pytest.mark.parametrize("key,wrong", [("dim", 14), ("algebra", "sp(1,1)")])
+def test_from_json_checks_the_dim_and_the_algebra(session, key, wrong):
+    value = kernel(session, "sp_w", 1, 1, 1)
+    assert value.to_json()[key] != wrong
+    with pytest.raises(ValueError, match="labelled"):
+        CurvatureSpace.from_json(value.algebra, {**value.to_json(), key: wrong})
+
+
+def dense_lead(dense):
+    """(ib, k) of the leading entry of one dense JSON basis tensor."""
+    return next((ib, k) for ib, row in enumerate(dense)
+                for k, v in enumerate(row) if v != "0")
+
+
+def double_the_lead(basis):
+    ib, k = dense_lead(basis[0])
+    basis[0][ib][k] = "2"
+
+
+def swap_two_rows(basis):
+    basis[0], basis[1] = basis[1], basis[0]
+
+
+def duplicate_a_row(basis):
+    basis[1] = [list(row) for row in basis[0]]
+
+
+def fill_another_lead(basis):
+    ib, k = dense_lead(basis[1])
+    basis[0][ib][k] = "1"
+
+
+def zero_a_row(basis):
+    basis[0] = [["0"] * len(row) for row in basis[0]]
+
+
+@pytest.mark.parametrize("tamper", [double_the_lead, swap_two_rows, duplicate_a_row,
+                                    fill_another_lead, zero_a_row])
+def test_rows_that_are_not_canonical_are_refused(session, space111, tmp_path,
+                                                 capsys, tamper):
+    value = kernel(session, "sp_w", 1, 1, 1)
+    data = json.loads(json.dumps(value.to_json()))
+    tamper(data["basis"])
+    with pytest.raises(ValueError, match=r"^row \d"):
+        CurvatureSpace.from_json(value.algebra, data)
+    cache_put(tmp_path, space111, "sp_w", value)
+    (entry,) = tmp_path.iterdir()
+    stored = json.loads(entry.read_text())
+    tamper(stored["curvature_space"]["basis"])
+    entry.write_text(json.dumps(stored))
+    assert cache_get(tmp_path, space111, "sp_w", value.algebra) is None
+    assert "warning: ignoring corrupt cache entry" in capsys.readouterr().err

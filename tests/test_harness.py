@@ -11,8 +11,10 @@ import pytest
 import berger_lab
 from berger_lab import harness
 from berger_lab.cli import main
+from berger_lab.exactlin import rat_from_str, rat_to_str
 from berger_lab.harness import (ALL_CHECKS, Session, VerificationReport,
-                                cache_get, cache_put, run_verification)
+                                cache_get, cache_key, cache_put, run_verification)
+from conftest import tensors_built
 
 
 # ---------------------------------------------------------------------------
@@ -220,30 +222,46 @@ def test_every_check_reports_its_claim(tier1_report):
     assert all(c.claim == harness.CLAIMS[c.check_id] for c in tier1_report.checks)
 
 
-def test_r0_and_embeddings_are_built_once_per_session(monkeypatch):
+def test_r0_is_built_once_per_session(monkeypatch):
     r0_calls = Counter()
-    over_calls = Counter()
-    real_r0, real_over = harness.curv.build_r0, harness.curv.coefficients_over
+    real_r0 = harness.curv.build_r0
 
     def build_r0(algebra):
         space = algebra.space
         r0_calls[space.r, space.s, space.t] += 1
         return real_r0(algebra)
 
-    def coefficients_over(curvature, target):
-        space = curvature.space
-        over_calls[curvature.algebra.name, target.name,
-                   (space.r, space.s, space.t)] += 1
-        return real_over(curvature, target)
-
     monkeypatch.setattr(harness.curv, "build_r0", build_r0)
-    monkeypatch.setattr(harness.curv, "coefficients_over", coefficients_over)
     assert run_verification(tier=1).all_passed()
     assert r0_calls == {(1, 1, 1): 1, (1, 2, 1): 1}
-    assert set(over_calls.values()) == {1}
-    # each pair below is asked for by two checks
-    assert ("sp(1,1)_W", "sp(1)+sp(1,1)_W", (1, 1, 1)) in over_calls
-    assert ("sp(1,2)_W", "sp(1)+sp(1,2)_W", (1, 2, 1)) in over_calls
+
+
+def test_a_tampered_h0_entry_is_recomputed(tmp_path, capsys):
+    cold = json.dumps(run_verification(tier=1, cache_dir=tmp_path).to_json(),
+                      sort_keys=True)
+    capsys.readouterr()
+    entry = tmp_path / f"{cache_key(1, 1, 1, 'h0')}.json"
+    data = json.loads(entry.read_text())
+    (rows,) = data["curvature_space"]["basis"]
+    ib, k = next((ib, k) for ib, row in enumerate(rows)
+                 for k, v in enumerate(row) if v != "0")
+    rows[ib][k] = rat_to_str(2 * rat_from_str(rows[ib][k]))
+    entry.write_text(json.dumps(data))
+    warm = run_verification(tier=1, cache_dir=tmp_path)
+    assert capsys.readouterr().err.count("warning: ignoring corrupt cache entry") == 1
+    assert warm.all_passed()
+    assert json.dumps(warm.to_json(), sort_keys=True) == cold
+
+
+def test_curvature_space_json_and_cache_put_build_no_tensor(tmp_path, capsys,
+                                                            monkeypatch, space111):
+    built = tensors_built(monkeypatch)
+    assert main(["curvature-space", "--algebra", "sp1+sp_w", "--r", "1", "--s", "1",
+                 "--t", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 14
+    cache_put(tmp_path, space111, "sp_w", Session().curvature("sp_w", 1, 1, 1))
+    assert len(list(tmp_path.iterdir())) == 1
+    assert built == []
 
 
 def test_report_text_lists_every_check(tier1_report):

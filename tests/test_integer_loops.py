@@ -13,14 +13,13 @@ from types import SimpleNamespace
 import pytest
 
 from berger_lab import curvature as curv
-from berger_lab.curvature import (CurvatureElement, CurvatureSpace,
-                                  bianchi_residual_is_zero, bivector_pairs,
-                                  build_r0, pair_symmetry_all,
+from berger_lab.curvature import (CurvatureElement, bianchi_residual_is_zero,
+                                  bivector_pairs, build_r0, pair_symmetry_all,
                                   pair_symmetry_holds, ricci, scalar)
 from berger_lab.exactlin import RealMatrix, sparse_nullspace
 from berger_lab.liealg import LieAlgebra
-from conftest import (SPARSE_CASES, is_normal, synthetic_element, value,
-                      value_column)
+from conftest import (SPARSE_CASES, is_normal, spanned, synthetic_element,
+                      value, value_column)
 
 # ---------------------------------------------------------------------------
 # Fraction references
@@ -167,7 +166,7 @@ def test_contractions_residual_and_symmetry_match_the_references(
     synthetic = synthetic_element(curvature.algebra)
     assert_matches_references(synthetic)
     expected = ref_pair_symmetric(synthetic)
-    assert pair_symmetry_all(CurvatureSpace(
+    assert pair_symmetry_all(spanned(
         curvature.algebra, [*curvature.basis, synthetic])) == expected
 
 

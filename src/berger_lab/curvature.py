@@ -51,12 +51,14 @@ fallback), the basis columns come from `_columns` times one lcm per
 algebra, the 2-forms omega_k from `_pairing_table` on those columns, and
 a tensor's rows from `_integer_rows` times one lcm per element; each
 kernel vector of the Sym^2(g) system is cleared by `integer_row` before
-it is mapped to the flat layout.  A value is divided only where it leaves
-a function, by `exactlin.ratio`, so it stays an int when the division is
-exact: R0 is built as 4 R0 and divided by 4 on its way to
-`coordinates_of`, `ricci` and `scalar` divide by the product of the two
-factors, and the residual and symmetry checks, which are homogeneous,
-need no division at all.
+it is mapped to the flat layout.  Pair symmetry and the derivative space
+visit a space's canonical rows, not its basis tensors: pair symmetry
+clears each row by `integer_row`, and the derivative space reads the rows
+through one bivector index.  A value is divided only where it leaves a
+function, by `exactlin.ratio`, so it stays an int when the division is
+exact: R0's coordinates are those of the integral 4 R0, divided by 4,
+`ricci` and `scalar` divide by the product of the two factors, and the
+residual and symmetry checks, which are homogeneous, need no division.
 """
 
 from __future__ import annotations
@@ -444,8 +446,8 @@ def _r0_values(space: QuaternionicSpace, pairs):
         R0(X, Y) = 1/2 sum_a eta(X, I_a Y) I_a
                    + 1/4 (X ^ Y + sum_a I_a X ^ I_a Y)
 
-    built as 4 R0(e_a, e_b) over ints from the signed permutations eta and
-    I_alpha, read once, and divided by 4 on the way out."""
+    yielded as the integral matrix 4 R0(e_a, e_b), built over ints from the
+    signed permutations eta and I_alpha, read once."""
     n = space.real_dim
     eta = _signed_permutation(space.eta)
     structure = [_signed_permutation(ialpha) for ialpha in space.I]
@@ -461,13 +463,13 @@ def _r0_values(space: QuaternionicSpace, pairs):
                     out[d * n + col] = out.get(d * n + col, 0) + coef * v
             for pos, v in _wedge_matrix(n, eta, {da: va}, {db: vb}).items():
                 out[pos] = out.get(pos, 0) + v
-        yield RealMatrix.from_sparse(n, n, {pos: ratio(v, 4)
-                                            for pos, v in out.items() if v})
+        yield RealMatrix.from_sparse(n, n, out)
 
 
 def build_r0(algebra: LieAlgebra) -> CurvatureElement:
     """R0 on `algebra.space`, expressed over the basis of `algebra`, which
-    must contain its values (sp(1) + sp(r, s) does)."""
+    must contain its values (sp(1) + sp(r, s) does); `coordinates_of` is
+    linear, so it reads 4 R0 over ints and each coordinate is divided by 4."""
     space = algebra.space
     dimg = algebra.dim
     vec = {}
@@ -475,7 +477,8 @@ def build_r0(algebra: LieAlgebra) -> CurvatureElement:
         coords = algebra.coordinates_of(value)
         if coords is None:
             raise ValueError("R0 value escapes the algebra span")
-        vec.update((ib * dimg + k, c) for k, c in coords.items())
+        vec.update((ib * dimg + k, ratio(c.numerator, 4 * c.denominator))
+                   for k, c in coords.items())
     return CurvatureElement(algebra, vec)
 
 
@@ -632,24 +635,29 @@ def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
 
 def derivative_space(curvature: CurvatureSpace) -> Subspace:
     """Maps T: R^n -> R(g) with cyclic sum T(X)(Y,Z) + T(Y)(Z,X) + T(Z)(X,Y)
-    zero on all basis triples, as a subspace of R^{n * dim R(g)}."""
+    zero on all basis triples, as a subspace of R^{n * dim R(g)}.  The
+    canonical rows are read once into by_biv[ib] = [(k, row i, coefficient
+    of B_k)], so each triple visits only its three bivectors' nonzeros."""
     n = curvature.space.real_dim
     kdim = curvature.dim
-    basis_rows = [el.rows for el in curvature.basis]
+    dimg = curvature.algebra.dim
+    by_biv: dict[int, list] = {}
+    for i, row in enumerate(curvature.coefficient_subspace().sparse_rows()):
+        for key, c in row.items():
+            ib, k = divmod(key, dimg)
+            by_biv.setdefault(ib, []).append((k, i, c))
 
     def rows():
         for x in range(n):
             for y in range(x + 1, n):
                 for z in range(y + 1, n):
                     # T(x)(y,z) + T(y)(z,x) + T(z)(x,y), R(z,x) = -R(x,z)
-                    terms = ((x, _biv_index(n, y, z), 1),
-                             (y, _biv_index(n, x, z), -1),
-                             (z, _biv_index(n, x, y), 1))
                     by_k: dict[int, dict] = {}
-                    for i, el_rows in enumerate(basis_rows):
-                        for slot, ib, sign in terms:
-                            for k, c in el_rows[ib].items():
-                                by_k.setdefault(k, {})[slot * kdim + i] = sign * c
+                    for slot, ib, sign in ((x, _biv_index(n, y, z), 1),
+                                           (y, _biv_index(n, x, z), -1),
+                                           (z, _biv_index(n, x, y), 1)):
+                        for k, i, c in by_biv.get(ib, ()):
+                            by_k.setdefault(k, {})[slot * kdim + i] = sign * c
                     for k in sorted(by_k):
                         yield integer_row(by_k[k])
 
@@ -690,31 +698,35 @@ def _pairing_table(algebra: LieAlgebra) -> list[dict]:
     return table
 
 
-def _pair_symmetry_single(element: CurvatureElement, table) -> bool:
-    # P[i][j] = eta(R(pair_i) e_c, e_d) for pair_j = (c, d); values in the
-    # metric algebra make the full quadruple check equivalent to P symmetric.
-    # Scaling the coefficients by one factor keeps P's symmetry.
-    p = []
-    for row in _integer_rows(element)[1]:
-        acc: dict = {}
-        for k, c in row.items():
-            for jb, v in table[k].items():
-                acc[jb] = acc.get(jb, 0) + c * v
-        p.append(acc)
-    return all(p[j].get(i, 0) == v for i, pi in enumerate(p) for j, v in pi.items())
+def _pair_symmetric(vec: Mapping, dimg: int, table) -> bool:
+    # P[ib, jb] = eta(R(pair_ib) e_c, e_d) for pair_jb = (c, d), summed over
+    # the nonzeros ib * dim g + k of the cleared flat vector; values in the
+    # metric algebra make the full quadruple check equivalent to P symmetric,
+    # and clearing scales P by one factor, which keeps its symmetry.
+    p: dict[int, dict] = {}
+    for key, c in integer_row(vec).items():
+        ib, k = divmod(key, dimg)
+        acc = p.setdefault(ib, {})
+        for jb, v in table[k].items():
+            acc[jb] = acc.get(jb, 0) + c * v
+    return all(p.get(jb, _EMPTY_ROW).get(ib, 0) == v
+               for ib, acc in p.items() for jb, v in acc.items())
 
 
 def pair_symmetry_holds(element: CurvatureElement) -> bool:
     """Check eta(R(X,Y)Z, U) = eta(R(Z,U)X, Y) on all basis quadruples."""
-    return _pair_symmetry_single(element, _pairing_table(element.algebra))
+    return _pair_symmetric(element.sparse_vector(), element.algebra.dim,
+                           _pairing_table(element.algebra))
 
 
 def pair_symmetry_all(curvature: CurvatureSpace) -> bool:
-    """Pair symmetry for every basis element, sharing the pairing table."""
+    """Pair symmetry for every canonical row, sharing the pairing table;
+    reads the rows' nonzeros and builds no basis tensor."""
     if curvature.dim == 0:
         return True
     table = _pairing_table(curvature.algebra)
-    return all(_pair_symmetry_single(el, table) for el in curvature.basis)
+    return all(_pair_symmetric(row, curvature.algebra.dim, table)
+               for row in curvature.coefficient_subspace().sparse_rows())
 
 
 # ---------------------------------------------------------------------------

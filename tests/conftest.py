@@ -137,6 +137,31 @@ def reference_coefficients_over(curvature, target):
     return span_of(vectors, len(bivector_pairs(curvature.space.real_dim)) * target.dim)
 
 
+def reference_derivative_space(curvature):
+    """The second-Bianchi derivative space read tensor by tensor from the
+    basis, each tensor's three bivector rows per triple: the second
+    computation `derivative_space`'s bivector index is checked against."""
+    n = curvature.space.real_dim
+    kdim = curvature.dim
+    biv = {pair: ib for ib, pair in enumerate(bivector_pairs(n))}
+
+    def rows():
+        for x in range(n):
+            for y in range(x + 1, n):
+                for z in range(y + 1, n):
+                    # T(x)(y,z) + T(y)(z,x) + T(z)(x,y), R(z,x) = -R(x,z)
+                    terms = ((x, biv[y, z], 1), (y, biv[x, z], -1), (z, biv[x, y], 1))
+                    by_k = {}
+                    for i, el in enumerate(curvature.basis):
+                        for slot, ib, sign in terms:
+                            for k, c in el.rows[ib].items():
+                                by_k.setdefault(k, {})[slot * kdim + i] = sign * c
+                    for k in sorted(by_k):
+                        yield integer_row(by_k[k])
+
+    return Subspace(n * kdim, sparse_nullspace(rows(), n * kdim))
+
+
 def spanned(algebra, elements):
     """The space over `algebra` spanned by any tensors over it, built from
     their canonical rows, the one form a `CurvatureSpace` takes."""

@@ -16,11 +16,13 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace, act,
                                   ricci, scalar)
 from berger_lab.exactlin import RealMatrix, canonical_rows, span_of
 from berger_lab.berger import holonomy_case_split
-from berger_lab.harness import ALL_CHECKS, Session, cache_get, cache_put
+from berger_lab.harness import (ALL_CHECKS, TIER1_CONFIGS, Session, cache_get,
+                                cache_put, run_verification)
 from berger_lab.liealg import ALGEBRA_NAMES, LieAlgebra, algebra_by_name
 from conftest import (SPARSE_CASES, reference_bianchi_kernel,
-                      reference_coefficients_over, spanned, synthetic_element,
-                      tensors_built, tier2, value, value_column)
+                      reference_coefficients_over, reference_derivative_space,
+                      spanned, synthetic_element, tensors_built, tier2, value,
+                      value_column)
 
 
 def kernel(session, name, r, s, t):
@@ -412,6 +414,26 @@ def test_derivative_space_of_full_algebra_is_nonzero(session):
     assert d.dim == 112  # computed value; the claim is only d != 0
 
 
+@pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)
+def test_derivative_space_matches_the_tensor_reference(session, name, r, s, t):
+    curvature = kernel(session, name, r, s, t)
+    assert (derivative_space(curvature).sparse_rows()
+            == reference_derivative_space(curvature).sparse_rows())
+
+
+def test_derivative_space_of_rows_with_fractions(session):
+    # a space that is no curvature space, whose canonical rows hold
+    # non-integral Fractions, so each equation row is cleared
+    curvature = kernel(session, "sp1+sp_w", 1, 1, 1)
+    algebra = curvature.algebra
+    sample = spanned(algebra, [*curvature.basis, synthetic_element(algebra)])
+    rows = sample.coefficient_subspace().sparse_rows()
+    assert any(type(c) is Fraction for row in rows for c in row.values())
+    computed = derivative_space(sample)
+    assert 0 < computed.dim < computed.ambient_dim
+    assert computed.sparse_rows() == reference_derivative_space(sample).sparse_rows()
+
+
 # ---------------------------------------------------------------------------
 # pair symmetry and the collapse
 # ---------------------------------------------------------------------------
@@ -620,17 +642,34 @@ def test_coefficients_over_refuses_a_target_that_is_no_block(session):
 
 def test_mixed_case_split_builds_no_tensor(monkeypatch):
     # the collapse compares canonical rows, so no kernel's basis is read
-    built = []
-    real = CurvatureElement.__init__
-
-    def counting(self, algebra, vec):
-        built.append(algebra.name)
-        real(self, algebra, vec)
-
-    monkeypatch.setattr(CurvatureElement, "__init__", counting)
+    built = tensors_built(monkeypatch)
     report = holonomy_case_split(1, 3, 1)
     assert report.case == "mixed-signature" and report.passed()
     assert built == []
+
+
+@pytest.mark.parametrize("name", ["sp_w", "h0", "sp1+sp"])
+def test_pair_symmetry_and_derivative_space_build_no_tensor(session, monkeypatch,
+                                                            name):
+    # both read the canonical rows, so a fresh kernel's basis stays unbuilt
+    computed = curv.bianchi_kernel(session.algebra(name, 1, 1, 1))
+    built = tensors_built(monkeypatch)
+    assert pair_symmetry_all(computed)
+    derivative_space(computed)
+    assert built == [] and computed._basis is None
+
+
+def test_tier1_run_builds_tensors_only_where_it_reads_them(monkeypatch):
+    # h0 (R1 and its action), sp(1)+sp(r,s)_W (its Berger closure and
+    # parabolic split) and one R0 per configuration over sp(1)+sp(r,s)
+    names = Session()
+    read = {names.algebra("h0", 1, 1, 1).name} | {
+        names.algebra("sp1+sp_w", *config).name for config in TIER1_CONFIGS}
+    built = tensors_built(monkeypatch)
+    assert all(check.status == "pass" for check in run_verification(1).checks)
+    r0 = [name for name in built if name not in read]
+    assert sorted(r0) == sorted(names.algebra("sp1+sp", *config).name
+                                for config in TIER1_CONFIGS)
 
 
 @pytest.mark.parametrize("name", ["sp_w", "h0", "sp1+sp_w"])

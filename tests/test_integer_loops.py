@@ -168,6 +168,17 @@ def test_contractions_residual_and_symmetry_match_the_references(
     expected = ref_pair_symmetric(synthetic)
     assert pair_symmetry_all(spanned(
         curvature.algebra, [*curvature.basis, synthetic])) == expected
+    if curvature.dim:
+        # an asymmetric tensor in the row after the kernel's first row,
+        # which it leaves as it is: a check of row 0 alone would pass
+        first = curvature.coefficient_subspace().sparse_rows()[0]
+        rest = CurvatureElement(curvature.algebra, {
+            key: c for key, c in synthetic.sparse_vector().items()
+            if key > min(first) and key not in first})
+        sample = spanned(curvature.algebra, [curvature.basis[0], rest])
+        assert sample.coefficient_subspace().sparse_rows()[0] == first
+        assert not ref_pair_symmetric(rest)
+        assert not pair_symmetry_all(sample)
 
 
 def test_bianchi_equation_rows_hold_ints_only(session, space111, monkeypatch):

@@ -5,7 +5,10 @@ algebraic curvature tensors; that is a necessary condition for being a
 holonomy algebra.  `holonomy_case_split` runs, mechanically and over exact
 arithmetic, the case split that classifies which subalgebras of
 sp(1)+sp(r,s) preserving an isotropic quaternionic subspace survive the
-criterion.  All verdicts are algebra-level: whether a candidate is
+criterion.  Every verdict reads the canonical Sym^2(g) rows of the
+curvature spaces: the splits and the collapse through one predicate,
+`split_failures`, and the restriction identity on W x W1 as a vanishing
+W-block of every row of R(sp(r,r)_W).  All verdicts are algebra-level: whether a candidate is
 realized by an actual manifold is outside the reach of this computation,
 and the reports say so.
 """
@@ -14,20 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .curvature import (CurvatureElement, CurvatureSpace, bivector_pairs,
-                        build_r1, coefficients_over, element_over)
-from .exactlin import Echelon, Subspace
-from .liealg import LieAlgebra
+from .curvature import (CurvatureElement, CurvatureSpace,
+                        bianchi_residual_is_zero, bivector_pairs, build_r1,
+                        coefficients_over, element_over)
+from .exactlin import Echelon
 
 __all__ = [
     "BergerReport",
     "CaseSplitCheck",
     "CaseSplitReport",
-    "Split",
     "berger_report",
-    "collapses",
     "holonomy_case_split",
-    "split_of",
+    "split_failures",
+    "with_failures",
     "SCOPE_NOTE",
 ]
 
@@ -128,48 +130,39 @@ class CaseSplitReport:
         }
 
 
-@dataclass(frozen=True)
-class Split:
-    """The four conditions of R(full) = line(generator) + R(sub), each kept
-    so that callers can report them; `sub_over_full` is R(sub) as a
-    subspace of the coefficient space over full.algebra."""
+def split_failures(full: CurvatureSpace, sub: CurvatureSpace,
+                   generator: CurvatureElement | None = None) -> list[str]:
+    """The conditions of R(full) = R(sub) + line(generator) that fail, by
+    name and in order: [] iff it holds.  The one split and collapse
+    predicate of the harness and `holonomy_case_split`.
 
-    dims_add_up: bool
-    generator_in_full: bool
-    generator_in_sub: bool
-    sub_in_full: bool
-    sub_over_full: Subspace
-
-    @property
-    def holds(self) -> bool:
-        return (self.dims_add_up and self.generator_in_full
-                and not self.generator_in_sub and self.sub_in_full)
-
-
-def split_of(full: CurvatureSpace, sub: CurvatureSpace,
-             generator: dict) -> Split:
-    """Test R(full) = line(generator) + R(sub), over full.algebra.
-
-    `generator` is a sparse coefficient vector over full.algebra; `sub`'s
-    algebra must be a block of full.algebra's basis (see
-    `coefficients_over`), so R(sub) over full.algebra is its own canonical
-    rows relabelled.
-    """
+    `sub`'s algebra must be a block of full.algebra's basis (see
+    `coefficients_over`), full.algebra its sum with sp(1), whose three
+    basis elements `direct_sum` puts first, and `generator` a tensor over
+    full.algebra.  The split holds iff R(full) is one larger than R(sub)
+    ("dims_add_up") and holds it ("sub_in_full"), and the generator has a
+    nonzero sp(1) part ("generator_has_sp1_part") and is a curvature tensor
+    ("generator_is_curvature"): every curvature tensor over full.algebra
+    lies in R(full), and in R(sub) iff its sp(1) part is zero.  With no
+    generator, R(full) = R(sub) iff their canonical Sym^2 rows are equal,
+    and on a failure the first two conditions name what broke."""
     embedded = coefficients_over(sub, full.algebra)
-    full_sub = full.coefficient_subspace()
-    return Split(
-        dims_add_up=full.dim == 1 + sub.dim,
-        generator_in_full=full_sub.contains_vector(generator),
-        generator_in_sub=embedded.contains_vector(generator),
-        sub_in_full=full_sub.contains(embedded),
-        sub_over_full=embedded,
-    )
+    full_rows = full.coefficient_subspace()
+    if generator is None and embedded == full_rows:
+        return []
+    conditions = [("dims_add_up", full.dim == sub.dim + (generator is not None)),
+                  ("sub_in_full", full_rows.contains(embedded))]
+    if generator is not None:
+        conditions += [
+            ("generator_has_sp1_part", any(k < 3 for row in generator.rows for k in row)),
+            ("generator_is_curvature", bianchi_residual_is_zero(generator))]
+    return [name for name, holds in conditions if not holds]
 
 
-def collapses(full: CurvatureSpace, sub: CurvatureSpace) -> bool:
-    """True iff R(full) = R(sub), comparing both over full.algebra.  Both
-    subspaces are canonical, so they are equal iff their rows are."""
-    return coefficients_over(sub, full.algebra) == full.coefficient_subspace()
+def with_failures(details: dict, failed: list[str]) -> dict:
+    """`details`, with the names of the failed conditions when there are
+    any, so that a passing report keeps its form."""
+    return {**details, "failed": failed} if failed else details
 
 
 def holonomy_case_split(r: int, s: int, t: int, session=None) -> CaseSplitReport:
@@ -195,15 +188,15 @@ def holonomy_case_split(r: int, s: int, t: int, session=None) -> CaseSplitReport
 
     parabolic_full = session.curvature("sp1+sp_w", r, s, t)
     parabolic = session.curvature("sp_w", r, s, t)
-    target = parabolic_full.algebra
+    dims = {"dim_with_sp1": parabolic_full.dim, "dim_without_sp1": parabolic.dim}
 
     if n0 != 0:
         case = "mixed-signature"
+        broken = split_failures(parabolic_full, parabolic)
         checks.append(CaseSplitCheck(
             "collapse-equality",
             "curvature space over sp(1)+sp(r,s)_W equals the one over sp(r,s)_W",
-            "pass" if collapses(parabolic_full, parabolic) else "fail",
-            {"dim_with_sp1": parabolic_full.dim, "dim_without_sp1": parabolic.dim},
+            "fail" if broken else "pass", with_failures(dims, broken),
         ))
     else:
         case = "split-signature"
@@ -215,16 +208,14 @@ def holonomy_case_split(r: int, s: int, t: int, session=None) -> CaseSplitReport
             {"dim": h0_curv.dim},
         ))
         if h0_curv.dim == 1:
-            r1 = build_r1(h0_curv)
-            r1_vec = element_over(r1, target)
-            split = split_of(parabolic_full, parabolic, r1_vec)
+            target = parabolic_full.algebra
+            r1 = CurvatureElement(target, element_over(build_r1(h0_curv), target))
+            broken = split_failures(parabolic_full, parabolic, r1)
             checks.append(CaseSplitCheck(
                 "parabolic-split",
                 "curvature space over sp(1)+sp(r,r)_W = line(R1) + curvature "
                 "space over sp(r,r)_W",
-                "pass" if split.holds else "fail",
-                {"dim_with_sp1": parabolic_full.dim,
-                 "dim_without_sp1": parabolic.dim},
+                "fail" if broken else "pass", with_failures(dims, broken),
             ))
             rep_h0 = berger_report(h0_curv)
             checks.append(CaseSplitCheck(
@@ -241,14 +232,16 @@ def holonomy_case_split(r: int, s: int, t: int, session=None) -> CaseSplitReport
                 {"closure_dim": rep_full.closure_dim,
                  "algebra_dim": rep_full.algebra_dim},
             ))
-            restr_ok, restr_details = _restriction_multiple_check(
-                parabolic_full, split, r1_vec)
+            if broken:
+                witness = {"reason": "split decomposition failed"}
+            else:
+                witness = _restriction_witness(parabolic)
             checks.append(CaseSplitCheck(
                 "restriction-multiple",
                 "on W x W1 every tensor restricts, on the W-block, to its "
                 "R1-component times the R1 restriction",
-                "pass" if restr_ok else "fail",
-                restr_details,
+                "fail" if witness else "pass",
+                witness or {"elements_checked": parabolic_full.dim},
             ))
 
     failed = [c for c in checks if c.status != "pass"]
@@ -261,83 +254,37 @@ def holonomy_case_split(r: int, s: int, t: int, session=None) -> CaseSplitReport
                           verdict=verdict)
 
 
-def _restriction_multiple_check(parabolic_full: CurvatureSpace, split: Split,
-                                r1_vec: dict):
-    """Compare W-blocks of each basis tensor's values on W x W1 pairs
-    against its R1-component c times R1's.
+def _restriction_witness(sub: CurvatureSpace) -> dict | None:
+    """The first canonical row of `sub` and pair (p, q) in W x W1 at which
+    its tensor has a nonzero W-block, R(e_p, e_q) restricted to W x W, or
+    None if there is none.
 
-    `split` is `split_of(parabolic_full, R(sp(r,r)_W), r1_vec)`, and
-    `r1_vec` is R1's coefficient vector over parabolic_full.algebra, so R1
-    and every basis tensor are read over that one algebra, through one
-    table of W-blocks.  When the split holds, R(full) = line(R1) + R(sub)
-    and reducing against the canonical `split.sub_over_full` kills the
-    sp(r,r)_W part, so every tensor's remainder is c times R1's remainder
-    and c = b/a, with a and b the two remainders at R1's leading key, b
-    read by `_remainder_at` with no remainder formed.  Each comparison is
-    made by cross-multiplication, so no quotient is formed."""
-    if split.generator_in_sub:
-        return False, {"reason": "R1 lies in the curvature space of sp(r,r)_W"}
-    if not split.holds:
-        return False, {"reason": "split decomposition failed"}
-    sub = split.sub_over_full
-    r1_rest = sub.reduce_vector(r1_vec)
-    lead = min(r1_rest)
-    a = r1_rest[lead]
-    algebra = parabolic_full.algebra
-    space = algebra.space
-    w_idx = list(space.w_indices())
-    pairs = [(p, q) for p in w_idx for q in space.w1_indices()]
-    blocks = _w_blocks(algebra, w_idx)
-    r1 = CurvatureElement(algebra, r1_vec)
-    r1_values = [_w_block_value(r1, blocks, p, q) for p, q in pairs]
-    component = _remainder_at(sub, lead, algebra.dim)
-
-    for index, el in enumerate(parabolic_full.basis):
-        b = component(el)
-        for (p, q), expected in zip(pairs, r1_values):
-            # expected holds nonzeros only, so c * expected has its keys
-            # when c != 0 and is empty when c == 0
-            got = _w_block_value(el, blocks, p, q)
-            if (got.keys() != (expected.keys() if b else set())
-                    or any(a * v != b * expected[pos] for pos, v in got.items())):
-                return False, {"element": index, "pair": (p, q)}
-    return True, {"elements_checked": parabolic_full.dim}
-
-
-def _remainder_at(sub: Subspace, key: int, dimg: int):
-    """el -> the entry at `key`, a column that is no pivot of `sub`, of the
-    remainder of el's coefficient vector (over an algebra of dimension
-    `dimg`) after reduction against `sub`.  Each canonical row is zero at
-    every other row's pivot, so that entry is v[key] - sum v[pivot] row[key]
-    over the rows: one dot product with the rows' column `key`."""
-    # (bivector, basis index) of each pivot whose row is nonzero at key
-    column = [(*divmod(min(row), dimg), row[key])
-              for row in sub.sparse_rows() if key in row]
-    ib, k = divmod(key, dimg)
-
-    def at(el: CurvatureElement):
-        rows = el.rows
-        return rows[ib].get(k, 0) - sum(rows[pb].get(pk, 0) * x
-                                        for pb, pk, x in column)
-
-    return at
-
-
-def _w_blocks(algebra: LieAlgebra, w_idx) -> list[dict]:
-    """The W x W block {row * n + col: value} of each basis matrix."""
-    n = algebra.space.real_dim
-    w = set(w_idx)
-    return [{pos: v for pos, v in bmat.nz.items()
-             if pos // n in w and pos % n in w} for bmat in algebra.basis]
-
-
-def _w_block_value(el, blocks: list[dict], p: int, q: int) -> dict:
-    """The nonzero entries of the W x W block of R(e_p, e_q), as
-    sign * sum_k c_k * block_k over the stored row."""
-    row, sign = el.row_of(p, q)
-    out = {}
-    for k, c in row.items():
-        c = sign * c
-        for pos, v in blocks[k].items():
-            out[pos] = out.get(pos, 0) + c * v
-    return {pos: v for pos, v in out.items() if v}
+    Once R(sp(1)+sp(r,r)_W) = line(R1) + R(sp(r,r)_W) holds, the
+    restriction identity is equivalent to None for sub = R(sp(r,r)_W): a
+    tensor's R1-component is the multiple of R1 the identity names, and
+    its R(sub) part must then restrict to zero.  On a row S the W-block at
+    (p, q) is sum_k (sum_l S_kl omega_l(p, q)) W-block(B_k), read from
+    `flat_vectors` at the bivectors of W x W1 only, through one table of
+    W-blocks; each value is a positive multiple of the tensor's, which
+    keeps its zeros."""
+    space = sub.space
+    n = space.real_dim
+    w, w1 = set(space.w_indices()), set(space.w1_indices())
+    pairs = {ib: (a, b) if a in w else (b, a)
+             for ib, (a, b) in enumerate(bivector_pairs(n))
+             if (a in w and b in w1) or (a in w1 and b in w)}
+    # the W x W block {row * n + col: value} of each basis matrix
+    blocks = [{pos: v for pos, v in bmat.nz.items() if pos // n in w and pos % n in w}
+              for bmat in sub.algebra.basis]
+    dimg = sub.algebra.dim
+    for index, vec in enumerate(sub.flat_vectors(pairs.keys())):
+        by_biv: dict[int, dict] = {}
+        for key, c in vec.items():
+            ib, k = divmod(key, dimg)
+            block = by_biv.setdefault(ib, {})
+            for pos, v in blocks[k].items():
+                block[pos] = block.get(pos, 0) + c * v
+        for ib in sorted(by_biv):
+            if any(by_biv[ib].values()):
+                return {"element": index, "pair": pairs[ib]}
+    return None

@@ -23,18 +23,22 @@ lexicographically over the realified basis.  A tensor is built from its
 flat coefficient vector, bivector-major with key ib * dim g + k for the
 coefficient of B_k in R(e_a, e_b), and stored as one row per bivector:
 `rows[ib]` maps k to its coefficient, nonzeros only, keys ascending, and
-all empty rows share one read-only mapping.  A space of tensors is its
-canonical RREF rows in that layout and is built from them alone, so each
-basis tensor has its first nonzero coefficient equal to 1 and is built
-only when `basis` is first read.  The JSON form stays dense, one string
-per (bivector, basis element); `from_json` checks the rows it reads are
-canonical before it keeps them.
+all empty rows share one read-only mapping.  A space of tensors is the
+canonical RREF rows of its span in Sym^2(g), the unknown x_kl = S_kl,
+k <= l, at column l (l + 1) / 2 + k, and is built from them alone: every
+verdict reads those rows.  `CurvatureSpace.flat_vectors` is the one map to
+the flat layout, run lazily for what needs tensors: the basis (each
+tensor scaled to lead with 1, built when `basis` is first read), pair
+symmetry, the derivative space and the dense JSON form, which
+re-canonicalises the flat vectors so that it lists the canonical flat
+rows.  The cache form is the sparse Sym^2(g) rows; `from_json` checks them
+before it keeps them.
 
 Comparisons across algebras read a space over a larger algebra whose basis
 holds its algebra's basis in order, as `direct_sum` builds sp(1)+g from g:
-`coefficients_over` relabels the canonical rows' keys, which keeps them
-canonical, so two spaces over one algebra are compared by their rows,
-with no elimination.
+`coefficients_over` relabels the columns (k, l) -> (m_k, m_l), which keeps
+the rows canonical, so two spaces over one algebra are compared by their
+rows, with no elimination.
 
 Every tensor and every space of tensors reads its quaternionic space from
 its algebra (`algebra.space`), so no tensor can live on a space other than
@@ -44,21 +48,20 @@ reads R(p, X) = 0 as an empty stored row, exact because the algebra basis
 is independent, and R(X, Y)p as one column through `_columns`.
 
 Integer inner loops: R0, Ricci, the scalar, pair symmetry, the
-first-Bianchi equations and the Bianchi residual multiply and add Python
-ints only.  eta and the I_alpha are read as signed permutations
-(`_signed_permutation`, which raises on anything else; there is no
-fallback), the basis columns come from `_columns` times one lcm per
-algebra, the 2-forms omega_k from `_pairing_table` on those columns, and
-a tensor's rows from `_integer_rows` times one lcm per element; each
-kernel vector of the Sym^2(g) system is cleared by `integer_row` before
-it is mapped to the flat layout.  Pair symmetry and the derivative space
-visit a space's canonical rows, not its basis tensors: pair symmetry
-clears each row by `integer_row`, and the derivative space reads the rows
-through one bivector index.  A value is divided only where it leaves a
-function, by `exactlin.ratio`, so it stays an int when the division is
-exact: R0's coordinates are those of the integral 4 R0, divided by 4,
-`ricci` and `scalar` divide by the product of the two factors, and the
-residual and symmetry checks, which are homogeneous, need no division.
+first-Bianchi equations, the Bianchi residual and `flat_vectors` multiply
+and add Python ints only.  eta and the I_alpha are read as signed
+permutations (`_signed_permutation`, which raises on anything else; there
+is no fallback), the basis columns come from `_columns` times one lcm per
+algebra, the 2-forms omega_k from `_pairing_table` on those columns, and a
+tensor's rows from `_integer_rows` times one lcm per element; each
+canonical row is cleared by `integer_row` before `flat_vectors` maps it,
+so pair symmetry and the derivative space read integer vectors and build
+no tensor.  A value is divided only where it leaves a function, by
+`exactlin.ratio`, so it stays an int when the division is exact: R0's
+coordinates are those of the integral 4 R0, divided by 4, a basis tensor
+is its integer vector divided by its lead, `ricci` and `scalar` divide by
+the product of the two factors, and the residual and symmetry checks,
+which are homogeneous, need no division.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from types import MappingProxyType
 
@@ -182,16 +184,18 @@ def _biv_index(n: int, a: int, b: int) -> int:
 
 class CurvatureSpace:
     """A space of curvature tensors with values in `algebra`, on
-    `algebra.space`, given by the canonical RREF rows of its span in the
-    flat coefficient layout, which it keeps as its coefficient subspace;
-    `dim` is their number, and the basis tensors, one per row, are built
-    when `basis` is first read.  The rows are taken as they are:
+    `algebra.space`, given by the canonical RREF rows of its span in
+    Sym^2(g), which it keeps as its coefficient subspace: the unknown
+    x_kl = S_kl, k <= l, is column l (l + 1) / 2 + k (`_sym2_unknowns`).
+    `dim` is their number.  `flat_vectors` maps the rows to the flat
+    layout, and the basis tensors, one per row, are built from it when
+    `basis` is first read.  The rows are taken as they are:
     `bianchi_kernel` computes them, and `from_json` checks them first."""
 
     __slots__ = ("space", "algebra", "dim", "_subspace", "_basis")
 
     def __init__(self, algebra: LieAlgebra, rows):
-        sub = Subspace(_bivector_count(algebra.space.real_dim) * algebra.dim, rows)
+        sub = Subspace(_sym2_dim(algebra.dim), rows)
         object.__setattr__(self, "space", algebra.space)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "dim", sub.dim)
@@ -200,11 +204,17 @@ class CurvatureSpace:
 
     @property
     def basis(self) -> tuple:
-        """The basis tensors, one per canonical row, built on first read."""
+        """The basis tensors, one per canonical row, each its row's flat
+        vector scaled so that its first nonzero coefficient is 1, built on
+        first read."""
         basis = self._basis
         if basis is None:
-            basis = tuple(CurvatureElement(self.algebra, row)
-                          for row in self._subspace.sparse_rows())
+            tensors = []
+            for vec in self.flat_vectors():
+                lead = vec[min(vec)]
+                tensors.append(CurvatureElement(
+                    self.algebra, {key: ratio(v, lead) for key, v in vec.items()}))
+            basis = tuple(tensors)
             object.__setattr__(self, "_basis", basis)
         return basis
 
@@ -215,13 +225,43 @@ class CurvatureSpace:
         return f"CurvatureSpace(algebra={self.algebra.name!r}, dim={self.dim})"
 
     def coefficient_subspace(self) -> Subspace:
-        """The span of the basis in the flat coefficient space."""
+        """The span of the space in Sym^2(g), by its canonical rows."""
         return self._subspace
 
+    def flat_vectors(self, bivectors=None):
+        """Each canonical row's tensor in turn as its flat coefficient vector
+        {ib * dim g + k: int}, nonzeros only, times a positive factor of its
+        own; only its entries at the bivector indices `bivectors` when they
+        are given.  This is the one map from Sym^2(g) to the flat layout:
+        R(e_a, e_b) = sum_kl S_kl omega_l(a, b) B_k, so x_kl adds omega_l to
+        B_k's coefficient and, for k != l, omega_k to B_l's.  It builds no
+        tensor."""
+        dimg = self.algebra.dim
+        forms = _pairing_table(self.algebra)
+        if bivectors is not None:
+            forms = [{ib: w for ib, w in form.items() if ib in bivectors}
+                     for form in forms]
+        unknowns = _sym2_unknowns(dimg)
+        for x in self._subspace.sparse_rows():
+            vec: dict = {}
+            for j, s in integer_row(x).items():
+                k, l = unknowns[j]
+                for ib, w in forms[l].items():
+                    key = ib * dimg + k
+                    vec[key] = vec.get(key, 0) + s * w
+                if k != l:
+                    for ib, w in forms[k].items():
+                        key = ib * dimg + l
+                        vec[key] = vec.get(key, 0) + s * w
+            yield {key: v for key, v in vec.items() if v}
+
     def to_json(self) -> dict:
+        """The dense form `curvature-space --format json` prints: the
+        canonical RREF rows of the space's flat vectors, one string per
+        (bivector, basis element)."""
         dimg = self.algebra.dim
         basis = []
-        for row in self._subspace.sparse_rows():
+        for row in canonical_rows(self.flat_vectors()):
             dense = [["0"] * dimg for _ in range(_bivector_count(self.space.real_dim))]
             for key, c in row.items():
                 dense[key // dimg][key % dimg] = rat_to_str(c)
@@ -235,27 +275,44 @@ class CurvatureSpace:
             "basis": basis,
         }
 
+    def rows_json(self) -> dict:
+        """The form `from_json` reads: the canonical Sym^2(g) rows, each a
+        list of [column, value] pairs, columns ascending."""
+        return {"algebra": self.algebra.name, "dim": self.dim,
+                "rows": [[[j, rat_to_str(c)] for j, c in row.items()]
+                         for row in self._subspace.sparse_rows()]}
+
     @classmethod
     def from_json(cls, algebra: LieAlgebra, data: dict) -> "CurvatureSpace":
-        """The space over `algebra` of a dense JSON basis, one row of dim g
-        strings per bivector; only the non-"0" strings are parsed.  Raises
+        """The space over `algebra` of the form `rows_json` writes.  Raises
         ValueError unless `data` names `algebra` and as many rows as it
-        holds, and the rows are canonical (`check_canonical`)."""
-        if (data["algebra"], data["dim"]) != (algebra.name, len(data["basis"])):
-            raise ValueError(f"{algebra.name} with {len(data['basis'])} rows is "
+        holds, the columns of each row are ints that increase within
+        [0, dim g (dim g + 1) / 2), and the rows are canonical
+        (`check_canonical`)."""
+        given = data["rows"]
+        if (data["algebra"], data["dim"]) != (algebra.name, len(given)):
+            raise ValueError(f"{algebra.name} with {len(given)} rows is "
                              f"labelled {data['algebra']!r} of dim {data['dim']!r}")
-        dimg = algebra.dim
-        nbiv = _bivector_count(algebra.space.real_dim)
+        ncols = _sym2_dim(algebra.dim)
         rows = []
-        for el in data["basis"]:
-            if len(el) != nbiv:
-                raise ValueError(f"expected one row per bivector, got {len(el)}")
-            if any(len(biv_row) != dimg for biv_row in el):
-                raise ValueError(f"expected {dimg} coefficients per row")
-            rows.append({key: c for key, v in enumerate(chain.from_iterable(el))
-                         if v != "0" and (c := rat_from_str(v))})
+        for i, pairs in enumerate(given):
+            cols = [j for j, _ in pairs]
+            if not (all(type(j) is int for j in cols) and cols == sorted(set(cols))
+                    and all(0 <= j < ncols for j in cols)):
+                raise ValueError(f"row {i}: columns must increase within [0, {ncols})")
+            rows.append({j: rat_from_str(v) for j, v in pairs})
         check_canonical(rows)
         return cls(algebra, rows)
+
+
+def _sym2_dim(dimg: int) -> int:
+    return dimg * (dimg + 1) // 2
+
+
+def _sym2_unknowns(dimg: int) -> list[tuple[int, int]]:
+    """(k, l), k <= l, of the unknown x_kl = S_kl = S_lk at each column of
+    Sym^2(g): column l (l + 1) / 2 + k."""
+    return [(k, l) for l in range(dimg) for k in range(l + 1)]
 
 
 def _columns(algebra: LieAlgebra) -> tuple[int, list[list]]:
@@ -361,37 +418,15 @@ def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
     Such a tensor is pair symmetric, so it is R(e_a, e_b) = sum_kl S_kl
     omega_l(a, b) B_k for a symmetric S, omega_l(a, b) = eta(B_l e_a, e_b),
     and the first Bianchi identity is sum_kl S_kl omega_k ^ omega_l = 0:
-    R(g) is the kernel of Sym^2(g) -> Lambda^4 V*.  That system, solved on
-    the unknowns x_kl = S_kl, k <= l, with one row per 4-set, is mapped to
-    the flat coefficient layout over the nonzeros of each kernel vector
-    and re-canonicalised there, so the basis is the canonical RREF basis
-    of the kernel of the first-Bianchi map on Hom(Lambda^2 V, g)."""
-    n = algebra.space.real_dim
+    R(g) is the kernel of Sym^2(g) -> Lambda^4 V*, solved on the unknowns
+    x_kl = S_kl, k <= l, with one row per 4-set.  `sparse_nullspace`
+    returns its canonical RREF rows, which are the space."""
     dimg = algebra.dim
-    forms = _pairing_table(algebra)
     # x_kl = x_lk is column l (l + 1) / 2 + k for k <= l
     sym_col = [[l * (l + 1) // 2 + k if k <= l else k * (k + 1) // 2 + l
                 for l in range(dimg)] for k in range(dimg)]
-    unknowns = [(k, l) for l in range(dimg) for k in range(l + 1)]
-    kernel = sparse_nullspace(_wedge_rows(forms, n, sym_col), len(unknowns))
-
-    def tensors():
-        for x in kernel:
-            vec: dict = {}
-            for j, s in integer_row(x).items():
-                # x_kl = S_kl = S_lk adds omega_l to B_k's coefficient and,
-                # for k != l, omega_k to B_l's
-                k, l = unknowns[j]
-                for ib, w in forms[l].items():
-                    key = ib * dimg + k
-                    vec[key] = vec.get(key, 0) + s * w
-                if k != l:
-                    for ib, w in forms[k].items():
-                        key = ib * dimg + l
-                        vec[key] = vec.get(key, 0) + s * w
-            yield vec
-
-    return CurvatureSpace(algebra, canonical_rows(tensors()))
+    rows = _wedge_rows(_pairing_table(algebra), algebra.space.real_dim, sym_col)
+    return CurvatureSpace(algebra, sparse_nullspace(rows, _sym2_dim(dimg)))
 
 
 def bianchi_residual_is_zero(element) -> bool:
@@ -489,7 +524,7 @@ def build_r1(curvature: CurvatureSpace) -> CurvatureElement:
     if curvature.dim != 1:
         raise ValueError(
             f"unexpected curvature space dimension {curvature.dim} for h0")
-    return curvature.basis[0]  # canonical rows already lead with 1
+    return curvature.basis[0]  # each basis tensor leads with 1
 
 
 # ---------------------------------------------------------------------------
@@ -635,15 +670,16 @@ def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
 
 def derivative_space(curvature: CurvatureSpace) -> Subspace:
     """Maps T: R^n -> R(g) with cyclic sum T(X)(Y,Z) + T(Y)(Z,X) + T(Z)(X,Y)
-    zero on all basis triples, as a subspace of R^{n * dim R(g)}.  The
-    canonical rows are read once into by_biv[ib] = [(k, row i, coefficient
-    of B_k)], so each triple visits only its three bivectors' nonzeros."""
+    zero on all basis triples, as a subspace of R^{n * dim R(g)}, over the
+    tensors of `flat_vectors`: its dimension does not depend on their
+    scale.  They are read once into by_biv[ib] = [(k, row i, coefficient of
+    B_k)], so each triple visits only its three bivectors' nonzeros."""
     n = curvature.space.real_dim
     kdim = curvature.dim
     dimg = curvature.algebra.dim
     by_biv: dict[int, list] = {}
-    for i, row in enumerate(curvature.coefficient_subspace().sparse_rows()):
-        for key, c in row.items():
+    for i, vec in enumerate(curvature.flat_vectors()):
+        for key, c in vec.items():
             ib, k = divmod(key, dimg)
             by_biv.setdefault(ib, []).append((k, i, c))
 
@@ -720,13 +756,13 @@ def pair_symmetry_holds(element: CurvatureElement) -> bool:
 
 
 def pair_symmetry_all(curvature: CurvatureSpace) -> bool:
-    """Pair symmetry for every canonical row, sharing the pairing table;
-    reads the rows' nonzeros and builds no basis tensor."""
+    """Pair symmetry for the tensor of every canonical row, sharing the
+    pairing table; reads `flat_vectors` and builds no basis tensor."""
     if curvature.dim == 0:
         return True
     table = _pairing_table(curvature.algebra)
-    return all(_pair_symmetric(row, curvature.algebra.dim, table)
-               for row in curvature.coefficient_subspace().sparse_rows())
+    return all(_pair_symmetric(vec, curvature.algebra.dim, table)
+               for vec in curvature.flat_vectors())
 
 
 # ---------------------------------------------------------------------------
@@ -781,22 +817,23 @@ def _block_slots(algebra: LieAlgebra, target: LieAlgebra) -> list[int]:
 
 
 def coefficients_over(curvature: CurvatureSpace, target: LieAlgebra) -> Subspace:
-    """The curvature space as a canonical subspace of the coefficient space
-    over a larger algebra `target` (for monotonicity and equality
-    comparisons), with no elimination.
+    """The curvature space as a canonical subspace of Sym^2 of a larger
+    algebra `target` (for containment and equality comparisons), with no
+    elimination.
 
     `target`'s basis must hold the curvature algebra's basis, in order, as
     basis elements: a direct-sum summand in its sum (sp(r,s)_W in
     sp(1)+sp(r,s)_W; `direct_sum` concatenates bases), or the algebra
     itself.  Basis element k is then target element m_k, m strictly
-    increasing, so the key map ib * dim g + k -> ib * dim target + m_k is
-    strictly increasing and takes the canonical RREF rows of
+    increasing, so the column map (k, l) -> (m_k, m_l) is strictly
+    increasing and takes the canonical RREF rows of
     `curvature.coefficient_subspace()` to canonical RREF rows over
     `target`; RREF is unique, so relabelling them is the whole computation.
     Any other target raises ValueError, as does an algebra that does not
     embed (`element_over` re-expresses a single tensor over any embedding)."""
     slots = _block_slots(curvature.algebra, target)
-    dim_s, dim_t = curvature.algebra.dim, target.dim
-    rows = [{key // dim_s * dim_t + slots[key % dim_s]: c for key, c in row.items()}
+    column = [slots[l] * (slots[l] + 1) // 2 + slots[k]
+              for k, l in _sym2_unknowns(curvature.algebra.dim)]
+    rows = [{column[j]: c for j, c in row.items()}
             for row in curvature.coefficient_subspace().sparse_rows()]
-    return Subspace(_bivector_count(curvature.space.real_dim) * dim_t, rows)
+    return Subspace(_sym2_dim(target.dim), rows)

@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import __version__, prolong
 from . import curvature as curv
-from .berger import berger_report, collapses, holonomy_case_split, split_of
+from .berger import (berger_report, holonomy_case_split, split_failures,
+                     with_failures)
 from .curvature import CurvatureElement, CurvatureSpace
 from .exactlin import RealMatrix, rat_to_str, symmetric_signature
 from .liealg import (ALGEBRA_NAMES, LieAlgebra, algebra_by_name, sp_dimension,
@@ -33,7 +34,7 @@ _PACKAGE_PARENT = Path(__file__).resolve().parent.parent
 
 TOOL_NAME = "berger-lab"
 TOOL_VERSION = __version__
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 TIER1_CONFIGS = ((1, 1, 1), (1, 2, 1))
 TIER2_CONFIGS = ((1, 1, 1), (1, 2, 1), (2, 2, 2))
@@ -96,8 +97,10 @@ def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str,
     """Cached curvature space, or None on miss/corruption (corruption warns).
 
     `algebra` is the `algebra_name` algebra on `space` that the loaded space
-    is expressed over.  A zero denominator ("1/0") is corruption like any
-    other malformed value."""
+    is expressed over.  An entry holds the space's canonical Sym^2(g) rows
+    (`CurvatureSpace.rows_json`), which `CurvatureSpace.from_json` checks
+    before the space is kept; a zero denominator ("1/0") is corruption like
+    any other malformed value."""
     path = Path(cache_dir) / f"{cache_key(space.r, space.s, space.t, algebra_name)}.json"
     if not path.exists():
         return None
@@ -127,7 +130,7 @@ def cache_put(cache_dir, space: QuaternionicSpace, algebra_name: str,
             "version": CACHE_FORMAT_VERSION,
             "key": {"r": space.r, "s": space.s, "t": space.t,
                     "algebra": algebra_name},
-            "curvature_space": value.to_json(),
+            "curvature_space": value.rows_json(),
         }
         # a whole file or none: write a temp file, then rename it over the entry
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -359,12 +362,14 @@ def check_full_split(session: Session, tier: int) -> CheckResult:
     r, s, t = 1, 1, 1
     full = session.curvature("sp1+sp", r, s, t)
     sub = session.curvature("sp", r, s, t)
-    r0_vec = session.r0(r, s, t).sparse_vector()
-    split = split_of(full, sub, r0_vec)
-    return _result("full-algebra-split", split.holds,
-                   {"dim_with_sp1": full.dim, "dim_without_sp1": sub.dim,
-                    "r0_in_full": split.generator_in_full,
-                    "r0_in_sub": split.generator_in_sub})
+    broken = split_failures(full, sub, session.r0(r, s, t))
+    # R0 is a curvature tensor over sp(1)+sp(1,1), and it lies in R(sp(1,1))
+    # iff its sp(1) part is zero
+    r0_in_full = "generator_is_curvature" not in broken
+    return _result("full-algebra-split", not broken, with_failures(
+        {"dim_with_sp1": full.dim, "dim_without_sp1": sub.dim,
+         "r0_in_full": r0_in_full,
+         "r0_in_sub": r0_in_full and "generator_has_sp1_part" in broken}, broken))
 
 
 def check_parabolic_split(session: Session, tier: int) -> CheckResult:
@@ -374,12 +379,14 @@ def check_parabolic_split(session: Session, tier: int) -> CheckResult:
         full = session.curvature("sp1+sp_w", r, r, r)
         sub = session.curvature("sp_w", r, r, r)
         r1 = curv.build_r1(session.curvature("h0", r, r, r))
-        split = split_of(full, sub, curv.element_over(r1, full.algebra))
-        details[f"r={r}"] = {
+        broken = split_failures(full, sub, CurvatureElement(
+            full.algebra, curv.element_over(r1, full.algebra)))
+        details[f"r={r}"] = with_failures({
             "dim_with_sp1": full.dim, "dim_without_sp1": sub.dim,
-            "r1_spans_complement": (split.generator_in_full
-                                    and not split.generator_in_sub)}
-        ok = ok and split.holds
+            "r1_spans_complement": not {"generator_is_curvature",
+                                        "generator_has_sp1_part"} & set(broken)},
+            broken)
+        ok = ok and not broken
     return _result("parabolic-split", ok, details)
 
 
@@ -387,8 +394,9 @@ def check_mixed_signature_collapse(session: Session, tier: int) -> CheckResult:
     r, s, t = 1, 2, 1
     full = session.curvature("sp1+sp_w", r, s, t)
     sub = session.curvature("sp_w", r, s, t)
-    return _result("mixed-signature-collapse", collapses(full, sub),
-                   {"dim_with_sp1": full.dim, "dim_without_sp1": sub.dim})
+    broken = split_failures(full, sub)
+    return _result("mixed-signature-collapse", not broken, with_failures(
+        {"dim_with_sp1": full.dim, "dim_without_sp1": sub.dim}, broken))
 
 
 def check_degenerate_pair_vanishing(session: Session, tier: int) -> CheckResult:

@@ -5,8 +5,8 @@ import pytest
 
 from berger_lab.curvature import (CurvatureElement, CurvatureSpace, bivector_pairs,
                                   element_over)
-from berger_lab.exactlin import (RealMatrix, Subspace, canonical_rows, integer_row,
-                                 span_of, sparse_nullspace)
+from berger_lab.exactlin import (RealMatrix, Subspace, integer_row, span_of,
+                                 sparse_nullspace)
 from berger_lab.harness import Session
 from berger_lab.prolong import first_prolongation_of, second_prolongation
 
@@ -138,12 +138,15 @@ def reference_coefficients_over(curvature, target):
 
 
 def reference_derivative_space(curvature):
-    """The second-Bianchi derivative space read tensor by tensor from the
-    basis, each tensor's three bivector rows per triple: the second
-    computation `derivative_space`'s bivector index is checked against."""
+    """The second-Bianchi derivative space read tensor by tensor, each
+    tensor's three bivector rows per triple: the second computation
+    `derivative_space`'s bivector index is checked against.  The tensors
+    are those of `flat_vectors`, the ones `derivative_space` reads."""
     n = curvature.space.real_dim
     kdim = curvature.dim
     biv = {pair: ib for ib, pair in enumerate(bivector_pairs(n))}
+    tensors = [CurvatureElement(curvature.algebra, vec)
+               for vec in curvature.flat_vectors()]
 
     def rows():
         for x in range(n):
@@ -152,7 +155,7 @@ def reference_derivative_space(curvature):
                     # T(x)(y,z) + T(y)(z,x) + T(z)(x,y), R(z,x) = -R(x,z)
                     terms = ((x, biv[y, z], 1), (y, biv[x, z], -1), (z, biv[x, y], 1))
                     by_k = {}
-                    for i, el in enumerate(curvature.basis):
+                    for i, el in enumerate(tensors):
                         for slot, ib, sign in terms:
                             for k, c in el.rows[ib].items():
                                 by_k.setdefault(k, {})[slot * kdim + i] = sign * c
@@ -162,10 +165,18 @@ def reference_derivative_space(curvature):
     return Subspace(n * kdim, sparse_nullspace(rows(), n * kdim))
 
 
-def spanned(algebra, elements):
-    """The space over `algebra` spanned by any tensors over it, built from
-    their canonical rows, the one form a `CurvatureSpace` takes."""
-    return CurvatureSpace(algebra, canonical_rows(el.sparse_vector() for el in elements))
+def flat_subspace(curvature):
+    """The span of a curvature space's tensors in the flat coefficient
+    layout, as a canonical subspace: its flat view, re-canonicalised."""
+    ncols = len(bivector_pairs(curvature.space.real_dim)) * curvature.algebra.dim
+    return span_of(curvature.flat_vectors(), ncols)
+
+
+def first_rows(curvature, count):
+    """The space over `curvature.algebra` of the first `count` canonical
+    Sym^2(g) rows of `curvature`, which stay canonical."""
+    rows = curvature.coefficient_subspace().sparse_rows()
+    return CurvatureSpace(curvature.algebra, rows[:count])
 
 
 def tensors_built(monkeypatch):

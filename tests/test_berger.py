@@ -1,17 +1,15 @@
-from dataclasses import replace
-
 import pytest
 
-from berger_lab.berger import (SCOPE_NOTE, _remainder_at,
-                               _restriction_multiple_check, berger_report,
-                               collapses, holonomy_case_split, split_of)
-from berger_lab.curvature import (CurvatureElement, build_r1, coefficients_over,
-                                  element_over)
+from berger_lab.berger import (SCOPE_NOTE, _restriction_witness, berger_report,
+                               holonomy_case_split, split_failures)
+from berger_lab.curvature import (CurvatureElement, CurvatureSpace, build_r1,
+                                  coefficients_over, element_over)
 from berger_lab.exactlin import span_of
-from berger_lab.harness import (Session, check_mixed_signature_collapse,
+from berger_lab.harness import (Session, check_full_split,
+                                check_mixed_signature_collapse,
                                 check_parabolic_split)
 from berger_lab.liealg import LieAlgebra
-from conftest import spanned, tier2
+from conftest import first_rows, tier2, value
 
 
 def berger_closure(g, curvature):
@@ -63,7 +61,7 @@ def test_report_closure_is_the_reference_span(session, name, r, s, t):
 def test_closure_monotone_in_curvature_input(session):
     alg = session.algebra("sp1+sp_w", 1, 1, 1)
     full = session.curvature("sp1+sp_w", 1, 1, 1)
-    partial = spanned(full.algebra, full.basis[:4])
+    partial = first_rows(full, 4)
     dim_partial = berger_closure(alg, partial).dim
     dim_full = berger_closure(alg, full).dim
     assert dim_partial <= dim_full
@@ -109,12 +107,24 @@ def test_decision_mixed_signature_case(session):
 
 
 @tier2
-def test_decision_split_signature_case_333():
-    # the largest split-signature configuration the suite runs, in a session
-    # of its own so that its kernels are freed afterwards
-    report = holonomy_case_split(3, 3, 3)
-    assert report.case == "split-signature"
+@pytest.mark.parametrize("r,s,t,dim_sp_w", [(3, 3, 3, 462), (3, 4, 3, 666),
+                                            (4, 4, 4, 1290)])
+def test_decision_confirms_at_scale(r, s, t, dim_sp_w):
+    # the largest configurations the suite runs, each in a session of its
+    # own so that its kernels are freed afterwards
+    session = Session()
+    report = holonomy_case_split(r, s, t, session=session)
     assert report.verdict == "confirmed"
+    assert session.curvature("sp_w", r, s, t).dim == dim_sp_w
+    full = session.curvature("sp1+sp_w", r, s, t).dim
+    if r + s == 2 * t:
+        assert report.case == "split-signature"
+        # the closed form fitted to r = 1..5; sp(1) adds the line through R1
+        assert dim_sp_w == r * (r + 1) * (2 * r + 1) * (10 * r + 3) // 6
+        assert full == dim_sp_w + 1
+    else:
+        assert report.case == "mixed-signature"
+        assert full == dim_sp_w
 
 
 def test_decision_rejects_bad_witt_rank():
@@ -125,12 +135,13 @@ def test_decision_rejects_bad_witt_rank():
 
 
 class DropsOneSpWTensor(Session):
-    """Drops the last basis tensor of every sp(r,r)_W curvature space."""
+    """Drops the last canonical row of every sp(r,s)_W and sp(r,s)
+    curvature space."""
 
     def curvature(self, name, r, s, t):
         real = super().curvature(name, r, s, t)
-        if name == "sp_w":
-            return spanned(real.algebra, real.basis[:-1])
+        if name in ("sp_w", "sp"):
+            return first_rows(real, real.dim - 1)
         return real
 
 
@@ -148,63 +159,79 @@ def test_decision_reports_falsification_loudly(tampered):
 
 
 def test_split_checks_fail_on_a_dropped_tensor(tampered):
-    assert check_parabolic_split(tampered, 1).status == "fail"
+    # R(full) still holds R(sub), but is two larger: each failing check
+    # names that condition, and the generator's conditions still hold
+    parabolic = check_parabolic_split(tampered, 1)
+    assert parabolic.status == "fail"
+    assert parabolic.computed["r=1"]["failed"] == ["dims_add_up"]
+    assert parabolic.computed["r=1"]["r1_spans_complement"]
+    full = check_full_split(tampered, 1)
+    assert full.status == "fail"
+    assert full.computed["failed"] == ["dims_add_up"]
+    assert full.computed["r0_in_full"] and not full.computed["r0_in_sub"]
     split = holonomy_case_split(1, 1, 1, session=tampered).checks[1]
     assert (split.check_id, split.status) == ("parabolic-split", "fail")
-    assert check_mixed_signature_collapse(tampered, 1).status == "fail"
+    assert split.details["failed"] == ["dims_add_up"]
+    mixed = check_mixed_signature_collapse(tampered, 1)
+    assert mixed.status == "fail" and mixed.computed["failed"] == ["dims_add_up"]
     collapse = holonomy_case_split(1, 2, 1, session=tampered).checks[0]
     assert (collapse.check_id, collapse.status) == ("collapse-equality", "fail")
+    assert collapse.details["failed"] == ["dims_add_up"]
 
 
 def r1_over_full(session, r, s, t):
-    """R1's coefficient vector over sp(1)+sp(r,s)_W."""
+    """R1 as a tensor over sp(1)+sp(r,s)_W."""
     r1 = build_r1(session.curvature("h0", r, s, t))
-    return element_over(r1, session.algebra("sp1+sp_w", r, s, t))
+    full = session.algebra("sp1+sp_w", r, s, t)
+    return CurvatureElement(full, element_over(r1, full))
+
+
+def reference_w_blocks(curvature):
+    """(basis index, (p, q)) for every basis tensor and pair (p, q) in
+    W x W1 at which R(e_p, e_q) has a nonzero W x W block, read from the
+    value matrices."""
+    space = curvature.space
+    w = list(space.w_indices())
+    return [(i, (p, q)) for i, el in enumerate(curvature.basis)
+            for p in w for q in space.w1_indices()
+            if any(value(el, p, q)[a, b] for a in w for b in w)]
+
+
+@pytest.mark.parametrize("name,r,expected", [
+    ("sp_w", 1, 0), ("sp1+sp_w", 1, 16), ("h0", 1, 16),
+    pytest.param("sp_w", 2, 0, marks=tier2),
+    pytest.param("sp1+sp_w", 2, 64, marks=tier2),
+    pytest.param("h0", 2, 64, marks=tier2)])
+def test_restriction_identity_holds_on_sp_w_rows_only(session, name, r, expected):
+    # handed R(sp(1)+sp(r,r)_W)'s or R(h0)'s rows in place of
+    # R(sp(r,r)_W)'s, the identity must fail: both hold R1
+    curvature = session.curvature(name, r, r, r)
+    blocks = reference_w_blocks(curvature)
+    assert len(blocks) == expected
+    witness = _restriction_witness(curvature)
+    if expected:
+        assert (witness["element"], witness["pair"]) == blocks[0]
+    else:
+        assert witness is None
 
 
 def test_restriction_multiple_fails_on_a_wrong_r1_component(session):
+    # another complement of line(R1) in R(sp(1)+sp(1,1)_W): R(sp(1,1)_W)
+    # over the full algebra with the one row of R(full) outside it added to
+    # its first row, so one tensor has an R1-component the identity does
+    # not account for
     full = session.curvature("sp1+sp_w", 1, 1, 1)
-    r1_vec = r1_over_full(session, 1, 1, 1)
-    sp_w = session.curvature("sp_w", 1, 1, 1)
-    split = split_of(full, sp_w, r1_vec)
-    ok, details = _restriction_multiple_check(full, split, r1_vec)
-    assert ok and details == {"elements_checked": full.dim}
-    # another complement of line(R1): R(sp(r,r)_W) with one basis tensor t
-    # replaced by t + R1.  Every tensor still decomposes, but a tensor with
-    # a t-component a gets R1-component c - a, so its W-block no longer
-    # matches that multiple of R1's
-    sub = split.sub_over_full
-    tensors = [element_over(el, full.algebra) for el in sp_w.basis]
-    t = tensors[0]
-    tensors[0] = {k: t.get(k, 0) + r1_vec.get(k, 0) for k in t.keys() | r1_vec.keys()}
-    other = span_of(tensors, sub.ambient_dim)
-    assert other.dim == sub.dim and other != sub
-    ok, details = _restriction_multiple_check(
-        full, replace(split, sub_over_full=other), r1_vec)
-    assert not ok and set(details) == {"element", "pair"}
-
-
-def test_remainder_at_reads_one_entry_of_the_remainder(session):
-    # against R(sp(1,1)_W) over sp(1)+sp(1,1)_W, and against another
-    # complement of line(R1), whose rows are nonzero at R1's leading key
-    full = session.curvature("sp1+sp_w", 1, 1, 1)
-    r1_vec = r1_over_full(session, 1, 1, 1)
-    sub = split_of(full, session.curvature("sp_w", 1, 1, 1), r1_vec).sub_over_full
-    rows = list(sub.sparse_rows())
-    rows[0] = {k: rows[0].get(k, 0) + r1_vec.get(k, 0)
-               for k in rows[0].keys() | r1_vec.keys()}
-    other = span_of(rows, sub.ambient_dim)
-    dimg = full.algebra.dim
-    tensors = list(full.basis) + [CurvatureElement(full.algebra, r1_vec)]
-    for space in (sub, other):
-        pivots = set(space.pivot_columns())
-        keys = sorted({k for row in space.sparse_rows() for k in row} - pivots)
-        assert any(len([row for row in space.sparse_rows() if k in row]) > 1
-                   for k in keys)
-        for key in keys:
-            at = _remainder_at(space, key, dimg)
-            for el in tensors:
-                assert at(el) == space.reduce_vector(el.sparse_vector()).get(key, 0)
+    embedded = coefficients_over(session.curvature("sp_w", 1, 1, 1), full.algebra)
+    assert _restriction_witness(CurvatureSpace(full.algebra, embedded.sparse_rows())) is None
+    (outside,) = [row for row in full.coefficient_subspace().sparse_rows()
+                  if not embedded.contains_vector(row)]
+    rows = list(embedded.sparse_rows())
+    rows[0] = {k: rows[0].get(k, 0) + outside.get(k, 0)
+               for k in rows[0].keys() | outside.keys()}
+    other = span_of(rows, embedded.ambient_dim)
+    assert other.dim == embedded.dim and other != embedded
+    witness = _restriction_witness(CurvatureSpace(full.algebra, other.sparse_rows()))
+    assert set(witness) == {"element", "pair"}
 
 
 def test_restriction_multiple_reads_r1_over_its_own_algebra(session):
@@ -226,35 +253,39 @@ def test_restriction_multiple_reads_r1_over_its_own_algebra(session):
 
 
 def test_restriction_multiple_names_a_failed_decomposition(session, tampered):
+    # one sp(r,r)_W tensor short, line(R1) + R(sub) misses a basis tensor
+    (*_, restriction) = holonomy_case_split(1, 1, 1, session=tampered).checks
+    assert restriction.check_id == "restriction-multiple"
+    assert restriction.status == "fail"
+    assert restriction.details == {"reason": "split decomposition failed"}
+    # a generator inside R(sp(r,r)_W) has no sp(1) part
     full = session.curvature("sp1+sp_w", 1, 1, 1)
-    r1_vec = r1_over_full(session, 1, 1, 1)
-    # one sp(r,r)_W tensor short, line(R1) + sub misses a basis tensor
-    short = split_of(full, tampered.curvature("sp_w", 1, 1, 1), r1_vec)
-    assert not short.holds and not short.generator_in_sub
-    ok, details = _restriction_multiple_check(full, short, r1_vec)
-    assert not ok and details == {"reason": "split decomposition failed"}
     sp_w = session.curvature("sp_w", 1, 1, 1)
-    sub = split_of(full, sp_w, r1_vec).sub_over_full
-    inside = dict(sub.sparse_rows()[0])
-    ok, details = _restriction_multiple_check(
-        full, split_of(full, sp_w, inside), inside)
-    assert not ok
-    assert details == {"reason": "R1 lies in the curvature space of sp(r,r)_W"}
+    inside = CurvatureElement(full.algebra, element_over(sp_w.basis[0], full.algebra))
+    assert split_failures(full, sp_w, inside) == ["generator_has_sp1_part"]
 
 
 def test_split_predicates_name_the_failed_condition(session, tampered):
     full = session.curvature("sp1+sp_w", 1, 1, 1)
+    sp_w = session.curvature("sp_w", 1, 1, 1)
     r1_vec = r1_over_full(session, 1, 1, 1)
-    good = split_of(full, session.curvature("sp_w", 1, 1, 1), r1_vec)
-    assert good.holds
-    bad = split_of(full, tampered.curvature("sp_w", 1, 1, 1), r1_vec)
-    assert not bad.holds
-    assert not bad.dims_add_up
-    assert bad.generator_in_full and not bad.generator_in_sub and bad.sub_in_full
-    assert not split_of(full, session.curvature("sp_w", 1, 1, 1), {}).holds
-    assert collapses(session.curvature("sp1+sp_w", 1, 2, 1),
-                     session.curvature("sp_w", 1, 2, 1))
-    assert not collapses(full, session.curvature("sp_w", 1, 1, 1))
+    assert split_failures(full, sp_w, r1_vec) == []
+    assert split_failures(full, tampered.curvature("sp_w", 1, 1, 1),
+                          r1_vec) == ["dims_add_up"]
+    zero = CurvatureElement(full.algebra, {})
+    assert split_failures(full, sp_w, zero) == ["generator_has_sp1_part"]
+    # R1 with one sp(1) coefficient moved is no curvature tensor
+    bent = r1_vec.sparse_vector()
+    key = next(key for key in bent if key % full.algebra.dim < 3)
+    bent[key] += 1
+    assert split_failures(full, sp_w, CurvatureElement(full.algebra, bent)) == [
+        "generator_is_curvature"]
+    # a row that is no curvature tensor of sp(1,1)_W is not in R(full)
+    stray = CurvatureSpace(sp_w.algebra, [{0: 1}])
+    assert split_failures(full, stray, r1_vec) == ["dims_add_up", "sub_in_full"]
+    assert split_failures(session.curvature("sp1+sp_w", 1, 2, 1),
+                          session.curvature("sp_w", 1, 2, 1)) == []
+    assert split_failures(full, sp_w) == ["dims_add_up"]
 
 
 def contains_and_same_dim(full, sub):
@@ -270,14 +301,15 @@ def contains_and_same_dim(full, sub):
 def test_collapses_is_the_dimension_and_containment_test(session, r, s, t):
     full = session.curvature("sp1+sp_w", r, s, t)
     sub = session.curvature("sp_w", r, s, t)
-    assert collapses(full, sub) == contains_and_same_dim(full, sub)
-    assert collapses(full, sub) == (r + s != 2 * t)
+    collapses = split_failures(full, sub) == []
+    assert collapses == contains_and_same_dim(full, sub)
+    assert collapses == (r + s != 2 * t)
 
 
 def test_collapses_fails_on_a_dropped_tensor(tampered):
     full = tampered.curvature("sp1+sp_w", 1, 2, 1)
     sub = tampered.curvature("sp_w", 1, 2, 1)
-    assert not collapses(full, sub)
+    assert split_failures(full, sub) == ["dims_add_up"]
     assert not contains_and_same_dim(full, sub)
 
 

@@ -80,19 +80,55 @@ def test_session_recomputes_after_corruption(tmp_path, space111):
     assert again.dim == value.dim
 
 
-def test_zero_denominator_in_cache_warns_and_recomputes(tmp_path, capsys):
-    cold = Session(cache_dir=tmp_path).curvature("h0", 1, 1, 1)
-    (entry,) = tmp_path.iterdir()
+def tamper_h0_entry(cache_dir, tamper):
+    """Compute and cache h0 at (1,1,1), apply `tamper` to the sole row of
+    its entry, then read h0 through a new session: the cold space, the
+    warm one and stderr."""
+    cold = Session(cache_dir=cache_dir).curvature("h0", 1, 1, 1)
+    entry = cache_dir / f"{cache_key(1, 1, 1, 'h0')}.json"
     data = json.loads(entry.read_text())
-    rows = data["curvature_space"]["basis"][0]
-    ib, k = next((ib, k) for ib, row in enumerate(rows)
-                 for k, v in enumerate(row) if v != "0")
-    rows[ib][k] = "1/0"
+    (row,) = data["curvature_space"]["rows"]
+    tamper(row)
     entry.write_text(json.dumps(data))
-    again = Session(cache_dir=tmp_path).curvature("h0", 1, 1, 1)
+    return cold, Session(cache_dir=cache_dir).curvature("h0", 1, 1, 1)
+
+
+def test_zero_denominator_in_cache_warns_and_recomputes(tmp_path, capsys):
+    def divide_by_zero(row):
+        row[-1][1] = "1/0"
+
+    cold, again = tamper_h0_entry(tmp_path, divide_by_zero)
     assert "corrupt cache" in capsys.readouterr().err
     assert again.basis == cold.basis
     assert again.coefficient_subspace() == cold.coefficient_subspace()
+
+
+def test_a_column_outside_sym2_warns_and_recomputes(tmp_path, capsys):
+    dimg = Session().algebra("h0", 1, 1, 1).dim
+
+    def push_out(row):
+        row[-1][0] = dimg * (dimg + 1) // 2
+
+    cold, again = tamper_h0_entry(tmp_path, push_out)
+    assert "columns must increase" in capsys.readouterr().err
+    assert again.coefficient_subspace() == cold.coefficient_subspace()
+
+
+def test_a_version_1_entry_is_a_miss(tmp_path, session, space111, monkeypatch,
+                                     capsys):
+    # the dense flat form of version 1, at its own key and at the current one
+    value = session.curvature("sp_w", 1, 1, 1)
+    old = {"version": 1, "key": {"r": 1, "s": 1, "t": 1, "algebra": "sp_w"},
+           "curvature_space": value.to_json()}
+    keys = [cache_key(1, 1, 1, "sp_w")]
+    monkeypatch.setattr(harness, "CACHE_FORMAT_VERSION", 1)
+    keys.append(cache_key(1, 1, 1, "sp_w"))
+    monkeypatch.undo()
+    assert harness.CACHE_FORMAT_VERSION == 2 and keys[0] != keys[1]
+    for key in keys:
+        (tmp_path / f"{key}.json").write_text(json.dumps(old))
+    assert cache_get(tmp_path, space111, "sp_w", value.algebra) is None
+    assert capsys.readouterr().err == ""
 
 
 def test_interrupted_cache_write_keeps_the_old_entry(tmp_path, session, space111,
@@ -242,10 +278,8 @@ def test_a_tampered_h0_entry_is_recomputed(tmp_path, capsys):
     capsys.readouterr()
     entry = tmp_path / f"{cache_key(1, 1, 1, 'h0')}.json"
     data = json.loads(entry.read_text())
-    (rows,) = data["curvature_space"]["basis"]
-    ib, k = next((ib, k) for ib, row in enumerate(rows)
-                 for k, v in enumerate(row) if v != "0")
-    rows[ib][k] = rat_to_str(2 * rat_from_str(rows[ib][k]))
+    (row,) = data["curvature_space"]["rows"]
+    row[0][1] = rat_to_str(2 * rat_from_str(row[0][1]))  # the lead
     entry.write_text(json.dumps(data))
     warm = run_verification(tier=1, cache_dir=tmp_path)
     assert capsys.readouterr().err.count("warning: ignoring corrupt cache entry") == 1

@@ -7,10 +7,14 @@ arithmetic, the case split that classifies which subalgebras of
 sp(1)+sp(r,s) preserving an isotropic quaternionic subspace survive the
 criterion.  Every verdict reads the canonical Sym^2(g) rows of the
 curvature spaces: the splits and the collapse through one predicate,
-`split_failures`, and the restriction identity on W x W1 as a vanishing
-W-block of every row of R(sp(r,r)_W).  All verdicts are algebra-level: whether a candidate is
-realized by an actual manifold is outside the reach of this computation,
-and the reports say so.
+`split_failures`, and the Berger closure and the restriction identity on
+W x W1 (a vanishing W-block of every row of R(sp(r,r)_W)) through
+`CurvatureSpace.values`, each row's tensor by bivector: no tensor is built
+from a space, and the flat coefficient key is never read.  The only
+tensors read are the split generators R0 and R1, each over its own
+algebra.  All verdicts are algebra-level: whether a
+candidate is realized by an actual manifold is outside the reach of this
+computation, and the reports say so.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .curvature import (CurvatureElement, CurvatureSpace,
-                        bianchi_residual_is_zero, bivector_pairs, build_r1,
-                        coefficients_over, element_over)
+                        bianchi_residual_is_zero, bivector_pairs, block_slots,
+                        build_r1, coefficients_over)
 from .exactlin import Echelon
 
 __all__ = [
@@ -65,17 +69,18 @@ class BergerReport:
 def berger_report(curvature: CurvatureSpace) -> BergerReport:
     """The Berger closure of g = curvature.algebra, the span of all values
     R(e_a, e_b) in g-coordinates, from one elimination over the values in
-    canonical order (basis elements outer, bivectors inner).  The witnesses
-    are the values that raised the rank: the first spanning subset in that
-    order."""
+    canonical order (canonical rows outer, bivectors inner), each read from
+    `values` as an integer row.  The witnesses are the values that raised
+    the rank: the first spanning subset in that order; a positive factor
+    per tensor changes no rank."""
     g = curvature.algebra
     pairs = bivector_pairs(g.space.real_dim)
     span = Echelon()
     witnesses = []
-    values = ((idx, ib, row) for idx, el in enumerate(curvature.basis)
-              for ib, row in enumerate(el.rows) if row)
+    values = ((idx, ib, row) for idx, tensor in enumerate(curvature.values())
+              for ib, row in tensor.items())
     for idx, ib, row in values:
-        if span.insert_fraction_row(row) is not None:
+        if span.insert(row) is not None:
             witnesses.append((pairs[ib], idx))
             if span.rank == g.dim:
                 break
@@ -139,13 +144,18 @@ def split_failures(full: CurvatureSpace, sub: CurvatureSpace,
     `sub`'s algebra must be a block of full.algebra's basis (see
     `coefficients_over`), full.algebra its sum with sp(1), whose three
     basis elements `direct_sum` puts first, and `generator` a tensor over
-    full.algebra.  The split holds iff R(full) is one larger than R(sub)
-    ("dims_add_up") and holds it ("sub_in_full"), and the generator has a
-    nonzero sp(1) part ("generator_has_sp1_part") and is a curvature tensor
-    ("generator_is_curvature"): every curvature tensor over full.algebra
-    lies in R(full), and in R(sub) iff its sp(1) part is zero.  With no
-    generator, R(full) = R(sub) iff their canonical Sym^2 rows are equal,
-    and on a failure the first two conditions name what broke."""
+    an algebra whose basis is a block of full.algebra's too, such as R0
+    over full.algebra itself or R1 over h0; any other raises ValueError.
+    The generator's coefficient of its basis element k is that of
+    full.algebra's element m_k (`block_slots`), so its sp(1) part is its
+    coefficients at m_k < 3.  The split holds iff R(full) is one larger
+    than R(sub) ("dims_add_up") and holds it ("sub_in_full"), and the
+    generator has a nonzero sp(1) part ("generator_has_sp1_part") and is a
+    curvature tensor ("generator_is_curvature"): every curvature tensor
+    over full.algebra lies in R(full), and in R(sub) iff its sp(1) part is
+    zero.  With no generator, R(full) = R(sub) iff their canonical Sym^2
+    rows are equal, and on a failure the first two conditions name what
+    broke."""
     embedded = coefficients_over(sub, full.algebra)
     full_rows = full.coefficient_subspace()
     if generator is None and embedded == full_rows:
@@ -153,8 +163,10 @@ def split_failures(full: CurvatureSpace, sub: CurvatureSpace,
     conditions = [("dims_add_up", full.dim == sub.dim + (generator is not None)),
                   ("sub_in_full", full_rows.contains(embedded))]
     if generator is not None:
+        slots = block_slots(generator.algebra, full.algebra)
         conditions += [
-            ("generator_has_sp1_part", any(k < 3 for row in generator.rows for k in row)),
+            ("generator_has_sp1_part",
+             any(slots[k] < 3 for row in generator.rows for k in row)),
             ("generator_is_curvature", bianchi_residual_is_zero(generator))]
     return [name for name, holds in conditions if not holds]
 
@@ -208,9 +220,7 @@ def holonomy_case_split(r: int, s: int, t: int, session=None) -> CaseSplitReport
             {"dim": h0_curv.dim},
         ))
         if h0_curv.dim == 1:
-            target = parabolic_full.algebra
-            r1 = CurvatureElement(target, element_over(build_r1(h0_curv), target))
-            broken = split_failures(parabolic_full, parabolic, r1)
+            broken = split_failures(parabolic_full, parabolic, build_r1(h0_curv))
             checks.append(CaseSplitCheck(
                 "parabolic-split",
                 "curvature space over sp(1)+sp(r,r)_W = line(R1) + curvature "
@@ -264,9 +274,9 @@ def _restriction_witness(sub: CurvatureSpace) -> dict | None:
     tensor's R1-component is the multiple of R1 the identity names, and
     its R(sub) part must then restrict to zero.  On a row S the W-block at
     (p, q) is sum_k (sum_l S_kl omega_l(p, q)) W-block(B_k), read from
-    `flat_vectors` at the bivectors of W x W1 only, through one table of
-    W-blocks; each value is a positive multiple of the tensor's, which
-    keeps its zeros."""
+    `values` at the bivectors of W x W1 only, in ascending order, through
+    one table of W-blocks; each value is a positive multiple of the
+    tensor's, which keeps its zeros."""
     space = sub.space
     n = space.real_dim
     w, w1 = set(space.w_indices()), set(space.w1_indices())
@@ -276,15 +286,12 @@ def _restriction_witness(sub: CurvatureSpace) -> dict | None:
     # the W x W block {row * n + col: value} of each basis matrix
     blocks = [{pos: v for pos, v in bmat.nz.items() if pos // n in w and pos % n in w}
               for bmat in sub.algebra.basis]
-    dimg = sub.algebra.dim
-    for index, vec in enumerate(sub.flat_vectors(pairs.keys())):
-        by_biv: dict[int, dict] = {}
-        for key, c in vec.items():
-            ib, k = divmod(key, dimg)
-            block = by_biv.setdefault(ib, {})
-            for pos, v in blocks[k].items():
-                block[pos] = block.get(pos, 0) + c * v
-        for ib in sorted(by_biv):
-            if any(by_biv[ib].values()):
+    for index, tensor in enumerate(sub.values(pairs.keys())):
+        for ib, row in tensor.items():
+            block: dict = {}
+            for k, c in row.items():
+                for pos, v in blocks[k].items():
+                    block[pos] = block.get(pos, 0) + c * v
+            if any(block.values()):
                 return {"element": index, "pair": pairs[ib]}
     return None

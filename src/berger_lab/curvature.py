@@ -19,20 +19,23 @@ equations on Hom(Lambda^2 V, g).  `bianchi_residual_is_zero` still checks
 the cyclic identity itself.
 
 Coefficient layout: bivectors (a, b) with a < b are ordered
-lexicographically over the realified basis.  A tensor is built from its
-flat coefficient vector, bivector-major with key ib * dim g + k for the
-coefficient of B_k in R(e_a, e_b), and stored as one row per bivector:
+lexicographically over the realified basis, and a tensor's values are one
+row per bivector, {k: coefficient of B_k in R(e_a, e_b)}.  A single
+tensor (R0, R1, an `act` image) is built from its flat coefficient vector,
+bivector-major with key ib * dim g + k, and stored as those rows:
 `rows[ib]` maps k to its coefficient, nonzeros only, keys ascending, and
 all empty rows share one read-only mapping.  A space of tensors is the
 canonical RREF rows of its span in Sym^2(g), the unknown x_kl = S_kl,
 k <= l, at column l (l + 1) / 2 + k, and is built from them alone: every
-verdict reads those rows.  `CurvatureSpace.flat_vectors` is the one map to
-the flat layout, run lazily for what needs tensors: the basis (each
-tensor scaled to lead with 1, built when `basis` is first read), pair
-symmetry, the derivative space and the dense JSON form, which
-re-canonicalises the flat vectors so that it lists the canonical flat
-rows.  The cache form is the sparse Sym^2(g) rows; `from_json` checks them
-before it keeps them.
+verdict reads those rows, and no space builds a tensor object.
+`CurvatureSpace.values` is the one map out of Sym^2(g): it yields each
+row's tensor as {ib: {k: int}}, nonzero rows only, bivectors ascending,
+for the Berger closure, the degenerate-pair and restriction checks, R1,
+pair symmetry and the derivative space.  The flat key is read in two
+places only: the `CurvatureElement` constructor, and the dense JSON form,
+which re-canonicalises the flat vectors so that it lists the canonical
+flat rows.  The cache form is the sparse Sym^2(g) rows; `from_json` checks
+them before it keeps them.
 
 Comparisons across algebras read a space over a larger algebra whose basis
 holds its algebra's basis in order, as `direct_sum` builds sp(1)+g from g:
@@ -44,24 +47,24 @@ Every tensor and every space of tensors reads its quaternionic space from
 its algebra (`algebra.space`), so no tensor can live on a space other than
 its algebra's, and no call takes a space that its algebra already fixes.
 A value R(X, Y) is never formed as a matrix: `restrict_check_degenerate`
-reads R(p, X) = 0 as an empty stored row, exact because the algebra basis
-is independent, and R(X, Y)p as one column through `_columns`.
+reads R(p, X) = 0 as an empty row of `values`, exact because the algebra
+basis is independent, and R(X, Y)p as one column through `_columns`.
 
 Integer inner loops: R0, Ricci, the scalar, pair symmetry, the
-first-Bianchi equations, the Bianchi residual and `flat_vectors` multiply
-and add Python ints only.  eta and the I_alpha are read as signed
+first-Bianchi equations, the Bianchi residual and `values` multiply and
+add Python ints only.  eta and the I_alpha are read as signed
 permutations (`_signed_permutation`, which raises on anything else; there
 is no fallback), the basis columns come from `_columns` times one lcm per
 algebra, the 2-forms omega_k from `_pairing_table` on those columns, and a
 tensor's rows from `_integer_rows` times one lcm per element; each
-canonical row is cleared by `integer_row` before `flat_vectors` maps it,
-so pair symmetry and the derivative space read integer vectors and build
-no tensor.  A value is divided only where it leaves a function, by
-`exactlin.ratio`, so it stays an int when the division is exact: R0's
-coordinates are those of the integral 4 R0, divided by 4, a basis tensor
-is its integer vector divided by its lead, `ricci` and `scalar` divide by
-the product of the two factors, and the residual and symmetry checks,
-which are homogeneous, need no division.
+canonical row is cleared by `integer_row` before `values` maps it, so
+every reader of a space takes integer rows.  A value is divided only
+where it leaves a function, by `exactlin.ratio`, so it stays an int when
+the division is exact: R0's coordinates are those of the integral 4 R0,
+divided by 4, R1 is its integer rows divided by its lead, `ricci` and
+`scalar` divide by the product of the two factors, and the residual,
+symmetry, closure and vanishing checks, which are homogeneous, need no
+division.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ __all__ = [
     "pair_symmetry_holds",
     "pair_symmetry_all",
     "coefficients_over",
-    "element_over",
+    "block_slots",
     "bivector_pairs",
 ]
 
@@ -144,11 +147,6 @@ class CurvatureElement:
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureElement is immutable")
 
-    def sparse_vector(self) -> dict:
-        dimg = self.algebra.dim
-        return {ib * dimg + k: c
-                for ib, row in enumerate(self.rows) for k, c in row.items()}
-
     def row_of(self, a: int, b: int) -> tuple[Mapping, int]:
         """The stored row of the bivector {a, b} and the sign that turns it
         into R(e_a, e_b): 1 if a < b, -1 if a > b, 0 (empty row) if a == b."""
@@ -187,12 +185,11 @@ class CurvatureSpace:
     `algebra.space`, given by the canonical RREF rows of its span in
     Sym^2(g), which it keeps as its coefficient subspace: the unknown
     x_kl = S_kl, k <= l, is column l (l + 1) / 2 + k (`_sym2_unknowns`).
-    `dim` is their number.  `flat_vectors` maps the rows to the flat
-    layout, and the basis tensors, one per row, are built from it when
-    `basis` is first read.  The rows are taken as they are:
+    `dim` is their number, and `values` reads each row's tensor by
+    bivector; no tensor object is built.  The rows are taken as they are:
     `bianchi_kernel` computes them, and `from_json` checks them first."""
 
-    __slots__ = ("space", "algebra", "dim", "_subspace", "_basis")
+    __slots__ = ("space", "algebra", "dim", "_subspace")
 
     def __init__(self, algebra: LieAlgebra, rows):
         sub = Subspace(_sym2_dim(algebra.dim), rows)
@@ -200,23 +197,6 @@ class CurvatureSpace:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "dim", sub.dim)
         object.__setattr__(self, "_subspace", sub)
-        object.__setattr__(self, "_basis", None)
-
-    @property
-    def basis(self) -> tuple:
-        """The basis tensors, one per canonical row, each its row's flat
-        vector scaled so that its first nonzero coefficient is 1, built on
-        first read."""
-        basis = self._basis
-        if basis is None:
-            tensors = []
-            for vec in self.flat_vectors():
-                lead = vec[min(vec)]
-                tensors.append(CurvatureElement(
-                    self.algebra, {key: ratio(v, lead) for key, v in vec.items()}))
-            basis = tuple(tensors)
-            object.__setattr__(self, "_basis", basis)
-        return basis
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureSpace is immutable")
@@ -228,40 +208,43 @@ class CurvatureSpace:
         """The span of the space in Sym^2(g), by its canonical rows."""
         return self._subspace
 
-    def flat_vectors(self, bivectors=None):
-        """Each canonical row's tensor in turn as its flat coefficient vector
-        {ib * dim g + k: int}, nonzeros only, times a positive factor of its
-        own; only its entries at the bivector indices `bivectors` when they
-        are given.  This is the one map from Sym^2(g) to the flat layout:
+    def values(self, bivectors=None):
+        """Each canonical row's tensor in turn as {ib: {k: int}}, the
+        coefficient of B_k in R(e_a, e_b) for the ib-th bivector (a, b),
+        times a positive factor of its own: nonzero rows and entries only,
+        bivectors ascending, and only the bivector indices `bivectors` when
+        they are given.  This is the one map out of Sym^2(g):
         R(e_a, e_b) = sum_kl S_kl omega_l(a, b) B_k, so x_kl adds omega_l to
-        B_k's coefficient and, for k != l, omega_k to B_l's.  It builds no
-        tensor."""
-        dimg = self.algebra.dim
+        B_k's coefficient and, for k != l, omega_k to B_l's."""
         forms = _pairing_table(self.algebra)
         if bivectors is not None:
             forms = [{ib: w for ib, w in form.items() if ib in bivectors}
                      for form in forms]
-        unknowns = _sym2_unknowns(dimg)
+        unknowns = _sym2_unknowns(self.algebra.dim)
         for x in self._subspace.sparse_rows():
-            vec: dict = {}
+            tensor: dict[int, dict] = {}
             for j, s in integer_row(x).items():
                 k, l = unknowns[j]
                 for ib, w in forms[l].items():
-                    key = ib * dimg + k
-                    vec[key] = vec.get(key, 0) + s * w
+                    row = tensor.setdefault(ib, {})
+                    row[k] = row.get(k, 0) + s * w
                 if k != l:
                     for ib, w in forms[k].items():
-                        key = ib * dimg + l
-                        vec[key] = vec.get(key, 0) + s * w
-            yield {key: v for key, v in vec.items() if v}
+                        row = tensor.setdefault(ib, {})
+                        row[l] = row.get(l, 0) + s * w
+            rows = ((ib, {k: v for k, v in tensor[ib].items() if v})
+                    for ib in sorted(tensor))
+            yield {ib: row for ib, row in rows if row}
 
     def to_json(self) -> dict:
         """The dense form `curvature-space --format json` prints: the
-        canonical RREF rows of the space's flat vectors, one string per
-        (bivector, basis element)."""
+        canonical RREF rows of the space's tensors in the flat layout, key
+        ib * dim g + k, one string per (bivector, basis element)."""
         dimg = self.algebra.dim
+        flat = ({ib * dimg + k: v for ib, row in tensor.items() for k, v in row.items()}
+                for tensor in self.values())
         basis = []
-        for row in canonical_rows(self.flat_vectors()):
+        for row in canonical_rows(flat):
             dense = [["0"] * dimg for _ in range(_bivector_count(self.space.real_dim))]
             for key, c in row.items():
                 dense[key // dimg][key % dimg] = rat_to_str(c)
@@ -519,12 +502,17 @@ def build_r0(algebra: LieAlgebra) -> CurvatureElement:
 
 def build_r1(curvature: CurvatureSpace) -> CurvatureElement:
     """The generator of `curvature`, the 1-dimensional curvature space of
-    h0, normalized so its first nonzero coefficient (canonical ordering)
-    equals 1."""
+    h0, normalized so its first nonzero coefficient (canonical ordering:
+    bivector, then basis element) equals 1."""
     if curvature.dim != 1:
         raise ValueError(
             f"unexpected curvature space dimension {curvature.dim} for h0")
-    return curvature.basis[0]  # each basis tensor leads with 1
+    (tensor,) = curvature.values()
+    first = next(iter(tensor.values()))  # bivectors ascend
+    lead = first[min(first)]
+    dimg = curvature.algebra.dim
+    return CurvatureElement(curvature.algebra, {
+        ib * dimg + k: ratio(v, lead) for ib, row in tensor.items() for k, v in row.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +619,11 @@ class DegenerateReport:
 
 
 def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
-    """R(p, X) = 0 holds iff the stored row of (p, X) is empty, because the
-    algebra basis is independent; R(X, Y)p is one column of the value, read
-    through `_columns`."""
+    """R(p, X) = 0 holds iff the row of (p, X) in `values` is empty,
+    because the algebra basis is independent; R(X, Y)p is one column of the
+    value, read through `_columns`.  Each canonical row's tensor is read at
+    the bivectors of W x E and E x E only, and its positive factor keeps its
+    zeros."""
     space = curvature.space
     if space.t < 1:
         raise ValueError("degenerate-pair check requires t >= 1")
@@ -643,17 +633,14 @@ def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
         return DegenerateReport(status="vacuous", checked_elements=curvature.dim)
     n = space.real_dim
     _, cols = _columns(curvature.algebra)
+    w_e = [((p, x), _biv_index(n, min(p, x), max(p, x))) for p in w_idx for x in e_idx]
+    e_e = [((x, y), _biv_index(n, x, y)) for x in e_idx for y in e_idx if x < y]
     witnesses = []
-    for i, el in enumerate(curvature.basis):
-        for p in w_idx:
-            for x in e_idx:
-                if el.row_of(p, x)[0]:
-                    witnesses.append((i, "R(p,X) != 0", (p, x)))
-        for x in e_idx:
-            for y in e_idx:
-                if x >= y:
-                    continue
-                row = el.rows[_biv_index(n, x, y)]
+    for i, tensor in enumerate(curvature.values({ib for _, ib in w_e + e_e})):
+        witnesses += [(i, "R(p,X) != 0", pair) for pair, ib in w_e if ib in tensor]
+        for (x, y), ib in e_e:
+            row = tensor.get(ib)
+            if row:
                 for p in w_idx:
                     column: dict = {}
                     _add_column(column, 1, row, cols[p])
@@ -671,17 +658,15 @@ def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
 def derivative_space(curvature: CurvatureSpace) -> Subspace:
     """Maps T: R^n -> R(g) with cyclic sum T(X)(Y,Z) + T(Y)(Z,X) + T(Z)(X,Y)
     zero on all basis triples, as a subspace of R^{n * dim R(g)}, over the
-    tensors of `flat_vectors`: its dimension does not depend on their
-    scale.  They are read once into by_biv[ib] = [(k, row i, coefficient of
-    B_k)], so each triple visits only its three bivectors' nonzeros."""
+    tensors of `values`: its dimension does not depend on their scale.
+    They are read once into by_biv[ib] = [(k, row i, coefficient of B_k)],
+    so each triple visits only its three bivectors' nonzeros."""
     n = curvature.space.real_dim
     kdim = curvature.dim
-    dimg = curvature.algebra.dim
     by_biv: dict[int, list] = {}
-    for i, vec in enumerate(curvature.flat_vectors()):
-        for key, c in vec.items():
-            ib, k = divmod(key, dimg)
-            by_biv.setdefault(ib, []).append((k, i, c))
+    for i, tensor in enumerate(curvature.values()):
+        for ib, row in tensor.items():
+            by_biv.setdefault(ib, []).extend((k, i, c) for k, c in row.items())
 
     def rows():
         for x in range(n):
@@ -734,35 +719,34 @@ def _pairing_table(algebra: LieAlgebra) -> list[dict]:
     return table
 
 
-def _pair_symmetric(vec: Mapping, dimg: int, table) -> bool:
+def _pair_symmetric(rows, table) -> bool:
     # P[ib, jb] = eta(R(pair_ib) e_c, e_d) for pair_jb = (c, d), summed over
-    # the nonzeros ib * dim g + k of the cleared flat vector; values in the
-    # metric algebra make the full quadruple check equivalent to P symmetric,
-    # and clearing scales P by one factor, which keeps its symmetry.
+    # the integer rows (ib, {k: c}) of a tensor; values in the metric algebra
+    # make the full quadruple check equivalent to P symmetric, and a common
+    # factor on the rows scales P by it, which keeps its symmetry.
     p: dict[int, dict] = {}
-    for key, c in integer_row(vec).items():
-        ib, k = divmod(key, dimg)
+    for ib, row in rows:
         acc = p.setdefault(ib, {})
-        for jb, v in table[k].items():
-            acc[jb] = acc.get(jb, 0) + c * v
+        for k, c in row.items():
+            for jb, v in table[k].items():
+                acc[jb] = acc.get(jb, 0) + c * v
     return all(p.get(jb, _EMPTY_ROW).get(ib, 0) == v
                for ib, acc in p.items() for jb, v in acc.items())
 
 
 def pair_symmetry_holds(element: CurvatureElement) -> bool:
     """Check eta(R(X,Y)Z, U) = eta(R(Z,U)X, Y) on all basis quadruples."""
-    return _pair_symmetric(element.sparse_vector(), element.algebra.dim,
-                           _pairing_table(element.algebra))
+    _, rows = _integer_rows(element)
+    return _pair_symmetric(enumerate(rows), _pairing_table(element.algebra))
 
 
 def pair_symmetry_all(curvature: CurvatureSpace) -> bool:
     """Pair symmetry for the tensor of every canonical row, sharing the
-    pairing table; reads `flat_vectors` and builds no basis tensor."""
+    pairing table; reads `values` and builds no tensor."""
     if curvature.dim == 0:
         return True
     table = _pairing_table(curvature.algebra)
-    return all(_pair_symmetric(vec, curvature.algebra.dim, table)
-               for vec in curvature.flat_vectors())
+    return all(_pair_symmetric(tensor.items(), table) for tensor in curvature.values())
 
 
 # ---------------------------------------------------------------------------
@@ -780,29 +764,7 @@ def _embedding(algebra: LieAlgebra, target: LieAlgebra) -> list[dict]:
     return mapped
 
 
-def _over(element: CurvatureElement, mapped: list[dict], dim_t: int) -> dict:
-    out: dict = {}
-    for ib, row in enumerate(element.rows):
-        base = ib * dim_t
-        for k, c in row.items():
-            for k2, v in mapped[k].items():
-                key = base + k2
-                nv = out.get(key, 0) + c * v
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
-    return out
-
-
-def element_over(element: CurvatureElement, target: LieAlgebra) -> dict:
-    """The element's coefficient vector re-expressed over `target`'s basis
-    (sparse, bivector-major).  Requires the element's algebra to sit inside
-    `target` as a subspace."""
-    return _over(element, _embedding(element.algebra, target), target.dim)
-
-
-def _block_slots(algebra: LieAlgebra, target: LieAlgebra) -> list[int]:
+def block_slots(algebra: LieAlgebra, target: LieAlgebra) -> list[int]:
     """m with B_k = target.basis[m[k]] for every basis element B_k of
     `algebra`, m strictly increasing; raises ValueError unless `target`'s
     basis holds `algebra`'s that way."""
@@ -830,8 +792,8 @@ def coefficients_over(curvature: CurvatureSpace, target: LieAlgebra) -> Subspace
     `curvature.coefficient_subspace()` to canonical RREF rows over
     `target`; RREF is unique, so relabelling them is the whole computation.
     Any other target raises ValueError, as does an algebra that does not
-    embed (`element_over` re-expresses a single tensor over any embedding)."""
-    slots = _block_slots(curvature.algebra, target)
+    embed."""
+    slots = block_slots(curvature.algebra, target)
     column = [slots[l] * (slots[l] + 1) // 2 + slots[k]
               for k, l in _sym2_unknowns(curvature.algebra.dim)]
     rows = [{column[j]: c for j, c in row.items()}

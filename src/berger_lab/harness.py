@@ -378,9 +378,7 @@ def check_parabolic_split(session: Session, tier: int) -> CheckResult:
     for r in _ranks(tier):
         full = session.curvature("sp1+sp_w", r, r, r)
         sub = session.curvature("sp_w", r, r, r)
-        r1 = curv.build_r1(session.curvature("h0", r, r, r))
-        broken = split_failures(full, sub, CurvatureElement(
-            full.algebra, curv.element_over(r1, full.algebra)))
+        broken = split_failures(full, sub, curv.build_r1(session.curvature("h0", r, r, r)))
         details[f"r={r}"] = with_failures({
             "dim_with_sp1": full.dim, "dim_without_sp1": sub.dim,
             "r1_spans_complement": not {"generator_is_curvature",

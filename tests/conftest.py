@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from berger_lab.curvature import (CurvatureElement, CurvatureSpace, bivector_pairs,
-                                  element_over)
-from berger_lab.exactlin import (RealMatrix, Subspace, integer_row, span_of,
+from berger_lab.curvature import CurvatureElement, CurvatureSpace, bivector_pairs
+from berger_lab.exactlin import (RealMatrix, Subspace, integer_row, ratio, span_of,
                                  sparse_nullspace)
 from berger_lab.harness import Session
 from berger_lab.prolong import first_prolongation_of, second_prolongation
@@ -91,6 +90,72 @@ def value_column(el, a, b, col):
     return {d: v for d, v in out.items() if v}
 
 
+def flat_vector(el):
+    """The element's flat coefficient vector {ib * dim g + k: coefficient},
+    the layout its constructor reads."""
+    dimg = el.algebra.dim
+    return {ib * dimg + k: c for ib, row in enumerate(el.rows) for k, c in row.items()}
+
+
+def flat_vectors(curvature):
+    """Each canonical row's tensor from `values` in the flat layout, in
+    turn, with the factor `values` gives it."""
+    dimg = curvature.algebra.dim
+    for tensor in curvature.values():
+        yield {ib * dimg + k: c for ib, row in tensor.items() for k, c in row.items()}
+
+
+def basis_tensors(curvature):
+    """The reference tensors of a space, one per canonical row: the row's
+    flat vector scaled so that its first nonzero coefficient is 1."""
+    tensors = []
+    for vec in flat_vectors(curvature):
+        lead = vec[min(vec)]
+        tensors.append(CurvatureElement(
+            curvature.algebra, {key: ratio(v, lead) for key, v in vec.items()}))
+    return tuple(tensors)
+
+
+def reference_values(algebra, x):
+    """The tensor of the Sym^2(g) row `x` as {ib: {k: coefficient}},
+    nonzero rows and entries only: R(e_a, e_b) = sum_kl S_kl omega_l(a, b)
+    B_k with S_kl = S_lk the entry of `x` at column l (l + 1) / 2 + k,
+    k <= l, and omega_l(a, b) = eta(B_l e_a, e_b) = (eta B_l)[b, a] read
+    from the matrix product, over rationals."""
+    n = algebra.space.real_dim
+    biv = {pair: ib for ib, pair in enumerate(bivector_pairs(n))}
+    omega = []
+    for bmat in algebra.basis:
+        form = algebra.space.eta * bmat
+        omega.append({biv[a, b]: form[b, a] for a, b in biv if form[b, a]})
+    unknowns = [(k, l) for l in range(algebra.dim) for k in range(l + 1)]
+    out = {}
+    for j, c in x.items():
+        k, l = unknowns[j]
+        for m, form in ((k, omega[l]), (l, omega[k]))[:1 + (k != l)]:
+            for ib, w in form.items():
+                row = out.setdefault(ib, {})
+                row[m] = row.get(m, 0) + c * w
+    rows = {ib: {k: c for k, c in row.items() if c} for ib, row in out.items()}
+    return {ib: row for ib, row in rows.items() if row}
+
+
+def element_over(el, target):
+    """The element's flat coefficient vector re-expressed over `target`'s
+    basis, for any algebra that embeds in `target` as a subspace, from the
+    coordinates of its basis matrices."""
+    mapped = [target.coordinates_of(bmat) for bmat in el.algebra.basis]
+    if any(coords is None for coords in mapped):
+        raise ValueError(f"{el.algebra.name} does not embed in {target.name}")
+    out = {}
+    for ib, row in enumerate(el.rows):
+        for k, c in row.items():
+            for k2, v in mapped[k].items():
+                key = ib * target.dim + k2
+                out[key] = out.get(key, 0) + c * v
+    return {key: c for key, c in out.items() if c}
+
+
 def reference_bianchi_rows(algebra):
     """Integer equation rows of the first-Bianchi map on Hom(Lambda^2 V, g),
     unknowns bivector-major: R(a,b)e_c + R(b,c)e_a - R(a,c)e_b = 0 on every
@@ -133,7 +198,7 @@ def reference_coefficients_over(curvature, target):
     image under the embedding, from one elimination: valid for any
     embedding, and the second computation `coefficients_over`'s relabelled
     rows are checked against."""
-    vectors = [element_over(el, target) for el in curvature.basis]
+    vectors = [element_over(el, target) for el in basis_tensors(curvature)]
     return span_of(vectors, len(bivector_pairs(curvature.space.real_dim)) * target.dim)
 
 
@@ -141,12 +206,12 @@ def reference_derivative_space(curvature):
     """The second-Bianchi derivative space read tensor by tensor, each
     tensor's three bivector rows per triple: the second computation
     `derivative_space`'s bivector index is checked against.  The tensors
-    are those of `flat_vectors`, the ones `derivative_space` reads."""
+    are those of `values`, the ones `derivative_space` reads."""
     n = curvature.space.real_dim
     kdim = curvature.dim
     biv = {pair: ib for ib, pair in enumerate(bivector_pairs(n))}
     tensors = [CurvatureElement(curvature.algebra, vec)
-               for vec in curvature.flat_vectors()]
+               for vec in flat_vectors(curvature)]
 
     def rows():
         for x in range(n):
@@ -169,7 +234,7 @@ def flat_subspace(curvature):
     """The span of a curvature space's tensors in the flat coefficient
     layout, as a canonical subspace: its flat view, re-canonicalised."""
     ncols = len(bivector_pairs(curvature.space.real_dim)) * curvature.algebra.dim
-    return span_of(curvature.flat_vectors(), ncols)
+    return span_of(flat_vectors(curvature), ncols)
 
 
 def first_rows(curvature, count):

@@ -3,19 +3,20 @@ import pytest
 from berger_lab.berger import (SCOPE_NOTE, _restriction_witness, berger_report,
                                holonomy_case_split, split_failures)
 from berger_lab.curvature import (CurvatureElement, CurvatureSpace, build_r1,
-                                  coefficients_over, element_over)
+                                  coefficients_over)
 from berger_lab.exactlin import span_of
 from berger_lab.harness import (Session, check_full_split,
                                 check_mixed_signature_collapse,
                                 check_parabolic_split)
 from berger_lab.liealg import LieAlgebra
-from conftest import first_rows, tier2, value
+from conftest import (basis_tensors, element_over, first_rows, flat_vector, tier2,
+                      value)
 
 
 def berger_closure(g, curvature):
     """Reference Berger closure: the span of all values R(e_a, e_b) as a
     subspace of g-coordinates, by `span_of` over every value at once."""
-    vectors = [row for el in curvature.basis for row in el.rows if row]
+    vectors = [row for el in basis_tensors(curvature) for row in el.rows if row]
     return span_of(vectors, g.dim)
 
 
@@ -74,7 +75,8 @@ def test_witnesses_span_the_closure(session):
     curvature = session.curvature("h0", 1, 1, 1)
     from berger_lab.curvature import bivector_pairs
     pairs = bivector_pairs(alg.space.real_dim)
-    span = span_of([curvature.basis[idx].rows[pairs.index((a, b))]
+    tensors = basis_tensors(curvature)
+    span = span_of([tensors[idx].rows[pairs.index((a, b))]
                     for (a, b), idx in report.witnesses], alg.dim)
     assert span.dim == report.closure_dim == len(report.witnesses)
 
@@ -192,7 +194,7 @@ def reference_w_blocks(curvature):
     value matrices."""
     space = curvature.space
     w = list(space.w_indices())
-    return [(i, (p, q)) for i, el in enumerate(curvature.basis)
+    return [(i, (p, q)) for i, el in enumerate(basis_tensors(curvature))
             for p in w for q in space.w1_indices()
             if any(value(el, p, q)[a, b] for a in w for b in w)]
 
@@ -235,21 +237,39 @@ def test_restriction_multiple_fails_on_a_wrong_r1_component(session):
 
 
 def test_restriction_multiple_reads_r1_over_its_own_algebra(session):
-    # R1 enters the check as its vector over sp(1)+sp(r,r)_W, which
-    # `element_over` reads over R1's own algebra: a reordered h0 basis, with
-    # the coefficients permuted to match, gives the same vector
+    # R1 enters the split over h0, whose basis is the head of
+    # sp(1)+sp(r,r)_W's, and is read there through `block_slots`: over the
+    # full algebra it gives the same verdict, and over a reordered h0 basis,
+    # with the coefficients permuted to match, it is refused as no block,
+    # as `coefficients_over` refuses such a target
     space = session.space(1, 1, 1)
     full = session.curvature("sp1+sp_w", 1, 1, 1)
+    sp_w = session.curvature("sp_w", 1, 1, 1)
     r1 = build_r1(session.curvature("h0", 1, 1, 1))
+    assert split_failures(full, sp_w, r1) == []
+    assert split_failures(full, sp_w, r1_over_full(session, 1, 1, 1)) == []
     dimg = r1.algebra.dim
     flipped = {}
-    for key, c in r1.sparse_vector().items():
+    for key, c in flat_vector(r1).items():
         ib, k = divmod(key, dimg)
         flipped[ib * dimg + dimg - 1 - k] = c
     reordered = CurvatureElement(
         LieAlgebra("h0", space, r1.algebra.basis[::-1]), flipped)
     assert reordered.algebra.basis != r1.algebra.basis
     assert element_over(reordered, full.algebra) == element_over(r1, full.algebra)
+    with pytest.raises(ValueError, match="not a block"):
+        split_failures(full, sp_w, reordered)
+
+
+def test_a_generator_over_sp_w_has_no_sp1_part(session):
+    # an R(sp(1,1)_W) tensor over its own algebra, with coefficients at
+    # indices below 3 of sp(1,1)_W's basis: those are full.algebra's
+    # elements m_k >= 3, never sp(1)'s
+    full = session.curvature("sp1+sp_w", 1, 1, 1)
+    sp_w = session.curvature("sp_w", 1, 1, 1)
+    (inside,) = [el for el in basis_tensors(sp_w)
+                 if any(k < 3 for row in el.rows for k in row)][:1]
+    assert split_failures(full, sp_w, inside) == ["generator_has_sp1_part"]
 
 
 def test_restriction_multiple_names_a_failed_decomposition(session, tampered):
@@ -261,7 +281,8 @@ def test_restriction_multiple_names_a_failed_decomposition(session, tampered):
     # a generator inside R(sp(r,r)_W) has no sp(1) part
     full = session.curvature("sp1+sp_w", 1, 1, 1)
     sp_w = session.curvature("sp_w", 1, 1, 1)
-    inside = CurvatureElement(full.algebra, element_over(sp_w.basis[0], full.algebra))
+    inside = CurvatureElement(full.algebra,
+                              element_over(basis_tensors(sp_w)[0], full.algebra))
     assert split_failures(full, sp_w, inside) == ["generator_has_sp1_part"]
 
 
@@ -275,7 +296,7 @@ def test_split_predicates_name_the_failed_condition(session, tampered):
     zero = CurvatureElement(full.algebra, {})
     assert split_failures(full, sp_w, zero) == ["generator_has_sp1_part"]
     # R1 with one sp(1) coefficient moved is no curvature tensor
-    bent = r1_vec.sparse_vector()
+    bent = flat_vector(r1_vec)
     key = next(key for key in bent if key % full.algebra.dim < 3)
     bent[key] += 1
     assert split_failures(full, sp_w, CurvatureElement(full.algebra, bent)) == [

@@ -10,19 +10,19 @@ from berger_lab import exactlin
 from berger_lab.curvature import (CurvatureElement, CurvatureSpace, act,
                                   bianchi_residual_is_zero, bivector_pairs,
                                   build_r0, build_r1, coefficients_over,
-                                  derivative_space,
-                                  element_over, pair_symmetry_all,
+                                  derivative_space, pair_symmetry_all,
                                   pair_symmetry_holds, restrict_check_degenerate,
                                   ricci, scalar)
 from berger_lab.exactlin import RealMatrix, canonical_rows, check_canonical, span_of
-from berger_lab.berger import holonomy_case_split
+from berger_lab.berger import berger_report, holonomy_case_split
 from berger_lab.harness import (ALL_CHECKS, TIER1_CONFIGS, Session, cache_get,
                                 cache_put, run_verification)
 from berger_lab.liealg import ALGEBRA_NAMES, LieAlgebra, algebra_by_name
-from conftest import (SPARSE_CASES, first_rows, flat_subspace,
+from conftest import (SPARSE_CASES, basis_tensors, element_over, first_rows,
+                      flat_subspace, flat_vector, flat_vectors,
                       reference_bianchi_kernel, reference_coefficients_over,
-                      reference_derivative_space, synthetic_element,
-                      tensors_built, tier2, value, value_column)
+                      reference_derivative_space, reference_values,
+                      synthetic_element, tensors_built, tier2, value, value_column)
 
 
 def kernel(session, name, r, s, t):
@@ -78,7 +78,7 @@ def satisfies_first_bianchi(el):
 
 def test_kernel_elements_satisfy_first_bianchi(session):
     space = kernel(session, "sp1+sp_w", 1, 1, 1)
-    for el in space.basis[:3]:
+    for el in basis_tensors(space)[:3]:
         assert satisfies_first_bianchi(el)
     # every basis tensor of every space the tier-1 checks compute
     tier1 = Session()
@@ -87,7 +87,7 @@ def test_kernel_elements_satisfy_first_bianchi(session):
     spaces = tier1.computed_curvatures()
     assert len(spaces) > 1
     for curvature in spaces.values():
-        assert all(bianchi_residual_is_zero(el) for el in curvature.basis)
+        assert all(bianchi_residual_is_zero(el) for el in basis_tensors(curvature))
 
 
 # every registry algebra defined at each configuration
@@ -104,8 +104,31 @@ def test_bianchi_kernel_matches_the_flat_reference(session, name, r, s, t):
     curvature = kernel(session, name, r, s, t)
     expected = reference_bianchi_kernel(curvature.algebra)
     assert curvature.dim == len(expected)
-    assert canonical_rows(curvature.flat_vectors()) == expected
-    assert canonical_rows(el.sparse_vector() for el in curvature.basis) == expected
+    assert canonical_rows(flat_vectors(curvature)) == expected
+
+
+@pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)
+def test_values_are_positive_multiples_of_the_reference_tensors(session, name, r, s, t):
+    # each tensor `values` yields against the one its Sym^2 row defines,
+    # read from eta and the basis matrices; at a subset of the bivectors,
+    # it is the same tensor restricted there
+    curvature = kernel(session, name, r, s, t)
+    rows = curvature.coefficient_subspace().sparse_rows()
+    tensors = list(curvature.values())
+    assert len(tensors) == len(rows) == curvature.dim
+    for tensor, x in zip(tensors, rows):
+        expected = reference_values(curvature.algebra, x)
+        assert list(tensor) == sorted(tensor) == sorted(expected)
+        (ib, row), *_ = tensor.items()
+        k = next(iter(row))
+        factor = row[k] / expected[ib][k]
+        assert factor > 0
+        assert tensor == {ib: {k: factor * c for k, c in row.items()}
+                          for ib, row in expected.items()}
+        assert all(type(c) is int for row in tensor.values() for c in row.values())
+    some = set(range(0, len(bivector_pairs(curvature.space.real_dim)), 3))
+    assert list(curvature.values(some)) == [
+        {ib: row for ib, row in tensor.items() if ib in some} for tensor in tensors]
 
 
 def not_eta_skew(space, base):
@@ -141,19 +164,19 @@ def test_bianchi_kernel_follows_a_scaled_basis(session, space111):
         b.scaled(scales.get(k, 1)) for k, b in enumerate(h0.basis)])
     curvature = curv.bianchi_kernel(scaled)
     assert curvature.dim == 1
-    el = curvature.basis[0]
+    el = build_r1(curvature)
     assert satisfies_first_bianchi(el)
     assert bianchi_residual_is_zero(el)
-    r1 = kernel(session, "h0", 1, 1, 1).basis[0]
+    r1 = build_r1(kernel(session, "h0", 1, 1, 1))
     expected = {key: c / scales.get(key % h0.dim, 1)
-                for key, c in r1.sparse_vector().items()}
-    got = el.sparse_vector()
+                for key, c in flat_vector(r1).items()}
+    got = flat_vector(el)
     ratio = got[min(got)] / expected[min(expected)]
     assert got == {key: ratio * c for key, c in expected.items()}
 
 
 def test_antisymmetry_is_structural(session):
-    el = kernel(session, "sp", 1, 1, 1).basis[0]
+    el = basis_tensors(kernel(session, "sp", 1, 1, 1))[0]
     assert value(el, 3, 1) == value(el, 1, 3).scaled(-1)
     assert value(el, 2, 2).is_zero()
 
@@ -173,14 +196,14 @@ def test_monotone_in_the_algebra(session):
 def test_r0_lies_in_the_kernel_exactly(session):
     full = kernel(session, "sp1+sp", 1, 1, 1)
     r0 = build_r0(full.algebra)
-    assert flat_subspace(full).contains_vector(r0.sparse_vector())
+    assert flat_subspace(full).contains_vector(flat_vector(r0))
 
 
 def test_r0_not_in_the_sp_part(session):
     full = kernel(session, "sp1+sp", 1, 1, 1)
     sub = kernel(session, "sp", 1, 1, 1)
     r0 = build_r0(full.algebra)
-    assert not flat_subspace(over(sub, full.algebra)).contains_vector(r0.sparse_vector())
+    assert not flat_subspace(over(sub, full.algebra)).contains_vector(flat_vector(r0))
 
 
 def test_eq5_split_dimensions(session):
@@ -253,7 +276,7 @@ def test_ricci_of_zero_element_is_zero(session):
 def test_sp_part_is_ricci_flat(session):
     # the trace-free summand of the split: every tensor over sp(1,1) alone
     sub = kernel(session, "sp", 1, 1, 1)
-    for el in sub.basis:
+    for el in basis_tensors(sub):
         assert ricci(el).is_zero()
 
 
@@ -264,8 +287,14 @@ def test_sp_part_is_ricci_flat(session):
 def test_r1_is_normalized_generator(session):
     h0_curv = kernel(session, "h0", 1, 1, 1)
     r1 = build_r1(h0_curv)
-    vec = r1.sparse_vector()
+    vec = flat_vector(r1)
     assert vec[min(vec)] == 1  # first nonzero coefficient in canonical order
+    (tensor,) = h0_curv.values()
+    ib, row = next(iter(tensor.items()))
+    lead = row[min(row)]
+    assert r1.rows == tuple(
+        {k: Fraction(c, lead) for k, c in tensor.get(i, {}).items()}
+        for i in range(len(r1.rows)))
 
 
 def test_r1_rejects_wrong_dimension(session):
@@ -308,21 +337,21 @@ def test_r0_is_invariant_under_the_full_algebra(session):
 
 def test_act_of_zero_is_zero(session):
     alg = kernel(session, "sp1+sp", 1, 1, 1).algebra
-    el = kernel(session, "sp1+sp", 1, 1, 1).basis[5]
+    el = basis_tensors(kernel(session, "sp1+sp", 1, 1, 1))[5]
     zero = RealMatrix.from_sparse(8, 8, {})
     assert act(zero, el).is_zero()
 
 
 def test_act_is_a_lie_algebra_action(session):
     def difference(x, y):
-        vx, vy = x.sparse_vector(), y.sparse_vector()
+        vx, vy = flat_vector(x), flat_vector(y)
         return CurvatureElement(x.algebra,
                                 {k: vx.get(k, 0) - vy.get(k, 0)
                                  for k in vx.keys() | vy.keys()})
 
     space = kernel(session, "sp1+sp_w", 1, 1, 1)
     alg = space.algebra
-    el = space.basis[2]
+    el = basis_tensors(space)[2]
     picks = [(0, 4), (1, 7), (3, 9), (2, 5)]
     for i, j in picks:
         a, b = alg.basis[i], alg.basis[j]
@@ -335,9 +364,9 @@ def test_act_values_stay_in_the_kernel(session):
     space = kernel(session, "sp1+sp_w", 1, 1, 1)
     sub = flat_subspace(space)
     for i in (0, 3):
-        for el in space.basis[:2]:
+        for el in basis_tensors(space)[:2]:
             moved = act(space.algebra.basis[i], el)
-            assert sub.contains_vector(moved.sparse_vector())
+            assert sub.contains_vector(flat_vector(moved))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +392,7 @@ def reference_degenerate_witnesses(curvature):
     space = curvature.space
     w, e = list(space.w_indices()), list(space.e_indices())
     found = []
-    for i, el in enumerate(curvature.basis):
+    for i, el in enumerate(basis_tensors(curvature)):
         found += [(i, "R(p,X) != 0", (p, x)) for p in w for x in e
                   if not value(el, p, x).is_zero()]
         found += [(i, "R(X,Y)p != 0", (x, y, p)) for x in e for y in e if x < y
@@ -497,7 +526,7 @@ def test_curvature_space_json_round_trip(session):
     assert data["dim"] == 14 and data["algebra"] == "sp(1)+sp(1,1)_W"
     rebuilt = CurvatureSpace.from_json(original.algebra, data)
     assert rebuilt.dim == original.dim
-    assert rebuilt.basis == original.basis
+    assert list(rebuilt.values()) == list(original.values())
     assert rebuilt.rows_json() == data
     assert rebuilt.to_json() == original.to_json()
 
@@ -569,14 +598,14 @@ def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
     curvature = kernel(session, name, r, s, t)
     space, algebra = curvature.space, curvature.algebra
     n = space.real_dim
-    elements = list(curvature.basis[:1]) + [synthetic_element(algebra)]
+    elements = list(basis_tensors(curvature)[:1]) + [synthetic_element(algebra)]
     target = session.algebra("sp1+sp", r, s, t)
     vectors = []
     # one acting matrix per element keeps the dense reference affordable
     for el, a_mat in zip(elements, (algebra.basis[0], algebra.basis[-1])):
         values = ref_values(el)
         dense = dense_coeffs(el)
-        assert el.sparse_vector() == {
+        assert flat_vector(el) == {
             ib * algebra.dim + k: c
             for ib, row in enumerate(dense) for k, c in enumerate(row) if c}
         for (a, b), expected in values.items():
@@ -602,7 +631,7 @@ def test_value_column_is_a_column_of_value(session, space111, name):
     curvature = kernel(session, name, 1, 1, 1)
     n = space111.real_dim
     den, cols = curv._columns(curvature.algebra)
-    elements = list(curvature.basis) + [synthetic_element(curvature.algebra)]
+    elements = list(basis_tensors(curvature)) + [synthetic_element(curvature.algebra)]
     for el in elements:
         for a in range(n):
             for b in range(n):
@@ -676,42 +705,49 @@ def test_mixed_case_split_builds_no_tensor(monkeypatch):
 @pytest.mark.parametrize("name", ["sp_w", "h0", "sp1+sp"])
 def test_pair_symmetry_and_derivative_space_build_no_tensor(session, monkeypatch,
                                                             name):
-    # both read the canonical rows, so a fresh kernel's basis stays unbuilt
+    # both read the canonical rows through `values`, so a fresh kernel
+    # builds no tensor
     computed = curv.bianchi_kernel(session.algebra(name, 1, 1, 1))
     built = tensors_built(monkeypatch)
     assert pair_symmetry_all(computed)
     derivative_space(computed)
-    assert built == [] and computed._basis is None
+    assert built == []
+
+
+@pytest.mark.parametrize("name,r,s,t", [("h0", 1, 1, 1), ("sp1+sp_w", 1, 1, 1),
+                                        ("sp1+sp_w", 1, 2, 1), ("glq", 1, 1, 1)])
+def test_berger_report_and_degenerate_check_build_no_tensor(session, monkeypatch,
+                                                            name, r, s, t):
+    # both read a fresh kernel's values by bivector
+    computed = curv.bianchi_kernel(session.algebra(name, r, s, t))
+    built = tensors_built(monkeypatch)
+    berger_report(computed)
+    restrict_check_degenerate(computed)
+    assert built == []
 
 
 def test_tier1_run_builds_tensors_only_where_it_reads_them(monkeypatch):
-    # h0 (R1 and its action), sp(1)+sp(r,s)_W (its Berger closure and
-    # parabolic split) and one R0 per configuration over sp(1)+sp(r,s)
+    # R1 and its action over h0, and one R0 per configuration over
+    # sp(1)+sp(r,s); none over sp(1)+sp(r,s)_W, whose Berger closure and
+    # parabolic split read its rows and R1 over h0
     names = Session()
-    read = {names.algebra("h0", 1, 1, 1).name} | {
-        names.algebra("sp1+sp_w", *config).name for config in TIER1_CONFIGS}
+    h0 = names.algebra("h0", 1, 1, 1).name
     built = tensors_built(monkeypatch)
     assert all(check.status == "pass" for check in run_verification(1).checks)
-    r0 = [name for name in built if name not in read]
-    assert sorted(r0) == sorted(names.algebra("sp1+sp", *config).name
-                                for config in TIER1_CONFIGS)
+    assert h0 in built
+    assert sorted(name for name in built if name != h0) == sorted(
+        names.algebra("sp1+sp", *config).name for config in TIER1_CONFIGS)
 
 
 @pytest.mark.parametrize("name", ["sp_w", "h0", "sp1+sp_w"])
-def test_kernel_builds_its_basis_on_first_read(session, name):
+def test_kernel_values_build_no_tensor(session, monkeypatch, name):
     algebra = session.algebra(name, 1, 1, 1)
     expected = reference_bianchi_kernel(algebra)
     computed = curv.bianchi_kernel(algebra)
+    built = tensors_built(monkeypatch)
     assert computed.dim == len(expected)
-    assert computed._basis is None  # reading dim built no tensor
-    basis = computed.basis
-    assert canonical_rows(el.sparse_vector() for el in basis) == expected
-    assert computed.basis is basis
-    # each basis tensor is its row's flat vector, scaled to lead with 1
-    for el, vec in zip(basis, computed.flat_vectors()):
-        got = el.sparse_vector()
-        assert got[min(got)] == 1
-        assert got == {key: Fraction(v, vec[min(vec)]) for key, v in vec.items()}
+    assert canonical_rows(flat_vectors(computed)) == expected
+    assert built == []
 
 
 def test_synthetic_element_breaks_pair_symmetry(session):
@@ -736,7 +772,6 @@ def test_rows_drop_zeros_and_are_read_only(session, space111):
     assert list(with_zero.rows[1].items()) == [(2, Fraction(-1)), (4, Fraction(2, 3))]
     given[dimg] = Fraction(5)  # the element keeps its own copy
     assert without.rows[1] == {2: Fraction(-1), 4: Fraction(2, 3)}
-    assert without.sparse_vector() == {dimg + 2: Fraction(-1), dimg + 4: Fraction(2, 3)}
     zero = CurvatureElement(algebra, {k * dimg: Fraction(0) for k in range(nb)})
     assert zero.is_zero()
     assert zero == CurvatureElement(algebra, {})
@@ -800,9 +835,8 @@ def test_from_json_round_trip_elements_are_equal(session, monkeypatch, name, r, 
     assert (rebuilt.coefficient_subspace().sparse_rows()
             == original.coefficient_subspace().sparse_rows())
     assert rebuilt.to_json() == original.to_json()
+    assert list(rebuilt.values()) == list(original.values())
     assert built == []  # both directions read and write the rows alone
-    assert rebuilt.basis == original.basis
-    assert [hash(el) for el in rebuilt.basis] == [hash(el) for el in original.basis]
 
 
 def test_from_json_reads_only_nonzero_entries(session):

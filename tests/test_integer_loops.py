@@ -19,7 +19,8 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace,
                                   pair_symmetry_holds, ricci, scalar)
 from berger_lab.exactlin import RealMatrix, sparse_nullspace
 from berger_lab.liealg import LieAlgebra
-from conftest import SPARSE_CASES, is_normal, synthetic_element, value, value_column
+from conftest import (SPARSE_CASES, basis_tensors, is_normal, synthetic_element, value,
+                      value_column)
 
 # ---------------------------------------------------------------------------
 # Fraction references
@@ -159,7 +160,7 @@ def assert_matches_references(element):
 def test_contractions_residual_and_symmetry_match_the_references(
         session, monkeypatch, name, r, s, t):
     curvature = session.curvature(name, r, s, t)
-    for el in curvature.basis:
+    for el in basis_tensors(curvature):
         assert_matches_references(el)
         assert bianchi_residual_is_zero(el) and pair_symmetry_holds(el)
     assert pair_symmetry_all(curvature)
@@ -167,12 +168,14 @@ def test_contractions_residual_and_symmetry_match_the_references(
     assert_matches_references(synthetic)
     assert not ref_pair_symmetric(synthetic)
     if curvature.dim:
-        # every tensor the flat view yields is checked: an asymmetric one
-        # after the kernel's first fails the space, where a check of the
-        # first alone would pass
-        first = next(curvature.flat_vectors())
-        monkeypatch.setattr(CurvatureSpace, "flat_vectors", lambda self: iter(
-            [first, synthetic.sparse_vector()]))
+        # every tensor `values` yields is checked: an asymmetric one after
+        # the kernel's first fails the space, where a check of the first
+        # alone would pass
+        first = next(curvature.values())
+        _, rows = curv._integer_rows(synthetic)
+        asymmetric = {ib: row for ib, row in enumerate(rows) if row}
+        monkeypatch.setattr(CurvatureSpace, "values", lambda self: iter(
+            [first, asymmetric]))
         assert not pair_symmetry_all(curvature)
 
 

@@ -11,7 +11,7 @@ import berger_lab
 from berger_lab.curvature import ricci, scalar
 from berger_lab.harness import cache_get, cache_put
 from berger_lab.prolong import first_prolongation_of, second_prolongation
-from conftest import SPARSE_CASES, is_normal
+from conftest import SPARSE_CASES, basis_tensors, flat_vector, is_normal
 
 # the modules that compute with exact scalars; harness is left out, its `/`
 # joins Paths
@@ -80,13 +80,14 @@ def test_every_exact_value_is_in_normal_form(session, tmp_path, name, r, s, t):
     loaded = cache_get(tmp_path, space, name, algebra)
     assert loaded is not None and loaded.dim == curvature.dim
     r0 = session.r0(r, s, t)
-    elements = [*curvature.basis, *loaded.basis, r0]
+    elements = [*basis_tensors(curvature), *basis_tensors(loaded), r0]
 
     matrices = [*algebra.basis, space.eta, *space.I,
                 *(ricci(el) for el in elements)]
     vectors = [*algebra._augmented().sparse_rows(),
                *curvature.coefficient_subspace().sparse_rows(),
-               *(el.sparse_vector() for el in elements)]
+               *(flat_vector(el) for el in elements),
+               *(row for tensor in curvature.values() for row in tensor.values())]
     if name in PRESERVE_W:
         first = first_prolongation_of(algebra, space.isotropic_subspace_W())
         vectors += [*first.basis, *second_prolongation(first).basis]

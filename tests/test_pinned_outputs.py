@@ -1,10 +1,12 @@
 """Outputs pinned by their sha256 digests.
 
 The verification report, the case-split reports and the dense curvature
-space JSON hold only dimensions, booleans and canonical rows, so a change
-of internal representation must leave them byte-identical.  The digests
-were taken from the tree before curvature spaces became their canonical
-Sym^2(g) rows.  A change that alters one of these outputs on purpose
+space JSON hold only dimensions, booleans and canonical rows, and the
+`berger` reports the witnesses of the Berger closure, so a change of
+internal representation must leave them byte-identical.  The digests were
+taken from the tree before curvature spaces became their canonical
+Sym^2(g) rows, and those of `berger` from the tree before a curvature
+space stopped building its basis tensors.  A change that alters one of these outputs on purpose
 (a new check, a new tool version) updates its digest and says why.
 """
 
@@ -26,6 +28,11 @@ def curvature_space(algebra, r, s, t):
             "--t", str(t), "--format", "json")
 
 
+def berger(algebra, r, s, t):
+    return ("berger", "--algebra", algebra, "--r", str(r), "--s", str(s),
+            "--t", str(t), "--format", "json")
+
+
 PINNED_CLI = {
     ("verify-paper", "--tier", "1", "--format", "json"):
         "88764f103ccd2d718fde429060d8f2b7b52fd535c405b365f56e34e43f64801e",
@@ -37,6 +44,16 @@ PINNED_CLI = {
         "7406391654da8041b0034bb8b6ede8ab541d3e2e3729779d22210b0cdb4a1000",
     curvature_space("sp1+sp_w", 1, 2, 1):
         "c4c6ff1a923c0e514275374b38d5c6457017f7ac1502624c661be7bad625e684",
+    berger("h0", 1, 1, 1):
+        "3a43ceb95b120efa7d0704d01f06fcfe6aac69c0c735c2debecaec3eb0cbf648",
+    berger("glq", 1, 1, 1):
+        "a2a9f536ff94780a5ea1607449fe6e76d85fd8b3a2230218c0e18c29a3538b97",
+    berger("sp1+sp", 1, 1, 1):
+        "05cd5501e478bd372d7e6df72e171e2cce0982d9ff40aae1454c77515e79a7f0",
+    berger("sp1+sp_w", 1, 1, 1):
+        "4e2ebb71f4456b081987cedd66a4b0684964b3bcbb844cf9511a0f3749522dce",
+    berger("sp1+sp_w", 1, 2, 1):
+        "e2034daa7e0e55af7371cf20842b4ee98032e7a63906112a927d04d65d942d6c",
 }
 
 # json.dumps(holonomy_case_split(r, s, t).to_json(), sort_keys=True)

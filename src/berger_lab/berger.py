@@ -19,7 +19,7 @@ computation, and the reports say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .curvature import (CurvatureElement, CurvatureSpace,
                         bianchi_residual_is_zero, bivector_pairs, block_slots,
@@ -42,8 +42,7 @@ SCOPE_NOTE = ("verdicts concern algebra-level facts (curvature spaces and "
               "is not decidable by this computation")
 
 
-@dataclass(frozen=True)
-class BergerReport:
+class BergerReport(NamedTuple):
     algebra_name: str
     algebra_dim: int
     curvature_dim: int
@@ -98,16 +97,14 @@ def berger_report(curvature: CurvatureSpace) -> BergerReport:
 # decision procedure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CaseSplitCheck:
+class CaseSplitCheck(NamedTuple):
     check_id: str
     description: str
     status: str  # "pass" | "fail"
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
-@dataclass(frozen=True)
-class CaseSplitReport:
+class CaseSplitReport(NamedTuple):
     r: int
     s: int
     t: int

@@ -70,10 +70,10 @@ division.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .exactlin import (RealMatrix, Subspace, canonical_rows, check_canonical,
                        integer_row, rat_from_str, rat_to_str, ratio,
@@ -608,8 +608,7 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
 # degenerate-pair vanishing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegenerateReport:
+class DegenerateReport(NamedTuple):
     """Outcome of the vanishing checks R(p, X) = 0 and R(X, Y)|_W = 0 for
     p in W and X, Y in the non-degenerate complement E."""
 

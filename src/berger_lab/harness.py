@@ -1,5 +1,6 @@
 """Verification harness: the named checks behind `berger-lab verify-paper`,
-plus the on-disk cache for computed curvature spaces.
+plus the on-disk cache for computed curvature spaces, one JSON file per
+space named `v{CACHE_FORMAT_VERSION}-{algebra}-{r}-{s}-{t}.json`.
 
 Each check has a stable id, a one-line statement of the claim it verifies,
 and runs at zero tolerance over exact arithmetic.  Tier 1 covers the
@@ -11,14 +12,12 @@ that guarantee).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
 import time
-import traceback
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__, prolong
 from . import curvature as curv
@@ -46,39 +45,38 @@ class ConfigError(ValueError):
     """A run configuration that violates the usage contract (exit code 2)."""
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Validated CLI run configuration."""
 
-    command: str
-    r: int = 1
-    s: int = 1
-    t: int = 1
-    algebra: str | None = None
-    fmt: str = "text"
-    out: str | None = None
-    cache_dir: str | None = None
-    max_rank_tier: int = 1
-    timings: bool = False
-    curvature: bool = False
-    order: int = 1
+    __slots__ = ("command", "r", "s", "t", "algebra", "fmt", "out", "cache_dir",
+                 "max_rank_tier", "timings", "curvature", "order")
 
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.command != "verify-paper":
-            if self.r < 0 or self.s < 0 or self.r + self.s < 1:
+    def __init__(self, command: str, r: int = 1, s: int = 1, t: int = 1,
+                 algebra: str | None = None, fmt: str = "text",
+                 out: str | None = None, cache_dir: str | None = None,
+                 max_rank_tier: int = 1, timings: bool = False,
+                 curvature: bool = False, order: int = 1):
+        if command not in COMMANDS:
+            raise ConfigError(f"unknown command {command!r}")
+        if command != "verify-paper":
+            if r < 0 or s < 0 or r + s < 1:
                 raise ConfigError("need r, s >= 0 with r + s >= 1")
-            if not 0 <= self.t <= min(self.r, self.s):
+            if not 0 <= t <= min(r, s):
                 raise ConfigError("need 0 <= t <= min(r, s)")
-            if self.algebra not in ALGEBRA_NAMES:
+            if algebra not in ALGEBRA_NAMES:
                 raise ConfigError(
-                    f"unknown algebra {self.algebra!r}; known: "
+                    f"unknown algebra {algebra!r}; known: "
                     + ", ".join(ALGEBRA_NAMES))
-        if self.fmt not in ("json", "csv", "text"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.max_rank_tier not in (1, 2):
+        if fmt not in ("json", "csv", "text"):
+            raise ConfigError(f"unknown format {fmt!r}")
+        if max_rank_tier not in (1, 2):
             raise ConfigError("tier must be 1 or 2")
+        fields = locals()
+        for name in self.__slots__:
+            object.__setattr__(self, name, fields[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RunConfig is immutable")
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +84,19 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def cache_key(r: int, s: int, t: int, algebra: str) -> str:
-    payload = json.dumps(
-        {"v": CACHE_FORMAT_VERSION, "r": r, "s": s, "t": t, "algebra": algebra},
-        sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
+    """The file name, without `.json`, of the entry for `algebra` at
+    (r, s, t): `v{CACHE_FORMAT_VERSION}-{algebra}-{r}-{s}-{t}`.  Only a
+    registry algebra and non-negative ints are accepted, so no key names a
+    path outside the cache directory."""
+    if algebra not in ALGEBRA_NAMES:
+        raise ValueError(f"unknown algebra {algebra!r}")
+    if any(type(n) is not int or n < 0 for n in (r, s, t)):
+        raise ValueError(f"need non-negative ints, got {(r, s, t)!r}")
+    return f"v{CACHE_FORMAT_VERSION}-{algebra}-{r}-{s}-{t}"
+
+
+def _entry_path(cache_dir, space: QuaternionicSpace, algebra_name: str) -> Path:
+    return Path(cache_dir) / f"{cache_key(space.r, space.s, space.t, algebra_name)}.json"
 
 
 def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str,
@@ -101,7 +108,7 @@ def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str,
     (`CurvatureSpace.rows_json`), which `CurvatureSpace.from_json` checks
     before the space is kept; a zero denominator ("1/0") is corruption like
     any other malformed value."""
-    path = Path(cache_dir) / f"{cache_key(space.r, space.s, space.t, algebra_name)}.json"
+    path = _entry_path(cache_dir, space, algebra_name)
     if not path.exists():
         return None
     try:
@@ -122,10 +129,9 @@ def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str,
 
 def cache_put(cache_dir, space: QuaternionicSpace, algebra_name: str,
               value: CurvatureSpace) -> None:
+    path = _entry_path(cache_dir, space, algebra_name)
     try:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        path = Path(cache_dir) / (
-            f"{cache_key(space.r, space.s, space.t, algebra_name)}.json")
+        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": CACHE_FORMAT_VERSION,
             "key": {"r": space.r, "s": space.s, "t": space.t,
@@ -202,12 +208,11 @@ class Session:
 # checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     claim: str
     status: str  # "pass" | "fail" | "vacuous" | "skipped"
-    computed: dict = field(default_factory=dict)
+    computed: dict
     wall_time_ms: int | None = None
 
     def to_json(self, with_timing=False) -> dict:
@@ -500,8 +505,7 @@ ALL_CHECKS = (
 )
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     tier: int
     checks: list
     with_timings: bool = False
@@ -540,14 +544,17 @@ def _crash_details(exc: Exception) -> dict:
     The frame reads `file:line in function`, with the file relative to the
     directory holding the package (or its bare name outside it), so the
     report does not depend on where the package is installed."""
-    frame = traceback.extract_tb(exc.__traceback__)[-1]
-    path = Path(frame.filename).resolve()
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    path = Path(code.co_filename).resolve()
     if _PACKAGE_PARENT in path.parents:
         where = path.relative_to(_PACKAGE_PARENT).as_posix()
     else:
         where = path.name
     return {"error": str(exc), "type": type(exc).__name__,
-            "where": f"{where}:{frame.lineno} in {frame.name}"}
+            "where": f"{where}:{tb.tb_lineno} in {code.co_name}"}
 
 
 def run_verification(tier: int = 1, cache_dir=None,
@@ -561,6 +568,6 @@ def run_verification(tier: int = 1, cache_dir=None,
         except Exception as exc:  # a crash is a failed check, not a crashed run
             result = CheckResult(check_id, CLAIMS.get(check_id, ""), "fail",
                                  _crash_details(exc))
-        result.wall_time_ms = int((time.monotonic() - start) * 1000)
-        results.append(result)
+        results.append(result._replace(
+            wall_time_ms=int((time.monotonic() - start) * 1000)))
     return VerificationReport(tier=tier, checks=results, with_timings=with_timings)

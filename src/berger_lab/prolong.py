@@ -13,8 +13,7 @@ systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactlin import (Echelon, RealMatrix, Subspace, integer_row,
                        sparse_nullspace)
@@ -29,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProlongationSpace:
+class ProlongationSpace(NamedTuple):
     """Kernel of a prolongation symmetry system.
 
     `basis` holds coefficient vectors in canonical RREF form, with key
@@ -126,7 +124,7 @@ def second_prolongation(first: ProlongationSpace, label: str = "") -> Prolongati
             y, k = divmod(key, dg)
             nz[k * dv + y] = c
         maps.append(RealMatrix.from_sparse(dg, dv, nz))
-    return replace(first_prolongation(maps, label), order=2)
+    return first_prolongation(maps, label)._replace(order=2)
 
 
 def first_prolongation_of(g: LieAlgebra, v: Subspace) -> ProlongationSpace:

@@ -10,13 +10,12 @@ and <e_i,e_i> = -1 (i <= r0), +1 otherwise.
 Realification lists, for each quaternionic basis vector u, the real
 vectors u, u*i, u*j, u*k consecutively, so the real Gram matrix is the
 quaternionic Gram tensored with the 4x4 identity and all structure data
-is block-structured.
+is block-structured.  A `Quaternion` is only a matrix entry: the builders
+negate, conjugate and scale the unit quaternions, and every product is
+taken after realification, between real matrices.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactlin import RealMatrix, Subspace, exact, span_of
 
@@ -30,19 +29,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Quaternion:
     """Quaternion with rational coefficients of 1, i, j, k, each kept in
     the exact normal form of `exactlin.exact` (an int when integral)."""
 
-    w: int | Fraction = 0
-    x: int | Fraction = 0
-    y: int | Fraction = 0
-    z: int | Fraction = 0
+    __slots__ = ("w", "x", "y", "z")
 
-    def __post_init__(self):
-        for f in ("w", "x", "y", "z"):
-            object.__setattr__(self, f, exact(getattr(self, f)))
+    def __init__(self, w=0, x=0, y=0, z=0):
+        object.__setattr__(self, "w", exact(w))
+        object.__setattr__(self, "x", exact(x))
+        object.__setattr__(self, "y", exact(y))
+        object.__setattr__(self, "z", exact(z))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Quaternion is immutable")
+
+    def __eq__(self, other):
+        return (isinstance(other, Quaternion)
+                and self.components() == other.components())
+
+    def __hash__(self):
+        return hash(self.components())
+
+    def __repr__(self):
+        return "Quaternion(w={!r}, x={!r}, y={!r}, z={!r})".format(
+            *self.components())
 
     @classmethod
     def one(cls) -> "Quaternion":
@@ -60,26 +71,8 @@ class Quaternion:
     def k(cls) -> "Quaternion":
         return cls(0, 0, 0, 1)
 
-    def __add__(self, o: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + o.w, self.x + o.x, self.y + o.y, self.z + o.z)
-
-    def __sub__(self, o: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - o.w, self.x - o.x, self.y - o.y, self.z - o.z)
-
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, o):
-        if not isinstance(o, Quaternion):
-            c = exact(o)
-            return Quaternion(self.w * c, self.x * c, self.y * c, self.z * c)
-        a, b = self, o
-        return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
 
     def __rmul__(self, o):
         c = exact(o)

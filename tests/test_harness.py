@@ -3,6 +3,8 @@ import importlib
 import inspect
 import json
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import berger_lab
 from berger_lab import harness
 from berger_lab.cli import main
 from berger_lab.exactlin import rat_from_str, rat_to_str
+from berger_lab.liealg import ALGEBRA_NAMES
 from berger_lab.harness import (ALL_CHECKS, Session, VerificationReport,
                                 cache_get, cache_key, cache_put, run_verification)
 from conftest import tensors_built
@@ -131,6 +134,35 @@ def test_a_version_1_entry_is_a_miss(tmp_path, session, space111, monkeypatch,
     assert capsys.readouterr().err == ""
 
 
+def test_each_configuration_has_its_own_entry(tmp_path, session):
+    configs = [(name, 1, 1, 1) for name in ALGEBRA_NAMES] + [("sp_w", 1, 2, 1)]
+    assert len({cache_key(r, s, t, name) for name, r, s, t in configs}) == len(configs)
+    for name, r, s, t in configs:
+        cache_put(tmp_path, session.space(r, s, t), name,
+                  session.curvature(name, r, s, t))
+    assert len(list(tmp_path.iterdir())) == len(configs)
+    for name, r, s, t in configs:
+        loaded = cache_get(tmp_path, session.space(r, s, t), name,
+                           session.algebra(name, r, s, t))
+        assert loaded.coefficient_subspace() == \
+            session.curvature(name, r, s, t).coefficient_subspace()
+
+
+@pytest.mark.parametrize("r,s,t,algebra", [
+    (1, 1, 1, "../h0"), (1, 1, 1, "h0/../sp"), (1, 1, 1, ""), (1, 1, 1, "H0"),
+    (-1, 1, 1, "h0"), (1, 1.0, 1, "h0"), (1, 1, "1", "h0"), (True, 1, 1, "h0")])
+def test_cache_key_refuses_what_names_no_configuration(r, s, t, algebra):
+    with pytest.raises(ValueError):
+        cache_key(r, s, t, algebra)
+
+
+def test_cache_put_refuses_a_name_outside_the_registry(tmp_path, session, space111):
+    value = session.curvature("h0", 1, 1, 1)
+    with pytest.raises(ValueError):
+        cache_put(tmp_path / "cache", space111, "../h0", value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_interrupted_cache_write_keeps_the_old_entry(tmp_path, session, space111,
                                                     monkeypatch, capsys):
     value = session.curvature("sp_w", 1, 1, 1)
@@ -177,6 +209,21 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"berger_lab.{node.module}")
         for alias in node.names:
             assert getattr(berger_lab, alias.name) is getattr(module, alias.name)
+
+
+@pytest.mark.parametrize("module", ["berger_lab", "berger_lab.cli"])
+def test_the_import_loads_no_module_the_package_does_not_need(module):
+    # compared with the modules loaded before the import, since `site` may
+    # load some of these itself
+    code = ("import sys; before = set(sys.modules); import " + module
+            + "; print(' '.join(sorted(set(sys.modules) - before)))")
+    src = str(Path(berger_lab.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "PATH": ""}).stdout.split()
+    assert module in out
+    assert not {"dataclasses", "inspect", "hashlib", "_hashlib",
+                "traceback"} & set(out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,23 @@ quaternions = st.builds(Quaternion, coeffs, coeffs, coeffs, coeffs)
 ZERO = Quaternion()
 
 
+# The package only negates, conjugates and scales quaternions; the Hamilton
+# product and the sum are references for the tests below.
+
+def qmul(a, b):
+    """The Hamilton product a * b."""
+    return Quaternion(
+        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+    )
+
+
+def qadd(a, b):
+    return Quaternion(a.w + b.w, a.x + b.x, a.y + b.y, a.z + b.z)
+
+
 # Quaternionic matrices are sparse {(i, j): Quaternion} dicts of their
 # nonzero entries, the form `realify` reads.
 
@@ -29,7 +46,7 @@ def quat_matmul(a, b, n):
             acc = ZERO
             for t in range(n):
                 if (i, t) in a and (t, j) in b:
-                    acc = acc + a[i, t] * b[t, j]
+                    acc = qadd(acc, qmul(a[i, t], b[t, j]))
             if acc != ZERO:
                 out[i, j] = acc
     return out
@@ -58,21 +75,21 @@ def test_multiplication_table():
     one, i, j, k = (Quaternion.one(), Quaternion.i(), Quaternion.j(),
                     Quaternion.k())
     minus_one = -one
-    assert i * i == minus_one and j * j == minus_one and k * k == minus_one
-    assert i * j == k and j * k == i and k * i == j
-    assert j * i == -k and k * j == -i and i * k == -j
+    assert qmul(i, i) == qmul(j, j) == qmul(k, k) == minus_one
+    assert qmul(i, j) == k and qmul(j, k) == i and qmul(k, i) == j
+    assert qmul(j, i) == -k and qmul(k, j) == -i and qmul(i, k) == -j
 
 
 @given(quaternions, quaternions)
 @settings(max_examples=50, deadline=None)
 def test_conjugation_reverses_products(a, b):
-    assert (a * b).conjugate() == b.conjugate() * a.conjugate()
+    assert qmul(a, b).conjugate() == qmul(b.conjugate(), a.conjugate())
 
 
 @given(quaternions)
 @settings(max_examples=50, deadline=None)
 def test_norm_is_real(q):
-    n = q * q.conjugate()
+    n = qmul(q, q.conjugate())
     assert n.x == 0 and n.y == 0 and n.z == 0
     assert n.w == q.w**2 + q.x**2 + q.y**2 + q.z**2
 
@@ -108,8 +125,8 @@ def test_realify_is_an_algebra_homomorphism(a, b):
 @settings(max_examples=50, deadline=None)
 def test_realify_on_scalars_is_injective_ring_hom(p, q):
     lp, lq = left_mult_matrix(p), left_mult_matrix(q)
-    assert left_mult_matrix(p * q) == lp * lq
-    assert left_mult_matrix(p + q) == lp + lq
+    assert left_mult_matrix(qmul(p, q)) == lp * lq
+    assert left_mult_matrix(qadd(p, q)) == lp + lq
     if p != ZERO:
         assert not lp.is_zero()
 

@@ -10,9 +10,8 @@ curvature spaces: the splits and the collapse through one predicate,
 `split_failures`, and the Berger closure and the restriction identity on
 W x W1 (a vanishing W-block of every row of R(sp(r,r)_W)) through
 `CurvatureSpace.values`, each row's tensor by bivector: no tensor is built
-from a space, and the flat coefficient key is never read.  The only
-tensors read are the split generators R0 and R1, each over its own
-algebra.  All verdicts are algebra-level: whether a
+from a space.  The only tensors read are the split generators R0 and R1,
+each over its own algebra.  All verdicts are algebra-level: whether a
 candidate is realized by an actual manifold is outside the reach of this
 computation, and the reports say so.
 """
@@ -163,7 +162,7 @@ def split_failures(full: CurvatureSpace, sub: CurvatureSpace,
         slots = block_slots(generator.algebra, full.algebra)
         conditions += [
             ("generator_has_sp1_part",
-             any(slots[k] < 3 for row in generator.rows for k in row)),
+             any(slots[k] < 3 for row in generator.rows.values() for k in row)),
             ("generator_is_curvature", bianchi_residual_is_zero(generator))]
     return [name for name, holds in conditions if not holds]
 

@@ -20,7 +20,7 @@ import sys
 
 from . import harness, prolong
 from .berger import berger_report
-from .harness import ConfigError, RunConfig, Session
+from .harness import Session
 from .liealg import ALGEBRA_NAMES
 
 __all__ = ["main", "build_parser"]
@@ -81,21 +81,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        r=getattr(args, "r", 1),
-        s=getattr(args, "s", 1),
-        t=getattr(args, "t", 1),
-        algebra=getattr(args, "algebra", None),
-        fmt=args.fmt,
-        out=args.out,
-        cache_dir=args.cache_dir,
-        max_rank_tier=getattr(args, "tier", 1),
-        timings=getattr(args, "timings", False),
-        curvature=getattr(args, "curvature", False),
-        order=getattr(args, "order", 1),
-    )
+class ConfigError(ValueError):
+    """A run configuration that violates the usage contract (exit code 2)."""
+
+
+def check_usage(args: argparse.Namespace) -> None:
+    """Raise ConfigError for what argparse lets through: an (r, s, t) that
+    names no space, or an algebra outside the registry.  verify-paper runs
+    its own configurations and takes neither."""
+    if args.command == "verify-paper":
+        return
+    if args.r < 0 or args.s < 0 or args.r + args.s < 1:
+        raise ConfigError("need r, s >= 0 with r + s >= 1")
+    if not 0 <= args.t <= min(args.r, args.s):
+        raise ConfigError("need 0 <= t <= min(r, s)")
+    if args.algebra not in ALGEBRA_NAMES:
+        raise ConfigError(f"unknown algebra {args.algebra!r}; known: "
+                          + ", ".join(ALGEBRA_NAMES))
 
 
 def _emit(text: str, out_path) -> None:
@@ -111,101 +113,101 @@ def _emit(text: str, out_path) -> None:
         print(text)
 
 
-def _emit_row(row: dict, config: RunConfig) -> None:
-    if config.fmt == "json":
-        _emit(json.dumps(row, sort_keys=True, indent=2), config.out)
-    elif config.fmt == "csv":
+def _emit_row(row: dict, args: argparse.Namespace) -> None:
+    if args.fmt == "json":
+        _emit(json.dumps(row, sort_keys=True, indent=2), args.out)
+    elif args.fmt == "csv":
         keys = sorted(row)
         _emit(",".join(keys) + "\n" + ",".join(str(row[k]) for k in keys),
-              config.out)
+              args.out)
 
 
-def cmd_dim(config: RunConfig) -> int:
-    session = Session(cache_dir=config.cache_dir)
-    alg = session.algebra(config.algebra, config.r, config.s, config.t)
-    row = {"algebra": config.algebra, "r": config.r, "s": config.s,
-           "t": config.t, "dim": alg.dim}
-    if config.curvature:
+def cmd_dim(args: argparse.Namespace) -> int:
+    session = Session(cache_dir=args.cache_dir)
+    alg = session.algebra(args.algebra, args.r, args.s, args.t)
+    row = {"algebra": args.algebra, "r": args.r, "s": args.s,
+           "t": args.t, "dim": alg.dim}
+    if args.curvature:
         row["dim_curvature_space"] = session.curvature(
-            config.algebra, config.r, config.s, config.t).dim
-    if config.fmt == "text":
-        text = (f"dim {config.algebra} at (r,s,t)="
-                f"({config.r},{config.s},{config.t}) = {alg.dim}")
-        if config.curvature:
+            args.algebra, args.r, args.s, args.t).dim
+    if args.fmt == "text":
+        text = (f"dim {args.algebra} at (r,s,t)="
+                f"({args.r},{args.s},{args.t}) = {alg.dim}")
+        if args.curvature:
             text += f"\ndim curvature space = {row['dim_curvature_space']}"
-        _emit(text, config.out)
+        _emit(text, args.out)
     else:
-        _emit_row(row, config)
+        _emit_row(row, args)
     return 0
 
 
-def cmd_curvature_space(config: RunConfig) -> int:
-    session = Session(cache_dir=config.cache_dir)
-    space = session.curvature(config.algebra, config.r, config.s, config.t)
-    if config.fmt == "json":
-        _emit(json.dumps(space.to_json(), sort_keys=True), config.out)
-    elif config.fmt == "csv":
+def cmd_curvature_space(args: argparse.Namespace) -> int:
+    session = Session(cache_dir=args.cache_dir)
+    space = session.curvature(args.algebra, args.r, args.s, args.t)
+    if args.fmt == "json":
+        _emit(json.dumps(space.to_json(), sort_keys=True), args.out)
+    elif args.fmt == "csv":
         _emit("algebra,r,s,t,dim\n"
-              f"{config.algebra},{config.r},{config.s},{config.t},{space.dim}",
-              config.out)
+              f"{args.algebra},{args.r},{args.s},{args.t},{space.dim}",
+              args.out)
     else:
-        _emit(f"dim curvature space of {config.algebra} at "
-              f"({config.r},{config.s},{config.t}) = {space.dim}", config.out)
+        _emit(f"dim curvature space of {args.algebra} at "
+              f"({args.r},{args.s},{args.t}) = {space.dim}", args.out)
     return 0
 
 
-def cmd_prolongation(config: RunConfig) -> int:
-    session = Session(cache_dir=config.cache_dir)
-    alg = session.algebra(config.algebra, config.r, config.s, config.t)
-    w = session.space(config.r, config.s, config.t).isotropic_subspace_W()
+def cmd_prolongation(args: argparse.Namespace) -> int:
+    session = Session(cache_dir=args.cache_dir)
+    alg = session.algebra(args.algebra, args.r, args.s, args.t)
+    w = session.space(args.r, args.s, args.t).isotropic_subspace_W()
     action = prolong.restrict_action(alg, w)
-    result = prolong.first_prolongation(action, label=alg.name)
-    if config.order == 2:
-        result = prolong.second_prolongation(result, label=alg.name)
-    row = {"algebra": config.algebra, "r": config.r, "s": config.s,
-           "t": config.t, "order": config.order, "dim": result.dim}
-    if config.fmt == "text":
-        _emit(f"prolongation order {config.order} of {config.algebra}|_W at "
-              f"({config.r},{config.s},{config.t}): dim = {result.dim}",
-              config.out)
+    result = prolong.first_prolongation(action)
+    if args.order == 2:
+        result = prolong.second_prolongation(result)
+    row = {"algebra": args.algebra, "r": args.r, "s": args.s,
+           "t": args.t, "order": args.order, "dim": result.dim}
+    if args.fmt == "text":
+        _emit(f"prolongation order {args.order} of {args.algebra}|_W at "
+              f"({args.r},{args.s},{args.t}): dim = {result.dim}",
+              args.out)
     else:
-        _emit_row(row, config)
+        _emit_row(row, args)
     return 0
 
 
-def cmd_berger(config: RunConfig) -> int:
-    session = Session(cache_dir=config.cache_dir)
+def cmd_berger(args: argparse.Namespace) -> int:
+    session = Session(cache_dir=args.cache_dir)
     report = berger_report(
-        session.curvature(config.algebra, config.r, config.s, config.t))
-    if config.fmt == "json":
+        session.curvature(args.algebra, args.r, args.s, args.t))
+    if args.fmt == "json":
         _emit(json.dumps(report.to_json(), sort_keys=True, indent=2),
-              config.out)
-    elif config.fmt == "csv":
+              args.out)
+    elif args.fmt == "csv":
         _emit("algebra,dim_algebra,dim_curvature_space,dim_berger_closure,is_berger\n"
               f"{report.algebra_name},{report.algebra_dim},{report.curvature_dim},"
-              f"{report.closure_dim},{report.is_berger}", config.out)
+              f"{report.closure_dim},{report.is_berger}", args.out)
     else:
         verdict = "a Berger algebra" if report.is_berger else "NOT a Berger algebra"
         _emit(f"{report.algebra_name}: dim {report.algebra_dim}, curvature "
               f"space dim {report.curvature_dim}, closure dim "
               f"{report.closure_dim} -> {verdict}\n"
-              f"({report.to_json()['note']})", config.out)
+              f"({report.to_json()['note']})", args.out)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    report = harness.run_verification(tier=config.max_rank_tier,
-                                      cache_dir=config.cache_dir,
-                                      with_timings=config.timings)
-    if config.fmt == "csv":
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = harness.run_verification(tier=args.tier,
+                                      cache_dir=args.cache_dir,
+                                      with_timings=args.timings)
+    if args.fmt == "csv":
         lines = ["id,status"]
         lines += [f"{c.check_id},{c.status}" for c in report.checks]
-        _emit("\n".join(lines), config.out)
-    elif config.fmt == "text":
-        _emit(report.to_text(), config.out)
+        _emit("\n".join(lines), args.out)
+    elif args.fmt == "text":
+        _emit(report.to_text(), args.out)
     else:
         _emit(json.dumps(report.to_json(), sort_keys=True, indent=2),
-              config.out)
+              args.out)
     return 0 if report.all_passed() else 1
 
 
@@ -222,8 +224,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        return HANDLERS[config.command](config)
+        check_usage(args)
+        return HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

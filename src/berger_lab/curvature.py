@@ -19,23 +19,17 @@ equations on Hom(Lambda^2 V, g).  `bianchi_residual_is_zero` still checks
 the cyclic identity itself.
 
 Coefficient layout: bivectors (a, b) with a < b are ordered
-lexicographically over the realified basis, and a tensor's values are one
-row per bivector, {k: coefficient of B_k in R(e_a, e_b)}.  A single
-tensor (R0, R1, an `act` image) is built from its flat coefficient vector,
-bivector-major with key ib * dim g + k, and stored as those rows:
-`rows[ib]` maps k to its coefficient, nonzeros only, keys ascending, and
-all empty rows share one read-only mapping.  A space of tensors is the
+lexicographically over the realified basis, and a tensor is its rows by
+bivector, {ib: {k: coefficient of B_k in R(e_a, e_b)}} for the ib-th
+bivector (a, b), nonzero rows and entries only.  A space of tensors is the
 canonical RREF rows of its span in Sym^2(g), the unknown x_kl = S_kl,
 k <= l, at column l (l + 1) / 2 + k, and is built from them alone: every
 verdict reads those rows, and no space builds a tensor object.
 `CurvatureSpace.values` is the one map out of Sym^2(g): it yields each
-row's tensor as {ib: {k: int}}, nonzero rows only, bivectors ascending,
-for the Berger closure, the degenerate-pair and restriction checks, R1,
-pair symmetry and the derivative space.  The flat key is read in two
-places only: the `CurvatureElement` constructor, and the dense JSON form,
-which re-canonicalises the flat vectors so that it lists the canonical
-flat rows.  The cache form is the sparse Sym^2(g) rows; `from_json` checks
-them before it keeps them.
+row's tensor in that form, for the Berger closure, the degenerate-pair and
+restriction checks, R1, pair symmetry and the derivative space.  The cache
+form is the sparse Sym^2(g) rows; `from_json` checks them before it keeps
+them.
 
 Comparisons across algebras read a space over a larger algebra whose basis
 holds its algebra's basis in order, as `direct_sum` builds sp(1)+g from g:
@@ -112,37 +106,35 @@ _EMPTY_ROW = MappingProxyType({})
 
 class CurvatureElement:
     """A curvature tensor with values in `algebra`, on `algebra.space`,
-    built from its flat coefficient vector {ib * dim g + k: coefficient}; a
-    key outside [0, nbiv * dim g) raises ValueError.  `space` is kept as
-    a slot, set from the algebra, for the hot `row_of` reads.
+    given by its rows by bivector {ib: {k: coefficient of B_k in
+    R(e_a, e_b)}} for the ib-th bivector (a, b), the form
+    `CurvatureSpace.values` yields; an ib outside [0, nbiv) or a k outside
+    [0, dim g) raises ValueError.  `space` is kept as a slot, set from the
+    algebra, for the hot `row_of` reads.
 
-    `rows[ib]` is {k: coefficient of algebra basis element k in R(e_a, e_b)}
-    for the ib-th bivector (a, b), nonzero coefficients only, keys
-    ascending; R(e_b, e_a) = -R(e_a, e_b) by construction.  Each non-empty
-    row is built once into a read-only mapping the element owns; all empty
-    rows share one."""
+    `rows` keeps the nonzero coefficients and nonempty rows only,
+    bivectors and keys ascending, as read-only mappings the element owns;
+    R(e_b, e_a) = -R(e_a, e_b) by construction."""
 
     __slots__ = ("space", "algebra", "rows")
 
-    def __init__(self, algebra: LieAlgebra, vec: Mapping):
+    def __init__(self, algebra: LieAlgebra, rows: Mapping):
         space = algebra.space
         dimg = algebra.dim
         nbiv = _bivector_count(space.real_dim)
-        keys = sorted(vec)
-        if keys and (keys[0] < 0 or keys[-1] >= nbiv * dimg):
-            raise ValueError(f"coefficient keys must lie in [0, {nbiv * dimg})")
-        by_biv: dict[int, dict] = {}
-        for key in keys:
-            c = vec[key]
-            if c:
-                ib, k = divmod(key, dimg)
-                by_biv.setdefault(ib, {})[k] = c
-        rows = [_EMPTY_ROW] * nbiv
-        for ib, row in by_biv.items():
-            rows[ib] = MappingProxyType(row)
+        kept = {}
+        for ib in sorted(rows):
+            row = rows[ib]
+            keys = sorted(row)
+            if not 0 <= ib < nbiv or keys and (keys[0] < 0 or keys[-1] >= dimg):
+                raise ValueError(f"need bivectors in [0, {nbiv}) "
+                                 f"and basis elements in [0, {dimg})")
+            row = {k: row[k] for k in keys if row[k]}
+            if row:
+                kept[ib] = MappingProxyType(row)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", MappingProxyType(kept))
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureElement is immutable")
@@ -153,11 +145,11 @@ class CurvatureElement:
         if a == b:
             return _EMPTY_ROW, 0
         if a < b:
-            return self.rows[_biv_index(self.space.real_dim, a, b)], 1
-        return self.rows[_biv_index(self.space.real_dim, b, a)], -1
+            return self.rows.get(_biv_index(self.space.real_dim, a, b), _EMPTY_ROW), 1
+        return self.rows.get(_biv_index(self.space.real_dim, b, a), _EMPTY_ROW), -1
 
     def is_zero(self) -> bool:
-        return not any(self.rows)
+        return not self.rows
 
     def __eq__(self, other):
         return (isinstance(other, CurvatureElement)
@@ -165,7 +157,7 @@ class CurvatureElement:
                 and self.rows == other.rows)
 
     def __hash__(self):
-        return hash(tuple(tuple(row.items()) for row in self.rows))
+        return hash(tuple((ib, tuple(row.items())) for ib, row in self.rows.items()))
 
     def __repr__(self):
         return f"CurvatureElement(algebra={self.algebra.name!r})"
@@ -318,12 +310,12 @@ def _columns(algebra: LieAlgebra) -> tuple[int, list[list]]:
     return den, cols
 
 
-def _integer_rows(element: CurvatureElement) -> tuple[int, list[dict]]:
+def _integer_rows(element: CurvatureElement) -> tuple[int, dict[int, dict]]:
     """(scale, rows): rows[ib] = {k: int} is the element's row ib times
     scale, the lcm of every coefficient's denominator."""
-    scale = lcm(*(c.denominator for row in element.rows for c in row.values()))
-    return scale, [{k: c.numerator * (scale // c.denominator) for k, c in row.items()}
-                   for row in element.rows]
+    scale = lcm(*(c.denominator for row in element.rows.values() for c in row.values()))
+    return scale, {ib: {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
+                   for ib, row in element.rows.items()}
 
 
 def _signed_permutation(m: RealMatrix) -> dict[int, tuple[int, int]]:
@@ -426,7 +418,7 @@ def bianchi_residual_is_zero(element) -> bool:
                 # R(c,a) = -R(a,c)
                 for pair, col, sign in (((a, b), c, 1), ((b, c), a, 1),
                                         ((a, c), b, -1)):
-                    _add_column(out, sign, rows[_biv_index(n, *pair)],
+                    _add_column(out, sign, rows.get(_biv_index(n, *pair), _EMPTY_ROW),
                                 cols[col])
                 if any(out.values()):
                     return False
@@ -489,15 +481,13 @@ def build_r0(algebra: LieAlgebra) -> CurvatureElement:
     must contain its values (sp(1) + sp(r, s) does); `coordinates_of` is
     linear, so it reads 4 R0 over ints and each coordinate is divided by 4."""
     space = algebra.space
-    dimg = algebra.dim
-    vec = {}
+    rows = {}
     for ib, value in enumerate(_r0_values(space, bivector_pairs(space.real_dim))):
         coords = algebra.coordinates_of(value)
         if coords is None:
             raise ValueError("R0 value escapes the algebra span")
-        vec.update((ib * dimg + k, ratio(c.numerator, 4 * c.denominator))
-                   for k, c in coords.items())
-    return CurvatureElement(algebra, vec)
+        rows[ib] = {k: ratio(c.numerator, 4 * c.denominator) for k, c in coords.items()}
+    return CurvatureElement(algebra, rows)
 
 
 def build_r1(curvature: CurvatureSpace) -> CurvatureElement:
@@ -510,9 +500,8 @@ def build_r1(curvature: CurvatureSpace) -> CurvatureElement:
     (tensor,) = curvature.values()
     first = next(iter(tensor.values()))  # bivectors ascend
     lead = first[min(first)]
-    dimg = curvature.algebra.dim
     return CurvatureElement(curvature.algebra, {
-        ib * dimg + k: ratio(v, lead) for ib, row in tensor.items() for k, v in row.items()})
+        ib: {k: ratio(v, lead) for k, v in row.items()} for ib, row in tensor.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +513,10 @@ def _integer_ricci(element: CurvatureElement) -> tuple[int, dict]:
     n = element.space.real_dim
     den, cols = _columns(element.algebra)
     scale, rows = _integer_rows(element)
+    pairs = bivector_pairs(n)
     ric = {}
-    for (a, b), row in zip(bivector_pairs(n), rows):
-        if not row:
-            continue
+    for ib, row in rows.items():
+        a, b = pairs[ib]
         # R(e_a, e_b) adds its row a to Ric row b and -(row b) to Ric row a
         for z, col in enumerate(cols):
             value = {}
@@ -587,11 +576,10 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
         for k, c in row.items():
             acc[k] = acc.get(k, 0) - f * c
 
-    dimg = algebra.dim
-    vec = {}
+    rows = {}
     for ib, (a, b) in enumerate(bivector_pairs(n)):
-        acc: dict = {}
-        for k, c in element.rows[ib].items():
+        acc = rows[ib] = {}
+        for k, c in element.rows.get(ib, _EMPTY_ROW).items():
             for k2, v in ad_a[k].items():
                 acc[k2] = acc.get(k2, 0) + c * v
         for d, coef in a_cols[a].items():  # R(A e_a, e_b)
@@ -600,8 +588,7 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
         for d, coef in a_cols[b].items():  # R(e_a, A e_b)
             row, sign = element.row_of(a, d)
             subtract(acc, coef * sign, row)
-        vec.update((ib * dimg + k, c) for k, c in acc.items())
-    return CurvatureElement(algebra, vec)
+    return CurvatureElement(algebra, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +723,7 @@ def _pair_symmetric(rows, table) -> bool:
 def pair_symmetry_holds(element: CurvatureElement) -> bool:
     """Check eta(R(X,Y)Z, U) = eta(R(Z,U)X, Y) on all basis quadruples."""
     _, rows = _integer_rows(element)
-    return _pair_symmetric(enumerate(rows), _pairing_table(element.algebra))
+    return _pair_symmetric(rows.items(), _pairing_table(element.algebra))
 
 
 def pair_symmetry_all(curvature: CurvatureSpace) -> bool:

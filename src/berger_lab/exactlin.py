@@ -367,11 +367,6 @@ class Echelon:
                     else:
                         _normalize_row(r)
 
-    def insert_fraction_row(self, row: dict) -> int | None:
-        """Insert a row of exact rationals (cleared to a primitive integer
-        row)."""
-        return self.insert(integer_row(row))
-
     @property
     def rank(self) -> int:
         return len(self.pivots)

@@ -38,46 +38,6 @@ CACHE_FORMAT_VERSION = 2
 TIER1_CONFIGS = ((1, 1, 1), (1, 2, 1))
 TIER2_CONFIGS = ((1, 1, 1), (1, 2, 1), (2, 2, 2))
 
-COMMANDS = ("dim", "curvature-space", "prolongation", "berger", "verify-paper")
-
-
-class ConfigError(ValueError):
-    """A run configuration that violates the usage contract (exit code 2)."""
-
-
-class RunConfig:
-    """Validated CLI run configuration."""
-
-    __slots__ = ("command", "r", "s", "t", "algebra", "fmt", "out", "cache_dir",
-                 "max_rank_tier", "timings", "curvature", "order")
-
-    def __init__(self, command: str, r: int = 1, s: int = 1, t: int = 1,
-                 algebra: str | None = None, fmt: str = "text",
-                 out: str | None = None, cache_dir: str | None = None,
-                 max_rank_tier: int = 1, timings: bool = False,
-                 curvature: bool = False, order: int = 1):
-        if command not in COMMANDS:
-            raise ConfigError(f"unknown command {command!r}")
-        if command != "verify-paper":
-            if r < 0 or s < 0 or r + s < 1:
-                raise ConfigError("need r, s >= 0 with r + s >= 1")
-            if not 0 <= t <= min(r, s):
-                raise ConfigError("need 0 <= t <= min(r, s)")
-            if algebra not in ALGEBRA_NAMES:
-                raise ConfigError(
-                    f"unknown algebra {algebra!r}; known: "
-                    + ", ".join(ALGEBRA_NAMES))
-        if fmt not in ("json", "csv", "text"):
-            raise ConfigError(f"unknown format {fmt!r}")
-        if max_rank_tier not in (1, 2):
-            raise ConfigError("tier must be 1 or 2")
-        fields = locals()
-        for name in self.__slots__:
-            object.__setattr__(self, name, fields[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RunConfig is immutable")
-
 
 # ---------------------------------------------------------------------------
 # cache
@@ -425,8 +385,8 @@ def check_prolongations(session: Session, tier: int) -> CheckResult:
     h0 = session.algebra("h0", 1, 1, 1)
     w = space1.isotropic_subspace_W()
     action = prolong.restrict_action(h0, w)
-    first_h0 = prolong.first_prolongation(action, label="h0|_W")
-    second_h0 = prolong.second_prolongation(first_h0, label="h0|_W")
+    first_h0 = prolong.first_prolongation(action)
+    second_h0 = prolong.second_prolongation(first_h0)
     results["first_sp1+gl(1,H)"] = first_h0.dim
     results["second_sp1+gl(1,H)"] = second_h0.dim
     ok = ok and first_h0.dim >= 1 and second_h0.dim == 0

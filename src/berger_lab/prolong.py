@@ -42,7 +42,6 @@ class ProlongationSpace(NamedTuple):
     acting_dim: int
     action_dim: int
     basis: tuple
-    label: str = ""
 
     @property
     def dim(self) -> int:
@@ -71,18 +70,17 @@ def restrict_action(g: LieAlgebra, v: Subspace) -> list[RealMatrix]:
                 if p in index:
                     nz[index[p] * dv + j] = x
         mat = RealMatrix.from_sparse(dv, dv, nz)
-        if span.insert_fraction_row(nz) is not None:
+        if span.insert(integer_row(nz)) is not None:
             restricted.append(mat)
     return restricted
 
 
-def first_prolongation(action: Sequence[RealMatrix], label: str = "") -> ProlongationSpace:
+def first_prolongation(action: Sequence[RealMatrix]) -> ProlongationSpace:
     """All S: V -> span(action) with S(X)Y = S(Y)X, for a basis of a space
     of maps V -> U given as du x dv matrices (a linear algebra acting on V
     when du = dv)."""
     if not action:
-        return ProlongationSpace(order=1, acting_dim=0, action_dim=0,
-                                 basis=(), label=label)
+        return ProlongationSpace(order=1, acting_dim=0, action_dim=0, basis=())
     du = action[0].rows
     dv = action[0].cols
     dg = len(action)
@@ -104,10 +102,10 @@ def first_prolongation(action: Sequence[RealMatrix], label: str = "") -> Prolong
 
     basis = sparse_nullspace(filter(None, map(integer_row, rows())), dv * dg)
     return ProlongationSpace(order=1, acting_dim=dv, action_dim=dg,
-                             basis=tuple(basis), label=label)
+                             basis=tuple(basis))
 
 
-def second_prolongation(first: ProlongationSpace, label: str = "") -> ProlongationSpace:
+def second_prolongation(first: ProlongationSpace) -> ProlongationSpace:
     """Symmetric bilinear T: V x V -> span(action) with T(X)(Y)Z fully
     symmetric, as the first prolongation of `first`, the first
     prolongation of the action: each basis vector p_j of g^(1) becomes the
@@ -124,8 +122,8 @@ def second_prolongation(first: ProlongationSpace, label: str = "") -> Prolongati
             y, k = divmod(key, dg)
             nz[k * dv + y] = c
         maps.append(RealMatrix.from_sparse(dg, dv, nz))
-    return first_prolongation(maps, label)._replace(order=2)
+    return first_prolongation(maps)._replace(order=2)
 
 
 def first_prolongation_of(g: LieAlgebra, v: Subspace) -> ProlongationSpace:
-    return first_prolongation(restrict_action(g, v), label=g.name)
+    return first_prolongation(restrict_action(g, v))

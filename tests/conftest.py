@@ -50,7 +50,7 @@ def is_metric_skew(alg):
 
 def second_prolongation_of(g, v):
     """The second prolongation of `g` restricted to the invariant `v`."""
-    return second_prolongation(first_prolongation_of(g, v), label=g.name)
+    return second_prolongation(first_prolongation_of(g, v))
 
 
 def dual_W1(space):
@@ -92,9 +92,20 @@ def value_column(el, a, b, col):
 
 def flat_vector(el):
     """The element's flat coefficient vector {ib * dim g + k: coefficient},
-    the layout its constructor reads."""
+    the reference layout of `from_flat`."""
     dimg = el.algebra.dim
-    return {ib * dimg + k: c for ib, row in enumerate(el.rows) for k, c in row.items()}
+    return {ib * dimg + k: c for ib, row in el.rows.items() for k, c in row.items()}
+
+
+def from_flat(algebra, vec):
+    """The element over `algebra` of the flat coefficient vector
+    {ib * dim g + k: coefficient}, bivector-major: the reference layout,
+    split into the rows by bivector the constructor takes."""
+    rows = {}
+    for key, c in vec.items():
+        ib, k = divmod(key, algebra.dim)
+        rows.setdefault(ib, {})[k] = c
+    return CurvatureElement(algebra, rows)
 
 
 def flat_vectors(curvature):
@@ -111,7 +122,7 @@ def basis_tensors(curvature):
     tensors = []
     for vec in flat_vectors(curvature):
         lead = vec[min(vec)]
-        tensors.append(CurvatureElement(
+        tensors.append(from_flat(
             curvature.algebra, {key: ratio(v, lead) for key, v in vec.items()}))
     return tuple(tensors)
 
@@ -148,7 +159,7 @@ def element_over(el, target):
     if any(coords is None for coords in mapped):
         raise ValueError(f"{el.algebra.name} does not embed in {target.name}")
     out = {}
-    for ib, row in enumerate(el.rows):
+    for ib, row in el.rows.items():
         for k, c in row.items():
             for k2, v in mapped[k].items():
                 key = ib * target.dim + k2
@@ -210,8 +221,7 @@ def reference_derivative_space(curvature):
     n = curvature.space.real_dim
     kdim = curvature.dim
     biv = {pair: ib for ib, pair in enumerate(bivector_pairs(n))}
-    tensors = [CurvatureElement(curvature.algebra, vec)
-               for vec in flat_vectors(curvature)]
+    tensors = [from_flat(curvature.algebra, vec) for vec in flat_vectors(curvature)]
 
     def rows():
         for x in range(n):
@@ -222,7 +232,7 @@ def reference_derivative_space(curvature):
                     by_k = {}
                     for i, el in enumerate(tensors):
                         for slot, ib, sign in terms:
-                            for k, c in el.rows[ib].items():
+                            for k, c in el.rows.get(ib, {}).items():
                                 by_k.setdefault(k, {})[slot * kdim + i] = sign * c
                     for k in sorted(by_k):
                         yield integer_row(by_k[k])
@@ -250,9 +260,9 @@ def tensors_built(monkeypatch):
     built = []
     real = CurvatureElement.__init__
 
-    def counting(self, algebra, vec):
+    def counting(self, algebra, rows):
         built.append(algebra.name)
-        real(self, algebra, vec)
+        real(self, algebra, rows)
 
     monkeypatch.setattr(CurvatureElement, "__init__", counting)
     return built
@@ -261,7 +271,7 @@ def tensors_built(monkeypatch):
 def synthetic_element(algebra):
     """A fixed element with scattered coefficients, in general not a
     curvature tensor (see the pair-symmetry tests)."""
-    return CurvatureElement(algebra, {
+    return from_flat(algebra, {
         ib * algebra.dim + k: Fraction((5 * ib + 3 * k) % 7 - 3, 1 + (ib + k) % 2)
         for ib in range(len(bivector_pairs(algebra.space.real_dim)))
         for k in range(algebra.dim)

@@ -9,14 +9,14 @@ from berger_lab.harness import (Session, check_full_split,
                                 check_mixed_signature_collapse,
                                 check_parabolic_split)
 from berger_lab.liealg import LieAlgebra
-from conftest import (basis_tensors, element_over, first_rows, flat_vector, tier2,
-                      value)
+from conftest import (basis_tensors, element_over, first_rows, flat_vector, from_flat,
+                      tier2, value)
 
 
 def berger_closure(g, curvature):
     """Reference Berger closure: the span of all values R(e_a, e_b) as a
     subspace of g-coordinates, by `span_of` over every value at once."""
-    vectors = [row for el in basis_tensors(curvature) for row in el.rows if row]
+    vectors = [row for el in basis_tensors(curvature) for row in el.rows.values()]
     return span_of(vectors, g.dim)
 
 
@@ -185,7 +185,7 @@ def r1_over_full(session, r, s, t):
     """R1 as a tensor over sp(1)+sp(r,s)_W."""
     r1 = build_r1(session.curvature("h0", r, s, t))
     full = session.algebra("sp1+sp_w", r, s, t)
-    return CurvatureElement(full, element_over(r1, full))
+    return from_flat(full, element_over(r1, full))
 
 
 def reference_w_blocks(curvature):
@@ -249,10 +249,8 @@ def test_restriction_multiple_reads_r1_over_its_own_algebra(session):
     assert split_failures(full, sp_w, r1) == []
     assert split_failures(full, sp_w, r1_over_full(session, 1, 1, 1)) == []
     dimg = r1.algebra.dim
-    flipped = {}
-    for key, c in flat_vector(r1).items():
-        ib, k = divmod(key, dimg)
-        flipped[ib * dimg + dimg - 1 - k] = c
+    flipped = {ib: {dimg - 1 - k: c for k, c in row.items()}
+               for ib, row in r1.rows.items()}
     reordered = CurvatureElement(
         LieAlgebra("h0", space, r1.algebra.basis[::-1]), flipped)
     assert reordered.algebra.basis != r1.algebra.basis
@@ -268,7 +266,7 @@ def test_a_generator_over_sp_w_has_no_sp1_part(session):
     full = session.curvature("sp1+sp_w", 1, 1, 1)
     sp_w = session.curvature("sp_w", 1, 1, 1)
     (inside,) = [el for el in basis_tensors(sp_w)
-                 if any(k < 3 for row in el.rows for k in row)][:1]
+                 if any(k < 3 for row in el.rows.values() for k in row)][:1]
     assert split_failures(full, sp_w, inside) == ["generator_has_sp1_part"]
 
 
@@ -281,8 +279,7 @@ def test_restriction_multiple_names_a_failed_decomposition(session, tampered):
     # a generator inside R(sp(r,r)_W) has no sp(1) part
     full = session.curvature("sp1+sp_w", 1, 1, 1)
     sp_w = session.curvature("sp_w", 1, 1, 1)
-    inside = CurvatureElement(full.algebra,
-                              element_over(basis_tensors(sp_w)[0], full.algebra))
+    inside = from_flat(full.algebra, element_over(basis_tensors(sp_w)[0], full.algebra))
     assert split_failures(full, sp_w, inside) == ["generator_has_sp1_part"]
 
 
@@ -299,7 +296,7 @@ def test_split_predicates_name_the_failed_condition(session, tampered):
     bent = flat_vector(r1_vec)
     key = next(key for key in bent if key % full.algebra.dim < 3)
     bent[key] += 1
-    assert split_failures(full, sp_w, CurvatureElement(full.algebra, bent)) == [
+    assert split_failures(full, sp_w, from_flat(full.algebra, bent)) == [
         "generator_is_curvature"]
     # a row that is no curvature tensor of sp(1,1)_W is not in R(full)
     stray = CurvatureSpace(sp_w.algebra, [{0: 1}])

@@ -19,10 +19,11 @@ from berger_lab.harness import (ALL_CHECKS, TIER1_CONFIGS, Session, cache_get,
                                 cache_put, run_verification)
 from berger_lab.liealg import ALGEBRA_NAMES, LieAlgebra, algebra_by_name
 from conftest import (SPARSE_CASES, basis_tensors, element_over, first_rows,
-                      flat_subspace, flat_vector, flat_vectors,
+                      flat_subspace, flat_vector, flat_vectors, from_flat,
                       reference_bianchi_kernel, reference_coefficients_over,
                       reference_derivative_space, reference_values,
-                      synthetic_element, tensors_built, tier2, value, value_column)
+                      is_normal, synthetic_element, tensors_built, tier2, value,
+                      value_column)
 
 
 def kernel(session, name, r, s, t):
@@ -289,12 +290,20 @@ def test_r1_is_normalized_generator(session):
     r1 = build_r1(h0_curv)
     vec = flat_vector(r1)
     assert vec[min(vec)] == 1  # first nonzero coefficient in canonical order
-    (tensor,) = h0_curv.values()
-    ib, row = next(iter(tensor.items()))
-    lead = row[min(row)]
-    assert r1.rows == tuple(
-        {k: Fraction(c, lead) for k, c in tensor.get(i, {}).items()}
-        for i in range(len(r1.rows)))
+
+
+@pytest.mark.parametrize("name,r,s,t", [
+    ("h0", 1, 1, 1),
+    pytest.param("h0", 2, 2, 2, marks=tier2)])
+def test_r1_is_the_values_tensor_over_its_lead(session, name, r, s, t):
+    curvature = kernel(session, name, r, s, t)
+    (tensor,) = curvature.values()
+    first = tensor[min(tensor)]
+    lead = first[min(first)]
+    r1 = build_r1(curvature)
+    assert r1 == CurvatureElement(curvature.algebra, {
+        ib: {k: Fraction(c, lead) for k, c in row.items()} for ib, row in tensor.items()})
+    assert all(is_normal(c) for row in r1.rows.values() for c in row.values())
 
 
 def test_r1_rejects_wrong_dimension(session):
@@ -305,7 +314,7 @@ def test_r1_rejects_wrong_dimension(session):
 def test_r1_image_spans_h0(session):
     h0_curv = kernel(session, "h0", 1, 1, 1)
     r1 = build_r1(h0_curv)
-    vectors = [row for row in r1.rows if row]
+    vectors = list(r1.rows.values())
     assert span_of(vectors, h0_curv.algebra.dim).dim == 7
 
 
@@ -345,9 +354,8 @@ def test_act_of_zero_is_zero(session):
 def test_act_is_a_lie_algebra_action(session):
     def difference(x, y):
         vx, vy = flat_vector(x), flat_vector(y)
-        return CurvatureElement(x.algebra,
-                                {k: vx.get(k, 0) - vy.get(k, 0)
-                                 for k in vx.keys() | vy.keys()})
+        return from_flat(x.algebra, {k: vx.get(k, 0) - vy.get(k, 0)
+                                     for k in vx.keys() | vy.keys()})
 
     space = kernel(session, "sp1+sp_w", 1, 1, 1)
     alg = space.algebra
@@ -539,7 +547,8 @@ def test_curvature_space_json_round_trip(session):
 # JSON form) and full value matrices, the way the tensors are defined.
 
 def dense_coeffs(el):
-    return [[row.get(k, 0) for k in range(el.algebra.dim)] for row in el.rows]
+    return [[el.rows.get(ib, {}).get(k, 0) for k in range(el.algebra.dim)]
+            for ib in range(len(bivector_pairs(el.space.real_dim)))]
 
 
 def ref_values(el):
@@ -758,25 +767,28 @@ def test_synthetic_element_breaks_pair_symmetry(session):
     assert not pair_symmetry_holds(el)
 
 
-def test_rows_drop_zeros_and_are_read_only(session, space111):
+def test_rows_drop_zeros_and_are_read_only(session):
     algebra = session.algebra("h0", 1, 1, 1)
-    nb = len(bivector_pairs(space111.real_dim))
-    dimg = algebra.dim
-    # given out of order, with an explicit zero at (bivector 1, k = 0)
-    given = {dimg + 4: Fraction(2, 3), dimg: Fraction(0), dimg + 2: Fraction(-1)}
+    # given out of order, with an explicit zero at (bivector 1, k = 0) and
+    # an all-zero row at bivector 3
+    given = {3: {5: Fraction(0)}, 1: {4: Fraction(2, 3), 0: Fraction(0),
+                                      2: Fraction(-1)}}
     with_zero = CurvatureElement(algebra, given)
-    given = {dimg + 2: Fraction(-1), dimg + 4: Fraction(2, 3)}
-    without = CurvatureElement(algebra, given)
+    without = CurvatureElement(algebra, {1: {2: Fraction(-1), 4: Fraction(2, 3)}})
     assert with_zero == without
     assert hash(with_zero) == hash(without)
+    assert list(with_zero.rows) == [1]
     assert list(with_zero.rows[1].items()) == [(2, Fraction(-1)), (4, Fraction(2, 3))]
-    given[dimg] = Fraction(5)  # the element keeps its own copy
-    assert without.rows[1] == {2: Fraction(-1), 4: Fraction(2, 3)}
-    zero = CurvatureElement(algebra, {k * dimg: Fraction(0) for k in range(nb)})
-    assert zero.is_zero()
+    given[1][0] = Fraction(5)  # the element keeps its own copy
+    given[2] = {0: Fraction(1)}
+    assert with_zero.rows == {1: {2: Fraction(-1), 4: Fraction(2, 3)}}
+    zero = CurvatureElement(algebra, {ib: {0: Fraction(0)} for ib in range(4)})
+    assert zero.is_zero() and zero.rows == {}
     assert zero == CurvatureElement(algebra, {})
     with pytest.raises(TypeError):
         without.rows[1][2] = Fraction(7)
+    with pytest.raises(TypeError):
+        without.rows[0] = {0: Fraction(1)}
     row, sign = without.row_of(2, 0)
     with pytest.raises(TypeError):
         row[0] = Fraction(1)
@@ -784,24 +796,41 @@ def test_rows_drop_zeros_and_are_read_only(session, space111):
 
 def test_constructor_rejects_keys_outside_the_coefficient_space(session, space111):
     algebra = session.algebra("h0", 1, 1, 1)
-    size = len(bivector_pairs(space111.real_dim)) * algebra.dim
-    CurvatureElement(algebra, {0: Fraction(1), size - 1: Fraction(1)})
-    for key in (size, -1):
-        with pytest.raises(ValueError, match="coefficient keys"):
-            CurvatureElement(algebra, {key: Fraction(1)})
+    nbiv = len(bivector_pairs(space111.real_dim))
+    dimg = algebra.dim
+    CurvatureElement(algebra, {0: {0: Fraction(1)}, nbiv - 1: {dimg - 1: Fraction(1)}})
+    for rows in ({nbiv: {0: Fraction(1)}}, {-1: {0: Fraction(1)}},
+                 {0: {dimg: Fraction(1)}}, {0: {-1: Fraction(1)}},
+                 {nbiv: {}}, {0: {dimg: Fraction(0)}}):
+        with pytest.raises(ValueError, match="need bivectors in"):
+            CurvatureElement(algebra, rows)
 
 
-def test_empty_rows_share_one_read_only_mapping(session):
+def test_a_missing_row_reads_as_one_read_only_empty_row(session):
     algebra = session.algebra("h0", 1, 1, 1)
-    el = CurvatureElement(algebra, {algebra.dim + 2: Fraction(1)})
-    empty = [row for row in el.rows if not row]
-    assert len(empty) == len(el.rows) - 1
-    assert all(row is empty[0] for row in empty)
-    assert el.row_of(3, 3) == (empty[0], 0)
-    for row in empty:
-        with pytest.raises(TypeError):
-            row[0] = Fraction(1)
-    assert CurvatureElement(algebra, {}).rows[0] is empty[0]
+    el = CurvatureElement(algebra, {1: {2: Fraction(1)}})
+    assert list(el.rows) == [1]
+    empty, sign = el.row_of(3, 3)
+    assert (empty, sign) == ({}, 0)
+    assert el.row_of(2, 0) == ({2: Fraction(1)}, -1)  # bivector 1 is (0, 2)
+    for a, b, sign in ((0, 1, 1), (5, 1, -1)):
+        assert el.row_of(a, b) == (empty, sign)
+        assert el.row_of(a, b)[0] is empty
+    with pytest.raises(TypeError):
+        empty[0] = Fraction(1)
+    assert CurvatureElement(algebra, {}).row_of(0, 1)[0] is empty
+
+
+@pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)
+def test_an_element_keeps_the_rows_values_yields(session, name, r, s, t):
+    # the one tensor form: each tensor of `values` is an element's rows as
+    # given, and the element reads back the same coefficients
+    curvature = kernel(session, name, r, s, t)
+    for tensor in curvature.values():
+        el = CurvatureElement(curvature.algebra, tensor)
+        assert el.rows == tensor
+        assert all(list(row) == sorted(row) for row in el.rows.values())
+        assert list(el.rows) == sorted(tensor)
 
 
 def test_kernel_keeps_its_canonical_subspace(session, monkeypatch):

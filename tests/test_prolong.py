@@ -121,8 +121,8 @@ def test_empty_action():
 
 def test_second_prolongation_takes_a_first_prolongation():
     first = first_prolongation(full_gl(2))
-    second = second_prolongation(first, label="gl(2,R)")
-    assert (second.order, second.label) == (2, "gl(2,R)")
+    second = second_prolongation(first)
+    assert second.order == 2
     assert (second.acting_dim, second.action_dim) == (2, first.dim)
     with pytest.raises(ValueError, match="expected a first prolongation"):
         second_prolongation(second)
@@ -130,8 +130,8 @@ def test_second_prolongation_takes_a_first_prolongation():
 
 def test_prolongation_json():
     # a prolongation has no JSON form; its shape is these fields
-    result = first_prolongation(full_gl(2), label="gl(2,R)")
+    result = first_prolongation(full_gl(2))
     assert result.dim == 6 and result.order == 1
-    assert (result.label, result.acting_dim, result.action_dim) == ("gl(2,R)", 2, 4)
+    assert (result.acting_dim, result.action_dim) == (2, 4)
     assert len(result.basis) == 6
     assert all(is_normal(v) for vec in result.basis for v in vec.values())

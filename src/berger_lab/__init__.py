@@ -10,7 +10,7 @@ from .liealg import (LieAlgebra, algebra_by_name, build_glq, build_h0, build_sp,
                      build_sp1, build_sp_parabolic, direct_sum)
 from .curvature import (CurvatureElement, CurvatureSpace, act, bianchi_kernel,
                         build_r0, build_r1, derivative_space,
-                        restrict_check_degenerate, ricci, scalar)
+                        restrict_check_degenerate, scalar)
 from .prolong import (ProlongationSpace, first_prolongation,
                       first_prolongation_of, restrict_action,
                       second_prolongation)

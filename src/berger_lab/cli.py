@@ -1,10 +1,16 @@
 """Command-line front end.
 
-    berger-lab <command> [--r N --s N --t N --algebra NAME
-                          --format json|csv|text --out PATH
-                          --cache-dir PATH --tier 1|2]
+    berger-lab dim|curvature-space|prolongation|berger --algebra NAME
+        [--r N --s N --t N --format json|csv|text --out PATH]
+        [--cache-dir PATH]    (all but prolongation)
+        [--curvature]         (dim)
+        [--order 1|2]         (prolongation)
+    berger-lab verify-paper [--tier 1|2 --format json|csv|text --out PATH
+        --cache-dir PATH --timings]
 
-Commands: dim, curvature-space, prolongation, berger, verify-paper.
+Each command takes only the options it reads: verify-paper runs its own
+configurations, and prolongation reads no curvature space.
+
 Exit codes: 0 success / all checks passed, 1 a check failed or a
 computation was impossible, 2 usage error (including unknown algebra
 names and an --out path that cannot be written).  Output is
@@ -34,15 +40,17 @@ def build_parser() -> argparse.ArgumentParser:
                      "candidates on pseudo-quaternionic-Hermitian spaces."))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--r", type=int, default=1)
-        p.add_argument("--s", type=int, default=1)
-        p.add_argument("--t", type=int, default=1)
+    def add_common(p, rst=True, cache=True):
+        if rst:
+            p.add_argument("--r", type=int, default=1)
+            p.add_argument("--s", type=int, default=1)
+            p.add_argument("--t", type=int, default=1)
         p.add_argument("--format", dest="fmt",
                        choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", help="write the output here instead of stdout")
-        p.add_argument("--cache-dir",
-                       help="directory for cached curvature-space bases")
+        if cache:
+            p.add_argument("--cache-dir",
+                           help="directory for cached curvature-space bases")
 
     def add_algebra(p):
         p.add_argument("--algebra", required=True,
@@ -61,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prol = sub.add_parser("prolongation",
                             help="prolongation of an algebra restricted to W")
-    add_common(p_prol)
+    add_common(p_prol, cache=False)
     add_algebra(p_prol)
     p_prol.add_argument("--order", type=int, choices=(1, 2), default=1)
 
@@ -71,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-paper",
                               help="run the full verification suite")
-    add_common(p_verify)
+    add_common(p_verify, rst=False)
     p_verify.set_defaults(fmt="json")  # the report is JSON unless asked otherwise
     p_verify.add_argument("--tier", type=int, choices=(1, 2), default=1)
     p_verify.add_argument("--timings", action="store_true",
@@ -87,10 +95,7 @@ class ConfigError(ValueError):
 
 def check_usage(args: argparse.Namespace) -> None:
     """Raise ConfigError for what argparse lets through: an (r, s, t) that
-    names no space, or an algebra outside the registry.  verify-paper runs
-    its own configurations and takes neither."""
-    if args.command == "verify-paper":
-        return
+    names no space, or an algebra outside the registry."""
     if args.r < 0 or args.s < 0 or args.r + args.s < 1:
         raise ConfigError("need r, s >= 0 with r + s >= 1")
     if not 0 <= args.t <= min(args.r, args.s):
@@ -157,7 +162,7 @@ def cmd_curvature_space(args: argparse.Namespace) -> int:
 
 
 def cmd_prolongation(args: argparse.Namespace) -> int:
-    session = Session(cache_dir=args.cache_dir)
+    session = Session()
     alg = session.algebra(args.algebra, args.r, args.s, args.t)
     w = session.space(args.r, args.s, args.t).isotropic_subspace_W()
     action = prolong.restrict_action(alg, w)
@@ -224,7 +229,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        check_usage(args)
+        if "algebra" in args:  # every command but verify-paper
+            check_usage(args)
         return HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ A curvature tensor is a linear map from bivectors to a Lie algebra g
 satisfying the cyclic first Bianchi identity; the space of all of them is
 computed exactly as a kernel.  Also here: the distinguished tensors R0
 (the quaternionic projective model, nonzero scalar) and R1 (the generator
-for the h0 block algebra), Ricci and scalar contractions, the natural
+for the h0 block algebra), the scalar curvature, the natural
 g-action on tensors, vanishing checks on degenerate pairs, and the space
 of curvature derivatives allowed by the second Bianchi identity.
 
@@ -55,8 +55,8 @@ canonical row is cleared by `integer_row` before `values` maps it, so
 every reader of a space takes integer rows.  A value is divided only
 where it leaves a function, by `exactlin.ratio`, so it stays an int when
 the division is exact: R0's coordinates are those of the integral 4 R0,
-divided by 4, R1 is its integer rows divided by its lead, `ricci` and
-`scalar` divide by the product of the two factors, and the residual,
+divided by 4, R1 is its integer rows divided by its lead, `scalar`
+divides by the product of the two factors, and the residual,
 symmetry, closure and vanishing checks, which are homogeneous, need no
 division.
 """
@@ -83,7 +83,6 @@ __all__ = [
     "bianchi_residual_is_zero",
     "build_r0",
     "build_r1",
-    "ricci",
     "scalar",
     "act",
     "restrict_check_degenerate",
@@ -528,14 +527,6 @@ def _integer_ricci(element: CurvatureElement) -> tuple[int, dict]:
     return den * scale, ric
 
 
-def ricci(element: CurvatureElement) -> RealMatrix:
-    """Ric(Y, Z) = trace(X -> R(X, Y) Z)."""
-    n = element.space.real_dim
-    den, ric = _integer_ricci(element)
-    return RealMatrix.from_sparse(n, n, {pos: ratio(v, den)
-                                         for pos, v in ric.items() if v})
-
-
 def scalar(element: CurvatureElement) -> int | Fraction:
     """Trace of the Ricci tensor raised by the inverse metric.
 
@@ -739,28 +730,17 @@ def pair_symmetry_all(curvature: CurvatureSpace) -> bool:
 # comparisons across algebras
 # ---------------------------------------------------------------------------
 
-def _embedding(algebra: LieAlgebra, target: LieAlgebra) -> list[dict]:
-    """Sparse coordinates over `target` of each basis matrix of `algebra`."""
-    mapped = []
-    for bmat in algebra.basis:
-        coords = target.coordinates_of(bmat)
-        if coords is None:
-            raise ValueError(f"{algebra.name} does not embed in {target.name}")
-        mapped.append(coords)
-    return mapped
-
-
 def block_slots(algebra: LieAlgebra, target: LieAlgebra) -> list[int]:
     """m with B_k = target.basis[m[k]] for every basis element B_k of
     `algebra`, m strictly increasing; raises ValueError unless `target`'s
-    basis holds `algebra`'s that way."""
-    slots = []
-    for coords in _embedding(algebra, target):
-        m = next(iter(coords), -1)
-        if coords != {m: 1} or (slots and m <= slots[-1]):
-            raise ValueError(f"the basis of {algebra.name} is not a block of "
-                             f"the basis of {target.name}")
-        slots.append(m)
+    basis holds `algebra`'s that way.  The slots are read by matrix
+    equality, as `direct_sum` lays the summands' bases out, with no
+    elimination."""
+    index = {bmat: m for m, bmat in enumerate(target.basis)}
+    slots = [index.get(bmat, -1) for bmat in algebra.basis]
+    if -1 in slots or any(a >= b for a, b in zip(slots, slots[1:])):
+        raise ValueError(f"the basis of {algebra.name} is not a block of "
+                         f"the basis of {target.name}")
     return slots
 
 
@@ -777,8 +757,7 @@ def coefficients_over(curvature: CurvatureSpace, target: LieAlgebra) -> Subspace
     increasing and takes the canonical RREF rows of
     `curvature.coefficient_subspace()` to canonical RREF rows over
     `target`; RREF is unique, so relabelling them is the whole computation.
-    Any other target raises ValueError, as does an algebra that does not
-    embed."""
+    Any other target raises ValueError."""
     slots = block_slots(curvature.algebra, target)
     column = [slots[l] * (slots[l] + 1) // 2 + slots[k]
               for k, l in _sym2_unknowns(curvature.algebra.dim)]

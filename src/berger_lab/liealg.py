@@ -150,40 +150,36 @@ def _a_family(space):
                        (e(j), e(i)): -eps[i] * eps[j] * c.conjugate()}
 
 
-def _x_family(space):
-    """X in Mat(r0+s0, t, H) with the forced -(E0 conj(X))^t partner."""
-    p, e, q = _witt_index_maps(space)
+def _mixed_family(space, col_of, row_of):
+    """Mat(r0+s0, t, H) at (e, col_of) corners with the forced
+    -(E0 conj(.))^t partner at (row_of, e): X for (q, p), Y for (p, q)."""
+    _, e, _ = _witt_index_maps(space)
     eps = _e0_signs(space)
     for i in range(len(eps)):
         for j in range(space.t):
             for c in _COMPONENTS:
-                yield {(e(i), q(j)): c,
-                       (p(j), e(i)): -eps[i] * c.conjugate()}
+                yield {(e(i), col_of(j)): c,
+                       (row_of(j), e(i)): -eps[i] * c.conjugate()}
 
 
-def _y_family(space):
-    p, e, q = _witt_index_maps(space)
-    eps = _e0_signs(space)
-    for i in range(len(eps)):
-        for j in range(space.t):
-            for c in _COMPONENTS:
-                yield {(e(i), p(j)): c,
-                       (q(j), e(i)): -eps[i] * c.conjugate()}
+def _parabolic_families(space):
+    """The blocks C, B, A, X, in basis order."""
+    p, _, q = _witt_index_maps(space)
+    yield from _c_family(space)
+    yield from _anti_hermitian_family(space, p, q)   # B block
+    yield from _a_family(space)
+    yield from _mixed_family(space, q, p)            # X block
 
 
 def build_sp(space: QuaternionicSpace) -> LieAlgebra:
     """Realification of sp(r, s): all H-linear maps skew-Hermitian for the
     quaternionic form; dim = (r+s)(2(r+s)+1)."""
     p, _, q = _witt_index_maps(space)
-    fams = []
-    fams.extend(_c_family(space))
-    fams.extend(_anti_hermitian_family(space, p, q))   # B block
-    fams.extend(_a_family(space))
-    fams.extend(_x_family(space))
-    fams.extend(_y_family(space))
-    fams.extend(_anti_hermitian_family(space, q, p))   # D block
-    basis = [realify(space.m, f) for f in fams]
-    alg = LieAlgebra(f"sp({space.r},{space.s})", space, basis)
+    fams = [*_parabolic_families(space),
+            *_mixed_family(space, p, q),               # Y block
+            *_anti_hermitian_family(space, q, p)]      # D block
+    alg = LieAlgebra(f"sp({space.r},{space.s})", space,
+                     [realify(space.m, f) for f in fams])
     assert alg.dim == sp_dimension(space.r, space.s)
     return alg
 
@@ -193,14 +189,8 @@ def build_sp_parabolic(space: QuaternionicSpace) -> LieAlgebra:
     blocks C, B, A, X with the lower-left corner zero."""
     if space.t < 1:
         raise ValueError("parabolic subalgebra requires t >= 1")
-    p, _, q = _witt_index_maps(space)
-    fams = []
-    fams.extend(_c_family(space))
-    fams.extend(_anti_hermitian_family(space, p, q))
-    fams.extend(_a_family(space))
-    fams.extend(_x_family(space))
-    basis = [realify(space.m, f) for f in fams]
-    alg = LieAlgebra(f"sp({space.r},{space.s})_W", space, basis)
+    alg = LieAlgebra(f"sp({space.r},{space.s})_W", space,
+                     [realify(space.m, f) for f in _parabolic_families(space)])
     assert alg.dim == sp_parabolic_dimension(space.r, space.s, space.t)
     return alg
 
@@ -223,18 +213,18 @@ def build_glq(space: QuaternionicSpace) -> LieAlgebra:
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
     """Concatenated basis of two commuting subalgebras with trivial
-    intersection; raises "not a direct sum" otherwise."""
+    intersection; raises "not a direct sum" if they do not commute, and
+    "linearly dependent" if their spans overlap.  The overlap check builds
+    the sum's augmented span, which `coordinates_of` then reuses."""
     if a.space is not b.space:
         raise ValueError("summands live on different spaces")
     for x in a.basis:
         for y in b.basis:
             if x * y != y * x:
                 raise ValueError("not a direct sum: summands do not commute")
-    both = span_of([m.nz for m in a.basis + b.basis],
-                   a.space.real_dim ** 2)
-    if both.dim != a.dim + b.dim:
-        raise ValueError("not a direct sum: spans overlap")
-    return LieAlgebra(name or f"{a.name}+{b.name}", a.space, a.basis + b.basis)
+    total = LieAlgebra(name or f"{a.name}+{b.name}", a.space, a.basis + b.basis)
+    total._augmented()
+    return total
 
 
 def build_h0(space: QuaternionicSpace) -> LieAlgebra:
@@ -274,20 +264,22 @@ def stabilizer_of_subspace(g: LieAlgebra, v: Subspace) -> Subspace:
     return span_of(mats, n * n)
 
 
-ALGEBRA_NAMES = ("sp", "sp_w", "sp1", "glq", "h0", "sp1+sp", "sp1+sp_w")
+_REGISTRY = {
+    "sp": build_sp,
+    "sp_w": build_sp_parabolic,
+    "sp1": build_sp1,
+    "glq": build_glq,
+    "h0": build_h0,
+    "sp1+sp": lambda space: direct_sum(build_sp1(space), build_sp(space)),
+    "sp1+sp_w": lambda space: direct_sum(build_sp1(space),
+                                         build_sp_parabolic(space)),
+}
+
+ALGEBRA_NAMES = tuple(_REGISTRY)
 
 
 def algebra_by_name(name: str, space: QuaternionicSpace) -> LieAlgebra:
     """Construct a registry algebra on `space`; KeyError for unknown names."""
-    builders = {
-        "sp": build_sp,
-        "sp_w": build_sp_parabolic,
-        "sp1": build_sp1,
-        "glq": build_glq,
-        "h0": build_h0,
-        "sp1+sp": lambda sp: direct_sum(build_sp1(sp), build_sp(sp)),
-        "sp1+sp_w": lambda sp: direct_sum(build_sp1(sp), build_sp_parabolic(sp)),
-    }
-    if name not in builders:
+    if name not in _REGISTRY:
         raise KeyError(f"unknown algebra {name!r}; known: {', '.join(ALGEBRA_NAMES)}")
-    return builders[name](space)
+    return _REGISTRY[name](space)

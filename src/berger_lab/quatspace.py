@@ -134,7 +134,7 @@ class QuaternionicSpace:
     given by right scalar multiplication (I3 = I1*I2).
     """
 
-    __slots__ = ("r", "s", "t", "m", "real_dim", "eta", "I", "basis_labels")
+    __slots__ = ("r", "s", "t", "m", "real_dim", "eta", "I")
 
     def __init__(self, r: int, s: int, t: int):
         if r < 0 or s < 0 or r + s < 1:
@@ -171,11 +171,6 @@ class QuaternionicSpace:
         i2 = block_diag(right_mult_matrix(Quaternion.j()))
         i3 = i1 * i2  # right multiplication by -k; satisfies I3 = I1*I2 = -I2*I1
         object.__setattr__(self, "I", (i1, i2, i3))
-
-        labels = ([f"p{i + 1}" for i in range(t)]
-                  + [f"e{i + 1}" for i in range(n0)]
-                  + [f"q{i + 1}" for i in range(t)])
-        object.__setattr__(self, "basis_labels", tuple(labels))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuaternionicSpace is immutable")

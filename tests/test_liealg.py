@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from berger_lab import liealg
 from berger_lab.exactlin import RealMatrix, span_of
 from berger_lab.liealg import (LieAlgebra, algebra_by_name, build_glq, build_h0,
                                build_sp, build_sp1, build_sp_parabolic,
@@ -153,8 +154,24 @@ def test_direct_sum_rejects_overlap():
     # the real scalars of gl(1,H) are central, so only the spans can clash
     glq = build_glq(space)
     centre = LieAlgebra("c", space, [glq.basis[0]])
-    with pytest.raises(ValueError, match="spans overlap"):
+    with pytest.raises(ValueError, match="linearly dependent"):
         direct_sum(glq, centre)
+
+
+def test_direct_sum_eliminates_the_sum_once(monkeypatch):
+    # the overlap check builds the augmented span that coordinates_of reuses
+    calls = []
+
+    def counted(vectors, ambient_dim):
+        calls.append(ambient_dim)
+        return span_of(vectors, ambient_dim)
+
+    monkeypatch.setattr(liealg, "span_of", counted)
+    space = build_space(1, 1, 1)
+    glq = build_glq(space)
+    h0 = direct_sum(build_sp1(space), glq)
+    assert h0.coordinates_of(space.I[0] + glq.basis[1]) == {0: 1, 4: 1}
+    assert calls == [64 + h0.dim]
 
 
 def test_direct_sum_rejects_non_commuting():

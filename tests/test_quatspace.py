@@ -202,12 +202,6 @@ def test_hermitian_pairing_pattern():
     assert eta_block(build_space(2, 1, 1), 1, 1) == one.scaled(-1)  # r0 = 1 side
 
 
-def test_labels():
-    assert build_space(1, 2, 1).basis_labels == ("p1", "e1", "q1")
-    assert build_space(2, 2, 2).basis_labels == ("p1", "p2", "q1", "q2")
-    assert build_space(1, 1, 0).basis_labels == ("e1", "e2")
-
-
 def test_invalid_parameters_raise():
     with pytest.raises(ValueError):
         build_space(1, 1, 2)
@@ -282,7 +276,6 @@ def test_space_json_shape():
     # a space has no JSON form; its shape is these fields
     space = build_space(1, 1, 1)
     assert (space.r, space.s, space.t) == (1, 1, 1)
-    assert space.basis_labels == ("p1", "q1")
     assert space.eta.is_symmetric() and (space.eta.rows, space.eta.cols) == (8, 8)
     assert len(space.I) == 3
     assert all((ia.rows, ia.cols) == (8, 8) for ia in space.I)

@@ -9,7 +9,10 @@
         --cache-dir PATH --timings]
 
 Each command takes only the options it reads: verify-paper runs its own
-configurations, and prolongation reads no curvature space.
+configurations, and prolongation reads no curvature space.  An option is
+taken only when spelled in full: a prefix such as --curv is an
+unrecognised option, so a new option cannot change what an existing
+command line means.
 
 Exit codes: 0 success / all checks passed, 1 a check failed or a
 computation was impossible, 2 usage error (including unknown algebra
@@ -34,7 +37,7 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="berger-lab",
+        prog="berger-lab", allow_abbrev=False,
         description=("Exact-arithmetic verification of curvature spaces, "
                      "Berger closures, and prolongations for holonomy "
                      "candidates on pseudo-quaternionic-Hermitian spaces."))
@@ -56,28 +59,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algebra", required=True,
                        help=f"one of: {', '.join(ALGEBRA_NAMES)}")
 
-    p_dim = sub.add_parser("dim", help="dimension of a registry algebra")
+    p_dim = sub.add_parser("dim", allow_abbrev=False,
+                           help="dimension of a registry algebra")
     add_common(p_dim)
     add_algebra(p_dim)
     p_dim.add_argument("--curvature", action="store_true",
                        help="also compute the curvature-space dimension")
 
-    p_curv = sub.add_parser("curvature-space",
+    p_curv = sub.add_parser("curvature-space", allow_abbrev=False,
                             help="basis of the first-Bianchi kernel")
     add_common(p_curv)
     add_algebra(p_curv)
 
-    p_prol = sub.add_parser("prolongation",
+    p_prol = sub.add_parser("prolongation", allow_abbrev=False,
                             help="prolongation of an algebra restricted to W")
     add_common(p_prol, cache=False)
     add_algebra(p_prol)
     p_prol.add_argument("--order", type=int, choices=(1, 2), default=1)
 
-    p_berger = sub.add_parser("berger", help="Berger-criterion report")
+    p_berger = sub.add_parser("berger", allow_abbrev=False,
+                              help="Berger-criterion report")
     add_common(p_berger)
     add_algebra(p_berger)
 
-    p_verify = sub.add_parser("verify-paper",
+    p_verify = sub.add_parser("verify-paper", allow_abbrev=False,
                               help="run the full verification suite")
     add_common(p_verify, rst=False)
     p_verify.set_defaults(fmt="json")  # the report is JSON unless asked otherwise

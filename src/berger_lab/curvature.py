@@ -40,9 +40,10 @@ rows, with no elimination.
 Every tensor and every space of tensors reads its quaternionic space from
 its algebra (`algebra.space`), so no tensor can live on a space other than
 its algebra's, and no call takes a space that its algebra already fixes.
-A value R(X, Y) is never formed as a matrix: `restrict_check_degenerate`
+A value R(X, Y) is never formed as a `RealMatrix`: `restrict_check_degenerate`
 reads R(p, X) = 0 as an empty row of `values`, exact because the algebra
-basis is independent, and R(X, Y)p as one column through `_columns`.
+basis is independent, and R(X, Y)p as column p of the integer value
+`_value` evaluates from the row's nonzeros.
 
 Integer inner loops: R0, Ricci, the scalar, pair symmetry, the
 first-Bianchi equations, the Bianchi residual and `values` multiply and
@@ -52,7 +53,13 @@ is no fallback), the basis columns come from `_columns` times one lcm per
 algebra, the 2-forms omega_k from `_pairing_table` on those columns, and a
 tensor's rows from `_integer_rows` times one lcm per element; each
 canonical row is cleared by `integer_row` before `values` maps it, so
-every reader of a space takes integer rows.  A value is divided only
+every reader of a space takes integer rows.  The algebra keeps its column
+and 2-form tables once they are built (`LieAlgebra.kept`), so each is
+built once per algebra, however many checks read it; a refusal (a basis
+matrix that is not eta-skew) is not kept.  The residual, Ricci and the
+degenerate check share `_value`, which evaluates R(e_a, e_b) by column
+from the nonzeros of the bivector's row, so a basis element that the row
+does not name is never visited.  A value is divided only
 where it leaves a function, by `exactlin.ratio`, so it stays an int when
 the division is exact: R0's coordinates are those of the integral 4 R0,
 divided by 4, R1 is its integer rows divided by its lead, `scalar`
@@ -289,24 +296,27 @@ def _sym2_unknowns(dimg: int) -> list[tuple[int, int]]:
     return [(k, l) for l in range(dimg) for k in range(l + 1)]
 
 
-def _columns(algebra: LieAlgebra) -> tuple[int, list[list]]:
-    """(den, cols): cols[c] = [(k, [(row d, value), ...]), ...] holds the
-    nonzero entries of column c of each basis element k that has any, k
-    ascending, all times den, the lcm of every entry's denominator.  One
-    common factor scales the whole Bianchi system, which keeps its kernel;
-    a factor per basis element would rescale that element's coefficients
-    in every tensor."""
+def _columns(algebra: LieAlgebra) -> tuple[int, tuple]:
+    """(den, cols), built once and kept on the algebra: cols[k] =
+    ((c, ((row d, value), ...)), ...) holds the nonzero columns c of basis
+    element k, c ascending, with their entries times den, the lcm of every
+    entry's denominator.  One common factor scales the whole Bianchi
+    system, which keeps its kernel; a factor per basis element would
+    rescale that element's coefficients in every tensor."""
+    return algebra.kept("_columns", _build_columns)
+
+
+def _build_columns(algebra: LieAlgebra) -> tuple[int, tuple]:
     n = algebra.space.real_dim
     den = lcm(*(v.denominator for bmat in algebra.basis for v in bmat.nz.values()))
-    cols = [[] for _ in range(n)]
-    for k, bmat in enumerate(algebra.basis):
+    cols = []
+    for bmat in algebra.basis:
         by_col: dict[int, list] = {}
         for pos, v in bmat.nz.items():
             d, c = divmod(pos, n)
             by_col.setdefault(c, []).append((d, v.numerator * (den // v.denominator)))
-        for c, entries in by_col.items():
-            cols[c].append((k, entries))
-    return den, cols
+        cols.append(tuple((c, tuple(by_col[c])) for c in sorted(by_col)))
+    return den, tuple(cols)
 
 
 def _integer_rows(element: CurvatureElement) -> tuple[int, dict[int, dict]]:
@@ -330,15 +340,17 @@ def _signed_permutation(m: RealMatrix) -> dict[int, tuple[int, int]]:
     return perm
 
 
-def _add_column(out: dict, f: int, row: Mapping, col: list) -> None:
-    """out[d] += f * (sum_k row[k] B_k)[d, c] for col = cols[c] of
-    `_columns`, over ints when the row is integral."""
-    for k, entries in col:
-        c = row.get(k)
-        if c:
-            c *= f
+def _value(row: Mapping, cols: tuple) -> dict[int, dict]:
+    """sum_k row[k] B_k by column, {c: {d: value}}, for cols of `_columns`
+    (so times its factor), over ints when the row is integral.  Only the
+    basis elements in the row are visited; an entry may cancel to 0."""
+    value: dict[int, dict] = {}
+    for k, x in row.items():
+        for c, entries in cols[k]:
+            col = value.setdefault(c, {})
             for d, v in entries:
-                out[d] = out.get(d, 0) + c * v
+                col[d] = col.get(d, 0) + x * v
+    return value
 
 
 def _wedge_rows(forms: list[dict], n: int, sym_col: list[list[int]]):
@@ -406,19 +418,22 @@ def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
 def bianchi_residual_is_zero(element) -> bool:
     """R(a,b)e_c + R(b,c)e_a + R(c,a)e_b = 0 on every basis triple, summed
     over ints from the integer basis columns and the element's integer
-    rows (each scaled by one common factor)."""
+    rows (each scaled by one common factor).  Each bivector's value is
+    evaluated once, from its row's nonzeros (`_value`)."""
     n = element.space.real_dim
     _, cols = _columns(element.algebra)
     _, rows = _integer_rows(element)
+    values = {ib: _value(row, cols) for ib, row in rows.items()}
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
                 out: dict = {}
                 # R(c,a) = -R(a,c)
-                for pair, col, sign in (((a, b), c, 1), ((b, c), a, 1),
-                                        ((a, c), b, -1)):
-                    _add_column(out, sign, rows.get(_biv_index(n, *pair), _EMPTY_ROW),
-                                cols[col])
+                for ib, col, sign in ((_biv_index(n, a, b), c, 1),
+                                      (_biv_index(n, b, c), a, 1),
+                                      (_biv_index(n, a, c), b, -1)):
+                    for d, v in values.get(ib, _EMPTY_ROW).get(col, _EMPTY_ROW).items():
+                        out[d] = out.get(d, 0) + sign * v
                 if any(out.values()):
                     return False
     return True
@@ -517,13 +532,11 @@ def _integer_ricci(element: CurvatureElement) -> tuple[int, dict]:
     for ib, row in rows.items():
         a, b = pairs[ib]
         # R(e_a, e_b) adds its row a to Ric row b and -(row b) to Ric row a
-        for z, col in enumerate(cols):
-            value = {}
-            _add_column(value, 1, row, col)
-            if a in value:
-                ric[b * n + z] = ric.get(b * n + z, 0) + value[a]
-            if b in value:
-                ric[a * n + z] = ric.get(a * n + z, 0) - value[b]
+        for z, col in _value(row, cols).items():
+            if a in col:
+                ric[b * n + z] = ric.get(b * n + z, 0) + col[a]
+            if b in col:
+                ric[a * n + z] = ric.get(a * n + z, 0) - col[b]
     return den * scale, ric
 
 
@@ -597,8 +610,8 @@ class DegenerateReport(NamedTuple):
 
 def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
     """R(p, X) = 0 holds iff the row of (p, X) in `values` is empty,
-    because the algebra basis is independent; R(X, Y)p is one column of the
-    value, read through `_columns`.  Each canonical row's tensor is read at
+    because the algebra basis is independent; R(X, Y)p is column p of the
+    value `_value` evaluates.  Each canonical row's tensor is read at
     the bivectors of W x E and E x E only, and its positive factor keeps its
     zeros."""
     space = curvature.space
@@ -618,11 +631,9 @@ def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
         for (x, y), ib in e_e:
             row = tensor.get(ib)
             if row:
-                for p in w_idx:
-                    column: dict = {}
-                    _add_column(column, 1, row, cols[p])
-                    if any(column.values()):
-                        witnesses.append((i, "R(X,Y)p != 0", (x, y, p)))
+                value = _value(row, cols)
+                witnesses += [(i, "R(X,Y)p != 0", (x, y, p)) for p in w_idx
+                              if any(value.get(p, _EMPTY_ROW).values())]
     status = "pass" if not witnesses else "fail"
     return DegenerateReport(status=status, checked_elements=curvature.dim,
                             witnesses=tuple(witnesses))
@@ -635,8 +646,9 @@ def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
 def derivative_space(curvature: CurvatureSpace) -> Subspace:
     """Maps T: R^n -> R(g) with cyclic sum T(X)(Y,Z) + T(Y)(Z,X) + T(Z)(X,Y)
     zero on all basis triples, as a subspace of R^{n * dim R(g)}, over the
-    tensors of `values`: its dimension does not depend on their scale.
-    They are read once into by_biv[ib] = [(k, row i, coefficient of B_k)],
+    tensors of `values`, whose integer entries make each row an integer
+    equation: its dimension does not depend on their scale.  They are read
+    once into by_biv[ib] = [(k, row i, coefficient of B_k)],
     so each triple visits only its three bivectors' nonzeros."""
     n = curvature.space.real_dim
     kdim = curvature.dim
@@ -657,7 +669,7 @@ def derivative_space(curvature: CurvatureSpace) -> Subspace:
                         for k, i, c in by_biv.get(ib, ()):
                             by_k.setdefault(k, {})[slot * kdim + i] = sign * c
                     for k in sorted(by_k):
-                        yield integer_row(by_k[k])
+                        yield by_k[k]
 
     return Subspace(n * kdim, sparse_nullspace(rows(), n * kdim))
 
@@ -666,34 +678,40 @@ def derivative_space(curvature: CurvatureSpace) -> Subspace:
 # pair symmetry eta(R(X,Y)Z, U) = eta(R(Z,U)X, Y)
 # ---------------------------------------------------------------------------
 
-def _pairing_table(algebra: LieAlgebra) -> list[dict]:
+def _pairing_table(algebra: LieAlgebra) -> tuple[dict, ...]:
     """table[k] = {biv: eta(B_k e_c, e_d)} over the bivectors (c, d), c < d:
     the 2-form omega_k of B_k, all times the common factor of `_columns`,
-    over ints.  A common factor keeps the symmetry of every pairing matrix.
-    Raises ValueError unless every B_k is eta-skew, that is, unless
-    eta(B_k e_d, e_c) = -eta(B_k e_c, e_d) for all c, d."""
+    over ints, built once and kept on the algebra.  A common factor keeps
+    the symmetry of every pairing matrix.  Raises ValueError unless every
+    B_k is eta-skew, that is, unless eta(B_k e_d, e_c) = -eta(B_k e_c, e_d)
+    for all c, d; the refusal is not kept, so every call raises."""
+    return algebra.kept("_forms", _build_pairing_table)
+
+
+def _build_pairing_table(algebra: LieAlgebra) -> tuple[dict, ...]:
     n = algebra.space.real_dim
     eta = _signed_permutation(algebra.space.eta)
     _, cols = _columns(algebra)
-    table = [{} for _ in algebra.basis]
-    mirror = [{} for _ in algebra.basis]  # -eta(B_k e_d, e_c), c < d
-    diagonal = False
-    for c, col in enumerate(cols):
-        for k, entries in col:
+    table = []
+    for columns in cols:
+        form, mirror = {}, {}  # mirror: -eta(B_k e_d, e_c), c < d
+        diagonal = False
+        for c, entries in columns:
             for e, v in entries:
                 # (eta B_k)[d, c] = eta[d, e] B_k[e, c]; eta permutes the rows,
                 # so each (d, c) is met once
                 d, s = eta[e]
                 if c < d:
-                    table[k][_biv_index(n, c, d)] = s * v
+                    form[_biv_index(n, c, d)] = s * v
                 elif d < c:
-                    mirror[k][_biv_index(n, d, c)] = -s * v
+                    mirror[_biv_index(n, d, c)] = -s * v
                 else:
                     diagonal = True
-    if diagonal or table != mirror:
-        raise ValueError(f"{algebra.name} is not in so(V, eta): "
-                         "a basis element is not eta-skew")
-    return table
+        if diagonal or form != mirror:
+            raise ValueError(f"{algebra.name} is not in so(V, eta): "
+                             "a basis element is not eta-skew")
+        table.append(form)
+    return tuple(table)
 
 
 def _pair_symmetric(rows, table) -> bool:

@@ -202,21 +202,33 @@ class RealMatrix:
                                       {k: c * v for k, v in self.nz.items()})
 
     def _matmul(self, other: "RealMatrix") -> "RealMatrix":
-        """Joins each nonzero A[i, t] with the nonzeros of row t of B."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch for matrix product")
-        k, m = self.cols, other.cols
-        b_rows: dict[int, list] = {}
-        for pos, w in other.nz.items():
-            t, j = divmod(pos, m)
-            b_rows.setdefault(t, []).append((j, w))
+        return RealMatrix.from_sparse(self.rows, other.cols, self.product_entries(
+            other.row_index(), other.cols))
+
+    def row_index(self) -> dict[int, list]:
+        """{i: [(j, self[i, j]), ...]} over the nonzero entries: the form in
+        which `product_entries` reads a right factor."""
+        rows: dict[int, list] = {}
+        for pos, w in self.nz.items():
+            t, j = divmod(pos, self.cols)
+            rows.setdefault(t, []).append((j, w))
+        return rows
+
+    def product_entries(self, right_rows: Mapping, cols: int) -> dict:
+        """The nonzero entries {i * cols + j: value} of self * B, for B with
+        `cols` columns given by its `row_index`: each nonzero self[i, t]
+        joins the nonzeros of row t of B.  No matrix is built, so a caller
+        that multiplies by one B many times indexes it once."""
+        k = self.cols
         out: dict = {}
         for pos, v in self.nz.items():
             i, t = divmod(pos, k)
-            base = i * m
-            for j, w in b_rows.get(t, ()):
+            base = i * cols
+            for j, w in right_rows.get(t, ()):
                 out[base + j] = out.get(base + j, 0) + v * w
-        return RealMatrix.from_sparse(self.rows, m, out)
+        return {key: v for key, v in out.items() if v}
 
     def apply(self, vec: Mapping) -> dict:
         """Matrix-vector product of a sparse vector {j: value}: the

@@ -117,7 +117,14 @@ def cache_put(cache_dir, space: QuaternionicSpace, algebra_name: str,
 class Session:
     """Memoizes spaces, algebras, curvature spaces and R0 across checks and
     the decision procedure; curvature spaces go through the disk cache only
-    when `cache_dir` is set."""
+    when `cache_dir` is set.
+
+    Each registry algebra is built once per configuration, and a sum (h0,
+    sp1+sp, sp1+sp_w) is the `direct_sum` of this session's own summands,
+    so it holds their basis matrices, and no matrix is realified twice.
+    An algebra keeps the integer tables `curvature` reads from its basis,
+    so within a session those are built once per algebra too; a fresh
+    session builds everything anew."""
 
     def __init__(self, cache_dir=None):
         self.cache_dir = cache_dir
@@ -135,7 +142,9 @@ class Session:
     def algebra(self, name, r, s, t):
         key = (name, r, s, t)
         if key not in self._algebras:
-            self._algebras[key] = algebra_by_name(name, self.space(r, s, t))
+            self._algebras[key] = algebra_by_name(
+                name, self.space(r, s, t),
+                lambda summand: self.algebra(summand, r, s, t))
         return self._algebras[key]
 
     def curvature(self, name, r, s, t) -> CurvatureSpace:

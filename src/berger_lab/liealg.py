@@ -51,22 +51,37 @@ def sp_parabolic_dimension(r: int, s: int, t: int) -> int:
 
 class LieAlgebra:
     """A linearly independent list of real matrices spanning a subalgebra
-    of gl(4m, R), with provenance metadata."""
+    of gl(4m, R), with provenance metadata.
 
-    __slots__ = ("name", "space", "basis", "dim", "_span")
+    Beside its augmented span, the algebra keeps the tables that
+    `curvature` reads from its basis, each built on first use (`kept`):
+    `_columns`, the integer columns of each basis matrix, and `_forms`,
+    their 2-forms omega_k."""
+
+    __slots__ = ("name", "space", "basis", "dim", "_span", "_columns", "_forms")
 
     def __init__(self, name: str, space: QuaternionicSpace, basis):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "dim", len(self.basis))
-        object.__setattr__(self, "_span", None)
+        for slot in ("_span", "_columns", "_forms"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
+
+    def kept(self, slot: str, build):
+        """The table in `slot`, `build(self)` on the first call; a build
+        that raises keeps nothing, so the next call raises again."""
+        table = getattr(self, slot)
+        if table is None:
+            table = build(self)
+            object.__setattr__(self, slot, table)
+        return table
 
     def _augmented(self) -> Subspace:
         """Canonical span of the rows flatten(B_k) + e_{n^2+k}.  Reducing a
@@ -214,13 +229,18 @@ def build_glq(space: QuaternionicSpace) -> LieAlgebra:
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
     """Concatenated basis of two commuting subalgebras with trivial
     intersection; raises "not a direct sum" if they do not commute, and
-    "linearly dependent" if their spans overlap.  The overlap check builds
-    the sum's augmented span, which `coordinates_of` then reuses."""
+    "linearly dependent" if their spans overlap.  The commute check
+    compares the entries of x y and y x, each basis matrix's rows indexed
+    once, and builds no matrix per product; the overlap check builds the
+    sum's augmented span, which `coordinates_of` then reuses."""
     if a.space is not b.space:
         raise ValueError("summands live on different spaces")
-    for x in a.basis:
-        for y in b.basis:
-            if x * y != y * x:
+    n = a.space.real_dim
+    a_rows = [x.row_index() for x in a.basis]
+    b_rows = [y.row_index() for y in b.basis]
+    for x, x_rows in zip(a.basis, a_rows):
+        for y, y_rows in zip(b.basis, b_rows):
+            if x.product_entries(y_rows, n) != y.product_entries(x_rows, n):
                 raise ValueError("not a direct sum: summands do not commute")
     total = LieAlgebra(name or f"{a.name}+{b.name}", a.space, a.basis + b.basis)
     total._augmented()
@@ -229,7 +249,7 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlge
 
 def build_h0(space: QuaternionicSpace) -> LieAlgebra:
     """sp(1) + gl(r,H) block algebra; dim 3 + 4r^2.  Requires r = s = t."""
-    return direct_sum(build_sp1(space), build_glq(space), name="h0")
+    return algebra_by_name("h0", space)
 
 
 def stabilizer_of_subspace(g: LieAlgebra, v: Subspace) -> Subspace:
@@ -264,22 +284,31 @@ def stabilizer_of_subspace(g: LieAlgebra, v: Subspace) -> Subspace:
     return span_of(mats, n * n)
 
 
+# a builder, or a sum (first summand, second summand, name of the sum)
 _REGISTRY = {
     "sp": build_sp,
     "sp_w": build_sp_parabolic,
     "sp1": build_sp1,
     "glq": build_glq,
-    "h0": build_h0,
-    "sp1+sp": lambda space: direct_sum(build_sp1(space), build_sp(space)),
-    "sp1+sp_w": lambda space: direct_sum(build_sp1(space),
-                                         build_sp_parabolic(space)),
+    "h0": ("sp1", "glq", "h0"),
+    "sp1+sp": ("sp1", "sp", None),
+    "sp1+sp_w": ("sp1", "sp_w", None),
 }
 
 ALGEBRA_NAMES = tuple(_REGISTRY)
 
 
-def algebra_by_name(name: str, space: QuaternionicSpace) -> LieAlgebra:
-    """Construct a registry algebra on `space`; KeyError for unknown names."""
+def algebra_by_name(name: str, space: QuaternionicSpace,
+                    summand=None) -> LieAlgebra:
+    """Construct a registry algebra on `space`; KeyError for unknown names.
+    A sum is the `direct_sum` of its two registry summands, each
+    `summand(summand_name)` when that is given (a caller that keeps its
+    algebras passes them in, so no basis is built twice), else built here."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown algebra {name!r}; known: {', '.join(ALGEBRA_NAMES)}")
-    return _REGISTRY[name](space)
+    entry = _REGISTRY[name]
+    if callable(entry):
+        return entry(space)
+    first, second, sum_name = entry
+    part = summand or (lambda part_name: algebra_by_name(part_name, space))
+    return direct_sum(part(first), part(second), name=sum_name)

@@ -81,26 +81,27 @@ def first_prolongation(action: Sequence[RealMatrix]) -> ProlongationSpace:
     when du = dv)."""
     if not action:
         return ProlongationSpace(order=1, acting_dim=0, action_dim=0, basis=())
-    du = action[0].rows
     dv = action[0].cols
     dg = len(action)
+    # by_col[c][d] = [(k, mat_k[d, c]), ...] over the nonzeros of each map
+    by_col: list[dict] = [{} for _ in range(dv)]
+    for k, mat in enumerate(action):
+        for pos, v in mat.nz.items():
+            d, c = divmod(pos, dv)
+            by_col[c].setdefault(d, []).append((k, v))
 
     def rows():
+        # S(x) e_y - S(y) e_x = 0 at coordinate d: x's unknowns meet column
+        # y of each map and y's meet column x, so their keys never collide
         for x in range(dv):
             for y in range(x + 1, dv):
-                for d in range(du):
-                    row = {}
-                    for k, mat in enumerate(action):
-                        cy = mat[d, y]
-                        if cy:
-                            row[x * dg + k] = row.get(x * dg + k, 0) + cy
-                        cx = mat[d, x]
-                        if cx:
-                            row[y * dg + k] = row.get(y * dg + k, 0) - cx
-                    if row:
-                        yield row
+                at_y, at_x = by_col[y], by_col[x]
+                for d in sorted(at_y.keys() | at_x.keys()):
+                    row = {x * dg + k: v for k, v in at_y.get(d, ())}
+                    row.update((y * dg + k, -v) for k, v in at_x.get(d, ()))
+                    yield row
 
-    basis = sparse_nullspace(filter(None, map(integer_row, rows())), dv * dg)
+    basis = sparse_nullspace(map(integer_row, rows()), dv * dg)
     return ProlongationSpace(order=1, acting_dim=dv, action_dim=dg,
                              basis=tuple(basis))
 

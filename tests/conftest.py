@@ -88,6 +88,65 @@ def ref_ricci(element):
     return RealMatrix.from_sparse(n, n, ric)
 
 
+def column_scan_residual_is_zero(element):
+    """Reference first-Bianchi residual, column by column: for every basis
+    triple, column c of R(e_a, e_b) (and likewise for the other two terms)
+    is summed over every basis element holding an entry in that column,
+    whether or not the row names it, over rationals."""
+    n = element.space.real_dim
+    cols = [[] for _ in range(n)]  # cols[c]: (k, [(row d, B_k[d, c])])
+    for k, bmat in enumerate(element.algebra.basis):
+        by_col = {}
+        for pos, v in bmat.nz.items():
+            d, c = divmod(pos, n)
+            by_col.setdefault(c, []).append((d, v))
+        for c, entries in by_col.items():
+            cols[c].append((k, entries))
+    biv = {pair: ib for ib, pair in enumerate(bivector_pairs(n))}
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                out = {}
+                # R(c,a) = -R(a,c)
+                for pair, col, sign in (((a, b), c, 1), ((b, c), a, 1),
+                                        ((a, c), b, -1)):
+                    row = element.rows.get(biv[pair], {})
+                    for k, entries in cols[col]:
+                        coef = row.get(k)
+                        if coef:
+                            for d, v in entries:
+                                out[d] = out.get(d, 0) + sign * coef * v
+                if any(out.values()):
+                    return False
+    return True
+
+
+def dense_scan_prolongation_rows(action):
+    """Reference rows of the first-prolongation system S(x) e_y = S(y) e_x,
+    read entry by entry: mat[d, y] and mat[d, x] of every map for every
+    x < y and every coordinate d, nonempty rows only, unknown x * dim + k."""
+    du, dv, dg = action[0].rows, action[0].cols, len(action)
+    for x in range(dv):
+        for y in range(x + 1, dv):
+            for d in range(du):
+                row = {}
+                for k, mat in enumerate(action):
+                    cy = mat[d, y]
+                    if cy:
+                        row[x * dg + k] = row.get(x * dg + k, 0) + cy
+                    cx = mat[d, x]
+                    if cx:
+                        row[y * dg + k] = row.get(y * dg + k, 0) - cx
+                if row:
+                    yield row
+
+
+def dense_scan_prolongation(action):
+    """The canonical kernel rows of the dense-scan reference system."""
+    rows = map(integer_row, dense_scan_prolongation_rows(action))
+    return sparse_nullspace(filter(None, rows), action[0].cols * len(action))
+
+
 def value_column(el, a, b, col):
     """Reference column `col` of R(e_a, e_b) as {row: value}, nonzeros
     only."""

@@ -156,6 +156,18 @@ def test_an_algebra_outside_so_eta_is_refused(session, space111):
             pair_symmetry_all(CurvatureSpace(algebra, [{0: 1}]))
 
 
+def test_a_refusal_is_not_kept_on_the_algebra(session, space111):
+    # the 2-form table is kept only once it is built: an algebra outside
+    # so(V, eta) is refused on every call, and keeps no table
+    for algebra in not_eta_skew(space111, session.algebra("h0", 1, 1, 1)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="eta-skew"):
+                curv.bianchi_kernel(algebra)
+        assert algebra._forms is None
+        with pytest.raises(ValueError, match="eta-skew"):
+            pair_symmetry_holds(synthetic_element(algebra))
+
+
 def test_bianchi_kernel_follows_a_scaled_basis(session, space111):
     # basis matrices with non-integer entries: one common denominator clears
     # the system, and a tensor's coefficients scale inversely to its basis
@@ -635,8 +647,9 @@ def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
 @pytest.mark.parametrize("name", ["sp", "sp_w", "sp1", "glq", "h0", "sp1+sp",
                                   "sp1+sp_w"])
 def test_value_column_is_a_column_of_value(session, space111, name):
-    # the columns that `_add_column` reads through `_columns` (the degenerate
-    # check and the Bianchi residual) are den times the reference columns
+    # the columns of the value `_value` evaluates from `_columns` (the
+    # degenerate check, the Bianchi residual and Ricci) are den times the
+    # reference columns
     curvature = kernel(session, name, 1, 1, 1)
     n = space111.real_dim
     den, cols = curv._columns(curvature.algebra)
@@ -646,10 +659,10 @@ def test_value_column_is_a_column_of_value(session, space111, name):
             for b in range(n):
                 row, sign = el.row_of(a, b)
                 reference = value(el, a, b)
+                evaluated = curv._value(row, cols)
                 for c in range(n):
-                    column = {}
-                    curv._add_column(column, sign, row, cols[c])
-                    assert {d: v for d, v in column.items() if v} == {
+                    column = evaluated.get(c, {})
+                    assert {d: sign * v for d, v in column.items() if v} == {
                         d: den * v for d, v in value_column(el, a, b, c).items()}
                     assert value_column(el, a, b, c) == {
                         d: reference[d, c] for d in range(n) if reference[d, c]}

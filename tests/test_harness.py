@@ -320,6 +320,42 @@ def test_r0_is_built_once_per_session(monkeypatch):
     assert r0_calls == {(1, 1, 1): 1, (1, 2, 1): 1}
 
 
+def test_each_algebra_builds_its_tables_once_per_run(monkeypatch):
+    # the column and 2-form tables are kept on the algebra, and a session
+    # builds each algebra once, so a run builds each table once per algebra
+    built = {"_columns": Counter(), "_forms": Counter()}
+    for slot, builder in (("_columns", "_build_columns"),
+                          ("_forms", "_build_pairing_table")):
+        real = getattr(harness.curv, builder)
+
+        def counting(algebra, real=real, seen=built[slot]):
+            seen[id(algebra), algebra.name] += 1
+            return real(algebra)
+
+        monkeypatch.setattr(harness.curv, builder, counting)
+    assert run_verification(tier=1).all_passed()
+    for seen in built.values():
+        assert set(seen.values()) == {1}
+        assert sorted(name for _, name in seen) == sorted([
+            "gl(1,H)", "h0", "sp(1,1)", "sp(1,1)_W", "sp(1,2)_W",
+            "sp(1)+sp(1,1)", "sp(1)+sp(1,2)", "sp(1)+sp(1,1)_W",
+            "sp(1)+sp(1,2)_W"])
+
+
+@pytest.mark.parametrize("name,first,second,r,s,t", [
+    ("h0", "sp1", "glq", 1, 1, 1), ("sp1+sp", "sp1", "sp", 1, 2, 1),
+    ("sp1+sp_w", "sp1", "sp_w", 1, 2, 1)])
+def test_a_session_sum_holds_its_summands_matrices(name, first, second, r, s, t):
+    # a sum is built from the session's own summands, so no matrix of it
+    # is realified a second time
+    session = Session()
+    total = session.algebra(name, r, s, t)
+    parts = session.algebra(first, r, s, t).basis + session.algebra(
+        second, r, s, t).basis
+    assert len(total.basis) == len(parts)
+    assert all(a is b for a, b in zip(total.basis, parts))
+
+
 def test_a_tampered_h0_entry_is_recomputed(tmp_path, capsys):
     cold = json.dumps(run_verification(tier=1, cache_dir=tmp_path).to_json(),
                       sort_keys=True)
@@ -384,7 +420,7 @@ def test_cli_bad_config_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify-paper", "--r", "0", "--s", "0", "--t", "5"],
     ["verify-paper", "--r", "0"], ["verify-paper", "--s", "0"],
-    ["verify-paper", "--t", "5"],  # a prefix of --tier and --timings
+    ["verify-paper", "--t", "5"],  # no prefix match of --tier or --timings
     ["prolongation", "--algebra", "glq", "--cache-dir", "cache"]])
 def test_cli_refuses_an_option_the_command_does_not_read(capsys, argv):
     # verify-paper runs its own configurations; prolongation reads no
@@ -394,6 +430,14 @@ def test_cli_refuses_an_option_the_command_does_not_read(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: " in err and argv[-2] in err
+
+
+def test_cli_takes_no_option_by_a_prefix(capsys):
+    # --curv is not read as --curvature: only a full option name is taken
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--algebra", "h0", "--curv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --curv" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exits_2():

@@ -19,9 +19,9 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace,
                                   pair_symmetry_holds, scalar)
 from berger_lab.exactlin import RealMatrix, sparse_nullspace
 from berger_lab.liealg import LieAlgebra
-from conftest import (SPARSE_CASES, basis_tensors, is_normal, ref_ricci,
-                      synthetic_element, value,
-                      value_column)
+from conftest import (SPARSE_CASES, basis_tensors,
+                      column_scan_residual_is_zero, is_normal, ref_ricci,
+                      synthetic_element, tier2, value, value_column)
 
 # ---------------------------------------------------------------------------
 # Fraction references
@@ -167,6 +167,60 @@ def test_contractions_residual_and_symmetry_match_the_references(
         monkeypatch.setattr(CurvatureSpace, "values", lambda self: iter(
             [first, asymmetric]))
         assert not pair_symmetry_all(curvature)
+
+
+# ---------------------------------------------------------------------------
+# the row-driven residual and Ricci against the column-scan references
+# ---------------------------------------------------------------------------
+
+
+def check_residual_and_ricci(session, name, r, s, t):
+    algebra = session.algebra(name, r, s, t)
+    elements = [*basis_tensors(session.curvature(name, r, s, t)),
+                synthetic_element(algebra)]
+    if name == "sp1+sp":
+        elements.append(session.r0(r, s, t))
+    for el in elements:
+        assert bianchi_residual_is_zero(el) == column_scan_residual_is_zero(el)
+        assert integer_ricci(el) == ref_ricci(el)
+        assert scalar(el) == ref_scalar(el)
+
+
+@pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)
+def test_residual_and_ricci_match_the_column_scan(session, name, r, s, t):
+    check_residual_and_ricci(session, name, r, s, t)
+
+
+@tier2
+@pytest.mark.parametrize("name", ["sp", "sp_w", "sp1", "glq", "h0", "sp1+sp",
+                                  "sp1+sp_w"])
+def test_residual_and_ricci_match_the_column_scan_tier2(session, name):
+    check_residual_and_ricci(session, name, 2, 2, 2)
+
+
+def test_the_residual_sees_one_changed_coefficient_of_r0(session):
+    # changing one coefficient of R0 breaks the identity, and the
+    # row-driven residual and the column scan both see it
+    r0 = session.r0(1, 2, 1)
+    assert bianchi_residual_is_zero(r0)
+    for ib, row in list(r0.rows.items())[::7]:
+        for k in row:
+            rows = {jb: dict(other) for jb, other in r0.rows.items()}
+            rows[ib][k] += 1
+            changed = CurvatureElement(r0.algebra, rows)
+            assert not bianchi_residual_is_zero(changed)
+            assert not column_scan_residual_is_zero(changed)
+
+
+@pytest.mark.parametrize("r,s,t", [(1, 1, 1), (1, 2, 1), (2, 1, 0)])
+def test_scalar_matches_ref_ricci_on_r0_and_a_synthetic_element(session, r, s, t):
+    r0 = session.r0(r, s, t)
+    synthetic = synthetic_element(r0.algebra)
+    for el in (r0, synthetic):
+        assert integer_ricci(el) == ref_ricci(el)
+        assert scalar(el) == ref_scalar(el)
+    m = r + s
+    assert scalar(r0) == 4 * m * (m + 2)
 
 
 def test_bianchi_equation_rows_hold_ints_only(session, space111, monkeypatch):

@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from berger_lab.exactlin import RealMatrix
-from berger_lab.liealg import build_glq, build_h0, build_sp
+from berger_lab import prolong
+from berger_lab.exactlin import RealMatrix, integer_row, sparse_nullspace
+from berger_lab.liealg import (ALGEBRA_NAMES, algebra_by_name, build_glq, build_h0,
+                             build_sp)
 from berger_lab.prolong import (first_prolongation, first_prolongation_of,
                                 restrict_action, second_prolongation)
 from berger_lab.quatspace import build_space
-from conftest import is_normal, second_prolongation_of
+from conftest import (SPARSE_CASES, dense_scan_prolongation,
+                      dense_scan_prolongation_rows, is_normal,
+                      second_prolongation_of, tier2)
 
 
 def full_gl(n):
@@ -135,3 +139,61 @@ def test_prolongation_json():
     assert (result.acting_dim, result.action_dim) == (2, 4)
     assert len(result.basis) == 6
     assert all(is_normal(v) for vec in result.basis for v in vec.values())
+
+
+# ---------------------------------------------------------------------------
+# the rows built from each map's nonzeros against the dense-scan reference
+# ---------------------------------------------------------------------------
+
+def assert_matches_the_dense_scan(action):
+    """`first_prolongation` hands the elimination the reference's rows, in
+    the reference's order, and returns the reference's kernel."""
+    seen = []
+
+    def capture(rows, ncols):
+        seen.append(list(rows))
+        return sparse_nullspace(seen[-1], ncols)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prolong, "sparse_nullspace", capture)
+        result = first_prolongation(action)
+    reference = filter(None, map(integer_row, dense_scan_prolongation_rows(action)))
+    assert [sorted(row.items()) for row in seen[0]] == [
+        sorted(row.items()) for row in reference]
+    assert list(result.basis) == dense_scan_prolongation(action)
+    return result
+
+
+def first_prolongation_maps(first):
+    """Each basis vector p_j of g^(1) as the dim g x dim V map
+    P_j[k, y] = p_j[y * dim g + k], the action whose first prolongation is
+    the second prolongation."""
+    dg, dv = first.action_dim, first.acting_dim
+    return [RealMatrix.from_sparse(dg, dv, {
+        (key % dg) * dv + key // dg: c for key, c in p.items()}) for p in first.basis]
+
+
+def check_prolongation_rows(name, r, s, t):
+    space = build_space(r, s, t)
+    algebra = algebra_by_name(name, space)
+    # g acting on V, for every algebra
+    assert_matches_the_dense_scan(list(algebra.basis))
+    if name in ("sp", "sp1+sp"):
+        return  # these move W
+    first = assert_matches_the_dense_scan(
+        restrict_action(algebra, space.isotropic_subspace_W()))
+    maps = first_prolongation_maps(first)
+    if maps:
+        second = assert_matches_the_dense_scan(maps)
+        assert second.basis == second_prolongation(first).basis
+
+
+@pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)
+def test_prolongation_rows_match_the_dense_scan(name, r, s, t):
+    check_prolongation_rows(name, r, s, t)
+
+
+@tier2
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_prolongation_rows_match_the_dense_scan_tier2(name):
+    check_prolongation_rows(name, 2, 2, 2)

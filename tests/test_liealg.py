@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -245,3 +246,85 @@ def test_algebra_json_shape():
     alg = build_sp1(space)
     assert alg.name == "sp(1)" and alg.dim == 3
     assert alg.basis[0] == space.I[0]
+
+
+# sha256 of repr([sorted(b.nz.items()) for b in alg.basis]): every basis
+# matrix of sp, sp_w (t >= 1) and glq (r = s = t), in basis order, for each
+# space with 1 <= r + s <= 4.  Reports and cache entries depend on this order.
+PINNED_BASES = {
+    ("sp", 0, 1, 0):
+        "a225614b95252d560ddfd676ededf36d4e344facefaf1c657e44a5d38610ebc0",
+    ("sp", 1, 0, 0):
+        "a225614b95252d560ddfd676ededf36d4e344facefaf1c657e44a5d38610ebc0",
+    ("sp", 0, 2, 0):
+        "17c12ce8cf0b2e6cc1aa79c70b4f036967da5af86e39a8545800b5a69d30bc1d",
+    ("sp", 1, 1, 0):
+        "442ba4f74e7ea5792121c943028f641725b1184be6eb0043d28c944bb4ca970c",
+    ("sp", 1, 1, 1):
+        "5ab62849caf073fafb2c23cec0c92a8b53b335407e041e976f9568d40a194986",
+    ("sp_w", 1, 1, 1):
+        "6a3bb41b7491cb4570da1768ab8375dc56a095ef5452d4cb2146f2c95c06354e",
+    ("glq", 1, 1, 1):
+        "554f0fb4b9bbcdc7e690b04c0fbc7890e109a202164eb82c4ad9f2124198b6a8",
+    ("sp", 2, 0, 0):
+        "17c12ce8cf0b2e6cc1aa79c70b4f036967da5af86e39a8545800b5a69d30bc1d",
+    ("sp", 0, 3, 0):
+        "b792c8dc1ee8e15bdecfb908675af421bbc46ff343aceb1b7416bb341f58079b",
+    ("sp", 1, 2, 0):
+        "dae6f55aab1a42f36a8dc096dd674e812d607214a5eb265c33d0f6f6c960186a",
+    ("sp", 1, 2, 1):
+        "c3b29b2460ab6a0eafff646d54a53804b717656af14b6c558ff52a435a7bf4de",
+    ("sp_w", 1, 2, 1):
+        "48de1c7ce797ba1ba37964161302945a881f6fb2fc587a2d2a7b424a3f92b2a1",
+    ("sp", 2, 1, 0):
+        "c04436949cc05e6c2b74e251b15db6b4ce09147bf2a37ca083dc70468be40d05",
+    ("sp", 2, 1, 1):
+        "34266f98527197df8ce825660370e335fc12098095e9b0e7c182ce1d00eba13c",
+    ("sp_w", 2, 1, 1):
+        "8d342dab450e91bc8507e03abb83544e4abe0805ed6ab230431874c5500a457c",
+    ("sp", 3, 0, 0):
+        "b792c8dc1ee8e15bdecfb908675af421bbc46ff343aceb1b7416bb341f58079b",
+    ("sp", 0, 4, 0):
+        "ebcc2fb359fbf2d12349ebbe08f7066e25f9e554a951a302da84d7ea438ac9c5",
+    ("sp", 1, 3, 0):
+        "2cc62a75f66762dbe5e56dc0a5a7528c543f3a7fd7f865674996ae6f2c4d03c4",
+    ("sp", 1, 3, 1):
+        "d4251192b4424ebc43eddfed8f57b265256290e33bfc1d5a110f679c1170b000",
+    ("sp_w", 1, 3, 1):
+        "b8021bfbebaa09bd81173b645f4954aaa6103947948bfb3cae978e9668b64bfe",
+    ("sp", 2, 2, 0):
+        "d61b897b93543a382a5f17cd33e14775b7d281bf852e22fcdacdca4bcc72e2ea",
+    ("sp", 2, 2, 1):
+        "9e73061c8ef9bd13023eeda2a640729fd00f50eda7a9e7d283449ee7df4b52d6",
+    ("sp_w", 2, 2, 1):
+        "433814dbf039e7f9cb668293d8a7204c722c03b71e8aa375d18eaaace718e07b",
+    ("sp", 2, 2, 2):
+        "c280f5295263cc60d83d4d9b92a684d2dd64d676a2c91cbf273247f72dd3cf67",
+    ("sp_w", 2, 2, 2):
+        "d8e15e8082d99d0625d9d49a34244672e478fa7f5f34da01377c7d5311b277d2",
+    ("glq", 2, 2, 2):
+        "1e7c2b08ea129f7b81e770ee03bbab6c934d24b02d7b3c02d2115315e37dfabe",
+    ("sp", 3, 1, 0):
+        "c7fe62d5048f7b2669d74f839367fd6322d5da9d1387ae3c8b664c918d5d4911",
+    ("sp", 3, 1, 1):
+        "d500d8d3fd6e02e5ea1538c013181db561770f2378ae85b5dc1957e3a49321e7",
+    ("sp_w", 3, 1, 1):
+        "041cc471b26a128cca4f998cafdd312c0bb7c256b6af6b1ef35ca11db31ab2fd",
+    ("sp", 4, 0, 0):
+        "ebcc2fb359fbf2d12349ebbe08f7066e25f9e554a951a302da84d7ea438ac9c5",
+}
+
+
+def test_pinned_bases_cover_every_small_space():
+    assert {(r, s, t) for _, r, s, t in PINNED_BASES} == {
+        (r, m - r, t) for m in range(1, 5) for r in range(m + 1)
+        for t in range(min(r, m - r) + 1)}
+
+
+@pytest.mark.parametrize("key,expected", PINNED_BASES.items(),
+                         ids=["-".join(map(str, key)) for key in PINNED_BASES])
+def test_basis_order_is_pinned(key, expected):
+    name, r, s, t = key
+    alg = algebra_by_name(name, build_space(r, s, t))
+    text = repr([sorted(b.nz.items()) for b in alg.basis])
+    assert hashlib.sha256(text.encode()).hexdigest() == expected

@@ -2,14 +2,13 @@
 
     berger-lab dim|curvature-space|prolongation|berger --algebra NAME
         [--r N --s N --t N --format json|csv|text --out PATH]
-        [--cache-dir PATH]    (all but prolongation)
         [--curvature]         (dim)
         [--order 1|2]         (prolongation)
     berger-lab verify-paper [--tier 1|2 --format json|csv|text --out PATH
         --cache-dir PATH --timings]
 
 Each command takes only the options it reads: verify-paper runs its own
-configurations, and prolongation reads no curvature space.  An option is
+configurations, and it alone reads a cache (--cache-dir).  An option is
 taken only when spelled in full: a prefix such as --curv is an
 unrecognised option, so a new option cannot change what an existing
 command line means.
@@ -43,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "candidates on pseudo-quaternionic-Hermitian spaces."))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, rst=True, cache=True):
+    def add_common(p, rst=True):
         if rst:
             p.add_argument("--r", type=int, default=1)
             p.add_argument("--s", type=int, default=1)
@@ -51,9 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt",
                        choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", help="write the output here instead of stdout")
-        if cache:
-            p.add_argument("--cache-dir",
-                           help="directory for cached curvature-space bases")
 
     def add_algebra(p):
         p.add_argument("--algebra", required=True,
@@ -73,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prol = sub.add_parser("prolongation", allow_abbrev=False,
                             help="prolongation of an algebra restricted to W")
-    add_common(p_prol, cache=False)
+    add_common(p_prol)
     add_algebra(p_prol)
     p_prol.add_argument("--order", type=int, choices=(1, 2), default=1)
 
@@ -85,6 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify-paper", allow_abbrev=False,
                               help="run the full verification suite")
     add_common(p_verify, rst=False)
+    p_verify.add_argument("--cache-dir",
+                          help="directory for cached curvature-space bases")
     p_verify.set_defaults(fmt="json")  # the report is JSON unless asked otherwise
     p_verify.add_argument("--tier", type=int, choices=(1, 2), default=1)
     p_verify.add_argument("--timings", action="store_true",
@@ -133,7 +131,7 @@ def _emit_row(row: dict, args: argparse.Namespace) -> None:
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
-    session = Session(cache_dir=args.cache_dir)
+    session = Session()
     alg = session.algebra(args.algebra, args.r, args.s, args.t)
     row = {"algebra": args.algebra, "r": args.r, "s": args.s,
            "t": args.t, "dim": alg.dim}
@@ -152,7 +150,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
 
 
 def cmd_curvature_space(args: argparse.Namespace) -> int:
-    session = Session(cache_dir=args.cache_dir)
+    session = Session()
     space = session.curvature(args.algebra, args.r, args.s, args.t)
     if args.fmt == "json":
         _emit(json.dumps(space.to_json(), sort_keys=True), args.out)
@@ -186,7 +184,7 @@ def cmd_prolongation(args: argparse.Namespace) -> int:
 
 
 def cmd_berger(args: argparse.Namespace) -> int:
-    session = Session(cache_dir=args.cache_dir)
+    session = Session()
     report = berger_report(
         session.curvature(args.algebra, args.r, args.s, args.t))
     if args.fmt == "json":

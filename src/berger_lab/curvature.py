@@ -182,7 +182,7 @@ class CurvatureSpace:
     """A space of curvature tensors with values in `algebra`, on
     `algebra.space`, given by the canonical RREF rows of its span in
     Sym^2(g), which it keeps as its coefficient subspace: the unknown
-    x_kl = S_kl, k <= l, is column l (l + 1) / 2 + k (`_sym2_unknowns`).
+    x_kl = S_kl, k <= l, is column l (l + 1) / 2 + k (`_sym2_col`).
     `dim` is their number, and `values` reads each row's tensor by
     bivector; no tensor object is built.  The rows are taken as they are:
     `bianchi_kernel` computes them, and `from_json` checks them first."""
@@ -290,10 +290,16 @@ def _sym2_dim(dimg: int) -> int:
     return dimg * (dimg + 1) // 2
 
 
+def _sym2_col(k: int, l: int) -> int:
+    """The column of the unknown x_kl = S_kl = S_lk of Sym^2(g):
+    l (l + 1) / 2 + k for k <= l."""
+    return l * (l + 1) // 2 + k if k <= l else k * (k + 1) // 2 + l
+
+
 def _sym2_unknowns(dimg: int) -> list[tuple[int, int]]:
-    """(k, l), k <= l, of the unknown x_kl = S_kl = S_lk at each column of
-    Sym^2(g): column l (l + 1) / 2 + k."""
-    return [(k, l) for l in range(dimg) for k in range(l + 1)]
+    """(k, l), k <= l, of the unknown at each column of Sym^2(g)."""
+    return sorted(((k, l) for k in range(dimg) for l in range(k, dimg)),
+                  key=lambda kl: _sym2_col(*kl))
 
 
 def _columns(algebra: LieAlgebra) -> tuple[int, tuple]:
@@ -408,9 +414,7 @@ def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
     x_kl = S_kl, k <= l, with one row per 4-set.  `sparse_nullspace`
     returns its canonical RREF rows, which are the space."""
     dimg = algebra.dim
-    # x_kl = x_lk is column l (l + 1) / 2 + k for k <= l
-    sym_col = [[l * (l + 1) // 2 + k if k <= l else k * (k + 1) // 2 + l
-                for l in range(dimg)] for k in range(dimg)]
+    sym_col = [[_sym2_col(k, l) for l in range(dimg)] for k in range(dimg)]
     rows = _wedge_rows(_pairing_table(algebra), algebra.space.real_dim, sym_col)
     return CurvatureSpace(algebra, sparse_nullspace(rows, _sym2_dim(dimg)))
 
@@ -777,7 +781,7 @@ def coefficients_over(curvature: CurvatureSpace, target: LieAlgebra) -> Subspace
     `target`; RREF is unique, so relabelling them is the whole computation.
     Any other target raises ValueError."""
     slots = block_slots(curvature.algebra, target)
-    column = [slots[l] * (slots[l] + 1) // 2 + slots[k]
+    column = [_sym2_col(slots[k], slots[l])
               for k, l in _sym2_unknowns(curvature.algebra.dim)]
     rows = [{column[j]: c for j, c in row.items()}
             for row in curvature.coefficient_subspace().sparse_rows()]

@@ -8,9 +8,15 @@ parametrization
     [ Y          A          X  ]      A in sp(r0,s0),
     [ D   -(E0 conj(Y))^t  -conj(C)^t ]   X,Y in Mat(r0+s0, t, H)
 
-with E0 = diag(-1 x r0, +1 x s0).  Basis enumeration order is fixed
-(C-block entries in row-major quaternion-component order, then B, then A,
-then X; the full algebra appends Y, then D) so reports are reproducible.
+with E0 = diag(-1 x r0, +1 x s0).  One rule builds every block: the
+quaternionic Gram matrix pairs each basis vector a with one vector
+sigma(a), with sign g_a, so an entry c at (a, b) forces the entry
+-g_a g_b conj(c) at (sigma(b), sigma(a)).  `_sp_entries` walks the blocks
+C, B, A, X, Y, D in that order and yields each entry with its partner;
+that fixed order is the basis order, so reports are reproducible.  The
+W-preserving algebras are filters of it: sp(r,s)_W keeps the elements
+that map W into W (C, B, A, X), and gl(r,H) those that also map W1 into
+W1 (C).
 
 Algebra equality means equality of matrix spans, not basis lists.
 """
@@ -36,7 +42,9 @@ __all__ = [
 ]
 
 _COMPONENTS = (Quaternion.one(), Quaternion.i(), Quaternion.j(), Quaternion.k())
-_IMAGINARY = (Quaternion.i(), Quaternion.j(), Quaternion.k())
+_IMAGINARY = _COMPONENTS[1:]
+# each unit c beside -g conj(c), the partner of c when g_a g_b = g
+_PAIRS = {g: [(c, -g * c.conjugate()) for c in _COMPONENTS] for g in (1, -1)}
 
 
 def sp_dimension(r: int, s: int) -> int:
@@ -115,97 +123,54 @@ class LieAlgebra:
                              for row in self._augmented().sparse_rows()])
 
 
-def _witt_index_maps(space: QuaternionicSpace):
-    t, n0 = space.t, space.m - 2 * space.t
-    p = lambda i: i
-    e = lambda i: t + i
-    q = lambda i: t + n0 + i
-    return p, e, q
+def _sp_entries(space: QuaternionicSpace):
+    """Each basis element of sp(r, s) as its quaternion entries
+    {(a, b): c}, in basis order: the blocks C, B, A, X, Y, D, each read
+    row-major, c running over 1, i, j, k, each entry with its partner.
+    conj(M)^t G + G M = 0 is that partner rule, G pairing a with sigma(a)
+    alone, with sign g_a.  An entry that is its own partner is imaginary,
+    and a block that is its own partner (B, A, D) is read on and above its
+    diagonal."""
+    sigma = {a: (b, g) for (a, b), g in space.gram.items()}
+    t, m = space.t, space.m
+    p, e, q = range(t), range(t, m - t), range(m - t, m)
+    for rows, cols in ((p, p), (p, q), (e, e), (e, q), (e, p), (q, p)):
+        for a in rows:
+            for b in cols:
+                (sa, ga), (sb, gb) = sigma[a], sigma[b]
+                if (sb, sa) == (a, b):
+                    for c in _IMAGINARY:
+                        yield {(a, b): c}
+                elif not (sb in rows and sa in cols and (sb, sa) < (a, b)):
+                    for c, partner in _PAIRS[ga * gb]:
+                        yield {(a, b): c, (sb, sa): partner}
 
 
-def _e0_signs(space: QuaternionicSpace) -> list[int]:
-    r0 = space.r - space.t
-    s0 = space.s - space.t
-    return [-1] * r0 + [1] * s0
-
-
-def _c_family(space):
-    """C in Mat(t,H) paired with -conj(C)^t in the opposite corner."""
-    t = space.t
-    p, _, q = _witt_index_maps(space)
-    for i in range(t):
-        for j in range(t):
-            for c in _COMPONENTS:
-                yield {(p(i), p(j)): c, (q(j), q(i)): -c.conjugate()}
-
-
-def _anti_hermitian_family(space, row_of, col_of):
-    """S(t,H) = {B : conj(B)^t = -B} placed at (row_of, col_of) corners."""
-    t = space.t
-    for i in range(t):
-        for c in _IMAGINARY:
-            yield {(row_of(i), col_of(i)): c}
-        for j in range(i + 1, t):
-            for c in _COMPONENTS:
-                yield {(row_of(i), col_of(j)): c,
-                       (row_of(j), col_of(i)): -c.conjugate()}
-
-
-def _a_family(space):
-    """sp(r0, s0) block on the e-basis."""
-    _, e, _ = _witt_index_maps(space)
-    eps = _e0_signs(space)
-    n0 = len(eps)
-    for i in range(n0):
-        for c in _IMAGINARY:
-            yield {(e(i), e(i)): c}
-        for j in range(i + 1, n0):
-            for c in _COMPONENTS:
-                yield {(e(i), e(j)): c,
-                       (e(j), e(i)): -eps[i] * eps[j] * c.conjugate()}
-
-
-def _mixed_family(space, col_of, row_of):
-    """Mat(r0+s0, t, H) at (e, col_of) corners with the forced
-    -(E0 conj(.))^t partner at (row_of, e): X for (q, p), Y for (p, q)."""
-    _, e, _ = _witt_index_maps(space)
-    eps = _e0_signs(space)
-    for i in range(len(eps)):
-        for j in range(space.t):
-            for c in _COMPONENTS:
-                yield {(e(i), col_of(j)): c,
-                       (row_of(j), e(i)): -eps[i] * c.conjugate()}
-
-
-def _parabolic_families(space):
-    """The blocks C, B, A, X, in basis order."""
-    p, _, q = _witt_index_maps(space)
-    yield from _c_family(space)
-    yield from _anti_hermitian_family(space, p, q)   # B block
-    yield from _a_family(space)
-    yield from _mixed_family(space, q, p)            # X block
+def _maps_into(entries: dict, sub: range) -> bool:
+    """True iff the matrix with these entries maps the span of the basis
+    vectors in `sub` into itself: an entry in a `sub` column sits in a
+    `sub` row."""
+    return all(a in sub for a, b in entries if b in sub)
 
 
 def build_sp(space: QuaternionicSpace) -> LieAlgebra:
     """Realification of sp(r, s): all H-linear maps skew-Hermitian for the
     quaternionic form; dim = (r+s)(2(r+s)+1)."""
-    p, _, q = _witt_index_maps(space)
-    fams = [*_parabolic_families(space),
-            *_mixed_family(space, p, q),               # Y block
-            *_anti_hermitian_family(space, q, p)]      # D block
     alg = LieAlgebra(f"sp({space.r},{space.s})", space,
-                     [realify(space.m, f) for f in fams])
+                     [realify(space.m, f) for f in _sp_entries(space)])
     assert alg.dim == sp_dimension(space.r, space.s)
     return alg
 
 
 def build_sp_parabolic(space: QuaternionicSpace) -> LieAlgebra:
     """The maximal subalgebra of sp(r, s) preserving the isotropic part W:
-    blocks C, B, A, X with the lower-left corner zero."""
+    the basis elements of sp that map W into W (blocks C, B, A, X)."""
     if space.t < 1:
         raise ValueError("parabolic subalgebra requires t >= 1")
+    w = range(space.t)
     alg = LieAlgebra(f"sp({space.r},{space.s})_W", space,
-                     [realify(space.m, f) for f in _parabolic_families(space)])
+                     [realify(space.m, f) for f in _sp_entries(space)
+                      if _maps_into(f, w)])
     assert alg.dim == sp_parabolic_dimension(space.r, space.s, space.t)
     return alg
 
@@ -217,10 +182,13 @@ def build_sp1(space: QuaternionicSpace) -> LieAlgebra:
 
 
 def build_glq(space: QuaternionicSpace) -> LieAlgebra:
-    """gl(r, H) embedded as diag(C, -conj(C)^t); requires r = s = t."""
+    """gl(r, H) embedded as diag(C, -conj(C)^t): the basis elements of sp
+    that preserve both W and W1 (block C); requires r = s = t."""
     if not (space.r == space.s == space.t >= 1):
         raise ValueError("gl(r,H) block algebra requires r = s = t >= 1")
-    basis = [realify(space.m, f) for f in _c_family(space)]
+    w, w1 = range(space.t), range(space.m - space.t, space.m)
+    basis = [realify(space.m, f) for f in _sp_entries(space)
+             if _maps_into(f, w) and _maps_into(f, w1)]
     alg = LieAlgebra(f"gl({space.r},H)", space, basis)
     assert alg.dim == 4 * space.r * space.r
     return alg

@@ -128,13 +128,13 @@ class QuaternionicSpace:
     """Signature-(r,s) quaternionic Hermitian space realified to R^{4m}.
 
     `t` is the quaternionic dimension of the isotropic Witt part W (0 for
-    a non-degenerate diagonal basis).  `eta` is the realified Gram matrix
-    of the Witt basis (the real part of the Hermitian form), a signed
+    a non-degenerate diagonal basis).  `gram` is the Gram matrix of the
+    Witt basis, {(i, j): +-1}, and `eta` its realification, a signed
     permutation matrix with eta*eta = 1; `I1, I2, I3` the structure triple
     given by right scalar multiplication (I3 = I1*I2).
     """
 
-    __slots__ = ("r", "s", "t", "m", "real_dim", "eta", "I")
+    __slots__ = ("r", "s", "t", "m", "real_dim", "gram", "eta", "I")
 
     def __init__(self, r: int, s: int, t: int):
         if r < 0 or s < 0 or r + s < 1:
@@ -156,6 +156,7 @@ class QuaternionicSpace:
             gram[(i, t + n0 + i)] = gram[(t + n0 + i, i)] = 1
         for i in range(n0):
             gram[(t + i, t + i)] = -1 if i < r0 else 1
+        object.__setattr__(self, "gram", gram)
 
         n = 4 * m
         eta = {(4 * i + a) * n + 4 * j + a: g

@@ -421,10 +421,13 @@ def test_cli_bad_config_exits_2(capsys):
     ["verify-paper", "--r", "0", "--s", "0", "--t", "5"],
     ["verify-paper", "--r", "0"], ["verify-paper", "--s", "0"],
     ["verify-paper", "--t", "5"],  # no prefix match of --tier or --timings
-    ["prolongation", "--algebra", "glq", "--cache-dir", "cache"]])
+    ["prolongation", "--algebra", "glq", "--cache-dir", "cache"],
+    ["dim", "--algebra", "h0", "--curvature", "--cache-dir", "cache"],
+    ["curvature-space", "--algebra", "h0", "--cache-dir", "cache"],
+    ["berger", "--algebra", "h0", "--cache-dir", "cache"]])
 def test_cli_refuses_an_option_the_command_does_not_read(capsys, argv):
-    # verify-paper runs its own configurations; prolongation reads no
-    # curvature space
+    # verify-paper runs its own configurations, and only verify-paper
+    # reads a cache
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

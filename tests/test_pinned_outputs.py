@@ -61,9 +61,11 @@ PINNED_CASE_SPLITS = {
     (1, 1, 1): "7ec7b81aa8c6e212d1e473c432ab97c9bf97ed3d13c088a02c1bb61ee9b3316a",
     (1, 2, 1): "d90b44b7d3ad8a33fe74951f01ae115299b6e5b9f007e5e8ca29fdfaae440b62",
     (1, 3, 1): "f2d975b53d86e430117fb18b77b2aa623098ab1131b76c41180d4cd7e150b6a9",
-    (2, 2, 1): "858707ca0486bc28c3c36f088b71ddb0214f7baf3cd45708611edb3ee5aa6b27",
     (2, 2, 2): "aecdbb22c04f516dfdd9e323ec7445a46953fdf029856d341f15a0dce280cf88",
     (2, 3, 1): "a493e15e1370d6070b0523602093fa1940eb043d63ad4fcc1b9278ca114e5c3a",
+    # r = s, t < r, where sp_w has both A and X blocks; listed last so the
+    # cases above keep their test ids
+    (2, 2, 1): "858707ca0486bc28c3c36f088b71ddb0214f7baf3cd45708611edb3ee5aa6b27",
     (3, 3, 2): "0b40b4d23ff3aec73c97f4921b4ffda4ae07dc77a04ab6513fd66a0db58dfd13",
 }
 

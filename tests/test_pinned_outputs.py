@@ -6,8 +6,10 @@ space JSON hold only dimensions, booleans and canonical rows, and the
 internal representation must leave them byte-identical.  The digests were
 taken from the tree before curvature spaces became their canonical
 Sym^2(g) rows, and those of `berger` from the tree before a curvature
-space stopped building its basis tensors.  A change that alters one of these outputs on purpose
-(a new check, a new tool version) updates its digest and says why.
+space stopped building its basis tensors; that of the tier-2 report, whose
+(2,2,2) R0 reads every I_alpha, from the tree before matrix entries became
+signed units.  A change that alters one of these outputs on purpose (a new
+check, a new tool version) updates its digest and says why.
 """
 
 import hashlib
@@ -36,6 +38,8 @@ def berger(algebra, r, s, t):
 PINNED_CLI = {
     ("verify-paper", "--tier", "1", "--format", "json"):
         "88764f103ccd2d718fde429060d8f2b7b52fd535c405b365f56e34e43f64801e",
+    ("verify-paper", "--tier", "2", "--format", "json"):
+        "230a7770a69c3acbcd92e5cfcd2de6f29b4f9c1b32d9fd72a683a6073697d108",
     curvature_space("h0", 1, 1, 1):
         "eb78ec8bc92912292a05f2a83e84a147af80a7dcb9ea20806f2fc6f569ff5915",
     curvature_space("sp_w", 1, 1, 1):
@@ -63,20 +67,24 @@ PINNED_CASE_SPLITS = {
     (1, 3, 1): "f2d975b53d86e430117fb18b77b2aa623098ab1131b76c41180d4cd7e150b6a9",
     (2, 2, 2): "aecdbb22c04f516dfdd9e323ec7445a46953fdf029856d341f15a0dce280cf88",
     (2, 3, 1): "a493e15e1370d6070b0523602093fa1940eb043d63ad4fcc1b9278ca114e5c3a",
-    # r = s, t < r, where sp_w has both A and X blocks; listed last so the
-    # cases above keep their test ids
+    # r = s, t < r, where sp_w has both A and X blocks
     (2, 2, 1): "858707ca0486bc28c3c36f088b71ddb0214f7baf3cd45708611edb3ee5aa6b27",
     (3, 3, 2): "0b40b4d23ff3aec73c97f4921b4ffda4ae07dc77a04ab6513fd66a0db58dfd13",
 }
 
 
-@pytest.mark.parametrize("argv,expected", PINNED_CLI.items())
+# each test id names its argv or configuration alone, so adding a pin or
+# changing a digest renames no other test
+@pytest.mark.parametrize("argv,expected", PINNED_CLI.items(),
+                         ids=["-".join(a.lstrip("-") for a in argv)
+                              for argv in PINNED_CLI])
 def test_cli_output_is_pinned(capsys, argv, expected):
     assert main(list(argv)) == 0
     assert digest(capsys.readouterr().out) == expected
 
 
-@pytest.mark.parametrize("config,expected", PINNED_CASE_SPLITS.items())
+@pytest.mark.parametrize("config,expected", PINNED_CASE_SPLITS.items(),
+                         ids=["-".join(map(str, c)) for c in PINNED_CASE_SPLITS])
 def test_case_split_report_is_pinned(config, expected):
     report = holonomy_case_split(*config)
     assert digest(json.dumps(report.to_json(), sort_keys=True)) == expected

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,48 @@ def test_structure_preserves_witt_blocks(r, s, t):
         for block in blocks:
             for v in block.sparse_rows():
                 assert block.contains_vector(ia.apply(v))
+
+
+# sha256 of repr([sorted(m.nz.items()) for m in (eta, I1, I2, I3)]) for each
+# space with 1 <= r + s <= 4: R0 and the scalar do not see the sign of I3,
+# so these pin the structure data itself.
+PINNED_STRUCTURE = {
+    (0, 1, 0): "0b633c21d9e967459bb383bcf112d92bf437336525a2fa204df2f6e5cd1a0034",
+    (1, 0, 0): "f1a39502521406b38b3da8f3eedc49f1a6eef00bb81c93d5f18dac8d874760ea",
+    (0, 2, 0): "02a9042c3e3e35727da8bc77703abc447176b8a2efc635ceaea48300f4c733df",
+    (1, 1, 0): "8a075402b0a8e517ef286f6487ce825d38e8499b98a1618f85b7c0134a9d870a",
+    (1, 1, 1): "c9ad1fc682d34c1b41e37e72fb792b4116e78f209206f3dccfcab2dfa8176e8b",
+    (2, 0, 0): "b387dfee69c95092cd4566a94154ac529da6db3dea655b4bbc5f98790f5a58fa",
+    (0, 3, 0): "4e63f207c2184850631278f36c34212f4e1b9ba5dc165716586df0014644841a",
+    (1, 2, 0): "688e7a5b68a27f6ed492ca97f5b90cb7302b0bbfe0c6ace3749995df0a84b6f1",
+    (1, 2, 1): "f75e77723e0d4fb802c656bc42608663970497a9948f9c27854713d521b1733f",
+    (2, 1, 0): "814e58f717743b105f29ae8222c2bfe4c9f13b10025eda511147e265f3c77111",
+    (2, 1, 1): "a1f8cfd4ab6fe65feb209938a9f51a04c40dae1fa93b6b197e78b5db00b447a3",
+    (3, 0, 0): "14cb7b3bffc5b9540dc256d81bf2f84e71b5bdef3c26f2f17b002b863cbe8ef0",
+    (0, 4, 0): "f219176dd0477bab7fcbf15aa9699da32a81d796e930e44911b45a48e6943cea",
+    (1, 3, 0): "92df8184949e9e72f5c0da271ca8769f69152ad5a349cd025711ea4ee47da119",
+    (1, 3, 1): "d53a2afc8cfa58fb3e5487389173df94fef79da8adc30e239f17a33e3cfbc282",
+    (2, 2, 0): "bb6481ae362d873074e94708ab2ab4d7bf55e91f958c5337a02b02ee551c7ef9",
+    (2, 2, 1): "25ce9c085310e016b5b0c76b97702c86b1e571762290263183bb73acf42a0010",
+    (2, 2, 2): "0bbe28d3ccb782dd28e494d8d7682f36cd091c3ca9ff0b4ee37d816b0c41410b",
+    (3, 1, 0): "6c207288bf155144430e99accc845ee823daad6f3cba9e4c46303c1d83955f23",
+    (3, 1, 1): "1bcd79b92f07b9a825cdf63ddb6ae73e0f6e1286cd5f5645e7d151a9a131435a",
+    (4, 0, 0): "234a3bad922a7fbf75c52f0eed58177c7553507b0dea5c2298122b2c584fa9e5",
+}
+
+
+def test_pinned_structure_covers_every_small_space():
+    assert set(PINNED_STRUCTURE) == {
+        (r, m - r, t) for m in range(1, 5) for r in range(m + 1)
+        for t in range(min(r, m - r) + 1)}
+
+
+@pytest.mark.parametrize("config,expected", PINNED_STRUCTURE.items(),
+                         ids=["-".join(map(str, c)) for c in PINNED_STRUCTURE])
+def test_structure_data_is_pinned(config, expected):
+    space = build_space(*config)
+    text = repr([sorted(m.nz.items()) for m in (space.eta, *space.I)])
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 def test_space_json_shape():

@@ -48,12 +48,12 @@ basis is independent, and R(X, Y)p as column p of the integer value
 Integer inner loops: R0, Ricci, the scalar, pair symmetry, the
 first-Bianchi equations, the Bianchi residual and `values` multiply and
 add Python ints only.  eta and the I_alpha are read as signed
-permutations (`_signed_permutation`, which raises on anything else; there
-is no fallback), the basis columns come from `_columns` times one lcm per
-algebra, the 2-forms omega_k from `_pairing_table` on those columns, and a
-tensor's rows from `_integer_rows` times one lcm per element; each
-canonical row is cleared by `integer_row` before `values` maps it, so
-every reader of a space takes integer rows.  The algebra keeps its column
+permutations (`exactlin.signed_permutation`, which raises on anything
+else; there is no fallback), the basis columns come from `_columns` times
+one lcm per algebra, the 2-forms omega_k from `_pairing_table` on those
+columns, and a tensor's rows from `_integer_rows` times one lcm per
+element; each canonical row is cleared by `integer_row` before `values`
+maps it, so every reader of a space takes integer rows.  The algebra keeps its column
 and 2-form tables once they are built (`LieAlgebra.kept`), so each is
 built once per algebra, however many checks read it; a refusal (a basis
 matrix that is not eta-skew) is not kept.  The residual, Ricci and the
@@ -78,7 +78,7 @@ from typing import NamedTuple
 
 from .exactlin import (RealMatrix, Subspace, canonical_rows, check_canonical,
                        integer_row, rat_from_str, rat_to_str, ratio,
-                       sparse_nullspace)
+                       signed_permutation, sparse_nullspace)
 from .liealg import LieAlgebra
 from .quatspace import QuaternionicSpace
 
@@ -156,14 +156,6 @@ class CurvatureElement:
 
     def is_zero(self) -> bool:
         return not self.rows
-
-    def __eq__(self, other):
-        return (isinstance(other, CurvatureElement)
-                and self.algebra.name == other.algebra.name
-                and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash(tuple((ib, tuple(row.items())) for ib, row in self.rows.items()))
 
     def __repr__(self):
         return f"CurvatureElement(algebra={self.algebra.name!r})"
@@ -333,19 +325,6 @@ def _integer_rows(element: CurvatureElement) -> tuple[int, dict[int, dict]]:
                    for ib, row in element.rows.items()}
 
 
-def _signed_permutation(m: RealMatrix) -> dict[int, tuple[int, int]]:
-    """{col: (row, +-1)} for a signed permutation matrix such as eta and
-    the I_alpha; raises ValueError for a column with more than one entry
-    or an entry other than +-1."""
-    perm = {}
-    for pos, v in m.nz.items():
-        row, col = divmod(pos, m.cols)
-        if col in perm or v not in (1, -1):
-            raise ValueError("expected a signed permutation matrix")
-        perm[col] = (row, int(v))
-    return perm
-
-
 def _value(row: Mapping, cols: tuple) -> dict[int, dict]:
     """sum_k row[k] B_k by column, {c: {d: value}}, for cols of `_columns`
     (so times its factor), over ints when the row is integral.  Only the
@@ -449,7 +428,7 @@ def bianchi_residual_is_zero(element) -> bool:
 
 def _wedge_matrix(n: int, eta: dict, u: dict, v: dict) -> dict:
     """(u ^ v) Z = eta(v, Z) u - eta(u, Z) v, as {row * n + col: value},
-    for sparse vectors u and v and eta given by `_signed_permutation` (ints
+    for sparse vectors u and v and eta given by `signed_permutation` (ints
     give ints).
 
     This orientation of the wedge is the unique one under which the model
@@ -477,8 +456,8 @@ def _r0_values(space: QuaternionicSpace, pairs):
     yielded as the integral matrix 4 R0(e_a, e_b), built over ints from the
     signed permutations eta and I_alpha, read once."""
     n = space.real_dim
-    eta = _signed_permutation(space.eta)
-    structure = [_signed_permutation(ialpha) for ialpha in space.I]
+    eta = signed_permutation(space.eta)
+    structure = [signed_permutation(ialpha) for ialpha in space.I]
     for a, b in pairs:
         out = _wedge_matrix(n, eta, {a: 1}, {b: 1})
         for perm in structure:
@@ -553,7 +532,7 @@ def scalar(element: CurvatureElement) -> int | Fraction:
     den, ric = _integer_ricci(element)
     # eta[b, c] = e for each column c
     total = sum(e * ric.get(c * n + b, 0)
-                for c, (b, e) in _signed_permutation(element.space.eta).items())
+                for c, (b, e) in signed_permutation(element.space.eta).items())
     return ratio(total, den)
 
 
@@ -694,7 +673,7 @@ def _pairing_table(algebra: LieAlgebra) -> tuple[dict, ...]:
 
 def _build_pairing_table(algebra: LieAlgebra) -> tuple[dict, ...]:
     n = algebra.space.real_dim
-    eta = _signed_permutation(algebra.space.eta)
+    eta = signed_permutation(algebra.space.eta)
     _, cols = _columns(algebra)
     table = []
     for columns in cols:

@@ -17,13 +17,16 @@ only, and a vector is a {index: value} mapping of its nonzeros.
 deterministic, so echelon forms are unique and subspace bases are
 canonical: two subspaces are equal iff their stored rows are equal.
 
-Every elimination runs on one engine, `Echelon`, over sparse rows of
-primitive integers (fraction-free, per-row gcd normalization).  That is an
-optimization only; observable results are identical to naive
-Fraction-based Gauss-Jordan.  Rational rows enter it through
-`integer_row`, the one place denominators are cleared.  Spans,
+Every elimination runs on one engine, `Echelon`, with no exception, over
+sparse rows of primitive integers (fraction-free, per-row gcd
+normalization).  That is an optimization only; observable results are
+identical to naive Fraction-based Gauss-Jordan.  Rational rows enter it
+through `integer_row`, the one place denominators are cleared.  Spans,
 independence and coordinates are all answered by `Echelon`, `span_of` and
-`Subspace.reduce_vector`.
+`Subspace.reduce_vector`.  The one symmetric form whose signature is
+asked for, eta, is a signed permutation, so `symmetric_signature` counts
+it from `signed_permutation`, the one reader of such a matrix, and
+eliminates nothing.
 
 `Echelon` pivots each row at its largest column.  Kernels come out
 canonical from one elimination: in `sparse_nullspace` every reduced pivot
@@ -72,6 +75,7 @@ __all__ = [
     "rat_from_str",
     "rat_to_str",
     "span_of",
+    "signed_permutation",
     "symmetric_signature",
     "sparse_nullspace",
     "canonical_rows",
@@ -250,9 +254,6 @@ class RealMatrix:
 
     def is_zero(self) -> bool:
         return not self.nz
-
-    def is_symmetric(self) -> bool:
-        return self == self.transpose()
 
     def commutator(self, other: "RealMatrix") -> "RealMatrix":
         return self * other - other * self
@@ -559,40 +560,29 @@ def span_of(vectors: Iterable[Mapping], ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, canonical_rows(sparse))
 
 
-def symmetric_signature(m: RealMatrix) -> tuple[int, int]:
-    """Sign count (negatives, positives) of a symmetric matrix.
+def signed_permutation(m: RealMatrix) -> dict[int, tuple[int, int]]:
+    """{col: (row, +-1)} for a signed permutation matrix such as eta and
+    the I_alpha; raises ValueError for a column with more than one entry
+    or an entry other than +-1."""
+    perm = {}
+    for pos, v in m.nz.items():
+        row, col = divmod(pos, m.cols)
+        if col in perm or v not in (1, -1):
+            raise ValueError("expected a signed permutation matrix")
+        perm[col] = (row, v)
+    return perm
 
-    Computed by congruent diagonalization; raises if the matrix is not
-    symmetric.  Zero diagonal entries after diagonalization are counted in
-    neither slot (degenerate directions).
-    """
-    if not m.is_symmetric():
+
+def symmetric_signature(m: RealMatrix) -> tuple[int, int]:
+    """Sign count (negatives, positives) of a symmetric signed permutation
+    matrix, such as eta.  A fixed point adds its sign, and each 2-cycle is
+    a hyperbolic plane, which adds one of each sign; a zero column is a
+    degenerate direction, counted in neither slot.  Raises ValueError if
+    the matrix is not symmetric or not a signed permutation."""
+    perm = signed_permutation(m)
+    if m.rows != m.cols or any(perm.get(row) != (col, sign)
+                               for col, (row, sign) in perm.items()):
         raise ValueError("matrix is not symmetric")
-    n = m.rows
-    a = [[m[i, j] for j in range(n)] for i in range(n)]
-    neg = pos = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            # bring a nonzero onto the diagonal: row/col i += row/col j
-            for j in range(i + 1, n):
-                if a[i][j] != 0:
-                    for c in range(n):
-                        a[i][c] += a[j][c]
-                    for r in range(n):
-                        a[r][i] += a[r][j]
-                    break
-        pv = a[i][i]
-        if pv == 0:
-            continue
-        if pv > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(i + 1, n):
-            if a[j][i] != 0:
-                f = Fraction(a[j][i], pv)
-                for c in range(n):
-                    a[j][c] -= f * a[i][c]
-                for r in range(n):
-                    a[r][j] -= f * a[r][i]
-    return neg, pos
+    fixed = [sign for col, (row, sign) in perm.items() if row == col]
+    planes = (len(perm) - len(fixed)) // 2
+    return fixed.count(-1) + planes, fixed.count(1) + planes

@@ -387,7 +387,8 @@ def check_prolongations(session: Session, tier: int) -> CheckResult:
     for r in (1, 2):
         space = session.space(r, r, r)
         glq = session.algebra("glq", r, r, r)
-        first = prolong.first_prolongation_of(glq, space.isotropic_subspace_W())
+        first = prolong.first_prolongation(
+            prolong.restrict_action(glq, space.isotropic_subspace_W()))
         results[f"first_gl({r},H)"] = first.dim
         ok = ok and first.dim == 0
     space1 = session.space(1, 1, 1)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .exactlin import (RealMatrix, Subspace, integer_row, span_of,
                        sparse_nullspace)
-from .quatspace import Quaternion, QuaternionicSpace, realify
+from .quatspace import QuaternionicSpace, conjugate, realify
 
 __all__ = [
     "LieAlgebra",
@@ -41,10 +41,12 @@ __all__ = [
     "sp_parabolic_dimension",
 ]
 
-_COMPONENTS = (Quaternion.one(), Quaternion.i(), Quaternion.j(), Quaternion.k())
+# the units 1, i, j, k as signed units (u, sign)
+_COMPONENTS = tuple((u, 1) for u in range(4))
 _IMAGINARY = _COMPONENTS[1:]
 # each unit c beside -g conj(c), the partner of c when g_a g_b = g
-_PAIRS = {g: [(c, -g * c.conjugate()) for c in _COMPONENTS] for g in (1, -1)}
+_PAIRS = {g: [(c, (c[0], -g * conjugate(c)[1])) for c in _COMPONENTS]
+          for g in (1, -1)}
 
 
 def sp_dimension(r: int, s: int) -> int:
@@ -124,7 +126,7 @@ class LieAlgebra:
 
 
 def _sp_entries(space: QuaternionicSpace):
-    """Each basis element of sp(r, s) as its quaternion entries
+    """Each basis element of sp(r, s) as its signed-unit entries
     {(a, b): c}, in basis order: the blocks C, B, A, X, Y, D, each read
     row-major, c running over 1, i, j, k, each entry with its partner.
     conj(M)^t G + G M = 0 is that partner rule, G pairing a with sigma(a)

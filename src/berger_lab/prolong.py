@@ -24,7 +24,6 @@ __all__ = [
     "restrict_action",
     "first_prolongation",
     "second_prolongation",
-    "first_prolongation_of",
 ]
 
 
@@ -124,7 +123,3 @@ def second_prolongation(first: ProlongationSpace) -> ProlongationSpace:
             nz[k * dv + y] = c
         maps.append(RealMatrix.from_sparse(dg, dv, nz))
     return first_prolongation(maps)._replace(order=2)
-
-
-def first_prolongation_of(g: LieAlgebra, v: Subspace) -> ProlongationSpace:
-    return first_prolongation(restrict_action(g, v))

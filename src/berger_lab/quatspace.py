@@ -10,118 +10,65 @@ and <e_i,e_i> = -1 (i <= r0), +1 otherwise.
 Realification lists, for each quaternionic basis vector u, the real
 vectors u, u*i, u*j, u*k consecutively, so the real Gram matrix is the
 quaternionic Gram tensored with the 4x4 identity and all structure data
-is block-structured.  A `Quaternion` is only a matrix entry: the builders
-negate, conjugate and scale the unit quaternions, and every product is
-taken after realification, between real matrices.
+is block-structured.  A matrix entry is a signed unit (u, sign), sign * e_u
+for the units e_0 = 1, e_1 = i, e_2 = j, e_3 = k, and `_HAMILTON` is the
+one table of their products: each realified block, like the structure
+triple, is a signed permutation read from it.
 """
 
 from __future__ import annotations
 
-from .exactlin import RealMatrix, Subspace, exact, span_of
+from .exactlin import RealMatrix, Subspace, span_of
 
 __all__ = [
-    "Quaternion",
     "QuaternionicSpace",
+    "conjugate",
     "realify",
-    "left_mult_matrix",
-    "right_mult_matrix",
     "build_space",
 ]
 
+# _HAMILTON[u][v] = (w, sign): e_u e_v = sign e_w
+_HAMILTON = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, -1), (3, 1), (2, -1)),
+    ((2, 1), (3, -1), (0, -1), (1, 1)),
+    ((3, 1), (2, 1), (1, -1), (0, -1)),
+)
 
-class Quaternion:
-    """Quaternion with rational coefficients of 1, i, j, k, each kept in
-    the exact normal form of `exactlin.exact` (an int when integral)."""
-
-    __slots__ = ("w", "x", "y", "z")
-
-    def __init__(self, w=0, x=0, y=0, z=0):
-        object.__setattr__(self, "w", exact(w))
-        object.__setattr__(self, "x", exact(x))
-        object.__setattr__(self, "y", exact(y))
-        object.__setattr__(self, "z", exact(z))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, Quaternion)
-                and self.components() == other.components())
-
-    def __hash__(self):
-        return hash(self.components())
-
-    def __repr__(self):
-        return "Quaternion(w={!r}, x={!r}, y={!r}, z={!r})".format(
-            *self.components())
-
-    @classmethod
-    def one(cls) -> "Quaternion":
-        return cls(1, 0, 0, 0)
-
-    @classmethod
-    def i(cls) -> "Quaternion":
-        return cls(0, 1, 0, 0)
-
-    @classmethod
-    def j(cls) -> "Quaternion":
-        return cls(0, 0, 1, 0)
-
-    @classmethod
-    def k(cls) -> "Quaternion":
-        return cls(0, 0, 0, 1)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __rmul__(self, o):
-        c = exact(o)
-        return Quaternion(self.w * c, self.x * c, self.y * c, self.z * c)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def components(self) -> tuple:
-        return (self.w, self.x, self.y, self.z)
+# the 4x4 matrices of x -> e_u x and x -> x e_u on coordinates (w, x, y, z),
+# as [(row, col, sign)] in row-major order
+_LEFT = [sorted((w, b, s) for b, (w, s) in enumerate(_HAMILTON[u]))
+         for u in range(4)]
+_RIGHT = [sorted((w, b, s) for b in range(4) for w, s in [_HAMILTON[b][u]])
+          for u in range(4)]
 
 
-def left_mult_matrix(q: Quaternion) -> RealMatrix:
-    """4x4 matrix of v -> q*v on coordinates (w, x, y, z)."""
-    a, b, c, d = q.components()
-    return RealMatrix.from_rows([
-        [a, -b, -c, -d],
-        [b, a, -d, c],
-        [c, d, a, -b],
-        [d, -c, b, a],
-    ])
+def conjugate(unit: tuple[int, int]) -> tuple[int, int]:
+    """The quaternion conjugate of the signed unit (u, sign)."""
+    u, sign = unit
+    return u, sign if u == 0 else -sign
 
 
-def right_mult_matrix(q: Quaternion) -> RealMatrix:
-    """4x4 matrix of v -> v*q on coordinates (w, x, y, z)."""
-    a, b, c, d = q.components()
-    return RealMatrix.from_rows([
-        [a, -b, -c, -d],
-        [b, a, d, -c],
-        [c, -d, a, b],
-        [d, c, -b, a],
-    ])
+def _realified(m: int, entries: dict, blocks) -> RealMatrix:
+    """The 4m x 4m matrix that puts, for each entry (i, j): (u, sign), sign
+    times blocks[u] at block (i, j); entries are read in (i, j) order, each
+    block row by row."""
+    n = 4 * m
+    out = {}
+    for (i, j), (u, sign) in sorted(entries.items()):
+        for a, b, s in blocks[u]:
+            out[(4 * i + a) * n + 4 * j + b] = sign * s
+    return RealMatrix.from_sparse(n, n, out)
 
 
 def realify(m: int, entries: dict) -> RealMatrix:
     """Real matrix of the H-linear map of the m x m quaternionic matrix
-    with nonzero entries `entries` ({(i, j): Quaternion}).
+    with nonzero entries `entries` ({(i, j): (u, sign)}, signed units).
 
-    The 4m x 4m result replaces each quaternion entry by its 4x4
-    left-multiplication block, so realify(A*B) = realify(A)*realify(B).
-    Entries are read in row-major order.
+    The 4m x 4m result replaces each entry by its 4x4 left-multiplication
+    block, so realify(A*B) = realify(A)*realify(B).
     """
-    n = 4 * m
-    out = {}
-    for (i, j), e in sorted(entries.items()):
-        for k, v in left_mult_matrix(e).nz.items():
-            a, b = divmod(k, 4)
-            out[(4 * i + a) * n + 4 * j + b] = v
-    return RealMatrix.from_sparse(n, n, out)
+    return _realified(m, entries, _LEFT)
 
 
 class QuaternionicSpace:
@@ -130,8 +77,9 @@ class QuaternionicSpace:
     `t` is the quaternionic dimension of the isotropic Witt part W (0 for
     a non-degenerate diagonal basis).  `gram` is the Gram matrix of the
     Witt basis, {(i, j): +-1}, and `eta` its realification, a signed
-    permutation matrix with eta*eta = 1; `I1, I2, I3` the structure triple
-    given by right scalar multiplication (I3 = I1*I2).
+    permutation matrix with eta*eta = 1; `I1, I2, I3` the structure triple,
+    right scalar multiplication by i, j and -k, each built from the product
+    table, so I1*I2 = I3 is a relation to check, not a definition.
     """
 
     __slots__ = ("r", "s", "t", "m", "real_dim", "gram", "eta", "I")
@@ -163,15 +111,9 @@ class QuaternionicSpace:
                for (i, j), g in gram.items() for a in range(4)}
         object.__setattr__(self, "eta", RealMatrix.from_sparse(n, n, eta))
 
-        def block_diag(b4: RealMatrix) -> RealMatrix:
-            return RealMatrix.from_sparse(n, n, {
-                (4 * blk + k // 4) * n + 4 * blk + k % 4: v
-                for blk in range(m) for k, v in b4.nz.items()})
-
-        i1 = block_diag(right_mult_matrix(Quaternion.i()))
-        i2 = block_diag(right_mult_matrix(Quaternion.j()))
-        i3 = i1 * i2  # right multiplication by -k; satisfies I3 = I1*I2 = -I2*I1
-        object.__setattr__(self, "I", (i1, i2, i3))
+        object.__setattr__(self, "I", tuple(
+            _realified(m, {(a, a): unit for a in range(m)}, _RIGHT)
+            for unit in ((1, 1), (2, 1), (3, -1))))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuaternionicSpace is immutable")

@@ -7,7 +7,8 @@ from berger_lab.curvature import CurvatureElement, CurvatureSpace, bivector_pair
 from berger_lab.exactlin import (RealMatrix, Subspace, integer_row, ratio, span_of,
                                  sparse_nullspace)
 from berger_lab.harness import Session
-from berger_lab.prolong import first_prolongation_of, second_prolongation
+from berger_lab.prolong import (first_prolongation, restrict_action,
+                                second_prolongation)
 
 TIER2 = os.environ.get("BERGER_LAB_TIER2") == "1"
 
@@ -50,7 +51,7 @@ def is_metric_skew(alg):
 
 def second_prolongation_of(g, v):
     """The second prolongation of `g` restricted to the invariant `v`."""
-    return second_prolongation(first_prolongation_of(g, v))
+    return second_prolongation(first_prolongation(restrict_action(g, v)))
 
 
 def dual_W1(space):
@@ -161,6 +162,11 @@ def value_column(el, a, b, col):
             if j == col:
                 out[d] = out.get(d, 0) + c * v
     return {d: v for d, v in out.items() if v}
+
+
+def same_tensor(x, y):
+    """Two curvature tensors agree: the same algebra name and rows."""
+    return x.algebra.name == y.algebra.name and x.rows == y.rows
 
 
 def flat_vector(el):

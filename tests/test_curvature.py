@@ -22,8 +22,8 @@ from conftest import (SPARSE_CASES, basis_tensors, element_over, first_rows,
                       flat_subspace, flat_vector, flat_vectors, from_flat, ref_ricci,
                       reference_bianchi_kernel, reference_coefficients_over,
                       reference_derivative_space, reference_values,
-                      is_normal, synthetic_element, tensors_built, tier2, value,
-                      value_column)
+                      is_normal, same_tensor, synthetic_element, tensors_built,
+                      tier2, value, value_column)
 
 
 def kernel(session, name, r, s, t):
@@ -137,7 +137,7 @@ def not_eta_skew(space, base):
     identity, whose eta I = eta is symmetric, or E_{0, c}, where eta moves
     row 0 to row c, so that eta E_{0, c} has a diagonal entry at (c, c)."""
     n = space.real_dim
-    c = curv._signed_permutation(space.eta)[0][0]
+    c = exactlin.signed_permutation(space.eta)[0][0]
     return [
         LieAlgebra("with-identity", space, [*base.basis, RealMatrix.identity(n)]),
         LieAlgebra("with-diagonal", space, [
@@ -255,7 +255,7 @@ def test_flipped_wedge_convention_violates_bianchi(session, space111):
     # conformance pin: with (X ^ Y)Z = eta(X,Z)Y - eta(Y,Z)X the model
     # tensor stops satisfying the first Bianchi identity
     n = space111.real_dim
-    eta = curv._signed_permutation(space111.eta)
+    eta = exactlin.signed_permutation(space111.eta)
     r0 = build_r0(session.algebra("sp1+sp", 1, 1, 1))
 
     def flipped_value(a, b):
@@ -313,8 +313,9 @@ def test_r1_is_the_values_tensor_over_its_lead(session, name, r, s, t):
     first = tensor[min(tensor)]
     lead = first[min(first)]
     r1 = build_r1(curvature)
-    assert r1 == CurvatureElement(curvature.algebra, {
+    expected = CurvatureElement(curvature.algebra, {
         ib: {k: Fraction(c, lead) for k, c in row.items()} for ib, row in tensor.items()})
+    assert same_tensor(r1, expected)
     assert all(is_normal(c) for row in r1.rows.values() for c in row.values())
 
 
@@ -377,7 +378,7 @@ def test_act_is_a_lie_algebra_action(session):
         a, b = alg.basis[i], alg.basis[j]
         lhs = act(a.commutator(b), el)
         rhs = difference(act(a, act(b, el)), act(b, act(a, el)))
-        assert lhs == rhs
+        assert same_tensor(lhs, rhs)
 
 
 def test_act_values_stay_in_the_kernel(session):
@@ -800,8 +801,7 @@ def test_rows_drop_zeros_and_are_read_only(session):
                                       2: Fraction(-1)}}
     with_zero = CurvatureElement(algebra, given)
     without = CurvatureElement(algebra, {1: {2: Fraction(-1), 4: Fraction(2, 3)}})
-    assert with_zero == without
-    assert hash(with_zero) == hash(without)
+    assert same_tensor(with_zero, without)
     assert list(with_zero.rows) == [1]
     assert list(with_zero.rows[1].items()) == [(2, Fraction(-1)), (4, Fraction(2, 3))]
     given[1][0] = Fraction(5)  # the element keeps its own copy
@@ -809,7 +809,7 @@ def test_rows_drop_zeros_and_are_read_only(session):
     assert with_zero.rows == {1: {2: Fraction(-1), 4: Fraction(2, 3)}}
     zero = CurvatureElement(algebra, {ib: {0: Fraction(0)} for ib in range(4)})
     assert zero.is_zero() and zero.rows == {}
-    assert zero == CurvatureElement(algebra, {})
+    assert same_tensor(zero, CurvatureElement(algebra, {}))
     with pytest.raises(TypeError):
         without.rows[1][2] = Fraction(7)
     with pytest.raises(TypeError):

@@ -396,8 +396,12 @@ def test_symmetric_signature():
     assert symmetric_signature(RealMatrix.identity(3)) == (0, 3)
     # hyperbolic plane: congruent to diag(1, -1)
     assert symmetric_signature(M([[0, 1], [1, 0]])) == (1, 1)
+    assert symmetric_signature(M([[0, -1, 0], [-1, 0, 0], [0, 0, -1]])) == (2, 1)
     with pytest.raises(ValueError, match="not symmetric"):
         symmetric_signature(M([[0, 1], [0, 0]]))
+    # symmetric, but not a signed permutation: the signature is not counted
+    with pytest.raises(ValueError, match="signed permutation"):
+        symmetric_signature(M([[2, 0], [0, 1]]))
 
 
 # ---------------------------------------------------------------------------

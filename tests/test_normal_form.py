@@ -10,7 +10,8 @@ import pytest
 import berger_lab
 from berger_lab.curvature import scalar
 from berger_lab.harness import cache_get, cache_put
-from berger_lab.prolong import first_prolongation_of, second_prolongation
+from berger_lab.prolong import (first_prolongation, restrict_action,
+                                second_prolongation)
 from conftest import SPARSE_CASES, basis_tensors, flat_vector, is_normal, ref_ricci
 
 # the modules that compute with exact scalars; harness is left out, its `/`
@@ -89,7 +90,8 @@ def test_every_exact_value_is_in_normal_form(session, tmp_path, name, r, s, t):
                *(flat_vector(el) for el in elements),
                *(row for tensor in curvature.values() for row in tensor.values())]
     if name in PRESERVE_W:
-        first = first_prolongation_of(algebra, space.isotropic_subspace_W())
+        first = first_prolongation(
+            restrict_action(algebra, space.isotropic_subspace_W()))
         vectors += [*first.basis, *second_prolongation(first).basis]
     values = [v for m in matrices for v in m.nz.values()]
     values += [v for vec in vectors for v in vec.values()]

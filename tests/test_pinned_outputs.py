@@ -73,10 +73,11 @@ PINNED_CASE_SPLITS = {
 }
 
 
-# each test id names its argv or configuration alone, so adding a pin or
-# changing a digest renames no other test
+# each test id is built from its argv (option values only) or its
+# configuration alone, so adding a pin or changing a digest renames no
+# other test
 @pytest.mark.parametrize("argv,expected", PINNED_CLI.items(),
-                         ids=["-".join(a.lstrip("-") for a in argv)
+                         ids=["-".join(a for a in argv if not a.startswith("--"))
                               for argv in PINNED_CLI])
 def test_cli_output_is_pinned(capsys, argv, expected):
     assert main(list(argv)) == 0

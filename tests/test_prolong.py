@@ -6,8 +6,8 @@ from berger_lab import prolong
 from berger_lab.exactlin import RealMatrix, integer_row, sparse_nullspace
 from berger_lab.liealg import (ALGEBRA_NAMES, algebra_by_name, build_glq, build_h0,
                              build_sp)
-from berger_lab.prolong import (first_prolongation, first_prolongation_of,
-                                restrict_action, second_prolongation)
+from berger_lab.prolong import (first_prolongation, restrict_action,
+                                second_prolongation)
 from berger_lab.quatspace import build_space
 from conftest import (SPARSE_CASES, dense_scan_prolongation,
                       dense_scan_prolongation_rows, is_normal,
@@ -67,7 +67,8 @@ def test_first_prolongation_elements_are_symmetric():
 def test_glq_restricted_to_w_has_no_first_prolongation(r):
     space = build_space(r, r, r)
     glq = build_glq(space)
-    result = first_prolongation_of(glq, space.isotropic_subspace_W())
+    result = first_prolongation(
+        restrict_action(glq, space.isotropic_subspace_W()))
     assert result.dim == 0
 
 
@@ -81,7 +82,8 @@ def test_h0_restriction_dims():
 def test_h0_on_w_first_prolongation_nonzero():
     space = build_space(1, 1, 1)
     h0 = build_h0(space)
-    result = first_prolongation_of(h0, space.isotropic_subspace_W())
+    result = first_prolongation(
+        restrict_action(h0, space.isotropic_subspace_W()))
     assert result.dim >= 1
     assert result.dim == 4  # computed value
 
@@ -96,15 +98,15 @@ def test_zero_first_prolongation_forces_zero_second():
     space = build_space(1, 1, 1)
     glq = build_glq(space)
     w = space.isotropic_subspace_W()
-    assert first_prolongation_of(glq, w).dim == 0
+    assert first_prolongation(restrict_action(glq, w)).dim == 0
     assert second_prolongation_of(glq, w).dim == 0
 
 
 def test_prolongation_monotone_in_the_algebra():
     space = build_space(1, 1, 1)
     w = space.isotropic_subspace_W()
-    small = first_prolongation_of(build_glq(space), w)
-    large = first_prolongation_of(build_h0(space), w)
+    small = first_prolongation(restrict_action(build_glq(space), w))
+    large = first_prolongation(restrict_action(build_h0(space), w))
     assert small.dim <= large.dim
     small2 = second_prolongation_of(build_glq(space), w)
     large2 = second_prolongation_of(build_h0(space), w)

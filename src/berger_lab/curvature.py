@@ -340,8 +340,14 @@ def _value(row: Mapping, cols: tuple) -> dict[int, dict]:
 
 def _wedge_rows(forms: list[dict], n: int, sym_col: list[list[int]]):
     """Integer rows of S -> sum_kl S_kl omega_k ^ omega_l, one per 4-set
-    a < b < c < d on which some product is nonzero, 4-sets ascending.  The
-    rows are built in one dict and each is handed out and dropped in turn.
+    a < b < c < d on which some product is nonzero, 4-sets ascending.
+
+    The bivectors are met in lexicographic order, and a pair p before q
+    adds only to a 4-set whose smallest index is p's first one.  So the
+    rows that lead with a are complete once p's first index passes a:
+    they are handed out then, sorted, and dropped, and only one leading
+    index's rows are alive at a time.  A row is rebuilt only if it holds an
+    entry that cancelled to 0.
 
     Each 4-set splits into two bivectors in three ways, ab|cd, ac|bd and
     ad|bc, with signs +, -, +.  Every unordered pair {p, q} of disjoint
@@ -354,30 +360,38 @@ def _wedge_rows(forms: list[dict], n: int, sym_col: list[list[int]]):
         for ib, v in form.items():
             by_biv.setdefault(ib, []).append((k, v))
     pairs = bivector_pairs(n)
-    support = sorted(by_biv)
-    rows: dict[int, dict] = {}  # the 4-set a < b < c < d at key abcd in base n
-    for i, ip in enumerate(support):
-        a, b = pairs[ip]
-        terms_p = [(sym_col[k], u) for k, u in by_biv[ip]]
-        for iq in support[i + 1:]:
-            c, d = pairs[iq]  # a <= c, as p precedes q
+    support = [(*pairs[ib], by_biv[ib]) for ib in sorted(by_biv)]
+    rows: dict[int, dict] = {}  # the 4-set lead < x < y < z at key xyz in base n
+    lead = None
+    for i, (a, b, terms) in enumerate(support):
+        if a != lead:
+            yield from _complete_rows(rows)
+            lead = a
+        terms_p = [(sym_col[k], u) for k, u in terms]
+        for c, d, terms_q in support[i + 1:]:  # a <= c, as p precedes q
             if c == a or c == b or d == b:
                 continue
             if b < c:
-                key, sign = ((a * n + b) * n + c) * n + d, 1
+                key, sign = (b * n + c) * n + d, 1
             elif b < d:
-                key, sign = ((a * n + c) * n + b) * n + d, -1
+                key, sign = (c * n + b) * n + d, -1
             else:
-                key, sign = ((a * n + c) * n + d) * n + b, 1
+                key, sign = (c * n + d) * n + b, 1
             row = rows.setdefault(key, {})
-            terms_q = by_biv[iq]
             for col_k, u in terms_p:
                 su = sign * u
                 for l, v in terms_q:
                     j = col_k[l]
                     row[j] = row.get(j, 0) + su * v
+    yield from _complete_rows(rows)
+
+
+def _complete_rows(rows: dict[int, dict]):
+    """Hand out the nonzero entries of `rows` by ascending key, emptying it."""
     for key in sorted(rows):
-        row = {j: v for j, v in rows.pop(key).items() if v}
+        row = rows.pop(key)
+        if 0 in row.values():
+            row = {j: v for j, v in row.items() if v}
         if row:
             yield row
 

@@ -1,8 +1,10 @@
 import os
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from berger_lab import curvature as curv
 from berger_lab.curvature import CurvatureElement, CurvatureSpace, bivector_pairs
 from berger_lab.exactlin import (RealMatrix, Subspace, integer_row, ratio, span_of,
                                  sparse_nullspace)
@@ -273,6 +275,33 @@ def reference_bianchi_rows(algebra):
                     row = integer_row(by_coord[d])
                     if row:
                         yield row
+
+
+def reference_wedge_rows(algebra):
+    """The first-Bianchi rows on Sym^2(g), 4-set by 4-set, 4-sets ascending,
+    zero rows included, as ((a, b, c, d), row): each 4-set sums its three
+    splittings ab|cd, ac|bd and ad|bc with signs +, -, +, and a splitting
+    p|q adds omega_k(p) omega_l(q) to the column of x_kl for every k, l,
+    read straight from `_pairing_table`: the second computation the
+    streamed rows of `_wedge_rows` are checked against."""
+    n = algebra.space.real_dim
+    biv = {pair: ib for ib, pair in enumerate(bivector_pairs(n))}
+    forms = curv._pairing_table(algebra)
+    for quad in combinations(range(n), 4):
+        a, b, c, d = quad
+        row = {}
+        for p, q, sign in (((a, b), (c, d), 1), ((a, c), (b, d), -1),
+                           ((a, d), (b, c), 1)):
+            for k, form_k in enumerate(forms):
+                u = form_k.get(biv[p], 0)
+                if not u:
+                    continue
+                for l, form_l in enumerate(forms):
+                    v = form_l.get(biv[q], 0)
+                    if v:
+                        j = curv._sym2_col(k, l)
+                        row[j] = row.get(j, 0) + sign * u * v
+        yield quad, {j: v for j, v in row.items() if v}
 
 
 def reference_bianchi_kernel(algebra):

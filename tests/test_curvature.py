@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -22,6 +23,7 @@ from conftest import (SPARSE_CASES, basis_tensors, element_over, first_rows,
                       flat_subspace, flat_vector, flat_vectors, from_flat, ref_ricci,
                       reference_bianchi_kernel, reference_coefficients_over,
                       reference_derivative_space, reference_values,
+                      reference_wedge_rows,
                       is_normal, same_tensor, synthetic_element, tensors_built,
                       tier2, value, value_column)
 
@@ -106,6 +108,47 @@ def test_bianchi_kernel_matches_the_flat_reference(session, name, r, s, t):
     expected = reference_bianchi_kernel(curvature.algebra)
     assert curvature.dim == len(expected)
     assert canonical_rows(flat_vectors(curvature)) == expected
+
+
+def wedge_rows(algebra):
+    """The rows `_wedge_rows` streams for `algebra`, as `bianchi_kernel`
+    calls it."""
+    dimg = algebra.dim
+    sym_col = [[curv._sym2_col(k, l) for l in range(dimg)] for k in range(dimg)]
+    return curv._wedge_rows(curv._pairing_table(algebra), algebra.space.real_dim,
+                            sym_col)
+
+
+@pytest.mark.parametrize("name,r,s,t", [("sp1+sp", 1, 1, 1), ("sp_w", 1, 3, 1),
+                                        ("h0", 2, 2, 2)])
+def test_streamed_rows_are_the_bianchi_rows(session, name, r, s, t):
+    # the rows handed out one leading index at a time are the per-4-set
+    # sums of the three splittings, nonzero ones only, 4-sets ascending
+    algebra = session.algebra(name, r, s, t)
+    expected = [row for _, row in reference_wedge_rows(algebra) if row]
+    assert expected
+    assert list(wedge_rows(algebra)) == expected
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of the call fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_only_one_leading_index_of_rows_is_alive(session):
+    # the kernel's peak against that of holding every row at once, in one
+    # process: the rows of one smallest index are alive at a time, and
+    # each is dropped once the elimination has taken it
+    algebra = session.algebra("sp_w", 3, 3, 3)
+    curv._pairing_table(algebra)  # built and kept before either measurement
+    all_rows = traced_peak(lambda: list(wedge_rows(algebra)))
+    kernel_peak = traced_peak(lambda: curv.bianchi_kernel(algebra))
+    assert kernel_peak < 0.75 * all_rows
 
 
 @pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)

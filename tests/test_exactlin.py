@@ -160,6 +160,31 @@ def test_sparse_nullspace_is_the_canonical_kernel(system):
             assert sum(x * vec.get(k, 0) for k, x in row.items()) == 0
 
 
+def test_sparse_nullspace_never_inserts_a_dead_row(monkeypatch):
+    # {0: 2, 1: -5} lies on the unit columns 0 and 1 when it arrives, so it
+    # is skipped; the last row meets column 2 and is inserted
+    rows = [{0: 1}, {1: 3}, {0: 2, 1: -5}, {1: 1, 2: 1}]
+    before = [dict(row) for row in rows]
+    inserted = []
+    insert = Echelon.insert
+
+    def counting(self, row):
+        inserted.append(dict(row))
+        return insert(self, row)
+
+    monkeypatch.setattr(Echelon, "insert", counting)
+    kernel = sparse_nullspace(iter(rows), 4)
+    assert inserted == [{0: 1}, {1: 3}, {1: 1, 2: 1}]
+    assert rows == before
+    assert kernel == textbook_kernel(rows, 4) == [{3: 1}]
+
+
+@pytest.mark.parametrize("rows,column", [([{5: 1, 0: 1}], 5), ([{-1: 1, 2: 1}], -1)])
+def test_sparse_nullspace_refuses_a_column_outside_ncols(rows, column):
+    with pytest.raises(ValueError, match=rf"column {column} is outside \[0, 3\)"):
+        sparse_nullspace(rows, 3)
+
+
 @given(sparse_systems())
 @settings(max_examples=300, deadline=None)
 def test_canonical_rows_is_the_textbook_rref(system):

@@ -167,8 +167,10 @@ def cmd_curvature_space(args: argparse.Namespace) -> int:
 def cmd_prolongation(args: argparse.Namespace) -> int:
     session = Session()
     alg = session.algebra(args.algebra, args.r, args.s, args.t)
-    w = session.space(args.r, args.s, args.t).isotropic_subspace_W()
-    action = prolong.restrict_action(alg, w)
+    if args.t < 1:
+        raise ValueError("W requires t >= 1")
+    action = prolong.restrict_action(
+        alg, session.space(args.r, args.s, args.t).w_indices())
     result = prolong.first_prolongation(action)
     if args.order == 2:
         result = prolong.second_prolongation(result)

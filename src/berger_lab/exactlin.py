@@ -109,13 +109,16 @@ def rat_to_str(x: int | Fraction) -> str:
 
 
 def rat_from_str(s: str) -> int | Fraction:
-    """Parse exactly the spellings `Fraction(s)` accepts, in normal form.
-    An ASCII digit string, with an optional leading "-", goes straight to
-    int."""
-    digits = s[1:] if s[:1] == "-" else s
-    if digits.isascii() and digits.isdigit():
-        return int(s)
-    return exact(Fraction(s))
+    """Parse exactly the spellings `rat_to_str` writes, in normal form: an
+    ASCII digit string p with an optional leading "-", or p/q with q an
+    ASCII digit string.  Any other string raises ValueError, and q = 0
+    raises ZeroDivisionError."""
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (digits.isascii() and digits.isdigit()
+            and (not slash or den.isascii() and den.isdigit())):
+        raise ValueError(f"not a rational in p or p/q form: {s!r}")
+    return ratio(int(num), int(den)) if slash else int(num)
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +523,6 @@ class Subspace:
 
     def sparse_rows(self) -> tuple:
         return self._rows
-
-    def pivot_columns(self) -> list[int]:
-        return list(self._pivots)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

@@ -24,7 +24,7 @@ from . import curvature as curv
 from .berger import (berger_report, holonomy_case_split, split_failures,
                      with_failures)
 from .curvature import CurvatureElement, CurvatureSpace
-from .exactlin import RealMatrix, rat_to_str, symmetric_signature
+from .exactlin import RealMatrix, Subspace, rat_to_str, symmetric_signature
 from .liealg import (ALGEBRA_NAMES, LieAlgebra, algebra_by_name, sp_dimension,
                      sp_parabolic_dimension, stabilizer_of_subspace)
 from .quatspace import QuaternionicSpace, build_space
@@ -66,8 +66,8 @@ def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str,
     `algebra` is the `algebra_name` algebra on `space` that the loaded space
     is expressed over.  An entry holds the space's canonical Sym^2(g) rows
     (`CurvatureSpace.rows_json`), which `CurvatureSpace.from_json` checks
-    before the space is kept; a zero denominator ("1/0") is corruption like
-    any other malformed value."""
+    before the space is kept; a zero denominator ("1/0"), or JSON nested
+    too deeply to parse, is corruption like any other malformed value."""
     path = _entry_path(cache_dir, space, algebra_name)
     if not path.exists():
         return None
@@ -81,7 +81,7 @@ def cache_get(cache_dir, space: QuaternionicSpace, algebra_name: str,
             return None
         return CurvatureSpace.from_json(algebra, data["curvature_space"])
     except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError,
-            OSError) as exc:
+            RecursionError, OSError) as exc:
         print(f"warning: ignoring corrupt cache entry {path}: {exc}",
               file=sys.stderr)
         return None
@@ -291,9 +291,11 @@ def check_algebra_dimensions(session: Session, tier: int) -> CheckResult:
         spw = session.algebra("sp_w", r, s, t)
         dims_ok = (sp.dim == sp_dimension(r, s)
                    and spw.dim == sp_parabolic_dimension(r, s, t))
-        space = session.space(r, s, t)
-        stab = stabilizer_of_subspace(sp, space.isotropic_subspace_W())
-        stab_ok = stab == spw.span_subspace()
+        # sp_w is the filter of sp's basis that maps W into W, so the
+        # stabilizer is the span of the unit vectors at sp_w's slots in sp
+        stab = stabilizer_of_subspace(sp, session.space(r, s, t).w_indices())
+        stab_ok = stab == Subspace(sp.dim, [
+            {m: 1} for m in curv.block_slots(spw, sp)])
         details[f"({r},{s},{t})"] = {
             "dim_sp": sp.dim, "dim_sp_w": spw.dim,
             "stabilizer_equals_parabolic": stab_ok,
@@ -385,16 +387,13 @@ def check_prolongations(session: Session, tier: int) -> CheckResult:
     results = {}
     ok = True
     for r in (1, 2):
-        space = session.space(r, r, r)
         glq = session.algebra("glq", r, r, r)
-        first = prolong.first_prolongation(
-            prolong.restrict_action(glq, space.isotropic_subspace_W()))
+        first = prolong.first_prolongation(prolong.restrict_action(
+            glq, session.space(r, r, r).w_indices()))
         results[f"first_gl({r},H)"] = first.dim
         ok = ok and first.dim == 0
-    space1 = session.space(1, 1, 1)
     h0 = session.algebra("h0", 1, 1, 1)
-    w = space1.isotropic_subspace_W()
-    action = prolong.restrict_action(h0, w)
+    action = prolong.restrict_action(h0, session.space(1, 1, 1).w_indices())
     first_h0 = prolong.first_prolongation(action)
     second_h0 = prolong.second_prolongation(first_h0)
     results["first_sp1+gl(1,H)"] = first_h0.dim

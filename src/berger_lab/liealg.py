@@ -18,7 +18,11 @@ W-preserving algebras are filters of it: sp(r,s)_W keeps the elements
 that map W into W (C, B, A, X), and gl(r,H) those that also map W1 into
 W1 (C).
 
-Algebra equality means equality of matrix spans, not basis lists.
+W is the coordinate block `space.w_indices()` of the Witt basis, so
+whether an element maps W into W is read off its entries: an entry in a W
+column must sit in a W row.  The stabilizer of W is solved over g's
+coordinates from those entries, and no algebra is compared with another
+by the span of its matrices.
 """
 
 from __future__ import annotations
@@ -96,8 +100,7 @@ class LieAlgebra:
     def _augmented(self) -> Subspace:
         """Canonical span of the rows flatten(B_k) + e_{n^2+k}.  Reducing a
         flattened matrix against it leaves minus its coordinates in the
-        e-part, and the rows cut to the first n^2 keys are the canonical
-        basis of the span."""
+        e-part."""
         aug = self._span
         if aug is None:
             n2 = self.space.real_dim ** 2
@@ -117,12 +120,6 @@ class LieAlgebra:
         if rest and min(rest) < n2:
             return None
         return {k - n2: -c for k, c in sorted(rest.items())}
-
-    def span_subspace(self) -> Subspace:
-        """Canonical subspace of flattened matrices (for algebra equality)."""
-        n2 = self.space.real_dim ** 2
-        return Subspace(n2, [{k: v for k, v in row.items() if k < n2}
-                             for row in self._augmented().sparse_rows()])
 
 
 def _sp_entries(space: QuaternionicSpace):
@@ -222,36 +219,20 @@ def build_h0(space: QuaternionicSpace) -> LieAlgebra:
     return algebra_by_name("h0", space)
 
 
-def stabilizer_of_subspace(g: LieAlgebra, v: Subspace) -> Subspace:
-    """{A in span(g) : A*V <= V} as a subspace of flattened matrices."""
-    if v.ambient_dim != g.space.real_dim:
-        raise ValueError("ambient dimension mismatch")
+def stabilizer_of_subspace(g: LieAlgebra, w: range) -> Subspace:
+    """{x : sum x_k B_k maps the span of the basis vectors in `w` into
+    itself}, as the canonical subspace of coefficient vectors over
+    g.basis: one equation per entry (d, c) with c in `w` and d outside
+    it, whose kernel `sparse_nullspace` returns in canonical form."""
     n = g.space.real_dim
-    rows = []
-    # coefficient vector x over g.basis; constraint: residue of sum x_k B_k u
-    # after reduction against V vanishes, for every u in V's basis
-    for u in v.sparse_rows():
-        residues = [v.reduce_vector(b.apply(u)) for b in g.basis]
-        coords = set()
-        for res in residues:
-            coords.update(res)
-        for c in sorted(coords):
-            row = {}
-            for k, res in enumerate(residues):
-                val = res.get(c)
-                if val:
-                    row[k] = val
-            if row:
-                rows.append(integer_row(row))
-    kernel = sparse_nullspace(rows, g.dim)
-    mats = []
-    for vec in kernel:
-        m: dict = {}
-        for k, coef in vec.items():
-            for pos, x in g.basis[k].nz.items():
-                m[pos] = m.get(pos, 0) + coef * x
-        mats.append(m)
-    return span_of(mats, n * n)
+    equations: dict = {}
+    for k, b in enumerate(g.basis):
+        for pos, x in b.nz.items():
+            d, c = divmod(pos, n)
+            if c in w and d not in w:
+                equations.setdefault(pos, {})[k] = x
+    return Subspace(g.dim, sparse_nullspace(
+        map(integer_row, equations.values()), g.dim))
 
 
 # a builder, or a sum (first summand, second summand, name of the sum)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .exactlin import (Echelon, RealMatrix, Subspace, integer_row,
-                       sparse_nullspace)
+from .exactlin import Echelon, RealMatrix, integer_row, sparse_nullspace
 from .liealg import LieAlgebra
 
 __all__ = [
@@ -47,28 +46,23 @@ class ProlongationSpace(NamedTuple):
         return len(self.basis)
 
 
-def restrict_action(g: LieAlgebra, v: Subspace) -> list[RealMatrix]:
-    """Basis of g restricted to the invariant subspace V, in V's canonical
-    basis coordinates.  Raises if some element does not preserve V, and
-    drops restrictions that are linearly dependent."""
-    if v.ambient_dim != g.space.real_dim:
-        raise ValueError("ambient dimension mismatch")
-    index = {p: i for i, p in enumerate(v.pivot_columns())}
-    dv = v.dim
+def restrict_action(g: LieAlgebra, w: range) -> list[RealMatrix]:
+    """Basis of g restricted to the span of the basis vectors in `w`: the
+    w x w block of each basis matrix.  Raises if some element has an entry
+    in a `w` column outside the `w` rows, and drops restrictions that are
+    linearly dependent."""
+    n, dw = g.space.real_dim, len(w)
     restricted = []
     span = Echelon()
     for b in g.basis:
         nz = {}
-        for j, vec in enumerate(v.sparse_rows()):
-            image = b.apply(vec)
-            if not v.contains_vector(image):
-                raise ValueError(f"{g.name} does not preserve the subspace")
-            # canonical basis rows have unit pivots, so coordinates read off
-            # at the pivot columns
-            for p, x in image.items():
-                if p in index:
-                    nz[index[p] * dv + j] = x
-        mat = RealMatrix.from_sparse(dv, dv, nz)
+        for pos, x in b.nz.items():
+            d, c = divmod(pos, n)
+            if c in w:
+                if d not in w:
+                    raise ValueError(f"{g.name} does not preserve the subspace")
+                nz[w.index(d) * dw + w.index(c)] = x
+        mat = RealMatrix.from_sparse(dw, dw, nz)
         if span.insert(integer_row(nz)) is not None:
             restricted.append(mat)
     return restricted

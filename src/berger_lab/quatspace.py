@@ -18,7 +18,7 @@ triple, is a signed permutation read from it.
 
 from __future__ import annotations
 
-from .exactlin import RealMatrix, Subspace, span_of
+from .exactlin import RealMatrix
 
 __all__ = [
     "QuaternionicSpace",
@@ -130,11 +130,6 @@ class QuaternionicSpace:
 
     def w1_indices(self) -> range:
         return range(4 * (self.m - self.t), 4 * self.m)
-
-    def isotropic_subspace_W(self) -> Subspace:
-        if self.t == 0:
-            raise ValueError("W requires t >= 1")
-        return span_of([{i: 1} for i in self.w_indices()], self.real_dim)
 
 
 def build_space(r: int, s: int, t: int) -> QuaternionicSpace:

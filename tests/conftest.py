@@ -51,9 +51,16 @@ def is_metric_skew(alg):
     return all((eta * b + b.transpose() * eta).is_zero() for b in alg.basis)
 
 
-def second_prolongation_of(g, v):
-    """The second prolongation of `g` restricted to the invariant `v`."""
-    return second_prolongation(first_prolongation(restrict_action(g, v)))
+def second_prolongation_of(g, w):
+    """The second prolongation of `g` restricted to the coordinates `w`."""
+    return second_prolongation(first_prolongation(restrict_action(g, w)))
+
+
+def subspace_W(space):
+    """The coordinate span of W, the isotropic Witt block."""
+    if space.t == 0:
+        raise ValueError("W requires t >= 1")
+    return span_of([{i: Fraction(1)} for i in space.w_indices()], space.real_dim)
 
 
 def dual_W1(space):
@@ -61,6 +68,36 @@ def dual_W1(space):
     if space.t == 0:
         raise ValueError("W1 requires t >= 1")
     return span_of([{i: Fraction(1)} for i in space.w1_indices()], space.real_dim)
+
+
+def flat_span(matrices, n):
+    """The span of n x n matrices as a canonical subspace of Q^(n^2)."""
+    return span_of([m.nz for m in matrices], n * n)
+
+
+def reference_restrict_action(g, v):
+    """Basis of `g` restricted to the invariant subspace `v`, in v's
+    canonical basis coordinates: each image is reduced against v, and its
+    coordinates are read off at v's pivot columns.  Raises if some element
+    does not preserve v; drops dependent restrictions."""
+    rows = v.sparse_rows()
+    index = {min(row): i for i, row in enumerate(rows)}
+    dv = v.dim
+    restricted = []
+    span = []
+    for b in g.basis:
+        nz = {}
+        for j, vec in enumerate(rows):
+            image = b.apply(vec)
+            if not v.contains_vector(image):
+                raise ValueError(f"{g.name} does not preserve the subspace")
+            for p, x in image.items():
+                if p in index:
+                    nz[index[p] * dv + j] = x
+        if span_of(span + [nz], dv * dv).dim > len(span):
+            span.append(nz)
+            restricted.append(RealMatrix.from_sparse(dv, dv, nz))
+    return restricted
 
 
 def value(el, a, b):

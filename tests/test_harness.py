@@ -106,6 +106,18 @@ def test_zero_denominator_in_cache_warns_and_recomputes(tmp_path, capsys):
     assert again.coefficient_subspace() == cold.coefficient_subspace()
 
 
+@pytest.mark.parametrize("text", ["1e9999999", " 3 ", "3.5", "1_000", "+3",
+                                  "\u0661\u0662", "3/-4"])
+def test_a_value_rat_to_str_never_writes_warns_and_recomputes(tmp_path, capsys,
+                                                              text):
+    def respell(row):
+        row[-1][1] = text
+
+    cold, again = tamper_h0_entry(tmp_path, respell)
+    assert "not a rational in p or p/q form" in capsys.readouterr().err
+    assert again.coefficient_subspace() == cold.coefficient_subspace()
+
+
 def test_a_column_outside_sym2_warns_and_recomputes(tmp_path, capsys):
     dimg = Session().algebra("h0", 1, 1, 1).dim
 
@@ -472,6 +484,14 @@ def test_cli_prolongation_non_invariant_exits_1(capsys):
     assert "does not preserve" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algebra", ["sp", "sp1", "sp1+sp"])
+def test_cli_prolongation_without_a_witt_part_exits_1(capsys, algebra):
+    rc = main(["prolongation", "--algebra", algebra, "--r", "1", "--s", "1",
+               "--t", "0"])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: W requires t >= 1\n")
+
+
 def test_cli_berger_csv(capsys):
     rc = main(["berger", "--algebra", "h0", "--r", "1", "--s", "1", "--t", "1",
                "--format", "csv"])
@@ -549,3 +569,16 @@ def test_cli_verify_exits_1_when_a_check_fails(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "structure-axioms,pass" in out
     assert "pair-symmetry,fail" in out
+
+
+def test_a_deeply_nested_h0_entry_is_recomputed(tmp_path, capsys):
+    # json raises RecursionError on nesting this deep; that is corruption
+    cold = json.dumps(run_verification(tier=1, cache_dir=tmp_path).to_json(),
+                      sort_keys=True)
+    capsys.readouterr()
+    entry = tmp_path / f"{cache_key(1, 1, 1, 'h0')}.json"
+    entry.write_text("[" * 100000 + "]" * 100000)
+    warm = run_verification(tier=1, cache_dir=tmp_path)
+    assert capsys.readouterr().err.count("warning: ignoring corrupt cache entry") == 1
+    assert warm.all_passed()
+    assert json.dumps(warm.to_json(), sort_keys=True) == cold

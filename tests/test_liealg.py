@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from berger_lab import liealg
-from berger_lab.exactlin import RealMatrix, span_of
+from berger_lab.curvature import block_slots
+from berger_lab.exactlin import RealMatrix, Subspace, span_of
 from berger_lab.liealg import (LieAlgebra, algebra_by_name, build_glq, build_h0,
                                build_sp, build_sp1, build_sp_parabolic,
                                direct_sum, sp_dimension,
                                sp_parabolic_dimension, stabilizer_of_subspace)
 from berger_lab.quatspace import build_space
-from conftest import dual_W1, is_closed, is_metric_skew, nullspace
+from conftest import (dual_W1, flat_span, is_closed, is_metric_skew,
+                      nullspace, subspace_W)
 
 
 def preserves_subspace(g, v):
@@ -53,7 +55,7 @@ def test_sp_matches_skew_commutant_oracle(r, s, t, expected_dim):
     assert sp.dim == expected_dim == sp_dimension(r, s)
     oracle = eta_skew_commutant_oracle(space)
     assert oracle.dim == expected_dim
-    assert oracle == sp.span_subspace()
+    assert oracle == flat_span(sp.basis, space.real_dim)
 
 
 def test_sp_basis_is_eta_skew():
@@ -87,21 +89,40 @@ def test_parabolic_dimension(r, s, t, expected):
     space = build_space(r, s, t)
     spw = build_sp_parabolic(space)
     assert spw.dim == expected == sp_parabolic_dimension(r, s, t)
-    assert preserves_subspace(spw, space.isotropic_subspace_W())
+    assert preserves_subspace(spw, subspace_W(space))
 
 
-@pytest.mark.parametrize("r,s,t", [(1, 1, 1), (1, 2, 1)])
+# every space with 1 <= r + s <= 4 that has a Witt part
+WITT_CONFIGS = [(r, m - r, t) for m in range(2, 5) for r in range(1, m)
+                for t in range(1, min(r, m - r) + 1)]
+
+
+@pytest.mark.parametrize("r,s,t", WITT_CONFIGS,
+                         ids=["-".join(map(str, c)) for c in WITT_CONFIGS])
 def test_parabolic_is_exact_stabilizer(r, s, t):
     space = build_space(r, s, t)
     sp = build_sp(space)
     spw = build_sp_parabolic(space)
-    stab = stabilizer_of_subspace(sp, space.isotropic_subspace_W())
-    assert stab == spw.span_subspace()
+    stab = stabilizer_of_subspace(sp, space.w_indices())
+    assert stab == Subspace(sp.dim, [{m: 1} for m in block_slots(spw, sp)])
+    # the stabilizer's elements as matrices span sp_w's over n^2 columns
+    n = space.real_dim
+    mats = [sum((sp.basis[k].scaled(c) for k, c in row.items()),
+                RealMatrix.from_sparse(n, n, {}))
+            for row in stab.sparse_rows()]
+    assert flat_span(mats, n) == flat_span(spw.basis, n)
+
+
+def test_stabilizer_of_a_block_the_algebra_preserves_is_everything():
+    space = build_space(1, 1, 1)
+    h0 = build_h0(space)
+    stab = stabilizer_of_subspace(h0, space.w_indices())
+    assert stab == Subspace(h0.dim, [{k: 1} for k in range(h0.dim)])
 
 
 def test_full_sp_does_not_preserve_w():
     space = build_space(1, 1, 1)
-    assert not preserves_subspace(build_sp(space), space.isotropic_subspace_W())
+    assert not preserves_subspace(build_sp(space), subspace_W(space))
 
 
 def test_parabolic_requires_witt_part():
@@ -115,8 +136,9 @@ def test_glq_dimension(r, expected):
     glq = build_glq(space)
     assert glq.dim == expected
     spw = build_sp_parabolic(space)
-    assert spw.span_subspace().contains(glq.span_subspace())
-    assert preserves_subspace(glq, space.isotropic_subspace_W())
+    n = space.real_dim
+    assert flat_span(spw.basis, n).contains(flat_span(glq.basis, n))
+    assert preserves_subspace(glq, subspace_W(space))
     assert preserves_subspace(glq, dual_W1(space))
 
 
@@ -135,7 +157,7 @@ def test_h0_dimension_and_closure(r, expected):
 def test_h0_preserves_both_isotropic_blocks():
     space = build_space(1, 1, 1)
     h0 = build_h0(space)
-    assert preserves_subspace(h0, space.isotropic_subspace_W())
+    assert preserves_subspace(h0, subspace_W(space))
     assert preserves_subspace(h0, dual_W1(space))
 
 
@@ -221,23 +243,12 @@ def test_coordinates_round_trip_over_a_sum():
     _check_coordinates_round_trip("sp1+sp")
 
 
-@pytest.mark.parametrize("name", ["sp", "sp_w", "sp1", "glq", "h0",
-                                  "sp1+sp", "sp1+sp_w"])
-def test_span_subspace_is_the_span_of_the_basis(name):
-    alg = algebra_by_name(name, build_space(1, 1, 1))
-    flat = span_of([b.nz for b in alg.basis], 64)
-    assert alg.span_subspace() == flat
-    assert flat.dim == alg.dim
-
-
 def test_dependent_basis_is_rejected():
     space = build_space(1, 1, 1)
     i1 = space.I[0]
     dup = LieAlgebra("dup", space, [i1, i1])
     with pytest.raises(ValueError, match="linearly dependent"):
         dup.coordinates_of(i1)
-    with pytest.raises(ValueError, match="linearly dependent"):
-        dup.span_subspace()
 
 
 def test_algebra_json_shape():

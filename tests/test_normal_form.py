@@ -91,7 +91,7 @@ def test_every_exact_value_is_in_normal_form(session, tmp_path, name, r, s, t):
                *(row for tensor in curvature.values() for row in tensor.values())]
     if name in PRESERVE_W:
         first = first_prolongation(
-            restrict_action(algebra, space.isotropic_subspace_W()))
+            restrict_action(algebra, space.w_indices()))
         vectors += [*first.basis, *second_prolongation(first).basis]
     values = [v for m in matrices for v in m.nz.values()]
     values += [v for vec in vectors for v in vec.values()]

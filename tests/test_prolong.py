@@ -11,7 +11,8 @@ from berger_lab.prolong import (first_prolongation, restrict_action,
 from berger_lab.quatspace import build_space
 from conftest import (SPARSE_CASES, dense_scan_prolongation,
                       dense_scan_prolongation_rows, is_normal,
-                      second_prolongation_of, tier2)
+                      reference_restrict_action, second_prolongation_of,
+                      subspace_W, tier2)
 
 
 def full_gl(n):
@@ -68,14 +69,14 @@ def test_glq_restricted_to_w_has_no_first_prolongation(r):
     space = build_space(r, r, r)
     glq = build_glq(space)
     result = first_prolongation(
-        restrict_action(glq, space.isotropic_subspace_W()))
+        restrict_action(glq, space.w_indices()))
     assert result.dim == 0
 
 
 def test_h0_restriction_dims():
     space = build_space(1, 1, 1)
     h0 = build_h0(space)
-    action = restrict_action(h0, space.isotropic_subspace_W())
+    action = restrict_action(h0, space.w_indices())
     assert len(action) == 7  # sp(1) + gl(1,H) acting on R^4
 
 
@@ -83,7 +84,7 @@ def test_h0_on_w_first_prolongation_nonzero():
     space = build_space(1, 1, 1)
     h0 = build_h0(space)
     result = first_prolongation(
-        restrict_action(h0, space.isotropic_subspace_W()))
+        restrict_action(h0, space.w_indices()))
     assert result.dim >= 1
     assert result.dim == 4  # computed value
 
@@ -91,20 +92,20 @@ def test_h0_on_w_first_prolongation_nonzero():
 def test_h0_on_w_second_prolongation_vanishes():
     space = build_space(1, 1, 1)
     h0 = build_h0(space)
-    assert second_prolongation_of(h0, space.isotropic_subspace_W()).dim == 0
+    assert second_prolongation_of(h0, space.w_indices()).dim == 0
 
 
 def test_zero_first_prolongation_forces_zero_second():
     space = build_space(1, 1, 1)
     glq = build_glq(space)
-    w = space.isotropic_subspace_W()
+    w = space.w_indices()
     assert first_prolongation(restrict_action(glq, w)).dim == 0
     assert second_prolongation_of(glq, w).dim == 0
 
 
 def test_prolongation_monotone_in_the_algebra():
     space = build_space(1, 1, 1)
-    w = space.isotropic_subspace_W()
+    w = space.w_indices()
     small = first_prolongation(restrict_action(build_glq(space), w))
     large = first_prolongation(restrict_action(build_h0(space), w))
     assert small.dim <= large.dim
@@ -116,8 +117,27 @@ def test_prolongation_monotone_in_the_algebra():
 def test_restrict_action_rejects_non_invariant_subspace():
     space = build_space(1, 1, 1)
     sp = build_sp(space)
-    with pytest.raises(ValueError, match="does not preserve"):
-        restrict_action(sp, space.isotropic_subspace_W())
+    with pytest.raises(ValueError, match="does not preserve the subspace"):
+        restrict_action(sp, space.w_indices())
+    with pytest.raises(ValueError, match="does not preserve the subspace"):
+        reference_restrict_action(sp, subspace_W(space))
+
+
+# every registry algebra that preserves W, at each configuration it exists on
+W_PRESERVING = [(name, r, s, t) for r, s, t in [(1, 1, 1), (1, 2, 1), (2, 2, 2)]
+                for name in ALGEBRA_NAMES
+                if name not in ("sp", "sp1+sp")
+                and (r == s or name not in ("glq", "h0"))]
+
+
+@pytest.mark.parametrize("name,r,s,t", W_PRESERVING)
+def test_restrict_action_is_the_reference_restriction(name, r, s, t):
+    # W's canonical basis is its unit vectors, so the reference reads the
+    # same W x W blocks through a reduction against W
+    space = build_space(r, s, t)
+    algebra = algebra_by_name(name, space)
+    assert (restrict_action(algebra, space.w_indices())
+            == reference_restrict_action(algebra, subspace_W(space)))
 
 
 def test_empty_action():
@@ -183,7 +203,7 @@ def check_prolongation_rows(name, r, s, t):
     if name in ("sp", "sp1+sp"):
         return  # these move W
     first = assert_matches_the_dense_scan(
-        restrict_action(algebra, space.isotropic_subspace_W()))
+        restrict_action(algebra, space.w_indices()))
     maps = first_prolongation_maps(first)
     if maps:
         second = assert_matches_the_dense_scan(maps)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from berger_lab.exactlin import RealMatrix, span_of, symmetric_signature
 from berger_lab.quatspace import _HAMILTON, build_space, conjugate, realify
-from conftest import dual_W1
+from conftest import dual_W1, subspace_W
 
 # The package multiplies signed units (u, sign), sign * e_u for the units
 # e_0 = 1, e_1 = i, e_2 = j, e_3 = k, through one table.  The references
@@ -238,7 +238,7 @@ def test_invalid_parameters_raise():
 
 def test_witt_blocks_111():
     space = build_space(1, 1, 1)
-    w = space.isotropic_subspace_W()
+    w = subspace_W(space)
     assert w.dim == 4
     # eta vanishes identically on W
     for u in w.sparse_rows():
@@ -248,7 +248,7 @@ def test_witt_blocks_111():
 
 def test_witt_blocks_121():
     space = build_space(1, 2, 1)
-    w, e, w1 = (space.isotropic_subspace_W(), complement_E(space),
+    w, e, w1 = (subspace_W(space), complement_E(space),
                 dual_W1(space))
     assert (w.dim, e.dim, w1.dim) == (4, 4, 4)
     for u in w1.sparse_rows():
@@ -266,7 +266,7 @@ def test_witt_blocks_121():
 
 def test_witt_blocks_222_total_and_empty_complement():
     space = build_space(2, 2, 2)
-    w, e, w1 = (space.isotropic_subspace_W(), complement_E(space),
+    w, e, w1 = (subspace_W(space), complement_E(space),
                 dual_W1(space))
     assert e.dim == 0
     combined = span_of(w.sparse_rows() + w1.sparse_rows(), space.real_dim)
@@ -276,7 +276,7 @@ def test_witt_blocks_222_total_and_empty_complement():
 def test_w_requires_witt_part():
     space = build_space(1, 1, 0)
     with pytest.raises(ValueError):
-        space.isotropic_subspace_W()
+        subspace_W(space)
     with pytest.raises(ValueError):
         dual_W1(space)
     assert complement_E(space).dim == 8
@@ -285,7 +285,7 @@ def test_w_requires_witt_part():
 @pytest.mark.parametrize("r,s,t", [(1, 1, 1), (1, 2, 1), (2, 2, 2)])
 def test_structure_preserves_witt_blocks(r, s, t):
     space = build_space(r, s, t)
-    blocks = [space.isotropic_subspace_W(), complement_E(space),
+    blocks = [subspace_W(space), complement_E(space),
               dual_W1(space)]
     for ia in space.I:
         for block in blocks:

@@ -18,6 +18,20 @@ of basis vectors, in place of C(n, 2) dim g unknowns and n C(n, 3)
 equations on Hom(Lambda^2 V, g).  `bianchi_residual_is_zero` still checks
 the cyclic identity itself.
 
+The system is solved by weight (Kostant 1961).  A real basis vector in
+W_i has the weight +e_i in Z^t, one in W1_i the weight -e_i, and one in E
+the weight 0.  Every basis element of every registry algebra is then a
+weight vector, and the Bianchi map preserves weight, so the system is
+block diagonal, one block per weight of a 4-set.  Permuting the Witt pairs
+is an isometry that commutes with the I_alpha and maps each basis element
+to +- a basis element, B_k -> eps_k B_pi(k), so R(g) is S_t-invariant:
+S'_{pi(k) pi(l)} = eps_k eps_l S_kl.  `bianchi_kernel` generates and
+eliminates only the blocks whose weight is sorted descending, its orbit's
+representative, and relabels their kernel onto the other blocks of each
+orbit.  The blocks have disjoint columns, so the union of their RREF rows
+is the RREF of the whole kernel.  At t <= 1, and for an algebra whose
+basis lacks the symmetry, the whole system is one block.
+
 Coefficient layout: bivectors (a, b) with a < b are ordered
 lexicographically over the realified basis, and a tensor is its rows by
 bivector, {ib: {k: coefficient of B_k in R(e_a, e_b)}} for the ib-th
@@ -70,9 +84,11 @@ division.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
+from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -289,9 +305,9 @@ def _sym2_col(k: int, l: int) -> int:
 
 
 def _sym2_unknowns(dimg: int) -> list[tuple[int, int]]:
-    """(k, l), k <= l, of the unknown at each column of Sym^2(g)."""
-    return sorted(((k, l) for k in range(dimg) for l in range(k, dimg)),
-                  key=lambda kl: _sym2_col(*kl))
+    """(k, l), k <= l, of the unknown at each column of Sym^2(g): column
+    l (l + 1) / 2 + k runs over k <= l within each l, l ascending."""
+    return [(k, l) for l in range(dimg) for k in range(l + 1)]
 
 
 def _columns(algebra: LieAlgebra) -> tuple[int, tuple]:
@@ -338,16 +354,123 @@ def _value(row: Mapping, cols: tuple) -> dict[int, dict]:
     return value
 
 
-def _wedge_rows(forms: list[dict], n: int, sym_col: list[list[int]]):
-    """Integer rows of S -> sum_kl S_kl omega_k ^ omega_l, one per 4-set
-    a < b < c < d on which some product is nonzero, 4-sets ascending.
+def _add(u: tuple, v: tuple) -> tuple:
+    """The sum of two weights."""
+    return tuple(map(add, u, v))
 
-    The bivectors are met in lexicographic order, and a pair p before q
-    adds only to a 4-set whose smallest index is p's first one.  So the
-    rows that lead with a are complete once p's first index passes a:
-    they are handed out then, sorted, and dropped, and only one leading
-    index's rows are alive at a time.  A row is rebuilt only if it holds an
-    entry that cancelled to 0.
+
+def _is_representative(weight: tuple) -> bool:
+    """True iff `weight` is the representative of its S_t-orbit: its
+    coordinates sorted descending."""
+    return all(x >= y for x, y in zip(weight, weight[1:]))
+
+
+def _vector_weights(space: QuaternionicSpace) -> list[tuple]:
+    """The weight in Z^t of each real basis vector: +e_i in W_i, -e_i in
+    W1_i and 0 in E."""
+    t, m = space.t, space.m
+    weights = []
+    for a in range(m):
+        w = [0] * t
+        if a < t:
+            w[a] = 1
+        elif a >= m - t:
+            w[a - m + t] = -1
+        weights += [tuple(w)] * 4
+    return weights
+
+
+def _witt_transpositions(algebra: LieAlgebra) -> list[list] | None:
+    """The signed action on the basis of each adjacent transposition of the
+    Witt pairs, (W_i, W1_i) <-> (W_{i+1}, W1_{i+1}) for i + 1 < t:
+    action[k] = (k', sign) with P B_k P^-1 = sign B_k', read by matching
+    basis matrices.  P permutes basis vectors, preserves eta and commutes
+    with the I_alpha.  None if some image is not +- a basis matrix."""
+    space = algebra.space
+    n, t, m = space.real_dim, space.t, space.m
+    index = {}
+    for k, bmat in enumerate(algebra.basis):
+        index[frozenset(bmat.nz.items())] = (k, 1)
+        index[frozenset((pos, -v) for pos, v in bmat.nz.items())] = (k, -1)
+    actions = []
+    for i in range(t - 1):
+        swap = {i: i + 1, i + 1: i, m - t + i: m - t + i + 1, m - t + i + 1: m - t + i}
+        perm = [4 * swap.get(x // 4, x // 4) + x % 4 for x in range(n)]
+        action = []
+        for bmat in algebra.basis:
+            hit = index.get(frozenset((perm[pos // n] * n + perm[pos % n], v)
+                                      for pos, v in bmat.nz.items()))
+            if hit is None:
+                return None
+            action.append(hit)
+        actions.append(action)
+    return actions
+
+
+class _Blocks(NamedTuple):
+    """The weight blocks of the first-Bianchi system of one algebra."""
+
+    actions: list  # `_witt_transpositions`, or [] when nothing is relabelled
+    basis_weight: list  # the weight of omega_k, for each basis element k
+    column: list  # column[k][l]: the compact column of x_kl, or -1
+    kept: list  # the Sym^2(g) column of each compact column, ascending
+
+
+def _weight_blocks(algebra: LieAlgebra) -> _Blocks:
+    """The weights of the basis elements and the compact numbering of the
+    representative columns.  Basis element k has the weight w_a + w_b
+    shared by every bivector (a, b) of omega_k, and x_kl the weight of
+    omega_k ^ omega_l, w_k + w_l.
+
+    The grading is used when t >= 2, every omega_k has one weight, and
+    every transposition maps the basis to +- itself.  Otherwise every
+    basis element gets the empty weight (), so every weight is its own
+    representative, every column is kept and nothing is relabelled: at
+    t <= 1 no two weights share an orbit, and the fallback gives up the
+    symmetry."""
+    space = algebra.space
+    dimg = algebra.dim
+    basis_weight, actions = [()] * dimg, []
+    if space.t >= 2:
+        weights = _vector_weights(space)
+        pairs = bivector_pairs(space.real_dim)
+        graded = [{_add(weights[a], weights[b]) for a, b in map(pairs.__getitem__, form)}
+                  for form in _pairing_table(algebra)]
+        if all(len(weight) == 1 for weight in graded):
+            actions = _witt_transpositions(algebra) or []
+            if actions:
+                basis_weight = [weight.pop() for weight in graded]
+    distinct = sorted(set(basis_weight))
+    cls = [distinct.index(w) for w in basis_weight]
+    pair_is_rep = [[_is_representative(_add(u, v)) for v in distinct] for u in distinct]
+    column = [[-1] * dimg for _ in range(dimg)]
+    kept = []
+    for l in range(dimg):
+        is_rep = pair_is_rep[cls[l]]
+        for k in range(l + 1):  # Sym^2(g) column order
+            if is_rep[cls[k]]:
+                column[k][l] = column[l][k] = len(kept)
+                kept.append(_sym2_col(k, l))
+    return _Blocks(actions, basis_weight, column, kept)
+
+
+def _bianchi_rows(forms: list[dict], n: int, basis_weight: list[tuple],
+                  column: list[list[int]]):
+    """Integer rows of S -> sum_kl S_kl omega_k ^ omega_l over the columns
+    column[k][l] of x_kl, one per 4-set a < b < c < d whose weight is a
+    representative and on which some product is nonzero, 4-sets
+    ascending.
+
+    The bivectors p of the 2-forms' support fall into classes by weight,
+    that of each 2-form omega_k they are in, `basis_weight[k]`, and q is
+    looked for only in the classes whose weight adds to p's into a
+    representative: a product omega_k(p) omega_l(q) lands in the 4-set of
+    weight w(p) + w(q).  Bivectors are met in lexicographic order, and
+    a pair p before q adds only to a 4-set whose smallest index is p's
+    first one.  So the rows that lead with a are complete once p's first
+    index passes a: they are handed out then, sorted, and dropped, and only
+    one leading index's rows are alive at a time.  A row is rebuilt only if
+    it holds an entry that cancelled to 0.
 
     Each 4-set splits into two bivectors in three ways, ab|cd, ac|bd and
     ad|bc, with signs +, -, +.  Every unordered pair {p, q} of disjoint
@@ -360,29 +483,41 @@ def _wedge_rows(forms: list[dict], n: int, sym_col: list[list[int]]):
         for ib, v in form.items():
             by_biv.setdefault(ib, []).append((k, v))
     pairs = bivector_pairs(n)
-    support = [(*pairs[ib], by_biv[ib]) for ib in sorted(by_biv)]
+    support = []
+    classes: dict[tuple, tuple[list, list]] = {}  # weight -> (positions, bivectors)
+    for i, ib in enumerate(sorted(by_biv)):
+        a, b = pairs[ib]
+        weight = basis_weight[by_biv[ib][0][0]]
+        support.append((a, b, by_biv[ib], weight))
+        positions, members = classes.setdefault(weight, ([], []))
+        positions.append(i)
+        members.append((a, b, by_biv[ib]))
+    partners = {alpha: [classes[beta] for beta in classes
+                        if _is_representative(_add(alpha, beta))]
+                for alpha in classes}
     rows: dict[int, dict] = {}  # the 4-set lead < x < y < z at key xyz in base n
     lead = None
-    for i, (a, b, terms) in enumerate(support):
+    for i, (a, b, terms, weight) in enumerate(support):
         if a != lead:
             yield from _complete_rows(rows)
             lead = a
-        terms_p = [(sym_col[k], u) for k, u in terms]
-        for c, d, terms_q in support[i + 1:]:  # a <= c, as p precedes q
-            if c == a or c == b or d == b:
-                continue
-            if b < c:
-                key, sign = (b * n + c) * n + d, 1
-            elif b < d:
-                key, sign = (c * n + b) * n + d, -1
-            else:
-                key, sign = (c * n + d) * n + b, 1
-            row = rows.setdefault(key, {})
-            for col_k, u in terms_p:
-                su = sign * u
-                for l, v in terms_q:
-                    j = col_k[l]
-                    row[j] = row.get(j, 0) + su * v
+        terms_p = [(column[k], u) for k, u in terms]
+        for positions, members in partners[weight]:
+            for c, d, terms_q in members[bisect_right(positions, i):]:  # q after p
+                if c == a or c == b or d == b:
+                    continue
+                if b < c:
+                    key, sign = (b * n + c) * n + d, 1
+                elif b < d:
+                    key, sign = (c * n + b) * n + d, -1
+                else:
+                    key, sign = (c * n + d) * n + b, 1
+                row = rows.setdefault(key, {})
+                for col_k, u in terms_p:
+                    su = sign * u
+                    for l, v in terms_q:
+                        j = col_k[l]
+                        row[j] = row.get(j, 0) + su * v
     yield from _complete_rows(rows)
 
 
@@ -396,6 +531,64 @@ def _complete_rows(rows: dict[int, dict]):
             yield row
 
 
+def _orbit_maps(weight: tuple, actions: list[list], basis: list[int]):
+    """For every other weight w' in the S_t-orbit of `weight`, the signed
+    action of a permutation taking `weight` to w' on the basis elements
+    `basis`: [(k', sign) for each k], composed from the adjacent
+    transpositions `actions` along a breadth-first walk of the orbit."""
+    reached = {weight: [(k, 1) for k in basis]}
+    queue = [weight]
+    for nu in queue:
+        maps = reached[nu]
+        for i, action in enumerate(actions):
+            swapped = (*nu[:i], nu[i + 1], nu[i], *nu[i + 2:])
+            if swapped not in reached:
+                step = []
+                for k, sign in maps:
+                    k2, sign2 = action[k]
+                    step.append((k2, sign * sign2))
+                reached[swapped] = step
+                queue.append(swapped)
+                yield step
+
+
+def _relabelled_blocks(kernel: list[dict], basis_weight: list[tuple],
+                       actions: list[list]) -> list[dict]:
+    """The canonical rows of every weight block outside the representative
+    ones, from the representative blocks' rows `kernel`: a permutation of
+    the Witt pairs that takes basis element k to sign_k B_k' takes a
+    kernel row S to S'_{k'l'} = sign_k sign_l S_kl, and `canonical_rows`
+    re-canonicalises each block.  Each row is cleared to ints once
+    (`integer_row`), as `canonical_rows` would clear it anyway, and each
+    walk composes the actions on the basis elements the block meets only."""
+    unknowns = _sym2_unknowns(len(basis_weight))
+    blocks: dict[tuple, list] = {}
+    for row in kernel:
+        k, l = unknowns[next(iter(row))]
+        blocks.setdefault(_add(basis_weight[k], basis_weight[l]), []).append(
+            integer_row(row))
+    out = []
+    for weight, rows in blocks.items():
+        cols = sorted({j for row in rows for j in row})
+        basis = sorted({k for j in cols for k in unknowns[j]})
+        at = {k: i for i, k in enumerate(basis)}
+        slots = [(j, at[k], at[l]) for j in cols for k, l in [unknowns[j]]]
+        for maps in _orbit_maps(weight, actions, basis):
+            image = {}
+            for j, ik, il in slots:
+                (k, sk), (l, sl) = maps[ik], maps[il]
+                image[j] = _sym2_col(k, l), sk * sl
+            relabelled = []
+            for row in rows:
+                new = {}
+                for j, v in row.items():
+                    j2, sign = image[j]
+                    new[j2] = sign * v
+                relabelled.append(new)
+            out += canonical_rows(relabelled)
+    return out
+
+
 def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
     """The space of algebraic curvature tensors with values in `algebra`,
     which must lie in so(V, eta); raises ValueError otherwise.
@@ -404,12 +597,33 @@ def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
     omega_l(a, b) B_k for a symmetric S, omega_l(a, b) = eta(B_l e_a, e_b),
     and the first Bianchi identity is sum_kl S_kl omega_k ^ omega_l = 0:
     R(g) is the kernel of Sym^2(g) -> Lambda^4 V*, solved on the unknowns
-    x_kl = S_kl, k <= l, with one row per 4-set.  `sparse_nullspace`
-    returns its canonical RREF rows, which are the space."""
-    dimg = algebra.dim
-    sym_col = [[_sym2_col(k, l) for l in range(dimg)] for k in range(dimg)]
-    rows = _wedge_rows(_pairing_table(algebra), algebra.space.real_dim, sym_col)
-    return CurvatureSpace(algebra, sparse_nullspace(rows, _sym2_dim(dimg)))
+    x_kl = S_kl, k <= l, with one row per 4-set.
+
+    The system is solved one weight block per S_t-orbit (`_weight_blocks`).
+    Basis element k has the weight w_k of the bivectors of omega_k, x_kl
+    the weight w_k + w_l, and a 4-set the sum of its vectors' weights; a
+    row meets only columns of its own weight.  `_bianchi_rows` streams
+    the rows of the representative weights, and one `sparse_nullspace`
+    solves them over an order-preserving compact numbering of the
+    representative columns, which keeps its rows canonical.  A
+    permutation of the Witt pairs maps each basis element to +- a basis
+    element and permutes the weights, so it maps a block's kernel onto
+    the kernel of the permuted block: `_relabelled_blocks` gives every
+    other block.  The blocks have disjoint columns, so each block's RREF
+    rows are zero at every other block's columns, and their union, sorted
+    by leading column, is the RREF of the whole kernel, the rows one
+    elimination of every 4-set gives."""
+    forms = _pairing_table(algebra)
+    blocks = _weight_blocks(algebra)
+    kept = blocks.kept
+    rows = _bianchi_rows(forms, algebra.space.real_dim, blocks.basis_weight,
+                         blocks.column)
+    kernel = [{kept[j]: v for j, v in row.items()}
+              for row in sparse_nullspace(rows, len(kept))]
+    if blocks.actions:
+        kernel += _relabelled_blocks(kernel, blocks.basis_weight, blocks.actions)
+        kernel.sort(key=lambda row: next(iter(row)))
+    return CurvatureSpace(algebra, kernel)
 
 
 def bianchi_residual_is_zero(element) -> bool:

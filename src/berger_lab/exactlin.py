@@ -44,11 +44,11 @@ column c is deleted at once from every stored pivot row and from the
 working row; a row left with one entry becomes a unit pivot in turn.  This
 is the first step of structured Gaussian elimination (LaMacchia and
 Odlyzko, CRYPTO '90).  In the first-Bianchi system of
-`curvature.bianchi_kernel`, units are 43% to 95% of the pivots for sp_w,
+`curvature.bianchi_kernel`, units are 43% to 87% of the pivots for sp_w,
 sp1+sp_w and h0 at (1,1,1), (1,3,1) and (3,3,3), though none for sp, and
 the rows that reduce to zero no longer meet their columns.  Many rows are
-dead when they arrive, every column of theirs a unit column: 2,819 of the
-4,356 at h0 (3,3,3), and 582 of 1,187 at sp_w (1,3,1).
+dead when they arrive, every column of theirs a unit column: 901 of the
+1,552 at h0 (3,3,3), and 582 of 1,187 at sp_w (1,3,1).
 `sparse_nullspace` skips such a row before it copies it.  Every step
 adds to a row a multiple of a row already in the span, so the span never
 changes.  Each reduction strictly lowers the largest column of the row
@@ -340,14 +340,18 @@ class Echelon:
         column that gained a pivot, or None if the working row reduced to
         zero, so `is not None` means the rank grew.  The input dict is
         consumed.
+
+        Unit columns are stripped from the working row only on entry and
+        when a displaced row becomes the working row (it may hold a unit
+        column that its own displacement created).  That is enough: the
+        row is combined only with non-unit pivot rows, which never hold a
+        unit column, so a combine cannot add one.
         """
         piv, units, holders = self.pivots, self.units, self._holders
-        while True:
-            if units:
-                for k in row.keys() & units:
-                    del row[k]
-            if not row:
-                return None
+        if units:
+            for k in row.keys() & units:
+                del row[k]
+        while row:
             c = max(row)
             p = piv.get(c)
             if p is None or len(row) < len(p):
@@ -365,8 +369,11 @@ class Echelon:
                 if p is None:
                     return c
                 row = p
+                for k in row.keys() & units:
+                    del row[k]
             else:
                 _combine(row, row[c], p[c], p)
+        return None
 
     def _add_unit(self, c: int) -> None:
         """Store the unit pivot {c: 1} and delete column c from every pivot

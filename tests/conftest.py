@@ -320,7 +320,7 @@ def reference_wedge_rows(algebra):
     splittings ab|cd, ac|bd and ad|bc with signs +, -, +, and a splitting
     p|q adds omega_k(p) omega_l(q) to the column of x_kl for every k, l,
     read straight from `_pairing_table`: the second computation the
-    streamed rows of `_wedge_rows` are checked against."""
+    streamed rows of `_bianchi_rows` are checked against."""
     n = algebra.space.real_dim
     biv = {pair: ib for ib, pair in enumerate(bivector_pairs(n))}
     forms = curv._pairing_table(algebra)
@@ -339,6 +339,37 @@ def reference_wedge_rows(algebra):
                         j = curv._sym2_col(k, l)
                         row[j] = row.get(j, 0) + sign * u * v
         yield quad, {j: v for j, v in row.items() if v}
+
+
+def witt_weight(space, vectors):
+    """The weight in Z^t of the real basis vectors `vectors` together, read
+    from each one's quaternionic index: +e_i for p_i, -e_i for q_i and 0
+    for the middle block."""
+    t, m = space.t, space.m
+    weight = [0] * t
+    for x in vectors:
+        a = x // 4
+        if a < t:
+            weight[a] += 1
+        elif a >= m - t:
+            weight[a - m + t] -= 1
+    return weight
+
+
+def is_orbit_representative(weight):
+    """A weight is its S_t-orbit's representative iff it is sorted
+    descending."""
+    return weight == sorted(weight, reverse=True)
+
+
+def ungraded_bianchi_kernel(algebra):
+    """The first-Bianchi kernel from one elimination of the rows of every
+    4-set, with no weight blocks and no relabelling: `_bianchi_rows` with
+    the empty weight on every basis vector, over all of Sym^2(g)."""
+    n, dimg = algebra.space.real_dim, algebra.dim
+    column = [[curv._sym2_col(k, l) for l in range(dimg)] for k in range(dimg)]
+    rows = curv._bianchi_rows(curv._pairing_table(algebra), n, [()] * dimg, column)
+    return sparse_nullspace(rows, dimg * (dimg + 1) // 2)
 
 
 def reference_bianchi_kernel(algebra):

@@ -21,11 +21,12 @@ from berger_lab.harness import (ALL_CHECKS, TIER1_CONFIGS, Session, cache_get,
 from berger_lab.liealg import ALGEBRA_NAMES, LieAlgebra, algebra_by_name
 from conftest import (SPARSE_CASES, basis_tensors, element_over, first_rows,
                       flat_subspace, flat_vector, flat_vectors, from_flat, ref_ricci,
-                      reference_bianchi_kernel, reference_coefficients_over,
-                      reference_derivative_space, reference_values,
-                      reference_wedge_rows,
+                      is_orbit_representative, reference_bianchi_kernel,
+                      reference_coefficients_over, reference_derivative_space,
+                      reference_values, reference_wedge_rows,
                       is_normal, same_tensor, synthetic_element, tensors_built,
-                      tier2, value, value_column)
+                      tier2, ungraded_bianchi_kernel, value, value_column,
+                      witt_weight)
 
 
 def kernel(session, name, r, s, t):
@@ -93,9 +94,11 @@ def test_kernel_elements_satisfy_first_bianchi(session):
         assert all(bianchi_residual_is_zero(el) for el in basis_tensors(curvature))
 
 
-# every registry algebra defined at each configuration
+# every registry algebra defined at each configuration; sp_w at (2,2,2),
+# where weight blocks are relabelled, in tier 1
 REFERENCE_CASES = SPARSE_CASES + [
-    pytest.param(name, 2, 2, 2, marks=tier2) for name in ALGEBRA_NAMES] + [
+    pytest.param(name, 2, 2, 2, marks=() if name == "sp_w" else tier2)
+    for name in ALGEBRA_NAMES] + [
     pytest.param(name, 1, 3, 1, marks=tier2)
     for name in ("sp", "sp_w", "sp1", "sp1+sp", "sp1+sp_w")]
 
@@ -110,24 +113,31 @@ def test_bianchi_kernel_matches_the_flat_reference(session, name, r, s, t):
     assert canonical_rows(flat_vectors(curvature)) == expected
 
 
-def wedge_rows(algebra):
-    """The rows `_wedge_rows` streams for `algebra`, as `bianchi_kernel`
-    calls it."""
-    dimg = algebra.dim
-    sym_col = [[curv._sym2_col(k, l) for l in range(dimg)] for k in range(dimg)]
-    return curv._wedge_rows(curv._pairing_table(algebra), algebra.space.real_dim,
-                            sym_col)
+def bianchi_rows(algebra):
+    """The rows `_bianchi_rows` streams for `algebra`, as `bianchi_kernel`
+    calls it, over the compact columns, and the Sym^2(g) column of each."""
+    forms = curv._pairing_table(algebra)
+    blocks = curv._weight_blocks(algebra)
+    rows = curv._bianchi_rows(forms, algebra.space.real_dim, blocks.basis_weight,
+                              blocks.column)
+    return rows, blocks.kept
 
 
 @pytest.mark.parametrize("name,r,s,t", [("sp1+sp", 1, 1, 1), ("sp_w", 1, 3, 1),
-                                        ("h0", 2, 2, 2)])
+                                        ("h0", 2, 2, 2), ("sp_w", 2, 2, 2)])
 def test_streamed_rows_are_the_bianchi_rows(session, name, r, s, t):
     # the rows handed out one leading index at a time are the per-4-set
-    # sums of the three splittings, nonzero ones only, 4-sets ascending
+    # sums of the three splittings, nonzero ones only, 4-sets ascending,
+    # of the 4-sets whose weight is its S_t-orbit's representative: at
+    # t <= 1 every 4-set
     algebra = session.algebra(name, r, s, t)
-    expected = [row for _, row in reference_wedge_rows(algebra) if row]
+    expected = [row for quad, row in reference_wedge_rows(algebra)
+                if row and is_orbit_representative(witt_weight(algebra.space, quad))]
     assert expected
-    assert list(wedge_rows(algebra)) == expected
+    if t <= 1:
+        assert len(expected) == sum(1 for _, row in reference_wedge_rows(algebra) if row)
+    rows, kept = bianchi_rows(algebra)
+    assert [{kept[j]: v for j, v in row.items()} for row in rows] == expected
 
 
 def traced_peak(fn):
@@ -141,14 +151,102 @@ def traced_peak(fn):
 
 
 def test_only_one_leading_index_of_rows_is_alive(session):
-    # the kernel's peak against that of holding every row at once, in one
-    # process: the rows of one smallest index are alive at a time, and
-    # each is dropped once the elimination has taken it
+    # the kernel's peak against that of holding every streamed row at
+    # once, in one process: the rows of one smallest index are alive at a
+    # time, and each is dropped once the elimination has taken it
     algebra = session.algebra("sp_w", 3, 3, 3)
     curv._pairing_table(algebra)  # built and kept before either measurement
-    all_rows = traced_peak(lambda: list(wedge_rows(algebra)))
+    all_rows = traced_peak(lambda: list(bianchi_rows(algebra)[0]))
     kernel_peak = traced_peak(lambda: curv.bianchi_kernel(algebra))
     assert kernel_peak < 0.75 * all_rows
+
+
+# configurations with t >= 2, where the Witt pairs can be permuted
+WITT_CONFIGS = [(2, 2, 2), (3, 3, 3), (3, 3, 2), (2, 4, 2), (3, 5, 2)]
+
+
+def registry_algebras(session, r, s, t):
+    """Every registry algebra defined at (r, s, t)."""
+    for name in ALGEBRA_NAMES:
+        try:
+            yield session.algebra(name, r, s, t)
+        except ValueError:
+            pass  # glq and h0 need r = s = t
+
+
+def witt_swap(space, i):
+    """The permutation matrix that swaps the Witt pairs (p_i, q_i) and
+    (p_{i+1}, q_{i+1}), built from the quaternionic indices."""
+    n, m, t = space.real_dim, space.m, space.t
+    swap = {i: i + 1, i + 1: i, m - t + i: m - t + i + 1, m - t + i + 1: m - t + i}
+    return RealMatrix.from_sparse(n, n, {
+        (4 * swap.get(x // 4, x // 4) + x % 4) * n + x: 1 for x in range(n)})
+
+
+@pytest.mark.parametrize("r,s,t", WITT_CONFIGS)
+def test_witt_transpositions_map_the_basis_to_signed_basis_matrices(session, r, s, t):
+    # P B P^-1 = +- a basis matrix for each adjacent transposition P of the
+    # Witt pairs, an isometry that commutes with the I_alpha, and every
+    # basis matrix is a weight vector: w_d - w_c is the same at each of its
+    # nonzero entries (d, c)
+    algebras = list(registry_algebras(session, r, s, t))
+    assert len(algebras) == (7 if r == s == t else 5)
+    space = algebras[0].space
+    n = space.real_dim
+    for algebra in algebras:
+        signed = {b: (k, 1) for k, b in enumerate(algebra.basis)}
+        signed.update({b.scaled(-1): (k, -1) for k, b in enumerate(algebra.basis)})
+        actions = curv._witt_transpositions(algebra)
+        assert actions is not None and len(actions) == t - 1
+        for i, action in enumerate(actions):
+            p = witt_swap(space, i)
+            assert p * space.eta * p.transpose() == space.eta
+            assert all(p * ialpha == ialpha * p for ialpha in space.I)
+            assert [signed.get(p * b * p.transpose()) for b in algebra.basis] == action
+        for b in algebra.basis:
+            assert len({tuple(x - y for x, y in zip(witt_weight(space, [pos // n]),
+                                                  witt_weight(space, [pos % n])))
+                        for pos in b.nz}) == 1
+        assert curv._weight_blocks(algebra).actions == actions
+
+
+@pytest.mark.parametrize("r,s,t", [(2, 2, 2), (3, 3, 2), (2, 4, 2),
+                                   pytest.param(3, 3, 3, marks=tier2),
+                                   pytest.param(3, 5, 2, marks=tier2)])
+def test_relabelled_kernel_is_the_kernel_of_every_4_set(session, r, s, t):
+    # one elimination of every 4-set's row, with no weight blocks, gives
+    # the rows the relabelled blocks give
+    for algebra in registry_algebras(session, r, s, t):
+        expected = ungraded_bianchi_kernel(algebra)
+        assert curv.bianchi_kernel(algebra).coefficient_subspace().sparse_rows() == tuple(
+            expected)
+
+
+def test_a_basis_that_is_not_signed_permuted_falls_back(session, space222):
+    # scaling one gl(r,H) basis matrix by 1/2 breaks the signed
+    # permutation: every weight becomes its own representative, no block is
+    # relabelled, and the kernel is still the flat reference's
+    h0 = session.algebra("h0", 2, 2, 2)
+    scaled = LieAlgebra("h0-scaled", space222, [
+        b.scaled(Fraction(1, 2)) if k == 3 else b for k, b in enumerate(h0.basis)])
+    assert curv._witt_transpositions(scaled) is None
+    blocks = curv._weight_blocks(scaled)
+    assert blocks.actions == []
+    assert blocks.kept == list(range(scaled.dim * (scaled.dim + 1) // 2))
+    curvature = curv.bianchi_kernel(scaled)
+    expected = reference_bianchi_kernel(scaled)
+    assert curvature.dim == len(expected) == 1
+    assert canonical_rows(flat_vectors(curvature)) == expected
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, pytest.param(4, marks=tier2),
+                               pytest.param(5, marks=tier2)])
+def test_sp_w_curvature_dimension_is_the_closed_form(r):
+    # dim R(sp(r,r)_W) = r (r + 1) (2r + 1) (10r + 3) / 6 at (r, r, r),
+    # read on the kernel itself, in a session of its own
+    algebra = Session().algebra("sp_w", r, r, r)
+    assert curv.bianchi_kernel(algebra).dim == (
+        r * (r + 1) * (2 * r + 1) * (10 * r + 3) // 6)
 
 
 @pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)

@@ -32,6 +32,20 @@ orbit.  The blocks have disjoint columns, so the union of their RREF rows
 is the RREF of the whole kernel.  At t <= 1, and for an algebra whose
 basis lacks the symmetry, the whole system is one block.
 
+Within a block the system is also reduced by the structure triple
+(Salamon 1982).  I_alpha maps the real index x to x XOR alpha, with signs:
+it permutes the four components of each quaternionic coordinate, so it
+keeps every weight, and it preserves eta.  Conjugation by I_alpha maps
+each basis element to chi_k(alpha) B_k, chi_k(alpha) = +-1, which gives
+x_kl the character chi_k chi_l of the Klein group {1, I1, I2, I3}.  So the
+row of the 4-set I_alpha F is +- the row of F with each column scaled by
+its character at alpha, and, the four characters being independent, the
+rows of the orbit of F span exactly the character components of the row
+of F.  The orbit has a member whose smallest index is 0 mod 4, so the
+4-sets with that smallest index, each row split by character, span every
+row: the kernel, and so its RREF, is the same.  For an algebra whose
+basis is not +- itself under the triple, every 4-set is read whole.
+
 Coefficient layout: bivectors (a, b) with a < b are ordered
 lexicographically over the realified basis, and a tensor is its rows by
 bivector, {ib: {k: coefficient of B_k in R(e_a, e_b)}} for the ib-th
@@ -380,31 +394,65 @@ def _vector_weights(space: QuaternionicSpace) -> list[tuple]:
     return weights
 
 
-def _witt_transpositions(algebra: LieAlgebra) -> list[list] | None:
-    """The signed action on the basis of each adjacent transposition of the
-    Witt pairs, (W_i, W1_i) <-> (W_{i+1}, W1_{i+1}) for i + 1 < t:
-    action[k] = (k', sign) with P B_k P^-1 = sign B_k', read by matching
-    basis matrices.  P permutes basis vectors, preserves eta and commutes
-    with the I_alpha.  None if some image is not +- a basis matrix."""
-    space = algebra.space
-    n, t, m = space.real_dim, space.t, space.m
+def _conjugations(algebra: LieAlgebra, perms: list[dict]) -> list[list] | None:
+    """The signed action on the basis of conjugation by each signed
+    permutation P of V in `perms`, {x: (y, sign)} with P e_x = sign e_y as
+    `signed_permutation` reads it: action[k] = (k', sign) with
+    P B_k P^-1 = sign B_k', read by matching basis matrices.  None if some
+    image is not +- a basis matrix."""
+    n = algebra.space.real_dim
     index = {}
     for k, bmat in enumerate(algebra.basis):
         index[frozenset(bmat.nz.items())] = (k, 1)
         index[frozenset((pos, -v) for pos, v in bmat.nz.items())] = (k, -1)
     actions = []
-    for i in range(t - 1):
-        swap = {i: i + 1, i + 1: i, m - t + i: m - t + i + 1, m - t + i + 1: m - t + i}
-        perm = [4 * swap.get(x // 4, x // 4) + x % 4 for x in range(n)]
+    for perm in perms:
         action = []
         for bmat in algebra.basis:
-            hit = index.get(frozenset((perm[pos // n] * n + perm[pos % n], v)
-                                      for pos, v in bmat.nz.items()))
+            image = []
+            for pos, v in bmat.nz.items():
+                (d, sd), (c, sc) = perm[pos // n], perm[pos % n]
+                image.append((d * n + c, sd * sc * v))
+            hit = index.get(frozenset(image))
             if hit is None:
                 return None
             action.append(hit)
         actions.append(action)
     return actions
+
+
+def _witt_transpositions(algebra: LieAlgebra) -> list[list] | None:
+    """The signed action on the basis of each adjacent transposition of the
+    Witt pairs, (W_i, W1_i) <-> (W_{i+1}, W1_{i+1}) for i + 1 < t
+    (`_conjugations`).  P permutes basis vectors, preserves eta and
+    commutes with the I_alpha.  None if some image is not +- a basis
+    matrix."""
+    space = algebra.space
+    n, t, m = space.real_dim, space.t, space.m
+    perms = []
+    for i in range(t - 1):
+        swap = {i: i + 1, i + 1: i, m - t + i: m - t + i + 1, m - t + i + 1: m - t + i}
+        perms.append({x: (4 * swap.get(x // 4, x // 4) + x % 4, 1) for x in range(n)})
+    return _conjugations(algebra, perms)
+
+
+def _structure_characters(algebra: LieAlgebra) -> list[int] | None:
+    """The character of each basis element under conjugation by I1 and
+    I2, two bits: bit alpha is set iff I_{alpha+1} B_k I_{alpha+1}^-1 =
+    -B_k.  I3 = I1 I2, so the two fix its sign too.  None if some
+    conjugate is not +- the basis element itself."""
+    actions = _conjugations(algebra, [signed_permutation(ialpha)
+                                      for ialpha in algebra.space.I[:2]])
+    if actions is None:
+        return None
+    bits = [0] * algebra.dim
+    for alpha, action in enumerate(actions):
+        for k, (image, sign) in enumerate(action):
+            if image != k:
+                return None
+            if sign < 0:
+                bits[k] |= 1 << alpha
+    return bits
 
 
 class _Blocks(NamedTuple):
@@ -414,13 +462,17 @@ class _Blocks(NamedTuple):
     basis_weight: list  # the weight of omega_k, for each basis element k
     column: list  # column[k][l]: the compact column of x_kl, or -1
     kept: list  # the Sym^2(g) column of each compact column, ascending
+    character: list | None  # the character of each compact column, or None
 
 
 def _weight_blocks(algebra: LieAlgebra) -> _Blocks:
-    """The weights of the basis elements and the compact numbering of the
-    representative columns.  Basis element k has the weight w_a + w_b
-    shared by every bivector (a, b) of omega_k, and x_kl the weight of
-    omega_k ^ omega_l, w_k + w_l.
+    """The weights of the basis elements, the compact numbering of the
+    representative columns and their characters.  Basis element k has the
+    weight w_a + w_b shared by every bivector (a, b) of omega_k, and x_kl
+    the weight of omega_k ^ omega_l, w_k + w_l.  x_kl has the character
+    chi_k chi_l of `_structure_characters`, the bits of chi_k XOR those of
+    chi_l, or every character is None when some basis element is not
+    +- itself under the structure triple.
 
     The grading is used when t >= 2, every omega_k has one weight, and
     every transposition maps the basis to +- itself.  Otherwise every
@@ -451,15 +503,23 @@ def _weight_blocks(algebra: LieAlgebra) -> _Blocks:
             if is_rep[cls[k]]:
                 column[k][l] = column[l][k] = len(kept)
                 kept.append(_sym2_col(k, l))
-    return _Blocks(actions, basis_weight, column, kept)
+    bits = _structure_characters(algebra)
+    character = None
+    if bits is not None:
+        unknowns = _sym2_unknowns(dimg)
+        character = [bits[k] ^ bits[l] for k, l in map(unknowns.__getitem__, kept)]
+    return _Blocks(actions, basis_weight, column, kept, character)
 
 
 def _bianchi_rows(forms: list[dict], n: int, basis_weight: list[tuple],
-                  column: list[list[int]]):
+                  column: list[list[int]], character: list | None):
     """Integer rows of S -> sum_kl S_kl omega_k ^ omega_l over the columns
     column[k][l] of x_kl, one per 4-set a < b < c < d whose weight is a
     representative and on which some product is nonzero, 4-sets
-    ascending.
+    ascending.  Given the `character` of each column, only the 4-sets with
+    a = 0 mod 4 are read, and each row is handed out as its character
+    components, the entries of each character in turn, characters
+    ascending; given None, every 4-set's whole row.
 
     The bivectors p of the 2-forms' support fall into classes by weight,
     that of each 2-form omega_k they are in, `basis_weight[k]`, and q is
@@ -469,8 +529,8 @@ def _bianchi_rows(forms: list[dict], n: int, basis_weight: list[tuple],
     a pair p before q adds only to a 4-set whose smallest index is p's
     first one.  So the rows that lead with a are complete once p's first
     index passes a: they are handed out then, sorted, and dropped, and only
-    one leading index's rows are alive at a time.  A row is rebuilt only if
-    it holds an entry that cancelled to 0.
+    one leading index's rows are alive at a time.  A p whose first index
+    is not 0 mod 4 is skipped when the characters are given.
 
     Each 4-set splits into two bivectors in three ways, ab|cd, ac|bd and
     ad|bc, with signs +, -, +.  Every unordered pair {p, q} of disjoint
@@ -495,12 +555,15 @@ def _bianchi_rows(forms: list[dict], n: int, basis_weight: list[tuple],
     partners = {alpha: [classes[beta] for beta in classes
                         if _is_representative(_add(alpha, beta))]
                 for alpha in classes}
+    step = 1 if character is None else 4
     rows: dict[int, dict] = {}  # the 4-set lead < x < y < z at key xyz in base n
     lead = None
     for i, (a, b, terms, weight) in enumerate(support):
         if a != lead:
-            yield from _complete_rows(rows)
+            yield from _complete_rows(rows, character)
             lead = a
+        if a % step:
+            continue
         terms_p = [(column[k], u) for k, u in terms]
         for positions, members in partners[weight]:
             for c, d, terms_q in members[bisect_right(positions, i):]:  # q after p
@@ -518,17 +581,19 @@ def _bianchi_rows(forms: list[dict], n: int, basis_weight: list[tuple],
                     for l, v in terms_q:
                         j = col_k[l]
                         row[j] = row.get(j, 0) + su * v
-    yield from _complete_rows(rows)
+    yield from _complete_rows(rows, character)
 
 
-def _complete_rows(rows: dict[int, dict]):
-    """Hand out the nonzero entries of `rows` by ascending key, emptying it."""
+def _complete_rows(rows: dict[int, dict], character: list | None):
+    """Hand out the nonzero entries of `rows` by ascending key, emptying
+    it: each row whole when `character` is None, else its nonzero
+    components by ascending character of their columns."""
     for key in sorted(rows):
-        row = rows.pop(key)
-        if 0 in row.values():
-            row = {j: v for j, v in row.items() if v}
-        if row:
-            yield row
+        parts = [{}, {}, {}, {}]
+        for j, v in rows.pop(key).items():
+            if v:
+                parts[0 if character is None else character[j]][j] = v
+        yield from filter(None, parts)
 
 
 def _orbit_maps(weight: tuple, actions: list[list], basis: list[int]):
@@ -603,21 +668,25 @@ def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
     Basis element k has the weight w_k of the bivectors of omega_k, x_kl
     the weight w_k + w_l, and a 4-set the sum of its vectors' weights; a
     row meets only columns of its own weight.  `_bianchi_rows` streams
-    the rows of the representative weights, and one `sparse_nullspace`
-    solves them over an order-preserving compact numbering of the
-    representative columns, which keeps its rows canonical.  A
-    permutation of the Witt pairs maps each basis element to +- a basis
-    element and permutes the weights, so it maps a block's kernel onto
-    the kernel of the permuted block: `_relabelled_blocks` gives every
-    other block.  The blocks have disjoint columns, so each block's RREF
-    rows are zero at every other block's columns, and their union, sorted
-    by leading column, is the RREF of the whole kernel, the rows one
-    elimination of every 4-set gives."""
+    the rows of the representative weights, from the 4-sets whose
+    smallest index is 0 mod 4, at least one in each orbit of the
+    structure triple, each row split into its character components.  The
+    rows of an orbit span exactly those components, so the span of the
+    rows, the kernel and its RREF are those of every 4-set.  One
+    `sparse_nullspace` solves them over an order-preserving compact
+    numbering of the representative columns, which keeps its rows
+    canonical.  A permutation of the Witt pairs maps each basis element
+    to +- a basis element and permutes the weights, so it maps a block's
+    kernel onto the kernel of the permuted block: `_relabelled_blocks`
+    gives every other block.  The blocks have disjoint columns, so each
+    block's RREF rows are zero at every other block's columns, and their
+    union, sorted by leading column, is the RREF of the whole kernel, the
+    rows one elimination of every 4-set gives."""
     forms = _pairing_table(algebra)
     blocks = _weight_blocks(algebra)
     kept = blocks.kept
     rows = _bianchi_rows(forms, algebra.space.real_dim, blocks.basis_weight,
-                         blocks.column)
+                         blocks.column, blocks.character)
     kernel = [{kept[j]: v for j, v in row.items()}
               for row in sparse_nullspace(rows, len(kept))]
     if blocks.actions:

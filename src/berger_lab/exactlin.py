@@ -47,8 +47,8 @@ Odlyzko, CRYPTO '90).  In the first-Bianchi system of
 `curvature.bianchi_kernel`, units are 43% to 87% of the pivots for sp_w,
 sp1+sp_w and h0 at (1,1,1), (1,3,1) and (3,3,3), though none for sp, and
 the rows that reduce to zero no longer meet their columns.  Many rows are
-dead when they arrive, every column of theirs a unit column: 901 of the
-1,552 at h0 (3,3,3), and 582 of 1,187 at sp_w (1,3,1).
+dead when they arrive, every column of theirs a unit column: 627 of the
+1,069 at h0 (3,3,3), and 84 of 383 at sp_w (1,3,1).
 `sparse_nullspace` skips such a row before it copies it.  Every step
 adds to a row a multiple of a row already in the span, so the span never
 changes.  Each reduction strictly lowers the largest column of the row

@@ -362,13 +362,33 @@ def is_orbit_representative(weight):
     return weight == sorted(weight, reverse=True)
 
 
+def structure_characters(algebra):
+    """The character of each basis matrix B under conjugation by I1 and I2,
+    read from matrix products: bit alpha is set iff I_{alpha+1} B
+    I_{alpha+1}^T = -B (each I_alpha is a signed permutation, so its
+    transpose is its inverse).  None if some conjugate is neither B nor
+    -B."""
+    bits = []
+    for b in algebra.basis:
+        bit = 0
+        for alpha, ialpha in enumerate(algebra.space.I[:2]):
+            conjugate = ialpha * b * ialpha.transpose()
+            if conjugate == b.scaled(-1):
+                bit |= 1 << alpha
+            elif conjugate != b:
+                return None
+        bits.append(bit)
+    return bits
+
+
 def ungraded_bianchi_kernel(algebra):
     """The first-Bianchi kernel from one elimination of the rows of every
-    4-set, with no weight blocks and no relabelling: `_bianchi_rows` with
-    the empty weight on every basis vector, over all of Sym^2(g)."""
+    4-set, with no weight blocks, no relabelling and no reduction by the
+    structure triple: `_bianchi_rows` with the empty weight on every basis
+    vector and no characters, over all of Sym^2(g)."""
     n, dimg = algebra.space.real_dim, algebra.dim
     column = [[curv._sym2_col(k, l) for l in range(dimg)] for k in range(dimg)]
-    rows = curv._bianchi_rows(curv._pairing_table(algebra), n, [()] * dimg, column)
+    rows = curv._bianchi_rows(curv._pairing_table(algebra), n, [()] * dimg, column, None)
     return sparse_nullspace(rows, dimg * (dimg + 1) // 2)
 
 

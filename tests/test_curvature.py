@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -24,9 +25,9 @@ from conftest import (SPARSE_CASES, basis_tensors, element_over, first_rows,
                       is_orbit_representative, reference_bianchi_kernel,
                       reference_coefficients_over, reference_derivative_space,
                       reference_values, reference_wedge_rows,
-                      is_normal, same_tensor, synthetic_element, tensors_built,
-                      tier2, ungraded_bianchi_kernel, value, value_column,
-                      witt_weight)
+                      is_normal, same_tensor, structure_characters,
+                      synthetic_element, tensors_built, tier2,
+                      ungraded_bianchi_kernel, value, value_column, witt_weight)
 
 
 def kernel(session, name, r, s, t):
@@ -113,31 +114,52 @@ def test_bianchi_kernel_matches_the_flat_reference(session, name, r, s, t):
     assert canonical_rows(flat_vectors(curvature)) == expected
 
 
-def bianchi_rows(algebra):
-    """The rows `_bianchi_rows` streams for `algebra`, as `bianchi_kernel`
-    calls it, over the compact columns, and the Sym^2(g) column of each."""
+def bianchi_rows(algebra, blocks=None):
+    """The rows `_bianchi_rows` streams for `algebra` over the compact
+    columns of `blocks`, by default as `bianchi_kernel` calls it, and the
+    Sym^2(g) column of each."""
     forms = curv._pairing_table(algebra)
-    blocks = curv._weight_blocks(algebra)
+    blocks = blocks or curv._weight_blocks(algebra)
     rows = curv._bianchi_rows(forms, algebra.space.real_dim, blocks.basis_weight,
-                              blocks.column)
+                              blocks.column, blocks.character)
     return rows, blocks.kept
 
 
+def character_components(row, bits):
+    """The nonzero parts of a Sym^2(g) row, one per character of its
+    columns, characters ascending: x_kl has the character bits[k] XOR
+    bits[l]."""
+    unknowns = curv._sym2_unknowns(len(bits))
+    parts = [{}, {}, {}, {}]
+    for j, v in row.items():
+        k, l = unknowns[j]
+        parts[bits[k] ^ bits[l]][j] = v
+    return [part for part in parts if part]
+
+
 @pytest.mark.parametrize("name,r,s,t", [("sp1+sp", 1, 1, 1), ("sp_w", 1, 3, 1),
-                                        ("h0", 2, 2, 2), ("sp_w", 2, 2, 2)])
+                                        ("sp1+sp_w", 1, 2, 1), ("h0", 2, 2, 2),
+                                        ("sp_w", 2, 2, 2)])
 def test_streamed_rows_are_the_bianchi_rows(session, name, r, s, t):
     # the rows handed out one leading index at a time are the per-4-set
-    # sums of the three splittings, nonzero ones only, 4-sets ascending,
-    # of the 4-sets whose weight is its S_t-orbit's representative: at
-    # t <= 1 every 4-set
+    # sums of the three splittings, 4-sets ascending, of the 4-sets whose
+    # weight is its S_t-orbit's representative and whose smallest index is
+    # 0 mod 4, each split into its nonzero character components; with no
+    # characters, every such 4-set's whole nonzero row
     algebra = session.algebra(name, r, s, t)
-    expected = [row for quad, row in reference_wedge_rows(algebra)
-                if row and is_orbit_representative(witt_weight(algebra.space, quad))]
+    bits = structure_characters(algebra)
+    assert bits is not None
+    wedge = [(quad, row) for quad, row in reference_wedge_rows(algebra)
+             if row and is_orbit_representative(witt_weight(algebra.space, quad))]
+    expected = [part for quad, row in wedge if quad[0] % 4 == 0
+                for part in character_components(row, bits)]
     assert expected
-    if t <= 1:
-        assert len(expected) == sum(1 for _, row in reference_wedge_rows(algebra) if row)
     rows, kept = bianchi_rows(algebra)
     assert [{kept[j]: v for j, v in row.items()} for row in rows] == expected
+    whole = curv._weight_blocks(algebra)._replace(character=None)
+    rows, kept = bianchi_rows(algebra, whole)
+    assert [{kept[j]: v for j, v in row.items()} for row in rows] == [
+        row for _, row in wedge]
 
 
 def traced_peak(fn):
@@ -151,14 +173,37 @@ def traced_peak(fn):
 
 
 def test_only_one_leading_index_of_rows_is_alive(session):
-    # the kernel's peak against that of holding every streamed row at
-    # once, in one process: the rows of one smallest index are alive at a
-    # time, and each is dropped once the elimination has taken it
-    algebra = session.algebra("sp_w", 3, 3, 3)
-    curv._pairing_table(algebra)  # built and kept before either measurement
-    all_rows = traced_peak(lambda: list(bianchi_rows(algebra)[0]))
-    kernel_peak = traced_peak(lambda: curv.bianchi_kernel(algebra))
-    assert kernel_peak < 0.75 * all_rows
+    # the generator's peak while its rows are consumed one at a time,
+    # against holding every row it hands out at once: the rows of one
+    # smallest index are alive at a time, and each is dropped once it is
+    # handed out
+    algebra = session.algebra("sp_w", 3, 5, 1)
+    blocks = curv._weight_blocks(algebra)  # built and kept before either measurement
+    all_rows = traced_peak(lambda: list(bianchi_rows(algebra, blocks)[0]))
+    streamed = traced_peak(lambda: deque(bianchi_rows(algebra, blocks)[0], maxlen=0))
+    assert streamed < 0.75 * all_rows
+
+
+@pytest.mark.parametrize("name,r,s,t,rows,nonzeros", [
+    ("sp_w", 1, 3, 1, 383, 859),
+    ("sp1+sp_w", 1, 3, 1, 917, 1456),
+    ("h0", 3, 3, 3, 1069, 1676),
+])
+def test_rows_handed_to_the_elimination_are_pinned(monkeypatch, name, r, s, t,
+                                                   rows, nonzeros):
+    # the reduction by the structure triple is part of the kernel's cost:
+    # its one elimination takes exactly these rows and nonzeros
+    calls = []
+
+    def counting(given, ncols):
+        given = list(given)
+        calls.append((len(given), sum(map(len, given))))
+        return exactlin.sparse_nullspace(given, ncols)
+
+    algebra = Session().algebra(name, r, s, t)
+    monkeypatch.setattr(curv, "sparse_nullspace", counting)
+    curv.bianchi_kernel(algebra)
+    assert calls == [(rows, nonzeros)]
 
 
 # configurations with t >= 2, where the Witt pairs can be permuted
@@ -237,6 +282,61 @@ def test_a_basis_that_is_not_signed_permuted_falls_back(session, space222):
     expected = reference_bianchi_kernel(scaled)
     assert curvature.dim == len(expected) == 1
     assert canonical_rows(flat_vectors(curvature)) == expected
+
+
+@pytest.mark.parametrize("r,s,t", [(1, 1, 0), (1, 2, 1), (2, 2, 2), (3, 5, 1)])
+def test_the_structure_triple_acts_on_components_by_xor(session, r, s, t):
+    # I_alpha maps the real index x = 4a + c to x XOR alpha, with a sign:
+    # it permutes the four components of each quaternionic coordinate, so
+    # it keeps every Witt weight, and it preserves eta
+    space = session.space(r, s, t)
+    for alpha, ialpha in enumerate(space.I, start=1):
+        perm = exactlin.signed_permutation(ialpha)
+        assert sorted(perm) == list(range(space.real_dim))
+        assert all(y == x ^ alpha for x, (y, _) in perm.items())
+        assert ialpha * space.eta * ialpha.transpose() == space.eta
+
+
+@pytest.mark.parametrize("r,s,t", [(1, 1, 0), (1, 2, 0), (2, 1, 0), (1, 1, 1),
+                                   (1, 2, 1), (2, 2, 1), (2, 2, 2), (2, 3, 2)])
+def test_every_basis_conjugates_to_plus_minus_itself(session, r, s, t):
+    # I_alpha B I_alpha^-1 = +-B for every basis matrix of every registry
+    # algebra: +1 on sp(r,s), which commutes with the structure triple,
+    # and on sp(1) -1 for the two I_beta that anticommute with I_alpha
+    for algebra in registry_algebras(session, r, s, t):
+        bits = structure_characters(algebra)
+        assert bits is not None
+        assert curv._structure_characters(algebra) == bits
+        head = [2, 1, 3] if algebra.name.startswith("sp(1)") or algebra.name == "h0" else []
+        assert bits == head + [0] * (algebra.dim - len(head))
+
+
+def test_a_basis_not_fixed_by_the_structure_triple_reads_every_4_set(session):
+    # replacing I2 by I2 + I3 in sp1+sp_w keeps the algebra but not the
+    # characters: conjugation by I2 takes I2 + I3 to I2 - I3, so every
+    # 4-set is read whole, and the kernel is still the flat reference's
+    algebra = session.algebra("sp1+sp_w", 1, 2, 1)
+    basis = list(algebra.basis)
+    assert basis[1:3] == list(algebra.space.I[1:])
+    basis[1] = basis[1] + basis[2]
+    mixed = LieAlgebra("sp1+sp_w-mixed", algebra.space, basis)
+    assert curv._structure_characters(mixed) is None
+    assert curv._weight_blocks(mixed).character is None
+    curvature = curv.bianchi_kernel(mixed)
+    expected = reference_bianchi_kernel(mixed)
+    assert curvature.dim == len(expected) == 43
+    assert canonical_rows(flat_vectors(curvature)) == expected
+
+
+@pytest.mark.parametrize("r,s,t", [(1, 1, 0), (1, 2, 1), (1, 3, 1), (2, 3, 1)])
+def test_reduced_kernel_is_the_kernel_of_every_4_set(session, r, s, t):
+    # one elimination of every 4-set's whole row gives the rows that the
+    # 4-sets with a smallest index 0 mod 4, split by character, give
+    for algebra in registry_algebras(session, r, s, t):
+        assert curv._weight_blocks(algebra).character is not None
+        expected = ungraded_bianchi_kernel(algebra)
+        assert curv.bianchi_kernel(algebra).coefficient_subspace().sparse_rows() == tuple(
+            expected)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, pytest.param(4, marks=tier2),

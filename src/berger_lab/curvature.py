@@ -74,8 +74,8 @@ basis is independent, and R(X, Y)p as column p of the integer value
 `_value` evaluates from the row's nonzeros.
 
 Integer inner loops: R0, Ricci, the scalar, pair symmetry, the
-first-Bianchi equations, the Bianchi residual and `values` multiply and
-add Python ints only.  eta and the I_alpha are read as signed
+first-Bianchi equations, the Bianchi residual, `values` and `act` multiply
+and add Python ints only.  eta and the I_alpha are read as signed
 permutations (`exactlin.signed_permutation`, which raises on anything
 else; there is no fallback), the basis columns come from `_columns` times
 one lcm per algebra, the 2-forms omega_k from `_pairing_table` on those
@@ -89,9 +89,13 @@ degenerate check share `_value`, which evaluates R(e_a, e_b) by column
 from the nonzeros of the bivector's row, so a basis element that the row
 does not name is never visited.  A value is divided only
 where it leaves a function, by `exactlin.ratio`, so it stays an int when
-the division is exact: R0's coordinates are those of the integral 4 R0,
-divided by 4, R1 is its integer rows divided by its lead, `scalar`
-divides by the product of the two factors, and the residual,
+the division is exact: R0's coordinates are the integer coordinates
+(`LieAlgebra.integer_coordinates`) of the integral 4 R0, divided by 4
+times their denominator, R1 is its integer rows divided by its lead,
+`scalar` divides by the product of the two factors, `act` brackets A
+times its lcm with the basis columns, reads ad_A as integer coordinates
+and the element through `_integer_rows`, and divides by the product of
+the four factors, and the residual,
 symmetry, closure and vanishing checks, which are homogeneous, need no
 division.
 """
@@ -750,8 +754,9 @@ def _r0_values(space: QuaternionicSpace, pairs):
         R0(X, Y) = 1/2 sum_a eta(X, I_a Y) I_a
                    + 1/4 (X ^ Y + sum_a I_a X ^ I_a Y)
 
-    yielded as the integral matrix 4 R0(e_a, e_b), built over ints from the
-    signed permutations eta and I_alpha, read once."""
+    yielded as the entries {pos: int} of the integral matrix 4 R0(e_a, e_b),
+    some of them 0, built over ints from the signed permutations eta and
+    I_alpha, read once."""
     n = space.real_dim
     eta = signed_permutation(space.eta)
     structure = [signed_permutation(ialpha) for ialpha in space.I]
@@ -767,20 +772,22 @@ def _r0_values(space: QuaternionicSpace, pairs):
                     out[d * n + col] = out.get(d * n + col, 0) + coef * v
             for pos, v in _wedge_matrix(n, eta, {da: va}, {db: vb}).items():
                 out[pos] = out.get(pos, 0) + v
-        yield RealMatrix.from_sparse(n, n, out)
+        yield out
 
 
 def build_r0(algebra: LieAlgebra) -> CurvatureElement:
     """R0 on `algebra.space`, expressed over the basis of `algebra`, which
-    must contain its values (sp(1) + sp(r, s) does); `coordinates_of` is
-    linear, so it reads 4 R0 over ints and each coordinate is divided by 4."""
+    must contain its values (sp(1) + sp(r, s) does); coordinates are
+    linear, so `integer_coordinates` reads 4 R0 over ints and each
+    coordinate is divided once, by 4 times its denominator."""
     space = algebra.space
     rows = {}
     for ib, value in enumerate(_r0_values(space, bivector_pairs(space.real_dim))):
-        coords = algebra.coordinates_of(value)
-        if coords is None:
+        hit = algebra.integer_coordinates(value)
+        if hit is None:
             raise ValueError("R0 value escapes the algebra span")
-        rows[ib] = {k: ratio(c.numerator, 4 * c.denominator) for k, c in coords.items()}
+        den, coords = hit
+        rows[ib] = {k: ratio(c, 4 * den) for k, c in coords.items()}
     return CurvatureElement(algebra, rows)
 
 
@@ -841,38 +848,64 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
     """(A . R)(X, Y) = [A, R(X, Y)] - R(AX, Y) - R(X, AY) on basis bivectors.
 
     Requires [A, B_k] to stay in the element's algebra (true whenever A
-    belongs to it, or more generally normalizes it).
+    belongs to it, or more generally normalizes it).  Over ints: A times
+    the lcm of its denominators, indexed once by row and by column, the
+    basis columns of `_columns`, the element's rows from `_integer_rows`,
+    and ad_A from `integer_coordinates` of each integer bracket; each
+    coefficient is divided once, at the end.
     """
     algebra = element.algebra
     n = element.space.real_dim
-    ad_a = []
-    for bmat in algebra.basis:
-        coords = algebra.coordinates_of(a_mat.commutator(bmat))
-        if coords is None:
-            raise ValueError("bracket with A leaves the algebra span")
-        ad_a.append(coords)
+    den_b, cols = _columns(algebra)
+    den_a = lcm(*(v.denominator for v in a_mat.nz.values()))
+    a_rows: dict[int, list] = {}
     a_cols = [{} for _ in range(n)]
     for pos, v in a_mat.nz.items():
-        d, col = divmod(pos, n)
-        a_cols[col][d] = v
+        d, c = divmod(pos, n)
+        w = v.numerator * (den_a // v.denominator)
+        a_rows.setdefault(d, []).append((c, w))
+        a_cols[c][d] = w
+    # [den_a A, den_b B_k] = sum_l (ad_a[k][l] / den_g) B_l
+    den_g, ad_a = 1, []
+    for bcols in cols:
+        bracket: dict = {}
+        for c, entries in bcols:
+            right = a_rows.get(c, ())
+            for d, v in entries:
+                for i, w in a_cols[d].items():  # A B_k
+                    bracket[i * n + c] = bracket.get(i * n + c, 0) + w * v
+                for j, w in right:  # B_k A
+                    bracket[d * n + j] = bracket.get(d * n + j, 0) - v * w
+        hit = algebra.integer_coordinates(bracket)
+        if hit is None:
+            raise ValueError("bracket with A leaves the algebra span")
+        den_g, coords = hit
+        ad_a.append(coords)
+    scale, rows = _integer_rows(element)
+    factor = den_g * den_b  # puts A's entries over the denominator of ad_A
 
-    def subtract(acc, f, row):
-        for k, c in row.items():
-            acc[k] = acc.get(k, 0) - f * c
+    def subtract(acc, coef, x, y):
+        """acc -= coef R(e_x, e_y), times `factor`."""
+        if x != y:
+            row = rows.get(_biv_index(n, x, y) if x < y else _biv_index(n, y, x))
+            if row:
+                f = factor * coef if x < y else -factor * coef
+                for k, c in row.items():
+                    acc[k] = acc.get(k, 0) - f * c
 
-    rows = {}
+    total = scale * den_a * factor
+    out = {}
     for ib, (a, b) in enumerate(bivector_pairs(n)):
-        acc = rows[ib] = {}
-        for k, c in element.rows.get(ib, _EMPTY_ROW).items():
-            for k2, v in ad_a[k].items():
-                acc[k2] = acc.get(k2, 0) + c * v
+        acc: dict = {}
+        for k, c in rows.get(ib, _EMPTY_ROW).items():
+            for l, v in ad_a[k].items():
+                acc[l] = acc.get(l, 0) + c * v
         for d, coef in a_cols[a].items():  # R(A e_a, e_b)
-            row, sign = element.row_of(d, b)
-            subtract(acc, coef * sign, row)
+            subtract(acc, coef, d, b)
         for d, coef in a_cols[b].items():  # R(e_a, A e_b)
-            row, sign = element.row_of(a, d)
-            subtract(acc, coef * sign, row)
-    return CurvatureElement(algebra, rows)
+            subtract(acc, coef, a, d)
+        out[ib] = {k: ratio(v, total) for k, v in acc.items() if v}
+    return CurvatureElement(algebra, out)
 
 
 # ---------------------------------------------------------------------------

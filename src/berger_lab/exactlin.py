@@ -21,12 +21,15 @@ Every elimination runs on one engine, `Echelon`, with no exception, over
 sparse rows of primitive integers (fraction-free, per-row gcd
 normalization).  That is an optimization only; observable results are
 identical to naive Fraction-based Gauss-Jordan.  Rational rows enter it
-through `integer_row`, the one place denominators are cleared.  Spans,
-independence and coordinates are all answered by `Echelon`, `span_of` and
-`Subspace.reduce_vector`.  The one symmetric form whose signature is
-asked for, eta, is a signed permutation, so `symmetric_signature` counts
-it from `signed_permutation`, the one reader of such a matrix, and
-eliminates nothing.
+through `integer_row`, the one place denominators are cleared.  Spans and
+membership are answered by `Echelon`, `span_of` and
+`Subspace.reduce_vector`.  Independence and coordinates over an algebra's
+basis come from its Gram table (`liealg`): one `span_of` over the rows
+[G | I] of its Gram matrix G, 2 dim g columns, decides independence and
+gives G^-1, and no elimination runs per coordinate.  The one symmetric
+form whose signature is asked for, eta, is a signed permutation, so
+`symmetric_signature` counts it from `signed_permutation`, the one reader
+of such a matrix, and eliminates nothing.
 
 `Echelon` pivots each row at its largest column.  Kernels come out
 canonical from one elimination: in `sparse_nullspace` every reduced pivot

@@ -23,11 +23,24 @@ whether an element maps W into W is read off its entries: an entry in a W
 column must sit in a W row.  The stabilizer of W is solved over g's
 coordinates from those entries, and no algebra is compared with another
 by the span of its matrices.
+
+Coordinates are read off one table per algebra, the Gram table: an index
+of the basis entries by position and the inverse of the Frobenius Gram
+matrix G_kl = sum_pos B_k[pos] B_l[pos].  A real basis is independent iff
+G is positive definite, so one `span_of` over the rows [G | I] decides
+independence (its RREF is [I | G^-1] exactly then) and gives G^-1.  The
+coordinates of M are then c = G^-1 (<M, B_k>)_k, and M is in the span iff
+sum_k c_k B_k == M.  Every registry basis is pairwise orthogonal, with
+entries +-1, so G is diagonal and a coordinate costs one pass over M's
+entries; the general path only needs G invertible.
 """
 
 from __future__ import annotations
 
-from .exactlin import (RealMatrix, Subspace, integer_row, span_of,
+from collections.abc import Mapping
+from math import lcm
+
+from .exactlin import (RealMatrix, Subspace, integer_row, ratio, span_of,
                        sparse_nullspace)
 from .quatspace import QuaternionicSpace, conjugate, realify
 
@@ -67,19 +80,20 @@ class LieAlgebra:
     """A linearly independent list of real matrices spanning a subalgebra
     of gl(4m, R), with provenance metadata.
 
-    Beside its augmented span, the algebra keeps the tables that
-    `curvature` reads from its basis, each built on first use (`kept`):
-    `_columns`, the integer columns of each basis matrix, and `_forms`,
-    their 2-forms omega_k."""
+    The algebra keeps the tables read from its basis, each built on first
+    use (`kept`): `_gram`, the Gram table from which `coordinates_of`
+    reads coordinates, and the tables that `curvature` reads, `_columns`,
+    the integer columns of each basis matrix, and `_forms`, their 2-forms
+    omega_k."""
 
-    __slots__ = ("name", "space", "basis", "dim", "_span", "_columns", "_forms")
+    __slots__ = ("name", "space", "basis", "dim", "_gram", "_columns", "_forms")
 
     def __init__(self, name: str, space: QuaternionicSpace, basis):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "dim", len(self.basis))
-        for slot in ("_span", "_columns", "_forms"):
+        for slot in ("_gram", "_columns", "_forms"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -97,29 +111,83 @@ class LieAlgebra:
             object.__setattr__(self, slot, table)
         return table
 
-    def _augmented(self) -> Subspace:
-        """Canonical span of the rows flatten(B_k) + e_{n^2+k}.  Reducing a
-        flattened matrix against it leaves minus its coordinates in the
-        e-part."""
-        aug = self._span
-        if aug is None:
-            n2 = self.space.real_dim ** 2
-            aug = span_of(({**b.nz, n2 + k: 1}
-                           for k, b in enumerate(self.basis)), n2 + self.dim)
-            rows = aug.sparse_rows()
-            if rows and min(rows[-1]) >= n2:
-                raise ValueError(f"basis of {self.name} is linearly dependent")
-            object.__setattr__(self, "_span", aug)
-        return aug
+    def integer_coordinates(self, entries: Mapping):
+        """(den, {k: c_k}) with sum_k (c_k / den) B_k the matrix whose
+        entries are the ints `entries` ({pos: int}, a 0 read as absent),
+        the c_k nonzero ints, keys ascending, and den the same for every
+        matrix; None if that matrix is outside the span.  Raises ValueError
+        if the basis is linearly dependent."""
+        index, scale, den, inverse = self.kept("_gram", _build_gram)
+        inner = [0] * self.dim  # <M, B'_k>
+        for pos, v in entries.items():
+            if v:
+                hits = index.get(pos)
+                if hits is None:
+                    return None
+                for k, w in hits:
+                    inner[k] += v * w
+        coords = {}
+        for k, row in enumerate(inverse):
+            c = sum(x * inner[l] for l, x in row.items())
+            if c:
+                coords[k] = c
+        # M is in the span iff sum_k c_k B'_k == den M
+        image: dict = {}
+        for k, c in coords.items():
+            for pos, w in self.basis[k].nz.items():
+                image[pos] = image.get(pos, 0) + c * w
+        if ({pos: scale * x for pos, x in image.items() if x}
+                != {pos: den * v for pos, v in entries.items() if v}):
+            return None
+        return den, {k: scale * c for k, c in coords.items()}
 
     def coordinates_of(self, m: RealMatrix):
         """The nonzero coefficients {k: c} of `m` over the basis, keys
-        ascending, or None if `m` is outside the span."""
-        n2 = self.space.real_dim ** 2
-        rest = self._augmented().reduce_vector(m.nz)
-        if rest and min(rest) < n2:
+        ascending, in normal form, or None if `m` is outside the span:
+        `integer_coordinates` of m's entries over one common denominator,
+        divided once."""
+        den_m = lcm(*(v.denominator for v in m.nz.values()))
+        hit = self.integer_coordinates({pos: v.numerator * (den_m // v.denominator)
+                                        for pos, v in m.nz.items()})
+        if hit is None:
             return None
-        return {k - n2: -c for k, c in sorted(rest.items())}
+        den, coords = hit
+        return {k: ratio(c, den * den_m) for k, c in coords.items()}
+
+
+def _build_gram(alg: LieAlgebra) -> tuple[dict, int, int, tuple]:
+    """The Gram table of `alg`'s basis B_k, read through B'_k = scale B_k,
+    which has integer entries: (index, scale, den, inverse).
+
+    - index: pos -> [(k, B'_k[pos]), ...] over the nonzero entries;
+    - scale: the lcm of the denominators of the basis entries;
+    - den: the lcm of the denominators of the entries of G'^-1, G' the
+      Gram matrix of the B'_k;
+    - inverse: row k of den G'^-1, {l: int}.
+
+    G' is read off the index, and one `span_of` over the rows [G' | I]
+    gives [I | G'^-1] when the basis is independent; a row leading in the
+    right half means G' is singular, and raises "linearly dependent"."""
+    dim = alg.dim
+    scale = lcm(*(v.denominator for b in alg.basis for v in b.nz.values()))
+    index: dict = {}
+    for k, b in enumerate(alg.basis):
+        for pos, v in b.nz.items():
+            index.setdefault(pos, []).append((k, v.numerator * (scale // v.denominator)))
+    gram = [{} for _ in range(dim)]
+    for hits in index.values():
+        for k, v in hits:
+            row = gram[k]
+            for l, w in hits:
+                row[l] = row.get(l, 0) + v * w
+    rows = span_of(({**row, dim + k: 1} for k, row in enumerate(gram)),
+                   2 * dim).sparse_rows()
+    if rows and min(rows[-1]) >= dim:
+        raise ValueError(f"basis of {alg.name} is linearly dependent")
+    den = lcm(*(v.denominator for row in rows for v in row.values()))
+    inverse = tuple({l - dim: v.numerator * (den // v.denominator)
+                     for l, v in row.items() if l >= dim} for row in rows)
+    return index, scale, den, inverse
 
 
 def _sp_entries(space: QuaternionicSpace):
@@ -196,21 +264,37 @@ def build_glq(space: QuaternionicSpace) -> LieAlgebra:
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
     """Concatenated basis of two commuting subalgebras with trivial
     intersection; raises "not a direct sum" if they do not commute, and
-    "linearly dependent" if their spans overlap.  The commute check
-    compares the entries of x y and y x, each basis matrix's rows indexed
-    once, and builds no matrix per product; the overlap check builds the
-    sum's augmented span, which `coordinates_of` then reuses."""
+    "linearly dependent" if their spans overlap.  The commute check stacks
+    the entries of every y in b once, by row and by column, under int keys
+    that name y and the position, and compares x y with y x for every y in
+    one pass over the entries of each x in a; it builds no matrix.  The
+    overlap check builds the sum's Gram table, which `coordinates_of` then
+    reuses."""
     if a.space is not b.space:
         raise ValueError("summands live on different spaces")
     n = a.space.real_dim
-    a_rows = [x.row_index() for x in a.basis]
-    b_rows = [y.row_index() for y in b.basis]
-    for x, x_rows in zip(a.basis, a_rows):
-        for y, y_rows in zip(b.basis, b_rows):
-            if x.product_entries(y_rows, n) != y.product_entries(x_rows, n):
-                raise ValueError("not a direct sum: summands do not commute")
+    n2 = n * n
+    # y_l[i, j] at key l n^2 + j under row i, and at key l n^2 + i n under column j
+    by_row: dict = {}
+    by_col: dict = {}
+    for l, y in enumerate(b.basis):
+        for pos, w in y.nz.items():
+            i, j = divmod(pos, n)
+            by_row.setdefault(i, []).append((l * n2 + j, w))
+            by_col.setdefault(j, []).append((l * n2 + i * n, w))
+    for x in a.basis:
+        diff: dict = {}  # x y_l - y_l x at key l n^2 + position
+        for pos, v in x.nz.items():
+            i, t = divmod(pos, n)
+            base = i * n
+            for key, w in by_row.get(t, ()):  # x[i, t] y_l[t, j]
+                diff[key + base] = diff.get(key + base, 0) + v * w
+            for key, w in by_col.get(i, ()):  # y_l[d, i] x[i, t]
+                diff[key + t] = diff.get(key + t, 0) - w * v
+        if any(diff.values()):
+            raise ValueError("not a direct sum: summands do not commute")
     total = LieAlgebra(name or f"{a.name}+{b.name}", a.space, a.basis + b.basis)
-    total._augmented()
+    total.kept("_gram", _build_gram)
     return total
 
 

@@ -1,3 +1,4 @@
+import functools
 import os
 from fractions import Fraction
 from itertools import combinations
@@ -39,9 +40,36 @@ def nullspace(m):
                     sparse_nullspace(map(integer_row, row_dicts(m)), m.cols))
 
 
+@functools.cache
+def augmented_span(alg):
+    """Canonical span of the rows flatten(B_k) + e_{n^2+k}, kept per algebra.
+    Reducing a flattened matrix against it leaves minus its coordinates in
+    the e-part.  Raises "linearly dependent" if a row leads in the e-part."""
+    n2 = alg.space.real_dim ** 2
+    aug = span_of(({**b.nz, n2 + k: 1} for k, b in enumerate(alg.basis)),
+                  n2 + alg.dim)
+    rows = aug.sparse_rows()
+    if rows and min(rows[-1]) >= n2:
+        raise ValueError(f"basis of {alg.name} is linearly dependent")
+    return aug
+
+
+def reference_coordinates(alg, m):
+    """The nonzero coordinates {k: c} of `m` over `alg`'s basis, keys
+    ascending, or None if `m` is outside the span: one elimination over
+    the n^2 + dim columns of the augmented span, independent of the Gram
+    table behind `LieAlgebra.coordinates_of`."""
+    n2 = alg.space.real_dim ** 2
+    rest = augmented_span(alg).reduce_vector(m.nz)
+    if rest and min(rest) < n2:
+        return None
+    return {k - n2: -c for k, c in sorted(rest.items())}
+
+
 def is_closed(alg):
-    """[B_i, B_j] lies in the span of `alg` for all basis pairs."""
-    return all(alg.coordinates_of(a.commutator(b)) is not None
+    """[B_i, B_j] lies in the span of `alg` for all basis pairs, read by
+    `reference_coordinates`."""
+    return all(reference_coordinates(alg, a.commutator(b)) is not None
                for i, a in enumerate(alg.basis) for b in alg.basis[i + 1:])
 
 
@@ -273,7 +301,7 @@ def element_over(el, target):
     """The element's flat coefficient vector re-expressed over `target`'s
     basis, for any algebra that embeds in `target` as a subspace, from the
     coordinates of its basis matrices."""
-    mapped = [target.coordinates_of(bmat) for bmat in el.algebra.basis]
+    mapped = [reference_coordinates(target, bmat) for bmat in el.algebra.basis]
     if any(coords is None for coords in mapped):
         raise ValueError(f"{el.algebra.name} does not embed in {target.name}")
     out = {}

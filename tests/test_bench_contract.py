@@ -92,3 +92,11 @@ def test_bench_layers_record_the_case_split_call(tmp_path):
     result = traced({"case_split": [1, 3, 1], "out": str(tmp_path / "report.json")})
     assert result["code"] == 0
     assert off_contract(run, "case-split-131", result) == ([], [])
+
+
+def test_bench_layers_record_the_h0_line_call(tmp_path):
+    run = bench_run()
+    result = traced(["dim", "--algebra", "h0", "--r", "3", "--s", "3", "--t", "3",
+                     "--curvature", "--out", str(tmp_path / "out.json")])
+    assert result["code"] == 0
+    assert off_contract(run, "h0-line-333", result) == ([], [])

@@ -23,7 +23,8 @@ from berger_lab.liealg import ALGEBRA_NAMES, LieAlgebra, algebra_by_name
 from conftest import (SPARSE_CASES, basis_tensors, element_over, first_rows,
                       flat_subspace, flat_vector, flat_vectors, from_flat, ref_ricci,
                       is_orbit_representative, reference_bianchi_kernel,
-                      reference_coefficients_over, reference_derivative_space,
+                      reference_coefficients_over, reference_coordinates,
+                      reference_derivative_space,
                       reference_values, reference_wedge_rows,
                       is_normal, same_tensor, structure_characters,
                       synthetic_element, tensors_built, tier2,
@@ -834,7 +835,7 @@ def ref_act(a_mat, el, values):
                 if f:
                     for i, x in v.nz.items():
                         m[i] -= f * x
-        coords = el.algebra.coordinates_of(RealMatrix(n, n, m))
+        coords = reference_coordinates(el.algebra, RealMatrix(n, n, m))
         rows.append([coords.get(k, 0) for k in range(el.algebra.dim)])
     return rows
 
@@ -853,7 +854,7 @@ def ref_over(el, values, target):
     the coordinates of its values."""
     return {ib * target.dim + k: c
             for ib, pair in enumerate(bivector_pairs(el.space.real_dim))
-            for k, c in target.coordinates_of(values[pair]).items()}
+            for k, c in reference_coordinates(target, values[pair]).items()}
 
 
 @pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)
@@ -884,6 +885,31 @@ def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
     first = first_rows(curvature, 1)
     assert flat_subspace(over(first, target)) == span_of(
         vectors[:first.dim], len(bivector_pairs(n)) * target.dim)
+
+
+def scaled_sum(session):
+    """sp(1)+sp(1,1) with two basis matrices scaled by 1/2 and 1/3: a basis
+    with non-integer entries."""
+    full = session.algebra("sp1+sp", 1, 1, 1)
+    scales = {0: Fraction(1, 2), 5: Fraction(1, 3)}
+    return LieAlgebra("sp1+sp-scaled", full.space, [
+        b.scaled(scales.get(k, 1)) for k, b in enumerate(full.basis)])
+
+
+@pytest.mark.parametrize("name", ["sp", "sp_w", "glq", "h0", "sp1+sp", "sp1+sp_w",
+                                  "scaled"])
+def test_act_by_a_rational_combination_matches_the_reference(session, name):
+    # A = B_0 / 2 - 2 B_3 is no basis matrix and has a denominator, and the
+    # element's coefficients have denominators too
+    algebra = (scaled_sum(session) if name == "scaled"
+               else session.algebra(name, 1, 1, 1))
+    a_mat = algebra.basis[0].scaled(Fraction(1, 2)) + algebra.basis[3].scaled(-2)
+    el = synthetic_element(algebra)
+    assert any(type(c) is Fraction for row in el.rows.values() for c in row.values())
+    moved = act(a_mat, el)
+    assert dense_coeffs(moved) == ref_act(a_mat, el, ref_values(el))
+    assert not moved.is_zero()
+    assert all(is_normal(c) for row in moved.rows.values() for c in row.values())
 
 
 @pytest.mark.parametrize("name", ["sp", "sp_w", "sp1", "glq", "h0", "sp1+sp",
@@ -961,13 +987,13 @@ def test_coefficients_over_refuses_a_target_that_is_no_block(session):
 @pytest.mark.parametrize("source,target", BLOCK_PAIRS)
 def test_block_slots_read_the_basis_by_equality(session, source, target):
     # a summand's basis is one run of equal matrices in its sum's, found with
-    # no elimination: a copy of the target keeps its augmented span unbuilt
+    # no elimination: a copy of the target keeps its Gram table unbuilt
     algebra = session.algebra(source, 1, 1, 1)
     full = session.algebra(target, 1, 1, 1)
     copy = LieAlgebra(full.name, full.space, full.basis)
     start = 0 if source == "sp1" else 3
     assert curv.block_slots(algebra, copy) == list(range(start, start + algebra.dim))
-    assert copy._span is None
+    assert copy._gram is None
 
 
 def test_mixed_case_split_builds_no_tensor(monkeypatch):

@@ -21,6 +21,7 @@ from berger_lab.exactlin import RealMatrix, signed_permutation, sparse_nullspace
 from berger_lab.liealg import LieAlgebra
 from conftest import (SPARSE_CASES, basis_tensors,
                       column_scan_residual_is_zero, is_normal, ref_ricci,
+                      reference_coordinates,
                       same_tensor, synthetic_element, tier2, value,
                       value_column)
 
@@ -64,7 +65,7 @@ def ref_build_r0(algebra):
     space = algebra.space
     rows = {}
     for ib, (a, b) in enumerate(bivector_pairs(space.real_dim)):
-        rows[ib] = algebra.coordinates_of(ref_r0_value(space, a, b))
+        rows[ib] = reference_coordinates(algebra, ref_r0_value(space, a, b))
     return CurvatureElement(algebra, rows)
 
 

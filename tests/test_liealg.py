@@ -11,8 +11,8 @@ from berger_lab.liealg import (LieAlgebra, algebra_by_name, build_glq, build_h0,
                                direct_sum, sp_dimension,
                                sp_parabolic_dimension, stabilizer_of_subspace)
 from berger_lab.quatspace import build_space
-from conftest import (dual_W1, flat_span, is_closed, is_metric_skew,
-                      nullspace, subspace_W)
+from conftest import (dual_W1, flat_span, is_closed, is_metric_skew, is_normal,
+                      nullspace, reference_coordinates, subspace_W)
 
 
 def preserves_subspace(g, v):
@@ -182,19 +182,46 @@ def test_direct_sum_rejects_overlap():
 
 
 def test_direct_sum_eliminates_the_sum_once(monkeypatch):
-    # the overlap check builds the augmented span that coordinates_of reuses
+    # the overlap check builds the Gram table that coordinates_of reuses: one
+    # span_of over the rows [G | I], 2 dim columns, and no matrix product
     calls = []
+    products = []
 
     def counted(vectors, ambient_dim):
         calls.append(ambient_dim)
         return span_of(vectors, ambient_dim)
 
-    monkeypatch.setattr(liealg, "span_of", counted)
     space = build_space(1, 1, 1)
-    glq = build_glq(space)
-    h0 = direct_sum(build_sp1(space), glq)
+    sp1, glq = build_sp1(space), build_glq(space)
+    product_entries = RealMatrix.product_entries
+
+    def product(*args):
+        products.append(args)
+        return product_entries(*args)
+
+    monkeypatch.setattr(liealg, "span_of", counted)
+    monkeypatch.setattr(RealMatrix, "product_entries", product)
+    h0 = direct_sum(sp1, glq)
     assert h0.coordinates_of(space.I[0] + glq.basis[1]) == {0: 1, 4: 1}
-    assert calls == [64 + h0.dim]
+    assert calls == [2 * h0.dim]
+    assert products == []
+
+
+def test_direct_sum_finds_the_one_pair_that_does_not_commute():
+    # every pair commutes but the last element of each summand
+    space = build_space(1, 1, 1)
+    sp = build_sp(space)
+    x, y = sp.basis[4], sp.basis[-1]
+    head = [b for b in sp.basis[5:-1] if x.commutator(b).is_zero()][:2]
+    first = LieAlgebra("first", space, [*space.I[:2], x])
+    second = LieAlgebra("second", space, [*head, y])
+    assert len(head) == 2
+    assert [(i, j) for i, a in enumerate(first.basis)
+            for j, b in enumerate(second.basis)
+            if not a.commutator(b).is_zero()] == [(2, 2)]
+    for a, b in ((first, second), (second, first)):
+        with pytest.raises(ValueError, match="not a direct sum"):
+            direct_sum(a, b)
 
 
 def test_direct_sum_rejects_non_commuting():
@@ -245,10 +272,72 @@ def test_coordinates_round_trip_over_a_sum():
 
 def test_dependent_basis_is_rejected():
     space = build_space(1, 1, 1)
-    i1 = space.I[0]
-    dup = LieAlgebra("dup", space, [i1, i1])
-    with pytest.raises(ValueError, match="linearly dependent"):
-        dup.coordinates_of(i1)
+    i1, i2, _ = space.I
+    for basis in ([i1, i1], [i1, i2, i1 + i2.scaled(Fraction(1, 2))]):
+        dup = LieAlgebra("dup", space, basis)
+        with pytest.raises(ValueError, match="linearly dependent"):
+            dup.coordinates_of(i1)
+
+
+def test_coordinates_over_a_basis_that_is_not_orthogonal():
+    # <I1, I1 + I2> != 0, so the Gram matrix is not diagonal; the second
+    # basis also has non-integer entries
+    space = build_space(1, 1, 1)
+    i1, i2, i3 = space.I
+    half = Fraction(1, 2)
+    for basis in ([i1, i1 + i2, i3],
+                  [i1.scaled(half), i1 + i2.scaled(Fraction(1, 3)), i3]):
+        skew = LieAlgebra("skew", space, basis)
+        for k, b in enumerate(skew.basis):
+            assert skew.coordinates_of(b) == {k: 1}
+        combo = (skew.basis[0].scaled(Fraction(2, 3)) + skew.basis[1].scaled(-5)
+                 + skew.basis[2].scaled(Fraction(1, 4)))
+        coords = skew.coordinates_of(combo)
+        assert coords == {0: Fraction(2, 3), 1: -5, 2: Fraction(1, 4)}
+        assert all(is_normal(c) for c in coords.values())
+        for m in (combo, i2, i1 + i3.scaled(half), i1.commutator(i2), sp_off(space)):
+            assert skew.coordinates_of(m) == reference_coordinates(skew, m)
+        assert skew.coordinates_of(RealMatrix.identity(8)) is None
+        assert skew.coordinates_of(sp_off(space)) is None
+
+
+def sp_off(space):
+    """An element of sp(1,1) outside sp(1): it commutes with I1, I2, I3."""
+    return build_sp(space).basis[-1]
+
+
+# every registry algebra wherever it is defined, against the augmented span
+COORDINATE_CASES = [(name, r, s, t) for r, s, t in
+                    ((1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 2, 2), (3, 3, 3))
+                    for name in liealg.ALGEBRA_NAMES
+                    if name not in ("glq", "h0") or r == s == t]
+
+
+@pytest.mark.parametrize("name,r,s,t", COORDINATE_CASES, ids=[
+    f"{name}-{r}-{s}-{t}" for name, r, s, t in COORDINATE_CASES])
+def test_coordinates_match_the_reference(session, name, r, s, t):
+    alg = session.algebra(name, r, s, t)
+    basis, dim = alg.basis, alg.dim
+    n = alg.space.real_dim
+    for k, b in enumerate(basis):
+        assert alg.coordinates_of(b) == {k: 1} == reference_coordinates(alg, b)
+    combo = (basis[0].scaled(Fraction(1, 2)) + basis[dim // 2].scaled(-2)
+             + basis[-1].scaled(Fraction(3, 7)))
+    flipped = dict(basis[-1].nz)
+    pos = min(flipped)
+    flipped[pos] = -flipped[pos]
+    probes = [combo, basis[0].commutator(basis[-1]),
+              basis[1].commutator(basis[dim // 2]),
+              RealMatrix.from_sparse(n, n, flipped), RealMatrix.identity(n)]
+    for m in probes:
+        coords = alg.coordinates_of(m)
+        assert coords == reference_coordinates(alg, m)
+        if coords is not None:
+            assert list(coords) == sorted(coords)
+            assert all(is_normal(c) for c in coords.values())
+    assert alg.coordinates_of(combo) == {0: Fraction(1, 2), dim // 2: -2,
+                                         dim - 1: Fraction(3, 7)}
+    assert alg.coordinates_of(RealMatrix.identity(n)) is None
 
 
 def test_algebra_json_shape():

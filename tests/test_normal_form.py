@@ -3,6 +3,7 @@ Fraction otherwise, and no module computes with floats.  Also parsed from
 the source: no module reaches another module's private names."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -85,7 +86,10 @@ def test_every_exact_value_is_in_normal_form(session, tmp_path, name, r, s, t):
 
     matrices = [*algebra.basis, space.eta, *space.I,
                 *(ref_ricci(el) for el in elements)]
-    vectors = [*algebra._augmented().sparse_rows(),
+    combo = algebra.basis[0].scaled(Fraction(1, 2)) + algebra.basis[-1].scaled(3)
+    coords = algebra.coordinates_of(combo)  # builds the Gram table
+    index, _, _, inverse = algebra._gram
+    vectors = [coords, *inverse,
                *curvature.coefficient_subspace().sparse_rows(),
                *(flat_vector(el) for el in elements),
                *(row for tensor in curvature.values() for row in tensor.values())]
@@ -95,5 +99,6 @@ def test_every_exact_value_is_in_normal_form(session, tmp_path, name, r, s, t):
         vectors += [*first.basis, *second_prolongation(first).basis]
     values = [v for m in matrices for v in m.nz.values()]
     values += [v for vec in vectors for v in vec.values()]
+    values += [w for hits in index.values() for _, w in hits]
     values += [scalar(el) for el in elements]
     assert values and all(is_normal(v) for v in values)

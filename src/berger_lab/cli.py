@@ -11,7 +11,9 @@ Each command takes only the options it reads: verify-paper runs its own
 configurations, and it alone reads a cache (--cache-dir).  An option is
 taken only when spelled in full: a prefix such as --curv is an
 unrecognised option, so a new option cannot change what an existing
-command line means.
+command line means.  `main` builds the options of the command it runs
+only; every command keeps its name and help in the parser, so the
+top-level help and usage errors read the same.
 
 Exit codes: 0 success / all checks passed, 1 a check failed or a
 computation was impossible, 2 usage error (including unknown algebra
@@ -34,61 +36,62 @@ from .liealg import ALGEBRA_NAMES
 __all__ = ["main", "build_parser"]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_common(p, rst=True):
+    if rst:
+        p.add_argument("--r", type=int, default=1)
+        p.add_argument("--s", type=int, default=1)
+        p.add_argument("--t", type=int, default=1)
+    p.add_argument("--format", dest="fmt",
+                   choices=("json", "csv", "text"), default="text")
+    p.add_argument("--out", help="write the output here instead of stdout")
+
+
+def _add_algebra(p):
+    p.add_argument("--algebra", required=True,
+                   help=f"one of: {', '.join(ALGEBRA_NAMES)}")
+
+
+def _algebra_options(p):
+    _add_common(p)
+    _add_algebra(p)
+
+
+def _dim_options(p):
+    _algebra_options(p)
+    p.add_argument("--curvature", action="store_true",
+                   help="also compute the curvature-space dimension")
+
+
+def _prolongation_options(p):
+    _algebra_options(p)
+    p.add_argument("--order", type=int, choices=(1, 2), default=1)
+
+
+def _verify_options(p):
+    _add_common(p, rst=False)
+    p.add_argument("--cache-dir",
+                   help="directory for cached curvature-space bases")
+    p.set_defaults(fmt="json")  # the report is JSON unless asked otherwise
+    p.add_argument("--tier", type=int, choices=(1, 2), default=1)
+    p.add_argument("--timings", action="store_true",
+                   help="include wall times (breaks byte-for-byte "
+                        "report determinism)")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command.  Each command is registered with its
+    name and help; given `command`, only that one gets its options, which
+    is all that parsing a command line beginning with it reads."""
     parser = argparse.ArgumentParser(
         prog="berger-lab", allow_abbrev=False,
         description=("Exact-arithmetic verification of curvature spaces, "
                      "Berger closures, and prolongations for holonomy "
                      "candidates on pseudo-quaternionic-Hermitian spaces."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, rst=True):
-        if rst:
-            p.add_argument("--r", type=int, default=1)
-            p.add_argument("--s", type=int, default=1)
-            p.add_argument("--t", type=int, default=1)
-        p.add_argument("--format", dest="fmt",
-                       choices=("json", "csv", "text"), default="text")
-        p.add_argument("--out", help="write the output here instead of stdout")
-
-    def add_algebra(p):
-        p.add_argument("--algebra", required=True,
-                       help=f"one of: {', '.join(ALGEBRA_NAMES)}")
-
-    p_dim = sub.add_parser("dim", allow_abbrev=False,
-                           help="dimension of a registry algebra")
-    add_common(p_dim)
-    add_algebra(p_dim)
-    p_dim.add_argument("--curvature", action="store_true",
-                       help="also compute the curvature-space dimension")
-
-    p_curv = sub.add_parser("curvature-space", allow_abbrev=False,
-                            help="basis of the first-Bianchi kernel")
-    add_common(p_curv)
-    add_algebra(p_curv)
-
-    p_prol = sub.add_parser("prolongation", allow_abbrev=False,
-                            help="prolongation of an algebra restricted to W")
-    add_common(p_prol)
-    add_algebra(p_prol)
-    p_prol.add_argument("--order", type=int, choices=(1, 2), default=1)
-
-    p_berger = sub.add_parser("berger", allow_abbrev=False,
-                              help="Berger-criterion report")
-    add_common(p_berger)
-    add_algebra(p_berger)
-
-    p_verify = sub.add_parser("verify-paper", allow_abbrev=False,
-                              help="run the full verification suite")
-    add_common(p_verify, rst=False)
-    p_verify.add_argument("--cache-dir",
-                          help="directory for cached curvature-space bases")
-    p_verify.set_defaults(fmt="json")  # the report is JSON unless asked otherwise
-    p_verify.add_argument("--tier", type=int, choices=(1, 2), default=1)
-    p_verify.add_argument("--timings", action="store_true",
-                          help="include wall times (breaks byte-for-byte "
-                               "report determinism)")
-
+    for name, (help_text, add_options, _) in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False, help=help_text)
+        if command is None or command == name:
+            add_options(p)
     return parser
 
 
@@ -221,22 +224,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.all_passed() else 1
 
 
-HANDLERS = {
-    "dim": cmd_dim,
-    "curvature-space": cmd_curvature_space,
-    "prolongation": cmd_prolongation,
-    "berger": cmd_berger,
-    "verify-paper": cmd_verify,
+# each command, in help order: its help line, what adds its options and
+# what runs it
+_COMMANDS = {
+    "dim": ("dimension of a registry algebra", _dim_options, cmd_dim),
+    "curvature-space": ("basis of the first-Bianchi kernel", _algebra_options,
+                        cmd_curvature_space),
+    "prolongation": ("prolongation of an algebra restricted to W",
+                     _prolongation_options, cmd_prolongation),
+    "berger": ("Berger-criterion report", _algebra_options, cmd_berger),
+    "verify-paper": ("run the full verification suite", _verify_options,
+                     cmd_verify),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         if "algebra" in args:  # every command but verify-paper
             check_usage(args)
-        return HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,9 @@ Within a block the system is also reduced by the structure triple
 it permutes the four components of each quaternionic coordinate, so it
 keeps every weight, and it preserves eta.  Conjugation by I_alpha maps
 each basis element to chi_k(alpha) B_k, chi_k(alpha) = +-1, which gives
-x_kl the character chi_k chi_l of the Klein group {1, I1, I2, I3}.  So the
+x_kl the character chi_k chi_l of the Klein group {1, I1, I2, I3}.
+`_structure_characters` reads chi_k by comparing B_k with itself: each
+conjugated entry against B_k's own entry at its image.  So the
 row of the 4-set I_alpha F is +- the row of F with each column scaled by
 its character at alpha, and, the four characters being independent, the
 rows of the orbit of F span exactly the character components of the row
@@ -149,8 +151,7 @@ class CurvatureElement:
     given by its rows by bivector {ib: {k: coefficient of B_k in
     R(e_a, e_b)}} for the ib-th bivector (a, b), the form
     `CurvatureSpace.values` yields; an ib outside [0, nbiv) or a k outside
-    [0, dim g) raises ValueError.  `space` is kept as a slot, set from the
-    algebra, for the hot `row_of` reads.
+    [0, dim g) raises ValueError.  `space` is the algebra's space.
 
     `rows` keeps the nonzero coefficients and nonempty rows only,
     bivectors and keys ascending, as read-only mappings the element owns;
@@ -178,15 +179,6 @@ class CurvatureElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureElement is immutable")
-
-    def row_of(self, a: int, b: int) -> tuple[Mapping, int]:
-        """The stored row of the bivector {a, b} and the sign that turns it
-        into R(e_a, e_b): 1 if a < b, -1 if a > b, 0 (empty row) if a == b."""
-        if a == b:
-            return _EMPTY_ROW, 0
-        if a < b:
-            return self.rows.get(_biv_index(self.space.real_dim, a, b), _EMPTY_ROW), 1
-        return self.rows.get(_biv_index(self.space.real_dim, b, a), _EMPTY_ROW), -1
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -443,19 +435,29 @@ def _witt_transpositions(algebra: LieAlgebra) -> list[list] | None:
 def _structure_characters(algebra: LieAlgebra) -> list[int] | None:
     """The character of each basis element under conjugation by I1 and
     I2, two bits: bit alpha is set iff I_{alpha+1} B_k I_{alpha+1}^-1 =
-    -B_k.  I3 = I1 I2, so the two fix its sign too.  None if some
-    conjugate is not +- the basis element itself."""
-    actions = _conjugations(algebra, [signed_permutation(ialpha)
-                                      for ialpha in algebra.space.I[:2]])
-    if actions is None:
-        return None
-    bits = [0] * algebra.dim
-    for alpha, action in enumerate(actions):
-        for k, (image, sign) in enumerate(action):
-            if image != k:
-                return None
+    -B_k.  I3 = I1 I2, so the two fix its sign too.  Each conjugated entry
+    is compared with B_k's own entry at its image position, the first one
+    fixing the sign; None at the first entry where the conjugate is not
+    +- the basis element itself."""
+    n = algebra.space.real_dim
+    perms = [signed_permutation(ialpha) for ialpha in algebra.space.I[:2]]
+    bits = []
+    for bmat in algebra.basis:
+        nz = bmat.nz
+        bit = 0
+        for alpha, perm in enumerate(perms):
+            sign = 0
+            for pos, v in nz.items():
+                (d, sd), (c, sc) = perm[pos // n], perm[pos % n]
+                image = sd * sc * v
+                w = nz.get(d * n + c)
+                if not sign:
+                    sign = 1 if w == image else -1
+                if w != sign * image:
+                    return None
             if sign < 0:
-                bits[k] |= 1 << alpha
+                bit |= 1 << alpha
+        bits.append(bit)
     return bits
 
 

@@ -12,10 +12,12 @@ equality, hash or serialized form depends on the type.  Nothing here uses
 true division, which turns two ints into a float.
 
 Everything is sparse: a matrix (`RealMatrix`) stores its nonzero entries
-only, and a vector is a {index: value} mapping of its nonzeros.
-`RealMatrix.apply` is the one matrix-vector product.  Elimination is
-deterministic, so echelon forms are unique and subspace bases are
-canonical: two subspaces are equal iff their stored rows are equal.
+only, and a vector is a {index: value} mapping of its nonzeros.  Package
+code reads a matrix by its entries (`nz`); `RealMatrix.apply`, the
+matrix-vector product, is left to the tests and to library callers.
+Elimination is deterministic, so echelon forms are unique and subspace
+bases are canonical: two subspaces are equal iff their stored rows are
+equal.
 
 Every elimination runs on one engine, `Echelon`, with no exception, over
 sparse rows of primitive integers (fraction-free, per-row gcd
@@ -215,33 +217,22 @@ class RealMatrix:
                                       {k: c * v for k, v in self.nz.items()})
 
     def _matmul(self, other: "RealMatrix") -> "RealMatrix":
+        """self * other: each nonzero self[i, t] joins the nonzeros of row t
+        of `other`, indexed once."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch for matrix product")
-        return RealMatrix.from_sparse(self.rows, other.cols, self.product_entries(
-            other.row_index(), other.cols))
-
-    def row_index(self) -> dict[int, list]:
-        """{i: [(j, self[i, j]), ...]} over the nonzero entries: the form in
-        which `product_entries` reads a right factor."""
-        rows: dict[int, list] = {}
-        for pos, w in self.nz.items():
-            t, j = divmod(pos, self.cols)
-            rows.setdefault(t, []).append((j, w))
-        return rows
-
-    def product_entries(self, right_rows: Mapping, cols: int) -> dict:
-        """The nonzero entries {i * cols + j: value} of self * B, for B with
-        `cols` columns given by its `row_index`: each nonzero self[i, t]
-        joins the nonzeros of row t of B.  No matrix is built, so a caller
-        that multiplies by one B many times indexes it once."""
-        k = self.cols
+        k, cols = self.cols, other.cols
+        right_rows: dict[int, list] = {}
+        for pos, w in other.nz.items():
+            t, j = divmod(pos, cols)
+            right_rows.setdefault(t, []).append((j, w))
         out: dict = {}
         for pos, v in self.nz.items():
             i, t = divmod(pos, k)
             base = i * cols
             for j, w in right_rows.get(t, ()):
                 out[base + j] = out.get(base + j, 0) + v * w
-        return {key: v for key, v in out.items() if v}
+        return RealMatrix.from_sparse(self.rows, cols, out)
 
     def apply(self, vec: Mapping) -> dict:
         """Matrix-vector product of a sparse vector {j: value}: the
@@ -263,9 +254,6 @@ class RealMatrix:
 
     def is_zero(self) -> bool:
         return not self.nz
-
-    def commutator(self, other: "RealMatrix") -> "RealMatrix":
-        return self * other - other * self
 
 
 # ---------------------------------------------------------------------------

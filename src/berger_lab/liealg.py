@@ -28,11 +28,14 @@ Coordinates are read off one table per algebra, the Gram table: an index
 of the basis entries by position and the inverse of the Frobenius Gram
 matrix G_kl = sum_pos B_k[pos] B_l[pos].  A real basis is independent iff
 G is positive definite, so one `span_of` over the rows [G | I] decides
-independence (its RREF is [I | G^-1] exactly then) and gives G^-1.  The
-coordinates of M are then c = G^-1 (<M, B_k>)_k, and M is in the span iff
-sum_k c_k B_k == M.  Every registry basis is pairwise orthogonal, with
-entries +-1, so G is diagonal and a coordinate costs one pass over M's
-entries; the general path only needs G invertible.
+independence (its RREF is [I | G^-1] exactly then) and gives G^-1, which
+is kept by column.  The coordinates of M are then c = G^-1 (<M, B_l>)_l,
+the sum of column l times <M, B_l> over the l whose inner product is not
+zero, so a matrix that meets few basis elements reads few columns; M is in
+the span iff sum_k c_k B_k == M.  Every registry basis is pairwise
+orthogonal, with entries +-1, so G is diagonal, each column holds one
+entry, and a coordinate costs one pass over M's entries; the general path
+only needs G invertible.
 """
 
 from __future__ import annotations
@@ -117,20 +120,21 @@ class LieAlgebra:
         the c_k nonzero ints, keys ascending, and den the same for every
         matrix; None if that matrix is outside the span.  Raises ValueError
         if the basis is linearly dependent."""
-        index, scale, den, inverse = self.kept("_gram", _build_gram)
-        inner = [0] * self.dim  # <M, B'_k>
+        index, scale, den, columns = self.kept("_gram", _build_gram)
+        inner: dict = {}  # <M, B'_l> for each B'_l whose support M meets
         for pos, v in entries.items():
             if v:
                 hits = index.get(pos)
                 if hits is None:
                     return None
-                for k, w in hits:
-                    inner[k] += v * w
-        coords = {}
-        for k, row in enumerate(inverse):
-            c = sum(x * inner[l] for l, x in row.items())
-            if c:
-                coords[k] = c
+                for l, w in hits:
+                    inner[l] = inner.get(l, 0) + v * w
+        acc: dict = {}  # den G'^-1 (<M, B'_l>)_l, one column per nonzero
+        for l, x in inner.items():
+            if x:
+                for k, y in columns[l].items():
+                    acc[k] = acc.get(k, 0) + y * x
+        coords = {k: acc[k] for k in sorted(acc) if acc[k]}
         # M is in the span iff sum_k c_k B'_k == den M
         image: dict = {}
         for k, c in coords.items():
@@ -157,13 +161,15 @@ class LieAlgebra:
 
 def _build_gram(alg: LieAlgebra) -> tuple[dict, int, int, tuple]:
     """The Gram table of `alg`'s basis B_k, read through B'_k = scale B_k,
-    which has integer entries: (index, scale, den, inverse).
+    which has integer entries: (index, scale, den, columns).
 
     - index: pos -> [(k, B'_k[pos]), ...] over the nonzero entries;
     - scale: the lcm of the denominators of the basis entries;
     - den: the lcm of the denominators of the entries of G'^-1, G' the
       Gram matrix of the B'_k;
-    - inverse: row k of den G'^-1, {l: int}.
+    - columns: column l of den G'^-1, {k: int} over its nonzeros, keys
+      ascending; a coordinate reads only the columns of its nonzero inner
+      products.
 
     G' is read off the index, and one `span_of` over the rows [G' | I]
     gives [I | G'^-1] when the basis is independent; a row leading in the
@@ -185,9 +191,12 @@ def _build_gram(alg: LieAlgebra) -> tuple[dict, int, int, tuple]:
     if rows and min(rows[-1]) >= dim:
         raise ValueError(f"basis of {alg.name} is linearly dependent")
     den = lcm(*(v.denominator for row in rows for v in row.values()))
-    inverse = tuple({l - dim: v.numerator * (den // v.denominator)
-                     for l, v in row.items() if l >= dim} for row in rows)
-    return index, scale, den, inverse
+    columns = tuple({} for _ in range(dim))
+    for k, row in enumerate(rows):  # row k of [I | G'^-1]
+        for l, v in row.items():
+            if l >= dim:
+                columns[l - dim][k] = v.numerator * (den // v.denominator)
+    return index, scale, den, columns
 
 
 def _sp_entries(space: QuaternionicSpace):

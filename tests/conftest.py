@@ -2,6 +2,7 @@ import functools
 import os
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 
 import pytest
 
@@ -40,6 +41,11 @@ def nullspace(m):
                     sparse_nullspace(map(integer_row, row_dicts(m)), m.cols))
 
 
+def commutator(a, b):
+    """[a, b] = a b - b a, from two matrix products."""
+    return a * b - b * a
+
+
 @functools.cache
 def augmented_span(alg):
     """Canonical span of the rows flatten(B_k) + e_{n^2+k}, kept per algebra.
@@ -69,7 +75,7 @@ def reference_coordinates(alg, m):
 def is_closed(alg):
     """[B_i, B_j] lies in the span of `alg` for all basis pairs, read by
     `reference_coordinates`."""
-    return all(reference_coordinates(alg, a.commutator(b)) is not None
+    return all(reference_coordinates(alg, commutator(a, b)) is not None
                for i, a in enumerate(alg.basis) for b in alg.basis[i + 1:])
 
 
@@ -128,12 +134,25 @@ def reference_restrict_action(g, v):
     return restricted
 
 
+EMPTY_ROW = MappingProxyType({})
+
+
+def row_of(el, a, b):
+    """The stored row of the bivector {a, b} of `el` and the sign that turns
+    it into R(e_a, e_b): 1 if a < b, -1 if a > b, 0 (empty row) if a == b.
+    A bivector with no stored row reads as the one read-only `EMPTY_ROW`."""
+    if a == b:
+        return EMPTY_ROW, 0
+    ib = curv._biv_index(el.space.real_dim, min(a, b), max(a, b))
+    return el.rows.get(ib, EMPTY_ROW), 1 if a < b else -1
+
+
 def value(el, a, b):
     """Reference R(e_a, e_b) as a matrix (antisymmetric in a, b), summed
     from the stored row over the algebra basis."""
     n = el.space.real_dim
     out = {}
-    row, sign = el.row_of(a, b)
+    row, sign = row_of(el, a, b)
     basis = el.algebra.basis
     for k, c in row.items():
         c = sign * c
@@ -220,7 +239,7 @@ def value_column(el, a, b, col):
     only."""
     n = el.space.real_dim
     out = {}
-    row, sign = el.row_of(a, b)
+    row, sign = row_of(el, a, b)
     basis = el.algebra.basis
     for k, c in row.items():
         c = sign * c

@@ -20,12 +20,12 @@ from berger_lab.berger import berger_report, holonomy_case_split
 from berger_lab.harness import (ALL_CHECKS, TIER1_CONFIGS, Session, cache_get,
                                 cache_put, run_verification)
 from berger_lab.liealg import ALGEBRA_NAMES, LieAlgebra, algebra_by_name
-from conftest import (SPARSE_CASES, basis_tensors, element_over, first_rows,
-                      flat_subspace, flat_vector, flat_vectors, from_flat, ref_ricci,
-                      is_orbit_representative, reference_bianchi_kernel,
-                      reference_coefficients_over, reference_coordinates,
+from conftest import (SPARSE_CASES, basis_tensors, commutator, element_over,
+                      first_rows, flat_subspace, flat_vector, flat_vectors,
+                      from_flat, ref_ricci, is_orbit_representative,
+                      reference_bianchi_kernel, reference_coefficients_over, reference_coordinates,
                       reference_derivative_space,
-                      reference_values, reference_wedge_rows,
+                      reference_values, reference_wedge_rows, row_of,
                       is_normal, same_tensor, structure_characters,
                       synthetic_element, tensors_built, tier2,
                       ungraded_bianchi_kernel, value, value_column, witt_weight)
@@ -310,6 +310,18 @@ def test_every_basis_conjugates_to_plus_minus_itself(session, r, s, t):
         assert curv._structure_characters(algebra) == bits
         head = [2, 1, 3] if algebra.name.startswith("sp(1)") or algebra.name == "h0" else []
         assert bits == head + [0] * (algebra.dim - len(head))
+
+
+def test_a_basis_whose_conjugate_is_another_basis_element_has_no_characters(session):
+    # conjugation by I1 fixes I1 and negates I2, so it swaps I1 + I2 and
+    # I1 - I2: each conjugate is a basis element, but not +- itself
+    space = session.space(1, 1, 1)
+    i1, i2, i3 = space.I
+    swapped = LieAlgebra("sp1-swapped", space, [i1 + i2, i1 - i2, i3])
+    assert structure_characters(swapped) is None
+    assert curv._structure_characters(swapped) is None
+    sp1 = LieAlgebra("sp1", space, [i1, i2, i3])
+    assert curv._structure_characters(sp1) == [2, 1, 3]
 
 
 def test_a_basis_not_fixed_by_the_structure_triple_reads_every_4_set(session):
@@ -618,7 +630,7 @@ def test_act_is_a_lie_algebra_action(session):
     picks = [(0, 4), (1, 7), (3, 9), (2, 5)]
     for i, j in picks:
         a, b = alg.basis[i], alg.basis[j]
-        lhs = act(a.commutator(b), el)
+        lhs = act(commutator(a, b), el)
         rhs = difference(act(a, act(b, el)), act(b, act(a, el)))
         assert same_tensor(lhs, rhs)
 
@@ -828,7 +840,7 @@ def ref_act(a_mat, el, values):
     n = el.space.real_dim
     rows = []
     for a, b in bivector_pairs(n):
-        comm = a_mat.commutator(values[a, b])
+        comm = commutator(a_mat, values[a, b])
         m = [comm[i, j] for i in range(n) for j in range(n)]
         for d in range(n):
             for f, v in ((a_mat[d, a], values[d, b]), (a_mat[d, b], values[a, d])):
@@ -925,7 +937,7 @@ def test_value_column_is_a_column_of_value(session, space111, name):
     for el in elements:
         for a in range(n):
             for b in range(n):
-                row, sign = el.row_of(a, b)
+                row, sign = row_of(el, a, b)
                 reference = value(el, a, b)
                 evaluated = curv._value(row, cols)
                 for c in range(n):
@@ -1081,7 +1093,7 @@ def test_rows_drop_zeros_and_are_read_only(session):
         without.rows[1][2] = Fraction(7)
     with pytest.raises(TypeError):
         without.rows[0] = {0: Fraction(1)}
-    row, sign = without.row_of(2, 0)
+    row, sign = row_of(without, 2, 0)
     with pytest.raises(TypeError):
         row[0] = Fraction(1)
 
@@ -1102,15 +1114,15 @@ def test_a_missing_row_reads_as_one_read_only_empty_row(session):
     algebra = session.algebra("h0", 1, 1, 1)
     el = CurvatureElement(algebra, {1: {2: Fraction(1)}})
     assert list(el.rows) == [1]
-    empty, sign = el.row_of(3, 3)
+    empty, sign = row_of(el, 3, 3)
     assert (empty, sign) == ({}, 0)
-    assert el.row_of(2, 0) == ({2: Fraction(1)}, -1)  # bivector 1 is (0, 2)
+    assert row_of(el, 2, 0) == ({2: Fraction(1)}, -1)  # bivector 1 is (0, 2)
     for a, b, sign in ((0, 1, 1), (5, 1, -1)):
-        assert el.row_of(a, b) == (empty, sign)
-        assert el.row_of(a, b)[0] is empty
+        assert row_of(el, a, b) == (empty, sign)
+        assert row_of(el, a, b)[0] is empty
     with pytest.raises(TypeError):
         empty[0] = Fraction(1)
-    assert CurvatureElement(algebra, {}).row_of(0, 1)[0] is empty
+    assert row_of(CurvatureElement(algebra, {}), 0, 1)[0] is empty
 
 
 @pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)

@@ -12,6 +12,7 @@ import pytest
 
 import berger_lab
 from berger_lab import harness
+from berger_lab import cli
 from berger_lab.cli import main
 from berger_lab.exactlin import rat_from_str, rat_to_str
 from berger_lab.liealg import ALGEBRA_NAMES
@@ -459,6 +460,68 @@ def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# a valid argument list after each command's name, and one option it does
+# not read
+COMMAND_ARGS = {
+    "dim": (["--algebra", "h0", "--r", "2", "--curvature"], "--cache-dir"),
+    "curvature-space": (["--algebra", "sp", "--format", "json"], "--cache-dir"),
+    "prolongation": (["--algebra", "sp_w", "--order", "2", "--out", "p"], "--tier"),
+    "berger": (["--algebra", "sp1+sp", "--s", "2", "--format", "csv"], "--order"),
+    "verify-paper": (["--tier", "2", "--timings", "--cache-dir", "c"], "--algebra"),
+}
+
+
+def parse_outcome(parser, argv, capsys):
+    """What `parser` makes of `argv`: the parsed options, or the exit code,
+    with what it printed."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    printed = capsys.readouterr()
+    return result, printed.out, printed.err
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_a_parser_built_for_one_command_parses_it_as_the_full_parser(capsys, command):
+    # only the named command gets its options, and a command line that
+    # begins with it reads nothing else
+    valid, foreign = COMMAND_ARGS[command]
+    argvs = [[command, *valid], [command], [command, "--help"],
+             [command, *valid, foreign, "x"], [command, "--curv"],
+             [command, "--r", "1"], [command, "--algebra"], [command, "--tier", "3"]]
+    for argv in argvs:
+        full = parse_outcome(cli.build_parser(), argv, capsys)
+        assert parse_outcome(cli.build_parser(command), argv, capsys) == full
+    assert parse_outcome(cli.build_parser(), [command, *valid], capsys)[0] != 2
+
+
+def test_a_parser_built_for_one_command_has_the_full_top_level_help(capsys):
+    argvs = (["--help"], [], ["no-such-command"], ["--curvature"])
+    full = [parse_outcome(cli.build_parser(), argv, capsys) for argv in argvs]
+    for command in COMMAND_ARGS:
+        parser = cli.build_parser(command)
+        assert [parse_outcome(parser, argv, capsys) for argv in argvs] == full
+    assert full[0][0] == 0 and all(outcome[0] == 2 for outcome in full[1:])
+
+
+def test_main_builds_the_options_of_the_named_command_only(monkeypatch, capsys):
+    built = []
+    build_parser = cli.build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert main(["dim", "--algebra", "sp1", "--t", "0"]) == 0
+    for argv in (["--help"], ["no-such-command"], ["--r", "1", "dim"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == ["dim", None, None, None]
+    capsys.readouterr()
 
 
 def test_cli_curvature_space_json(capsys):

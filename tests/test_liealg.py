@@ -11,8 +11,8 @@ from berger_lab.liealg import (LieAlgebra, algebra_by_name, build_glq, build_h0,
                                direct_sum, sp_dimension,
                                sp_parabolic_dimension, stabilizer_of_subspace)
 from berger_lab.quatspace import build_space
-from conftest import (dual_W1, flat_span, is_closed, is_metric_skew, is_normal,
-                      nullspace, reference_coordinates, subspace_W)
+from conftest import (commutator, dual_W1, flat_span, is_closed, is_metric_skew,
+                      is_normal, nullspace, reference_coordinates, subspace_W)
 
 
 def preserves_subspace(g, v):
@@ -68,9 +68,9 @@ def test_sp1_dimension_and_brackets():
     sp1 = build_sp1(space)
     assert sp1.dim == 3
     i1, i2, i3 = sp1.basis
-    assert i1.commutator(i2) == i3.scaled(2)
-    assert i2.commutator(i3) == i1.scaled(2)
-    assert i3.commutator(i1) == i2.scaled(2)
+    assert commutator(i1, i2) == i3.scaled(2)
+    assert commutator(i2, i3) == i1.scaled(2)
+    assert commutator(i3, i1) == i2.scaled(2)
 
 
 @pytest.mark.parametrize("r,s,t", [(1, 1, 1), (1, 2, 1)])
@@ -80,7 +80,7 @@ def test_sp1_centralizes_sp(r, s, t):
     sp = build_sp(space)
     for a in sp1.basis:
         for b in sp.basis:
-            assert a.commutator(b).is_zero()
+            assert commutator(a, b).is_zero()
 
 
 @pytest.mark.parametrize("r,s,t,expected", [(1, 1, 1, 7), (1, 2, 1, 14),
@@ -193,14 +193,14 @@ def test_direct_sum_eliminates_the_sum_once(monkeypatch):
 
     space = build_space(1, 1, 1)
     sp1, glq = build_sp1(space), build_glq(space)
-    product_entries = RealMatrix.product_entries
+    matmul = RealMatrix._matmul
 
     def product(*args):
         products.append(args)
-        return product_entries(*args)
+        return matmul(*args)
 
     monkeypatch.setattr(liealg, "span_of", counted)
-    monkeypatch.setattr(RealMatrix, "product_entries", product)
+    monkeypatch.setattr(RealMatrix, "_matmul", product)
     h0 = direct_sum(sp1, glq)
     assert h0.coordinates_of(space.I[0] + glq.basis[1]) == {0: 1, 4: 1}
     assert calls == [2 * h0.dim]
@@ -212,13 +212,13 @@ def test_direct_sum_finds_the_one_pair_that_does_not_commute():
     space = build_space(1, 1, 1)
     sp = build_sp(space)
     x, y = sp.basis[4], sp.basis[-1]
-    head = [b for b in sp.basis[5:-1] if x.commutator(b).is_zero()][:2]
+    head = [b for b in sp.basis[5:-1] if commutator(x, b).is_zero()][:2]
     first = LieAlgebra("first", space, [*space.I[:2], x])
     second = LieAlgebra("second", space, [*head, y])
     assert len(head) == 2
     assert [(i, j) for i, a in enumerate(first.basis)
             for j, b in enumerate(second.basis)
-            if not a.commutator(b).is_zero()] == [(2, 2)]
+            if not commutator(a, b).is_zero()] == [(2, 2)]
     for a, b in ((first, second), (second, first)):
         with pytest.raises(ValueError, match="not a direct sum"):
             direct_sum(a, b)
@@ -230,7 +230,7 @@ def test_direct_sum_rejects_non_commuting():
     # B-block vs D-block elements do not commute (they bracket into C)
     upper = LieAlgebra("upper", space, [sp.basis[4]])
     lower = LieAlgebra("lower", space, [sp.basis[-1]])
-    assert not sp.basis[4].commutator(sp.basis[-1]).is_zero()
+    assert not commutator(sp.basis[4], sp.basis[-1]).is_zero()
     with pytest.raises(ValueError, match="not a direct sum"):
         direct_sum(upper, lower)
 
@@ -295,10 +295,40 @@ def test_coordinates_over_a_basis_that_is_not_orthogonal():
         coords = skew.coordinates_of(combo)
         assert coords == {0: Fraction(2, 3), 1: -5, 2: Fraction(1, 4)}
         assert all(is_normal(c) for c in coords.values())
-        for m in (combo, i2, i1 + i3.scaled(half), i1.commutator(i2), sp_off(space)):
+        for m in (combo, i2, i1 + i3.scaled(half), commutator(i1, i2),
+                  sp_off(space)):
             assert skew.coordinates_of(m) == reference_coordinates(skew, m)
         assert skew.coordinates_of(RealMatrix.identity(8)) is None
         assert skew.coordinates_of(sp_off(space)) is None
+
+
+def test_integer_coordinates_read_the_columns_of_the_nonzero_inner_products():
+    # I2 meets only I1 + I2 in [I1, I1 + I2, I3]: one nonzero inner product,
+    # whose column of den G'^-1 holds two coordinates
+    space = build_space(1, 1, 1)
+    i1, i2, i3 = space.I
+    skew = LieAlgebra("skew", space, [i1, i1 + i2, i3])
+    den, coords = skew.integer_coordinates(dict(i2.nz))
+    assert coords == {0: -den, 1: den} and list(coords) == [0, 1]
+    index, scale, gram_den, columns = skew._gram
+    assert (scale, gram_den) == (1, den)
+    assert [list(column) for column in columns] == [[0, 1], [0, 1], [2]]
+    # over an orthogonal basis each basis matrix meets itself alone
+    sp = build_sp(space)
+    for k, b in enumerate(sp.basis):
+        den, coords = sp.integer_coordinates(dict(b.nz))
+        assert coords == {k: den}
+
+
+def test_integer_coordinates_of_a_position_outside_the_index_are_none():
+    # (0, 0) is on the diagonal, where no I_alpha has an entry: no basis
+    # element meets it, so the matrix is outside the span
+    space = build_space(1, 1, 1)
+    sp1 = build_sp1(space)
+    assert 0 not in sp1.kept("_gram", liealg._build_gram)[0]
+    assert sp1.integer_coordinates({0: 1}) is None
+    assert sp1.integer_coordinates({**space.I[0].nz, 0: 3}) is None
+    assert sp1.integer_coordinates({0: 0, **space.I[0].nz}) is not None
 
 
 def sp_off(space):
@@ -326,8 +356,8 @@ def test_coordinates_match_the_reference(session, name, r, s, t):
     flipped = dict(basis[-1].nz)
     pos = min(flipped)
     flipped[pos] = -flipped[pos]
-    probes = [combo, basis[0].commutator(basis[-1]),
-              basis[1].commutator(basis[dim // 2]),
+    probes = [combo, commutator(basis[0], basis[-1]),
+              commutator(basis[1], basis[dim // 2]),
               RealMatrix.from_sparse(n, n, flipped), RealMatrix.identity(n)]
     for m in probes:
         coords = alg.coordinates_of(m)

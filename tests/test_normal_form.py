@@ -88,8 +88,8 @@ def test_every_exact_value_is_in_normal_form(session, tmp_path, name, r, s, t):
                 *(ref_ricci(el) for el in elements)]
     combo = algebra.basis[0].scaled(Fraction(1, 2)) + algebra.basis[-1].scaled(3)
     coords = algebra.coordinates_of(combo)  # builds the Gram table
-    index, _, _, inverse = algebra._gram
-    vectors = [coords, *inverse,
+    index, _, _, columns = algebra._gram
+    vectors = [coords, *columns,
                *curvature.coefficient_subspace().sparse_rows(),
                *(flat_vector(el) for el in elements),
                *(row for tensor in curvature.values() for row in tensor.values())]

@@ -43,10 +43,10 @@ conjugated entry against B_k's own entry at its image.  So the
 row of the 4-set I_alpha F is +- the row of F with each column scaled by
 its character at alpha, and, the four characters being independent, the
 rows of the orbit of F span exactly the character components of the row
-of F.  The orbit has a member whose smallest index is 0 mod 4, so the
-4-sets with that smallest index, each row split by character, span every
-row: the kernel, and so its RREF, is the same.  For an algebra whose
-basis is not +- itself under the triple, every 4-set is read whole.
+of F.  So the least member of each orbit, whose smallest index is 0 mod 4,
+is read once, its row split by character, and these rows span every row:
+the kernel, and so its RREF, is the same.  For an algebra whose basis is
+not +- itself under the triple, every 4-set is read whole.
 
 Coefficient layout: bivectors (a, b) with a < b are ordered
 lexicographically over the realified basis, and a tensor is its rows by
@@ -522,8 +522,10 @@ def _bianchi_rows(forms: list[dict], n: int, basis_weight: list[tuple],
     """Integer rows of S -> sum_kl S_kl omega_k ^ omega_l over the columns
     column[k][l] of x_kl, one per 4-set a < b < c < d whose weight is a
     representative and on which some product is nonzero, 4-sets
-    ascending.  Given the `character` of each column, only the 4-sets with
-    a = 0 mod 4 are read, and each row is handed out as its character
+    ascending.  Given the `character` of each column, only the least
+    member of each orbit of the structure triple is read (`_is_orbit_least`,
+    decided once, when the 4-set's row is created; a dropped 4-set keeps
+    the read-only empty row), and each row is handed out as its character
     components, the entries of each character in turn, characters
     ascending; given None, every 4-set's whole row.
 
@@ -536,7 +538,8 @@ def _bianchi_rows(forms: list[dict], n: int, basis_weight: list[tuple],
     first one.  So the rows that lead with a are complete once p's first
     index passes a: they are handed out then, sorted, and dropped, and only
     one leading index's rows are alive at a time.  A p whose first index
-    is not 0 mod 4 is skipped when the characters are given.
+    is not 0 mod 4 is skipped when the characters are given: the least
+    member of an orbit has its smallest index 0 mod 4.
 
     Each 4-set splits into two bivectors in three ways, ab|cd, ac|bd and
     ad|bc, with signs +, -, +.  Every unordered pair {p, q} of disjoint
@@ -576,12 +579,18 @@ def _bianchi_rows(forms: list[dict], n: int, basis_weight: list[tuple],
                 if c == a or c == b or d == b:
                     continue
                 if b < c:
-                    key, sign = (b * n + c) * n + d, 1
+                    x, y, z, sign = b, c, d, 1
                 elif b < d:
-                    key, sign = (c * n + b) * n + d, -1
+                    x, y, z, sign = c, b, d, -1
                 else:
-                    key, sign = (c * n + d) * n + b, 1
-                row = rows.setdefault(key, {})
+                    x, y, z, sign = c, d, b, 1
+                key = (x * n + y) * n + z
+                row = rows.get(key)
+                if row is None:
+                    keep = step == 1 or _is_orbit_least(a, x, y, z)
+                    row = rows[key] = {} if keep else _EMPTY_ROW
+                if row is _EMPTY_ROW:
+                    continue
                 for col_k, u in terms_p:
                     su = sign * u
                     for l, v in terms_q:
@@ -590,10 +599,27 @@ def _bianchi_rows(forms: list[dict], n: int, basis_weight: list[tuple],
     yield from _complete_rows(rows, character)
 
 
+def _is_orbit_least(a: int, x: int, y: int, z: int) -> bool:
+    """True iff the 4-set F = (a, x, y, z), a < x < y < z and a = 0 mod 4,
+    is the lexicographically least member of its orbit {F XOR g : g < 4}
+    under the structure triple.  An image has smallest index at least a,
+    and a only when g = a XOR e for a member e of F in a's quaternionic
+    coordinate, so F is least when x is outside it.  Otherwise g = a XOR x
+    swaps a and x, and F is least iff sorted(y XOR g, z XOR g) is not
+    below (y, z): the image by a XOR y or a XOR z is below F only when
+    this one is."""
+    if x >> 2 != a >> 2:
+        return True
+    g = a ^ x
+    u, v = y ^ g, z ^ g
+    return (u, v) >= (y, z) if u < v else (v, u) >= (y, z)
+
+
 def _complete_rows(rows: dict[int, dict], character: list | None):
     """Hand out the nonzero entries of `rows` by ascending key, emptying
     it: each row whole when `character` is None, else its nonzero
-    components by ascending character of their columns."""
+    components by ascending character of their columns.  A dropped
+    4-set's row is empty and hands out nothing."""
     for key in sorted(rows):
         parts = [{}, {}, {}, {}]
         for j, v in rows.pop(key).items():
@@ -674,27 +700,29 @@ def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
     Basis element k has the weight w_k of the bivectors of omega_k, x_kl
     the weight w_k + w_l, and a 4-set the sum of its vectors' weights; a
     row meets only columns of its own weight.  `_bianchi_rows` streams
-    the rows of the representative weights, from the 4-sets whose
-    smallest index is 0 mod 4, at least one in each orbit of the
-    structure triple, each row split into its character components.  The
-    rows of an orbit span exactly those components, so the span of the
-    rows, the kernel and its RREF are those of every 4-set.  One
-    `sparse_nullspace` solves them over an order-preserving compact
-    numbering of the representative columns, which keeps its rows
-    canonical.  A permutation of the Witt pairs maps each basis element
-    to +- a basis element and permutes the weights, so it maps a block's
-    kernel onto the kernel of the permuted block: `_relabelled_blocks`
-    gives every other block.  The blocks have disjoint columns, so each
-    block's RREF rows are zero at every other block's columns, and their
-    union, sorted by leading column, is the RREF of the whole kernel, the
-    rows one elimination of every 4-set gives."""
+    the rows of the representative weights, from the least member of each
+    orbit of the structure triple, each row split into its character
+    components.  The rows of an orbit span exactly those components, so
+    the span of the rows, the kernel and its RREF are those of every
+    4-set.  One `sparse_nullspace` solves them over an order-preserving
+    compact numbering of the representative columns, which keeps its rows
+    canonical; the rows are mapped to Sym^2(g) columns only when some
+    column is left out, since otherwise the numbering is the identity.  A
+    permutation of the Witt pairs maps each basis element to +- a basis
+    element and permutes the weights, so it maps a block's kernel onto the
+    kernel of the permuted block: `_relabelled_blocks` gives every other
+    block.  The blocks have disjoint columns, so each block's RREF rows
+    are zero at every other block's columns, and their union, sorted by
+    leading column, is the RREF of the whole kernel, the rows one
+    elimination of every 4-set gives."""
     forms = _pairing_table(algebra)
     blocks = _weight_blocks(algebra)
     kept = blocks.kept
     rows = _bianchi_rows(forms, algebra.space.real_dim, blocks.basis_weight,
                          blocks.column, blocks.character)
-    kernel = [{kept[j]: v for j, v in row.items()}
-              for row in sparse_nullspace(rows, len(kept))]
+    kernel = sparse_nullspace(rows, len(kept))
+    if len(kept) < _sym2_dim(algebra.dim):
+        kernel = [{kept[j]: v for j, v in row.items()} for row in kernel]
     if blocks.actions:
         kernel += _relabelled_blocks(kernel, blocks.basis_weight, blocks.actions)
         kernel.sort(key=lambda row: next(iter(row)))

@@ -43,8 +43,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from math import lcm
 
-from .exactlin import (RealMatrix, Subspace, integer_row, ratio, span_of,
-                       sparse_nullspace)
+from .exactlin import Subspace, integer_row, span_of, sparse_nullspace
 from .quatspace import QuaternionicSpace, conjugate, realify
 
 __all__ = [
@@ -84,7 +83,7 @@ class LieAlgebra:
     of gl(4m, R), with provenance metadata.
 
     The algebra keeps the tables read from its basis, each built on first
-    use (`kept`): `_gram`, the Gram table from which `coordinates_of`
+    use (`kept`): `_gram`, the Gram table from which `integer_coordinates`
     reads coordinates, and the tables that `curvature` reads, `_columns`,
     the integer columns of each basis matrix, and `_forms`, their 2-forms
     omega_k."""
@@ -144,19 +143,6 @@ class LieAlgebra:
                 != {pos: den * v for pos, v in entries.items() if v}):
             return None
         return den, {k: scale * c for k, c in coords.items()}
-
-    def coordinates_of(self, m: RealMatrix):
-        """The nonzero coefficients {k: c} of `m` over the basis, keys
-        ascending, in normal form, or None if `m` is outside the span:
-        `integer_coordinates` of m's entries over one common denominator,
-        divided once."""
-        den_m = lcm(*(v.denominator for v in m.nz.values()))
-        hit = self.integer_coordinates({pos: v.numerator * (den_m // v.denominator)
-                                        for pos, v in m.nz.items()})
-        if hit is None:
-            return None
-        den, coords = hit
-        return {k: ratio(c, den * den_m) for k, c in coords.items()}
 
 
 def _build_gram(alg: LieAlgebra) -> tuple[dict, int, int, tuple]:
@@ -277,8 +263,8 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlge
     the entries of every y in b once, by row and by column, under int keys
     that name y and the position, and compares x y with y x for every y in
     one pass over the entries of each x in a; it builds no matrix.  The
-    overlap check builds the sum's Gram table, which `coordinates_of` then
-    reuses."""
+    overlap check builds the sum's Gram table, which `integer_coordinates`
+    then reuses."""
     if a.space is not b.space:
         raise ValueError("summands live on different spaces")
     n = a.space.real_dim

@@ -2,6 +2,7 @@ import functools
 import os
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from types import MappingProxyType
 
 import pytest
@@ -35,6 +36,42 @@ def row_dicts(m):
     return rows
 
 
+def textbook_rref(rows):
+    """Dense Fraction Gauss-Jordan: leftmost pivot, first nonzero row."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        i = next((i for i in range(len(pivots), len(a)) if a[i][col]), None)
+        if i is None:
+            continue
+        p = len(pivots)
+        a[p], a[i] = a[i], a[p]
+        a[p] = [x / a[p][col] for x in a[p]]
+        for k in range(len(a)):
+            if k != p and a[k][col]:
+                f = a[k][col]
+                a[k] = [x - f * y for x, y in zip(a[k], a[p])]
+        pivots.append(col)
+    return a, pivots
+
+
+def textbook_kernel(rows, ncols):
+    """The canonical RREF basis of the kernel of the sparse rows over
+    [0, ncols), by Fraction Gauss-Jordan alone: the free-column basis read
+    off `textbook_rref`, brought to its own RREF by `textbook_rref`."""
+    red, piv = textbook_rref([[row.get(j, 0) for j in range(ncols)] for row in rows])
+    basis = []
+    for f in range(ncols):
+        if f not in piv:
+            vec = [0] * ncols
+            vec[f] = 1
+            for i, c in enumerate(piv):
+                vec[c] = -red[i][f]
+            basis.append(vec)
+    red, piv = textbook_rref(basis)
+    return [{j: x for j, x in enumerate(r) if x} for r in red[:len(piv)]]
+
+
 def nullspace(m):
     """ker(m) as a canonical subspace, through `sparse_nullspace`."""
     return Subspace(m.cols,
@@ -60,11 +97,25 @@ def augmented_span(alg):
     return aug
 
 
+def coordinates_of(algebra, m):
+    """The nonzero coefficients {k: c} of `m` over `algebra`'s basis, keys
+    ascending, in normal form, or None if `m` is outside the span:
+    `LieAlgebra.integer_coordinates` of m's entries over one common
+    denominator, divided once."""
+    den_m = lcm(*(v.denominator for v in m.nz.values()))
+    hit = algebra.integer_coordinates({pos: v.numerator * (den_m // v.denominator)
+                                       for pos, v in m.nz.items()})
+    if hit is None:
+        return None
+    den, coords = hit
+    return {k: ratio(c, den * den_m) for k, c in coords.items()}
+
+
 def reference_coordinates(alg, m):
     """The nonzero coordinates {k: c} of `m` over `alg`'s basis, keys
     ascending, or None if `m` is outside the span: one elimination over
     the n^2 + dim columns of the augmented span, independent of the Gram
-    table behind `LieAlgebra.coordinates_of`."""
+    table behind `LieAlgebra.integer_coordinates`."""
     n2 = alg.space.real_dim ** 2
     rest = augmented_span(alg).reduce_vector(m.nz)
     if rest and min(rest) < n2:
@@ -401,6 +452,13 @@ def witt_weight(space, vectors):
         elif a >= m - t:
             weight[a - m + t] -= 1
     return weight
+
+
+def is_orbit_least(quad):
+    """The ascending 4-set `quad` is the lexicographically least member of
+    its orbit under the structure triple, read from all four images: I_g
+    maps the real index x to x XOR g, g < 4."""
+    return all(sorted(x ^ g for x in quad) >= list(quad) for g in range(4))
 
 
 def is_orbit_representative(weight):

@@ -22,7 +22,7 @@ from berger_lab.harness import (ALL_CHECKS, TIER1_CONFIGS, Session, cache_get,
 from berger_lab.liealg import ALGEBRA_NAMES, LieAlgebra, algebra_by_name
 from conftest import (SPARSE_CASES, basis_tensors, commutator, element_over,
                       first_rows, flat_subspace, flat_vector, flat_vectors,
-                      from_flat, ref_ricci, is_orbit_representative,
+                      from_flat, ref_ricci, is_orbit_least, is_orbit_representative,
                       reference_bianchi_kernel, reference_coefficients_over, reference_coordinates,
                       reference_derivative_space,
                       reference_values, reference_wedge_rows, row_of,
@@ -144,15 +144,16 @@ def character_components(row, bits):
 def test_streamed_rows_are_the_bianchi_rows(session, name, r, s, t):
     # the rows handed out one leading index at a time are the per-4-set
     # sums of the three splittings, 4-sets ascending, of the 4-sets whose
-    # weight is its S_t-orbit's representative and whose smallest index is
-    # 0 mod 4, each split into its nonzero character components; with no
-    # characters, every such 4-set's whole nonzero row
+    # weight is its S_t-orbit's representative and which are the least
+    # member of their orbit under the structure triple, each split into its
+    # nonzero character components; with no characters, every 4-set of a
+    # representative weight, its whole nonzero row
     algebra = session.algebra(name, r, s, t)
     bits = structure_characters(algebra)
     assert bits is not None
     wedge = [(quad, row) for quad, row in reference_wedge_rows(algebra)
              if row and is_orbit_representative(witt_weight(algebra.space, quad))]
-    expected = [part for quad, row in wedge if quad[0] % 4 == 0
+    expected = [part for quad, row in wedge if is_orbit_least(quad)
                 for part in character_components(row, bits)]
     assert expected
     rows, kept = bianchi_rows(algebra)
@@ -161,6 +162,15 @@ def test_streamed_rows_are_the_bianchi_rows(session, name, r, s, t):
     rows, kept = bianchi_rows(algebra, whole)
     assert [{kept[j]: v for j, v in row.items()} for row in rows] == [
         row for _, row in wedge]
+
+
+def test_orbit_least_rule_matches_the_four_images():
+    # the one-image rule of `_is_orbit_least` against all four images, on
+    # every 4-set of 16 indices whose smallest index is 0 mod 4
+    quads = [quad for quad in combinations(range(16), 4) if quad[0] % 4 == 0]
+    assert [curv._is_orbit_least(*quad) for quad in quads] == [
+        is_orbit_least(quad) for quad in quads]
+    assert not all(map(is_orbit_least, quads))
 
 
 def traced_peak(fn):
@@ -186,14 +196,15 @@ def test_only_one_leading_index_of_rows_is_alive(session):
 
 
 @pytest.mark.parametrize("name,r,s,t,rows,nonzeros", [
-    ("sp_w", 1, 3, 1, 383, 859),
-    ("sp1+sp_w", 1, 3, 1, 917, 1456),
-    ("h0", 3, 3, 3, 1069, 1676),
+    ("sp_w", 1, 3, 1, 311, 649),
+    ("sp1+sp_w", 1, 3, 1, 701, 1096),
+    ("h0", 3, 3, 3, 907, 1424),
 ])
 def test_rows_handed_to_the_elimination_are_pinned(monkeypatch, name, r, s, t,
                                                    rows, nonzeros):
     # the reduction by the structure triple is part of the kernel's cost:
-    # its one elimination takes exactly these rows and nonzeros
+    # its one elimination takes exactly these rows and nonzeros, one 4-set
+    # per orbit
     calls = []
 
     def counting(given, ncols):
@@ -205,6 +216,28 @@ def test_rows_handed_to_the_elimination_are_pinned(monkeypatch, name, r, s, t,
     monkeypatch.setattr(curv, "sparse_nullspace", counting)
     curv.bianchi_kernel(algebra)
     assert calls == [(rows, nonzeros)]
+
+
+@pytest.mark.parametrize("name,r,s,t,zero", [
+    ("sp_w", 1, 3, 1, 39),
+    ("sp1+sp_w", 1, 3, 1, 38),
+    ("h0", 3, 3, 3, 110),
+])
+def test_rows_reduced_to_zero_are_pinned(monkeypatch, name, r, s, t, zero):
+    # the rows `Echelon.insert` reduces to zero are work that changes
+    # nothing; a row set that read an orbit twice would add to them
+    reduced = []
+    insert = exactlin.Echelon.insert
+
+    def counting(self, row):
+        pivot = insert(self, row)
+        reduced.append(pivot is None)
+        return pivot
+
+    algebra = Session().algebra(name, r, s, t)
+    monkeypatch.setattr(exactlin.Echelon, "insert", counting)
+    curv.bianchi_kernel(algebra)
+    assert sum(reduced) == zero
 
 
 # configurations with t >= 2, where the Witt pairs can be permuted

@@ -9,7 +9,8 @@ from berger_lab.exactlin import (Echelon, RealMatrix, Subspace,
                                  canonical_rows, exact, rat_from_str,
                                  rat_to_str, ratio, span_of,
                                  sparse_nullspace, symmetric_signature)
-from conftest import commutator, is_normal, nullspace, row_dicts
+from conftest import (commutator, is_normal, nullspace, row_dicts, textbook_kernel,
+                      textbook_rref)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -33,25 +34,6 @@ def dense(m):
 def vec(*xs):
     """A sparse vector from its dense entries."""
     return {i: Fraction(x) for i, x in enumerate(xs) if x}
-
-
-def textbook_rref(rows):
-    """Dense Fraction Gauss-Jordan: leftmost pivot, first nonzero row."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for col in range(len(a[0]) if a else 0):
-        i = next((i for i in range(len(pivots), len(a)) if a[i][col]), None)
-        if i is None:
-            continue
-        p = len(pivots)
-        a[p], a[i] = a[i], a[p]
-        a[p] = [x / a[p][col] for x in a[p]]
-        for k in range(len(a)):
-            if k != p and a[k][col]:
-                f = a[k][col]
-                a[k] = [x - f * y for x, y in zip(a[k], a[p])]
-        pivots.append(col)
-    return a, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +98,6 @@ def test_rank_nullity_and_kernel_vectors(m):
         assert m.apply(v) == {}
 
 
-def textbook_kernel(rows, ncols):
-    """Free-column kernel basis read off `textbook_rref`, then canonicalised."""
-    dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
-    red, piv = textbook_rref(dense)
-    basis = []
-    for f in range(ncols):
-        if f not in piv:
-            vec = {f: Fraction(1)}
-            for i, c in enumerate(piv):
-                if red[i][f]:
-                    vec[c] = -red[i][f]
-            basis.append(vec)
-    return canonical_rows(basis)
-
-
 @st.composite
 def sparse_systems(draw):
     """Sparse integer equations {col: nonzero int} over 0..8 columns, with
@@ -178,6 +145,25 @@ def test_sparse_nullspace_never_inserts_a_dead_row(monkeypatch):
     assert inserted == [{0: 1}, {1: 3}, {1: 1, 2: 1}]
     assert rows == before
     assert kernel == textbook_kernel(rows, 4) == [{3: 1}]
+
+
+def test_sparse_nullspace_reads_off_pivots_other_than_1():
+    # reduced pivot rows {0: 1, 1: 4, 4: 2}, {0: 1, 2: 2}, {1: 1, 3: 1}
+    # and {5: 1}: pivots 2 give a Fraction and an int, the pivot 1 an int,
+    # and the free column 6 meets no pivot row; the pivot at 4 is stored
+    # before the one at 2, so free column 0 is met at 4 first
+    rows = [{0: 1, 1: 4, 4: 2}, {0: 1, 2: 2}, {1: 1, 3: 1}, {5: 3}]
+    ech = Echelon()
+    for row in rows:
+        ech.insert(dict(row))
+    ech.full_reduce()
+    assert sorted(r[c] for c, r in ech.pivots.items()) == [1, 1, 2, 2]
+    kernel = sparse_nullspace(iter(rows), 7)
+    assert kernel == textbook_kernel(rows, 7) == [
+        {0: 1, 2: Fraction(-1, 2), 4: Fraction(-1, 2)}, {1: 1, 3: -1, 4: -2}, {6: 1}]
+    for vec in kernel:
+        assert list(vec) == sorted(vec)
+        assert all(is_normal(v) for v in vec.values())
 
 
 @pytest.mark.parametrize("rows,column", [([{5: 1, 0: 1}], 5), ([{-1: 1, 2: 1}], -1)])

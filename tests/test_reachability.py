@@ -30,8 +30,6 @@ NEVER_ENTERED = {
     "exactlin.RealMatrix.apply": "the matrix-vector product; package code reads entries",
     "exactlin.RealMatrix.__getitem__": "entry access; package code reads `nz`",
     "exactlin.RealMatrix.__sub__": "tests form commutators and differences",
-    "liealg.LieAlgebra.coordinates_of": "rational coordinates; the package reads "
-                                        "`integer_coordinates`",
     # library API that no command reaches
     "liealg.build_h0": "a named builder, wrapped by bench/layers.py SPANS",
     "berger.CaseSplitReport.to_json": "the case-split report as JSON, which the "

@@ -10,9 +10,15 @@ of curvature derivatives allowed by the second Bianchi identity.
 
 The algebras of the paper lie in so(V, eta), and `bianchi_kernel` and the
 pair symmetry checks refuse, with ValueError, an algebra whose basis holds
-a matrix that is not eta-skew.  For g in so(V, eta) every curvature tensor
-is pair symmetric, so R(g) is the kernel of Sym^2(g) -> Lambda^4 V*,
-S -> sum_kl S_kl omega_k ^ omega_l, omega_k(a, b) = eta(B_k e_a, e_b)
+a matrix that is not eta-skew.  `bianchi_kernel` also refuses, with
+ValueError, a basis without the two symmetries it solves by (below), which
+the basis of every registry algebra has: at t >= 2 every basis element
+must be a weight vector and every Witt transposition must map the basis to
++- itself, and at any t conjugation by I1 and by I2 must map every basis
+element to +- itself.  There is no fallback.  For g in so(V, eta) every
+curvature tensor is pair symmetric, so R(g) is the kernel of
+Sym^2(g) -> Lambda^4 V*, S -> sum_kl S_kl omega_k ^ omega_l,
+omega_k(a, b) = eta(B_k e_a, e_b)
 (Berger 1955): dim g (dim g + 1) / 2 unknowns and one equation per 4-set
 of basis vectors, in place of C(n, 2) dim g unknowns and n C(n, 3)
 equations on Hom(Lambda^2 V, g).  `bianchi_residual_is_zero` still checks
@@ -29,8 +35,8 @@ S'_{pi(k) pi(l)} = eps_k eps_l S_kl.  `bianchi_kernel` generates and
 eliminates only the blocks whose weight is sorted descending, its orbit's
 representative, and relabels their kernel onto the other blocks of each
 orbit.  The blocks have disjoint columns, so the union of their RREF rows
-is the RREF of the whole kernel.  At t <= 1, and for an algebra whose
-basis lacks the symmetry, the whole system is one block.
+is the RREF of the whole kernel.  At t <= 1 S_t is trivial, and the
+whole system is one block.
 
 Within a block the system is also reduced by the structure triple
 (Salamon 1982).  I_alpha maps the real index x to x XOR alpha, with signs:
@@ -45,8 +51,7 @@ its character at alpha, and, the four characters being independent, the
 rows of the orbit of F span exactly the character components of the row
 of F.  So the least member of each orbit, whose smallest index is 0 mod 4,
 is read once, its row split by character, and these rows span every row:
-the kernel, and so its RREF, is the same.  For an algebra whose basis is
-not +- itself under the triple, every 4-set is read whole.
+the kernel, and so its RREF, is the same.
 
 Coefficient layout: bivectors (a, b) with a < b are ordered
 lexicographically over the realified basis, and a tensor is its rows by
@@ -390,59 +395,46 @@ def _vector_weights(space: QuaternionicSpace) -> list[tuple]:
     return weights
 
 
-def _conjugations(algebra: LieAlgebra, perms: list[dict]) -> list[list] | None:
-    """The signed action on the basis of conjugation by each signed
-    permutation P of V in `perms`, {x: (y, sign)} with P e_x = sign e_y as
-    `signed_permutation` reads it: action[k] = (k', sign) with
-    P B_k P^-1 = sign B_k', read by matching basis matrices.  None if some
-    image is not +- a basis matrix."""
-    n = algebra.space.real_dim
+def _witt_transpositions(algebra: LieAlgebra) -> list[list]:
+    """The signed action on the basis of conjugation by each adjacent
+    transposition P of the Witt pairs, (W_i, W1_i) <-> (W_{i+1}, W1_{i+1})
+    for i + 1 < t: action[k] = (k', sign) with P B_k P^-1 = sign B_k',
+    read by matching basis matrices.  P permutes basis vectors, preserves
+    eta and commutes with the I_alpha.  Raises ValueError if some image is
+    not +- a basis matrix."""
+    space = algebra.space
+    n, t, m = space.real_dim, space.t, space.m
     index = {}
     for k, bmat in enumerate(algebra.basis):
         index[frozenset(bmat.nz.items())] = (k, 1)
         index[frozenset((pos, -v) for pos, v in bmat.nz.items())] = (k, -1)
     actions = []
-    for perm in perms:
+    for i in range(t - 1):
+        swap = {i: i + 1, i + 1: i, m - t + i: m - t + i + 1, m - t + i + 1: m - t + i}
+        perm = [4 * swap.get(x // 4, x // 4) + x % 4 for x in range(n)]
         action = []
-        for bmat in algebra.basis:
-            image = []
-            for pos, v in bmat.nz.items():
-                (d, sd), (c, sc) = perm[pos // n], perm[pos % n]
-                image.append((d * n + c, sd * sc * v))
-            hit = index.get(frozenset(image))
+        for k, bmat in enumerate(algebra.basis):
+            hit = index.get(frozenset((perm[pos // n] * n + perm[pos % n], v)
+                                      for pos, v in bmat.nz.items()))
             if hit is None:
-                return None
+                raise ValueError(f"{algebra.name}: Witt transposition {i} does not "
+                                 f"map basis element {k} to +- a basis element")
             action.append(hit)
         actions.append(action)
     return actions
 
 
-def _witt_transpositions(algebra: LieAlgebra) -> list[list] | None:
-    """The signed action on the basis of each adjacent transposition of the
-    Witt pairs, (W_i, W1_i) <-> (W_{i+1}, W1_{i+1}) for i + 1 < t
-    (`_conjugations`).  P permutes basis vectors, preserves eta and
-    commutes with the I_alpha.  None if some image is not +- a basis
-    matrix."""
-    space = algebra.space
-    n, t, m = space.real_dim, space.t, space.m
-    perms = []
-    for i in range(t - 1):
-        swap = {i: i + 1, i + 1: i, m - t + i: m - t + i + 1, m - t + i + 1: m - t + i}
-        perms.append({x: (4 * swap.get(x // 4, x // 4) + x % 4, 1) for x in range(n)})
-    return _conjugations(algebra, perms)
-
-
-def _structure_characters(algebra: LieAlgebra) -> list[int] | None:
+def _structure_characters(algebra: LieAlgebra) -> list[int]:
     """The character of each basis element under conjugation by I1 and
     I2, two bits: bit alpha is set iff I_{alpha+1} B_k I_{alpha+1}^-1 =
     -B_k.  I3 = I1 I2, so the two fix its sign too.  Each conjugated entry
     is compared with B_k's own entry at its image position, the first one
-    fixing the sign; None at the first entry where the conjugate is not
-    +- the basis element itself."""
+    fixing the sign; raises ValueError at the first entry where the
+    conjugate is not +- the basis element itself."""
     n = algebra.space.real_dim
     perms = [signed_permutation(ialpha) for ialpha in algebra.space.I[:2]]
     bits = []
-    for bmat in algebra.basis:
+    for k, bmat in enumerate(algebra.basis):
         nz = bmat.nz
         bit = 0
         for alpha, perm in enumerate(perms):
@@ -454,7 +446,8 @@ def _structure_characters(algebra: LieAlgebra) -> list[int] | None:
                 if not sign:
                     sign = 1 if w == image else -1
                 if w != sign * image:
-                    return None
+                    raise ValueError(f"{algebra.name}: conjugation by I{alpha + 1} "
+                                     f"does not map basis element {k} to +- itself")
             if sign < 0:
                 bit |= 1 << alpha
         bits.append(bit)
@@ -464,11 +457,11 @@ def _structure_characters(algebra: LieAlgebra) -> list[int] | None:
 class _Blocks(NamedTuple):
     """The weight blocks of the first-Bianchi system of one algebra."""
 
-    actions: list  # `_witt_transpositions`, or [] when nothing is relabelled
+    actions: list  # `_witt_transpositions`, [] at t <= 1
     basis_weight: list  # the weight of omega_k, for each basis element k
     column: list  # column[k][l]: the compact column of x_kl, or -1
     kept: list  # the Sym^2(g) column of each compact column, ascending
-    character: list | None  # the character of each compact column, or None
+    character: list  # the character of each compact column
 
 
 def _weight_blocks(algebra: LieAlgebra) -> _Blocks:
@@ -477,27 +470,27 @@ def _weight_blocks(algebra: LieAlgebra) -> _Blocks:
     weight w_a + w_b shared by every bivector (a, b) of omega_k, and x_kl
     the weight of omega_k ^ omega_l, w_k + w_l.  x_kl has the character
     chi_k chi_l of `_structure_characters`, the bits of chi_k XOR those of
-    chi_l, or every character is None when some basis element is not
-    +- itself under the structure triple.
+    chi_l.
 
-    The grading is used when t >= 2, every omega_k has one weight, and
-    every transposition maps the basis to +- itself.  Otherwise every
-    basis element gets the empty weight (), so every weight is its own
-    representative, every column is kept and nothing is relabelled: at
-    t <= 1 no two weights share an orbit, and the fallback gives up the
-    symmetry."""
+    The grading is used when t >= 2; it raises ValueError unless every
+    omega_k has one weight, and `_witt_transpositions` unless every
+    transposition maps the basis to +- itself.  At t <= 1 no two weights
+    share an orbit, so every basis element gets the empty weight (), every
+    column is kept and nothing is relabelled."""
     space = algebra.space
     dimg = algebra.dim
     basis_weight, actions = [()] * dimg, []
     if space.t >= 2:
         weights = _vector_weights(space)
         pairs = bivector_pairs(space.real_dim)
-        graded = [{_add(weights[a], weights[b]) for a, b in map(pairs.__getitem__, form)}
-                  for form in _pairing_table(algebra)]
-        if all(len(weight) == 1 for weight in graded):
-            actions = _witt_transpositions(algebra) or []
-            if actions:
-                basis_weight = [weight.pop() for weight in graded]
+        basis_weight = []
+        for k, form in enumerate(_pairing_table(algebra)):
+            graded = {_add(weights[a], weights[b]) for a, b in map(pairs.__getitem__, form)}
+            if len(graded) != 1:
+                raise ValueError(f"{algebra.name}: basis element {k} is not "
+                                 "a weight vector of the Witt pairs")
+            basis_weight.append(graded.pop())
+        actions = _witt_transpositions(algebra)
     distinct = sorted(set(basis_weight))
     cls = [distinct.index(w) for w in basis_weight]
     pair_is_rep = [[_is_representative(_add(u, v)) for v in distinct] for u in distinct]
@@ -510,24 +503,21 @@ def _weight_blocks(algebra: LieAlgebra) -> _Blocks:
                 column[k][l] = column[l][k] = len(kept)
                 kept.append(_sym2_col(k, l))
     bits = _structure_characters(algebra)
-    character = None
-    if bits is not None:
-        unknowns = _sym2_unknowns(dimg)
-        character = [bits[k] ^ bits[l] for k, l in map(unknowns.__getitem__, kept)]
+    unknowns = _sym2_unknowns(dimg)
+    character = [bits[k] ^ bits[l] for k, l in map(unknowns.__getitem__, kept)]
     return _Blocks(actions, basis_weight, column, kept, character)
 
 
 def _bianchi_rows(forms: list[dict], n: int, basis_weight: list[tuple],
-                  column: list[list[int]], character: list | None):
+                  column: list[list[int]], character: list):
     """Integer rows of S -> sum_kl S_kl omega_k ^ omega_l over the columns
     column[k][l] of x_kl, one per 4-set a < b < c < d whose weight is a
     representative and on which some product is nonzero, 4-sets
-    ascending.  Given the `character` of each column, only the least
-    member of each orbit of the structure triple is read (`_is_orbit_least`,
-    decided once, when the 4-set's row is created; a dropped 4-set keeps
-    the read-only empty row), and each row is handed out as its character
-    components, the entries of each character in turn, characters
-    ascending; given None, every 4-set's whole row.
+    ascending.  Only the least member of each orbit of the structure triple
+    is read (`_is_orbit_least`, decided once, when the 4-set's row is
+    created; a dropped 4-set keeps the read-only empty row), and each row
+    is handed out as its components by the `character` of each column, the
+    entries of each character in turn, characters ascending.
 
     The bivectors p of the 2-forms' support fall into classes by weight,
     that of each 2-form omega_k they are in, `basis_weight[k]`, and q is
@@ -538,8 +528,8 @@ def _bianchi_rows(forms: list[dict], n: int, basis_weight: list[tuple],
     first one.  So the rows that lead with a are complete once p's first
     index passes a: they are handed out then, sorted, and dropped, and only
     one leading index's rows are alive at a time.  A p whose first index
-    is not 0 mod 4 is skipped when the characters are given: the least
-    member of an orbit has its smallest index 0 mod 4.
+    is not 0 mod 4 is skipped: the least member of an orbit has its
+    smallest index 0 mod 4.
 
     Each 4-set splits into two bivectors in three ways, ab|cd, ac|bd and
     ad|bc, with signs +, -, +.  Every unordered pair {p, q} of disjoint
@@ -564,14 +554,13 @@ def _bianchi_rows(forms: list[dict], n: int, basis_weight: list[tuple],
     partners = {alpha: [classes[beta] for beta in classes
                         if _is_representative(_add(alpha, beta))]
                 for alpha in classes}
-    step = 1 if character is None else 4
     rows: dict[int, dict] = {}  # the 4-set lead < x < y < z at key xyz in base n
     lead = None
     for i, (a, b, terms, weight) in enumerate(support):
         if a != lead:
             yield from _complete_rows(rows, character)
             lead = a
-        if a % step:
+        if a % 4:
             continue
         terms_p = [(column[k], u) for k, u in terms]
         for positions, members in partners[weight]:
@@ -587,8 +576,7 @@ def _bianchi_rows(forms: list[dict], n: int, basis_weight: list[tuple],
                 key = (x * n + y) * n + z
                 row = rows.get(key)
                 if row is None:
-                    keep = step == 1 or _is_orbit_least(a, x, y, z)
-                    row = rows[key] = {} if keep else _EMPTY_ROW
+                    row = rows[key] = {} if _is_orbit_least(a, x, y, z) else _EMPTY_ROW
                 if row is _EMPTY_ROW:
                     continue
                 for col_k, u in terms_p:
@@ -615,16 +603,15 @@ def _is_orbit_least(a: int, x: int, y: int, z: int) -> bool:
     return (u, v) >= (y, z) if u < v else (v, u) >= (y, z)
 
 
-def _complete_rows(rows: dict[int, dict], character: list | None):
+def _complete_rows(rows: dict[int, dict], character: list):
     """Hand out the nonzero entries of `rows` by ascending key, emptying
-    it: each row whole when `character` is None, else its nonzero
-    components by ascending character of their columns.  A dropped
-    4-set's row is empty and hands out nothing."""
+    it: each row's nonzero components by ascending `character` of their
+    columns.  A dropped 4-set's row is empty and hands out nothing."""
     for key in sorted(rows):
         parts = [{}, {}, {}, {}]
         for j, v in rows.pop(key).items():
             if v:
-                parts[0 if character is None else character[j]][j] = v
+                parts[character[j]][j] = v
         yield from filter(None, parts)
 
 
@@ -688,7 +675,8 @@ def _relabelled_blocks(kernel: list[dict], basis_weight: list[tuple],
 
 def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
     """The space of algebraic curvature tensors with values in `algebra`,
-    which must lie in so(V, eta); raises ValueError otherwise.
+    which must lie in so(V, eta) and have the weight and structure-triple
+    symmetries of the module docstring; raises ValueError otherwise.
 
     Such a tensor is pair symmetric, so it is R(e_a, e_b) = sum_kl S_kl
     omega_l(a, b) B_k for a symmetric S, omega_l(a, b) = eta(B_l e_a, e_b),

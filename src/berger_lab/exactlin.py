@@ -12,12 +12,11 @@ equality, hash or serialized form depends on the type.  Nothing here uses
 true division, which turns two ints into a float.
 
 Everything is sparse: a matrix (`RealMatrix`) stores its nonzero entries
-only, and a vector is a {index: value} mapping of its nonzeros.  Package
-code reads a matrix by its entries (`nz`); `RealMatrix.apply`, the
-matrix-vector product, is left to the tests and to library callers.
-Elimination is deterministic, so echelon forms are unique and subspace
-bases are canonical: two subspaces are equal iff their stored rows are
-equal.
+only, and a vector is a {index: value} mapping of its nonzeros.  A matrix
+is read by its entries (`nz`); its arithmetic is `+`, `scaled`, `*` and
+`transpose`.  Elimination is deterministic, so echelon forms are unique
+and subspace bases are canonical: two subspaces are equal iff their
+stored rows are equal.
 
 Every elimination runs on one engine, `Echelon`, with no exception, over
 sparse rows of primitive integers (fraction-free, per-row gcd
@@ -178,10 +177,6 @@ class RealMatrix:
     def identity(cls, n: int) -> "RealMatrix":
         return cls.from_sparse(n, n, {i * n + i: 1 for i in range(n)})
 
-    def __getitem__(self, ij) -> int | Fraction:
-        i, j = ij
-        return self.nz.get(i * self.cols + j, 0)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RealMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.nz == other.nz)
@@ -193,17 +188,11 @@ class RealMatrix:
         return f"RealMatrix({self.rows}x{self.cols})"
 
     def __add__(self, other: "RealMatrix") -> "RealMatrix":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "RealMatrix") -> "RealMatrix":
-        return self._plus(other, -1)
-
-    def _plus(self, other: "RealMatrix", sign: int) -> "RealMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         out = dict(self.nz)
         for k, v in other.nz.items():
-            out[k] = out.get(k, 0) + sign * v
+            out[k] = out.get(k, 0) + v
         return RealMatrix.from_sparse(self.rows, self.cols, out)
 
     def __mul__(self, other):
@@ -233,19 +222,6 @@ class RealMatrix:
             for j, w in right_rows.get(t, ()):
                 out[base + j] = out.get(base + j, 0) + v * w
         return RealMatrix.from_sparse(self.rows, cols, out)
-
-    def apply(self, vec: Mapping) -> dict:
-        """Matrix-vector product of a sparse vector {j: value}: the
-        nonzero entries {i: value} of the image."""
-        if vec and max(vec) >= self.cols:
-            raise ValueError("vector exceeds the column count")
-        out: dict = {}
-        for k, e in self.nz.items():
-            i, j = divmod(k, self.cols)
-            v = vec.get(j)
-            if v:
-                out[i] = out.get(i, 0) + e * v
-        return {i: v for i, v in out.items() if v}
 
     def transpose(self) -> "RealMatrix":
         rows, cols = self.rows, self.cols

@@ -36,6 +36,30 @@ def row_dicts(m):
     return rows
 
 
+def entry(m, i, j):
+    """The entry of the matrix `m` at row i, column j."""
+    return m.nz.get(i * m.cols + j, 0)
+
+
+def apply(m, vec):
+    """The matrix-vector product of `m` and a sparse vector {j: value}: the
+    nonzero entries {i: value} of the image."""
+    if vec and max(vec) >= m.cols:
+        raise ValueError("vector exceeds the column count")
+    out = {}
+    for k, e in m.nz.items():
+        i, j = divmod(k, m.cols)
+        v = vec.get(j)
+        if v:
+            out[i] = out.get(i, 0) + e * v
+    return {i: v for i, v in out.items() if v}
+
+
+def minus(a, b):
+    """The difference a - b of two matrices."""
+    return a + b.scaled(-1)
+
+
 def textbook_rref(rows):
     """Dense Fraction Gauss-Jordan: leftmost pivot, first nonzero row."""
     a = [[Fraction(x) for x in row] for row in rows]
@@ -80,7 +104,7 @@ def nullspace(m):
 
 def commutator(a, b):
     """[a, b] = a b - b a, from two matrix products."""
-    return a * b - b * a
+    return minus(a * b, b * a)
 
 
 @functools.cache
@@ -173,7 +197,7 @@ def reference_restrict_action(g, v):
     for b in g.basis:
         nz = {}
         for j, vec in enumerate(rows):
-            image = b.apply(vec)
+            image = apply(b, vec)
             if not v.contains_vector(image):
                 raise ValueError(f"{g.name} does not preserve the subspace")
             for p, x in image.items():
@@ -269,10 +293,10 @@ def dense_scan_prolongation_rows(action):
             for d in range(du):
                 row = {}
                 for k, mat in enumerate(action):
-                    cy = mat[d, y]
+                    cy = entry(mat, d, y)
                     if cy:
                         row[x * dg + k] = row.get(x * dg + k, 0) + cy
-                    cx = mat[d, x]
+                    cx = entry(mat, d, x)
                     if cx:
                         row[y * dg + k] = row.get(y * dg + k, 0) - cx
                 if row:
@@ -354,7 +378,7 @@ def reference_values(algebra, x):
     omega = []
     for bmat in algebra.basis:
         form = algebra.space.eta * bmat
-        omega.append({biv[a, b]: form[b, a] for a, b in biv if form[b, a]})
+        omega.append({biv[a, b]: w for a, b in biv if (w := entry(form, b, a))})
     unknowns = [(k, l) for l in range(algebra.dim) for k in range(l + 1)]
     out = {}
     for j, c in x.items():
@@ -417,25 +441,24 @@ def reference_wedge_rows(algebra):
     zero rows included, as ((a, b, c, d), row): each 4-set sums its three
     splittings ab|cd, ac|bd and ad|bc with signs +, -, +, and a splitting
     p|q adds omega_k(p) omega_l(q) to the column of x_kl for every k, l,
-    read straight from `_pairing_table`: the second computation the
-    streamed rows of `_bianchi_rows` are checked against."""
+    read straight from `_pairing_table`, indexed by bivector so that each
+    splitting visits only the forms nonzero at p and at q: the second
+    computation the streamed rows of `_bianchi_rows` are checked against."""
     n = algebra.space.real_dim
     biv = {pair: ib for ib, pair in enumerate(bivector_pairs(n))}
-    forms = curv._pairing_table(algebra)
+    at = {}  # bivector -> [(k, omega_k there)] over the forms nonzero there
+    for k, form in enumerate(curv._pairing_table(algebra)):
+        for ib, v in form.items():
+            at.setdefault(ib, []).append((k, v))
     for quad in combinations(range(n), 4):
         a, b, c, d = quad
         row = {}
         for p, q, sign in (((a, b), (c, d), 1), ((a, c), (b, d), -1),
                            ((a, d), (b, c), 1)):
-            for k, form_k in enumerate(forms):
-                u = form_k.get(biv[p], 0)
-                if not u:
-                    continue
-                for l, form_l in enumerate(forms):
-                    v = form_l.get(biv[q], 0)
-                    if v:
-                        j = curv._sym2_col(k, l)
-                        row[j] = row.get(j, 0) + sign * u * v
+            for k, u in at.get(biv[p], ()):
+                for l, v in at.get(biv[q], ()):
+                    j = curv._sym2_col(k, l)
+                    row[j] = row.get(j, 0) + sign * u * v
         yield quad, {j: v for j, v in row.items() if v}
 
 
@@ -487,13 +510,12 @@ def structure_characters(algebra):
 
 
 def ungraded_bianchi_kernel(algebra):
-    """The first-Bianchi kernel from one elimination of the rows of every
-    4-set, with no weight blocks, no relabelling and no reduction by the
-    structure triple: `_bianchi_rows` with the empty weight on every basis
-    vector and no characters, over all of Sym^2(g)."""
-    n, dimg = algebra.space.real_dim, algebra.dim
-    column = [[curv._sym2_col(k, l) for l in range(dimg)] for k in range(dimg)]
-    rows = curv._bianchi_rows(curv._pairing_table(algebra), n, [()] * dimg, column, None)
+    """The first-Bianchi kernel from one elimination of the nonzero rows of
+    every 4-set (`reference_wedge_rows`), with no weight blocks, no
+    relabelling and no reduction by the structure triple, over all of
+    Sym^2(g), and without `_bianchi_rows`."""
+    dimg = algebra.dim
+    rows = (row for _, row in reference_wedge_rows(algebra) if row)
     return sparse_nullspace(rows, dimg * (dimg + 1) // 2)
 
 

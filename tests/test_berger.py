@@ -9,8 +9,8 @@ from berger_lab.harness import (Session, check_full_split,
                                 check_mixed_signature_collapse,
                                 check_parabolic_split)
 from berger_lab.liealg import LieAlgebra
-from conftest import (basis_tensors, element_over, first_rows, flat_vector, from_flat,
-                      tier2, value)
+from conftest import (basis_tensors, element_over, entry, first_rows, flat_vector,
+                      from_flat, tier2, value)
 
 
 def berger_closure(g, curvature):
@@ -196,7 +196,7 @@ def reference_w_blocks(curvature):
     w = list(space.w_indices())
     return [(i, (p, q)) for i, el in enumerate(basis_tensors(curvature))
             for p in w for q in space.w1_indices()
-            if any(value(el, p, q)[a, b] for a in w for b in w)]
+            if any(entry(value(el, p, q), a, b) for a in w for b in w)]
 
 
 @pytest.mark.parametrize("name,r,expected", [

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from collections import deque
 from fractions import Fraction
@@ -20,13 +21,13 @@ from berger_lab.berger import berger_report, holonomy_case_split
 from berger_lab.harness import (ALL_CHECKS, TIER1_CONFIGS, Session, cache_get,
                                 cache_put, run_verification)
 from berger_lab.liealg import ALGEBRA_NAMES, LieAlgebra, algebra_by_name
-from conftest import (SPARSE_CASES, basis_tensors, commutator, element_over,
+from conftest import (SPARSE_CASES, apply, basis_tensors, commutator, element_over, entry,
                       first_rows, flat_subspace, flat_vector, flat_vectors,
                       from_flat, ref_ricci, is_orbit_least, is_orbit_representative,
                       reference_bianchi_kernel, reference_coefficients_over, reference_coordinates,
                       reference_derivative_space,
                       reference_values, reference_wedge_rows, row_of,
-                      is_normal, same_tensor, structure_characters,
+                      is_normal, minus, same_tensor, structure_characters,
                       synthetic_element, tensors_built, tier2,
                       ungraded_bianchi_kernel, value, value_column, witt_weight)
 
@@ -77,8 +78,8 @@ def satisfies_first_bianchi(el):
     """R(a,b)e_c + R(b,c)e_a + R(c,a)e_b = 0 on every basis triple, read
     from the value matrices."""
     n = el.space.real_dim
-    return not any(value(el, a, b)[d, c] + value(el, b, c)[d, a]
-                   + value(el, c, a)[d, b]
+    return not any(entry(value(el, a, b), d, c) + entry(value(el, b, c), d, a)
+                   + entry(value(el, c, a), d, b)
                    for a, b, c in combinations(range(n), 3) for d in range(n))
 
 
@@ -146,8 +147,7 @@ def test_streamed_rows_are_the_bianchi_rows(session, name, r, s, t):
     # sums of the three splittings, 4-sets ascending, of the 4-sets whose
     # weight is its S_t-orbit's representative and which are the least
     # member of their orbit under the structure triple, each split into its
-    # nonzero character components; with no characters, every 4-set of a
-    # representative weight, its whole nonzero row
+    # nonzero character components
     algebra = session.algebra(name, r, s, t)
     bits = structure_characters(algebra)
     assert bits is not None
@@ -158,10 +158,6 @@ def test_streamed_rows_are_the_bianchi_rows(session, name, r, s, t):
     assert expected
     rows, kept = bianchi_rows(algebra)
     assert [{kept[j]: v for j, v in row.items()} for row in rows] == expected
-    whole = curv._weight_blocks(algebra)._replace(character=None)
-    rows, kept = bianchi_rows(algebra, whole)
-    assert [{kept[j]: v for j, v in row.items()} for row in rows] == [
-        row for _, row in wedge]
 
 
 def test_orbit_least_rule_matches_the_four_images():
@@ -301,21 +297,33 @@ def test_relabelled_kernel_is_the_kernel_of_every_4_set(session, r, s, t):
             expected)
 
 
-def test_a_basis_that_is_not_signed_permuted_falls_back(session, space222):
+def assert_refused(algebra, symmetry):
+    """`bianchi_kernel` raises ValueError naming `algebra` and the
+    `symmetry` its basis lacks, on every call: nothing is kept."""
+    for _ in range(2):
+        with pytest.raises(ValueError, match=rf"^{re.escape(algebra.name)}: {symmetry}"):
+            curv.bianchi_kernel(algebra)
+
+
+def test_a_basis_that_is_not_signed_permuted_is_refused(session, space222):
     # scaling one gl(r,H) basis matrix by 1/2 breaks the signed
-    # permutation: every weight becomes its own representative, no block is
-    # relabelled, and the kernel is still the flat reference's
+    # permutation of the basis by the Witt transpositions
     h0 = session.algebra("h0", 2, 2, 2)
     scaled = LieAlgebra("h0-scaled", space222, [
         b.scaled(Fraction(1, 2)) if k == 3 else b for k, b in enumerate(h0.basis)])
-    assert curv._witt_transpositions(scaled) is None
-    blocks = curv._weight_blocks(scaled)
-    assert blocks.actions == []
-    assert blocks.kept == list(range(scaled.dim * (scaled.dim + 1) // 2))
-    curvature = curv.bianchi_kernel(scaled)
-    expected = reference_bianchi_kernel(scaled)
-    assert curvature.dim == len(expected) == 1
-    assert canonical_rows(flat_vectors(curvature)) == expected
+    assert_refused(scaled, "Witt transposition 0 does not map basis element")
+
+
+def test_a_basis_element_that_is_not_a_weight_vector_is_refused(session, space222):
+    # the sum of two h0 basis matrices of weights (0, 0) and (-1, 1) has
+    # bivectors of both weights in its 2-form
+    h0 = session.algebra("h0", 2, 2, 2)
+    weights = curv._weight_blocks(h0).basis_weight
+    assert (weights[3], weights[7]) == ((0, 0), (-1, 1))
+    basis = list(h0.basis)
+    basis[3] = basis[3] + basis[7]
+    mixed = LieAlgebra("h0-mixed-weight", space222, basis)
+    assert_refused(mixed, "basis element 3 is not a weight vector")
 
 
 @pytest.mark.parametrize("r,s,t", [(1, 1, 0), (1, 2, 1), (2, 2, 2), (3, 5, 1)])
@@ -345,33 +353,46 @@ def test_every_basis_conjugates_to_plus_minus_itself(session, r, s, t):
         assert bits == head + [0] * (algebra.dim - len(head))
 
 
-def test_a_basis_whose_conjugate_is_another_basis_element_has_no_characters(session):
+def test_a_basis_whose_conjugate_is_another_basis_element_is_refused(session):
     # conjugation by I1 fixes I1 and negates I2, so it swaps I1 + I2 and
     # I1 - I2: each conjugate is a basis element, but not +- itself
     space = session.space(1, 1, 1)
     i1, i2, i3 = space.I
-    swapped = LieAlgebra("sp1-swapped", space, [i1 + i2, i1 - i2, i3])
+    swapped = LieAlgebra("sp1-swapped", space, [i1 + i2, minus(i1, i2), i3])
     assert structure_characters(swapped) is None
-    assert curv._structure_characters(swapped) is None
+    assert_refused(swapped, "conjugation by I1 does not map basis element 0")
     sp1 = LieAlgebra("sp1", space, [i1, i2, i3])
     assert curv._structure_characters(sp1) == [2, 1, 3]
 
 
-def test_a_basis_not_fixed_by_the_structure_triple_reads_every_4_set(session):
+def test_a_basis_not_fixed_by_the_structure_triple_is_refused(session):
     # replacing I2 by I2 + I3 in sp1+sp_w keeps the algebra but not the
-    # characters: conjugation by I2 takes I2 + I3 to I2 - I3, so every
-    # 4-set is read whole, and the kernel is still the flat reference's
+    # characters: conjugation by I1 negates I2 + I3, but conjugation by I2
+    # takes it to I2 - I3
     algebra = session.algebra("sp1+sp_w", 1, 2, 1)
     basis = list(algebra.basis)
     assert basis[1:3] == list(algebra.space.I[1:])
     basis[1] = basis[1] + basis[2]
     mixed = LieAlgebra("sp1+sp_w-mixed", algebra.space, basis)
-    assert curv._structure_characters(mixed) is None
-    assert curv._weight_blocks(mixed).character is None
-    curvature = curv.bianchi_kernel(mixed)
-    expected = reference_bianchi_kernel(mixed)
-    assert curvature.dim == len(expected) == 43
-    assert canonical_rows(flat_vectors(curvature)) == expected
+    assert structure_characters(mixed) is None
+    assert_refused(mixed, "conjugation by I2 does not map basis element 1")
+
+
+def test_every_registry_algebra_has_the_symmetries_bianchi_kernel_needs():
+    # the fact the refusals rest on: every registry algebra at every
+    # (r, s, t) with 1 <= r + s <= 6 and t <= min(r, s) has a basis of
+    # weight vectors that each Witt transposition maps to +- itself, and
+    # that the structure triple maps to +- itself element by element
+    session = Session()
+    configs = [(r, s, t) for r in range(7) for s in range(7 - r) if r + s
+               for t in range(min(r, s) + 1)]
+    algebras = [algebra for config in configs
+                for algebra in registry_algebras(session, *config)]
+    assert len(algebras) == 197
+    for algebra in algebras:
+        blocks = curv._weight_blocks(algebra)
+        assert len(blocks.actions) == max(algebra.space.t - 1, 0)
+        assert len(blocks.character) == len(blocks.kept)
 
 
 @pytest.mark.parametrize("r,s,t", [(1, 1, 0), (1, 2, 1), (1, 3, 1), (2, 3, 1)])
@@ -532,8 +553,8 @@ def test_r0_ricci_proportional_to_eta(session, space111):
     ric = ref_ricci(r0)
     eta = space111.eta
     n = space111.real_dim
-    ratio = next(ric[i, j] / eta[i, j]
-                 for i in range(n) for j in range(n) if eta[i, j])
+    ratio = next(entry(ric, i, j) / entry(eta, i, j)
+                 for i in range(n) for j in range(n) if entry(eta, i, j))
     assert ratio != 0
     assert ric == eta.scaled(ratio)
 
@@ -551,15 +572,15 @@ def test_flipped_wedge_convention_violates_bianchi(session, space111):
         wedges = RealMatrix.from_sparse(n, n, curv._wedge_matrix(n, eta, ea, eb))
         for ialpha in space111.I:
             wedges = wedges + RealMatrix.from_sparse(n, n, curv._wedge_matrix(
-                n, eta, ialpha.apply(ea), ialpha.apply(eb)))
+                n, eta, apply(ialpha, ea), apply(ialpha, eb)))
         # base - 2 * (1/4 wedges) flips the sign of the wedge part
-        return base - wedges.scaled(Fraction(1, 2))
+        return minus(base, wedges.scaled(Fraction(1, 2)))
 
     violated = False
     for (a, b, c) in ((0, 1, 2), (0, 4, 5), (1, 3, 6)):
-        cols = (flipped_value(a, b).apply({c: 1}),
-                flipped_value(b, c).apply({a: 1}),
-                flipped_value(c, a).apply({b: 1}))
+        cols = (apply(flipped_value(a, b), {c: 1}),
+                apply(flipped_value(b, c), {a: 1}),
+                apply(flipped_value(c, a), {b: 1}))
         if any(sum(col.get(d, 0) for col in cols) for d in range(n)):
             violated = True
             break
@@ -874,9 +895,10 @@ def ref_act(a_mat, el, values):
     rows = []
     for a, b in bivector_pairs(n):
         comm = commutator(a_mat, values[a, b])
-        m = [comm[i, j] for i in range(n) for j in range(n)]
+        m = [entry(comm, i, j) for i in range(n) for j in range(n)]
         for d in range(n):
-            for f, v in ((a_mat[d, a], values[d, b]), (a_mat[d, b], values[a, d])):
+            for f, v in ((entry(a_mat, d, a), values[d, b]),
+                         (entry(a_mat, d, b), values[a, d])):
                 if f:
                     for i, x in v.nz.items():
                         m[i] -= f * x
@@ -889,7 +911,7 @@ def ref_pair_symmetric(el, values):
     n = el.space.real_dim
     eta_r = {pair: el.space.eta * m for pair, m in values.items()}
     # eta(R(X,Y)Z, U) = eta(R(Z,U)X, Y) on every basis quadruple
-    return all(eta_r[x, y][u, z] == eta_r[z, u][y, x]
+    return all(entry(eta_r[x, y], u, z) == entry(eta_r[z, u], y, x)
                for x in range(n) for y in range(n)
                for z in range(n) for u in range(n))
 
@@ -921,7 +943,7 @@ def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
             assert value(el, a, b) == expected
             for col in range(n):
                 assert value_column(el, a, b, col) == {
-                    d: expected[d, col] for d in range(n) if expected[d, col]}
+                    d: x for d in range(n) if (x := entry(expected, d, col))}
         assert dense_coeffs(act(a_mat, el)) == ref_act(a_mat, el, values)
         assert pair_symmetry_holds(el) == ref_pair_symmetric(el, values)
         vectors.append(ref_over(el, values, target))
@@ -978,7 +1000,7 @@ def test_value_column_is_a_column_of_value(session, space111, name):
                     assert {d: sign * v for d, v in column.items() if v} == {
                         d: den * v for d, v in value_column(el, a, b, c).items()}
                     assert value_column(el, a, b, c) == {
-                        d: reference[d, c] for d in range(n) if reference[d, c]}
+                        d: x for d in range(n) if (x := entry(reference, d, c))}
 
 
 # every registry algebra sits in each target below as a block of its basis,

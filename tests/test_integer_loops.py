@@ -19,7 +19,7 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace,
                                   pair_symmetry_holds, scalar)
 from berger_lab.exactlin import RealMatrix, signed_permutation, sparse_nullspace
 from berger_lab.liealg import LieAlgebra
-from conftest import (SPARSE_CASES, basis_tensors,
+from conftest import (SPARSE_CASES, apply, basis_tensors, entry,
                       column_scan_residual_is_zero, is_normal, ref_ricci,
                       reference_coordinates,
                       same_tensor, synthetic_element, tier2, value,
@@ -34,7 +34,7 @@ def ref_wedge(space, u, v):
     """(u ^ v) Z = eta(v, Z) u - eta(u, Z) v, as {row * n + col: value}."""
     n = space.real_dim
     out = {}
-    for x, y, sign in ((u, space.eta.apply(v), 1), (v, space.eta.apply(u), -1)):
+    for x, y, sign in ((u, apply(space.eta, v), 1), (v, apply(space.eta, u), -1)):
         for d, xd in x.items():
             for z, yz in y.items():
                 out[d * n + z] = out.get(d * n + z, 0) + sign * xd * yz
@@ -49,12 +49,12 @@ def ref_r0_value(space, a, b):
     ea, eb = {a: 1}, {b: 1}
     out = {}
     for ialpha in space.I:
-        coef = sum((space.eta[a, d] * v for d, v in ialpha.apply(eb).items()), 0)
+        coef = sum((entry(space.eta, a, d) * v for d, v in apply(ialpha, eb).items()), 0)
         if coef:
             for pos, v in ialpha.nz.items():
                 out[pos] = out.get(pos, 0) + half * coef * v
     for w in (ref_wedge(space, ea, eb),
-              *(ref_wedge(space, ialpha.apply(ea), ialpha.apply(eb))
+              *(ref_wedge(space, apply(ialpha, ea), apply(ialpha, eb))
                 for ialpha in space.I)):
         for pos, v in w.items():
             out[pos] = out.get(pos, 0) + quarter * v
@@ -75,7 +75,7 @@ def ref_scalar(element):
     total = Fraction(0)
     for pos, v in element.space.eta.nz.items():
         b, c = divmod(pos, n)
-        total += v * ric[c, b]
+        total += v * entry(ric, c, b)
     return total
 
 

@@ -11,14 +11,14 @@ from berger_lab.liealg import (LieAlgebra, algebra_by_name, build_glq, build_h0,
                                direct_sum, sp_dimension,
                                sp_parabolic_dimension, stabilizer_of_subspace)
 from berger_lab.quatspace import build_space
-from conftest import (commutator, coordinates_of, dual_W1, flat_span, is_closed,
-                      is_metric_skew, is_normal, nullspace, reference_coordinates,
-                      subspace_W)
+from conftest import (apply, commutator, coordinates_of, dual_W1, entry, flat_span,
+                      is_closed, is_metric_skew, is_normal, nullspace,
+                      reference_coordinates, subspace_W)
 
 
 def preserves_subspace(g, v):
     """True iff B*x lies in V for every basis element B and x in V."""
-    return all(v.contains_vector(b.apply(vec))
+    return all(v.contains_vector(apply(b, vec))
                for b in g.basis for vec in v.sparse_rows())
 
 
@@ -34,8 +34,8 @@ def eta_skew_commutant_oracle(space):
         for b in range(n):
             row = [Fraction(0)] * (n * n)
             for i in range(n):
-                row[i * n + b] += eta[a, i]
-                row[i * n + a] += eta[b, i]  # (M^t eta)_{ab} = sum_i M_{ia} eta_{ib}
+                row[i * n + b] += entry(eta, a, i)
+                row[i * n + a] += entry(eta, b, i)  # (M^t eta)_{ab} = sum_i M_{ia} eta_{ib}
             rows.append(row)
     # M*I - I*M = 0 for I in (I1, I2)
     for imat in (i1, i2):
@@ -43,8 +43,8 @@ def eta_skew_commutant_oracle(space):
             for b in range(n):
                 row = [Fraction(0)] * (n * n)
                 for i in range(n):
-                    row[a * n + i] += imat[i, b]
-                    row[i * n + b] -= imat[a, i]
+                    row[a * n + i] += entry(imat, i, b)
+                    row[i * n + b] -= entry(imat, a, i)
                 rows.append(row)
     return nullspace(RealMatrix.from_rows(rows))
 

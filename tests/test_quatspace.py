@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from berger_lab.exactlin import RealMatrix, span_of, symmetric_signature
 from berger_lab.quatspace import _HAMILTON, build_space, conjugate, realify
-from conftest import dual_W1, subspace_W
+from conftest import apply, dual_W1, entry, subspace_W
 
 # The package multiplies signed units (u, sign), sign * e_u for the units
 # e_0 = 1, e_1 = i, e_2 = j, e_3 = k, through one table.  The references
@@ -82,7 +82,7 @@ def quat_matmul(a, b, n):
 
 def eta_pairing(space, u, v):
     """eta(u, v) for sparse coordinate vectors."""
-    return sum((ui * space.eta[i, j] * vj
+    return sum((ui * entry(space.eta, i, j) * vj
                 for i, ui in u.items() for j, vj in v.items()), Fraction(0))
 
 
@@ -205,7 +205,7 @@ def test_structure_is_eta_skew(r, s, t):
 
 def eta_block(space, i, j):
     """The 4x4 block of eta pairing quaternionic basis vectors i and j."""
-    return RealMatrix.from_rows([[space.eta[4 * i + a, 4 * j + b]
+    return RealMatrix.from_rows([[entry(space.eta, 4 * i + a, 4 * j + b)
                                   for b in range(4)] for a in range(4)])
 
 
@@ -290,7 +290,7 @@ def test_structure_preserves_witt_blocks(r, s, t):
     for ia in space.I:
         for block in blocks:
             for v in block.sparse_rows():
-                assert block.contains_vector(ia.apply(v))
+                assert block.contains_vector(apply(ia, v))
 
 
 # sha256 of repr([sorted(m.nz.items()) for m in (eta, I1, I2, I3)]) for each

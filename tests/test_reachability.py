@@ -27,9 +27,6 @@ NEVER_ENTERED = {
     # test-only: the tests build and read their matrices with these
     "exactlin.RealMatrix.__init__": "the dense constructor; tests build fixtures with it",
     "exactlin.RealMatrix.from_rows": "a dense constructor; tests build fixtures with it",
-    "exactlin.RealMatrix.apply": "the matrix-vector product; package code reads entries",
-    "exactlin.RealMatrix.__getitem__": "entry access; package code reads `nz`",
-    "exactlin.RealMatrix.__sub__": "tests form commutators and differences",
     # library API that no command reaches
     "liealg.build_h0": "a named builder, wrapped by bench/layers.py SPANS",
     "berger.CaseSplitReport.to_json": "the case-split report as JSON, which the "

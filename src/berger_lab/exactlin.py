@@ -13,10 +13,11 @@ true division, which turns two ints into a float.
 
 Everything is sparse: a matrix (`RealMatrix`) stores its nonzero entries
 only, and a vector is a {index: value} mapping of its nonzeros.  A matrix
-is read by its entries (`nz`); its arithmetic is `+`, `scaled`, `*` and
-`transpose`.  Elimination is deterministic, so echelon forms are unique
-and subspace bases are canonical: two subspaces are equal iff their
-stored rows are equal.
+is read only by its entries (`nz`): it has no arithmetic, and eta and the
+I_alpha are composed as the signed permutations `signed_permutation`
+reads off them.  Elimination is deterministic, so echelon forms are
+unique and subspace bases are canonical: two subspaces are equal iff
+their stored rows are equal.
 
 Every elimination runs on one engine, `Echelon`, with no exception, over
 sparse rows of primitive integers (fraction-free, per-row gcd
@@ -130,22 +131,16 @@ def rat_from_str(s: str) -> int | Fraction:
 # ---------------------------------------------------------------------------
 
 class RealMatrix:
-    """Immutable sparse matrix of exact rationals.
+    """Immutable sparse matrix of exact rationals, read by its entries.
 
     `nz` is a read-only mapping {row * cols + col: value} of the nonzero
-    entries, each in normal form: every constructor, `from_sparse` and so
-    every arithmetic result included, stores its entries through `exact`.
+    entries, each in normal form: the constructor copies the given `nz`
+    through `exact` and drops its zero values.
     """
 
     __slots__ = ("rows", "cols", "nz")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable):
-        ent = list(entries)
-        if len(ent) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
-        self._init(rows, cols, dict(enumerate(ent)))
-
-    def _init(self, rows: int, cols: int, nz: Mapping) -> None:
+    def __init__(self, rows: int, cols: int, nz: Mapping):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "nz", MappingProxyType(
@@ -153,29 +148,6 @@ class RealMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("RealMatrix is immutable")
-
-    @classmethod
-    def from_sparse(cls, rows: int, cols: int, nz: Mapping) -> "RealMatrix":
-        """The matrix with entries `nz` ({row * cols + col: value}), which
-        is copied in normal form without its zero values."""
-        out = cls.__new__(cls)
-        out._init(rows, cols, nz)
-        return out
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RealMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        flat = []
-        for r in rows:
-            if len(r) != nc:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(nr, nc, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "RealMatrix":
-        return cls.from_sparse(n, n, {i * n + i: 1 for i in range(n)})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RealMatrix) and self.rows == other.rows
@@ -186,50 +158,6 @@ class RealMatrix:
 
     def __repr__(self) -> str:
         return f"RealMatrix({self.rows}x{self.cols})"
-
-    def __add__(self, other: "RealMatrix") -> "RealMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        out = dict(self.nz)
-        for k, v in other.nz.items():
-            out[k] = out.get(k, 0) + v
-        return RealMatrix.from_sparse(self.rows, self.cols, out)
-
-    def __mul__(self, other):
-        if isinstance(other, RealMatrix):
-            return self._matmul(other)
-        return self.scaled(other)
-
-    def scaled(self, c) -> "RealMatrix":
-        c = exact(c)
-        return RealMatrix.from_sparse(self.rows, self.cols,
-                                      {k: c * v for k, v in self.nz.items()})
-
-    def _matmul(self, other: "RealMatrix") -> "RealMatrix":
-        """self * other: each nonzero self[i, t] joins the nonzeros of row t
-        of `other`, indexed once."""
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch for matrix product")
-        k, cols = self.cols, other.cols
-        right_rows: dict[int, list] = {}
-        for pos, w in other.nz.items():
-            t, j = divmod(pos, cols)
-            right_rows.setdefault(t, []).append((j, w))
-        out: dict = {}
-        for pos, v in self.nz.items():
-            i, t = divmod(pos, k)
-            base = i * cols
-            for j, w in right_rows.get(t, ()):
-                out[base + j] = out.get(base + j, 0) + v * w
-        return RealMatrix.from_sparse(self.rows, cols, out)
-
-    def transpose(self) -> "RealMatrix":
-        rows, cols = self.rows, self.cols
-        return RealMatrix.from_sparse(cols, rows, {
-            (k % cols) * rows + k // cols: v for k, v in self.nz.items()})
-
-    def is_zero(self) -> bool:
-        return not self.nz
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +437,6 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         return self._rows == other._rows
 
-    def __hash__(self):
-        return hash((self.ambient_dim,
-                     tuple(tuple(sorted(r.items())) for r in self._rows)))
-
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
@@ -556,14 +480,17 @@ def span_of(vectors: Iterable[Mapping], ambient_dim: int) -> Subspace:
 
 def signed_permutation(m: RealMatrix) -> dict[int, tuple[int, int]]:
     """{col: (row, +-1)} for a signed permutation matrix such as eta and
-    the I_alpha; raises ValueError for a column with more than one entry
-    or an entry other than +-1."""
+    the I_alpha; a zero column is allowed and has no key.  Raises
+    ValueError for a column or a row with more than one entry, or an entry
+    other than +-1."""
     perm = {}
     for pos, v in m.nz.items():
         row, col = divmod(pos, m.cols)
         if col in perm or v not in (1, -1):
             raise ValueError("expected a signed permutation matrix")
         perm[col] = (row, v)
+    if len({row for row, _ in perm.values()}) < len(perm):
+        raise ValueError("expected a signed permutation matrix")
     return perm
 
 

@@ -24,7 +24,8 @@ from . import curvature as curv
 from .berger import (berger_report, holonomy_case_split, split_failures,
                      with_failures)
 from .curvature import CurvatureElement, CurvatureSpace
-from .exactlin import RealMatrix, Subspace, rat_to_str, symmetric_signature
+from .exactlin import (Subspace, rat_to_str, signed_permutation,
+                       symmetric_signature)
 from .liealg import (ALGEBRA_NAMES, LieAlgebra, algebra_by_name, sp_dimension,
                      sp_parabolic_dimension, stabilizer_of_subspace)
 from .quatspace import QuaternionicSpace, build_space
@@ -255,22 +256,40 @@ def _ranks(tier: int):
     return (1, 2) if tier >= 2 else (1,)
 
 
+def _compose(a: dict, b: dict) -> dict:
+    """The product a b of two signed permutations read by
+    `signed_permutation`, in the same form: b maps column c to its row r,
+    then a maps column r to its row.  A zero column of either factor is a
+    zero column of the product."""
+    return {c: (a[r][0], a[r][1] * sign) for c, (r, sign) in b.items() if r in a}
+
+
+def _negated(a: dict) -> dict:
+    return {c: (r, -sign) for c, (r, sign) in a.items()}
+
+
+def _transposed(a: dict) -> dict:
+    return {r: (c, sign) for c, (r, sign) in a.items()}
+
+
 def check_structure_axioms(session: Session, tier: int) -> CheckResult:
-    """Structure triple relations, metric skewness, and signature."""
+    """Structure triple relations, metric skewness, and signature, from
+    eta and the I_alpha composed as signed permutations."""
     details = {}
     ok = True
     for (r, s, t) in TIER2_CONFIGS:  # cheap at every tier
         space = session.space(r, s, t)
-        n = space.real_dim
-        i1, i2, i3 = space.I
-        neg_id = RealMatrix.identity(n).scaled(-1)
+        eta = signed_permutation(space.eta)
+        triple = [signed_permutation(ia) for ia in space.I]
+        i1, i2, i3 = triple
+        neg_id = {c: (c, -1) for c in range(space.real_dim)}
         relations = (
-            i1 * i1 == neg_id and i2 * i2 == neg_id and i3 * i3 == neg_id
-            and i1 * i2 == i3 and (i2 * i1).scaled(-1) == i3
+            all(_compose(ia, ia) == neg_id for ia in triple)
+            and _compose(i1, i2) == i3 and _negated(_compose(i2, i1)) == i3
         )
-        eta = space.eta
-        skew = all((eta * ia + ia.transpose() * eta).is_zero() for ia in space.I)
-        sig = symmetric_signature(eta)
+        skew = all(_compose(eta, ia) == _negated(_compose(_transposed(ia), eta))
+                   for ia in triple)
+        sig = symmetric_signature(space.eta)
         sig_ok = sig == (4 * r, 4 * s)
         details[f"({r},{s},{t})"] = {
             "triple_relations": relations,

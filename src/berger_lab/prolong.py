@@ -62,7 +62,7 @@ def restrict_action(g: LieAlgebra, w: range) -> list[RealMatrix]:
                 if d not in w:
                     raise ValueError(f"{g.name} does not preserve the subspace")
                 nz[w.index(d) * dw + w.index(c)] = x
-        mat = RealMatrix.from_sparse(dw, dw, nz)
+        mat = RealMatrix(dw, dw, nz)
         if span.insert(integer_row(nz)) is not None:
             restricted.append(mat)
     return restricted
@@ -115,5 +115,5 @@ def second_prolongation(first: ProlongationSpace) -> ProlongationSpace:
         for key, c in p.items():
             y, k = divmod(key, dg)
             nz[k * dv + y] = c
-        maps.append(RealMatrix.from_sparse(dg, dv, nz))
+        maps.append(RealMatrix(dg, dv, nz))
     return first_prolongation(maps)._replace(order=2)

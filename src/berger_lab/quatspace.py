@@ -58,7 +58,7 @@ def _realified(m: int, entries: dict, blocks) -> RealMatrix:
     for (i, j), (u, sign) in sorted(entries.items()):
         for a, b, s in blocks[u]:
             out[(4 * i + a) * n + 4 * j + b] = sign * s
-    return RealMatrix.from_sparse(n, n, out)
+    return RealMatrix(n, n, out)
 
 
 def realify(m: int, entries: dict) -> RealMatrix:
@@ -109,7 +109,7 @@ class QuaternionicSpace:
         n = 4 * m
         eta = {(4 * i + a) * n + 4 * j + a: g
                for (i, j), g in gram.items() for a in range(4)}
-        object.__setattr__(self, "eta", RealMatrix.from_sparse(n, n, eta))
+        object.__setattr__(self, "eta", RealMatrix(n, n, eta))
 
         object.__setattr__(self, "I", tuple(
             _realified(m, {(a, a): unit for a in range(m)}, _RIGHT)

@@ -55,9 +55,70 @@ def apply(m, vec):
     return {i: v for i, v in out.items() if v}
 
 
+def dense(rows, cols, entries):
+    """The rows x cols matrix of the row-major `entries`, zeros included."""
+    entries = list(entries)
+    if len(entries) != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+    return RealMatrix(rows, cols, dict(enumerate(entries)))
+
+
+def from_rows(rows):
+    """The matrix of the dense `rows`, each a sequence of one length."""
+    cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ValueError("ragged rows")
+    return dense(len(rows), cols, [x for row in rows for x in row])
+
+
+def identity(n):
+    return RealMatrix(n, n, {i * n + i: 1 for i in range(n)})
+
+
+def plus(first, *rest):
+    """The sum of matrices of one shape."""
+    out = dict(first.nz)
+    for m in rest:
+        if (m.rows, m.cols) != (first.rows, first.cols):
+            raise ValueError("shape mismatch")
+        for k, v in m.nz.items():
+            out[k] = out.get(k, 0) + v
+    return RealMatrix(first.rows, first.cols, out)
+
+
+def scaled(m, c):
+    """The matrix c m."""
+    return RealMatrix(m.rows, m.cols, {k: c * v for k, v in m.nz.items()})
+
+
 def minus(a, b):
     """The difference a - b of two matrices."""
-    return a + b.scaled(-1)
+    return plus(a, scaled(b, -1))
+
+
+def product(first, *rest):
+    """The matrix product of the factors, left to right: each nonzero
+    a[i, t] joins the nonzeros of row t of the next factor."""
+    out = first
+    for b in rest:
+        if out.cols != b.rows:
+            raise ValueError("shape mismatch for matrix product")
+        b_rows = {}
+        for pos, w in b.nz.items():
+            t, j = divmod(pos, b.cols)
+            b_rows.setdefault(t, []).append((j, w))
+        nz = {}
+        for pos, v in out.nz.items():
+            i, t = divmod(pos, out.cols)
+            for j, w in b_rows.get(t, ()):
+                nz[i * b.cols + j] = nz.get(i * b.cols + j, 0) + v * w
+        out = RealMatrix(out.rows, b.cols, nz)
+    return out
+
+
+def transpose(m):
+    return RealMatrix(m.cols, m.rows, {
+        (k % m.cols) * m.rows + k // m.cols: v for k, v in m.nz.items()})
 
 
 def textbook_rref(rows):
@@ -104,7 +165,7 @@ def nullspace(m):
 
 def commutator(a, b):
     """[a, b] = a b - b a, from two matrix products."""
-    return minus(a * b, b * a)
+    return minus(product(a, b), product(b, a))
 
 
 @functools.cache
@@ -157,7 +218,8 @@ def is_closed(alg):
 def is_metric_skew(alg):
     """eta*B + B^t*eta = 0 for every basis element B of `alg`."""
     eta = alg.space.eta
-    return all((eta * b + b.transpose() * eta).is_zero() for b in alg.basis)
+    return all(not plus(product(eta, b), product(transpose(b), eta)).nz
+               for b in alg.basis)
 
 
 def second_prolongation_of(g, w):
@@ -205,7 +267,7 @@ def reference_restrict_action(g, v):
                     nz[index[p] * dv + j] = x
         if span_of(span + [nz], dv * dv).dim > len(span):
             span.append(nz)
-            restricted.append(RealMatrix.from_sparse(dv, dv, nz))
+            restricted.append(RealMatrix(dv, dv, nz))
     return restricted
 
 
@@ -233,7 +295,7 @@ def value(el, a, b):
         c = sign * c
         for pos, v in basis[k].nz.items():
             out[pos] = out.get(pos, 0) + c * v
-    return RealMatrix.from_sparse(n, n, out)
+    return RealMatrix(n, n, out)
 
 
 def ref_ricci(element):
@@ -247,7 +309,7 @@ def ref_ricci(element):
                 ric[b * n + z] = ric.get(b * n + z, 0) + v
             elif d == b:
                 ric[a * n + z] = ric.get(a * n + z, 0) - v
-    return RealMatrix.from_sparse(n, n, ric)
+    return RealMatrix(n, n, ric)
 
 
 def column_scan_residual_is_zero(element):
@@ -377,7 +439,7 @@ def reference_values(algebra, x):
     biv = {pair: ib for ib, pair in enumerate(bivector_pairs(n))}
     omega = []
     for bmat in algebra.basis:
-        form = algebra.space.eta * bmat
+        form = product(algebra.space.eta, bmat)
         omega.append({biv[a, b]: w for a, b in biv if (w := entry(form, b, a))})
     unknowns = [(k, l) for l in range(algebra.dim) for k in range(l + 1)]
     out = {}
@@ -500,8 +562,8 @@ def structure_characters(algebra):
     for b in algebra.basis:
         bit = 0
         for alpha, ialpha in enumerate(algebra.space.I[:2]):
-            conjugate = ialpha * b * ialpha.transpose()
-            if conjugate == b.scaled(-1):
+            conjugate = product(ialpha, b, transpose(ialpha))
+            if conjugate == scaled(b, -1):
                 bit |= 1 << alpha
             elif conjugate != b:
                 return None

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,11 +15,11 @@ import berger_lab
 from berger_lab import harness
 from berger_lab import cli
 from berger_lab.cli import main
-from berger_lab.exactlin import rat_from_str, rat_to_str
+from berger_lab.exactlin import RealMatrix, rat_from_str, rat_to_str
 from berger_lab.liealg import ALGEBRA_NAMES
 from berger_lab.harness import (ALL_CHECKS, Session, VerificationReport,
                                 cache_get, cache_key, cache_put, run_verification)
-from conftest import tensors_built
+from conftest import identity, scaled, tensors_built
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +313,64 @@ def test_crash_inside_the_package_names_a_package_relative_frame(monkeypatch):
     assert crashed.computed["type"] == "ValueError"
     where = crashed.computed["where"]
     assert where.startswith("berger_lab/quatspace.py:") and where.endswith(" in __init__")
+
+
+def structure_axioms_on(monkeypatch, **planted):
+    """The structure-axioms result of `run_verification`, crash handling
+    included, when the (1,1,1) space has the planted `eta` or `I`."""
+    class Planted(Session):
+        def space(self, r, s, t):
+            real = super().space(r, s, t)
+            if (r, s, t) != (1, 1, 1):
+                return real
+            return SimpleNamespace(**{"real_dim": real.real_dim, "eta": real.eta,
+                                      "I": real.I, **planted})
+
+    monkeypatch.setattr(harness, "Session", Planted)
+    monkeypatch.setattr(harness, "ALL_CHECKS", harness.ALL_CHECKS[:1])
+    (result,) = run_verification(tier=1).checks
+    assert result.check_id == "structure-axioms"
+    return result
+
+
+def test_structure_axioms_fail_on_a_negated_i3(monkeypatch, space111):
+    i1, i2, i3 = space111.I
+    result = structure_axioms_on(monkeypatch, I=(i1, i2, scaled(i3, -1)))
+    assert result.status == "fail"
+    assert result.computed["(1,1,1)"] == {
+        "triple_relations": False, "eta_skew": True, "signature": [4, 4]}
+    assert result.computed["(1,2,1)"]["triple_relations"] is True
+
+
+def test_structure_axioms_fail_on_an_i1_that_is_not_eta_skew(monkeypatch, space111):
+    # the identity is a signed permutation, and eta I + I^T eta = 2 eta
+    result = structure_axioms_on(monkeypatch, I=(identity(8), *space111.I[1:]))
+    assert result.status == "fail"
+    assert result.computed["(1,1,1)"]["eta_skew"] is False
+    assert result.computed["(1,2,1)"]["eta_skew"] is True
+
+
+def test_structure_axioms_fail_on_an_eta_of_the_wrong_signature(monkeypatch):
+    # each I_alpha is skew-symmetric, so it is skew for the identity metric
+    result = structure_axioms_on(monkeypatch, eta=identity(8))
+    assert result.status == "fail"
+    assert result.computed["(1,1,1)"] == {
+        "triple_relations": True, "eta_skew": True, "signature": [0, 8]}
+
+
+def test_structure_axioms_fail_on_an_i1_with_a_zero_column(monkeypatch, space111):
+    i1 = space111.I[0]
+    zeroed = RealMatrix(8, 8, {pos: v for pos, v in i1.nz.items() if pos % 8})
+    result = structure_axioms_on(monkeypatch, I=(zeroed, *space111.I[1:]))
+    assert result.status == "fail"
+    assert result.computed["(1,1,1)"]["triple_relations"] is False
+
+
+def test_structure_axioms_fail_on_an_i1_that_is_not_a_signed_permutation(
+        monkeypatch, space111):
+    i1 = space111.I[0]
+    result = structure_axioms_on(monkeypatch, I=(scaled(i1, 2), *space111.I[1:]))
+    assert result.status == "fail"
 
 
 def test_every_check_reports_its_claim(tier1_report):

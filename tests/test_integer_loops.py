@@ -20,8 +20,8 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace,
 from berger_lab.exactlin import RealMatrix, signed_permutation, sparse_nullspace
 from berger_lab.liealg import LieAlgebra
 from conftest import (SPARSE_CASES, apply, basis_tensors, entry,
-                      column_scan_residual_is_zero, is_normal, ref_ricci,
-                      reference_coordinates,
+                      column_scan_residual_is_zero, is_normal, product, ref_ricci,
+                      reference_coordinates, scaled,
                       same_tensor, synthetic_element, tier2, value,
                       value_column)
 
@@ -58,7 +58,7 @@ def ref_r0_value(space, a, b):
                 for ialpha in space.I)):
         for pos, v in w.items():
             out[pos] = out.get(pos, 0) + quarter * v
-    return RealMatrix.from_sparse(n, n, out)
+    return RealMatrix(n, n, out)
 
 
 def ref_build_r0(algebra):
@@ -100,7 +100,7 @@ def ref_pair_symmetric(element):
     table = []
     for bmat in element.algebra.basis:
         row = {}
-        for pos, v in (space.eta * bmat).nz.items():
+        for pos, v in product(space.eta, bmat).nz.items():
             d, c = divmod(pos, n)
             if c < d:
                 row[curv._biv_index(n, c, d)] = v
@@ -137,8 +137,7 @@ def integer_ricci(element):
     """The Ricci tensor `scalar` contracts, from `_integer_ricci`."""
     n = element.space.real_dim
     den, ric = curv._integer_ricci(element)
-    return RealMatrix.from_sparse(n, n, {pos: Fraction(v, den)
-                                         for pos, v in ric.items()})
+    return RealMatrix(n, n, {pos: Fraction(v, den) for pos, v in ric.items()})
 
 
 def assert_matches_references(element):
@@ -229,8 +228,8 @@ def test_bianchi_equation_rows_hold_ints_only(session, space111, monkeypatch):
     # the rows bianchi_kernel hands to the elimination, for an integral
     # basis and for one with non-integer entries
     h0 = session.algebra("h0", 1, 1, 1)
-    scaled = LieAlgebra("h0-scaled", space111, [
-        b.scaled(Fraction(1, 2 + k % 3)) for k, b in enumerate(h0.basis)])
+    rescaled = LieAlgebra("h0-scaled", space111, [
+        scaled(b, Fraction(1, 2 + k % 3)) for k, b in enumerate(h0.basis)])
     seen = []
 
     def capture(rows, ncols):
@@ -239,7 +238,7 @@ def test_bianchi_equation_rows_hold_ints_only(session, space111, monkeypatch):
         return sparse_nullspace(rows, ncols)
 
     monkeypatch.setattr(curv, "sparse_nullspace", capture)
-    for algebra in (session.algebra("sp1+sp_w", 1, 2, 1), h0, scaled):
+    for algebra in (session.algebra("sp1+sp_w", 1, 2, 1), h0, rescaled):
         curv.bianchi_kernel(algebra)
     assert len(seen) == 3
     for rows in seen:
@@ -257,16 +256,16 @@ def test_r0_over_a_non_integral_basis(session, space111):
     # would weigh the coefficients of those elements differently
     full = session.algebra("sp1+sp", 1, 1, 1)
     scales = {0: Fraction(1, 2), 5: Fraction(1, 3)}
-    scaled = LieAlgebra("sp1+sp-scaled", space111, [
-        b.scaled(scales.get(k, 1)) for k, b in enumerate(full.basis)])
-    r0 = build_r0(scaled)
-    assert same_tensor(r0, ref_build_r0(scaled))
+    rescaled = LieAlgebra("sp1+sp-scaled", space111, [
+        scaled(b, scales.get(k, 1)) for k, b in enumerate(full.basis)])
+    r0 = build_r0(rescaled)
+    assert same_tensor(r0, ref_build_r0(rescaled))
     assert scales.keys() <= {k for row in r0.rows.values() for k in row}
     assert bianchi_residual_is_zero(r0)
     assert pair_symmetry_holds(r0)
     assert scalar(r0) == 32
     assert integer_ricci(r0) == ref_ricci(build_r0(full))
-    synthetic = synthetic_element(scaled)
+    synthetic = synthetic_element(rescaled)
     assert not pair_symmetry_holds(synthetic)
     assert_matches_references(synthetic)
 
@@ -279,12 +278,17 @@ def test_r0_over_a_non_integral_basis(session, space111):
 def test_signed_permutation_rejects_a_column_with_two_entries(space111):
     n = space111.real_dim
     assert signed_permutation(space111.eta)[0] == (n - 4, 1)
-    two = RealMatrix.from_sparse(n, n, {0: Fraction(1), n: Fraction(-1)})
+    two = RealMatrix(n, n, {0: Fraction(1), n: Fraction(-1)})
     with pytest.raises(ValueError, match="signed permutation"):
         signed_permutation(two)
     for v in (Fraction(1, 2), Fraction(2)):
         with pytest.raises(ValueError, match="signed permutation"):
-            signed_permutation(RealMatrix.from_sparse(n, n, {0: v}))
+            signed_permutation(RealMatrix(n, n, {0: v}))
+    # [[1, 1], [0, 0]]: two columns share a row
+    with pytest.raises(ValueError, match="signed permutation"):
+        signed_permutation(RealMatrix(2, 2, {0: 1, 1: 1}))
+    # a zero column is a degenerate direction, not a refusal
+    assert signed_permutation(RealMatrix(2, 2, {0: -1})) == {0: (0, -1)}
     # no fallback path: R0 refuses a metric that is not a signed permutation
     bad = SimpleNamespace(real_dim=n, eta=two, I=space111.I)
     with pytest.raises(ValueError, match="signed permutation"):

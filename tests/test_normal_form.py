@@ -14,7 +14,7 @@ from berger_lab.harness import cache_get, cache_put
 from berger_lab.prolong import (first_prolongation, restrict_action,
                                 second_prolongation)
 from conftest import (SPARSE_CASES, basis_tensors, coordinates_of, flat_vector,
-                      is_normal, ref_ricci)
+                      is_normal, plus, ref_ricci, scaled)
 
 # the modules that compute with exact scalars; harness is left out, its `/`
 # joins Paths
@@ -87,7 +87,7 @@ def test_every_exact_value_is_in_normal_form(session, tmp_path, name, r, s, t):
 
     matrices = [*algebra.basis, space.eta, *space.I,
                 *(ref_ricci(el) for el in elements)]
-    combo = algebra.basis[0].scaled(Fraction(1, 2)) + algebra.basis[-1].scaled(3)
+    combo = plus(scaled(algebra.basis[0], Fraction(1, 2)), scaled(algebra.basis[-1], 3))
     coords = coordinates_of(algebra, combo)  # builds the Gram table
     index, _, _, columns = algebra._gram
     vectors = [coords, *columns,

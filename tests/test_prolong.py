@@ -9,7 +9,7 @@ from berger_lab.liealg import (ALGEBRA_NAMES, algebra_by_name, build_glq, build_
 from berger_lab.prolong import (first_prolongation, restrict_action,
                                 second_prolongation)
 from berger_lab.quatspace import build_space
-from conftest import (SPARSE_CASES, dense_scan_prolongation,
+from conftest import (SPARSE_CASES, dense, dense_scan_prolongation,
                       dense_scan_prolongation_rows, is_normal,
                       reference_restrict_action, second_prolongation_of,
                       subspace_W, tier2)
@@ -22,7 +22,7 @@ def full_gl(n):
         for j in range(n):
             ent = [Fraction(0)] * (n * n)
             ent[i * n + j] = Fraction(1)
-            out.append(RealMatrix(n, n, ent))
+            out.append(dense(n, n, ent))
     return out
 
 
@@ -191,7 +191,7 @@ def first_prolongation_maps(first):
     P_j[k, y] = p_j[y * dim g + k], the action whose first prolongation is
     the second prolongation."""
     dg, dv = first.action_dim, first.acting_dim
-    return [RealMatrix.from_sparse(dg, dv, {
+    return [RealMatrix(dg, dv, {
         (key % dg) * dv + key // dg: c for key, c in p.items()}) for p in first.basis]
 
 

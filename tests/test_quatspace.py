@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from berger_lab.exactlin import RealMatrix, span_of, symmetric_signature
 from berger_lab.quatspace import _HAMILTON, build_space, conjugate, realify
-from conftest import apply, dual_W1, entry, subspace_W
+from conftest import (apply, dual_W1, entry, from_rows, identity, plus, product, scaled,
+                      subspace_W, transpose)
 
 # The package multiplies signed units (u, sign), sign * e_u for the units
 # e_0 = 1, e_1 = i, e_2 = j, e_3 = k, through one table.  The references
@@ -54,7 +55,7 @@ def reference_realify(m, entries):
             column = qmul(q, as_quaternion((b, 1)))
             for a in range(4):
                 out[(4 * i + a) * n + 4 * j + b] = column[a]
-    return RealMatrix.from_sparse(n, n, out)
+    return RealMatrix(n, n, out)
 
 
 # Quaternionic matrices are sparse {(i, j): signed unit} dicts of their
@@ -119,12 +120,12 @@ def test_conjugate_matches_the_reference():
 # ---------------------------------------------------------------------------
 
 def test_realify_one_is_identity():
-    assert realify(1, {(0, 0): (0, 1)}) == RealMatrix.identity(4)
+    assert realify(1, {(0, 0): (0, 1)}) == identity(4)
 
 
 def test_realify_i_squares_to_minus_identity():
     m = realify(1, {(0, 0): (1, 1)})
-    assert m * m == RealMatrix.identity(4).scaled(-1)
+    assert product(m, m) == scaled(identity(4), -1)
 
 
 @given(unit_matrices(2), unit_matrices(2))
@@ -135,7 +136,7 @@ def test_realify_is_an_algebra_homomorphism(a, b):
     qa = {ij: as_quaternion(u) for ij, u in a.items()}
     qb = {ij: as_quaternion(u) for ij, u in b.items()}
     assert realify(2, a) == reference_realify(2, qa)
-    assert realify(2, a) * realify(2, b) == \
+    assert product(realify(2, a), realify(2, b)) == \
         reference_realify(2, quat_matmul(qa, qb, 2))
 
 
@@ -143,8 +144,8 @@ def test_realify_on_scalars_is_injective_ring_hom():
     scalars = {unit: realify(1, {(0, 0): unit}) for unit in SIGNED_UNITS}
     assert len(set(scalars.values())) == len(SIGNED_UNITS)
     for p, q in itertools.product(SIGNED_UNITS, repeat=2):
-        product = qmul(as_quaternion(p), as_quaternion(q))
-        assert scalars[p] * scalars[q] == reference_realify(1, {(0, 0): product})
+        pq = qmul(as_quaternion(p), as_quaternion(q))
+        assert product(scalars[p], scalars[q]) == reference_realify(1, {(0, 0): pq})
 
 
 def test_left_and_right_multiplications_commute():
@@ -156,7 +157,7 @@ def test_left_and_right_multiplications_commute():
             for unit in SIGNED_UNITS:
                 left = realify(m, {ij: unit})
                 for ia in space.I:
-                    assert left * ia == ia * left
+                    assert product(left, ia) == product(ia, left)
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +171,18 @@ def test_structure_triple_relations(r, s, t):
     n = space.real_dim
     assert n == 4 * (r + s)
     i1, i2, i3 = space.I
-    minus_id = RealMatrix.identity(n).scaled(-1)
+    minus_id = scaled(identity(n), -1)
     for ia in space.I:
-        assert ia * ia == minus_id
-    assert i1 * i2 == i3
-    assert (i2 * i1).scaled(-1) == i3
+        assert product(ia, ia) == minus_id
+    assert product(i1, i2) == i3
+    assert scaled(product(i2, i1), -1) == i3
 
 
 @pytest.mark.parametrize("r,s,t", [(1, 1, 1), (1, 2, 1), (2, 2, 2)])
 def test_eta_symmetric_invertible_signature(r, s, t):
     space = build_space(r, s, t)
     eta = space.eta
-    assert eta == eta.transpose()
+    assert eta == transpose(eta)
     assert symmetric_signature(eta) == (4 * r, 4 * s)
 
 
@@ -190,7 +191,7 @@ def test_eta_symmetric_invertible_signature(r, s, t):
 def test_eta_is_an_involution(r, s, t):
     # `scalar` raises the Ricci index with eta itself
     space = build_space(r, s, t)
-    assert space.eta * space.eta == RealMatrix.identity(4 * space.m)
+    assert product(space.eta, space.eta) == identity(4 * space.m)
 
 
 @pytest.mark.parametrize("r,s,t", [(1, 1, 1), (1, 2, 1), (2, 2, 2)])
@@ -198,20 +199,20 @@ def test_structure_is_eta_skew(r, s, t):
     space = build_space(r, s, t)
     eta = space.eta
     for ia in space.I:
-        assert (eta * ia + ia.transpose() * eta).is_zero()
+        assert not plus(product(eta, ia), product(transpose(ia), eta)).nz
         # eta(Ia X, Ia Y) = eta(X, Y)
-        assert ia.transpose() * eta * ia == eta
+        assert product(transpose(ia), eta, ia) == eta
 
 
 def eta_block(space, i, j):
     """The 4x4 block of eta pairing quaternionic basis vectors i and j."""
-    return RealMatrix.from_rows([[entry(space.eta, 4 * i + a, 4 * j + b)
-                                  for b in range(4)] for a in range(4)])
+    return from_rows([[entry(space.eta, 4 * i + a, 4 * j + b)
+                       for b in range(4)] for a in range(4)])
 
 
 def test_hermitian_pairing_pattern():
     space = build_space(1, 2, 1)
-    one = RealMatrix.identity(4)
+    one = identity(4)
     # only nonzero pairings: <p_i, q_i> = <q_i, p_i> = 1 and <e_i, e_i> = +-1,
     # each a real scalar times the 4x4 identity
     assert eta_block(space, 0, 2) == one and eta_block(space, 2, 0) == one
@@ -219,8 +220,8 @@ def test_hermitian_pairing_pattern():
     for i in range(3):
         for j in range(3):
             if (i, j) not in ((0, 2), (2, 0), (1, 1)):
-                assert eta_block(space, i, j).is_zero()
-    assert eta_block(build_space(2, 1, 1), 1, 1) == one.scaled(-1)  # r0 = 1 side
+                assert not eta_block(space, i, j).nz
+    assert eta_block(build_space(2, 1, 1), 1, 1) == scaled(one, -1)  # r0 = 1 side
 
 
 def test_invalid_parameters_raise():
@@ -258,7 +259,7 @@ def test_witt_blocks_121():
     for u in e.sparse_rows():
         for v in w.sparse_rows() + w1.sparse_rows():
             assert eta_pairing(space, u, v) == 0
-    e_gram = RealMatrix.from_rows(
+    e_gram = from_rows(
         [[eta_pairing(space, u, v) for v in e.sparse_rows()]
          for u in e.sparse_rows()])
     assert symmetric_signature(e_gram) == (0, 4)
@@ -339,6 +340,6 @@ def test_space_json_shape():
     # a space has no JSON form; its shape is these fields
     space = build_space(1, 1, 1)
     assert (space.r, space.s, space.t) == (1, 1, 1)
-    assert space.eta == space.eta.transpose() and (space.eta.rows, space.eta.cols) == (8, 8)
+    assert space.eta == transpose(space.eta) and (space.eta.rows, space.eta.cols) == (8, 8)
     assert len(space.I) == 3
     assert all((ia.rows, ia.cols) == (8, 8) for ia in space.I)

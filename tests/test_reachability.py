@@ -24,14 +24,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 NEVER_ENTERED = {
-    # test-only: the tests build and read their matrices with these
-    "exactlin.RealMatrix.__init__": "the dense constructor; tests build fixtures with it",
-    "exactlin.RealMatrix.from_rows": "a dense constructor; tests build fixtures with it",
     # library API that no command reaches
     "liealg.build_h0": "a named builder, wrapped by bench/layers.py SPANS",
     "berger.CaseSplitReport.to_json": "the case-split report as JSON, which the "
                                       "bench's case-split workload writes",
-    "exactlin.Subspace.__hash__": "`Subspace` defines `__eq__`; no command hashes one",
     # reached only when something goes wrong, or when a value is inspected
     "harness._crash_details": "reached only when a check crashes",
     "exactlin.RealMatrix.__repr__": "a repr",

@@ -54,12 +54,14 @@ is read once, its row split by character, and these rows span every row:
 the kernel, and so its RREF, is the same.
 
 Coefficient layout: bivectors (a, b) with a < b are ordered
-lexicographically over the realified basis, and a tensor is its rows by
-bivector, {ib: {k: coefficient of B_k in R(e_a, e_b)}} for the ib-th
-bivector (a, b), nonzero rows and entries only.  A space of tensors is the
-canonical RREF rows of its span in Sym^2(g), the unknown x_kl = S_kl,
-k <= l, at column l (l + 1) / 2 + k, and is built from them alone: every
-verdict reads those rows, and no space builds a tensor object.
+lexicographically over the realified basis, and a tensor is its integer
+rows by bivector, {ib: {k: int}} for the ib-th bivector (a, b), nonzero
+rows and entries only, over one positive denominator: the coefficient of
+B_k in R(e_a, e_b) is rows[ib][k] / den (`CurvatureElement`).  A space
+of tensors is the canonical RREF rows of its span in Sym^2(g), the
+unknown x_kl = S_kl, k <= l, at column l (l + 1) / 2 + k, and is built
+from them alone: every verdict reads those rows, and no space builds a
+tensor object.
 `CurvatureSpace.values` is the one map out of Sym^2(g): it yields each
 row's tensor in that form, for the Berger closure, the degenerate-pair and
 restriction checks, R1, pair symmetry and the derivative space.  The cache
@@ -83,26 +85,26 @@ basis is independent, and R(X, Y)p as column p of the integer value
 Integer inner loops: R0, Ricci, the scalar, pair symmetry, the
 first-Bianchi equations, the Bianchi residual, `values` and `act` multiply
 and add Python ints only.  eta and the I_alpha are read as signed
-permutations (`exactlin.signed_permutation`, which raises on anything
-else; there is no fallback), the basis columns come from `_columns` times
-one lcm per algebra, the 2-forms omega_k from `_pairing_table` on those
-columns, and a tensor's rows from `_integer_rows` times one lcm per
-element; each canonical row is cleared by `integer_row` before `values`
-maps it, so every reader of a space takes integer rows.  The algebra keeps its column
+permutations by `_permutation`, which raises ValueError on anything else,
+a zero column included; there is no fallback.  A basis has integer
+entries (`LieAlgebra` refuses any other), so the basis columns of
+`_columns` and the 2-forms omega_k of `_pairing_table` are integral as
+read, and a tensor is its integer rows over one denominator; each
+canonical row is cleared by `integer_row` before `values` maps it, so
+every reader of a space takes integer rows.  The algebra keeps its column
 and 2-form tables once they are built (`LieAlgebra.kept`), so each is
 built once per algebra, however many checks read it; a refusal (a basis
 matrix that is not eta-skew) is not kept.  The residual, Ricci and the
 degenerate check share `_value`, which evaluates R(e_a, e_b) by column
 from the nonzeros of the bivector's row, so a basis element that the row
-does not name is never visited.  A value is divided only
-where it leaves a function, by `exactlin.ratio`, so it stays an int when
-the division is exact: R0's coordinates are the integer coordinates
-(`LieAlgebra.integer_coordinates`) of the integral 4 R0, divided by 4
-times their denominator, R1 is its integer rows divided by its lead,
-`scalar` divides by the product of the two factors, `act` brackets A
-times its lcm with the basis columns, reads ad_A as integer coordinates
-and the element through `_integer_rows`, and divides by the product of
-the four factors, and the residual,
+does not name is never visited.  A value is divided only where it leaves
+a function, by `exactlin.ratio`, so it stays an int when the division is
+exact, and a tensor is never divided: R0's rows are the integer
+coordinates (`LieAlgebra.integer_coordinates`) of the integral 4 R0, over
+4 times their denominator, R1 is the tensor of `values` over its lead,
+`scalar` divides Ricci's trace by the element's denominator, `act`
+brackets A times its lcm with the basis columns and reads ad_A as integer
+coordinates, over the product of the three denominators, and the residual,
 symmetry, closure and vanishing checks, which are homogeneous, need no
 division.
 """
@@ -151,45 +153,25 @@ def bivector_pairs(n: int) -> list[tuple[int, int]]:
 _EMPTY_ROW = MappingProxyType({})
 
 
-class CurvatureElement:
-    """A curvature tensor with values in `algebra`, on `algebra.space`,
-    given by its rows by bivector {ib: {k: coefficient of B_k in
-    R(e_a, e_b)}} for the ib-th bivector (a, b), the form
-    `CurvatureSpace.values` yields; an ib outside [0, nbiv) or a k outside
-    [0, dim g) raises ValueError.  `space` is the algebra's space.
+class CurvatureElement(NamedTuple):
+    """A curvature tensor with values in `algebra`, on `algebra.space`:
+    R(e_a, e_b) = sum_k (rows[ib][k] / den) B_k for the ib-th bivector
+    (a, b).  `rows` are integer rows by bivector, {ib: {k: int}}, nonzero
+    rows and entries only, the form `CurvatureSpace.values` yields, over
+    one positive denominator `den`.  Every producer builds fresh rows,
+    and no reader changes them.  R(e_b, e_a) = -R(e_a, e_b) by
+    construction."""
 
-    `rows` keeps the nonzero coefficients and nonempty rows only,
-    bivectors and keys ascending, as read-only mappings the element owns;
-    R(e_b, e_a) = -R(e_a, e_b) by construction."""
+    algebra: LieAlgebra
+    rows: dict
+    den: int = 1
 
-    __slots__ = ("space", "algebra", "rows")
-
-    def __init__(self, algebra: LieAlgebra, rows: Mapping):
-        space = algebra.space
-        dimg = algebra.dim
-        nbiv = _bivector_count(space.real_dim)
-        kept = {}
-        for ib in sorted(rows):
-            row = rows[ib]
-            keys = sorted(row)
-            if not 0 <= ib < nbiv or keys and (keys[0] < 0 or keys[-1] >= dimg):
-                raise ValueError(f"need bivectors in [0, {nbiv}) "
-                                 f"and basis elements in [0, {dimg})")
-            row = {k: row[k] for k in keys if row[k]}
-            if row:
-                kept[ib] = MappingProxyType(row)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "rows", MappingProxyType(kept))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CurvatureElement is immutable")
+    @property
+    def space(self) -> QuaternionicSpace:
+        return self.algebra.space
 
     def is_zero(self) -> bool:
         return not self.rows
-
-    def __repr__(self):
-        return f"CurvatureElement(algebra={self.algebra.name!r})"
 
 
 def _bivector_count(n: int) -> int:
@@ -325,41 +307,39 @@ def _sym2_unknowns(dimg: int) -> list[tuple[int, int]]:
     return [(k, l) for l in range(dimg) for k in range(l + 1)]
 
 
-def _columns(algebra: LieAlgebra) -> tuple[int, tuple]:
-    """(den, cols), built once and kept on the algebra: cols[k] =
-    ((c, ((row d, value), ...)), ...) holds the nonzero columns c of basis
-    element k, c ascending, with their entries times den, the lcm of every
-    entry's denominator.  One common factor scales the whole Bianchi
-    system, which keeps its kernel; a factor per basis element would
-    rescale that element's coefficients in every tensor."""
+def _columns(algebra: LieAlgebra) -> tuple:
+    """cols[k] = ((c, ((row d, value), ...)), ...), built once and kept on
+    the algebra: the nonzero columns c of basis element k, c ascending,
+    with their integer entries."""
     return algebra.kept("_columns", _build_columns)
 
 
-def _build_columns(algebra: LieAlgebra) -> tuple[int, tuple]:
+def _build_columns(algebra: LieAlgebra) -> tuple:
     n = algebra.space.real_dim
-    den = lcm(*(v.denominator for bmat in algebra.basis for v in bmat.nz.values()))
     cols = []
     for bmat in algebra.basis:
         by_col: dict[int, list] = {}
         for pos, v in bmat.nz.items():
             d, c = divmod(pos, n)
-            by_col.setdefault(c, []).append((d, v.numerator * (den // v.denominator)))
+            by_col.setdefault(c, []).append((d, v))
         cols.append(tuple((c, tuple(by_col[c])) for c in sorted(by_col)))
-    return den, tuple(cols)
+    return tuple(cols)
 
 
-def _integer_rows(element: CurvatureElement) -> tuple[int, dict[int, dict]]:
-    """(scale, rows): rows[ib] = {k: int} is the element's row ib times
-    scale, the lcm of every coefficient's denominator."""
-    scale = lcm(*(c.denominator for row in element.rows.values() for c in row.values()))
-    return scale, {ib: {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
-                   for ib, row in element.rows.items()}
+def _permutation(m: RealMatrix) -> dict[int, tuple[int, int]]:
+    """eta or an I_alpha as `signed_permutation` reads it, {col: (row,
+    +-1)}; both are invertible, so a zero column, which
+    `signed_permutation` allows, raises ValueError here too."""
+    perm = signed_permutation(m)
+    if len(perm) != m.cols:
+        raise ValueError("expected an invertible signed permutation matrix")
+    return perm
 
 
 def _value(row: Mapping, cols: tuple) -> dict[int, dict]:
-    """sum_k row[k] B_k by column, {c: {d: value}}, for cols of `_columns`
-    (so times its factor), over ints when the row is integral.  Only the
-    basis elements in the row are visited; an entry may cancel to 0."""
+    """sum_k row[k] B_k by column, {c: {d: value}}, for cols of `_columns`,
+    over ints.  Only the basis elements in the row are visited; an entry
+    may cancel to 0."""
     value: dict[int, dict] = {}
     for k, x in row.items():
         for c, entries in cols[k]:
@@ -432,7 +412,7 @@ def _structure_characters(algebra: LieAlgebra) -> list[int]:
     fixing the sign; raises ValueError at the first entry where the
     conjugate is not +- the basis element itself."""
     n = algebra.space.real_dim
-    perms = [signed_permutation(ialpha) for ialpha in algebra.space.I[:2]]
+    perms = [_permutation(ialpha) for ialpha in algebra.space.I[:2]]
     bits = []
     for k, bmat in enumerate(algebra.basis):
         nz = bmat.nz
@@ -720,12 +700,12 @@ def bianchi_kernel(algebra: LieAlgebra) -> CurvatureSpace:
 def bianchi_residual_is_zero(element) -> bool:
     """R(a,b)e_c + R(b,c)e_a + R(c,a)e_b = 0 on every basis triple, summed
     over ints from the integer basis columns and the element's integer
-    rows (each scaled by one common factor).  Each bivector's value is
-    evaluated once, from its row's nonzeros (`_value`)."""
+    rows, whose common denominator cannot make a zero sum nonzero.  Each
+    bivector's value is evaluated once, from its row's nonzeros
+    (`_value`)."""
     n = element.space.real_dim
-    _, cols = _columns(element.algebra)
-    _, rows = _integer_rows(element)
-    values = {ib: _value(row, cols) for ib, row in rows.items()}
+    cols = _columns(element.algebra)
+    values = {ib: _value(row, cols) for ib, row in element.rows.items()}
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
@@ -776,8 +756,8 @@ def _r0_values(space: QuaternionicSpace, pairs):
     some of them 0, built over ints from the signed permutations eta and
     I_alpha, read once."""
     n = space.real_dim
-    eta = signed_permutation(space.eta)
-    structure = [signed_permutation(ialpha) for ialpha in space.I]
+    eta = _permutation(space.eta)
+    structure = [_permutation(ialpha) for ialpha in space.I]
     for a, b in pairs:
         out = _wedge_matrix(n, eta, {a: 1}, {b: 1})
         for perm in structure:
@@ -796,8 +776,8 @@ def _r0_values(space: QuaternionicSpace, pairs):
 def build_r0(algebra: LieAlgebra) -> CurvatureElement:
     """R0 on `algebra.space`, expressed over the basis of `algebra`, which
     must contain its values (sp(1) + sp(r, s) does); coordinates are
-    linear, so `integer_coordinates` reads 4 R0 over ints and each
-    coordinate is divided once, by 4 times its denominator."""
+    linear, so `integer_coordinates` reads 4 R0 over ints, and the rows
+    are those coordinates over 4 times their denominator."""
     space = algebra.space
     rows = {}
     for ib, value in enumerate(_r0_values(space, bivector_pairs(space.real_dim))):
@@ -805,36 +785,38 @@ def build_r0(algebra: LieAlgebra) -> CurvatureElement:
         if hit is None:
             raise ValueError("R0 value escapes the algebra span")
         den, coords = hit
-        rows[ib] = {k: ratio(c, 4 * den) for k, c in coords.items()}
-    return CurvatureElement(algebra, rows)
+        if coords:
+            rows[ib] = coords
+    return CurvatureElement(algebra, rows, 4 * den)
 
 
 def build_r1(curvature: CurvatureSpace) -> CurvatureElement:
     """The generator of `curvature`, the 1-dimensional curvature space of
     h0, normalized so its first nonzero coefficient (canonical ordering:
-    bivector, then basis element) equals 1."""
+    bivector, then basis element) equals 1: the tensor of `values`, its
+    sign that of its lead, over the lead's absolute value."""
     if curvature.dim != 1:
         raise ValueError(
             f"unexpected curvature space dimension {curvature.dim} for h0")
     (tensor,) = curvature.values()
     first = next(iter(tensor.values()))  # bivectors ascend
     lead = first[min(first)]
-    return CurvatureElement(curvature.algebra, {
-        ib: {k: ratio(v, lead) for k, v in row.items()} for ib, row in tensor.items()})
+    if lead < 0:
+        tensor = {ib: {k: -v for k, v in row.items()} for ib, row in tensor.items()}
+    return CurvatureElement(curvature.algebra, tensor, abs(lead))
 
 
 # ---------------------------------------------------------------------------
 # contractions
 # ---------------------------------------------------------------------------
 
-def _integer_ricci(element: CurvatureElement) -> tuple[int, dict]:
-    """(den, ric): Ric(Y, Z) = ric[Y * n + Z] / den, ric over ints."""
+def _integer_ricci(element: CurvatureElement) -> dict:
+    """ric over ints: Ric(Y, Z) = ric[Y * n + Z] / element.den."""
     n = element.space.real_dim
-    den, cols = _columns(element.algebra)
-    scale, rows = _integer_rows(element)
+    cols = _columns(element.algebra)
     pairs = bivector_pairs(n)
     ric = {}
-    for ib, row in rows.items():
+    for ib, row in element.rows.items():
         a, b = pairs[ib]
         # R(e_a, e_b) adds its row a to Ric row b and -(row b) to Ric row a
         for z, col in _value(row, cols).items():
@@ -842,7 +824,7 @@ def _integer_ricci(element: CurvatureElement) -> tuple[int, dict]:
                 ric[b * n + z] = ric.get(b * n + z, 0) + col[a]
             if b in col:
                 ric[a * n + z] = ric.get(a * n + z, 0) - col[b]
-    return den * scale, ric
+    return ric
 
 
 def scalar(element: CurvatureElement) -> int | Fraction:
@@ -851,11 +833,11 @@ def scalar(element: CurvatureElement) -> int | Fraction:
     In the Witt basis eta is a signed permutation matrix with eta*eta = 1,
     so eta is its own inverse and raises the index directly."""
     n = element.space.real_dim
-    den, ric = _integer_ricci(element)
+    ric = _integer_ricci(element)
     # eta[b, c] = e for each column c
     total = sum(e * ric.get(c * n + b, 0)
-                for c, (b, e) in signed_permutation(element.space.eta).items())
-    return ratio(total, den)
+                for c, (b, e) in _permutation(element.space.eta).items())
+    return ratio(total, element.den)
 
 
 # ---------------------------------------------------------------------------
@@ -868,13 +850,13 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
     Requires [A, B_k] to stay in the element's algebra (true whenever A
     belongs to it, or more generally normalizes it).  Over ints: A times
     the lcm of its denominators, indexed once by row and by column, the
-    basis columns of `_columns`, the element's rows from `_integer_rows`,
-    and ad_A from `integer_coordinates` of each integer bracket; each
-    coefficient is divided once, at the end.
+    basis columns of `_columns`, the element's integer rows, and ad_A from
+    `integer_coordinates` of each integer bracket; the result is over the
+    product of the element's denominator, A's and ad_A's.
     """
     algebra = element.algebra
     n = element.space.real_dim
-    den_b, cols = _columns(algebra)
+    cols = _columns(algebra)
     den_a = lcm(*(v.denominator for v in a_mat.nz.values()))
     a_rows: dict[int, list] = {}
     a_cols = [{} for _ in range(n)]
@@ -883,7 +865,7 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
         w = v.numerator * (den_a // v.denominator)
         a_rows.setdefault(d, []).append((c, w))
         a_cols[c][d] = w
-    # [den_a A, den_b B_k] = sum_l (ad_a[k][l] / den_g) B_l
+    # [den_a A, B_k] = sum_l (ad_a[k][l] / den_g) B_l
     den_g, ad_a = 1, []
     for bcols in cols:
         bracket: dict = {}
@@ -899,19 +881,18 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
             raise ValueError("bracket with A leaves the algebra span")
         den_g, coords = hit
         ad_a.append(coords)
-    scale, rows = _integer_rows(element)
-    factor = den_g * den_b  # puts A's entries over the denominator of ad_A
+    rows = element.rows
 
     def subtract(acc, coef, x, y):
-        """acc -= coef R(e_x, e_y), times `factor`."""
+        """acc -= coef R(e_x, e_y), times den_g, which puts A's entries over
+        the denominator of ad_A."""
         if x != y:
             row = rows.get(_biv_index(n, x, y) if x < y else _biv_index(n, y, x))
             if row:
-                f = factor * coef if x < y else -factor * coef
+                f = den_g * coef if x < y else -den_g * coef
                 for k, c in row.items():
                     acc[k] = acc.get(k, 0) - f * c
 
-    total = scale * den_a * factor
     out = {}
     for ib, (a, b) in enumerate(bivector_pairs(n)):
         acc: dict = {}
@@ -922,8 +903,10 @@ def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
             subtract(acc, coef, d, b)
         for d, coef in a_cols[b].items():  # R(e_a, A e_b)
             subtract(acc, coef, a, d)
-        out[ib] = {k: ratio(v, total) for k, v in acc.items() if v}
-    return CurvatureElement(algebra, out)
+        row = {k: v for k, v in acc.items() if v}
+        if row:
+            out[ib] = row
+    return CurvatureElement(algebra, out, element.den * den_a * den_g)
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +918,6 @@ class DegenerateReport(NamedTuple):
     p in W and X, Y in the non-degenerate complement E."""
 
     status: str  # "pass" | "fail" | "vacuous"
-    checked_elements: int = 0
     witnesses: tuple = ()
 
 
@@ -951,9 +933,9 @@ def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
     w_idx = list(space.w_indices())
     e_idx = list(space.e_indices())
     if not e_idx:
-        return DegenerateReport(status="vacuous", checked_elements=curvature.dim)
+        return DegenerateReport(status="vacuous")
     n = space.real_dim
-    _, cols = _columns(curvature.algebra)
+    cols = _columns(curvature.algebra)
     w_e = [((p, x), _biv_index(n, min(p, x), max(p, x))) for p in w_idx for x in e_idx]
     e_e = [((x, y), _biv_index(n, x, y)) for x in e_idx for y in e_idx if x < y]
     witnesses = []
@@ -966,8 +948,7 @@ def restrict_check_degenerate(curvature: CurvatureSpace) -> DegenerateReport:
                 witnesses += [(i, "R(X,Y)p != 0", (x, y, p)) for p in w_idx
                               if any(value.get(p, _EMPTY_ROW).values())]
     status = "pass" if not witnesses else "fail"
-    return DegenerateReport(status=status, checked_elements=curvature.dim,
-                            witnesses=tuple(witnesses))
+    return DegenerateReport(status=status, witnesses=tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,18 +992,19 @@ def derivative_space(curvature: CurvatureSpace) -> Subspace:
 
 def _pairing_table(algebra: LieAlgebra) -> tuple[dict, ...]:
     """table[k] = {biv: eta(B_k e_c, e_d)} over the bivectors (c, d), c < d:
-    the 2-form omega_k of B_k, all times the common factor of `_columns`,
-    over ints, built once and kept on the algebra.  A common factor keeps
-    the symmetry of every pairing matrix.  Raises ValueError unless every
-    B_k is eta-skew, that is, unless eta(B_k e_d, e_c) = -eta(B_k e_c, e_d)
-    for all c, d; the refusal is not kept, so every call raises."""
+    the 2-form omega_k of B_k, over ints, built once and kept on the
+    algebra.  eta is read by `_permutation`, a bijection of the basis
+    vectors, so each entry of eta B_k is met once.  Raises ValueError
+    unless every B_k is eta-skew, that is, unless eta(B_k e_d, e_c) =
+    -eta(B_k e_c, e_d) for all c, d; the refusal is not kept, so every
+    call raises."""
     return algebra.kept("_forms", _build_pairing_table)
 
 
 def _build_pairing_table(algebra: LieAlgebra) -> tuple[dict, ...]:
     n = algebra.space.real_dim
-    eta = signed_permutation(algebra.space.eta)
-    _, cols = _columns(algebra)
+    eta = _permutation(algebra.space.eta)
+    cols = _columns(algebra)
     table = []
     for columns in cols:
         form, mirror = {}, {}  # mirror: -eta(B_k e_d, e_c), c < d
@@ -1062,8 +1044,7 @@ def _pair_symmetric(rows, table) -> bool:
 
 def pair_symmetry_holds(element: CurvatureElement) -> bool:
     """Check eta(R(X,Y)Z, U) = eta(R(Z,U)X, Y) on all basis quadruples."""
-    _, rows = _integer_rows(element)
-    return _pair_symmetric(rows.items(), _pairing_table(element.algebra))
+    return _pair_symmetric(element.rows.items(), _pairing_table(element.algebra))
 
 
 def pair_symmetry_all(curvature: CurvatureSpace) -> bool:

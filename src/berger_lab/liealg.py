@@ -24,6 +24,11 @@ column must sit in a W row.  The stabilizer of W is solved over g's
 coordinates from those entries, and no algebra is compared with another
 by the span of its matrices.
 
+A basis matrix has integer entries, and `LieAlgebra` refuses any other
+with ValueError: a positive integer multiple of a rational basis element
+spans the same line, and every registry basis has entries +-1.  So every
+table below is read over ints.
+
 Coordinates are read off one table per algebra, the Gram table: an index
 of the basis entries by position and the inverse of the Frobenius Gram
 matrix G_kl = sum_pos B_k[pos] B_l[pos].  A real basis is independent iff
@@ -32,7 +37,9 @@ independence (its RREF is [I | G^-1] exactly then) and gives G^-1, which
 is kept by column.  The coordinates of M are then c = G^-1 (<M, B_l>)_l,
 the sum of column l times <M, B_l> over the l whose inner product is not
 zero, so a matrix that meets few basis elements reads few columns; M is in
-the span iff sum_k c_k B_k == M.  Every registry basis is pairwise
+the span iff sum_k c_k B_k == M.  G is integral, so den G^-1 is too, den
+the lcm of the denominators of G^-1, and `integer_coordinates` reads the
+coordinates of den M over ints.  Every registry basis is pairwise
 orthogonal, with entries +-1, so G is diagonal, each column holds one
 entry, and a coordinate costs one pass over M's entries; the general path
 only needs G invertible.
@@ -79,8 +86,9 @@ def sp_parabolic_dimension(r: int, s: int, t: int) -> int:
 
 
 class LieAlgebra:
-    """A linearly independent list of real matrices spanning a subalgebra
-    of gl(4m, R), with provenance metadata.
+    """A linearly independent list of integral matrices spanning a
+    subalgebra of gl(4m, R), with provenance metadata; a basis entry that
+    is not an int raises ValueError naming the algebra.
 
     The algebra keeps the tables read from its basis, each built on first
     use (`kept`): `_gram`, the Gram table from which `integer_coordinates`
@@ -91,9 +99,12 @@ class LieAlgebra:
     __slots__ = ("name", "space", "basis", "dim", "_gram", "_columns", "_forms")
 
     def __init__(self, name: str, space: QuaternionicSpace, basis):
+        basis = tuple(basis)
+        if any(type(v) is not int for b in basis for v in b.nz.values()):
+            raise ValueError(f"basis of {name} has a non-integral entry")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "basis", tuple(basis))
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "dim", len(self.basis))
         for slot in ("_gram", "_columns", "_forms"):
             object.__setattr__(self, slot, None)
@@ -119,8 +130,8 @@ class LieAlgebra:
         the c_k nonzero ints, keys ascending, and den the same for every
         matrix; None if that matrix is outside the span.  Raises ValueError
         if the basis is linearly dependent."""
-        index, scale, den, columns = self.kept("_gram", _build_gram)
-        inner: dict = {}  # <M, B'_l> for each B'_l whose support M meets
+        index, den, columns = self.kept("_gram", _build_gram)
+        inner: dict = {}  # <M, B_l> for each B_l whose support M meets
         for pos, v in entries.items():
             if v:
                 hits = index.get(pos)
@@ -128,44 +139,40 @@ class LieAlgebra:
                     return None
                 for l, w in hits:
                     inner[l] = inner.get(l, 0) + v * w
-        acc: dict = {}  # den G'^-1 (<M, B'_l>)_l, one column per nonzero
+        acc: dict = {}  # den G^-1 (<M, B_l>)_l, one column per nonzero
         for l, x in inner.items():
             if x:
                 for k, y in columns[l].items():
                     acc[k] = acc.get(k, 0) + y * x
         coords = {k: acc[k] for k in sorted(acc) if acc[k]}
-        # M is in the span iff sum_k c_k B'_k == den M
+        # M is in the span iff sum_k c_k B_k == den M
         image: dict = {}
         for k, c in coords.items():
             for pos, w in self.basis[k].nz.items():
                 image[pos] = image.get(pos, 0) + c * w
-        if ({pos: scale * x for pos, x in image.items() if x}
+        if ({pos: x for pos, x in image.items() if x}
                 != {pos: den * v for pos, v in entries.items() if v}):
             return None
-        return den, {k: scale * c for k, c in coords.items()}
+        return den, coords
 
 
-def _build_gram(alg: LieAlgebra) -> tuple[dict, int, int, tuple]:
-    """The Gram table of `alg`'s basis B_k, read through B'_k = scale B_k,
-    which has integer entries: (index, scale, den, columns).
+def _build_gram(alg: LieAlgebra) -> tuple[dict, int, tuple]:
+    """The Gram table of `alg`'s integral basis B_k: (index, den, columns).
 
-    - index: pos -> [(k, B'_k[pos]), ...] over the nonzero entries;
-    - scale: the lcm of the denominators of the basis entries;
-    - den: the lcm of the denominators of the entries of G'^-1, G' the
-      Gram matrix of the B'_k;
-    - columns: column l of den G'^-1, {k: int} over its nonzeros, keys
+    - index: pos -> [(k, B_k[pos]), ...] over the nonzero entries;
+    - den: the lcm of the denominators of the entries of G^-1;
+    - columns: column l of den G^-1, {k: int} over its nonzeros, keys
       ascending; a coordinate reads only the columns of its nonzero inner
       products.
 
-    G' is read off the index, and one `span_of` over the rows [G' | I]
-    gives [I | G'^-1] when the basis is independent; a row leading in the
-    right half means G' is singular, and raises "linearly dependent"."""
+    G is read off the index, and one `span_of` over the rows [G | I]
+    gives [I | G^-1] when the basis is independent; a row leading in the
+    right half means G is singular, and raises "linearly dependent"."""
     dim = alg.dim
-    scale = lcm(*(v.denominator for b in alg.basis for v in b.nz.values()))
     index: dict = {}
     for k, b in enumerate(alg.basis):
         for pos, v in b.nz.items():
-            index.setdefault(pos, []).append((k, v.numerator * (scale // v.denominator)))
+            index.setdefault(pos, []).append((k, v))
     gram = [{} for _ in range(dim)]
     for hits in index.values():
         for k, v in hits:
@@ -178,11 +185,11 @@ def _build_gram(alg: LieAlgebra) -> tuple[dict, int, int, tuple]:
         raise ValueError(f"basis of {alg.name} is linearly dependent")
     den = lcm(*(v.denominator for row in rows for v in row.values()))
     columns = tuple({} for _ in range(dim))
-    for k, row in enumerate(rows):  # row k of [I | G'^-1]
+    for k, row in enumerate(rows):  # row k of [I | G^-1]
         for l, v in row.items():
             if l >= dim:
                 columns[l - dim][k] = v.numerator * (den // v.denominator)
-    return index, scale, den, columns
+    return index, den, columns
 
 
 def _sp_entries(space: QuaternionicSpace):

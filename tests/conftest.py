@@ -274,14 +274,39 @@ def reference_restrict_action(g, v):
 EMPTY_ROW = MappingProxyType({})
 
 
+def element_of(algebra, coefficients):
+    """The element over `algebra` of the rational rows {ib: {k:
+    coefficient}}: each coefficient times the lcm of their denominators,
+    over that lcm, zeros and empty rows dropped, bivectors and keys
+    ascending."""
+    den = lcm(*(c.denominator for row in coefficients.values() for c in row.values()))
+    rows = {}
+    for ib in sorted(coefficients):
+        row = {k: int(c * den) for k, c in sorted(coefficients[ib].items()) if c}
+        if row:
+            rows[ib] = row
+    return CurvatureElement(algebra, rows, den)
+
+
+def coefficients(el):
+    """The element's rational rows {ib: {k: coefficient of B_k}}, each
+    integer entry over the element's denominator, in normal form."""
+    return {ib: {k: ratio(c, el.den) for k, c in row.items()}
+            for ib, row in el.rows.items()}
+
+
 def row_of(el, a, b):
-    """The stored row of the bivector {a, b} of `el` and the sign that turns
-    it into R(e_a, e_b): 1 if a < b, -1 if a > b, 0 (empty row) if a == b.
-    A bivector with no stored row reads as the one read-only `EMPTY_ROW`."""
+    """The coefficients of the bivector {a, b} of `el` and the sign that
+    turns them into R(e_a, e_b): 1 if a < b, -1 if a > b, 0 (empty row) if
+    a == b.  A bivector with no stored row reads as the one read-only
+    `EMPTY_ROW`."""
     if a == b:
         return EMPTY_ROW, 0
     ib = curv._biv_index(el.space.real_dim, min(a, b), max(a, b))
-    return el.rows.get(ib, EMPTY_ROW), 1 if a < b else -1
+    sign = 1 if a < b else -1
+    if ib not in el.rows:
+        return EMPTY_ROW, sign
+    return {k: ratio(c, el.den) for k, c in el.rows[ib].items()}, sign
 
 
 def value(el, a, b):
@@ -327,6 +352,7 @@ def column_scan_residual_is_zero(element):
         for c, entries in by_col.items():
             cols[c].append((k, entries))
     biv = {pair: ib for ib, pair in enumerate(bivector_pairs(n))}
+    rows = coefficients(element)
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
@@ -334,7 +360,7 @@ def column_scan_residual_is_zero(element):
                 # R(c,a) = -R(a,c)
                 for pair, col, sign in (((a, b), c, 1), ((b, c), a, 1),
                                         ((a, c), b, -1)):
-                    row = element.rows.get(biv[pair], {})
+                    row = rows.get(biv[pair], {})
                     for k, entries in cols[col]:
                         coef = row.get(k)
                         if coef:
@@ -388,26 +414,28 @@ def value_column(el, a, b, col):
 
 
 def same_tensor(x, y):
-    """Two curvature tensors agree: the same algebra name and rows."""
-    return x.algebra.name == y.algebra.name and x.rows == y.rows
+    """Two curvature tensors agree: the same algebra name and coefficients,
+    whatever their denominators."""
+    return x.algebra.name == y.algebra.name and coefficients(x) == coefficients(y)
 
 
 def flat_vector(el):
     """The element's flat coefficient vector {ib * dim g + k: coefficient},
     the reference layout of `from_flat`."""
     dimg = el.algebra.dim
-    return {ib * dimg + k: c for ib, row in el.rows.items() for k, c in row.items()}
+    return {ib * dimg + k: c for ib, row in coefficients(el).items()
+            for k, c in row.items()}
 
 
 def from_flat(algebra, vec):
     """The element over `algebra` of the flat coefficient vector
     {ib * dim g + k: coefficient}, bivector-major: the reference layout,
-    split into the rows by bivector the constructor takes."""
+    split into rows by bivector (`element_of`)."""
     rows = {}
     for key, c in vec.items():
         ib, k = divmod(key, algebra.dim)
         rows.setdefault(ib, {})[k] = c
-    return CurvatureElement(algebra, rows)
+    return element_of(algebra, rows)
 
 
 def flat_vectors(curvature):
@@ -461,7 +489,7 @@ def element_over(el, target):
     if any(coords is None for coords in mapped):
         raise ValueError(f"{el.algebra.name} does not embed in {target.name}")
     out = {}
-    for ib, row in el.rows.items():
+    for ib, row in coefficients(el).items():
         for k, c in row.items():
             for k2, v in mapped[k].items():
                 key = ib * target.dim + k2
@@ -606,7 +634,8 @@ def reference_derivative_space(curvature):
     n = curvature.space.real_dim
     kdim = curvature.dim
     biv = {pair: ib for ib, pair in enumerate(bivector_pairs(n))}
-    tensors = [from_flat(curvature.algebra, vec) for vec in flat_vectors(curvature)]
+    tensors = [coefficients(from_flat(curvature.algebra, vec))
+               for vec in flat_vectors(curvature)]
 
     def rows():
         for x in range(n):
@@ -615,9 +644,9 @@ def reference_derivative_space(curvature):
                     # T(x)(y,z) + T(y)(z,x) + T(z)(x,y), R(z,x) = -R(x,z)
                     terms = ((x, biv[y, z], 1), (y, biv[x, z], -1), (z, biv[x, y], 1))
                     by_k = {}
-                    for i, el in enumerate(tensors):
+                    for i, tensor in enumerate(tensors):
                         for slot, ib, sign in terms:
-                            for k, c in el.rows.get(ib, {}).items():
+                            for k, c in tensor.get(ib, {}).items():
                                 by_k.setdefault(k, {})[slot * kdim + i] = sign * c
                     for k in sorted(by_k):
                         yield integer_row(by_k[k])
@@ -643,13 +672,13 @@ def tensors_built(monkeypatch):
     """A list to which every `CurvatureElement` built from now on, until
     `monkeypatch` is undone, appends its algebra's name."""
     built = []
-    real = CurvatureElement.__init__
+    real = CurvatureElement.__new__
 
-    def counting(self, algebra, rows):
+    def counting(cls, algebra, rows, den=1):
         built.append(algebra.name)
-        real(self, algebra, rows)
+        return real(cls, algebra, rows, den)
 
-    monkeypatch.setattr(CurvatureElement, "__init__", counting)
+    monkeypatch.setattr(CurvatureElement, "__new__", counting)
     return built
 
 

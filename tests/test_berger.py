@@ -252,7 +252,7 @@ def test_restriction_multiple_reads_r1_over_its_own_algebra(session):
     flipped = {ib: {dimg - 1 - k: c for k, c in row.items()}
                for ib, row in r1.rows.items()}
     reordered = CurvatureElement(
-        LieAlgebra("h0", space, r1.algebra.basis[::-1]), flipped)
+        LieAlgebra("h0", space, r1.algebra.basis[::-1]), flipped, r1.den)
     assert reordered.algebra.basis != r1.algebra.basis
     assert element_over(reordered, full.algebra) == element_over(r1, full.algebra)
     with pytest.raises(ValueError, match="not a block"):

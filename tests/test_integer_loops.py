@@ -19,7 +19,7 @@ from berger_lab.curvature import (CurvatureElement, CurvatureSpace,
                                   pair_symmetry_holds, scalar)
 from berger_lab.exactlin import RealMatrix, signed_permutation, sparse_nullspace
 from berger_lab.liealg import LieAlgebra
-from conftest import (SPARSE_CASES, apply, basis_tensors, entry,
+from conftest import (SPARSE_CASES, apply, basis_tensors, coefficients, element_of, entry,
                       column_scan_residual_is_zero, is_normal, product, ref_ricci,
                       reference_coordinates, scaled,
                       same_tensor, synthetic_element, tier2, value,
@@ -66,7 +66,7 @@ def ref_build_r0(algebra):
     rows = {}
     for ib, (a, b) in enumerate(bivector_pairs(space.real_dim)):
         rows[ib] = reference_coordinates(algebra, ref_r0_value(space, a, b))
-    return CurvatureElement(algebra, rows)
+    return element_of(algebra, rows)
 
 
 def ref_scalar(element):
@@ -106,7 +106,7 @@ def ref_pair_symmetric(element):
                 row[curv._biv_index(n, c, d)] = v
         table.append(row)
     p = {}
-    for ib, row in element.rows.items():
+    for ib, row in coefficients(element).items():
         acc = p[ib] = {}
         for k, c in row.items():
             for jb, v in table[k].items():
@@ -128,7 +128,8 @@ def test_build_r0_matches_the_fraction_reference(session, r, s, t):
     algebra = session.algebra("sp1+sp", r, s, t)
     r0 = build_r0(algebra)
     assert same_tensor(r0, ref_build_r0(algebra))
-    assert all(is_normal(c) for row in r0.rows.values() for c in row.values())
+    assert all(type(c) is int and c for row in r0.rows.values() for c in row.values())
+    assert r0.den % 4 == 0
     a, b = 0, space.real_dim - 1
     assert value(r0, a, b) == ref_r0_value(space, a, b)
 
@@ -136,8 +137,8 @@ def test_build_r0_matches_the_fraction_reference(session, r, s, t):
 def integer_ricci(element):
     """The Ricci tensor `scalar` contracts, from `_integer_ricci`."""
     n = element.space.real_dim
-    den, ric = curv._integer_ricci(element)
-    return RealMatrix(n, n, {pos: Fraction(v, den) for pos, v in ric.items()})
+    ric = curv._integer_ricci(element)
+    return RealMatrix(n, n, {pos: Fraction(v, element.den) for pos, v in ric.items()})
 
 
 def assert_matches_references(element):
@@ -164,9 +165,8 @@ def test_contractions_residual_and_symmetry_match_the_references(
         # the kernel's first fails the space, where a check of the first
         # alone would pass
         first = next(curvature.values())
-        _, asymmetric = curv._integer_rows(synthetic)
         monkeypatch.setattr(CurvatureSpace, "values", lambda self: iter(
-            [first, asymmetric]))
+            [first, synthetic.rows]))
         assert not pair_symmetry_all(curvature)
 
 
@@ -208,7 +208,7 @@ def test_the_residual_sees_one_changed_coefficient_of_r0(session):
         for k in row:
             rows = {jb: dict(other) for jb, other in r0.rows.items()}
             rows[ib][k] += 1
-            changed = CurvatureElement(r0.algebra, rows)
+            changed = CurvatureElement(r0.algebra, rows, r0.den)
             assert not bianchi_residual_is_zero(changed)
             assert not column_scan_residual_is_zero(changed)
 
@@ -225,11 +225,11 @@ def test_scalar_matches_ref_ricci_on_r0_and_a_synthetic_element(session, r, s, t
 
 
 def test_bianchi_equation_rows_hold_ints_only(session, space111, monkeypatch):
-    # the rows bianchi_kernel hands to the elimination, for an integral
-    # basis and for one with non-integer entries
+    # the rows bianchi_kernel hands to the elimination, for registry bases
+    # and for one with entries other than +-1
     h0 = session.algebra("h0", 1, 1, 1)
     rescaled = LieAlgebra("h0-scaled", space111, [
-        scaled(b, Fraction(1, 2 + k % 3)) for k, b in enumerate(h0.basis)])
+        scaled(b, 2 + k % 3) for k, b in enumerate(h0.basis)])
     seen = []
 
     def capture(rows, ncols):
@@ -247,20 +247,28 @@ def test_bianchi_equation_rows_hold_ints_only(session, space111, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a basis with non-integer entries
+# a basis with entries other than +-1
 # ---------------------------------------------------------------------------
 
 
 def test_r0_over_a_non_integral_basis(session, space111):
-    # one common denominator clears the basis; a factor per basis element
-    # would weigh the coefficients of those elements differently
+    # a basis with non-integer entries is refused; scaling its elements by
+    # positive integers gives an integral basis of the same algebra, over
+    # which R0 is the same tensor, each coefficient scaled inversely to its
+    # basis element
     full = session.algebra("sp1+sp", 1, 1, 1)
-    scales = {0: Fraction(1, 2), 5: Fraction(1, 3)}
+    with pytest.raises(ValueError, match="sp1\\+sp-halved has a non-integral entry"):
+        LieAlgebra("sp1+sp-halved", space111, [
+            scaled(b, Fraction(1, 2)) if k == 0 else b for k, b in enumerate(full.basis)])
+    scales = {0: 2, 5: 3}
     rescaled = LieAlgebra("sp1+sp-scaled", space111, [
         scaled(b, scales.get(k, 1)) for k, b in enumerate(full.basis)])
     r0 = build_r0(rescaled)
     assert same_tensor(r0, ref_build_r0(rescaled))
     assert scales.keys() <= {k for row in r0.rows.values() for k in row}
+    assert coefficients(r0) == {
+        ib: {k: Fraction(c, scales.get(k, 1)) for k, c in row.items()}
+        for ib, row in coefficients(build_r0(full)).items()}
     assert bianchi_residual_is_zero(r0)
     assert pair_symmetry_holds(r0)
     assert scalar(r0) == 32

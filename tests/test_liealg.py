@@ -263,10 +263,19 @@ def test_coordinates_round_trip_over_a_sum():
     _check_coordinates_round_trip("sp1+sp")
 
 
+def test_a_basis_with_a_non_integral_entry_is_refused():
+    # an integral multiple of the element spans the same line, and is kept
+    space = build_space(1, 1, 1)
+    i1, i2, i3 = space.I
+    with pytest.raises(ValueError, match="^basis of halved has a non-integral entry"):
+        LieAlgebra("halved", space, [scaled(i1, Fraction(1, 2)), i2, i3])
+    assert LieAlgebra("doubled", space, [scaled(i1, 2), i2, i3]).dim == 3
+
+
 def test_dependent_basis_is_rejected():
     space = build_space(1, 1, 1)
     i1, i2, _ = space.I
-    for basis in ([i1, i1], [i1, i2, plus(i1, scaled(i2, Fraction(1, 2)))]):
+    for basis in ([i1, i1], [i1, i2, plus(scaled(i1, 2), i2)]):
         dup = LieAlgebra("dup", space, basis)
         with pytest.raises(ValueError, match="linearly dependent"):
             coordinates_of(dup, i1)
@@ -274,12 +283,12 @@ def test_dependent_basis_is_rejected():
 
 def test_coordinates_over_a_basis_that_is_not_orthogonal():
     # <I1, I1 + I2> != 0, so the Gram matrix is not diagonal; the second
-    # basis also has non-integer entries
+    # basis also has entries other than +-1, so G^-1 has other denominators
     space = build_space(1, 1, 1)
     i1, i2, i3 = space.I
     half = Fraction(1, 2)
     for basis in ([i1, plus(i1, i2), i3],
-                  [scaled(i1, half), plus(i1, scaled(i2, Fraction(1, 3))), i3]):
+                  [scaled(i1, 2), plus(scaled(i1, 3), i2), i3]):
         skew = LieAlgebra("skew", space, basis)
         for k, b in enumerate(skew.basis):
             assert coordinates_of(skew, b) == {k: 1}
@@ -303,8 +312,8 @@ def test_integer_coordinates_read_the_columns_of_the_nonzero_inner_products():
     skew = LieAlgebra("skew", space, [i1, plus(i1, i2), i3])
     den, coords = skew.integer_coordinates(dict(i2.nz))
     assert coords == {0: -den, 1: den} and list(coords) == [0, 1]
-    index, scale, gram_den, columns = skew._gram
-    assert (scale, gram_den) == (1, den)
+    index, gram_den, columns = skew._gram
+    assert gram_den == den
     assert [list(column) for column in columns] == [[0, 1], [0, 1], [2]]
     # over an orthogonal basis each basis matrix meets itself alone
     sp = build_sp(space)

@@ -89,7 +89,7 @@ def test_every_exact_value_is_in_normal_form(session, tmp_path, name, r, s, t):
                 *(ref_ricci(el) for el in elements)]
     combo = plus(scaled(algebra.basis[0], Fraction(1, 2)), scaled(algebra.basis[-1], 3))
     coords = coordinates_of(algebra, combo)  # builds the Gram table
-    index, _, _, columns = algebra._gram
+    index, _, columns = algebra._gram
     vectors = [coords, *columns,
                *curvature.coefficient_subspace().sparse_rows(),
                *(flat_vector(el) for el in elements),

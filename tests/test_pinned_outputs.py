@@ -8,7 +8,9 @@ taken from the tree before curvature spaces became their canonical
 Sym^2(g) rows, and those of `berger` from the tree before a curvature
 space stopped building its basis tensors; that of the tier-2 report, whose
 (2,2,2) R0 reads every I_alpha, from the tree before matrix entries became
-signed units.  A change that alters one of these outputs on purpose (a new
+signed units; those of `berger` for sp1+sp_w and of `curvature-space`
+for h0 at (2,2,2) from the tree before algebra bases were required to be
+integral.  A change that alters one of these outputs on purpose (a new
 check, a new tool version) updates its digest and says why.
 """
 
@@ -58,6 +60,11 @@ PINNED_CLI = {
         "4e2ebb71f4456b081987cedd66a4b0684964b3bcbb844cf9511a0f3749522dce",
     berger("sp1+sp_w", 1, 2, 1):
         "e2034daa7e0e55af7371cf20842b4ee98032e7a63906112a927d04d65d942d6c",
+    # t = 2: the blocks outside the representative weights are relabelled
+    berger("sp1+sp_w", 2, 2, 2):
+        "d24a14c3035b6a237d4de3601d4d363a703811168102a5cb22e62c5313e6509f",
+    curvature_space("h0", 2, 2, 2):
+        "ac6fae6eae010c3b7212ffa0da0203981d0ab140e84c737398157eed0bd834d2",
 }
 
 # json.dumps(holonomy_case_split(r, s, t).to_json(), sort_keys=True)

@@ -34,13 +34,11 @@ NEVER_ENTERED = {
     "exactlin.Subspace.__repr__": "a repr",
     "quatspace.QuaternionicSpace.__repr__": "a repr",
     "liealg.LieAlgebra.__repr__": "a repr",
-    "curvature.CurvatureElement.__repr__": "a repr",
     "curvature.CurvatureSpace.__repr__": "a repr",
     "exactlin.RealMatrix.__setattr__": "an immutability guard",
     "exactlin.Subspace.__setattr__": "an immutability guard",
     "quatspace.QuaternionicSpace.__setattr__": "an immutability guard",
     "liealg.LieAlgebra.__setattr__": "an immutability guard",
-    "curvature.CurvatureElement.__setattr__": "an immutability guard",
     "curvature.CurvatureSpace.__setattr__": "an immutability guard",
 }
 

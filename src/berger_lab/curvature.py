@@ -4,9 +4,10 @@ A curvature tensor is a linear map from bivectors to a Lie algebra g
 satisfying the cyclic first Bianchi identity; the space of all of them is
 computed exactly as a kernel.  Also here: the distinguished tensors R0
 (the quaternionic projective model, nonzero scalar) and R1 (the generator
-for the h0 block algebra), the scalar curvature, the natural
-g-action on tensors, vanishing checks on degenerate pairs, and the space
-of curvature derivatives allowed by the second Bianchi identity.
+for the h0 block algebra), the scalar curvature, the g-action on
+Sym^2(g), A . S = ad_A S + S ad_A^T, which is the natural action on the
+tensors (`act`), vanishing checks on degenerate pairs, and the space of
+curvature derivatives allowed by the second Bianchi identity.
 
 The algebras of the paper lie in so(V, eta), and `bianchi_kernel` and the
 pair symmetry checks refuse, with ValueError, an algebra whose basis holds
@@ -64,7 +65,8 @@ from them alone: every verdict reads those rows, and no space builds a
 tensor object.
 `CurvatureSpace.values` is the one map out of Sym^2(g): it yields each
 row's tensor in that form, for the Berger closure, the degenerate-pair and
-restriction checks, R1, pair symmetry and the derivative space.  The cache
+restriction checks, R1, pair symmetry and the derivative space; `act` maps
+rows to rows and reads no tensor.  The cache
 form is the sparse Sym^2(g) rows; `from_json` checks them before it keeps
 them.
 
@@ -102,9 +104,10 @@ a function, by `exactlin.ratio`, so it stays an int when the division is
 exact, and a tensor is never divided: R0's rows are the integer
 coordinates (`LieAlgebra.integer_coordinates`) of the integral 4 R0, over
 4 times their denominator, R1 is the tensor of `values` over its lead,
-`scalar` divides Ricci's trace by the element's denominator, `act`
-brackets A times its lcm with the basis columns and reads ad_A as integer
-coordinates, over the product of the three denominators, and the residual,
+`scalar` divides Ricci's trace by the element's denominator, `act` reads
+ad_A as the integer coordinates of the brackets of A times its lcm,
+applies it to S times its lcm and divides each entry of the row it
+returns by the product of the three denominators, and the residual,
 symmetry, closure and vanishing checks, which are homogeneous, need no
 division.
 """
@@ -122,7 +125,7 @@ from typing import NamedTuple
 from .exactlin import (RealMatrix, Subspace, canonical_rows, check_canonical,
                        integer_row, rat_from_str, rat_to_str, ratio,
                        signed_permutation, sparse_nullspace)
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, brackets
 from .quatspace import QuaternionicSpace
 
 __all__ = [
@@ -169,9 +172,6 @@ class CurvatureElement(NamedTuple):
     @property
     def space(self) -> QuaternionicSpace:
         return self.algebra.space
-
-    def is_zero(self) -> bool:
-        return not self.rows
 
 
 def _bivector_count(n: int) -> int:
@@ -844,69 +844,52 @@ def scalar(element: CurvatureElement) -> int | Fraction:
 # the algebra action on curvature tensors
 # ---------------------------------------------------------------------------
 
-def act(a_mat: RealMatrix, element: CurvatureElement) -> CurvatureElement:
-    """(A . R)(X, Y) = [A, R(X, Y)] - R(AX, Y) - R(X, AY) on basis bivectors.
+def act(a_mat: RealMatrix, algebra: LieAlgebra, row: Mapping) -> dict:
+    """The Sym^2(g) row of A . S = ad_A S + S ad_A^T, for A in g = `algebra`
+    and S the Sym^2(g) row `row` (x_kl = S_kl at column `_sym2_col(k, l)`):
+    exact, nonzero entries only, columns ascending.  For the tensor R of S
+    it is the tensor (A . R)(X, Y) = [A, R(X, Y)] - R(AX, Y) - R(X, AY),
+    because omega_l(AX, Y) + omega_l(X, AY) = -omega_[A, B_l](X, Y) for
+    eta-skew A.  Raises ValueError unless g lies in so(V, eta) and A in g:
+    the identity normalizes every g but is not eta-skew, and the formula
+    would give 0 for its action -2 R.
 
-    Requires [A, B_k] to stay in the element's algebra (true whenever A
-    belongs to it, or more generally normalizes it).  Over ints: A times
-    the lcm of its denominators, indexed once by row and by column, the
-    basis columns of `_columns`, the element's integer rows, and ad_A from
-    `integer_coordinates` of each integer bracket; the result is over the
-    product of the element's denominator, A's and ad_A's.
-    """
-    algebra = element.algebra
-    n = element.space.real_dim
-    cols = _columns(algebra)
+    Over ints: A and S times the lcm of their denominators, and ad_A read
+    as the `integer_coordinates` of the brackets [A, B_k] of one `brackets`
+    pass.  With P = ad_A S, x_kl of A . S is P_kl + P_lk, and x_kk is
+    2 P_kk; each entry is divided by the product of the three denominators
+    where it leaves."""
+    _pairing_table(algebra)  # refuses a g outside so(V, eta)
+    n, dimg = algebra.space.real_dim, algebra.dim
     den_a = lcm(*(v.denominator for v in a_mat.nz.values()))
-    a_rows: dict[int, list] = {}
-    a_cols = [{} for _ in range(n)]
-    for pos, v in a_mat.nz.items():
-        d, c = divmod(pos, n)
-        w = v.numerator * (den_a // v.denominator)
-        a_rows.setdefault(d, []).append((c, w))
-        a_cols[c][d] = w
-    # [den_a A, B_k] = sum_l (ad_a[k][l] / den_g) B_l
-    den_g, ad_a = 1, []
-    for bcols in cols:
-        bracket: dict = {}
-        for c, entries in bcols:
-            right = a_rows.get(c, ())
-            for d, v in entries:
-                for i, w in a_cols[d].items():  # A B_k
-                    bracket[i * n + c] = bracket.get(i * n + c, 0) + w * v
-                for j, w in right:  # B_k A
-                    bracket[d * n + j] = bracket.get(d * n + j, 0) - v * w
+    a_int = {pos: v.numerator * (den_a // v.denominator) for pos, v in a_mat.nz.items()}
+    hit = algebra.integer_coordinates(a_int)
+    if hit is None:
+        raise ValueError(f"A is not in {algebra.name}")
+    den_g = hit[0]
+    (stacked,) = brackets(n, [a_int], (bmat.nz for bmat in algebra.basis))
+    by_k = [{} for _ in range(dimg)]
+    for key, v in stacked.items():
+        k, pos = divmod(key, n * n)
+        by_k[k][pos] = v
+    ad = []  # ad[k]: the coordinates of den_g [den_a A, B_k], {m: int}
+    for bracket in by_k:
         hit = algebra.integer_coordinates(bracket)
         if hit is None:
             raise ValueError("bracket with A leaves the algebra span")
-        den_g, coords = hit
-        ad_a.append(coords)
-    rows = element.rows
-
-    def subtract(acc, coef, x, y):
-        """acc -= coef R(e_x, e_y), times den_g, which puts A's entries over
-        the denominator of ad_A."""
-        if x != y:
-            row = rows.get(_biv_index(n, x, y) if x < y else _biv_index(n, y, x))
-            if row:
-                f = den_g * coef if x < y else -den_g * coef
-                for k, c in row.items():
-                    acc[k] = acc.get(k, 0) - f * c
-
-    out = {}
-    for ib, (a, b) in enumerate(bivector_pairs(n)):
-        acc: dict = {}
-        for k, c in rows.get(ib, _EMPTY_ROW).items():
-            for l, v in ad_a[k].items():
-                acc[l] = acc.get(l, 0) + c * v
-        for d, coef in a_cols[a].items():  # R(A e_a, e_b)
-            subtract(acc, coef, d, b)
-        for d, coef in a_cols[b].items():  # R(e_a, A e_b)
-            subtract(acc, coef, a, d)
-        row = {k: v for k, v in acc.items() if v}
-        if row:
-            out[ib] = row
-    return CurvatureElement(algebra, out, element.den * den_a * den_g)
+        ad.append(hit[1])
+    unknowns = _sym2_unknowns(dimg)
+    den_s = lcm(*(v.denominator for v in row.values()))
+    out: dict = {}
+    for j, v in row.items():
+        s = v.numerator * (den_s // v.denominator)
+        k, l = unknowns[j]
+        for k, l in ((k, l), (l, k))[:1 + (k != l)]:  # S_kl and S_lk
+            for m, c in ad[k].items():  # P_ml += ad_A[m, k] S_kl
+                col = _sym2_col(m, l)
+                out[col] = out.get(col, 0) + (2 * c * s if m == l else c * s)
+    den = den_s * den_a * den_g
+    return {col: ratio(out[col], den) for col in sorted(out) if out[col]}
 
 
 # ---------------------------------------------------------------------------

@@ -429,8 +429,10 @@ def check_berger_verdicts(session: Session, tier: int) -> CheckResult:
         rep_h0 = berger_report(h0_curv)
         rep_full = berger_report(session.curvature("sp1+sp_w", r, r, r))
         rep_glq = berger_report(session.curvature("glq", r, r, r))
-        r1 = curv.build_r1(h0_curv)
-        annihilated = all(curv.act(a, r1).is_zero() for a in h0_curv.algebra.basis)
+        # R1's line is R(h0)'s one canonical row; the unpacking raises otherwise
+        (r1,) = h0_curv.coefficient_subspace().sparse_rows()
+        annihilated = not any(curv.act(a, h0_curv.algebra, r1)
+                              for a in h0_curv.algebra.basis)
         details[f"r={r}"] = {
             "h0": {"closure": rep_h0.closure_dim, "is_berger": rep_h0.is_berger},
             "sp1+sp_w": {"closure": rep_full.closure_dim,

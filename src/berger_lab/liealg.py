@@ -60,6 +60,7 @@ __all__ = [
     "build_sp_parabolic",
     "build_glq",
     "build_h0",
+    "brackets",
     "direct_sum",
     "algebra_by_name",
     "ALGEBRA_NAMES",
@@ -263,38 +264,47 @@ def build_glq(space: QuaternionicSpace) -> LieAlgebra:
     return alg
 
 
-def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
-    """Concatenated basis of two commuting subalgebras with trivial
-    intersection; raises "not a direct sum" if they do not commute, and
-    "linearly dependent" if their spans overlap.  The commute check stacks
-    the entries of every y in b once, by row and by column, under int keys
-    that name y and the position, and compares x y with y x for every y in
-    one pass over the entries of each x in a; it builds no matrix.  The
-    overlap check builds the sum's Gram table, which `integer_coordinates`
-    then reuses."""
-    if a.space is not b.space:
-        raise ValueError("summands live on different spaces")
-    n = a.space.real_dim
+def brackets(n: int, xs, ys):
+    """For each n x n matrix x of `xs`, its brackets with every y_l of `ys`
+    in one dict, x y_l - y_l x at key l n^2 + position, some values 0; both
+    are given by their int entries {pos: int}.  The entries of every y_l
+    are stacked once, by row and by column, under keys that name l and the
+    position, so one pass over the entries of x gives every bracket, and
+    no matrix is built.  A generator: the stack is built on the first
+    bracket, and a caller that stops early reads no further x."""
     n2 = n * n
     # y_l[i, j] at key l n^2 + j under row i, and at key l n^2 + i n under column j
     by_row: dict = {}
     by_col: dict = {}
-    for l, y in enumerate(b.basis):
-        for pos, w in y.nz.items():
+    for l, y in enumerate(ys):
+        for pos, w in y.items():
             i, j = divmod(pos, n)
             by_row.setdefault(i, []).append((l * n2 + j, w))
             by_col.setdefault(j, []).append((l * n2 + i * n, w))
-    for x in a.basis:
-        diff: dict = {}  # x y_l - y_l x at key l n^2 + position
-        for pos, v in x.nz.items():
+    for x in xs:
+        diff: dict = {}
+        for pos, v in x.items():
             i, t = divmod(pos, n)
             base = i * n
             for key, w in by_row.get(t, ()):  # x[i, t] y_l[t, j]
                 diff[key + base] = diff.get(key + base, 0) + v * w
             for key, w in by_col.get(i, ()):  # y_l[d, i] x[i, t]
                 diff[key + t] = diff.get(key + t, 0) - w * v
-        if any(diff.values()):
-            raise ValueError("not a direct sum: summands do not commute")
+        yield diff
+
+
+def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
+    """Concatenated basis of two commuting subalgebras with trivial
+    intersection; raises "not a direct sum" if they do not commute, and
+    "linearly dependent" if their spans overlap.  The commute check is one
+    `brackets` pass over the basis of a against that of b, which stops at
+    the first nonzero bracket.  The overlap check builds the sum's Gram
+    table, which `integer_coordinates` then reuses."""
+    if a.space is not b.space:
+        raise ValueError("summands live on different spaces")
+    if any(any(diff.values()) for diff in brackets(
+            a.space.real_dim, (x.nz for x in a.basis), (y.nz for y in b.basis))):
+        raise ValueError("not a direct sum: summands do not commute")
     total = LieAlgebra(name or f"{a.name}+{b.name}", a.space, a.basis + b.basis)
     total.kept("_gram", _build_gram)
     return total

@@ -481,6 +481,12 @@ def reference_values(algebra, x):
     return {ib: row for ib, row in rows.items() if row}
 
 
+def tensor_of(algebra, x):
+    """The element over `algebra` of the Sym^2(g) row `x`, exact: its
+    `reference_values` over the lcm of their denominators."""
+    return element_of(algebra, reference_values(algebra, x))
+
+
 def element_over(el, target):
     """The element's flat coefficient vector re-expressed over `target`'s
     basis, for any algebra that embeds in `target` as a subspace, from the
@@ -690,6 +696,15 @@ def synthetic_element(algebra):
         for ib in range(len(bivector_pairs(algebra.space.real_dim)))
         for k in range(algebra.dim)
         if (ib + 2 * k) % 9 == 0 and (5 * ib + 3 * k) % 7 != 3})
+
+
+def synthetic_row(algebra):
+    """A fixed Sym^2(g) row with scattered rational entries, columns
+    ascending; for every registry algebra it lies outside the Bianchi
+    kernel (see the action tests)."""
+    ncols = algebra.dim * (algebra.dim + 1) // 2
+    return {j: ratio((5 * j) % 7 - 3, 1 + j % 3) for j in range(ncols)
+            if j % 2 == 0 and (5 * j) % 7 != 3}
 
 
 # every named algebra at (1,1,1), and those defined at (1,2,1)

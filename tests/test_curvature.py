@@ -26,13 +26,14 @@ from berger_lab.quatspace import QuaternionicSpace
 from conftest import (SPARSE_CASES, apply, basis_tensors, coefficients, commutator,
                       element_over, entry,
                       first_rows, flat_subspace, flat_vector, flat_vectors,
-                      from_flat, ref_ricci, is_orbit_least, is_orbit_representative,
+                      ref_ricci, is_orbit_least, is_orbit_representative,
                       reference_bianchi_kernel, reference_coefficients_over, reference_coordinates,
                       reference_derivative_space,
                       reference_values, reference_wedge_rows, row_of,
                       is_normal, minus, same_tensor, structure_characters,
                       dense, identity, plus, product, scaled, transpose,
-                      synthetic_element, tensors_built, tier2,
+                      synthetic_element, synthetic_row, tensor_of,
+                      tensors_built, tier2,
                       ungraded_bianchi_kernel, value, value_column, witt_weight)
 
 
@@ -691,10 +692,11 @@ def test_r1_image_spans_h0(session):
 
 
 def test_h0_annihilates_r1(session):
+    # R1's line is R(h0)'s one canonical Sym^2 row
     h0_curv = kernel(session, "h0", 1, 1, 1)
-    r1 = build_r1(h0_curv)
+    (r1,) = h0_curv.coefficient_subspace().sparse_rows()
     for a in h0_curv.algebra.basis:
-        assert act(a, r1).is_zero()
+        assert act(a, h0_curv.algebra, r1) == {}
 
 
 def test_r1_vanishes_on_w_pairs(session, space111):
@@ -710,43 +712,65 @@ def test_r1_vanishes_on_w_pairs(session, space111):
 # ---------------------------------------------------------------------------
 
 def test_r0_is_invariant_under_the_full_algebra(session):
+    # R0 has no Sym^2 row, so the reference action reads its tensor
     alg = kernel(session, "sp1+sp", 1, 1, 1).algebra
     r0 = build_r0(alg)
+    values = ref_values(r0)
     for a in alg.basis:
-        assert act(a, r0).is_zero()
+        assert not any(any(row) for row in ref_act(a, r0, values))
 
 
 def test_act_of_zero_is_zero(session):
-    alg = kernel(session, "sp1+sp", 1, 1, 1).algebra
-    el = basis_tensors(kernel(session, "sp1+sp", 1, 1, 1))[5]
-    zero = RealMatrix(8, 8, {})
-    assert act(zero, el).is_zero()
+    space = kernel(session, "sp1+sp", 1, 1, 1)
+    alg = space.algebra
+    x = space.coefficient_subspace().sparse_rows()[5]
+    assert act(RealMatrix(8, 8, {}), alg, x) == {}
+    assert act(alg.basis[4], alg, {}) == {}
 
 
 def test_act_is_a_lie_algebra_action(session):
-    def difference(x, y):
-        vx, vy = flat_vector(x), flat_vector(y)
-        return from_flat(x.algebra, {k: vx.get(k, 0) - vy.get(k, 0)
-                                     for k in vx.keys() | vy.keys()})
-
+    # act([A, B]) = act(A) act(B) - act(B) act(A), exactly, on a kernel row
+    # and on a symmetric S outside the kernel
     space = kernel(session, "sp1+sp_w", 1, 1, 1)
     alg = space.algebra
-    el = basis_tensors(space)[2]
     picks = [(0, 4), (1, 7), (3, 9), (2, 5)]
-    for i, j in picks:
-        a, b = alg.basis[i], alg.basis[j]
-        lhs = act(commutator(a, b), el)
-        rhs = difference(act(a, act(b, el)), act(b, act(a, el)))
-        assert same_tensor(lhs, rhs)
+    for x in (space.coefficient_subspace().sparse_rows()[2], synthetic_row(alg)):
+        for i, j in picks:
+            a, b = alg.basis[i], alg.basis[j]
+            ab = act(a, alg, act(b, alg, x))
+            ba = act(b, alg, act(a, alg, x))
+            difference = {col: v for col in sorted(ab.keys() | ba.keys())
+                          if (v := ab.get(col, 0) - ba.get(col, 0))}
+            assert act(commutator(a, b), alg, x) == difference
 
 
 def test_act_values_stay_in_the_kernel(session):
     space = kernel(session, "sp1+sp_w", 1, 1, 1)
-    sub = flat_subspace(space)
-    for i in (0, 3):
-        for el in basis_tensors(space)[:2]:
-            moved = act(space.algebra.basis[i], el)
-            assert sub.contains_vector(flat_vector(moved))
+    sub = space.coefficient_subspace()
+    moved = [act(space.algebra.basis[i], space.algebra, x)
+             for i in (0, 3) for x in sub.sparse_rows()[:2]]
+    assert any(moved)
+    assert all(sub.contains_vector(x) for x in moved)
+
+
+def test_act_refuses_a_matrix_outside_the_algebra(session):
+    # the identity normalizes h0 but is not eta-skew: its action is -2 R,
+    # which the Sym^2 formula would read as 0
+    h0_curv = kernel(session, "h0", 1, 1, 1)
+    alg = h0_curv.algebra
+    (r1,) = h0_curv.coefficient_subspace().sparse_rows()
+    outside = next(b for b in session.algebra("sp", 1, 1, 1).basis
+                   if reference_coordinates(alg, b) is None)
+    for a_mat in (identity(8), outside):
+        with pytest.raises(ValueError, match="not in h0"):
+            act(a_mat, alg, r1)
+
+
+def test_act_refuses_an_algebra_outside_so_eta(space111):
+    # the identity spans a Lie algebra that holds it, but not in so(V, eta)
+    line = LieAlgebra("line", space111, [identity(8)])
+    with pytest.raises(ValueError, match="not in so"):
+        act(identity(8), line, {0: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -983,8 +1007,7 @@ def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
     elements = list(basis_tensors(curvature)[:1]) + [synthetic_element(algebra)]
     target = session.algebra("sp1+sp", r, s, t)
     vectors = []
-    # one acting matrix per element keeps the dense reference affordable
-    for el, a_mat in zip(elements, (algebra.basis[0], algebra.basis[-1])):
+    for el in elements:
         values = ref_values(el)
         dense = dense_coeffs(el)
         assert flat_vector(el) == {
@@ -995,7 +1018,6 @@ def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
             for col in range(n):
                 assert value_column(el, a, b, col) == {
                     d: x for d in range(n) if (x := entry(expected, d, col))}
-        assert dense_coeffs(act(a_mat, el)) == ref_act(a_mat, el, values)
         assert pair_symmetry_holds(el) == ref_pair_symmetric(el, values)
         vectors.append(ref_over(el, values, target))
         assert element_over(el, target) == vectors[-1]
@@ -1003,6 +1025,14 @@ def test_sparse_layer_matches_dense_reference(session, name, r, s, t):
     first = first_rows(curvature, 1)
     assert flat_subspace(over(first, target)) == span_of(
         vectors[:first.dim], len(bivector_pairs(n)) * target.dim)
+    # the action on the first row and on a symmetric S outside the kernel,
+    # one acting matrix per row to keep the dense reference affordable
+    rows = [*first.coefficient_subspace().sparse_rows(), synthetic_row(algebra)]
+    assert not curvature.coefficient_subspace().contains_vector(rows[-1])
+    for x, a_mat in zip(rows, (algebra.basis[0], algebra.basis[-1])):
+        el = tensor_of(algebra, x)
+        assert dense_coeffs(tensor_of(algebra, act(a_mat, algebra, x))) == ref_act(
+            a_mat, el, ref_values(el))
 
 
 def scaled_sum(session):
@@ -1017,17 +1047,18 @@ def scaled_sum(session):
 @pytest.mark.parametrize("name", ["sp", "sp_w", "glq", "h0", "sp1+sp", "sp1+sp_w",
                                   "scaled"])
 def test_act_by_a_rational_combination_matches_the_reference(session, name):
-    # A = B_0 / 2 - 2 B_3 is no basis matrix and has a denominator, and the
-    # element's coefficients have denominators too
+    # A = B_0 / 2 - 2 B_3 is no basis matrix and has a denominator, and S,
+    # a symmetric row outside the kernel, has denominators too
     algebra = (scaled_sum(session) if name == "scaled"
                else session.algebra(name, 1, 1, 1))
     a_mat = plus(scaled(algebra.basis[0], Fraction(1, 2)), scaled(algebra.basis[3], -2))
-    el = synthetic_element(algebra)
+    x = synthetic_row(algebra)
+    el = tensor_of(algebra, x)
     assert el.den > 1
-    moved = act(a_mat, el)
-    assert dense_coeffs(moved) == ref_act(a_mat, el, ref_values(el))
-    assert not moved.is_zero()
-    assert all(type(c) is int and c for row in moved.rows.values() for c in row.values())
+    moved = act(a_mat, algebra, x)
+    assert dense_coeffs(tensor_of(algebra, moved)) == ref_act(a_mat, el, ref_values(el))
+    assert moved and list(moved) == sorted(moved)
+    assert all(is_normal(c) and c for c in moved.values())
 
 
 @pytest.mark.parametrize("name", ["sp", "sp_w", "sp1", "glq", "h0", "sp1+sp",

@@ -15,6 +15,7 @@ import berger_lab
 from berger_lab import harness
 from berger_lab import cli
 from berger_lab.cli import main
+from berger_lab.curvature import CurvatureSpace
 from berger_lab.exactlin import RealMatrix, rat_from_str, rat_to_str
 from berger_lab.liealg import ALGEBRA_NAMES
 from berger_lab.harness import (ALL_CHECKS, Session, VerificationReport,
@@ -313,6 +314,21 @@ def test_crash_inside_the_package_names_a_package_relative_frame(monkeypatch):
     assert crashed.computed["type"] == "ValueError"
     where = crashed.computed["where"]
     assert where.startswith("berger_lab/quatspace.py:") and where.endswith(" in __init__")
+
+
+def test_berger_verdicts_fail_when_h0_moves_its_curvature_line():
+    # a planted R(h0) spanned by S = I1 I1^T, the row {x_00: 1}: ad_{I2} I1
+    # = -2 I3 moves it, so h0 does not annihilate it
+    class Planted(Session):
+        def curvature(self, name, r, s, t):
+            if (name, r, s, t) == ("h0", 1, 1, 1):
+                return CurvatureSpace(self.algebra(name, r, s, t), [{0: 1}])
+            return super().curvature(name, r, s, t)
+
+    result = harness.check_berger_verdicts(Planted(), 1)
+    assert result.status == "fail"
+    assert result.computed["r=1"]["h0_annihilates_r1"] is False
+    assert result.computed["r=1"]["glq"] == {"curvature_dim": 0, "is_berger": False}
 
 
 def structure_axioms_on(monkeypatch, **planted):

@@ -45,8 +45,11 @@ it permutes the four components of each quaternionic coordinate, so it
 keeps every weight, and it preserves eta.  Conjugation by I_alpha maps
 each basis element to chi_k(alpha) B_k, chi_k(alpha) = +-1, which gives
 x_kl the character chi_k chi_l of the Klein group {1, I1, I2, I3}.
-`_structure_characters` reads chi_k by comparing B_k with itself: each
-conjugated entry against B_k's own entry at its image.  So the
+The algebra keeps chi_k (`LieAlgebra.characters`), read by one conjugation
+pass in `liealg` that compares each conjugated entry with B_k's own entry
+at its image, or, for a sum sp(1) + g, laid out by `direct_sum` from the
+summands' tables, which its commute check reads; `_weight_blocks` reads
+that table and conjugates nothing.  So the
 row of the 4-set I_alpha F is +- the row of F with each column scaled by
 its character at alpha, and, the four characters being independent, the
 rows of the orbit of F span exactly the character components of the row
@@ -87,9 +90,9 @@ basis is independent, and R(X, Y)p as column p of the integer value
 Integer inner loops: R0, Ricci, the scalar, pair symmetry, the
 first-Bianchi equations, the Bianchi residual, `values` and `act` multiply
 and add Python ints only.  eta and the I_alpha are read as signed
-permutations by `_permutation`, which raises ValueError on anything else,
-a zero column included; there is no fallback.  A basis has integer
-entries (`LieAlgebra` refuses any other), so the basis columns of
+permutations by `invertible_permutation`, which raises ValueError on
+anything else, a zero column included; there is no fallback.  A basis has
+integer entries (`LieAlgebra` refuses any other), so the basis columns of
 `_columns` and the 2-forms omega_k of `_pairing_table` are integral as
 read, and a tensor is its integer rows over one denominator; each
 canonical row is cleared by `integer_row` before `values` maps it, so
@@ -123,8 +126,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .exactlin import (RealMatrix, Subspace, canonical_rows, check_canonical,
-                       integer_row, rat_from_str, rat_to_str, ratio,
-                       signed_permutation, sparse_nullspace)
+                       integer_row, invertible_permutation, rat_from_str,
+                       rat_to_str, ratio, sparse_nullspace)
 from .liealg import LieAlgebra, brackets
 from .quatspace import QuaternionicSpace
 
@@ -326,16 +329,6 @@ def _build_columns(algebra: LieAlgebra) -> tuple:
     return tuple(cols)
 
 
-def _permutation(m: RealMatrix) -> dict[int, tuple[int, int]]:
-    """eta or an I_alpha as `signed_permutation` reads it, {col: (row,
-    +-1)}; both are invertible, so a zero column, which
-    `signed_permutation` allows, raises ValueError here too."""
-    perm = signed_permutation(m)
-    if len(perm) != m.cols:
-        raise ValueError("expected an invertible signed permutation matrix")
-    return perm
-
-
 def _value(row: Mapping, cols: tuple) -> dict[int, dict]:
     """sum_k row[k] B_k by column, {c: {d: value}}, for cols of `_columns`,
     over ints.  Only the basis elements in the row are visited; an entry
@@ -404,36 +397,6 @@ def _witt_transpositions(algebra: LieAlgebra) -> list[list]:
     return actions
 
 
-def _structure_characters(algebra: LieAlgebra) -> list[int]:
-    """The character of each basis element under conjugation by I1 and
-    I2, two bits: bit alpha is set iff I_{alpha+1} B_k I_{alpha+1}^-1 =
-    -B_k.  I3 = I1 I2, so the two fix its sign too.  Each conjugated entry
-    is compared with B_k's own entry at its image position, the first one
-    fixing the sign; raises ValueError at the first entry where the
-    conjugate is not +- the basis element itself."""
-    n = algebra.space.real_dim
-    perms = [_permutation(ialpha) for ialpha in algebra.space.I[:2]]
-    bits = []
-    for k, bmat in enumerate(algebra.basis):
-        nz = bmat.nz
-        bit = 0
-        for alpha, perm in enumerate(perms):
-            sign = 0
-            for pos, v in nz.items():
-                (d, sd), (c, sc) = perm[pos // n], perm[pos % n]
-                image = sd * sc * v
-                w = nz.get(d * n + c)
-                if not sign:
-                    sign = 1 if w == image else -1
-                if w != sign * image:
-                    raise ValueError(f"{algebra.name}: conjugation by I{alpha + 1} "
-                                     f"does not map basis element {k} to +- itself")
-            if sign < 0:
-                bit |= 1 << alpha
-        bits.append(bit)
-    return bits
-
-
 class _Blocks(NamedTuple):
     """The weight blocks of the first-Bianchi system of one algebra."""
 
@@ -449,8 +412,8 @@ def _weight_blocks(algebra: LieAlgebra) -> _Blocks:
     representative columns and their characters.  Basis element k has the
     weight w_a + w_b shared by every bivector (a, b) of omega_k, and x_kl
     the weight of omega_k ^ omega_l, w_k + w_l.  x_kl has the character
-    chi_k chi_l of `_structure_characters`, the bits of chi_k XOR those of
-    chi_l.
+    chi_k chi_l, the bits of chi_k XOR those of chi_l, with chi_k read
+    from the algebra's kept table (`LieAlgebra.characters`).
 
     The grading is used when t >= 2; it raises ValueError unless every
     omega_k has one weight, and `_witt_transpositions` unless every
@@ -482,7 +445,7 @@ def _weight_blocks(algebra: LieAlgebra) -> _Blocks:
             if is_rep[cls[k]]:
                 column[k][l] = column[l][k] = len(kept)
                 kept.append(_sym2_col(k, l))
-    bits = _structure_characters(algebra)
+    bits = algebra.characters()
     unknowns = _sym2_unknowns(dimg)
     character = [bits[k] ^ bits[l] for k, l in map(unknowns.__getitem__, kept)]
     return _Blocks(actions, basis_weight, column, kept, character)
@@ -756,8 +719,8 @@ def _r0_values(space: QuaternionicSpace, pairs):
     some of them 0, built over ints from the signed permutations eta and
     I_alpha, read once."""
     n = space.real_dim
-    eta = _permutation(space.eta)
-    structure = [_permutation(ialpha) for ialpha in space.I]
+    eta = invertible_permutation(space.eta)
+    structure = [invertible_permutation(ialpha) for ialpha in space.I]
     for a, b in pairs:
         out = _wedge_matrix(n, eta, {a: 1}, {b: 1})
         for perm in structure:
@@ -836,7 +799,7 @@ def scalar(element: CurvatureElement) -> int | Fraction:
     ric = _integer_ricci(element)
     # eta[b, c] = e for each column c
     total = sum(e * ric.get(c * n + b, 0)
-                for c, (b, e) in _permutation(element.space.eta).items())
+                for c, (b, e) in invertible_permutation(element.space.eta).items())
     return ratio(total, element.den)
 
 
@@ -867,7 +830,7 @@ def act(a_mat: RealMatrix, algebra: LieAlgebra, row: Mapping) -> dict:
     if hit is None:
         raise ValueError(f"A is not in {algebra.name}")
     den_g = hit[0]
-    (stacked,) = brackets(n, [a_int], (bmat.nz for bmat in algebra.basis))
+    stacked = brackets(n, a_int, (bmat.nz for bmat in algebra.basis))
     by_k = [{} for _ in range(dimg)]
     for key, v in stacked.items():
         k, pos = divmod(key, n * n)
@@ -976,8 +939,8 @@ def derivative_space(curvature: CurvatureSpace) -> Subspace:
 def _pairing_table(algebra: LieAlgebra) -> tuple[dict, ...]:
     """table[k] = {biv: eta(B_k e_c, e_d)} over the bivectors (c, d), c < d:
     the 2-form omega_k of B_k, over ints, built once and kept on the
-    algebra.  eta is read by `_permutation`, a bijection of the basis
-    vectors, so each entry of eta B_k is met once.  Raises ValueError
+    algebra.  eta is read by `invertible_permutation`, a bijection of the
+    basis vectors, so each entry of eta B_k is met once.  Raises ValueError
     unless every B_k is eta-skew, that is, unless eta(B_k e_d, e_c) =
     -eta(B_k e_c, e_d) for all c, d; the refusal is not kept, so every
     call raises."""
@@ -986,7 +949,7 @@ def _pairing_table(algebra: LieAlgebra) -> tuple[dict, ...]:
 
 def _build_pairing_table(algebra: LieAlgebra) -> tuple[dict, ...]:
     n = algebra.space.real_dim
-    eta = _permutation(algebra.space.eta)
+    eta = invertible_permutation(algebra.space.eta)
     cols = _columns(algebra)
     table = []
     for columns in cols:

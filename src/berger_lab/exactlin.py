@@ -14,8 +14,8 @@ true division, which turns two ints into a float.
 Everything is sparse: a matrix (`RealMatrix`) stores its nonzero entries
 only, and a vector is a {index: value} mapping of its nonzeros.  A matrix
 is read only by its entries (`nz`): it has no arithmetic, and eta and the
-I_alpha are composed as the signed permutations `signed_permutation`
-reads off them.  Elimination is deterministic, so echelon forms are
+I_alpha are composed (`compose`) as the signed permutations
+`signed_permutation` reads off them.  Elimination is deterministic, so echelon forms are
 unique and subspace bases are canonical: two subspaces are equal iff
 their stored rows are equal.
 
@@ -84,6 +84,8 @@ __all__ = [
     "rat_to_str",
     "span_of",
     "signed_permutation",
+    "invertible_permutation",
+    "compose",
     "symmetric_signature",
     "sparse_nullspace",
     "canonical_rows",
@@ -462,11 +464,16 @@ class Subspace:
         return not self.reduce_vector(vec)
 
     def contains(self, other: "Subspace") -> bool:
+        """True iff every row of `other` lies in this span.  A row is first
+        looked up by its lead: one equal to this basis's row at that lead
+        is in the span, and only the other rows are reduced."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         if other.dim > self.dim:
             return False
-        return all(self.contains_vector(r) for r in other._rows)
+        piv = self._pivots
+        return all(piv.get(lead) == row or self.contains_vector(row)
+                   for lead, row in other._pivots.items())
 
 
 def span_of(vectors: Iterable[Mapping], ambient_dim: int) -> Subspace:
@@ -492,6 +499,24 @@ def signed_permutation(m: RealMatrix) -> dict[int, tuple[int, int]]:
     if len({row for row, _ in perm.values()}) < len(perm):
         raise ValueError("expected a signed permutation matrix")
     return perm
+
+
+def invertible_permutation(m: RealMatrix) -> dict[int, tuple[int, int]]:
+    """eta or an I_alpha as `signed_permutation` reads it, {col: (row,
+    +-1)}; both are invertible, so a zero column, which
+    `signed_permutation` allows, raises ValueError here too."""
+    perm = signed_permutation(m)
+    if len(perm) != m.cols:
+        raise ValueError("expected an invertible signed permutation matrix")
+    return perm
+
+
+def compose(a: dict, b: dict) -> dict:
+    """The product a b of two signed permutations read by
+    `signed_permutation`, in the same form: b maps column c to its row r,
+    then a maps column r to its row.  A zero column of either factor is a
+    zero column of the product."""
+    return {c: (a[r][0], a[r][1] * sign) for c, (r, sign) in b.items() if r in a}
 
 
 def symmetric_signature(m: RealMatrix) -> tuple[int, int]:

@@ -24,7 +24,7 @@ from . import curvature as curv
 from .berger import (berger_report, holonomy_case_split, split_failures,
                      with_failures)
 from .curvature import CurvatureElement, CurvatureSpace
-from .exactlin import (Subspace, rat_to_str, signed_permutation,
+from .exactlin import (Subspace, compose, rat_to_str, signed_permutation,
                        symmetric_signature)
 from .liealg import (ALGEBRA_NAMES, LieAlgebra, algebra_by_name, sp_dimension,
                      sp_parabolic_dimension, stabilizer_of_subspace)
@@ -256,14 +256,6 @@ def _ranks(tier: int):
     return (1, 2) if tier >= 2 else (1,)
 
 
-def _compose(a: dict, b: dict) -> dict:
-    """The product a b of two signed permutations read by
-    `signed_permutation`, in the same form: b maps column c to its row r,
-    then a maps column r to its row.  A zero column of either factor is a
-    zero column of the product."""
-    return {c: (a[r][0], a[r][1] * sign) for c, (r, sign) in b.items() if r in a}
-
-
 def _negated(a: dict) -> dict:
     return {c: (r, -sign) for c, (r, sign) in a.items()}
 
@@ -284,10 +276,10 @@ def check_structure_axioms(session: Session, tier: int) -> CheckResult:
         i1, i2, i3 = triple
         neg_id = {c: (c, -1) for c in range(space.real_dim)}
         relations = (
-            all(_compose(ia, ia) == neg_id for ia in triple)
-            and _compose(i1, i2) == i3 and _negated(_compose(i2, i1)) == i3
+            all(compose(ia, ia) == neg_id for ia in triple)
+            and compose(i1, i2) == i3 and _negated(compose(i2, i1)) == i3
         )
-        skew = all(_compose(eta, ia) == _negated(_compose(_transposed(ia), eta))
+        skew = all(compose(eta, ia) == _negated(compose(_transposed(ia), eta))
                    for ia in triple)
         sig = symmetric_signature(space.eta)
         sig_ok = sig == (4 * r, 4 * s)

@@ -14,15 +14,24 @@ sigma(a), with sign g_a, so an entry c at (a, b) forces the entry
 -g_a g_b conj(c) at (sigma(b), sigma(a)).  `_sp_entries` walks the blocks
 C, B, A, X, Y, D in that order and yields each entry with its partner;
 that fixed order is the basis order, so reports are reproducible.  The
-W-preserving algebras are filters of it: sp(r,s)_W keeps the elements
-that map W into W (C, B, A, X), and gl(r,H) those that also map W1 into
-W1 (C).
+W-preserving algebras are walks of a prefix of those blocks: sp(r,s)_W
+walks C, B, A, X, the blocks whose elements map W into W, and gl(r,H)
+walks C alone, whose elements also map W1 into W1; each basis is the
+filtered basis of sp, in order: an element of Y or D moves W, one of B
+moves W1, and A and X are empty when r = s = t.
 
 W is the coordinate block `space.w_indices()` of the Witt basis, so
 whether an element maps W into W is read off its entries: an entry in a W
 column must sit in a W row.  The stabilizer of W is solved over g's
 coordinates from those entries, and no algebra is compared with another
 by the span of its matrices.
+
+Every sum of the registry is sp(1) + g with g made of H-linear maps
+(`direct_sum`), so g commutes with sp(1) iff conjugation by I1 and I2
+fixes every element of its basis.  Each algebra keeps those characters,
+read by one conjugation pass over its basis (`LieAlgebra.characters`),
+which `curvature` reads too; `direct_sum` decides commuting from them and
+gives the sum sp(1)'s table followed by g's, with no pass of its own.
 
 A basis matrix has integer entries, and `LieAlgebra` refuses any other
 with ValueError: a positive integer multiple of a rational basis element
@@ -50,7 +59,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from math import lcm
 
-from .exactlin import Subspace, integer_row, span_of, sparse_nullspace
+from .exactlin import (Subspace, compose, integer_row, invertible_permutation,
+                       span_of, sparse_nullspace)
 from .quatspace import QuaternionicSpace, conjugate, realify
 
 __all__ = [
@@ -93,11 +103,13 @@ class LieAlgebra:
 
     The algebra keeps the tables read from its basis, each built on first
     use (`kept`): `_gram`, the Gram table from which `integer_coordinates`
-    reads coordinates, and the tables that `curvature` reads, `_columns`,
-    the integer columns of each basis matrix, and `_forms`, their 2-forms
-    omega_k."""
+    reads coordinates, `_characters`, the structure characters that
+    `characters` returns, and the tables that `curvature` reads,
+    `_columns`, the integer columns of each basis matrix, and `_forms`,
+    their 2-forms omega_k."""
 
-    __slots__ = ("name", "space", "basis", "dim", "_gram", "_columns", "_forms")
+    __slots__ = ("name", "space", "basis", "dim", "_gram", "_characters",
+                 "_columns", "_forms")
 
     def __init__(self, name: str, space: QuaternionicSpace, basis):
         basis = tuple(basis)
@@ -107,7 +119,7 @@ class LieAlgebra:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "dim", len(self.basis))
-        for slot in ("_gram", "_columns", "_forms"):
+        for slot in ("_gram", "_characters", "_columns", "_forms"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -124,6 +136,13 @@ class LieAlgebra:
             table = build(self)
             object.__setattr__(self, slot, table)
         return table
+
+    def characters(self) -> tuple[int, ...]:
+        """The character of each basis element under conjugation by I1 and
+        I2, two bits: bit alpha is set iff I_{alpha+1} B_k I_{alpha+1}^-1 =
+        -B_k.  Built by one conjugation pass (`_build_characters`) and kept;
+        raises ValueError if some conjugate is not +- its basis element."""
+        return self.kept("_characters", _build_characters)
 
     def integer_coordinates(self, entries: Mapping):
         """(den, {k: c_k}) with sum_k (c_k / den) B_k the matrix whose
@@ -193,10 +212,40 @@ def _build_gram(alg: LieAlgebra) -> tuple[dict, int, tuple]:
     return index, den, columns
 
 
-def _sp_entries(space: QuaternionicSpace):
-    """Each basis element of sp(r, s) as its signed-unit entries
-    {(a, b): c}, in basis order: the blocks C, B, A, X, Y, D, each read
-    row-major, c running over 1, i, j, k, each entry with its partner.
+def _build_characters(alg: LieAlgebra) -> tuple[int, ...]:
+    """The structure characters of `alg`'s basis, from one conjugation
+    pass.  I3 = I1 I2, so the two fix its sign too.  Each conjugated entry
+    is compared with B_k's own entry at its image position, the first one
+    fixing the sign; raises ValueError at the first entry where the
+    conjugate is not +- the basis element itself."""
+    n = alg.space.real_dim
+    perms = [invertible_permutation(ialpha) for ialpha in alg.space.I[:2]]
+    bits = []
+    for k, bmat in enumerate(alg.basis):
+        nz = bmat.nz
+        bit = 0
+        for alpha, perm in enumerate(perms):
+            sign = 0
+            for pos, v in nz.items():
+                (d, sd), (c, sc) = perm[pos // n], perm[pos % n]
+                image = sd * sc * v
+                w = nz.get(d * n + c)
+                if not sign:
+                    sign = 1 if w == image else -1
+                if w != sign * image:
+                    raise ValueError(f"{alg.name}: conjugation by I{alpha + 1} "
+                                     f"does not map basis element {k} to +- itself")
+            if sign < 0:
+                bit |= 1 << alpha
+        bits.append(bit)
+    return tuple(bits)
+
+
+def _sp_entries(space: QuaternionicSpace, blocks: str = "CBAXYD"):
+    """Each basis element of sp(r, s) in `blocks` as its signed-unit
+    entries {(a, b): c}, in basis order: the blocks named, in the order C,
+    B, A, X, Y, D, each read row-major, c running over 1, i, j, k, each
+    entry with its partner.
     conj(M)^t G + G M = 0 is that partner rule, G pairing a with sigma(a)
     alone, with sign g_a.  An entry that is its own partner is imaginary,
     and a block that is its own partner (B, A, D) is read on and above its
@@ -204,7 +253,9 @@ def _sp_entries(space: QuaternionicSpace):
     sigma = {a: (b, g) for (a, b), g in space.gram.items()}
     t, m = space.t, space.m
     p, e, q = range(t), range(t, m - t), range(m - t, m)
-    for rows, cols in ((p, p), (p, q), (e, e), (e, q), (e, p), (q, p)):
+    walk = {"C": (p, p), "B": (p, q), "A": (e, e),
+            "X": (e, q), "Y": (e, p), "D": (q, p)}
+    for rows, cols in map(walk.__getitem__, blocks):
         for a in rows:
             for b in cols:
                 (sa, ga), (sb, gb) = sigma[a], sigma[b]
@@ -214,13 +265,6 @@ def _sp_entries(space: QuaternionicSpace):
                 elif not (sb in rows and sa in cols and (sb, sa) < (a, b)):
                     for c, partner in _PAIRS[ga * gb]:
                         yield {(a, b): c, (sb, sa): partner}
-
-
-def _maps_into(entries: dict, sub: range) -> bool:
-    """True iff the matrix with these entries maps the span of the basis
-    vectors in `sub` into itself: an entry in a `sub` column sits in a
-    `sub` row."""
-    return all(a in sub for a, b in entries if b in sub)
 
 
 def build_sp(space: QuaternionicSpace) -> LieAlgebra:
@@ -234,13 +278,12 @@ def build_sp(space: QuaternionicSpace) -> LieAlgebra:
 
 def build_sp_parabolic(space: QuaternionicSpace) -> LieAlgebra:
     """The maximal subalgebra of sp(r, s) preserving the isotropic part W:
-    the basis elements of sp that map W into W (blocks C, B, A, X)."""
+    the walk of the blocks C, B, A, X, whose elements are those of sp that
+    map W into W."""
     if space.t < 1:
         raise ValueError("parabolic subalgebra requires t >= 1")
-    w = range(space.t)
     alg = LieAlgebra(f"sp({space.r},{space.s})_W", space,
-                     [realify(space.m, f) for f in _sp_entries(space)
-                      if _maps_into(f, w)])
+                     [realify(space.m, f) for f in _sp_entries(space, "CBAX")])
     assert alg.dim == sp_parabolic_dimension(space.r, space.s, space.t)
     return alg
 
@@ -252,26 +295,24 @@ def build_sp1(space: QuaternionicSpace) -> LieAlgebra:
 
 
 def build_glq(space: QuaternionicSpace) -> LieAlgebra:
-    """gl(r, H) embedded as diag(C, -conj(C)^t): the basis elements of sp
-    that preserve both W and W1 (block C); requires r = s = t."""
+    """gl(r, H) embedded as diag(C, -conj(C)^t): the walk of the block C,
+    whose elements are those of sp that preserve both W and W1; requires
+    r = s = t."""
     if not (space.r == space.s == space.t >= 1):
         raise ValueError("gl(r,H) block algebra requires r = s = t >= 1")
-    w, w1 = range(space.t), range(space.m - space.t, space.m)
-    basis = [realify(space.m, f) for f in _sp_entries(space)
-             if _maps_into(f, w) and _maps_into(f, w1)]
-    alg = LieAlgebra(f"gl({space.r},H)", space, basis)
+    alg = LieAlgebra(f"gl({space.r},H)", space,
+                     [realify(space.m, f) for f in _sp_entries(space, "C")])
     assert alg.dim == 4 * space.r * space.r
     return alg
 
 
-def brackets(n: int, xs, ys):
-    """For each n x n matrix x of `xs`, its brackets with every y_l of `ys`
-    in one dict, x y_l - y_l x at key l n^2 + position, some values 0; both
-    are given by their int entries {pos: int}.  The entries of every y_l
-    are stacked once, by row and by column, under keys that name l and the
-    position, so one pass over the entries of x gives every bracket, and
-    no matrix is built.  A generator: the stack is built on the first
-    bracket, and a caller that stops early reads no further x."""
+def brackets(n: int, x, ys) -> dict:
+    """The brackets x y_l - y_l x of the n x n matrix x with every y_l of
+    `ys`, in one dict at key l n^2 + position, some values 0; all are given
+    by their int entries {pos: int}.  The entries of every y_l are stacked
+    once, by row and by column, under keys that name l and the position,
+    so one pass over the entries of x gives every bracket, and no matrix
+    is built."""
     n2 = n * n
     # y_l[i, j] at key l n^2 + j under row i, and at key l n^2 + i n under column j
     by_row: dict = {}
@@ -281,31 +322,50 @@ def brackets(n: int, xs, ys):
             i, j = divmod(pos, n)
             by_row.setdefault(i, []).append((l * n2 + j, w))
             by_col.setdefault(j, []).append((l * n2 + i * n, w))
-    for x in xs:
-        diff: dict = {}
-        for pos, v in x.items():
-            i, t = divmod(pos, n)
-            base = i * n
-            for key, w in by_row.get(t, ()):  # x[i, t] y_l[t, j]
-                diff[key + base] = diff.get(key + base, 0) + v * w
-            for key, w in by_col.get(i, ()):  # y_l[d, i] x[i, t]
-                diff[key + t] = diff.get(key + t, 0) - w * v
-        yield diff
+    diff: dict = {}
+    for pos, v in x.items():
+        i, t = divmod(pos, n)
+        base = i * n
+        for key, w in by_row.get(t, ()):  # x[i, t] y_l[t, j]
+            diff[key + base] = diff.get(key + base, 0) + v * w
+        for key, w in by_col.get(i, ()):  # y_l[d, i] x[i, t]
+            diff[key + t] = diff.get(key + t, 0) - w * v
+    return diff
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
-    """Concatenated basis of two commuting subalgebras with trivial
-    intersection; raises "not a direct sum" if they do not commute, and
-    "linearly dependent" if their spans overlap.  The commute check is one
-    `brackets` pass over the basis of a against that of b, which stops at
-    the first nonzero bracket.  The overlap check builds the sum's Gram
-    table, which `integer_coordinates` then reuses."""
-    if a.space is not b.space:
+    """sp(1) + g: the basis of `a`, which must be sp(1), the structure
+    triple of the space, followed by that of `b`, a g that commutes with
+    sp(1) and meets it trivially; raises ValueError for any other `a`,
+    "not a direct sum" if g does not commute with sp(1), and "linearly
+    dependent" if the spans overlap.
+
+    g commutes with sp(1) iff conjugation by I1 and I2 fixes every basis
+    element of g, that is every character of g is trivial, and I3 = I1 I2
+    on the space, checked once by composing the signed permutations.  So
+    the commute check reads g's kept character table, which `curvature`
+    reads too, and computes no bracket; a g element whose conjugate is not
+    +- itself does not commute either.  The sum keeps sp(1)'s table
+    followed by g's.  The overlap check builds the sum's Gram table, which
+    `integer_coordinates` then reuses."""
+    space = a.space
+    if b.space is not space:
         raise ValueError("summands live on different spaces")
-    if any(any(diff.values()) for diff in brackets(
-            a.space.real_dim, (x.nz for x in a.basis), (y.nz for y in b.basis))):
+    if a.basis != space.I:
+        raise ValueError(f"first summand {a.name} is not sp(1), the structure "
+                         "triple of the space")
+    i1, i2, i3 = map(invertible_permutation, space.I)
+    if compose(i1, i2) != i3:
+        raise ValueError("I3 is not I1 I2, so commuting with I1 and I2 does not "
+                         "give commuting with I3")
+    try:
+        chars = b.characters()
+    except ValueError as err:
+        raise ValueError("not a direct sum: summands do not commute") from err
+    if any(chars):
         raise ValueError("not a direct sum: summands do not commute")
-    total = LieAlgebra(name or f"{a.name}+{b.name}", a.space, a.basis + b.basis)
+    total = LieAlgebra(name or f"{a.name}+{b.name}", space, a.basis + b.basis)
+    total.kept("_characters", lambda _: a.characters() + chars)
     total.kept("_gram", _build_gram)
     return total
 

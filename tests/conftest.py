@@ -241,6 +241,15 @@ def dual_W1(space):
     return span_of([{i: Fraction(1)} for i in space.w1_indices()], space.real_dim)
 
 
+def maps_into(matrix, sub):
+    """True iff `matrix` maps the span of the real basis vectors in `sub`
+    into itself: every entry in a `sub` column sits in a `sub` row.  The
+    preservation rule that sp(r,s)_W (sub = W) and gl(r,H) (W and W1) are
+    checked against."""
+    n = matrix.cols
+    return all(pos // n in sub for pos in matrix.nz if pos % n in sub)
+
+
 def flat_span(matrices, n):
     """The span of n x n matrices as a canonical subspace of Q^(n^2)."""
     return span_of([m.nz for m in matrices], n * n)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from berger_lab import curvature as curv
-from berger_lab import exactlin
+from berger_lab import exactlin, liealg
 from berger_lab.curvature import (CurvatureElement, CurvatureSpace, act,
                                   bianchi_residual_is_zero, bivector_pairs,
                                   build_r0, build_r1, coefficients_over,
@@ -30,7 +30,8 @@ from conftest import (SPARSE_CASES, apply, basis_tensors, coefficients, commutat
                       reference_bianchi_kernel, reference_coefficients_over, reference_coordinates,
                       reference_derivative_space,
                       reference_values, reference_wedge_rows, row_of,
-                      is_normal, minus, same_tensor, structure_characters,
+                      is_normal, maps_into, minus, same_tensor,
+                      structure_characters,
                       dense, identity, plus, product, scaled, transpose,
                       synthetic_element, synthetic_row, tensor_of,
                       tensors_built, tier2,
@@ -346,15 +347,19 @@ def test_the_structure_triple_acts_on_components_by_xor(session, r, s, t):
 
 
 @pytest.mark.parametrize("r,s,t", [(1, 1, 0), (1, 2, 0), (2, 1, 0), (1, 1, 1),
-                                   (1, 2, 1), (2, 2, 1), (2, 2, 2), (2, 3, 2)])
+                                   (1, 2, 1), (1, 3, 1), (2, 2, 1), (2, 2, 2),
+                                   (2, 3, 2), (3, 3, 3)])
 def test_every_basis_conjugates_to_plus_minus_itself(session, r, s, t):
     # I_alpha B I_alpha^-1 = +-B for every basis matrix of every registry
     # algebra: +1 on sp(r,s), which commutes with the structure triple,
-    # and on sp(1) -1 for the two I_beta that anticommute with I_alpha
+    # and on sp(1) -1 for the two I_beta that anticommute with I_alpha.
+    # The kept table of each algebra, a sum's laid out by direct_sum from
+    # its summands' tables, is the reference read off the algebra's own
+    # basis by matrix products
     for algebra in registry_algebras(session, r, s, t):
         bits = structure_characters(algebra)
         assert bits is not None
-        assert curv._structure_characters(algebra) == bits
+        assert list(algebra.characters()) == bits
         head = [2, 1, 3] if algebra.name.startswith("sp(1)") or algebra.name == "h0" else []
         assert bits == head + [0] * (algebra.dim - len(head))
 
@@ -368,7 +373,7 @@ def test_a_basis_whose_conjugate_is_another_basis_element_is_refused(session):
     assert structure_characters(swapped) is None
     assert_refused(swapped, "conjugation by I1 does not map basis element 0")
     sp1 = LieAlgebra("sp1", space, [i1, i2, i3])
-    assert curv._structure_characters(sp1) == [2, 1, 3]
+    assert sp1.characters() == (2, 1, 3)
 
 
 def test_a_basis_not_fixed_by_the_structure_triple_is_refused(session):
@@ -382,6 +387,26 @@ def test_a_basis_not_fixed_by_the_structure_triple_is_refused(session):
     mixed = LieAlgebra("sp1+sp_w-mixed", algebra.space, basis)
     assert structure_characters(mixed) is None
     assert_refused(mixed, "conjugation by I2 does not map basis element 1")
+
+
+def test_each_algebra_runs_one_conjugation_pass(monkeypatch):
+    # h0 = sp(1) + gl(r,H) keeps sp(1)'s table followed by gl(r,H)'s, the
+    # two that direct_sum's commute check read: solving h0's kernel
+    # conjugates no basis matrix of h0, and no table is read twice
+    passes = []
+    build = liealg._build_characters
+
+    def counted(alg):
+        passes.append(alg.name)
+        return build(alg)
+
+    monkeypatch.setattr(liealg, "_build_characters", counted)
+    session = Session()
+    assert session.curvature("h0", 2, 2, 2).dim == 1
+    assert passes == ["gl(2,H)", "sp(1)"]
+    for name in ("sp1", "glq", "h0"):
+        session.algebra(name, 2, 2, 2).characters()
+    assert passes == ["gl(2,H)", "sp(1)"]
 
 
 # every (r, s, t) with 1 <= r + s <= 6 and t <= min(r, s)
@@ -418,6 +443,25 @@ def test_every_registry_algebra_has_an_integral_basis():
                for v in bmat.nz.values())
 
 
+def test_w_preserving_algebras_are_the_filtered_sp_basis():
+    # sp(r,s)_W walks the blocks C, B, A, X and gl(r,H) the block C alone:
+    # each basis is sp's, in order, filtered by the preservation rule, the
+    # elements that map W into W, and for gl(r,H) also W1 into W1
+    session = Session()
+    glq_configs = 0
+    for r, s, t in SWEEP_CONFIGS:
+        if t:
+            space = session.space(r, s, t)
+            spw = tuple(b for b in session.algebra("sp", r, s, t).basis
+                        if maps_into(b, space.w_indices()))
+            assert session.algebra("sp_w", r, s, t).basis == spw
+        if r == s == t:
+            glq_configs += 1
+            assert session.algebra("glq", r, s, t).basis == tuple(
+                b for b in spw if maps_into(b, space.w1_indices()))
+    assert glq_configs == 3
+
+
 def planted_space(space, **planted):
     """A copy of `space` with the planted `eta` or `I`."""
     return SimpleNamespace(**{**{name: getattr(space, name)
@@ -436,7 +480,7 @@ def test_a_zero_column_of_eta_or_the_structure_triple_is_refused(session, space1
     i1, i2, i3 = space111.I
     no_i1 = planted_space(space111, I=(without_column(i1, 0), i2, i3))
     sp1 = LieAlgebra("sp(1)", no_i1, space111.I)
-    for read in (curv._structure_characters, curv.bianchi_kernel):
+    for read in (LieAlgebra.characters, curv.bianchi_kernel):
         with pytest.raises(ValueError, match="invertible signed permutation"):
             read(sp1)
     no_eta = planted_space(space111, eta=without_column(space111.eta, 0))

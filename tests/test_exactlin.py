@@ -260,6 +260,30 @@ def test_subspace_strict_containment():
     assert plane != line
 
 
+def test_contains_looks_rows_up_by_lead_before_reducing(monkeypatch):
+    # a row of the canonical basis is in the span as it stands and is not
+    # reduced; a proper combination of basis rows, and a row that leads
+    # where a basis row does but is outside the span, are reduced
+    full = span_of([vec(1, 0, 2, 0), vec(0, 1, 3, 0)], 4)
+    reduced = []
+    reduce = Subspace.reduce_vector
+
+    def counted(self, v):
+        reduced.append(dict(v))
+        return reduce(self, v)
+
+    monkeypatch.setattr(Subspace, "reduce_vector", counted)
+    assert full.contains(full) and full.contains(Subspace(4, full.sparse_rows()[1:]))
+    assert reduced == []
+    assert full.contains(span_of([vec(1, 1, 5, 0)], 4))
+    assert reduced == [{0: 1, 1: 1, 2: 5}]
+    outside = span_of([vec(0, 1, 3, 1)], 4)
+    assert min(outside.sparse_rows()[0]) == 1
+    assert not full.contains(outside)
+    assert not full.contains(span_of([vec(1, 0, 2, 0), vec(0, 1, 3, 1)], 4))
+    assert reduced[1:] == [{1: 1, 2: 3, 3: 1}] * 2
+
+
 def test_zero_subspaces_equal():
     assert span_of([], 3) == Subspace(3, ())
 

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -172,60 +173,85 @@ def test_direct_sum_dimensions(name, r, s, t, expected):
 
 
 def test_direct_sum_rejects_overlap():
+    # the first summand must be sp(1), the structure triple itself, in
+    # order; g must commute with it, and its basis must be independent
     space = build_space(1, 1, 1)
+    sp1, glq = build_sp1(space), build_glq(space)
+    i1, i2, i3 = space.I
+    for first in (glq, LieAlgebra("sp(1)", space, [i2, i1, i3])):
+        with pytest.raises(ValueError, match="is not sp\\(1\\)"):
+            direct_sum(first, sp1)
     with pytest.raises(ValueError, match="not a direct sum"):
-        direct_sum(build_sp1(space), build_sp1(space))
-    # the real scalars of gl(1,H) are central, so only the spans can clash
-    glq = build_glq(space)
-    centre = LieAlgebra("c", space, [glq.basis[0]])
+        direct_sum(sp1, build_sp1(space))
+    # the real scalars of gl(1,H) commute with sp(1), so only the spans clash
+    repeated = LieAlgebra("c", space, [glq.basis[0], glq.basis[0]])
+    assert repeated.characters() == (0, 0)
     with pytest.raises(ValueError, match="linearly dependent"):
-        direct_sum(glq, centre)
+        direct_sum(sp1, repeated)
 
 
 def test_direct_sum_eliminates_the_sum_once(monkeypatch):
     # the overlap check builds the Gram table that integer_coordinates
     # reuses: one span_of over the rows [G | I], 2 dim columns (a matrix
-    # has no product to call; see test_a_matrix_is_read_only_by_its_entries)
+    # has no product to call; see test_a_matrix_is_read_only_by_its_entries);
+    # the commute check reads the character tables and brackets nothing
     calls = []
 
     def counted(vectors, ambient_dim):
         calls.append(ambient_dim)
         return span_of(vectors, ambient_dim)
 
+    def no_brackets(*args):
+        raise AssertionError("direct_sum computed a bracket")
+
     space = build_space(1, 1, 1)
     sp1, glq = build_sp1(space), build_glq(space)
     monkeypatch.setattr(liealg, "span_of", counted)
+    monkeypatch.setattr(liealg, "brackets", no_brackets)
     h0 = direct_sum(sp1, glq)
     assert coordinates_of(h0, plus(space.I[0], glq.basis[1])) == {0: 1, 4: 1}
     assert calls == [2 * h0.dim]
+    assert h0.characters() == (2, 1, 3, 0, 0, 0, 0)
 
 
 def test_direct_sum_finds_the_one_pair_that_does_not_commute():
-    # every pair commutes but the last element of each summand
+    # g = span{I1} commutes with I1 but not with I2, so its one character
+    # is not trivial; placed last in a g whose other elements commute with
+    # sp(1), it is still found
     space = build_space(1, 1, 1)
-    sp = build_sp(space)
-    x, y = sp.basis[4], sp.basis[-1]
-    head = [b for b in sp.basis[5:-1] if not commutator(x, b).nz][:2]
-    first = LieAlgebra("first", space, [*space.I[:2], x])
-    second = LieAlgebra("second", space, [*head, y])
-    assert len(head) == 2
-    assert [(i, j) for i, a in enumerate(first.basis)
-            for j, b in enumerate(second.basis)
-            if commutator(a, b).nz] == [(2, 2)]
-    for a, b in ((first, second), (second, first)):
+    sp1, sp = build_sp1(space), build_sp(space)
+    i1 = space.I[0]
+    for basis in ([i1], [*sp.basis[:2], i1]):
+        g = LieAlgebra("g", space, basis)
+        assert [(a, b) for a in range(3) for b in range(len(basis))
+                if commutator(space.I[a], basis[b]).nz] == [(1, len(basis) - 1),
+                                                            (2, len(basis) - 1)]
+        assert g.characters()[-1] == 2
         with pytest.raises(ValueError, match="not a direct sum"):
-            direct_sum(a, b)
+            direct_sum(sp1, g)
 
 
 def test_direct_sum_rejects_non_commuting():
+    # I1 plus an element of sp(1,1) is fixed by conjugation by I1, but I2
+    # takes it to the sp element minus I1, not +- itself: the kernel's
+    # refusal, reported by direct_sum as not commuting
     space = build_space(1, 1, 1)
-    sp = build_sp(space)
-    # B-block vs D-block elements do not commute (they bracket into C)
-    upper = LieAlgebra("upper", space, [sp.basis[4]])
-    lower = LieAlgebra("lower", space, [sp.basis[-1]])
-    assert commutator(sp.basis[4], sp.basis[-1]).nz
-    with pytest.raises(ValueError, match="not a direct sum"):
-        direct_sum(upper, lower)
+    mixed = LieAlgebra("mixed", space, [plus(space.I[0], build_sp(space).basis[0])])
+    with pytest.raises(ValueError, match="conjugation by I2 does not map basis element 0"):
+        mixed.characters()
+    with pytest.raises(ValueError, match="^not a direct sum: summands do not commute$"):
+        direct_sum(build_sp1(space), mixed)
+
+
+def test_direct_sum_needs_i3_to_be_i1_i2():
+    # commuting with I1 and I2 gives commuting with I3 only when I3 = I1 I2
+    space = build_space(1, 1, 1)
+    i1, i2, i3 = space.I
+    planted = SimpleNamespace(I=(i1, i2, scaled(i3, -1)))
+    sp1 = LieAlgebra("sp(1)", planted, planted.I)
+    glq = LieAlgebra("gl(1,H)", planted, build_glq(space).basis)
+    with pytest.raises(ValueError, match="I3 is not I1 I2"):
+        direct_sum(sp1, glq)
 
 
 @pytest.mark.parametrize("name", ["sp", "sp_w", "sp1", "glq", "h0",

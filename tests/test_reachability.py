@@ -30,6 +30,10 @@ NEVER_ENTERED = {
                                       "bench's case-split workload writes",
     # reached only when something goes wrong, or when a value is inspected
     "harness._crash_details": "reached only when a check crashes",
+    "exactlin.Subspace.contains_vector": "reached by `contains` only for a row "
+                                         "that is not verbatim a basis row, which "
+                                         "no split the commands run has",
+    "exactlin.Subspace.reduce_vector": "reached through `contains_vector` only",
     "exactlin.RealMatrix.__repr__": "a repr",
     "exactlin.Subspace.__repr__": "a repr",
     "quatspace.QuaternionicSpace.__repr__": "a repr",

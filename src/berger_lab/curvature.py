@@ -62,16 +62,17 @@ lexicographically over the realified basis, and a tensor is its integer
 rows by bivector, {ib: {k: int}} for the ib-th bivector (a, b), nonzero
 rows and entries only, over one positive denominator: the coefficient of
 B_k in R(e_a, e_b) is rows[ib][k] / den (`CurvatureElement`).  A space
-of tensors is the canonical RREF rows of its span in Sym^2(g), the
-unknown x_kl = S_kl, k <= l, at column l (l + 1) / 2 + k, and is built
-from them alone: every verdict reads those rows, and no space builds a
-tensor object.
-`CurvatureSpace.values` is the one map out of Sym^2(g): it yields each
-row's tensor in that form, for the Berger closure, the degenerate-pair and
-restriction checks, R1, pair symmetry and the derivative space; `act` maps
-rows to rows and reads no tensor.  The cache
-form is the sparse Sym^2(g) rows; `from_json` checks them before it keeps
-them.
+of tensors is the canonical rows of its span in Sym^2(g), the unknown
+x_kl = S_kl, k <= l, at column l (l + 1) / 2 + k: integer rows, each the
+primitive multiple of an RREF row, positive at its lead (`exactlin`).  It
+is built from them alone: every verdict reads those rows, and no space
+builds a tensor object.  `CurvatureSpace.values` is the one map out of
+Sym^2(g): it yields each row's tensor in that form, for the Berger
+closure, the degenerate-pair and restriction checks, R1, pair symmetry and
+the derivative space; `act` maps rows to rows and reads no tensor.  The
+cache form is the sparse Sym^2(g) rows, each divided by its lead where it
+is written, the leading-1 RREF rows; `from_json` checks them and clears
+each back to its integer row before it keeps them.
 
 Comparisons across algebras read a space over a larger algebra whose basis
 holds its algebra's basis in order, as `direct_sum` builds sp(1)+g from g:
@@ -94,9 +95,10 @@ permutations by `invertible_permutation`, which raises ValueError on
 anything else, a zero column included; there is no fallback.  A basis has
 integer entries (`LieAlgebra` refuses any other), so the basis columns of
 `_columns` and the 2-forms omega_k of `_pairing_table` are integral as
-read, and a tensor is its integer rows over one denominator; each
-canonical row is cleared by `integer_row` before `values` maps it, so
-every reader of a space takes integer rows.  The algebra keeps its column
+read, and a tensor is its integer rows over one denominator; the canonical
+rows of a space are integer rows, which `values` and `_relabelled_blocks`
+map as they are, so every reader of a space takes integer rows and none
+clears one.  The algebra keeps its column
 and 2-form tables once they are built (`LieAlgebra.kept`), so each is
 built once per algebra, however many checks read it; a refusal (a basis
 matrix that is not eta-skew) is not kept.  The residual, Ricci and the
@@ -188,9 +190,9 @@ def _biv_index(n: int, a: int, b: int) -> int:
 
 class CurvatureSpace:
     """A space of curvature tensors with values in `algebra`, on
-    `algebra.space`, given by the canonical RREF rows of its span in
-    Sym^2(g), which it keeps as its coefficient subspace: the unknown
-    x_kl = S_kl, k <= l, is column l (l + 1) / 2 + k (`_sym2_col`).
+    `algebra.space`, given by the canonical integer rows of its span in
+    Sym^2(g) (`exactlin`), which it keeps as its coefficient subspace: the
+    unknown x_kl = S_kl, k <= l, is column l (l + 1) / 2 + k (`_sym2_col`).
     `dim` is their number, and `values` reads each row's tensor by
     bivector; no tensor object is built.  The rows are taken as they are:
     `bianchi_kernel` computes them, and `from_json` checks them first."""
@@ -217,7 +219,8 @@ class CurvatureSpace:
     def values(self, bivectors=None):
         """Each canonical row's tensor in turn as {ib: {k: int}}, the
         coefficient of B_k in R(e_a, e_b) for the ib-th bivector (a, b),
-        times a positive factor of its own: nonzero rows and entries only,
+        times a positive factor of its own, read from the integer row as it
+        is: nonzero rows and entries only,
         bivectors ascending, and only the bivector indices `bivectors` when
         they are given.  This is the one map out of Sym^2(g):
         R(e_a, e_b) = sum_kl S_kl omega_l(a, b) B_k, so x_kl adds omega_l to
@@ -229,7 +232,7 @@ class CurvatureSpace:
         unknowns = _sym2_unknowns(self.algebra.dim)
         for x in self._subspace.sparse_rows():
             tensor: dict[int, dict] = {}
-            for j, s in integer_row(x).items():
+            for j, s in x.items():
                 k, l = unknowns[j]
                 for ib, w in forms[l].items():
                     row = tensor.setdefault(ib, {})
@@ -244,16 +247,17 @@ class CurvatureSpace:
 
     def to_json(self) -> dict:
         """The dense form `curvature-space --format json` prints: the
-        canonical RREF rows of the space's tensors in the flat layout, key
-        ib * dim g + k, one string per (bivector, basis element)."""
+        leading-1 RREF rows of the space's tensors in the flat layout, key
+        ib * dim g + k, one string per (bivector, basis element), each
+        canonical row divided by its lead where it is written."""
         dimg = self.algebra.dim
         flat = ({ib * dimg + k: v for ib, row in tensor.items() for k, v in row.items()}
                 for tensor in self.values())
         basis = []
         for row in canonical_rows(flat):
             dense = [["0"] * dimg for _ in range(_bivector_count(self.space.real_dim))]
-            for key, c in row.items():
-                dense[key // dimg][key % dimg] = rat_to_str(c)
+            for key, c in _leading_one(row).items():
+                dense[key // dimg][key % dimg] = c
             basis.append(dense)
         return {
             "algebra": self.algebra.name,
@@ -265,10 +269,11 @@ class CurvatureSpace:
         }
 
     def rows_json(self) -> dict:
-        """The form `from_json` reads: the canonical Sym^2(g) rows, each a
-        list of [column, value] pairs, columns ascending."""
+        """The form `from_json` reads: the canonical Sym^2(g) rows, each
+        divided by its lead where it is written, so the leading-1 RREF
+        rows, each a list of [column, value] pairs, columns ascending."""
         return {"algebra": self.algebra.name, "dim": self.dim,
-                "rows": [[[j, rat_to_str(c)] for j, c in row.items()]
+                "rows": [[[j, c] for j, c in _leading_one(row).items()]
                          for row in self._subspace.sparse_rows()]}
 
     @classmethod
@@ -276,8 +281,9 @@ class CurvatureSpace:
         """The space over `algebra` of the form `rows_json` writes.  Raises
         ValueError unless `data` names `algebra` and as many rows as it
         holds, the columns of each row are ints that increase within
-        [0, dim g (dim g + 1) / 2), and the rows are canonical
-        (`check_canonical`)."""
+        [0, dim g (dim g + 1) / 2), and the rows are leading-1 RREF rows
+        (`check_canonical`).  Each checked row is then cleared by
+        `integer_row` to the canonical integer row the space keeps."""
         given = data["rows"]
         if (data["algebra"], data["dim"]) != (algebra.name, len(given)):
             raise ValueError(f"{algebra.name} with {len(given)} rows is "
@@ -291,7 +297,14 @@ class CurvatureSpace:
                 raise ValueError(f"row {i}: columns must increase within [0, {ncols})")
             rows.append({j: rat_from_str(v) for j, v in pairs})
         check_canonical(rows)
-        return cls(algebra, rows)
+        return cls(algebra, [integer_row(row) for row in rows])
+
+
+def _leading_one(row: dict) -> dict:
+    """The canonical row `row`, keys ascending, divided by its lead where it
+    is written: the leading-1 RREF row, {column: "p/q"}."""
+    lead = next(iter(row.values()))
+    return {k: rat_to_str(ratio(c, lead)) for k, c in row.items()}
 
 
 def _sym2_dim(dimg: int) -> int:
@@ -585,15 +598,14 @@ def _relabelled_blocks(kernel: list[dict], basis_weight: list[tuple],
     ones, from the representative blocks' rows `kernel`: a permutation of
     the Witt pairs that takes basis element k to sign_k B_k' takes a
     kernel row S to S'_{k'l'} = sign_k sign_l S_kl, and `canonical_rows`
-    re-canonicalises each block.  Each row is cleared to ints once
-    (`integer_row`), as `canonical_rows` would clear it anyway, and each
-    walk composes the actions on the basis elements the block meets only."""
+    re-canonicalises each block.  The kernel rows are integer rows, so the
+    relabelled rows are too, and each walk composes the actions on the
+    basis elements the block meets only."""
     unknowns = _sym2_unknowns(len(basis_weight))
     blocks: dict[tuple, list] = {}
     for row in kernel:
         k, l = unknowns[next(iter(row))]
-        blocks.setdefault(_add(basis_weight[k], basis_weight[l]), []).append(
-            integer_row(row))
+        blocks.setdefault(_add(basis_weight[k], basis_weight[l]), []).append(row)
     out = []
     for weight, rows in blocks.items():
         cols = sorted({j for row in rows for j in row})
@@ -1030,9 +1042,10 @@ def coefficients_over(curvature: CurvatureSpace, target: LieAlgebra) -> Subspace
     sp(1)+sp(r,s)_W; `direct_sum` concatenates bases), or the algebra
     itself.  Basis element k is then target element m_k, m strictly
     increasing, so the column map (k, l) -> (m_k, m_l) is strictly
-    increasing and takes the canonical RREF rows of
-    `curvature.coefficient_subspace()` to canonical RREF rows over
-    `target`; RREF is unique, so relabelling them is the whole computation.
+    increasing and takes the canonical rows of
+    `curvature.coefficient_subspace()` to canonical rows over `target`;
+    the canonical form is unique, so relabelling them is the whole
+    computation.
     Any other target raises ValueError."""
     slots = block_slots(curvature.algebra, target)
     column = [_sym2_col(slots[k], slots[l])

@@ -3,43 +3,51 @@
 Every scalar is exact and has one normal form: a Python `int` when it is
 integral, a `fractions.Fraction` (denominator > 1) otherwise.  `exact` and
 `ratio` are the only normalisers.  Values are normalised where they are
-created or stored: every `RealMatrix` entry, every canonical row and kernel
-row, every remainder `Subspace.reduce_vector` returns and every value
-`rat_from_str` parses.  A loop keeps the values it accumulates as
-computed, so int * int stays int.  Python gives `Fraction(2) == 2`,
-`hash(Fraction(2)) == hash(2)` and `str(Fraction(2)) == "2"`, so no
-equality, hash or serialized form depends on the type.  Nothing here uses
-true division, which turns two ints into a float.
+created or stored: every `RealMatrix` entry, every remainder
+`Subspace.reduce_vector` returns and every value `rat_from_str` parses.
+Canonical rows and kernel rows hold ints only (below).  A loop keeps the
+values it accumulates as computed, so int * int stays int.  Python gives
+`Fraction(2) == 2`, `hash(Fraction(2)) == hash(2)` and
+`str(Fraction(2)) == "2"`, so no equality, hash or serialized form depends
+on the type.  Nothing here uses true division, which turns two ints into a
+float.
 
 Everything is sparse: a matrix (`RealMatrix`) stores its nonzero entries
 only, and a vector is a {index: value} mapping of its nonzeros.  A matrix
 is read only by its entries (`nz`): it has no arithmetic, and eta and the
 I_alpha are composed (`compose`) as the signed permutations
-`signed_permutation` reads off them.  Elimination is deterministic, so echelon forms are
-unique and subspace bases are canonical: two subspaces are equal iff
-their stored rows are equal.
+`signed_permutation` reads off them.  The canonical row of a span is the
+primitive integer multiple of its RREF row, positive at its lead: ints
+with gcd 1.  That form is unique, so subspace bases are canonical and two
+subspaces are equal iff their stored rows are equal, whatever
+denominators their RREF rows would have.
 
 Every elimination runs on one engine, `Echelon`, with no exception, over
 sparse rows of primitive integers (fraction-free, per-row gcd
-normalization).  That is an optimization only; observable results are
-identical to naive Fraction-based Gauss-Jordan.  Rational rows enter it
-through `integer_row`, the one place denominators are cleared.  Spans and
-membership are answered by `Echelon`, `span_of` and
-`Subspace.reduce_vector`.  Independence and coordinates over an algebra's
-basis come from its Gram table (`liealg`): one `span_of` over the rows
-[G | I] of its Gram matrix G, 2 dim g columns, decides independence and
-gives G^-1, and no elimination runs per coordinate.  The one symmetric
-form whose signature is asked for, eta, is a signed permutation, so
-`symmetric_signature` counts it from `signed_permutation`, the one reader
-of such a matrix, and eliminates nothing.
+normalization).  After `full_reduce` its pivot rows are the canonical rows
+themselves, and they are handed out as they are, with no division: each
+is the textbook Fraction Gauss-Jordan row times the lcm of that row's
+denominators.  Rational rows enter it through `integer_row` at the input
+of `canonical_rows`; the only other clearings are at the edges, the cache
+rows `curvature` reads and the public input of
+`prolong.first_prolongation`.  Spans and membership are answered by
+`Echelon`, `span_of` and `Subspace.reduce_vector`.  Independence and
+coordinates over an algebra's basis come from its Gram table (`liealg`):
+one `span_of` over the rows [G | I] of its Gram matrix G, 2 dim g
+columns, decides independence and gives G^-1, and no elimination runs per
+coordinate.  The one symmetric form whose signature is asked for, eta, is
+a signed permutation, so `symmetric_signature` counts it from
+`signed_permutation`, the one reader of such a matrix, and eliminates
+nothing.
 
 `Echelon` pivots each row at its largest column.  Kernels come out
 canonical from one elimination: in `sparse_nullspace` every reduced pivot
 row holds, besides its pivot, only free columns to its left, which makes
-the free-column basis of the kernel its RREF basis, so no caller
-re-canonicalises a kernel.  `canonical_rows` wants the leftmost-pivot RREF
-of a span, so it negates the columns on the way in and back on the way out;
-`check_canonical` decides whether rows read from outside are in that form.
+the free-column basis of the kernel its RREF basis, read off as integer
+rows, so no caller re-canonicalises a kernel.  `canonical_rows` wants the
+leftmost-pivot RREF of a span, so it negates the columns on the way in and
+back on the way out.  `check_canonical` decides whether rows read from
+outside are in the leading-1 form the cache writes.
 
 `Echelon` keeps its pivot rows short.  A working row shorter than the
 pivot row at its largest column takes that pivot's place (Markowitz's
@@ -59,8 +67,8 @@ adds to a row a multiple of a row already in the span, so the span never
 changes.  Each reduction strictly lowers the largest column of the row
 being worked on, so insertion ends.  Since the reduced echelon form of a
 span is unique for a given column order, which rows became pivots does
-not show in any result: every kernel, span and canonical row is the one
-the textbook elimination gives.
+not show in any result: every kernel, span and canonical row is the
+primitive integer multiple of the one the textbook elimination gives.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -169,8 +177,8 @@ class RealMatrix:
 # Rows are dicts {column: int}, kept primitive (gcd 1).  Pivot rows carry a
 # positive entry at their pivot, their largest column.  `Echelon` builds an
 # echelon basis incrementally; `full_reduce` turns it into the reduced form
-# (zeros at every other pivot column), from which the unique RREF is
-# obtained by dividing each row by its pivot entry.
+# (zeros at every other pivot column), whose rows are the canonical rows:
+# each RREF row's primitive integer multiple.
 
 def integer_row(row: Mapping) -> dict:
     """The nonzero entries of a rational row times the lcm of their
@@ -313,22 +321,18 @@ class Echelon:
                 self.units.add(c)
 
     def canonical_rows(self) -> list[dict]:
-        """Leading-1 RREF rows (exact rationals in normal form), sorted by
-        pivot column.
-
-        Each row's 1 sits at its largest column.  Call only after
-        `full_reduce`.
+        """The pivot rows as they are, keys ascending, sorted by pivot
+        column: after `full_reduce` each is the primitive integer multiple
+        of its RREF row, positive at its pivot, its largest column.  Call
+        only after `full_reduce`.
         """
-        out = []
-        for c in sorted(self.pivots):
-            r = self.pivots[c]
-            pv = r[c]
-            out.append({k: ratio(v, pv) for k, v in sorted(r.items())})
-        return out
+        piv = self.pivots
+        return [dict(sorted(piv[c].items())) for c in sorted(piv)]
 
 
 def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list[dict]:
-    """Canonical RREF basis of the kernel of a sparse integer system.
+    """Canonical basis of the kernel of a sparse integer system: the
+    primitive integer multiples of its RREF rows, positive at their lead.
 
     `rows` is an iterable of {col: int} equations over the columns
     [0, ncols); it is consumed lazily so the equation set never has to be
@@ -340,11 +344,14 @@ def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list[dict]:
     every reduced pivot row holds, besides its pivot, only free columns to
     the pivot's left.  The free-column basis vector of free column f then
     has its leading 1 at f and is zero at every other free column: it is
-    already the canonical RREF row, and no second elimination is needed.
-    It is read off in one pass over the pivots, ascending, each pivot
-    row's entry appended to its free column's row, so every row's keys
-    ascend with no sort; a pivot entry 1 divides nothing.  Returns the
-    rows sorted by leading column, keys ascending.
+    already the RREF row, and no second elimination is needed.  Its
+    canonical row leads with L_f, the lcm over the pivot rows r that meet f
+    of r_c / gcd(r_f, r_c), r_c the pivot entry at c, and holds
+    -r_f L_f / r_c at c, an int; a pass over the pivot rows whose pivot
+    entry is not 1 gives each L_f that is not 1.  The rows are read off in
+    one pass over the pivots, ascending, each pivot row's entry appended to
+    its free column's row, so every row's keys ascend with no sort.
+    Returns the rows sorted by leading column, keys ascending.
 
     Raises ValueError, naming the column, if a row holds a column outside
     [0, ncols).  The pivot rows span every row, so each column of a row is
@@ -361,22 +368,32 @@ def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list[dict]:
         k = c if c >= ncols else min(r)
         if not 0 <= k < ncols:
             raise ValueError(f"column {k} is outside [0, {ncols})")
-    basis = {j: {j: 1} for j in range(ncols) if j not in piv}
+    lead: dict[int, int] = {}  # free column f -> L_f, where it is not 1
+    for c, r in piv.items():
+        pv = r[c]
+        if pv != 1:
+            for k, v in r.items():
+                if k != c:
+                    lead[k] = lcm(lead.get(k, 1), pv // gcd(v, pv))
+    basis = {j: {j: lead.get(j, 1)} for j in range(ncols) if j not in piv}
     for c in sorted(piv):
         r = piv[c]
         pv = r[c]
         for k, v in r.items():
             if k != c:
-                basis[k][c] = -v if pv == 1 else ratio(-v, pv)
+                row = basis[k]
+                row[c] = -v * row[k] // pv
     return list(basis.values())
 
 
 def canonical_rows(vectors: Iterable[dict]) -> list[dict]:
-    """Canonical RREF basis (sparse leading-1 rows) of the span of `vectors`.
+    """Canonical basis of the span of the rational sparse `vectors`: the
+    primitive integer multiples of its RREF rows, positive at their lead.
 
-    The rows enter `Echelon` with their columns negated, so its largest
-    column is the smallest original one: the pivots are the leftmost-pivot
-    RREF's, and the keys are mapped back on output.
+    The rows are cleared by `integer_row` and enter `Echelon` with their
+    columns negated, so its largest column is the smallest original one:
+    the pivots are the leftmost-pivot RREF's, and the keys are mapped back
+    on output.
     """
     ech = Echelon()
     for v in vectors:
@@ -388,9 +405,10 @@ def canonical_rows(vectors: Iterable[dict]) -> list[dict]:
 
 def check_canonical(rows: Sequence[Mapping]) -> None:
     """Raise ValueError, naming the row, unless the sparse `rows` are
-    canonical RREF rows, the form `canonical_rows` returns: each row is
-    nonzero, stores no zero and leads with 1, the leads strictly increase,
-    and no row is nonzero at another row's lead."""
+    leading-1 RREF rows, the form the cache writes (each canonical row
+    divided by its lead): each row is nonzero, stores no zero and leads
+    with 1, the leads strictly increase, and no row is nonzero at another
+    row's lead."""
     leads = [min(row, default=None) for row in rows]
     lead_set = set(leads)
     for i, (row, lead) in enumerate(zip(rows, leads)):
@@ -407,11 +425,12 @@ def check_canonical(rows: Sequence[Mapping]) -> None:
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A linear subspace of Q^n with a canonical (RREF) basis.
+    """A linear subspace of Q^n with a canonical basis.
 
     Canonical form makes equality syntactic: two subspaces coincide iff
-    their stored rows are equal.  The rows are sparse leading-1 RREF rows,
-    kept in order and indexed by their pivot (leading) column.
+    their stored rows are equal.  The rows are sparse integer rows, each
+    the primitive multiple of an RREF row, positive at its lead, kept in
+    order and indexed by their pivot (leading) column.
     """
 
     __slots__ = ("ambient_dim", "_rows", "_pivots")
@@ -445,14 +464,15 @@ class Subspace:
     def reduce_vector(self, vec: Mapping) -> dict:
         """Remainder of the sparse vector `vec` after reduction against the
         basis: nonzero entries only, none at a pivot column, each in normal
-        form."""
+        form.  Each pivot is cleared by its basis row over the row's lead."""
         v = {k: x for k, x in vec.items() if x}
         piv = self._pivots
         # each basis row is zero at every other pivot, so clearing one pivot
         # leaves the others alone and the order does not matter
         for c in [c for c in v if c in piv]:
-            coef = v[c]
-            for k, x in piv[c].items():
+            row = piv[c]
+            coef = v[c] if row[c] == 1 else Fraction(v[c], row[c])
+            for k, x in row.items():
                 nv = v.get(k, 0) - coef * x
                 if nv:
                     v[k] = nv
@@ -478,9 +498,10 @@ class Subspace:
 
 def span_of(vectors: Iterable[Mapping], ambient_dim: int) -> Subspace:
     """Canonical subspace equal to the linear span of the sparse
-    {index: value} `vectors`."""
+    {index: value} `vectors`; raises ValueError if an index is outside
+    [0, ambient_dim)."""
     sparse = list(vectors)
-    if any(v and max(v) >= ambient_dim for v in sparse):
+    if any(v and (min(v) < 0 or max(v) >= ambient_dim) for v in sparse):
         raise ValueError("vector exceeds ambient dimension")
     return Subspace(ambient_dim, canonical_rows(sparse))
 

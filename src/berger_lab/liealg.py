@@ -42,16 +42,17 @@ Coordinates are read off one table per algebra, the Gram table: an index
 of the basis entries by position and the inverse of the Frobenius Gram
 matrix G_kl = sum_pos B_k[pos] B_l[pos].  A real basis is independent iff
 G is positive definite, so one `span_of` over the rows [G | I] decides
-independence (its RREF is [I | G^-1] exactly then) and gives G^-1, which
-is kept by column.  The coordinates of M are then c = G^-1 (<M, B_l>)_l,
-the sum of column l times <M, B_l> over the l whose inner product is not
-zero, so a matrix that meets few basis elements reads few columns; M is in
-the span iff sum_k c_k B_k == M.  G is integral, so den G^-1 is too, den
-the lcm of the denominators of G^-1, and `integer_coordinates` reads the
-coordinates of den M over ints.  Every registry basis is pairwise
-orthogonal, with entries +-1, so G is diagonal, each column holds one
-entry, and a coordinate costs one pass over M's entries; the general path
-only needs G invertible.
+independence (its RREF is [I | G^-1] exactly then) and gives G^-1: its
+canonical rows are the integer rows [d_k e_k | d_k G^-1_k], so with
+den = lcm(d_k) den G^-1 is read over ints, and it is kept by column.  The
+coordinates of den M are then den G^-1 (<M, B_l>)_l, the sum of column l
+times <M, B_l> over the l whose inner product is not zero, so a matrix
+that meets few basis elements reads few columns; M is in the span iff
+sum_k c_k B_k == den M, and `integer_coordinates` reads the coordinates
+of den M over ints.  Every registry basis is pairwise orthogonal, with
+entries +-1, so G is diagonal, each column holds one entry, and a
+coordinate costs one pass over M's entries; the general path only needs G
+invertible.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from math import lcm
 
-from .exactlin import (Subspace, compose, integer_row, invertible_permutation,
-                       span_of, sparse_nullspace)
+from .exactlin import (Subspace, compose, invertible_permutation, span_of,
+                       sparse_nullspace)
 from .quatspace import QuaternionicSpace, conjugate, realify
 
 __all__ = [
@@ -180,14 +181,18 @@ def _build_gram(alg: LieAlgebra) -> tuple[dict, int, tuple]:
     """The Gram table of `alg`'s integral basis B_k: (index, den, columns).
 
     - index: pos -> [(k, B_k[pos]), ...] over the nonzero entries;
-    - den: the lcm of the denominators of the entries of G^-1;
+    - den: the lcm of the denominators of the entries of G^-1, which is
+      the lcm of the leads d_k of the canonical rows below;
     - columns: column l of den G^-1, {k: int} over its nonzeros, keys
       ascending; a coordinate reads only the columns of its nonzero inner
       products.
 
     G is read off the index, and one `span_of` over the rows [G | I]
-    gives [I | G^-1] when the basis is independent; a row leading in the
-    right half means G is singular, and raises "linearly dependent"."""
+    gives the canonical rows [d_k e_k | d_k G^-1_k] when the basis is
+    independent, row k of [I | G^-1] times the lead d_k, so
+    den = lcm(d_k) and column l of den G^-1 holds den / d_k times entry
+    dim g + l of row k, all over ints; a row leading in the right half
+    means G is singular, and raises "linearly dependent"."""
     dim = alg.dim
     index: dict = {}
     for k, b in enumerate(alg.basis):
@@ -203,12 +208,13 @@ def _build_gram(alg: LieAlgebra) -> tuple[dict, int, tuple]:
                    2 * dim).sparse_rows()
     if rows and min(rows[-1]) >= dim:
         raise ValueError(f"basis of {alg.name} is linearly dependent")
-    den = lcm(*(v.denominator for row in rows for v in row.values()))
+    den = lcm(*(row[k] for k, row in enumerate(rows)))
     columns = tuple({} for _ in range(dim))
-    for k, row in enumerate(rows):  # row k of [I | G^-1]
+    for k, row in enumerate(rows):  # row k of [d_k I | d_k G^-1]
+        scale = den // row[k]
         for l, v in row.items():
             if l >= dim:
-                columns[l - dim][k] = v.numerator * (den // v.denominator)
+                columns[l - dim][k] = v * scale
     return index, den, columns
 
 
@@ -387,8 +393,7 @@ def stabilizer_of_subspace(g: LieAlgebra, w: range) -> Subspace:
             d, c = divmod(pos, n)
             if c in w and d not in w:
                 equations.setdefault(pos, {})[k] = x
-    return Subspace(g.dim, sparse_nullspace(
-        map(integer_row, equations.values()), g.dim))
+    return Subspace(g.dim, sparse_nullspace(equations.values(), g.dim))
 
 
 # a builder, or a sum (first summand, second summand, name of the sum)

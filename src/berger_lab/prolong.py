@@ -29,7 +29,8 @@ __all__ = [
 class ProlongationSpace(NamedTuple):
     """Kernel of a prolongation symmetry system.
 
-    `basis` holds coefficient vectors in canonical RREF form, with key
+    `basis` holds coefficient vectors in canonical form, the primitive
+    integer multiples of the RREF rows (`exactlin`), with key
     x * action_dim + j for argument index x < acting_dim and action basis
     index j.  For order 1 the action basis is the given one; for order 2 it
     is the first prolongation's basis, so the coordinates are (argument,
@@ -63,7 +64,7 @@ def restrict_action(g: LieAlgebra, w: range) -> list[RealMatrix]:
                     raise ValueError(f"{g.name} does not preserve the subspace")
                 nz[w.index(d) * dw + w.index(c)] = x
         mat = RealMatrix(dw, dw, nz)
-        if span.insert(integer_row(nz)) is not None:
+        if span.insert(nz) is not None:  # the matrix keeps its own copy
             restricted.append(mat)
     return restricted
 

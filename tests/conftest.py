@@ -2,15 +2,15 @@ import functools
 import os
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 import pytest
 
 from berger_lab import curvature as curv
 from berger_lab.curvature import CurvatureElement, CurvatureSpace, bivector_pairs
-from berger_lab.exactlin import (RealMatrix, Subspace, integer_row, ratio, span_of,
-                                 sparse_nullspace)
+from berger_lab.exactlin import (RealMatrix, Subspace, check_canonical, integer_row,
+                                 ratio, span_of, sparse_nullspace)
 from berger_lab.harness import Session
 from berger_lab.prolong import (first_prolongation, restrict_action,
                                 second_prolongation)
@@ -138,6 +138,23 @@ def textbook_rref(rows):
                 a[k] = [x - f * y for x, y in zip(a[k], a[p])]
         pivots.append(col)
     return a, pivots
+
+
+def leading_one(rows):
+    """Each sparse row divided by its lead, keys ascending: the leading-1
+    RREF rows of canonical rows, the form the cache writes."""
+    return [{k: ratio(v, row[min(row)]) for k, v in sorted(row.items())}
+            for row in rows]
+
+
+def assert_canonical(rows):
+    """`rows` are canonical rows: ints, keys ascending, gcd 1 and positive
+    at their lead, and divided by their leads they are the canonical RREF
+    rows `check_canonical` accepts."""
+    for row in rows:
+        assert all(type(v) is int for v in row.values()) and list(row) == sorted(row)
+        assert gcd(*row.values()) == 1 and row[min(row)] > 0
+    check_canonical(leading_one(rows))
 
 
 def textbook_kernel(rows, ncols):
@@ -625,7 +642,7 @@ def ungraded_bianchi_kernel(algebra):
 
 
 def reference_bianchi_kernel(algebra):
-    """Canonical RREF rows of the first-Bianchi kernel on Hom(Lambda^2 V, g),
+    """Canonical rows of the first-Bianchi kernel on Hom(Lambda^2 V, g),
     solved on the flat system; the second computation `bianchi_kernel`
     is checked against."""
     ncols = len(bivector_pairs(algebra.space.real_dim)) * algebra.dim

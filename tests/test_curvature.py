@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import tracemalloc
 from collections import deque
 from fractions import Fraction
@@ -10,21 +11,21 @@ from types import SimpleNamespace
 import pytest
 
 from berger_lab import curvature as curv
-from berger_lab import exactlin, liealg
+from berger_lab import exactlin, liealg, prolong
 from berger_lab.curvature import (CurvatureElement, CurvatureSpace, act,
                                   bianchi_residual_is_zero, bivector_pairs,
                                   build_r0, build_r1, coefficients_over,
                                   derivative_space, pair_symmetry_all,
                                   pair_symmetry_holds, restrict_check_degenerate,
                                   scalar)
-from berger_lab.exactlin import RealMatrix, canonical_rows, check_canonical, span_of
-from berger_lab.berger import berger_report, holonomy_case_split
+from berger_lab.exactlin import RealMatrix, canonical_rows, span_of
+from berger_lab.berger import berger_report, holonomy_case_split, split_failures
 from berger_lab.harness import (ALL_CHECKS, TIER1_CONFIGS, Session, cache_get,
                                 cache_put, run_verification)
 from berger_lab.liealg import ALGEBRA_NAMES, LieAlgebra, algebra_by_name
 from berger_lab.quatspace import QuaternionicSpace
-from conftest import (SPARSE_CASES, apply, basis_tensors, coefficients, commutator,
-                      element_over, entry,
+from conftest import (SPARSE_CASES, apply, assert_canonical, basis_tensors,
+                      coefficients, commutator, element_over, entry,
                       first_rows, flat_subspace, flat_vector, flat_vectors,
                       ref_ricci, is_orbit_least, is_orbit_representative,
                       reference_bianchi_kernel, reference_coefficients_over, reference_coordinates,
@@ -441,6 +442,15 @@ def test_every_registry_algebra_has_an_integral_basis():
     assert len(algebras) == 197
     assert all(v in (1, -1) for algebra in algebras for bmat in algebra.basis
                for v in bmat.nz.values())
+
+
+def test_every_curvature_space_holds_primitive_integer_rows():
+    # the canonical row of a space is its RREF row's primitive integer
+    # multiple, positive at its lead, at every sweep configuration
+    algebras = sweep_algebras()
+    assert len(algebras) == 197
+    for algebra in algebras:
+        assert_canonical(curv.bianchi_kernel(algebra).coefficient_subspace().sparse_rows())
 
 
 def test_w_preserving_algebras_are_the_filtered_sp_basis():
@@ -917,8 +927,9 @@ def test_derivative_space_matches_the_tensor_reference(session, name, r, s, t):
 
 
 def test_derivative_space_of_rows_with_fractions(session):
-    # a space that is no curvature space, whose canonical rows hold
-    # non-integral Fractions, so each row is cleared before it is mapped
+    # a space that is no curvature space, spanned with a row of Fractions,
+    # whose canonical rows include rows whose lead is not 1, so the tensors
+    # of `values` carry factors of their own
     curvature = kernel(session, "sp1+sp_w", 1, 1, 1)
     algebra = curvature.algebra
     ncols = curvature.coefficient_subspace().ambient_dim
@@ -926,7 +937,7 @@ def test_derivative_space_of_rows_with_fractions(session):
     sample = CurvatureSpace(algebra, canonical_rows(
         [*curvature.coefficient_subspace().sparse_rows(), stray]))
     rows = sample.coefficient_subspace().sparse_rows()
-    assert any(type(c) is Fraction for row in rows for c in row.values())
+    assert any(row[min(row)] != 1 for row in rows)
     computed = derivative_space(sample)
     assert 0 < computed.dim < computed.ambient_dim
     assert computed.sparse_rows() == reference_derivative_space(sample).sparse_rows()
@@ -1150,7 +1161,7 @@ def test_coefficients_over_matches_the_reference(session, source, target, r, s, 
     # the relabelled rows, canonical as they are, mapped to the flat layout
     curvature = kernel(session, source, r, s, t)
     algebra = session.algebra(target, r, s, t)
-    check_canonical(coefficients_over(curvature, algebra).sparse_rows())
+    assert_canonical(coefficients_over(curvature, algebra).sparse_rows())
     assert flat_subspace(over(curvature, algebra)) == reference_coefficients_over(
         curvature, algebra)
 
@@ -1296,9 +1307,42 @@ def test_kernel_keeps_its_canonical_subspace(session, monkeypatch):
     sub = curvature.coefficient_subspace()
     assert calls == []
     monkeypatch.undo()
-    check_canonical(sub.sparse_rows())
+    assert_canonical(sub.sparse_rows())
     assert sub.ambient_dim == algebra.dim * (algebra.dim + 1) // 2
     assert sub == span_of(sub.sparse_rows(), sub.ambient_dim)
+
+
+@pytest.mark.parametrize("config", [(1, 2, 1), (2, 2, 2)])
+def test_no_reader_of_a_space_clears_its_rows(monkeypatch, config):
+    # building the algebras and solving their spaces clears only the rows
+    # `canonical_rows` takes in (the Gram tables' and, at t >= 2, the
+    # relabelled blocks'), and `_relabelled_blocks` clears none; `values`,
+    # `coefficients_over` and `split_failures` clear no row
+    callers = []
+    clear = exactlin.integer_row
+
+    def counting(row):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return clear(row)
+
+    for module in (exactlin, curv, prolong):
+        monkeypatch.setattr(module, "integer_row", counting)
+    session = Session()
+    names = [name for name in ALGEBRA_NAMES
+             if config[0] == config[1] == config[2] or name not in ("glq", "h0")]
+    spaces = {name: session.curvature(name, *config) for name in names}
+    assert set(callers) == {"canonical_rows"}
+    callers.clear()
+    full, sub = spaces["sp1+sp_w"], spaces["sp_w"]
+    for space in spaces.values():
+        list(space.values())
+    coefficients_over(sub, full.algebra)
+    generator = build_r1(spaces["h0"]) if "h0" in spaces else None
+    assert split_failures(full, sub, generator) == []
+    assert callers == []
+    # the count is live: `from_json` clears each leading-1 row it reads
+    CurvatureSpace.from_json(full.algebra, full.rows_json())
+    assert len(callers) == full.dim
 
 
 @pytest.mark.parametrize("name,r,s,t", SPARSE_CASES)
@@ -1320,7 +1364,8 @@ def test_from_json_reads_only_nonzero_entries(session):
     label = {"algebra": algebra.name, "dim": 1}
     data = {**label, "rows": [[[3, "1"], [5, "-3/4"]]]}
     space = CurvatureSpace.from_json(algebra, data)
-    assert space.coefficient_subspace().sparse_rows() == ({3: 1, 5: Fraction(-3, 4)},)
+    # the leading-1 row is kept as its primitive integer multiple
+    assert space.coefficient_subspace().sparse_rows() == ({3: 4, 5: -3},)
     # a zero, in any spelling, is refused rather than stored
     with pytest.raises(ValueError, match="^row 0"):
         CurvatureSpace.from_json(algebra, {**label, "rows": [[[3, "1"], [5, "0/7"]]]})

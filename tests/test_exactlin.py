@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from berger_lab.exactlin import (Echelon, RealMatrix, Subspace,
-                                 canonical_rows, exact, rat_from_str,
+                                 canonical_rows, exact, integer_row, rat_from_str,
                                  rat_to_str, ratio, span_of,
                                  sparse_nullspace, symmetric_signature)
-from conftest import (apply, commutator, dense, entry, from_rows, identity, is_normal,
-                      minus, nullspace, plus, product, row_dicts, scaled,
-                      textbook_kernel, textbook_rref, transpose)
+from conftest import (apply, assert_canonical, commutator, dense, entry, from_rows,
+                      identity, is_normal, minus, nullspace, plus, product,
+                      row_dicts, scaled, textbook_kernel, textbook_rref, transpose)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -56,9 +56,10 @@ def test_rref_diagonal_full_rank():
 @given(small_matrices(max_dim=5))
 @settings(max_examples=100, deadline=None)
 def test_rref_matches_textbook_gauss_jordan(m):
+    # each canonical row is the textbook RREF row's primitive integer multiple
     expected, piv = textbook_rref(dense_rows(m))
     rows = canonical_rows(row_dicts(m))
-    assert rows == [{j: x for j, x in enumerate(r) if x}
+    assert rows == [integer_row({j: x for j, x in enumerate(r) if x})
                     for r in expected[:len(piv)]]
     assert [min(r) for r in rows] == piv
 
@@ -121,7 +122,7 @@ def test_sparse_nullspace_is_the_canonical_kernel(system):
     before = [dict(row) for row in rows]
     kernel = sparse_nullspace(iter(rows), ncols)
     assert rows == before
-    assert kernel == textbook_kernel(rows, ncols)
+    assert kernel == list(map(integer_row, textbook_kernel(rows, ncols)))
     for vec in kernel:
         assert list(vec) == sorted(vec)
         assert all(is_normal(v) for v in vec.values())
@@ -150,9 +151,11 @@ def test_sparse_nullspace_never_inserts_a_dead_row(monkeypatch):
 
 def test_sparse_nullspace_reads_off_pivots_other_than_1():
     # reduced pivot rows {0: 1, 1: 4, 4: 2}, {0: 1, 2: 2}, {1: 1, 3: 1}
-    # and {5: 1}: pivots 2 give a Fraction and an int, the pivot 1 an int,
-    # and the free column 6 meets no pivot row; the pivot at 4 is stored
-    # before the one at 2, so free column 0 is met at 4 first
+    # and {5: 1}: free column 0 meets the pivots 2 at 2 and 4 with entry 1,
+    # so its row leads with lcm(2, 2) = 2; free column 1 meets the pivot 2
+    # at 4 with entry 4 and the pivot 1 at 3, so it leads with 1; the free
+    # column 6 meets no pivot row; the pivot at 4 is stored before the one
+    # at 2, so free column 0 is met at 4 first
     rows = [{0: 1, 1: 4, 4: 2}, {0: 1, 2: 2}, {1: 1, 3: 1}, {5: 3}]
     ech = Echelon()
     for row in rows:
@@ -160,11 +163,14 @@ def test_sparse_nullspace_reads_off_pivots_other_than_1():
     ech.full_reduce()
     assert sorted(r[c] for c, r in ech.pivots.items()) == [1, 1, 2, 2]
     kernel = sparse_nullspace(iter(rows), 7)
-    assert kernel == textbook_kernel(rows, 7) == [
-        {0: 1, 2: Fraction(-1, 2), 4: Fraction(-1, 2)}, {1: 1, 3: -1, 4: -2}, {6: 1}]
-    for vec in kernel:
-        assert list(vec) == sorted(vec)
-        assert all(is_normal(v) for v in vec.values())
+    assert kernel == list(map(integer_row, textbook_kernel(rows, 7))) == [
+        {0: 2, 2: -1, 4: -1}, {1: 1, 3: -1, 4: -2}, {6: 1}]
+    # a pivot 3 at 7 meets free column 0 too: it leads with lcm(2, 2, 3)
+    rows.append({0: 1, 7: 3})
+    kernel = sparse_nullspace(iter(rows), 8)
+    assert kernel == list(map(integer_row, textbook_kernel(rows, 8))) == [
+        {0: 6, 2: -3, 4: -3, 7: -2}, {1: 1, 3: -1, 4: -2}, {6: 1}]
+    assert_canonical(kernel)
 
 
 @pytest.mark.parametrize("rows,column", [([{5: 1, 0: 1}], 5), ([{-1: 1, 2: 1}], -1)])
@@ -179,7 +185,7 @@ def test_canonical_rows_is_the_textbook_rref(system):
     rows, ncols = system
     red, piv = textbook_rref([[row.get(j, 0) for j in range(ncols)]
                               for row in rows])
-    assert canonical_rows(rows) == [{j: x for j, x in enumerate(r) if x}
+    assert canonical_rows(rows) == [integer_row({j: x for j, x in enumerate(r) if x})
                                     for r in red[:len(piv)]]
 
 
@@ -204,7 +210,7 @@ def test_echelon_insert_contract(system):
     last = ncols - 1
     red, piv = textbook_rref([[row.get(last - j, 0) for j in range(ncols)]
                               for row in rows])
-    assert ech.canonical_rows() == [{last - j: x for j, x in enumerate(r) if x}
+    assert ech.canonical_rows() == [integer_row({last - j: x for j, x in enumerate(r) if x})
                                     for r in reversed(red[:len(piv)])]
 
 
@@ -295,6 +301,8 @@ def test_ambient_mismatch_raises():
         span_of([vec(1)], 1).contains(span_of([vec(1, 0)], 2))
     with pytest.raises(ValueError, match="exceeds ambient dimension"):
         span_of([vec(0, 0, 1)], 2)
+    with pytest.raises(ValueError, match="exceeds ambient dimension"):
+        span_of([{-1: 1}, {0: 2}], 3)
 
 
 vec3 = st.lists(rationals, min_size=3, max_size=3).map(lambda xs: vec(*xs))
@@ -319,6 +327,19 @@ def test_subspace_equality_is_equivalence(a_vecs, b_vecs):
     if a == b:
         assert b == a
         assert a.contains(b) and b.contains(a)
+
+
+@given(sparse_systems(), st.lists(vec3, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_every_row_handed_out_is_a_primitive_integer_row(system, vectors):
+    # rows of ints with gcd 1, positive at their lead, from integer and
+    # rational input alike; none holds a Fraction
+    rows, ncols = system
+    assert_canonical(canonical_rows(rows))
+    assert_canonical(canonical_rows(vectors))
+    assert_canonical(sparse_nullspace(rows, ncols))
+    assert_canonical(span_of(rows, ncols).sparse_rows())
+    assert_canonical(span_of(vectors, 3).sparse_rows())
 
 
 @given(sparse_systems(), st.data())
